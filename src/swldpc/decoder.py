@@ -8,8 +8,12 @@ messages, then the posteriors.
 Update rules (messages clamped to +/- LLR_MAX at every step):
 
 * variable v to check c: prior(v) plus the sum of incoming check messages
-  excluding the one from c. The exclusion is computed as a true
-  leave-one-out sum, so a degree-1 variable sends exactly its prior.
+  excluding the one from c. It is computed as the posterior of v from the
+  previous iteration minus the message from c (the standard flooding
+  identity), so no per-edge leave-one-out pass is needed. The subtraction
+  rounds: a message differs from the exact leave-one-out sum by about
+  1e-15 relative to the posterior, and a degree-1 variable sends its
+  prior to within that rounding rather than bit for bit.
 * check c (target parity b, check factor f) to variable v:
   2 atanh((1-2b) * f * prod tanh(m/2)) over incoming messages excluding
   the one from v. Code checks use their syndrome bit as b and f = 1;
@@ -110,52 +114,44 @@ def decode(
     n = graph.n
     layout = graph._decode_layout()
     edge_var = graph.edge_var
-    edge_check = graph.edge_check
     priors = graph.priors
 
-    # Per-edge constants: target-parity sign and check factor. Correlation
-    # checks have parity 0, so only the code blocks consult the syndromes.
+    # Per-edge constant: target-parity sign times check factor (exact, as
+    # the sign is +/-1). Correlation checks have parity 0, so only the
+    # code blocks consult the syndromes.
     parity = np.zeros(graph.check_count)
     parity[: graph.m1] = s1
     parity[graph.m1 : graph.num_code_checks] = s2
-    edge_sign = (1.0 - 2.0 * parity)[edge_check]
-    edge_factor = layout["check_factor"][edge_check]
+    edge_scale = ((1.0 - 2.0 * parity) * layout["check_factor"])[graph.edge_check]
     syndrome_bits = np.concatenate([s1, s2]).astype(np.int64)
 
-    var_order = layout["var_order"]
-    prior_on_sorted_edge = priors[edge_var[var_order]]
-
+    posteriors = priors
     c2v = np.zeros(graph.num_edges)
-    v2c = np.zeros(graph.num_edges)
     converged = False
     iterations_used = 0
 
     for iteration in range(1, config.max_iterations + 1):
-        # Variable update: leave-one-out sums over the var-major ordering.
-        incoming = c2v[var_order]
-        v2c_sorted = np.empty_like(incoming)
-        for _, _, slots in layout["var_groups"]:
-            block = incoming[slots]
-            left = np.zeros_like(block)
-            np.cumsum(block[:, :-1], axis=1, out=left[:, 1:])
-            right = np.zeros_like(block)
-            right[:, :-1] = np.cumsum(block[:, :0:-1], axis=1)[:, ::-1]
-            v2c_sorted[slots] = left + right
-        v2c_sorted += prior_on_sorted_edge
-        v2c[var_order] = v2c_sorted
+        # Variable update: each edge sends the posterior minus its own
+        # incoming message.
+        v2c = posteriors[edge_var] - c2v
         np.clip(v2c, -LLR_MAX, LLR_MAX, out=v2c)
 
-        # Check update: leave-one-out tanh products per check degree.
+        # Check update: leave-one-out tanh products per check degree. A
+        # degree-1 check excludes its only edge, so its product stays 1; a
+        # degree-2 check passes each edge its partner's value.
         t = np.tanh(v2c * 0.5)
-        excl = np.empty_like(t)
-        for _, _, slots in layout["check_groups"]:
-            block = t[slots]
-            left = np.ones_like(block)
-            np.cumprod(block[:, :-1], axis=1, out=left[:, 1:])
-            right = np.ones_like(block)
-            right[:, :-1] = np.cumprod(block[:, :0:-1], axis=1)[:, ::-1]
-            excl[slots] = left * right
-        arg = edge_sign * (edge_factor * excl)
+        excl = np.ones_like(t)
+        for degree, _, slots in layout["check_groups"]:
+            if degree == 2:
+                excl[slots] = t[slots[:, ::-1]]
+            elif degree > 2:
+                block = t[slots]
+                left = np.ones_like(block)
+                np.cumprod(block[:, :-1], axis=1, out=left[:, 1:])
+                right = np.ones_like(block)
+                right[:, :-1] = np.cumprod(block[:, :0:-1], axis=1)[:, ::-1]
+                excl[slots] = left * right
+        arg = edge_scale * excl
         np.clip(arg, -_TANH_LIMIT, _TANH_LIMIT, out=arg)
         fresh = 2.0 * np.arctanh(arg)
         np.clip(fresh, -LLR_MAX, LLR_MAX, out=fresh)

@@ -10,7 +10,8 @@ equivalent forms are supported:
 * ``folded``: the z node is eliminated algebraically. The correlation
   check has degree 2 and carries the hidden LLR as a check-local
   parameter. Because a degree-1 variable always emits its prior, the two
-  forms exchange identical messages on the u1/u2 edges.
+  forms exchange the same messages on the u1/u2 edges, up to the rounding
+  of the decoder's variable update.
 
 Node ids are assigned deterministically so message traces are comparable
 across runs: variables are the u1 block [0, n), the u2 block [n, 2n) and,
@@ -135,22 +136,19 @@ class JointTannerGraph:
     def _decode_layout(self) -> dict:
         """Index structures used by the message-passing sweeps.
 
-        Edges are grouped by the degree of their check (and, through a
-        var-major permutation, by the degree of their variable) so that
-        leave-one-out products and sums run as dense row operations.
+        Edges are grouped by the degree of their check, so that the
+        leave-one-out products of the check update run as dense row
+        operations. The variable update needs no layout of its own: it
+        reads the posteriors through ``edge_var``.
         """
         if self._layout is None:
             check_groups = _degree_groups(self.edge_check, self.check_count)
-            var_order = np.lexsort((self.edge_check, self.edge_var))
-            var_groups = _degree_groups(self.edge_var[var_order], self.var_count)
             code_mask = self.edge_check < self.num_code_checks
             factor = np.ones(self.check_count)
             if self.form == FOLDED_Z:
                 factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
             layout = {
                 "check_groups": check_groups,
-                "var_order": var_order,
-                "var_groups": var_groups,
                 "code_edge_var": self.edge_var[code_mask],
                 "code_edge_check": self.edge_check[code_mask],
                 "check_factor": factor,

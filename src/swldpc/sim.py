@@ -130,13 +130,16 @@ class SimRecord:
         return tuple(getattr(self, c) for c in CSV_COLUMNS)
 
 
-def _run_range(config: SimConfig, start: int, stop: int) -> tuple[int, int, int, int, int]:
+def _run_range(
+    config: SimConfig, h1: SparseParityMatrix, start: int, stop: int
+) -> tuple[int, int, int, int, int]:
     """Raw error counts for trials [start, stop).
+
+    ``h1`` is ``config.effective_h1()``, built once by the caller.
 
     Returns (bit errors source 1, bit errors source 2, frame errors,
     summed iteration counts, converged frames).
     """
-    h1 = config.effective_h1()
     graph = build_joint_graph(
         h1, config.h2, config.decode_model or config.model, form=FOLDED_Z
     )
@@ -166,14 +169,15 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
     trials = config.trials
+    h1 = config.effective_h1()
     if jobs == 1 or trials == 1:
-        counts = _run_range(config, 0, trials)
+        counts = _run_range(config, h1, 0, trials)
     else:
         jobs = min(jobs, trials)
         bounds = np.linspace(0, trials, jobs + 1).astype(int)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_range, config, int(lo), int(hi))
+                pool.submit(_run_range, config, h1, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
@@ -182,7 +186,6 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
 
     bit1, bit2, frames, iters, conv = counts
     n = config.h2.n
-    h1 = config.effective_h1()
     r1 = h1.m / n
     r2 = config.h2.m / n
     return SimRecord(

@@ -4,6 +4,7 @@ import pytest
 from swldpc import (
     EXPLICIT_Z,
     FOLDED_Z,
+    LLR_MAX,
     CorrelationModel,
     DecoderConfig,
     SparseParityMatrix,
@@ -11,6 +12,7 @@ from swldpc import (
     build_joint_graph,
     decode,
     gallager_construct,
+    hidden_llr,
     identity_matrix,
     is_cycle_free,
     sample_pair,
@@ -147,6 +149,94 @@ class TestIterationHook:
         assert snapshots[-1].posteriors.shape == (2 * graph.n,)
         assert np.array_equal(snapshots[-1].posteriors, result.posterior_llrs)
         assert all(np.isfinite(info.mean_abs_posterior) for info in snapshots)
+
+
+def _leave_one_out_v2c(graph, c2v):
+    """Variable-to-check messages by their definition: the prior plus the
+    incoming check messages of every other edge of the variable, clamped."""
+    edges_of = {}
+    for e, v in enumerate(graph.edge_var):
+        edges_of.setdefault(int(v), []).append(e)
+    expected = np.empty(graph.num_edges)
+    for e, v in enumerate(graph.edge_var):
+        total = float(graph.priors[v])
+        for other in edges_of[int(v)]:
+            if other != e:
+                total += float(c2v[other])
+        expected[e] = min(max(total, -LLR_MAX), LLR_MAX)
+    return expected
+
+
+class TestVariableUpdate:
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_matches_leave_one_out_definition(self, form, damping):
+        # identity h1 gives degree-1 checks; the explicit form adds
+        # degree-1 z variables
+        graph, _, _, _, s1, s2 = _corner_instance(32, 0.9, seed=5)
+        graph = build_joint_graph(graph.h1, graph.h2, graph.model, form=form)
+        assert graph.check_degrees().min() == 1
+        assert (graph.var_degrees().min() == 1) == (form == EXPLICIT_Z)
+        snaps = []
+        config = DecoderConfig(max_iterations=12, damping=damping, early_stop=False)
+        decode(graph, s1, s2, config, iteration_hook=snaps.append)
+        previous = np.zeros(graph.num_edges)
+        for info in snaps:
+            expected = _leave_one_out_v2c(graph, previous)
+            assert np.abs(info.v2c - expected).max() <= 1e-12
+            previous = info.c2v
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("p", [1 - 1e-14, 1e-14])
+    def test_saturated_hidden_llr(self, p):
+        model = CorrelationModel(p)
+        assert abs(hidden_llr(model)) == LLR_MAX
+        graph, _, _, pair, s1, s2 = _corner_instance(64, p, seed=8)
+        result = decode(graph, s1, s2)
+        assert result.converged
+        assert np.array_equal(result.u1_hat, pair.u1)
+        assert np.array_equal(result.u2_hat, pair.u2)
+        assert np.all(np.isfinite(result.posterior_llrs))
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_all_zero_syndromes(self, form, symmetric):
+        n = 64
+        h2 = gallager_construct(n, 3, 6, seed=5)
+        h1 = gallager_construct(n, 3, 6, seed=6) if symmetric else identity_matrix(n)
+        graph = build_joint_graph(h1, h2, CorrelationModel(0.9), form=form)
+        result = decode(graph, np.zeros(h1.m, np.uint8), np.zeros(h2.m, np.uint8))
+        assert result.converged
+        assert result.iterations_used == 1
+        assert not result.u1_hat.any()
+        assert not result.u2_hat.any()
+        assert not result.z_hat.any()
+        assert np.all(np.isfinite(result.posterior_llrs))
+
+    def test_saturated_frame_at_iteration_cap_stays_finite(self):
+        # the model says u1 == u2 with near certainty while the syndromes
+        # say they differ in three bits, so saturated messages conflict
+        n = 64
+        h1 = identity_matrix(n)
+        h2 = gallager_construct(n, 3, 6, seed=7)
+        u1 = np.random.default_rng(9).integers(0, 2, n).astype(np.uint8)
+        u2 = u1.copy()
+        u2[[3, 17, 40]] ^= 1
+        graph = build_joint_graph(h1, h2, CorrelationModel(1 - 1e-14))
+        snaps = []
+        config = DecoderConfig(max_iterations=100, early_stop=False)
+        result = decode(
+            graph, syndrome(h1, u1), syndrome(h2, u2), config, iteration_hook=snaps.append
+        )
+        assert result.iterations_used == 100
+        assert np.all(np.isfinite(result.posterior_llrs))
+        # variable messages hit the clamp
+        assert max(np.abs(info.v2c).max() for info in snaps) == LLR_MAX
+        for info in snaps:
+            assert np.all(np.isfinite(info.posteriors))
+            assert np.abs(info.v2c).max() <= LLR_MAX
+            assert np.abs(info.c2v).max() <= LLR_MAX
 
 
 class TestTreeExactness:
