@@ -44,19 +44,14 @@ from .ldpc import SparseParityMatrix, as_bit_array
 # atanh argument is clipped here so saturated products stay finite.
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
 
-FLOODING = "flooding"
-
 
 @dataclass(frozen=True)
 class DecoderConfig:
     max_iterations: int = 100
     damping: float = 0.0
-    schedule: str = FLOODING
     early_stop: bool = True
 
     def __post_init__(self):
-        if self.schedule != FLOODING:
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
         if not 0.0 <= self.damping < 1.0:
@@ -124,6 +119,8 @@ def decode(
     parity[graph.m1 : graph.num_code_checks] = s2
     edge_scale = ((1.0 - 2.0 * parity) * layout["check_factor"])[graph.edge_check]
     syndrome_bits = np.concatenate([s1, s2]).astype(np.int64)
+    # The code checks' edges come first in the check-major edge lists.
+    code_edges = slice(0, graph.h1.num_entries + graph.h2.num_entries)
 
     posteriors = priors
     c2v = np.zeros(graph.num_edges)
@@ -141,7 +138,7 @@ def decode(
         # degree-2 check passes each edge its partner's value.
         t = np.tanh(v2c * 0.5)
         excl = np.ones_like(t)
-        for degree, _, slots in layout["check_groups"]:
+        for degree, slots in layout["check_groups"]:
             if degree == 2:
                 excl[slots] = t[slots[:, ::-1]]
             elif degree > 2:
@@ -170,8 +167,8 @@ def decode(
         # correlation check, so only the code checks can be violated.
         code_parity = (
             np.bincount(
-                layout["code_edge_check"],
-                weights=hard[layout["code_edge_var"]].astype(np.float64),
+                graph.edge_check[code_edges],
+                weights=hard[edge_var[code_edges]].astype(np.float64),
                 minlength=graph.num_code_checks,
             ).astype(np.int64)
             & 1

@@ -139,18 +139,16 @@ class JointTannerGraph:
         Edges are grouped by the degree of their check, so that the
         leave-one-out products of the check update run as dense row
         operations. The variable update needs no layout of its own: it
-        reads the posteriors through ``edge_var``.
+        reads the posteriors through ``edge_var``, and the convergence test
+        reads the code-check edges as the prefix of the edge lists.
         """
         if self._layout is None:
             check_groups = _degree_groups(self.edge_check, self.check_count)
-            code_mask = self.edge_check < self.num_code_checks
             factor = np.ones(self.check_count)
             if self.form == FOLDED_Z:
                 factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
             layout = {
                 "check_groups": check_groups,
-                "code_edge_var": self.edge_var[code_mask],
-                "code_edge_check": self.edge_check[code_mask],
                 "check_factor": factor,
             }
             object.__setattr__(self, "_layout", layout)
@@ -160,7 +158,7 @@ class JointTannerGraph:
 def _degree_groups(owner_sorted: np.ndarray, count: int):
     """Group a sorted ownership array by owner degree.
 
-    Returns tuples (degree, owner_ids, slot_matrix) where slot_matrix has
+    Returns pairs (degree, slot_matrix) where slot_matrix has
     one row per owner of that degree holding the positions of its entries
     in the input array. Degree-0 owners produce no group.
     """
@@ -170,9 +168,8 @@ def _degree_groups(owner_sorted: np.ndarray, count: int):
     for d in np.unique(degrees):
         if d == 0:
             continue
-        ids = np.flatnonzero(degrees == d)
-        slots = starts[ids][:, None] + np.arange(d)[None, :]
-        groups.append((int(d), ids, slots))
+        slots = starts[:-1][degrees == d][:, None] + np.arange(d)[None, :]
+        groups.append((int(d), slots))
     return tuple(groups)
 
 
@@ -199,22 +196,18 @@ def build_joint_graph(
     n, m1, m2 = h1.n, h1.m, h2.m
     llr = hidden_llr(model)
 
-    edge_var: list[int] = []
-    edge_check: list[int] = []
-    for j, row in enumerate(h1.rows):
-        edge_var.extend(row)
-        edge_check.extend([j] * len(row))
-    for k, row in enumerate(h2.rows):
-        edge_var.extend(n + i for i in row)
-        edge_check.extend([m1 + k] * len(row))
-    for i in range(n):
-        corr = m1 + m2 + i
-        if form == EXPLICIT_Z:
-            edge_var.extend((i, n + i, 2 * n + i))
-            edge_check.extend((corr, corr, corr))
-        else:
-            edge_var.extend((i, n + i))
-            edge_check.extend((corr, corr))
+    # Check-major: h1 rows, h2 rows, then one correlation check per index
+    # attached to u1[i], u2[i] and, in explicit form, z[i].
+    cols1, rows1 = h1.entries
+    cols2, rows2 = h2.entries
+    per_corr = 3 if form == EXPLICIT_Z else 2
+    index = np.arange(n, dtype=np.int64)
+    edge_var = np.concatenate(
+        [cols1, cols2 + n, (index[:, None] + n * np.arange(per_corr)).ravel()]
+    )
+    edge_check = np.concatenate(
+        [rows1, rows2 + m1, np.repeat(index + m1 + m2, per_corr)]
+    )
 
     var_count = 3 * n if form == EXPLICIT_Z else 2 * n
     priors = np.zeros(var_count)
@@ -231,8 +224,8 @@ def build_joint_graph(
         m2=m2,
         var_count=var_count,
         check_count=m1 + m2 + n,
-        edge_var=np.asarray(edge_var, dtype=np.int64),
-        edge_check=np.asarray(edge_check, dtype=np.int64),
+        edge_var=edge_var,
+        edge_check=edge_check,
         priors=priors,
         corr_param=llr,
     )

@@ -1,8 +1,9 @@
 """Sparse binary parity-check codes and syndrome encoding.
 
 A code is held as a :class:`SparseParityMatrix`: the m x n binary matrix H
-in redundant row/column adjacency form. Compression of a source block u is
-the syndrome map s = H u over GF(2); the joint decoder recovers u from s.
+as sorted row adjacency, with one flat row-major index of its nonzeros.
+Compression of a source block u is the syndrome map s = H u over GF(2);
+the joint decoder recovers u from s.
 
 The on-disk interchange format is the plain-text alist convention used for
 published LDPC matrices, see :func:`load_alist` / :func:`save_alist`.
@@ -11,6 +12,7 @@ published LDPC matrices, see :func:`load_alist` / :func:`save_alist`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,27 +34,26 @@ class AlistFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SparseParityMatrix:
-    """Binary parity-check matrix in sparse row/column adjacency form.
+    """Binary parity-check matrix held as sorted row adjacency.
 
     Attributes:
         n: number of columns (source block length).
         m: number of rows (syndrome length), m <= n.
-        rows: for each row, the sorted tuple of column indices of its ones.
-        cols: for each column, the sorted tuple of row indices of its ones.
+        rows: for each row, the strictly increasing tuple of column indices
+            of its ones.
+        entries: the same nonzeros as one row-major flat index, a pair of
+            read-only int64 arrays (column ids, row ids). Built from
+            ``rows`` at construction; not a constructor argument.
 
-    The two adjacency halves describe the same set of nonzero entries and
-    the object is immutable, so it can be shared freely across decoder
-    sessions. Use :meth:`from_rows` to build one from row adjacency alone.
+    The object is immutable, so it can be shared freely across decoder
+    sessions. Use :meth:`from_rows` to build one from unsorted rows.
     """
 
     n: int
     m: int
     rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-
-    # flattened (entry column ids, entry row ids) cache for fast syndromes
-    _flat: tuple | None = field(
-        init=False, default=None, repr=False, compare=False
+    entries: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -62,47 +63,51 @@ class SparseParityMatrix:
             raise ValueError(
                 f"row count must satisfy 0 <= m <= n, got m={self.m}, n={self.n}"
             )
-        if len(self.rows) != self.m or len(self.cols) != self.n:
-            raise ValueError("adjacency lengths disagree with declared dimensions")
-        entries = set()
-        for j, row in enumerate(self.rows):
-            if list(row) != sorted(set(row)):
-                raise ValueError(f"row {j} is not sorted or has duplicates: {row}")
-            for i in row:
-                if not 0 <= i < self.n:
-                    raise ValueError(f"row {j} has column index {i} outside [0, {self.n})")
-                entries.add((j, i))
-        col_entries = set()
-        for i, col in enumerate(self.cols):
-            if list(col) != sorted(set(col)):
-                raise ValueError(f"column {i} is not sorted or has duplicates: {col}")
-            for j in col:
-                if not 0 <= j < self.m:
-                    raise ValueError(f"column {i} has row index {j} outside [0, {self.m})")
-                col_entries.add((j, i))
-        if entries != col_entries:
-            raise ValueError("row and column adjacencies describe different matrices")
+        if len(self.rows) != self.m:
+            raise ValueError(f"expected m={self.m} rows, got {len(self.rows)}")
+        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=self.m)
+        cols = np.fromiter(
+            chain.from_iterable(self.rows), dtype=np.int64, count=int(lengths.sum())
+        )
+        owner = np.repeat(np.arange(self.m, dtype=np.int64), lengths)
+        outside = (cols < 0) | (cols >= self.n)
+        if outside.any():
+            e = int(np.argmax(outside))
+            raise ValueError(
+                f"row {owner[e]} has column index {cols[e]} outside [0, {self.n})"
+            )
+        unsorted = (np.diff(cols) <= 0) & (np.diff(owner) == 0)
+        if unsorted.any():
+            j = int(owner[np.argmax(unsorted)])
+            raise ValueError(f"row {j} is not sorted or has duplicates: {self.rows[j]}")
+        cols.flags.writeable = False
+        owner.flags.writeable = False
+        object.__setattr__(self, "entries", (cols, owner))
+
+    def __reduce__(self):
+        # pickle the rows alone; the copy rebuilds its read-only index
+        return (SparseParityMatrix, (self.n, self.m, self.rows))
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Iterable[int]]) -> "SparseParityMatrix":
-        """Build a matrix from row adjacency, deriving the column lists."""
+        """Build a matrix from row adjacency in any order; repeats collapse."""
         row_tuples = tuple(tuple(sorted(set(int(i) for i in row))) for row in rows)
-        cols: list[list[int]] = [[] for _ in range(n)]
-        for j, row in enumerate(row_tuples):
-            for i in row:
-                if not 0 <= i < n:
-                    raise ValueError(f"row {j} has column index {i} outside [0, {n})")
-                cols[i].append(j)
-        return cls(
-            n=n,
-            m=len(row_tuples),
-            rows=row_tuples,
-            cols=tuple(tuple(c) for c in cols),
+        return cls(n=n, m=len(row_tuples), rows=row_tuples)
+
+    @property
+    def cols(self) -> tuple[tuple[int, ...], ...]:
+        """For each column, the sorted tuple of row indices of its ones."""
+        cols, owner = self.entries
+        # stable, so each column keeps the ascending row order of the index
+        by_col = owner[np.argsort(cols, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(cols, minlength=self.n)).tolist()
+        return tuple(
+            tuple(by_col[start:end]) for start, end in zip([0] + ends, ends)
         )
 
     @property
     def num_entries(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return len(self.entries[0])
 
     @property
     def rate(self) -> float:
@@ -112,21 +117,9 @@ class SparseParityMatrix:
     def to_dense(self) -> np.ndarray:
         """Dense (m, n) uint8 copy, for small-instance tooling."""
         h = np.zeros((self.m, self.n), dtype=np.uint8)
-        for j, row in enumerate(self.rows):
-            h[j, list(row)] = 1
+        cols, owner = self.entries
+        h[owner, cols] = 1
         return h
-
-    def _flat_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._flat is None:
-            cols = np.fromiter(
-                (i for row in self.rows for i in row), dtype=np.int64, count=self.num_entries
-            )
-            owner = np.repeat(
-                np.arange(self.m, dtype=np.int64),
-                np.fromiter((len(r) for r in self.rows), dtype=np.int64, count=self.m),
-            )
-            object.__setattr__(self, "_flat", (cols, owner))
-        return self._flat
 
 
 def identity_matrix(n: int) -> SparseParityMatrix:
@@ -135,7 +128,7 @@ def identity_matrix(n: int) -> SparseParityMatrix:
     Its syndrome is the source block itself, which lets the rate-1 corner
     point flow through the same encode/decode pathway as any other code.
     """
-    return SparseParityMatrix.from_rows(n, [(i,) for i in range(n)])
+    return SparseParityMatrix(n=n, m=n, rows=tuple((i,) for i in range(n)))
 
 
 def gallager_construct(
@@ -178,8 +171,9 @@ def gallager_construct(
         keys = np.sort(check_of_socket * n + var_of_socket)
         if np.any(np.diff(keys) == 0):
             continue  # parallel edge, reject the whole permutation
-        rows = (keys % n).reshape(m, dc)
-        return SparseParityMatrix.from_rows(n, rows.tolist())
+        # keys are sorted and distinct, so every row is strictly increasing
+        rows = (keys % n).reshape(m, dc).tolist()
+        return SparseParityMatrix(n=n, m=m, rows=tuple(map(tuple, rows)))
     raise ConstructionError(
         f"could not build a parallel-edge-free ({dv},{dc})-regular matrix with "
         f"n={n} within {max_retries} permutation draws"
@@ -208,7 +202,7 @@ def syndrome(h: SparseParityMatrix, u: Sequence[int] | np.ndarray) -> np.ndarray
         uint8 array of length h.m.
     """
     u = as_bit_array(u, h.n)
-    cols, owner = h._flat_rows()
+    cols, owner = h.entries
     acc = np.bincount(owner, weights=u[cols].astype(np.float64), minlength=h.m)
     return (acc.astype(np.int64) & 1).astype(np.uint8)
 
@@ -246,7 +240,8 @@ def save_alist(h: SparseParityMatrix) -> str:
     has sorted ascending indices, single spaces, no zero padding and a
     trailing newline, so equal matrices serialize byte-identically.
     """
-    col_weights = [len(c) for c in h.cols]
+    cols = h.cols
+    col_weights = [len(c) for c in cols]
     row_weights = [len(r) for r in h.rows]
     lines = [
         f"{h.n} {h.m}",
@@ -254,7 +249,7 @@ def save_alist(h: SparseParityMatrix) -> str:
         " ".join(str(w) for w in col_weights),
         " ".join(str(w) for w in row_weights),
     ]
-    for col in h.cols:
+    for col in cols:
         lines.append(" ".join(str(j + 1) for j in col))
     for row in h.rows:
         lines.append(" ".join(str(i + 1) for i in row))
@@ -361,6 +356,4 @@ def load_alist(text: str) -> SparseParityMatrix:
                 f"row {j} adjacency disagrees with the column listings", 5 + n + j
             )
 
-    return SparseParityMatrix(
-        n=n, m=m, rows=tuple(rows), cols=tuple(cols)
-    )
+    return SparseParityMatrix(n=n, m=m, rows=tuple(rows))

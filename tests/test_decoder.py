@@ -38,12 +38,9 @@ class TestConfig:
         config = DecoderConfig()
         assert config.max_iterations == 100
         assert config.damping == 0.0
-        assert config.schedule == "flooding"
         assert config.early_stop
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DecoderConfig(schedule="serial")
         with pytest.raises(ValueError):
             DecoderConfig(max_iterations=0)
         with pytest.raises(ValueError):

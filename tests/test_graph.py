@@ -74,6 +74,46 @@ class TestBuild:
             build_joint_graph(H1, H2, MODEL, form="implicit")
 
 
+def _reference_edges(h1, h2, form):
+    """Edge lists built by a plain loop over the rows (check-major order)."""
+    n, m1, m2 = h1.n, h1.m, h2.m
+    edge_var, edge_check = [], []
+    for j, row in enumerate(h1.rows):
+        edge_var.extend(row)
+        edge_check.extend([j] * len(row))
+    for k, row in enumerate(h2.rows):
+        edge_var.extend(n + i for i in row)
+        edge_check.extend([m1 + k] * len(row))
+    for i in range(n):
+        attached = (i, n + i, 2 * n + i) if form == EXPLICIT_Z else (i, n + i)
+        edge_var.extend(attached)
+        edge_check.extend([m1 + m2 + i] * len(attached))
+    return edge_var, edge_check
+
+
+IRREGULAR = SparseParityMatrix.from_rows(12, [(), (0, 5, 11), (3,), (), (1, 2, 4, 6, 7, 8)])
+
+
+class TestEdgeLists:
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            (identity_matrix(24), gallager_construct(24, 3, 6, seed=3)),
+            (gallager_construct(24, 3, 6, seed=4), gallager_construct(24, 3, 6, seed=3)),
+            (IRREGULAR, identity_matrix(12)),
+            (gallager_construct(12, 3, 6, seed=1), IRREGULAR),
+            (IRREGULAR, SparseParityMatrix.from_rows(12, [])),
+        ],
+    )
+    def test_match_per_row_loop(self, h1, h2, form):
+        g = build_joint_graph(h1, h2, MODEL, form=form)
+        edge_var, edge_check = _reference_edges(h1, h2, form)
+        assert g.edge_var.dtype == np.int64 and g.edge_check.dtype == np.int64
+        assert g.edge_var.tolist() == edge_var
+        assert g.edge_check.tolist() == edge_check
+
+
 class TestRoles:
     def test_round_trip(self):
         g = build_joint_graph(H1, H2, MODEL, form=EXPLICIT_Z)

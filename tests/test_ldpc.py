@@ -1,5 +1,8 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from swldpc import (
     AlistFormatError,
@@ -41,15 +44,55 @@ class TestSparseParityMatrix:
 
     def test_validation_rejects_inconsistency(self):
         with pytest.raises(ValueError):
-            SparseParityMatrix(n=3, m=1, rows=((0, 1),), cols=((0,), (), ()))
+            SparseParityMatrix(n=3, m=1, rows=((0, 1, 1),))
         with pytest.raises(ValueError):
-            SparseParityMatrix(n=2, m=3, rows=((0,), (1,), (0,)), cols=((0, 2), (1,)))
+            SparseParityMatrix(n=2, m=3, rows=((0,), (1,), (0,)))
         with pytest.raises(ValueError):
             SparseParityMatrix.from_rows(3, ((0, 5),))
         with pytest.raises(ValueError):
             SparseParityMatrix.from_rows(0, ())
         with pytest.raises(ValueError):
-            SparseParityMatrix(n=3, m=1, rows=((1, 0),), cols=((1,), (0,), ()))
+            SparseParityMatrix(n=3, m=1, rows=((1, 0),))
+
+    @pytest.mark.parametrize(
+        "m, rows, message",
+        [
+            (3, ((0,), (1, 2), (0, 4)), r"row 2 has column index 4 outside \[0, 4\)"),
+            (3, ((0,), (), (-1, 2)), r"row 2 has column index -1 outside \[0, 4\)"),
+            (2, ((0, 3), (2, 1)), r"row 1 is not sorted or has duplicates: \(2, 1\)"),
+            (3, ((0,), (1,), (3, 3)), r"row 2 is not sorted or has duplicates: \(3, 3\)"),
+            (3, ((0,), (1,)), r"expected m=3 rows, got 2"),
+        ],
+    )
+    def test_constructor_names_the_offending_row(self, m, rows, message):
+        with pytest.raises(ValueError, match=message):
+            SparseParityMatrix(n=4, m=m, rows=rows)
+
+    @pytest.mark.parametrize("copy", [lambda h: h, lambda h: pickle.loads(pickle.dumps(h))])
+    def test_flat_index_is_read_only(self, copy):
+        h = copy(H_CHAIN)
+        assert h == H_CHAIN
+        cols, owner = h.entries
+        assert cols.tolist() == [0, 1, 1, 2] and owner.tolist() == [0, 0, 1, 1]
+        with pytest.raises(ValueError):
+            cols[0] = 2
+        with pytest.raises(ValueError):
+            owner[0] = 1
+
+    @given(st.data())
+    def test_single_format_properties(self, data):
+        # random row sets, including m = 0, empty rows and empty columns
+        n = data.draw(st.integers(1, 12), label="n")
+        m = data.draw(st.integers(0, n), label="m")
+        row_sets = data.draw(
+            st.lists(st.sets(st.integers(0, n - 1)), min_size=m, max_size=m), label="rows"
+        )
+        u = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        h = SparseParityMatrix.from_rows(n, row_sets)
+        dense = h.to_dense()
+        assert h.cols == tuple(tuple(np.flatnonzero(dense[:, i]).tolist()) for i in range(n))
+        assert load_alist(save_alist(h)) == h
+        assert np.array_equal(syndrome(h, u), dense.astype(np.int64) @ u % 2)
 
     def test_empty_rows_are_allowed(self):
         h = SparseParityMatrix.from_rows(3, ((), (0, 2)))
