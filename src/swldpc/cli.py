@@ -171,19 +171,21 @@ def _read_bits(path: str, expect_len: int) -> list[np.ndarray]:
         raw_lines.pop()
     blocks = []
     for lineno, line in enumerate(raw_lines, start=1):
-        stripped = line.strip()
-        if set(stripped) - {"0", "1"}:
+        # every byte other than '0' and '1' wraps to a value above 1
+        block = np.frombuffer(line.strip().encode("ascii"), dtype=np.uint8) - ord("0")
+        if (block > 1).any():
             raise DataError(f"{path}: line {lineno}: expected only 0/1 characters")
-        if len(stripped) != expect_len:
+        if len(block) != expect_len:
             raise DataError(
-                f"{path}: line {lineno}: expected {expect_len} bits, found {len(stripped)}"
+                f"{path}: line {lineno}: expected {expect_len} bits, found {len(block)}"
             )
-        blocks.append(np.frombuffer(stripped.encode("ascii"), dtype=np.uint8) - ord("0"))
+        blocks.append(block)
     return blocks
 
 
 def _bits_line(bits: np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    """One uint8 0/1 block as a line of ASCII '0'/'1' characters."""
+    return (bits + ord("0")).tobytes().decode("ascii")
 
 
 def _model(p: float) -> CorrelationModel:

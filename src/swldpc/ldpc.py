@@ -11,6 +11,7 @@ published LDPC matrices, see :func:`load_alist` / :func:`save_alist`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
@@ -231,6 +232,13 @@ def gf2_rank(h: SparseParityMatrix) -> int:
     return rank
 
 
+def _listing(ids: np.ndarray, counts: np.ndarray) -> list[str]:
+    """Lines of space-separated ``ids``, the k-th line holding ``counts[k]`` of them."""
+    words = list(map(str, ids.tolist()))
+    ends = np.cumsum(counts).tolist()
+    return [" ".join(words[start:end]) for start, end in zip([0] + ends, ends)]
+
+
 def save_alist(h: SparseParityMatrix) -> str:
     """Serialize a matrix to canonical alist text.
 
@@ -240,48 +248,117 @@ def save_alist(h: SparseParityMatrix) -> str:
     has sorted ascending indices, single spaces, no zero padding and a
     trailing newline, so equal matrices serialize byte-identically.
     """
-    cols = h.cols
-    col_weights = [len(c) for c in cols]
-    row_weights = [len(r) for r in h.rows]
+    cols, owner = h.entries
+    col_weights = np.bincount(cols, minlength=h.n)
+    row_weights = np.bincount(owner, minlength=h.m)
+    # column-major keys, so each column lists its rows in ascending order
+    by_col = np.sort(cols * h.m + owner) % h.m
     lines = [
         f"{h.n} {h.m}",
-        f"{max(col_weights, default=0)} {max(row_weights, default=0)}",
-        " ".join(str(w) for w in col_weights),
-        " ".join(str(w) for w in row_weights),
+        f"{int(col_weights.max())} {int(row_weights.max(initial=0))}",
+        " ".join(map(str, col_weights.tolist())),
+        " ".join(map(str, row_weights.tolist())),
+        *_listing(by_col + 1, col_weights),
+        *_listing(cols + 1, row_weights),
     ]
-    for col in cols:
-        lines.append(" ".join(str(j + 1) for j in col))
-    for row in h.rows:
-        lines.append(" ".join(str(i + 1) for i in row))
     return "\n".join(lines) + "\n"
 
 
-def _parse_ints(line: str, lineno: int, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
-        raise AlistFormatError(f"{what}: expected integers, got {line!r}", lineno) from None
+# Token grammar of alist text: ASCII whitespace separates tokens, and a token
+# is an optional sign followed by ASCII digits.
+_TOKEN = re.compile(rb"[+-]?[0-9]+")
+# tokens with more digits are parsed one by one and clamped to +-_HUGE, which
+# keeps every comparison with a weight or an index bound of the file
+_MAX_DIGITS = 18
+_HUGE = 10**_MAX_DIGITS
 
 
-def _parse_adjacency(
-    line: str, lineno: int, what: str, declared_weight: int, limit: int
-) -> tuple[int, ...]:
-    """Parse one 1-based adjacency line; zeros are padding and ignored."""
-    values = _parse_ints(line, lineno, what)
-    entries = []
-    for v in values:
-        if v == 0:
-            continue  # zero padding, tolerated on read
-        if not 1 <= v <= limit:
-            raise AlistFormatError(f"{what}: index {v} outside [1, {limit}]", lineno)
-        entries.append(v - 1)
-    if len(set(entries)) != len(entries):
-        raise AlistFormatError(f"{what}: duplicate entry", lineno)
-    if len(entries) != declared_weight:
-        raise AlistFormatError(
-            f"{what}: declared weight {declared_weight} but {len(entries)} entries", lineno
+class _Tokens:
+    """The whitespace-separated tokens of alist text, found in one numpy pass.
+
+    Lines are the pieces of ``text.split("\\n")`` without a final empty one.
+
+    Attributes:
+        data: the text as ASCII bytes, each non-ASCII character replaced by
+            ``?`` (which no token may contain).
+        starts, ends: byte span of each token.
+        values: int64 value of each token, clamped to +-10**18; meaningless
+            on a line that breaks the grammar.
+        offsets: the tokens of line k are ``offsets[k]:offsets[k + 1]``.
+        bad: for each line, whether one of its tokens breaks the grammar.
+    """
+
+    def __init__(self, text: str):
+        self.data = data = text.encode("ascii", "replace")
+        buf = np.frombuffer(data, dtype=np.uint8)
+        # byte classes by uint8 arithmetic, which wraps below zero: digits
+        # are 48..57, ASCII whitespace is 9..13 and 32; both masks are padded
+        digit = np.zeros(len(buf) + 1, dtype=bool)
+        digit[:-1] = buf - ord("0") < 10
+        solid = np.zeros(len(buf) + 2, dtype=bool)  # not whitespace
+        solid[1:-1] = (buf - 9 > 4) & (buf != ord(" "))
+        # a token starts or ends wherever "not whitespace" flips
+        flips = np.flatnonzero(solid[1:] != solid[:-1])
+        self.starts, self.ends = starts, ends = flips[0::2], flips[1::2]
+
+        newlines = np.flatnonzero(buf == ord("\n"))
+        self.num_lines = len(newlines) + int(not data.endswith(b"\n") and len(data) > 0)
+        self.offsets = np.concatenate(
+            ([0], np.searchsorted(starts, newlines), [len(starts)])
+        )[: self.num_lines + 1]
+
+        # a sign must open its token (the byte before it, solid[odd], is
+        # whitespace) and precede a digit; any other byte outside whitespace
+        # and digits breaks the token
+        odd = np.flatnonzero(solid[1:-1] & ~digit[:-1])
+        sign_ok = (
+            ((buf[odd] == ord("+")) | (buf[odd] == ord("-")))
+            & ~solid[odd]
+            & digit[odd + 1]
         )
-    return tuple(sorted(entries))
+        self.bad = np.zeros(self.num_lines, dtype=bool)
+        self.bad[np.searchsorted(newlines, odd[~sign_ok])] = True
+
+        # add up each token's digits one decimal place at a time, in int32
+        # while every token has at most 9 digits; a place before the token's
+        # first digit counts zero (its position may be negative, but never
+        # below -len(buf), as some token has `width` digits)
+        first_digit = starts + ~digit[starts]  # past a sign
+        num_digits = ends - first_digit
+        width = min(int(num_digits.max(initial=0)), _MAX_DIGITS)
+        dtype = np.int32 if width <= 9 else np.int64
+        values = np.zeros(len(starts), dtype=dtype)
+        at = ends - 1
+        for place in range(width):
+            term = buf[at].astype(dtype)
+            term -= ord("0")
+            term *= at >= first_digit
+            term *= 10**place
+            values += term
+            at -= 1
+        self.values = values = values.astype(np.int64)
+        values[buf[starts] == ord("-")] *= -1
+        for k in np.flatnonzero(num_digits > _MAX_DIGITS).tolist():
+            token = data[starts[k] : ends[k]]
+            if _TOKEN.fullmatch(token):
+                values[k] = max(-_HUGE, min(int(token), _HUGE))
+
+    def exact(self, k: int) -> int:
+        """Unclamped value of token k, for messages."""
+        return int(self.data[self.starts[k] : self.ends[k]])
+
+    def ints(self, line: int) -> list[int]:
+        """Unclamped values of the tokens on a line."""
+        return [self.exact(k) for k in range(self.offsets[line], self.offsets[line + 1])]
+
+    def peak(self, line: int) -> int:
+        """Largest unclamped value on a non-empty line."""
+        lo = int(self.offsets[line])
+        seg = self.values[lo : self.offsets[line + 1]]
+        top = int(seg.max())
+        if abs(top) < _HUGE:
+            return top
+        return max(self.exact(lo + k) for k in np.flatnonzero(seg == top).tolist())
 
 
 def load_alist(text: str) -> SparseParityMatrix:
@@ -291,69 +368,117 @@ def load_alist(text: str) -> SparseParityMatrix:
     every line to the maximum weight). The row and column listings must
     describe the same matrix; any inconsistency is reported with the
     1-based line number where it was detected.
+
+    Token grammar: lines end at "\\n", and each line holds integers
+    ``[+-]?[0-9]+`` in ASCII, separated by ASCII whitespace (space, tab,
+    CR, VT, FF), so CRLF files read like LF files and ``+3``, ``-1`` and
+    ``007`` mean 3, -1 and 7. Anything else on a line, such as a digit-group
+    underscore (``1_0``), a non-ASCII digit or space, or any other
+    character, fails as "expected integers" on that line. Lines after the
+    last adjacency line may hold only ASCII whitespace.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    tok = _Tokens(text)
 
-    def get_line(idx: int) -> str:
-        if idx >= len(lines):
-            raise AlistFormatError("unexpected end of file", len(lines) + 1)
-        return lines[idx]
+    def line_text(k: int) -> str:
+        return text.split("\n", k + 1)[k]
 
-    header = _parse_ints(get_line(0), 1, "header")
+    def parsed(k: int, what: str) -> int:
+        """Check that line k exists and parses; return its token count."""
+        if k >= tok.num_lines:
+            raise AlistFormatError("unexpected end of file", tok.num_lines + 1)
+        if tok.bad[k]:
+            raise AlistFormatError(f"{what}: expected integers, got {line_text(k)!r}", k + 1)
+        return int(tok.offsets[k + 1] - tok.offsets[k])
+
+    parsed(0, "header")
+    header = tok.ints(0)
     if len(header) != 2 or header[0] < 1 or header[1] < 0:
-        raise AlistFormatError(f"header must be 'n m' with n >= 1, got {lines[0]!r}", 1)
+        raise AlistFormatError(f"header must be 'n m' with n >= 1, got {line_text(0)!r}", 1)
     n, m = header
     if m > n:
         raise AlistFormatError(f"row count {m} exceeds column count {n}", 1)
 
-    max_weights = _parse_ints(get_line(1), 2, "maximum weights")
+    parsed(1, "maximum weights")
+    max_weights = tok.ints(1)
     if len(max_weights) != 2 or min(max_weights) < 0:
-        raise AlistFormatError(f"expected 'max_col_weight max_row_weight', got {lines[1]!r}", 2)
-
-    col_weights = _parse_ints(get_line(2), 3, "column weights")
-    if len(col_weights) != n:
-        raise AlistFormatError(f"expected {n} column weights, got {len(col_weights)}", 3)
-    row_weights = _parse_ints(get_line(3), 4, "row weights")
-    if len(row_weights) != m:
-        raise AlistFormatError(f"expected {m} row weights, got {len(row_weights)}", 4)
-    if col_weights and max(col_weights) != max_weights[0]:
         raise AlistFormatError(
-            f"declared maximum column weight {max_weights[0]} but weights peak at "
-            f"{max(col_weights)}", 2
-        )
-    if row_weights and max(row_weights) != max_weights[1]:
-        raise AlistFormatError(
-            f"declared maximum row weight {max_weights[1]} but weights peak at "
-            f"{max(row_weights)}", 2
+            f"expected 'max_col_weight max_row_weight', got {line_text(1)!r}", 2
         )
 
-    cols = []
-    for i in range(n):
-        lineno = 5 + i
-        cols.append(
-            _parse_adjacency(get_line(lineno - 1), lineno, f"column {i}", col_weights[i], m)
-        )
-    rows = []
-    for j in range(m):
-        lineno = 5 + n + j
-        rows.append(
-            _parse_adjacency(get_line(lineno - 1), lineno, f"row {j}", row_weights[j], n)
-        )
-    for extra in range(4 + n + m, len(lines)):
-        if lines[extra].strip():
-            raise AlistFormatError(f"unexpected trailing content {lines[extra]!r}", extra + 1)
-
-    # cross-check: the column listing must imply exactly the row listing
-    derived_rows: list[list[int]] = [[] for _ in range(m)]
-    for i, col in enumerate(cols):
-        for j in col:
-            derived_rows[j].append(i)
-    for j in range(m):
-        if tuple(sorted(derived_rows[j])) != rows[j]:
+    if (count := parsed(2, "column weights")) != n:
+        raise AlistFormatError(f"expected {n} column weights, got {count}", 3)
+    if (count := parsed(3, "row weights")) != m:
+        raise AlistFormatError(f"expected {m} row weights, got {count}", 4)
+    for line, what, declared in ((2, "column", max_weights[0]), (3, "row", max_weights[1])):
+        if tok.offsets[line + 1] == tok.offsets[line]:
+            continue  # m = 0: no row weights
+        peak = tok.peak(line)
+        if peak != declared:
             raise AlistFormatError(
-                f"row {j} adjacency disagrees with the column listings", 5 + n + j
+                f"declared maximum {what} weight {declared} but weights peak at {peak}", 2
             )
 
-    return SparseParityMatrix(n=n, m=m, rows=tuple(rows))
+    # Adjacency lines 5 .. 4 + n + m, as far as the text goes: n columns
+    # listing 1-based rows, then m rows listing 1-based columns. Per token:
+    # the line it is on (0-based within the block) and its value.
+    present = min(tok.num_lines, 4 + n + m) - 4
+    first, last = int(tok.offsets[4]), int(tok.offsets[4 + present])
+    per_line = np.diff(tok.offsets[4 : 5 + present])
+    line = np.repeat(np.arange(present), per_line)
+    value = tok.values[first:last]
+    # the column listing's tokens, then the row listing's
+    col_part = slice(0, int(tok.offsets[4 + min(n, present)]) - first)
+    row_part = slice(col_part.stop, None)
+    nonzero = value != 0  # zero is padding
+    outside = nonzero & (value < 1)
+    outside[col_part] |= value[col_part] > m
+    outside[row_part] |= value[row_part] > n
+    entry = nonzero & ~outside
+    # (row, column) of each entry as one row-major key
+    from_cols = np.sort(((value[col_part] - 1) * n + line[col_part])[entry[col_part]])
+    from_rows = np.sort(((line[row_part] - n) * n + value[row_part] - 1)[entry[row_part]])
+
+    # per-line faults, in the order one line reports them
+    parse = tok.bad[4 : 4 + present]
+    out_of_range = np.zeros(present, dtype=bool)
+    out_of_range[line[outside]] = True
+    duplicate = np.zeros(present, dtype=bool)
+    duplicate[from_cols[1:][from_cols[1:] == from_cols[:-1]] % n] = True
+    duplicate[n + from_rows[1:][from_rows[1:] == from_rows[:-1]] // n] = True
+    weights = tok.values[tok.offsets[2] : tok.offsets[4]]  # columns, then rows
+    found = np.bincount(line[nonzero], minlength=present)
+    wrong_weight = found != weights[:present]
+    faulty = parse | out_of_range | duplicate | wrong_weight
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        what, limit = (f"column {i}", m) if i < n else (f"row {i - n}", n)
+        if parse[i]:
+            message = f"{what}: expected integers, got {line_text(4 + i)!r}"
+        elif out_of_range[i]:
+            k = first + int(np.argmax(outside & (line == i)))
+            message = f"{what}: index {tok.exact(k)} outside [1, {limit}]"
+        elif duplicate[i]:
+            message = f"{what}: duplicate entry"
+        else:
+            declared = tok.exact(int(tok.offsets[2]) + i)
+            message = f"{what}: declared weight {declared} but {found[i]} entries"
+        raise AlistFormatError(message, 5 + i)
+    if present < n + m:
+        raise AlistFormatError("unexpected end of file", tok.num_lines + 1)
+    if last < len(tok.starts):
+        extra = int(np.searchsorted(tok.offsets, last, side="right")) - 1
+        raise AlistFormatError(
+            f"unexpected trailing content {line_text(extra)!r}", extra + 1
+        )
+
+    # cross-check: the column listing must imply exactly the row listing
+    if not np.array_equal(from_cols, from_rows):
+        j = int(np.setxor1d(from_cols, from_rows, assume_unique=True).min()) // n
+        raise AlistFormatError(
+            f"row {j} adjacency disagrees with the column listings", 5 + n + j
+        )
+
+    flat = tuple((from_rows % n).tolist())
+    ends = np.cumsum(found[n:]).tolist()
+    rows = tuple([flat[start:end] for start, end in zip([0] + ends, ends)])
+    return SparseParityMatrix(n=n, m=m, rows=rows)

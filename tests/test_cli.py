@@ -140,6 +140,33 @@ class TestEncode:
         bits.write_text("1x1\n")
         assert run_cli(capsys, "encode", str(bits), "--code1", code_path)[0] == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1x1\n", "line 1: expected only 0/1 characters"),
+            ("101\n1 01\n", "line 2: expected only 0/1 characters"),
+            ("101\n121\n", "line 2: expected only 0/1 characters"),
+            ("101\n/01\n", "line 2: expected only 0/1 characters"),
+            ("101\n10\n", "line 2: expected 3 bits, found 2"),
+            ("101\n\n", "line 2: expected 3 bits, found 0"),
+        ],
+    )
+    def test_bit_file_errors_name_the_line(self, capsys, tmp_path, text, message):
+        code_path = self._write_code(tmp_path)
+        bits = tmp_path / "bits.txt"
+        bits.write_text(text)
+        code, out, err = run_cli(capsys, "encode", str(bits), "--code1", code_path)
+        assert (code, out) == (2, "")
+        assert err == f"swldpc: error: {bits}: {message}\n"
+
+    def test_bit_lines_tolerate_surrounding_whitespace(self, capsys, tmp_path):
+        code_path = self._write_code(tmp_path)
+        bits = tmp_path / "bits.txt"
+        bits.write_bytes(b" 101\t\r\n011 \n")
+        code, out, _ = run_cli(capsys, "encode", str(bits), "--code1", code_path)
+        assert code == 0
+        assert out == "11\n10\n"
+
     def test_missing_files(self, capsys, tmp_path):
         code_path = self._write_code(tmp_path)
         assert run_cli(capsys, "encode", str(tmp_path / "nope"), "--code1", code_path)[0] == 2
