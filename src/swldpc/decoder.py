@@ -18,10 +18,26 @@ Update rules (messages clamped to +/- LLR_MAX at every step):
   2 atanh((1-2b) * f * prod tanh(m/2)) over incoming messages excluding
   the one from v. Code checks use their syndrome bit as b and f = 1;
   correlation checks use b = 0, and in folded form f = tanh(llr/2)
-  stands in for the eliminated hidden-bit node.
+  stands in for the eliminated hidden-bit node. The update runs on the
+  graph's check-degree groups (see ``JointTannerGraph._decode_layout``):
+  each group is one contiguous run of edges in a decode-local order, read
+  as a (checks, degree) view. A degree-1 check's product is empty (1); a
+  degree-2 check passes each edge its partner's value; for larger degrees
+  the leave-one-out products are built column by column, prefix products
+  from the left and suffix products from the right. Each product is
+  multiplied in the same order as a forward and a backward ``np.cumprod``
+  along the row and then joined by one multiplication, so it rounds
+  exactly as the cumulative products did. For the graphs that
+  ``build_joint_graph`` makes from regular codes the decode-local order is
+  the check-major order itself; other graphs pay one gather into it and
+  one scatter back per iteration.
 
 Hard decisions take bit 1 where the posterior is strictly negative, so an
-exactly zero posterior resolves to 0.
+exactly zero posterior resolves to 0. The convergence test needs only the
+code checks (the correlation checks hold by construction of z_hat): it
+xors the hard decisions over each code check's edges, one (degree, rows)
+block per check-degree group, in integers, and counts a code row without
+entries as unsatisfied exactly when its syndrome bit is 1.
 
 ``brute_force_marginals`` provides the exact reference for small blocks:
 it enumerates every pair of syndrome-consistent words, weighs each pair
@@ -110,6 +126,7 @@ def decode(
     layout = graph._decode_layout()
     edge_var = graph.edge_var
     priors = graph.priors
+    damping = config.damping
 
     # Per-edge constant: target-parity sign times check factor (exact, as
     # the sign is +/-1). Correlation checks have parity 0, so only the
@@ -118,62 +135,92 @@ def decode(
     parity[: graph.m1] = s1
     parity[graph.m1 : graph.num_code_checks] = s2
     edge_scale = ((1.0 - 2.0 * parity) * layout["check_factor"])[graph.edge_check]
-    syndrome_bits = np.concatenate([s1, s2]).astype(np.int64)
-    # The code checks' edges come first in the check-major edge lists.
-    code_edges = slice(0, graph.h1.num_entries + graph.h2.num_entries)
+    syndrome_bits = np.concatenate([s1, s2]).astype(bool)
+
+    # Message buffers, reused by every iteration. A degree-1 check's
+    # leave-one-out product is empty, so its entries of ``excl`` stay 1.
+    num_edges = graph.num_edges
+    v2c = np.empty(num_edges)
+    t = np.empty(num_edges)
+    excl = np.ones(num_edges)
+    arg = np.empty(num_edges)
+    c2v = np.zeros(num_edges)
+    fresh = np.empty(num_edges)
+    group_order = layout["group_order"]
+    if group_order is None:
+        t_grouped, excl_grouped = t, excl
+    else:
+        t_grouped, excl_grouped = np.empty(num_edges), np.ones(num_edges)
+    check_groups = []
+    for degree, start, stop in layout["check_groups"]:
+        t_cols = list(t_grouped[start:stop].reshape(-1, degree).T)
+        out_cols = list(excl_grouped[start:stop].reshape(-1, degree).T)
+        if degree == 2:
+            check_groups.append((t_cols, out_cols, None, None))
+        elif degree > 2:
+            # prefixes[j] receives the product of columns 0..j
+            rows = len(t_cols[0])
+            prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
+            check_groups.append((t_cols, out_cols, prefixes, np.empty(rows)))
+
+    # Convergence test: per group, the variables of the code rows' edges,
+    # one column per row, and the rows' syndrome bits. A code row without
+    # entries has parity 0, so it fails iff its bit is 1.
+    code_groups = [
+        (variables, syndrome_bits[checks]) for variables, checks in layout["code_groups"]
+    ]
+    empty_unsatisfied = int(np.count_nonzero(syndrome_bits)) - sum(
+        int(np.count_nonzero(target)) for _, target in code_groups
+    )
 
     posteriors = priors
-    c2v = np.zeros(graph.num_edges)
     converged = False
     iterations_used = 0
 
     for iteration in range(1, config.max_iterations + 1):
         # Variable update: each edge sends the posterior minus its own
         # incoming message.
-        v2c = posteriors[edge_var] - c2v
-        np.clip(v2c, -LLR_MAX, LLR_MAX, out=v2c)
+        np.subtract(posteriors[edge_var], c2v, out=v2c)
+        v2c.clip(-LLR_MAX, LLR_MAX, out=v2c)
 
-        # Check update: leave-one-out tanh products per check degree. A
-        # degree-1 check excludes its only edge, so its product stays 1; a
-        # degree-2 check passes each edge its partner's value.
-        t = np.tanh(v2c * 0.5)
-        excl = np.ones_like(t)
-        for degree, slots in layout["check_groups"]:
-            if degree == 2:
-                excl[slots] = t[slots[:, ::-1]]
-            elif degree > 2:
-                block = t[slots]
-                left = np.ones_like(block)
-                np.cumprod(block[:, :-1], axis=1, out=left[:, 1:])
-                right = np.ones_like(block)
-                right[:, :-1] = np.cumprod(block[:, :0:-1], axis=1)[:, ::-1]
-                excl[slots] = left * right
-        arg = edge_scale * excl
-        np.clip(arg, -_TANH_LIMIT, _TANH_LIMIT, out=arg)
-        fresh = 2.0 * np.arctanh(arg)
-        np.clip(fresh, -LLR_MAX, LLR_MAX, out=fresh)
-        if config.damping > 0.0:
-            fresh = (1.0 - config.damping) * fresh + config.damping * c2v
-        c2v = fresh
-        if not np.all(np.isfinite(c2v)):
+        # Check update on the contiguous degree groups: a degree-2 check
+        # passes each edge its partner's value, larger degrees take
+        # leave-one-out products.
+        np.multiply(v2c, 0.5, out=arg)
+        np.tanh(arg, out=t)
+        if group_order is not None:
+            t.take(group_order, out=t_grouped)
+        for t_cols, out_cols, prefixes, suffix in check_groups:
+            if prefixes is None:
+                out_cols[0][...] = t_cols[1]
+                out_cols[1][...] = t_cols[0]
+            else:
+                _leave_one_out(t_cols, out_cols, prefixes, suffix)
+        if group_order is not None:
+            excl[group_order] = excl_grouped
+        np.multiply(edge_scale, excl, out=arg)
+        arg.clip(-_TANH_LIMIT, _TANH_LIMIT, out=arg)
+        np.arctanh(arg, out=fresh)
+        np.multiply(fresh, 2.0, out=fresh)
+        fresh.clip(-LLR_MAX, LLR_MAX, out=fresh)
+        if damping > 0.0:
+            np.multiply(fresh, 1.0 - damping, out=fresh)
+            np.multiply(c2v, damping, out=c2v)
+            np.add(fresh, c2v, out=fresh)
+        c2v, fresh = fresh, c2v
+        if not np.isfinite(c2v).all():
             raise FloatingPointError("non-finite check message despite clamping")
 
-        posteriors = priors + np.bincount(
-            edge_var, weights=c2v, minlength=graph.var_count
-        )
-        hard = (posteriors < 0).astype(np.uint8)
+        posteriors = np.bincount(edge_var, weights=c2v, minlength=graph.var_count)
+        posteriors += priors
+        hard = posteriors < 0
 
         # Convergence test: z_hat = u1_hat xor u2_hat satisfies every
         # correlation check, so only the code checks can be violated.
-        code_parity = (
-            np.bincount(
-                graph.edge_check[code_edges],
-                weights=hard[edge_var[code_edges]].astype(np.float64),
-                minlength=graph.num_code_checks,
-            ).astype(np.int64)
-            & 1
-        )
-        unsatisfied = int(np.count_nonzero(code_parity != syndrome_bits))
+        unsatisfied = empty_unsatisfied
+        for variables, target in code_groups:
+            row_parity = np.bitwise_xor.reduce(hard[variables], axis=0)
+            unsatisfied += int(np.count_nonzero(row_parity != target))
         converged = unsatisfied == 0
         iterations_used = iteration
 
@@ -191,8 +238,8 @@ def decode(
         if converged and config.early_stop:
             break
 
-    u1_hat = hard[:n].copy()
-    u2_hat = hard[n : 2 * n].copy()
+    u1_hat = hard[:n].astype(np.uint8)
+    u2_hat = hard[n : 2 * n].astype(np.uint8)
     return DecodeResult(
         u1_hat=u1_hat,
         u2_hat=u2_hat,
@@ -201,6 +248,29 @@ def decode(
         iterations_used=iterations_used,
         posterior_llrs=posteriors[: 2 * n].copy(),
     )
+
+
+def _leave_one_out(t_cols, out_cols, prefixes, suffix):
+    """Set each column of a check group to the product of the other columns.
+
+    ``t_cols`` and ``out_cols`` are the columns of a (checks, degree) block
+    with degree >= 3. ``prefixes[j]`` receives the product of columns 0..j:
+    its first entry is ``t_cols[0]`` itself and its last is
+    ``out_cols[-1]``, whose leave-one-out product that is. ``suffix`` is a
+    (checks,) scratch buffer. Column k gets the product of columns 0..k-1
+    times the product of columns degree-1..k+1, each multiplied in one
+    column at a time in that order: the same chain of roundings as a
+    forward and a backward ``np.cumprod`` along each row.
+    """
+    degree = len(t_cols)
+    for k in range(1, degree - 1):
+        np.multiply(prefixes[k - 1], t_cols[k], out=prefixes[k])
+    running = t_cols[-1]
+    for k in range(degree - 2, 0, -1):
+        np.multiply(prefixes[k - 1], running, out=out_cols[k])
+        following = out_cols[0] if k == 1 else suffix
+        np.multiply(running, t_cols[k], out=following)
+        running = following
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,41 +136,64 @@ class JointTannerGraph:
     def _decode_layout(self) -> dict:
         """Index structures used by the message-passing sweeps.
 
-        Edges are grouped by the degree of their check, so that the
-        leave-one-out products of the check update run as dense row
-        operations. The variable update needs no layout of its own: it
-        reads the posteriors through ``edge_var``, and the convergence test
-        reads the code-check edges as the prefix of the edge lists.
+        Every check's edges are one run of the check-major edge lists. The
+        decoder works in a decode-local order where, in addition, all checks
+        of one degree are one run: the check-major edges stably sorted by
+        the order in which each check degree first appears. ``check_groups``
+        holds one ``(degree, start, stop)`` range per degree in that order,
+        so a ``(checks, degree)`` reshape of a range is a view with one row
+        per check, rows in ascending check id. ``group_order`` is the sort
+        as an edge permutation, or None when the check-major order is
+        already grouped. Every graph that ``build_joint_graph`` makes from
+        regular codes is already grouped (identity rows, code rows and
+        correlation checks each have one degree and follow each other), so
+        the decoder then neither gathers nor scatters.
+
+        The convergence test reads the code checks in the same order. Code
+        checks precede correlation checks, so they lead every group:
+        ``code_groups`` holds, for each group with code rows, the variables
+        of those rows' edges as a contiguous ``(degree, rows)`` array (edge
+        k of every row in row k) and the rows' check ids. Code rows without
+        entries belong to no group. The variable update needs no layout of
+        its own; it reads the posteriors through ``edge_var``.
         """
         if self._layout is None:
-            check_groups = _degree_groups(self.edge_check, self.check_count)
+            degrees = np.bincount(self.edge_check, minlength=self.check_count)
+            edge_degree = degrees[self.edge_check]
+            _, first = np.unique(edge_degree, return_index=True)
+            appearance = edge_degree[np.sort(first)]
+            rank = np.zeros(appearance.max() + 1, dtype=np.int64)
+            rank[appearance] = np.arange(len(appearance))
+            edge_rank = rank[edge_degree]
+            group_order = None
+            grouped_var, grouped_check = self.edge_var, self.edge_check
+            if np.any(edge_rank[1:] < edge_rank[:-1]):
+                group_order = np.argsort(edge_rank, kind="stable")
+                grouped_var = grouped_var[group_order]
+                grouped_check = grouped_check[group_order]
+
+            check_groups, code_groups = [], []
+            stop = 0
+            for degree, size in zip(appearance.tolist(), np.bincount(edge_rank).tolist()):
+                start, stop = stop, stop + size
+                check_groups.append((degree, start, stop))
+                checks = grouped_check[start:stop:degree]
+                rows = int(np.count_nonzero(checks < self.num_code_checks))
+                if rows:
+                    block = grouped_var[start : start + rows * degree]
+                    code_groups.append((block.reshape(rows, degree).T.copy(), checks[:rows]))
+
             factor = np.ones(self.check_count)
             if self.form == FOLDED_Z:
                 factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
             layout = {
-                "check_groups": check_groups,
+                "check_groups": tuple(check_groups),
+                "group_order": group_order,
                 "check_factor": factor,
+                "code_groups": tuple(code_groups),
             }
             object.__setattr__(self, "_layout", layout)
         return self._layout
-
-
-def _degree_groups(owner_sorted: np.ndarray, count: int):
-    """Group a sorted ownership array by owner degree.
-
-    Returns pairs (degree, slot_matrix) where slot_matrix has
-    one row per owner of that degree holding the positions of its entries
-    in the input array. Degree-0 owners produce no group.
-    """
-    degrees = np.bincount(owner_sorted, minlength=count)
-    starts = np.concatenate(([0], np.cumsum(degrees)))
-    groups = []
-    for d in np.unique(degrees):
-        if d == 0:
-            continue
-        slots = starts[:-1][degrees == d][:, None] + np.arange(d)[None, :]
-        groups.append((int(d), slots))
-    return tuple(groups)
 
 
 def build_joint_graph(

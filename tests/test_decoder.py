@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swldpc import (
     EXPLICIT_Z,
@@ -19,6 +20,7 @@ from swldpc import (
     syndrome,
 )
 
+from _decoder_reference import decode_reference
 from _forest import random_forest_instance
 
 LN_9 = 2.1972245773362196
@@ -280,6 +282,172 @@ class TestFormEquivalence:
         assert np.array_equal(
             results[EXPLICIT_Z].u2_hat, results[FOLDED_Z].u2_hat
         )
+
+
+def _assert_matches_reference(graph, s1, s2, config):
+    """decode and the reference loop agree bit for bit, snapshot by snapshot."""
+    snaps, ref_snaps = [], []
+    result = decode(graph, s1, s2, config, iteration_hook=snaps.append)
+    expected = decode_reference(graph, s1, s2, config, iteration_hook=ref_snaps.append)
+    for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
+        got, want = getattr(result, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert result.converged == expected.converged
+    assert result.iterations_used == expected.iterations_used
+    assert len(snaps) == len(ref_snaps) == result.iterations_used
+    for got, want in zip(snaps, ref_snaps):
+        assert got.iteration == want.iteration
+        assert got.unsatisfied_checks == want.unsatisfied_checks, got.iteration
+        assert got.mean_abs_posterior == want.mean_abs_posterior, got.iteration
+        for name in ("v2c", "c2v", "posteriors"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (
+                got.iteration,
+                name,
+            )
+    return result
+
+
+def _interleaved_code(n, seed):
+    """Irregular code whose row degrees (1 to 5, some rows empty) interleave,
+    so the check-degree groups are not contiguous in check-major order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for j in range(n // 2):
+        degree = 0 if j % 7 == 3 else 1 + j % 5
+        rows.append(tuple(int(c) for c in rng.choice(n, degree, replace=False)))
+    return SparseParityMatrix.from_rows(n, tuple(rows))
+
+
+def _frame_syndromes(h1, h2, model, seed):
+    pair = sample_pair(model, h1.n, seed=seed)
+    return syndrome(h1, pair.u1), syndrome(h2, pair.u2)
+
+
+class TestMatchesReference:
+    """The contiguous-view kernel against the slot-matrix reference loop."""
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("p, seeds", [(0.96, (0, 1)), (0.92, (2, 3))])
+    def test_corner_point(self, form, p, seeds):
+        n = 1024
+        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=7)
+        model = CorrelationModel(p)
+        graph = build_joint_graph(h1, h2, model, form=form)
+        assert graph._decode_layout()["group_order"] is None
+        outcomes = set()
+        for seed in seeds:
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            result = _assert_matches_reference(graph, s1, s2, DecoderConfig())
+            outcomes.add(result.converged)
+        # p = 0.92 covers a frame at the iteration cap as well
+        assert outcomes == ({True} if p == 0.96 else {True, False})
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_damping_and_full_budget(self, form, damping):
+        n = 256
+        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=3)
+        model = CorrelationModel(0.93)
+        graph = build_joint_graph(h1, h2, model, form=form)
+        s1, s2 = _frame_syndromes(h1, h2, model, 5)
+        config = DecoderConfig(max_iterations=40, damping=damping, early_stop=False)
+        _assert_matches_reference(graph, s1, s2, config)
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    def test_symmetric_point(self, form):
+        # without degree-1 checks every message stays at the all-zero fixed
+        # point; the interleaved code below carries nonzero messages
+        n = 256
+        h1, h2 = gallager_construct(n, 3, 6, seed=1), gallager_construct(n, 3, 6, seed=2)
+        model = CorrelationModel(0.99)
+        graph = build_joint_graph(h1, h2, model, form=form)
+        assert graph._decode_layout()["group_order"] is None
+        for seed in range(2):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            _assert_matches_reference(graph, s1, s2, DecoderConfig())
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_interleaved_irregular_code(self, form, damping):
+        n = 96
+        h1, h2 = _interleaved_code(n, 1), _interleaved_code(n, 2)
+        model = CorrelationModel(0.9)
+        graph = build_joint_graph(h1, h2, model, form=form)
+        assert graph._decode_layout()["group_order"] is not None
+        for seed in range(3):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            result = _assert_matches_reference(graph, s1, s2, DecoderConfig(damping=damping))
+            assert np.count_nonzero(result.posterior_llrs) > n // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_small_graphs(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        codes = []
+        for name in ("h1", "h2"):
+            m = data.draw(st.integers(0, n), label=f"{name} rows")
+            rows = data.draw(
+                st.lists(st.sets(st.integers(0, n - 1)), min_size=m, max_size=m),
+                label=name,
+            )
+            codes.append(SparseParityMatrix.from_rows(n, tuple(tuple(r) for r in rows)))
+        h1, h2 = codes
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        s1 = syndrome(h1, data.draw(bits, label="u1"))
+        s2 = data.draw(st.lists(st.integers(0, 1), min_size=h2.m, max_size=h2.m), label="s2")
+        p = data.draw(st.sampled_from([0.55, 0.9, 0.99, 1 - 1e-14]), label="p")
+        form = data.draw(st.sampled_from([EXPLICIT_Z, FOLDED_Z]), label="form")
+        config = DecoderConfig(
+            max_iterations=data.draw(st.integers(1, 15), label="max_iterations"),
+            damping=data.draw(st.sampled_from([0.0, 0.3]), label="damping"),
+            early_stop=data.draw(st.booleans(), label="early_stop"),
+        )
+        graph = build_joint_graph(h1, h2, CorrelationModel(p), form=form)
+        _assert_matches_reference(graph, s1, s2, config)
+
+
+def _unsatisfied_from_posteriors(graph, posteriors, s1, s2):
+    hard = (posteriors < 0).astype(np.uint8)
+    u1, u2 = hard[: graph.n], hard[graph.n :]
+    return int(
+        np.count_nonzero(syndrome(graph.h1, u1) != s1)
+        + np.count_nonzero(syndrome(graph.h2, u2) != s2)
+    )
+
+
+class TestEmptyCodeRows:
+    """A code row without entries has parity 0: it holds iff its bit is 0."""
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("empty_in", ["h1", "h2"])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_empty_row(self, form, empty_in, bit):
+        n = 12
+        model = CorrelationModel(0.95)
+        h1 = identity_matrix(n)
+        # row 1 of h2 is empty; so is row 1 of h1 when the bit goes there
+        h2 = SparseParityMatrix.from_rows(n, ((0, 1, 2), (), (3, 4, 5, 6), (7, 11)))
+        if empty_in == "h1":
+            h1 = SparseParityMatrix.from_rows(n, ((0,), (), *((i,) for i in range(1, n - 1))))
+        pair = sample_pair(model, n, seed=4)
+        s1, s2 = syndrome(h1, pair.u1), syndrome(h2, pair.u2)
+        with_empty_row = s1 if empty_in == "h1" else s2
+        assert with_empty_row[1] == 0
+        with_empty_row[1] = bit
+        graph = build_joint_graph(h1, h2, model, form=form)
+        snaps = []
+        config = DecoderConfig(max_iterations=30)
+        result = decode(graph, s1, s2, config, iteration_hook=snaps.append)
+        for info in snaps:
+            expected = _unsatisfied_from_posteriors(graph, info.posteriors, s1, s2)
+            assert info.unsatisfied_checks == expected
+            assert info.unsatisfied_checks >= bit
+        if bit:
+            assert not result.converged
+            assert result.iterations_used == config.max_iterations
+        else:
+            assert result.converged
+            assert snaps[-1].unsatisfied_checks == 0
 
 
 class TestBruteForce:

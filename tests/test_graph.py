@@ -114,6 +114,79 @@ class TestEdgeLists:
         assert g.edge_check.tolist() == edge_check
 
 
+class TestDecodeLayout:
+    """The check-degree groups that the decoder reads as contiguous views."""
+
+    @staticmethod
+    def _grouped(g):
+        layout = g._decode_layout()
+        order = layout["group_order"]
+        if order is None:
+            return layout, g.edge_var, g.edge_check
+        return layout, g.edge_var[order], g.edge_check[order]
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize(
+        "h1",
+        [identity_matrix(1024), gallager_construct(1024, 3, 6, seed=8)],
+        ids=["corner", "symmetric"],
+    )
+    def test_regular_graphs_need_no_permutation(self, h1, form):
+        g = build_joint_graph(h1, gallager_construct(1024, 3, 6, seed=7), MODEL, form=form)
+        layout = g._decode_layout()
+        assert layout["group_order"] is None
+        ranges = [(start, stop) for _, start, stop in layout["check_groups"]]
+        # the ranges tile [0, num_edges) once, in order
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == g.num_edges
+        # degrees in order of first appearance along the edge lists
+        appearance = []
+        for d in g.check_degrees()[g.edge_check]:
+            if d not in appearance:
+                appearance.append(int(d))
+        assert [d for d, _, _ in layout["check_groups"]] == appearance
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            (identity_matrix(24), gallager_construct(24, 3, 6, seed=3)),
+            (IRREGULAR, identity_matrix(12)),
+            (gallager_construct(12, 3, 6, seed=1), IRREGULAR),
+            (IRREGULAR, SparseParityMatrix.from_rows(12, [])),
+        ],
+    )
+    def test_groups_hold_whole_checks_of_their_degree(self, h1, h2, form):
+        g = build_joint_graph(h1, h2, MODEL, form=form)
+        layout, edge_var, edge_check = self._grouped(g)
+        degrees = g.check_degrees()
+        assert sorted(edge_check.tolist()) == sorted(g.edge_check.tolist())
+        covered = 0
+        for degree, start, stop in layout["check_groups"]:
+            assert start == covered
+            covered = stop
+            block = edge_check[start:stop].reshape(-1, degree)
+            # each row is one whole check of this degree, in ascending id
+            assert (block == block[:, :1]).all()
+            assert (degrees[block[:, 0]] == degree).all()
+            assert (np.diff(block[:, 0]) > 0).all()
+        assert covered == g.num_edges
+        # the convergence test's blocks: each code row with entries once,
+        # its variables down one column
+        listed = {}
+        for variables, checks in layout["code_groups"]:
+            assert variables.flags.c_contiguous
+            assert variables.shape[1] == len(checks)
+            for c, column in zip(checks.tolist(), variables.T.tolist()):
+                assert c < g.num_code_checks and c not in listed
+                listed[c] = column
+        assert listed == {
+            c: g.edge_var[g.edge_check == c].tolist()
+            for c in range(g.num_code_checks)
+            if degrees[c]
+        }
+
+
 class TestRoles:
     def test_round_trip(self):
         g = build_joint_graph(H1, H2, MODEL, form=EXPLICIT_Z)
