@@ -39,6 +39,35 @@ xors the hard decisions over each code check's edges, one (degree, rows)
 block per check-degree group, in integers, and counts a code row without
 entries as unsatisfied exactly when its syndrome bit is 1.
 
+Known u1 (the corner point). When every u1 variable's only code edge goes
+to a degree-1 h1 check, as when h1 is the identity and u1 is sent raw,
+``decode`` runs the same kernel on H2 alone (``JointTannerGraph._known_u1``),
+3n edges where the corner graph has 6n. This is the side-information
+decoder of Liveris, Xiong and Georghiades (IEEE Commun. Lett., 2002), and
+it returns bit for bit what the joint graph returns:
+
+* The first two joint iterations are known in closed form. Iteration 1
+  leaves u1 at +/- c_id (the degree-1 check's message) and u2 at 0, so it
+  converges iff s2 is all zero. Iteration 2 sends each u2 the constant
+  correlation message q (1 - 2 u1), and converges iff the signs of those
+  priors satisfy H2, which the kernel's own parity test decides.
+* From joint iteration 3 on, the u2 edges carry exactly what H2 alone
+  carries with priors q (1 - 2 u1). The loop runs for at most
+  ``max_iterations - 2`` iterations, and ``iterations_used`` adds that
+  offset of 2 back.
+* ``posterior_llrs[:n]`` is rebuilt after the loop as the joint graph sums
+  it: c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2))
+  clamped as in the kernel, where v = L_prev - q (1 - 2 u1) and L_prev is
+  the u2 posterior of the iteration before the last (the priors, if the
+  loop ran once). ``u1_hat`` is that posterior's sign.
+
+The joint graph runs instead when an ``iteration_hook`` is given (its
+snapshots, and so ``--trace``, show the joint graph), when damping is
+positive (the correlation message then ramps up instead of being
+constant), when ``max_iterations`` is at most 2, and for graphs the pass
+rejects: explicit form, an H2 with a degree-1 row or without entries, or
+any other h1.
+
 ``brute_force_marginals`` provides the exact reference for small blocks:
 it enumerates every pair of syndrome-consistent words, weighs each pair
 by the correlation model, and reports exact per-bit posteriors and the
@@ -53,12 +82,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .correlation import LLR_MAX, CorrelationModel
-from .graph import JointTannerGraph
+from .graph import _TANH_LIMIT, JointTannerGraph, KnownU1Graph, _check_message
 from .ldpc import SparseParityMatrix, as_bit_array
-
-# Largest magnitude tanh(m/2) can reach under the message clamp; the
-# atanh argument is clipped here so saturated products stay finite.
-_TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
 
 
 @dataclass(frozen=True)
@@ -122,12 +147,15 @@ def decode(
         config = DecoderConfig()
     s1 = as_bit_array(s1, graph.m1)
     s2 = as_bit_array(s2, graph.m2)
+    # The known-u1 graph reproduces every output but the hook's snapshots,
+    # and only while the correlation messages to u2 are constant.
+    if iteration_hook is None and config.damping == 0.0:
+        known = graph._known_u1()
+        if known is not None and config.max_iterations > known.offset:
+            return _decode_known_u1(known, s1, s2, config)
+
     n = graph.n
     layout = graph._decode_layout()
-    edge_var = graph.edge_var
-    priors = graph.priors
-    damping = config.damping
-
     # Per-edge constant: target-parity sign times check factor (exact, as
     # the sign is +/-1). Correlation checks have parity 0, so only the
     # code blocks consult the syndromes.
@@ -135,11 +163,115 @@ def decode(
     parity[: graph.m1] = s1
     parity[graph.m1 : graph.num_code_checks] = s2
     edge_scale = ((1.0 - 2.0 * parity) * layout["check_factor"])[graph.edge_check]
-    syndrome_bits = np.concatenate([s1, s2]).astype(bool)
+    unsatisfied = _parity_test(layout, np.concatenate([s1, s2]).astype(bool))
 
+    report = None
+    if iteration_hook is not None:
+
+        def report(iteration, unsatisfied_checks, v2c, c2v, posteriors):
+            iteration_hook(
+                IterationInfo(
+                    iteration=iteration,
+                    unsatisfied_checks=unsatisfied_checks,
+                    mean_abs_posterior=float(np.abs(posteriors[: 2 * n]).mean()),
+                    v2c=v2c.copy(),
+                    c2v=c2v.copy(),
+                    posteriors=posteriors[: 2 * n].copy(),
+                )
+            )
+
+    posteriors, _, converged, iterations_used = _flood(
+        layout, graph.edge_var, edge_scale, graph.priors, unsatisfied,
+        config, config.max_iterations, report,
+    )
+    return _result(posteriors[: 2 * n].copy(), converged, iterations_used)
+
+
+def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> DecodeResult:
+    """``decode`` on a graph whose u1 block is known (see the module notes)."""
+    n = len(known.u1_check)
+    sign = 1.0 - 2.0 * s1[known.u1_check]
+    identity = known.identity_message * sign  # the u1 posteriors of iterations 1 and 2
+    priors = known.corr_message * sign  # the u2 posteriors of iteration 2
+    syndrome_bits = s2.astype(bool)
+    unsatisfied = _parity_test(known.layout, syndrome_bits)
+    if config.early_stop:
+        if not syndrome_bits.any():
+            return _result(np.concatenate([identity, np.zeros(n)]), True, 1)
+        if unsatisfied(priors < 0) == 0:
+            return _result(np.concatenate([identity, priors]), True, 2)
+
+    edge_scale = (1.0 - 2.0 * s2)[known.edge_check]
+    posteriors, previous, converged, iterations_used = _flood(
+        known.layout, known.edge_var, edge_scale, priors, unsatisfied,
+        config, config.max_iterations - known.offset,
+    )
+    # The last iteration's correlation messages to u1, from the u2
+    # messages of the iteration before, summed as the joint graph does.
+    v2c = np.subtract(previous, priors).clip(-LLR_MAX, LLR_MAX)
+    corr = _check_message(known.corr_factor * np.tanh(v2c * 0.5))
+    return _result(
+        np.concatenate([identity + corr, posteriors]), converged, iterations_used + known.offset
+    )
+
+
+def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
+    """A result from the u1 and u2 posteriors, hard decisions by sign."""
+    hard = (posterior_llrs < 0).astype(np.uint8)
+    n = len(hard) // 2
+    u1_hat, u2_hat = hard[:n], hard[n:]
+    return DecodeResult(
+        u1_hat=u1_hat,
+        u2_hat=u2_hat,
+        z_hat=u1_hat ^ u2_hat,
+        converged=converged,
+        iterations_used=iterations_used,
+        posterior_llrs=posterior_llrs,
+    )
+
+
+def _parity_test(layout: dict, syndrome_bits: np.ndarray):
+    """The convergence test: a function from hard decisions to the count
+    of code checks they violate.
+
+    Per group it xors the variables of the code rows' edges, one column
+    per row, and compares with the rows' syndrome bits. A code row
+    without entries has parity 0, so it fails iff its bit is 1.
+    """
+    groups = [
+        (variables, syndrome_bits[checks]) for variables, checks in layout["code_groups"]
+    ]
+    empty_unsatisfied = int(np.count_nonzero(syndrome_bits)) - sum(
+        int(np.count_nonzero(target)) for _, target in groups
+    )
+
+    def unsatisfied(hard) -> int:
+        count = empty_unsatisfied
+        for variables, target in groups:
+            row_parity = np.bitwise_xor.reduce(hard[variables], axis=0)
+            count += int(np.count_nonzero(row_parity != target))
+        return count
+
+    return unsatisfied
+
+
+def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
+    """The flooding loop over one graph's edges, the decode kernel.
+
+    ``edge_var`` maps each check-major edge to its variable, ``edge_scale``
+    holds each edge's check sign times check factor and ``priors`` one LLR
+    per variable; ``layout`` has the keys of ``_flood_layout``. Runs at most
+    ``max_iterations`` iterations with ``config``'s damping and early stop,
+    calling ``report(iteration, unsatisfied, v2c, c2v, posteriors)`` after
+    each one when given.
+
+    Returns the last posteriors, those of the iteration before (the priors
+    after one iteration), whether the last hard decisions satisfy every
+    code check, and the number of iterations run.
+    """
     # Message buffers, reused by every iteration. A degree-1 check's
     # leave-one-out product is empty, so its entries of ``excl`` stay 1.
-    num_edges = graph.num_edges
+    num_edges = len(edge_var)
     v2c = np.empty(num_edges)
     t = np.empty(num_edges)
     excl = np.ones(num_edges)
@@ -163,21 +295,12 @@ def decode(
             prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
             check_groups.append((t_cols, out_cols, prefixes, np.empty(rows)))
 
-    # Convergence test: per group, the variables of the code rows' edges,
-    # one column per row, and the rows' syndrome bits. A code row without
-    # entries has parity 0, so it fails iff its bit is 1.
-    code_groups = [
-        (variables, syndrome_bits[checks]) for variables, checks in layout["code_groups"]
-    ]
-    empty_unsatisfied = int(np.count_nonzero(syndrome_bits)) - sum(
-        int(np.count_nonzero(target)) for _, target in code_groups
-    )
-
+    damping = config.damping
     posteriors = priors
     converged = False
     iterations_used = 0
 
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         # Variable update: each edge sends the posterior minus its own
         # incoming message.
         np.subtract(posteriors[edge_var], c2v, out=v2c)
@@ -211,43 +334,23 @@ def decode(
         if not np.isfinite(c2v).all():
             raise FloatingPointError("non-finite check message despite clamping")
 
-        posteriors = np.bincount(edge_var, weights=c2v, minlength=graph.var_count)
+        previous = posteriors
+        posteriors = np.bincount(edge_var, weights=c2v, minlength=len(priors))
         posteriors += priors
         hard = posteriors < 0
 
         # Convergence test: z_hat = u1_hat xor u2_hat satisfies every
         # correlation check, so only the code checks can be violated.
-        unsatisfied = empty_unsatisfied
-        for variables, target in code_groups:
-            row_parity = np.bitwise_xor.reduce(hard[variables], axis=0)
-            unsatisfied += int(np.count_nonzero(row_parity != target))
-        converged = unsatisfied == 0
+        unsatisfied_checks = unsatisfied(hard)
+        converged = unsatisfied_checks == 0
         iterations_used = iteration
 
-        if iteration_hook is not None:
-            iteration_hook(
-                IterationInfo(
-                    iteration=iteration,
-                    unsatisfied_checks=unsatisfied,
-                    mean_abs_posterior=float(np.abs(posteriors[: 2 * n]).mean()),
-                    v2c=v2c.copy(),
-                    c2v=c2v.copy(),
-                    posteriors=posteriors[: 2 * n].copy(),
-                )
-            )
+        if report is not None:
+            report(iteration, unsatisfied_checks, v2c, c2v, posteriors)
         if converged and config.early_stop:
             break
 
-    u1_hat = hard[:n].astype(np.uint8)
-    u2_hat = hard[n : 2 * n].astype(np.uint8)
-    return DecodeResult(
-        u1_hat=u1_hat,
-        u2_hat=u2_hat,
-        z_hat=u1_hat ^ u2_hat,
-        converged=converged,
-        iterations_used=iterations_used,
-        posterior_llrs=posteriors[: 2 * n].copy(),
-    )
+    return posteriors, previous, converged, iterations_used
 
 
 def _leave_one_out(t_cols, out_cols, prefixes, suffix):

@@ -18,6 +18,14 @@ across runs: variables are the u1 block [0, n), the u2 block [n, 2n) and,
 in explicit form, the z block [2n, 3n); checks are code-1 rows [0, m1),
 code-2 rows [m1, m1+m2) and correlation checks [m1+m2, m1+m2+n). Edges are
 stored check-major with ascending variable ids inside each check.
+
+When h1 pins every u1 bit through a degree-1 check (the identity at the
+corner point, or any row order of it), u1 is known from s1 and the joint
+graph decodes like H2 alone. ``JointTannerGraph._known_u1`` detects this
+from the structure once per graph and returns a :class:`KnownU1Graph`: the
+h2 edge lists and their layout, the constant messages of the identity and
+correlation checks, and the offset of 2 joint iterations that precede the
+reduced loop (see :func:`_reduce_known_u1` and the decoder module).
 """
 
 from __future__ import annotations
@@ -26,11 +34,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import CorrelationModel, hidden_llr
+from .correlation import LLR_MAX, CorrelationModel, hidden_llr
 from .ldpc import SparseParityMatrix
 
 EXPLICIT_Z = "explicit"
 FOLDED_Z = "folded"
+
+# Largest magnitude tanh(m/2) can reach under the message clamp; the
+# atanh argument is clipped here so saturated products stay finite.
+_TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
+
+_UNSET = object()  # a cache not yet filled
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +72,8 @@ class JointTannerGraph:
 
     # decoding layout derived from the edge lists (see _decode_layout)
     _layout: dict | None = field(init=False, default=None, repr=False, compare=False)
+    # the known-u1 reduction, or None where it does not apply (see _known_u1)
+    _reduced: object = field(init=False, default=_UNSET, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -136,64 +152,156 @@ class JointTannerGraph:
     def _decode_layout(self) -> dict:
         """Index structures used by the message-passing sweeps.
 
-        Every check's edges are one run of the check-major edge lists. The
-        decoder works in a decode-local order where, in addition, all checks
-        of one degree are one run: the check-major edges stably sorted by
-        the order in which each check degree first appears. ``check_groups``
-        holds one ``(degree, start, stop)`` range per degree in that order,
-        so a ``(checks, degree)`` reshape of a range is a view with one row
-        per check, rows in ascending check id. ``group_order`` is the sort
-        as an edge permutation, or None when the check-major order is
-        already grouped. Every graph that ``build_joint_graph`` makes from
-        regular codes is already grouped (identity rows, code rows and
-        correlation checks each have one degree and follow each other), so
-        the decoder then neither gathers nor scatters.
-
-        The convergence test reads the code checks in the same order. Code
-        checks precede correlation checks, so they lead every group:
-        ``code_groups`` holds, for each group with code rows, the variables
-        of those rows' edges as a contiguous ``(degree, rows)`` array (edge
-        k of every row in row k) and the rows' check ids. Code rows without
-        entries belong to no group. The variable update needs no layout of
-        its own; it reads the posteriors through ``edge_var``.
+        ``check_groups``, ``group_order`` and ``code_groups`` come from
+        :func:`_flood_layout` over the graph's edge lists. ``check_factor``
+        holds each check's factor f: 1 for code checks and, in folded form,
+        tanh(llr/2) for the correlation checks.
         """
         if self._layout is None:
-            degrees = np.bincount(self.edge_check, minlength=self.check_count)
-            edge_degree = degrees[self.edge_check]
-            _, first = np.unique(edge_degree, return_index=True)
-            appearance = edge_degree[np.sort(first)]
-            rank = np.zeros(appearance.max() + 1, dtype=np.int64)
-            rank[appearance] = np.arange(len(appearance))
-            edge_rank = rank[edge_degree]
-            group_order = None
-            grouped_var, grouped_check = self.edge_var, self.edge_check
-            if np.any(edge_rank[1:] < edge_rank[:-1]):
-                group_order = np.argsort(edge_rank, kind="stable")
-                grouped_var = grouped_var[group_order]
-                grouped_check = grouped_check[group_order]
-
-            check_groups, code_groups = [], []
-            stop = 0
-            for degree, size in zip(appearance.tolist(), np.bincount(edge_rank).tolist()):
-                start, stop = stop, stop + size
-                check_groups.append((degree, start, stop))
-                checks = grouped_check[start:stop:degree]
-                rows = int(np.count_nonzero(checks < self.num_code_checks))
-                if rows:
-                    block = grouped_var[start : start + rows * degree]
-                    code_groups.append((block.reshape(rows, degree).T.copy(), checks[:rows]))
-
+            layout = _flood_layout(
+                self.edge_var, self.edge_check, self.check_count, self.num_code_checks
+            )
             factor = np.ones(self.check_count)
             if self.form == FOLDED_Z:
                 factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
-            layout = {
-                "check_groups": tuple(check_groups),
-                "group_order": group_order,
-                "check_factor": factor,
-                "code_groups": tuple(code_groups),
-            }
+            layout["check_factor"] = factor
             object.__setattr__(self, "_layout", layout)
         return self._layout
+
+    def _known_u1(self) -> "KnownU1Graph | None":
+        """The H2-only graph that decodes this graph when u1 is known, or None.
+
+        Computed once per graph by :func:`_reduce_known_u1`; it never
+        builds the joint layout.
+        """
+        if self._reduced is _UNSET:
+            object.__setattr__(self, "_reduced", _reduce_known_u1(self))
+        return self._reduced
+
+
+@dataclass(frozen=True, eq=False)
+class KnownU1Graph:
+    """H2 alone, with u1 read off s1 (see :func:`_reduce_known_u1`).
+
+    Variables are the u2 block numbered from 0, checks are the h2 rows;
+    ``layout`` has the keys of ``JointTannerGraph._decode_layout`` except
+    ``check_factor``, since every check is a code check with factor 1.
+    """
+
+    u1_check: np.ndarray  # the h1 row that pins each u1 variable
+    edge_var: np.ndarray
+    edge_check: np.ndarray
+    layout: dict
+    corr_factor: float  # f = tanh(llr/2) of the correlation checks
+    identity_message: float  # c_id: a degree-1 h1 check's message for bit 0
+    corr_message: float  # q: a correlation check's message to u2 for u1 = 0
+    offset: int = 2  # joint iterations that precede the reduced loop
+
+
+def _check_message(x):
+    """The decoder's check rule on a scaled product x: 2 atanh(x), with x
+    clipped to +/- _TANH_LIMIT and the result to +/- LLR_MAX."""
+    x = np.clip(x, -_TANH_LIMIT, _TANH_LIMIT)
+    return np.clip(np.arctanh(x) * 2.0, -LLR_MAX, LLR_MAX)
+
+
+def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
+    """Take the u1 block out of a folded graph whose h1 pins every u1 bit.
+
+    It applies when every u1 variable's only code edge goes to a degree-1
+    h1 check: h1 is the identity, or its rows in any order, however it was
+    built or loaded. Such a check sends u1 the constant +/- c_id, and from
+    the second joint iteration on each correlation check sends u2 the
+    constant +/- q; the decoder module describes the resulting schedule.
+
+    It also requires the folded form (explicit z nodes change the
+    messages) and an H2 with entries but no degree-1 row, whose iteration-1
+    message would move u2 off 0 and so shift the offset. Last, u1's hard
+    decisions must stay equal to s1: the correlation message to u1 is at
+    most 2 atanh(|f| tanh(LLR_MAX/2)), which must stay strictly below c_id.
+    Under LLR_MAX = 30 that holds for every model (29.31 against 29.9998).
+    """
+    if graph.form != FOLDED_Z:
+        return None
+    n = graph.n
+    cols1, rows1 = graph.h1.entries
+    cols2, rows2 = graph.h2.entries
+    if not (np.array_equal(rows1, np.arange(n)) and np.bincount(cols1, minlength=n).max() == 1):
+        return None
+    if len(rows2) == 0 or np.any(np.bincount(rows2, minlength=graph.m2) == 1):
+        return None
+    factor = np.tanh(graph.corr_param * 0.5)
+    identity = _check_message(1.0)
+    bound = _check_message(abs(factor) * _TANH_LIMIT)
+    if not bound < identity:
+        return None
+    u1_check = np.empty(n, dtype=np.int64)
+    u1_check[cols1] = rows1
+    return KnownU1Graph(
+        u1_check=u1_check,
+        edge_var=cols2,
+        edge_check=rows2,
+        layout=_flood_layout(cols2, rows2, graph.m2, graph.m2),
+        corr_factor=float(factor),
+        identity_message=float(identity),
+        corr_message=float(_check_message(factor * np.tanh(identity * 0.5))),
+    )
+
+
+def _flood_layout(edge_var, edge_check, check_count, num_code_checks) -> dict:
+    """Check-degree groups of check-major edge lists, for the decode kernel.
+
+    Every check's edges are one run of the check-major edge lists. The
+    decoder works in a decode-local order where, in addition, all checks
+    of one degree are one run: the check-major edges stably sorted by
+    the order in which each check degree first appears. ``check_groups``
+    holds one ``(degree, start, stop)`` range per degree in that order,
+    so a ``(checks, degree)`` reshape of a range is a view with one row
+    per check, rows in ascending check id. ``group_order`` is the sort
+    as an edge permutation, or None when the check-major order is
+    already grouped. Every graph that ``build_joint_graph`` makes from
+    regular codes is already grouped (identity rows, code rows and
+    correlation checks each have one degree and follow each other), so
+    the decoder then neither gathers nor scatters.
+
+    The convergence test reads the code checks, ids below
+    ``num_code_checks``, in the same order. Code checks precede
+    correlation checks, so they lead every group: ``code_groups`` holds,
+    for each group with code rows, the variables of those rows' edges as
+    a contiguous ``(degree, rows)`` array (edge k of every row in row k)
+    and the rows' check ids. Code rows without entries belong to no
+    group. The variable update needs no layout of its own; it reads the
+    posteriors through ``edge_var``.
+    """
+    degrees = np.bincount(edge_check, minlength=check_count)
+    edge_degree = degrees[edge_check]
+    _, first = np.unique(edge_degree, return_index=True)
+    appearance = edge_degree[np.sort(first)]
+    rank = np.zeros(appearance.max(initial=0) + 1, dtype=np.int64)
+    rank[appearance] = np.arange(len(appearance))
+    edge_rank = rank[edge_degree]
+    group_order = None
+    grouped_var, grouped_check = edge_var, edge_check
+    if np.any(edge_rank[1:] < edge_rank[:-1]):
+        group_order = np.argsort(edge_rank, kind="stable")
+        grouped_var = grouped_var[group_order]
+        grouped_check = grouped_check[group_order]
+
+    check_groups, code_groups = [], []
+    stop = 0
+    for degree, size in zip(appearance.tolist(), np.bincount(edge_rank).tolist()):
+        start, stop = stop, stop + size
+        check_groups.append((degree, start, stop))
+        checks = grouped_check[start:stop:degree]
+        rows = int(np.count_nonzero(checks < num_code_checks))
+        if rows:
+            block = grouped_var[start : start + rows * degree]
+            code_groups.append((block.reshape(rows, degree).T.copy(), checks[:rows]))
+    return {
+        "check_groups": tuple(check_groups),
+        "group_order": group_order,
+        "code_groups": tuple(code_groups),
+    }
 
 
 def build_joint_graph(

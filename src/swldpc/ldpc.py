@@ -96,17 +96,6 @@ class SparseParityMatrix:
         return cls(n=n, m=len(row_tuples), rows=row_tuples)
 
     @property
-    def cols(self) -> tuple[tuple[int, ...], ...]:
-        """For each column, the sorted tuple of row indices of its ones."""
-        cols, owner = self.entries
-        # stable, so each column keeps the ascending row order of the index
-        by_col = owner[np.argsort(cols, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(cols, minlength=self.n)).tolist()
-        return tuple(
-            tuple(by_col[start:end]) for start, end in zip([0] + ends, ends)
-        )
-
-    @property
     def num_entries(self) -> int:
         return len(self.entries[0])
 
@@ -186,7 +175,9 @@ def as_bit_array(bits: Sequence[int] | np.ndarray, length: int | None = None) ->
     u = np.asarray(bits)
     if u.ndim != 1:
         raise ValueError(f"bit sequence must be one-dimensional, got shape {u.shape}")
-    if u.size and not np.isin(u, (0, 1)).all():
+    # text is rejected by its dtype kind: numpy before 1.25 answers
+    # str == int with one scalar (and a warning) instead of a mask
+    if u.size and (u.dtype.kind in "SU" or not ((u == 0) | (u == 1)).all()):
         raise ValueError("bit sequence may only contain 0 and 1")
     if length is not None and u.size != length:
         raise ValueError(f"bit sequence has length {u.size}, expected {length}")

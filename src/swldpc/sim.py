@@ -146,7 +146,8 @@ def _run_range(
     bit1 = bit2 = frames = iters = conv = 0
     for trial in range(start, stop):
         pair = sample_pair(config.model, config.h2.n, derive_trial_seed(config.master_seed, trial))
-        s1 = syndrome(h1, pair.u1)
+        # the identity's syndrome is the block itself
+        s1 = pair.u1 if config.mode == ASYMMETRIC else syndrome(h1, pair.u1)
         s2 = syndrome(config.h2, pair.u2)
         result = decode(graph, s1, s2, config.decoder)
         e1 = int(np.count_nonzero(result.u1_hat != pair.u1))

@@ -115,8 +115,11 @@ def load_alist_reference(text: str) -> SparseParityMatrix:
 
 
 def save_alist_reference(h: SparseParityMatrix) -> str:
-    """Canonical alist text, written from the per-column tuples ``h.cols``."""
-    cols = h.cols
+    """Canonical alist text, with the column listings gathered one entry at a
+    time from the row-major index ``h.entries``."""
+    cols = [[] for _ in range(h.n)]
+    for i, j in zip(*(ids.tolist() for ids in h.entries)):
+        cols[i].append(j)
     col_weights = [len(c) for c in cols]
     row_weights = [len(r) for r in h.rows]
     lines = [

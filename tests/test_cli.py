@@ -288,6 +288,47 @@ class TestDecode:
         assert target.read_text() == out
 
 
+class TestTraceParity:
+    """``--trace`` decodes on the joint graph, a plain decode on H2 alone
+    with u1 read off s1; both must print the same blocks and stop lines."""
+
+    @pytest.mark.parametrize(
+        "p, max_iters, want", [("0.96", "100", 0), ("0.93", "20", 3)], ids=["exit-0", "exit-3"]
+    )
+    def test_same_output_with_and_without_trace(self, capsys, tmp_path, p, max_iters, want):
+        n = 256
+        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=2)
+        frames = [sample_pair(CorrelationModel(float(p)), n, seed=300 + t) for t in range(6)]
+        to_line = lambda bits: "".join(str(int(b)) for b in bits)
+        files = {}
+        for name, content in (
+            ("c1", save_alist(h1)),
+            ("c2", save_alist(h2)),
+            ("s1", "".join(to_line(syndrome(h1, f.u1)) + "\n" for f in frames)),
+            ("s2", "".join(to_line(syndrome(h2, f.u2)) + "\n" for f in frames)),
+        ):
+            files[name] = tmp_path / name
+            files[name].write_text(content)
+        argv = [
+            "decode",
+            "--code1", str(files["c1"]), "--code2", str(files["c2"]),
+            "--syn1", str(files["s1"]), "--syn2", str(files["s2"]),
+            "--p", p, "--max-iters", max_iters,
+        ]
+        code, out, err = run_cli(capsys, *argv)
+        traced_code, traced_out, traced_err = run_cli(capsys, *argv, "--trace")
+        assert code == traced_code == want
+        assert out == traced_out and len(out.splitlines()) == 2 * len(frames)
+        trace = [line for line in traced_err.splitlines() if line.startswith("frame=")]
+        stops = [line for line in traced_err.splitlines() if not line.startswith("frame=")]
+        assert stops == err.splitlines()
+        assert trace[0].startswith("frame=0 iter=1 ")
+        if want == 3:
+            # some frames converge, the others stop at the budget
+            assert 0 < len(stops) < len(frames)
+            assert all(line.endswith(f"not converged after {max_iters} iterations") for line in stops)
+
+
 class TestSimulate:
     FLAGS = ["simulate", "--p", "0.95", "--n", "64", "--dv", "3", "--dc", "6",
              "--trials", "6", "--seed", "3"]

@@ -406,6 +406,135 @@ class TestMatchesReference:
         _assert_matches_reference(graph, s1, s2, config)
 
 
+def _assert_same_result(graph, s1, s2, config):
+    """decode without a hook, which takes the known-u1 graph where it
+    applies, returns bit for bit what the reference loop on the joint graph
+    returns."""
+    result = decode(graph, s1, s2, config)
+    expected = decode_reference(graph, s1, s2, config)
+    for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
+        got, want = getattr(result, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert result.converged == expected.converged
+    assert result.iterations_used == expected.iterations_used
+    return result
+
+
+class TestKnownU1MatchesReference:
+    """The known-u1 decode on H2 alone against the joint reference loop."""
+
+    @staticmethod
+    def _corner(n, p, code_seed=7):
+        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=code_seed)
+        model = CorrelationModel(p)
+        graph = build_joint_graph(h1, h2, model)
+        assert graph._known_u1() is not None
+        return graph, h1, h2, model
+
+    @pytest.mark.parametrize("p, seeds", [(0.96, range(3)), (0.92, range(3, 7)), (0.90, range(7, 10))])
+    def test_corner_point(self, p, seeds):
+        graph, h1, h2, model = self._corner(1024, p)
+        outcomes = set()
+        for seed in seeds:
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            outcomes.add(_assert_same_result(graph, s1, s2, DecoderConfig()).converged)
+        assert graph._layout is None  # the joint layout was never needed
+        assert True in outcomes if p == 0.96 else False in outcomes
+
+    def test_exits_in_iterations_1_and_2(self):
+        graph, h1, h2, model = self._corner(256, 0.999)
+        iterations = []
+        for seed in range(12):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            iterations.append(_assert_same_result(graph, s1, s2, DecoderConfig()).iterations_used)
+            # a zero s2 holds after iteration 1, whatever u1 is
+            zero = _assert_same_result(graph, s1, np.zeros_like(s2), DecoderConfig())
+            assert zero.converged and zero.iterations_used == 1
+        assert {2, 3} <= set(iterations)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_small_budgets(self, max_iterations, early_stop):
+        graph, h1, h2, model = self._corner(256, 0.999)
+        config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
+        for seed in range(6):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            _assert_same_result(graph, s1, s2, config)
+            _assert_same_result(graph, s1, np.zeros_like(s2), config)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_full_budget_and_damping(self, damping):
+        graph, h1, h2, model = self._corner(256, 0.93)
+        config = DecoderConfig(max_iterations=40, damping=damping, early_stop=False)
+        for seed in range(3):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            _assert_same_result(graph, s1, s2, config)
+            _assert_same_result(graph, s1, s2, DecoderConfig(damping=damping))
+
+    @pytest.mark.parametrize("p", [1 - 1e-14, 0.9999999])
+    def test_saturated_correlation(self, p):
+        # at 1 - 1e-14 the hidden-bit LLR is clamped to LLR_MAX
+        graph, h1, h2, model = self._corner(256, p)
+        for seed in range(4):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            _assert_same_result(graph, s1, s2, DecoderConfig())
+            _assert_same_result(graph, s1, s2, DecoderConfig(max_iterations=6, early_stop=False))
+
+    @pytest.mark.parametrize(
+        "h2",
+        [
+            SparseParityMatrix.from_rows(12, ((0, 1, 2), (), (3, 4, 5, 6), (7, 11), (2, 8, 9, 10))),
+            SparseParityMatrix.from_rows(12, ((0, 1, 2), (5,), (3, 4, 5, 6), (7, 11), (2, 8, 9, 10))),
+        ],
+        ids=["empty-row", "degree-1-row"],
+    )
+    def test_irregular_h2(self, h2):
+        h1, model = identity_matrix(12), CorrelationModel(0.9)
+        graph = build_joint_graph(h1, h2, model)
+        assert (graph._known_u1() is None) == any(len(row) == 1 for row in h2.rows)
+        for seed in range(6):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            for bit in (0, 1):
+                s2[1] = bit
+                _assert_same_result(graph, s1, s2, DecoderConfig(max_iterations=30))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_graphs_that_do_not_reduce(self, symmetric):
+        n = 128
+        h2 = gallager_construct(n, 3, 6, seed=2)
+        h1 = gallager_construct(n, 3, 6, seed=1) if symmetric else identity_matrix(n)
+        model = CorrelationModel(0.95)
+        form = FOLDED_Z if symmetric else EXPLICIT_Z
+        graph = build_joint_graph(h1, h2, model, form=form)
+        assert graph._known_u1() is None
+        for seed in range(2):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            _assert_same_result(graph, s1, s2, DecoderConfig(max_iterations=30))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_small_codes(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        m = data.draw(st.integers(0, n), label="h2 rows")
+        rows = data.draw(
+            st.lists(st.sets(st.integers(0, n - 1)), min_size=m, max_size=m), label="h2"
+        )
+        h2 = SparseParityMatrix.from_rows(n, tuple(tuple(r) for r in rows))
+        # identity, or the rows of the identity in any order
+        order = data.draw(st.permutations(range(n)), label="h1 row order")
+        h1 = SparseParityMatrix.from_rows(n, tuple((i,) for i in order))
+        u1 = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="u1"))
+        s2 = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m), label="s2")
+        p = data.draw(st.sampled_from([0.04, 0.5, 0.55, 0.9, 0.99, 1 - 1e-14]), label="p")
+        config = DecoderConfig(
+            max_iterations=data.draw(st.integers(1, 15), label="max_iterations"),
+            damping=data.draw(st.sampled_from([0.0, 0.0, 0.3]), label="damping"),
+            early_stop=data.draw(st.booleans(), label="early_stop"),
+        )
+        graph = build_joint_graph(h1, h2, CorrelationModel(p))
+        _assert_same_result(graph, syndrome(h1, u1), s2, config)
+
+
 def _unsatisfied_from_posteriors(graph, posteriors, s1, s2):
     hard = (posteriors < 0).astype(np.uint8)
     u1, u2 = hard[: graph.n], hard[graph.n :]

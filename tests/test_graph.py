@@ -12,6 +12,8 @@ from swldpc import (
     hidden_llr,
     identity_matrix,
     is_cycle_free,
+    load_alist,
+    save_alist,
 )
 
 H1 = identity_matrix(2)
@@ -254,3 +256,69 @@ class TestCycleFree:
     def test_regular_code_graph_is_loopy(self):
         h2 = gallager_construct(24, 3, 6, seed=1)
         assert not is_cycle_free(build_joint_graph(identity_matrix(24), h2, MODEL))
+
+
+class TestKnownU1:
+    """The pass that takes a known u1 block out of the joint graph."""
+
+    H2 = gallager_construct(64, 3, 6, seed=3)
+
+    @pytest.mark.parametrize(
+        "h1", [identity_matrix(64), load_alist(save_alist(identity_matrix(64)))],
+        ids=["built", "alist"],
+    )
+    def test_applies_to_the_corner_graph(self, h1):
+        g = build_joint_graph(h1, self.H2, CorrelationModel(0.96))
+        known = g._known_u1()
+        assert known is not None and g._known_u1() is known  # computed once
+        assert g.num_edges == 6 * 64 and len(known.edge_var) == 3 * 64
+        assert known.offset == 2
+        assert np.array_equal(known.u1_check, np.arange(64))
+        assert (known.edge_var.tolist(), known.edge_check.tolist()) == (
+            self.H2.entries[0].tolist(),
+            self.H2.entries[1].tolist(),
+        )
+        assert known.layout["group_order"] is None
+        # q is the correlation check's message, not the hidden-bit LLR
+        assert known.corr_message == 3.1780538303457027
+        assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
+        assert g._layout is None  # the joint layout is not built
+
+    def test_permuted_identity(self):
+        perm = [3, 0, 2, 1]
+        h1 = SparseParityMatrix.from_rows(4, [(i,) for i in perm])
+        h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (1, 2, 3)))
+        known = build_joint_graph(h1, h2, MODEL)._known_u1()
+        assert known is not None
+        # u1[perm[j]] is pinned by row j
+        assert known.u1_check.tolist() == [1, 3, 2, 0]
+
+    @pytest.mark.parametrize(
+        "h1, h2, form",
+        [
+            (identity_matrix(12), gallager_construct(12, 3, 6, seed=1), EXPLICIT_Z),
+            (gallager_construct(12, 3, 6, seed=2), gallager_construct(12, 3, 6, seed=1), FOLDED_Z),
+            # u1 variable 0 has a second code edge
+            (
+                SparseParityMatrix.from_rows(4, ((0, 1), (1,), (2,), (3,))),
+                SparseParityMatrix.from_rows(4, ((0, 1, 2),)),
+                FOLDED_Z,
+            ),
+            # an h1 row without entries leaves u1 variable 1 unpinned
+            (
+                SparseParityMatrix.from_rows(4, ((0,), (), (2,), (3,))),
+                SparseParityMatrix.from_rows(4, ((0, 1, 2),)),
+                FOLDED_Z,
+            ),
+            (identity_matrix(4), SparseParityMatrix.from_rows(4, ((0, 1, 2), (3,))), FOLDED_Z),
+            (identity_matrix(4), SparseParityMatrix.from_rows(4, ((), ())), FOLDED_Z),
+        ],
+        ids=["explicit", "symmetric", "u1-degree-2", "h1-empty-row", "h2-degree-1", "h2-no-entries"],
+    )
+    def test_does_not_apply(self, h1, h2, form):
+        assert build_joint_graph(h1, h2, MODEL, form=form)._known_u1() is None
+
+    def test_applies_with_an_empty_h2_row(self):
+        h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (), (1, 3)))
+        known = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1()
+        assert known is not None and len(known.edge_var) == 5

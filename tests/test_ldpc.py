@@ -23,12 +23,18 @@ H_CHAIN = SparseParityMatrix.from_rows(3, ((0, 1), (1, 2)))
 H_CHAIN_ALIST = "3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n"
 
 
+def _columns(h):
+    """For each column, its row ids in ascending order, from ``h.entries``."""
+    cols, owner = h.entries  # row-major, so each column's rows ascend
+    return [owner[cols == i].tolist() for i in range(h.n)]
+
+
 class TestSparseParityMatrix:
     def test_from_rows_derives_columns(self):
         assert H_CHAIN.n == 3
         assert H_CHAIN.m == 2
         assert H_CHAIN.rows == ((0, 1), (1, 2))
-        assert H_CHAIN.cols == ((0,), (0, 1), (1,))
+        assert _columns(H_CHAIN) == [[0], [0, 1], [1]]
         assert H_CHAIN.num_entries == 4
         assert H_CHAIN.rate == pytest.approx(2 / 3)
 
@@ -90,7 +96,7 @@ class TestSparseParityMatrix:
         u = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         h = SparseParityMatrix.from_rows(n, row_sets)
         dense = h.to_dense()
-        assert h.cols == tuple(tuple(np.flatnonzero(dense[:, i]).tolist()) for i in range(n))
+        assert _columns(h) == [np.flatnonzero(dense[:, i]).tolist() for i in range(n)]
         assert load_alist(save_alist(h)) == h
         assert np.array_equal(syndrome(h, u), dense.astype(np.int64) @ u % 2)
 
@@ -140,13 +146,58 @@ class TestAsBitArray:
         with pytest.raises(ValueError):
             as_bit_array([0, 1], length=3)
 
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([True, False, True]),
+            np.array([1, 0, 1], dtype=np.int8),
+            np.array([1, 0, 1], dtype=np.int64),
+            np.array([1.0, 0.0, 1.0]),
+            np.array([1, 0, 1], dtype=object),
+            [1, 0, 1],
+        ],
+        ids=["bool", "int8", "int64", "float", "object", "list"],
+    )
+    def test_accepts_zeros_and_ones_of_any_numeric_type(self, bits):
+        out = as_bit_array(bits, length=3)
+        assert out.dtype == np.uint8 and out.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "empty", [np.array([]), np.array([], dtype=str), np.array([], dtype=object)]
+    )
+    def test_accepts_empty_arrays(self, empty):
+        out = as_bit_array(empty, length=0)
+        assert out.dtype == np.uint8 and out.size == 0
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            [0, 0.5],
+            [2, 1],
+            [0, -1],
+            [np.nan],
+            np.array(["0", "1"]),
+            np.array([b"0", b"1"]),
+            np.array(["0", 1], dtype=object),
+            np.array([None], dtype=object),
+        ],
+        ids=["half", "two", "minus-one", "nan", "str", "bytes", "object-str", "object-none"],
+    )
+    def test_rejects_anything_else(self, bits):
+        with pytest.raises(ValueError, match="^bit sequence may only contain 0 and 1$"):
+            as_bit_array(bits)
+
+    def test_rejects_other_shapes_before_values(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            as_bit_array(np.array([[0, 1], [1, 2]]))
+
 
 class TestGallagerConstruct:
     def test_regular_degrees(self):
         h = gallager_construct(1024, 3, 6, seed=7)
         assert h.n == 1024 and h.m == 512
         assert all(len(row) == 6 for row in h.rows)
-        assert all(len(col) == 3 for col in h.cols)
+        assert all(len(col) == 3 for col in _columns(h))
 
     def test_deterministic_in_seed(self):
         assert gallager_construct(96, 3, 6, seed=4) == gallager_construct(96, 3, 6, seed=4)
