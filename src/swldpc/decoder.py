@@ -93,8 +93,9 @@ class DecoderConfig:
     early_stop: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise ValueError("max_iterations must be a positive integer")
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"max_iterations must be a positive integer, got {count!r}")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
 

@@ -1,7 +1,8 @@
 """Sparse binary parity-check codes and syndrome encoding.
 
 A code is held as a :class:`SparseParityMatrix`: the m x n binary matrix H
-as sorted row adjacency, with one flat row-major index of its nonzeros.
+as one flat row-major index of its nonzeros, from which the sorted row
+adjacency is derived on demand.
 Compression of a source block u is the syndrome map s = H u over GF(2);
 the joint decoder recovers u from s.
 
@@ -12,7 +13,7 @@ published LDPC matrices, see :func:`load_alist` / :func:`save_alist`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -33,67 +34,113 @@ class AlistFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+def _shape(n: int, m: int) -> tuple[int, int]:
+    """Check a matrix's column and row counts; return them as ints."""
+    for what, count in (("column", n), ("row", m)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{what} count must be an integer, got {count!r}")
+    if n < 1:
+        raise ValueError(f"column count must be positive, got {n}")
+    if not 0 <= m <= n:
+        raise ValueError(f"row count must satisfy 0 <= m <= n, got m={m}, n={n}")
+    return int(n), int(m)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SparseParityMatrix:
-    """Binary parity-check matrix held as sorted row adjacency.
+    """Binary parity-check matrix held as one flat row-major index.
 
     Attributes:
         n: number of columns (source block length).
         m: number of rows (syndrome length), m <= n.
-        rows: for each row, the strictly increasing tuple of column indices
-            of its ones.
-        entries: the same nonzeros as one row-major flat index, a pair of
-            read-only int64 arrays (column ids, row ids). Built from
-            ``rows`` at construction; not a constructor argument.
+        entries: the nonzeros as a pair of read-only int64 arrays (column
+            ids, row ids), sorted by row and, within a row, by column.
 
-    The object is immutable, so it can be shared freely across decoder
-    sessions. Use :meth:`from_rows` to build one from unsorted rows.
+    ``rows`` derives the sorted row adjacency on demand. Construct with
+    ``SparseParityMatrix(n, m, rows)``, where each row is the strictly
+    increasing sequence of column indices of its ones, or with
+    :meth:`from_rows` from unsorted rows. Matrices compare equal when
+    ``n``, ``m`` and ``entries`` are equal. The object is immutable, so it
+    can be shared freely across decoder sessions.
     """
 
     n: int
     m: int
-    rows: tuple[tuple[int, ...], ...]
-    entries: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False
-    )
+    entries: tuple[np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"column count must be positive, got {self.n}")
-        if not 0 <= self.m <= self.n:
-            raise ValueError(
-                f"row count must satisfy 0 <= m <= n, got m={self.m}, n={self.n}"
-            )
-        if len(self.rows) != self.m:
-            raise ValueError(f"expected m={self.m} rows, got {len(self.rows)}")
-        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=self.m)
+    def __init__(self, n: int, m: int, rows: Sequence[Sequence[int]]):
+        n, m = _shape(n, m)
+        if len(rows) != m:
+            raise ValueError(f"expected m={m} rows, got {len(rows)}")
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=m)
         cols = np.fromiter(
-            chain.from_iterable(self.rows), dtype=np.int64, count=int(lengths.sum())
+            chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum())
         )
-        owner = np.repeat(np.arange(self.m, dtype=np.int64), lengths)
-        outside = (cols < 0) | (cols >= self.n)
+        self._index(n, m, cols, np.repeat(np.arange(m, dtype=np.int64), lengths))
+
+    @classmethod
+    def _from_entries(
+        cls, n: int, m: int, cols: np.ndarray, owner: np.ndarray
+    ) -> "SparseParityMatrix":
+        """Build a matrix from its flat index, with the constructor's checks.
+
+        The matrix takes the arrays over and makes them read-only.
+        """
+        n, m = _shape(n, m)
+        h = cls.__new__(cls)
+        cols, owner = (np.asarray(a, dtype=np.int64) for a in (cols, owner))
+        h._index(n, m, cols, owner)
+        return h
+
+    def _index(self, n: int, m: int, cols: np.ndarray, owner: np.ndarray) -> None:
+        step = np.diff(owner)
+        if owner.size and (owner[0] < 0 or (step < 0).any()):
+            raise ValueError("row ids must be non-decreasing from 0")
+        if owner.size and owner[-1] >= m:
+            raise ValueError(f"expected m={m} rows, got {owner[-1] + 1}")
+        outside = (cols < 0) | (cols >= n)
         if outside.any():
             e = int(np.argmax(outside))
-            raise ValueError(
-                f"row {owner[e]} has column index {cols[e]} outside [0, {self.n})"
-            )
-        unsorted = (np.diff(cols) <= 0) & (np.diff(owner) == 0)
+            raise ValueError(f"row {owner[e]} has column index {cols[e]} outside [0, {n})")
+        unsorted = (np.diff(cols) <= 0) & (step == 0)
         if unsorted.any():
-            j = int(owner[np.argmax(unsorted)])
-            raise ValueError(f"row {j} is not sorted or has duplicates: {self.rows[j]}")
+            j = owner[np.argmax(unsorted)]
+            row = tuple(cols[owner == j].tolist())
+            raise ValueError(f"row {j} is not sorted or has duplicates: {row}")
         cols.flags.writeable = False
         owner.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "entries", (cols, owner))
 
     def __reduce__(self):
-        # pickle the rows alone; the copy rebuilds its read-only index
-        return (SparseParityMatrix, (self.n, self.m, self.rows))
+        # pickle the flat index; the copy is rebuilt read-only
+        return (SparseParityMatrix._from_entries, (self.n, self.m, *self.entries))
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseParityMatrix):
+            return NotImplemented
+        return (self.n, self.m) == (other.n, other.m) and all(
+            map(np.array_equal, self.entries, other.entries)
+        )
+
+    def __hash__(self):
+        cols, owner = self.entries
+        return hash((self.n, self.m, cols.tobytes(), owner.tobytes()))
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Iterable[int]]) -> "SparseParityMatrix":
         """Build a matrix from row adjacency in any order; repeats collapse."""
-        row_tuples = tuple(tuple(sorted(set(int(i) for i in row))) for row in rows)
-        return cls(n=n, m=len(row_tuples), rows=row_tuples)
+        sorted_rows = [sorted({int(i) for i in row}) for row in rows]
+        return cls(n, len(sorted_rows), sorted_rows)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """For each row, the strictly increasing tuple of its column indices."""
+        cols, owner = self.entries
+        flat = tuple(cols.tolist())
+        ends = np.cumsum(np.bincount(owner, minlength=self.m)).tolist()
+        return tuple([flat[start:end] for start, end in zip([0] + ends, ends)])
 
     @property
     def num_entries(self) -> int:
@@ -118,7 +165,8 @@ def identity_matrix(n: int) -> SparseParityMatrix:
     Its syndrome is the source block itself, which lets the rate-1 corner
     point flow through the same encode/decode pathway as any other code.
     """
-    return SparseParityMatrix(n=n, m=n, rows=tuple((i,) for i in range(n)))
+    ids = np.arange(n, dtype=np.int64)
+    return SparseParityMatrix._from_entries(n, n, ids, ids)
 
 
 def gallager_construct(
@@ -162,8 +210,7 @@ def gallager_construct(
         if np.any(np.diff(keys) == 0):
             continue  # parallel edge, reject the whole permutation
         # keys are sorted and distinct, so every row is strictly increasing
-        rows = (keys % n).reshape(m, dc).tolist()
-        return SparseParityMatrix(n=n, m=m, rows=tuple(map(tuple, rows)))
+        return SparseParityMatrix._from_entries(n, m, keys % n, keys // n)
     raise ConstructionError(
         f"could not build a parallel-edge-free ({dv},{dc})-regular matrix with "
         f"n={n} within {max_retries} permutation draws"
@@ -223,11 +270,35 @@ def gf2_rank(h: SparseParityMatrix) -> int:
     return rank
 
 
-def _listing(ids: np.ndarray, counts: np.ndarray) -> list[str]:
-    """Lines of space-separated ``ids``, the k-th line holding ``counts[k]`` of them."""
-    words = list(map(str, ids.tolist()))
-    ends = np.cumsum(counts).tolist()
-    return [" ".join(words[start:end]) for start, end in zip([0] + ends, ends)]
+def _text(values: np.ndarray, counts: np.ndarray) -> str:
+    """Lines of space-separated ``values``, the k-th line holding ``counts[k]``.
+
+    The inverse of :class:`_Tokens` for nonnegative values: every value is
+    written one decimal place at a time into one byte buffer, followed by a
+    space, or by a newline where it ends its line.
+    """
+    width = len(str(int(values.max(initial=0))))
+    # uint32 divides several times faster than int64
+    values = values.astype(np.uint32 if width <= 9 else np.int64)
+    # an empty line is one item without digits, so every line has an item
+    empty = np.flatnonzero(counts == 0)
+    at_empty = np.cumsum(counts)[empty] - counts[empty]
+    values = np.insert(values, at_empty, 0)
+    num_digits = np.ones(len(values), dtype=np.int64)
+    for place in range(1, width):
+        num_digits += values >= 10**place
+    num_digits[at_empty + np.arange(len(empty))] = 0
+    # each item is its digits and one separator; `width` bytes of slack in
+    # front take the leading zeros of the first items
+    ends = np.cumsum(num_digits + 1) + width
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    # a place a value lacks writes a zero over an earlier item's digit of a
+    # lower place or over a separator, both written after it
+    for place in range(width - 1, -1, -1):
+        buf[ends - 2 - place] = values // 10**place % 10 + ord("0")
+    buf[ends - 1] = ord(" ")
+    buf[ends[np.cumsum(np.maximum(counts, 1)) - 1] - 1] = ord("\n")
+    return buf[width:].tobytes().decode("ascii")
 
 
 def save_alist(h: SparseParityMatrix) -> str:
@@ -244,15 +315,10 @@ def save_alist(h: SparseParityMatrix) -> str:
     row_weights = np.bincount(owner, minlength=h.m)
     # column-major keys, so each column lists its rows in ascending order
     by_col = np.sort(cols * h.m + owner) % h.m
-    lines = [
-        f"{h.n} {h.m}",
-        f"{int(col_weights.max())} {int(row_weights.max(initial=0))}",
-        " ".join(map(str, col_weights.tolist())),
-        " ".join(map(str, row_weights.tolist())),
-        *_listing(by_col + 1, col_weights),
-        *_listing(cols + 1, row_weights),
-    ]
-    return "\n".join(lines) + "\n"
+    header = [h.n, h.m, int(col_weights.max()), int(row_weights.max(initial=0))]
+    values = np.concatenate((header, col_weights, row_weights, by_col + 1, cols + 1))
+    counts = np.concatenate(([2, 2, h.n, h.m], col_weights, row_weights))
+    return _text(values, counts)
 
 
 # Token grammar of alist text: ASCII whitespace separates tokens, and a token
@@ -469,7 +535,4 @@ def load_alist(text: str) -> SparseParityMatrix:
             f"row {j} adjacency disagrees with the column listings", 5 + n + j
         )
 
-    flat = tuple((from_rows % n).tolist())
-    ends = np.cumsum(found[n:]).tolist()
-    rows = tuple([flat[start:end] for start, end in zip([0] + ends, ends)])
-    return SparseParityMatrix(n=n, m=m, rows=rows)
+    return SparseParityMatrix._from_entries(n, m, from_rows % n, from_rows // n)

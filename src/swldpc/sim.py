@@ -103,8 +103,9 @@ class SimConfig:
             raise ValueError(
                 f"codes disagree on block length: {self.h1.n} vs {self.h2.n}"
             )
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError("trials must be a positive integer")
+        trials = self.trials
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+            raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
     def effective_h1(self) -> SparseParityMatrix:
         return self.h1 if self.h1 is not None else identity_matrix(self.h2.n)
@@ -167,8 +168,8 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     counts it aggregates are integers, so the result does not depend on
     the split.
     """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError("jobs must be a positive integer")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     trials = config.trials
     h1 = config.effective_h1()
     if jobs == 1 or trials == 1:

@@ -235,5 +235,6 @@ class TestSaveAlist:
 def test_large_code_round_trip():
     h = gallager_construct(2048, 3, 6, seed=311)
     text = save_alist(h)
+    assert text == save_alist_reference(h)
     assert load_alist(text) == load_alist_reference(text) == h
     assert np.array_equal(load_alist(text).to_dense(), h.to_dense())

@@ -50,6 +50,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             DecoderConfig(damping=-0.1)
 
+    @pytest.mark.parametrize("count", [True, 10.0])
+    def test_iteration_cap_must_be_an_integer(self, count):
+        message = f"max_iterations must be a positive integer, got {count}"
+        with pytest.raises(ValueError, match=message):
+            DecoderConfig(max_iterations=count)
+
 
 class TestSingleBit:
     """n = 1, u1 pinned by its syndrome, u2 informed only by correlation."""

@@ -68,6 +68,7 @@ class TestSparseParityMatrix:
             (2, ((0, 3), (2, 1)), r"row 1 is not sorted or has duplicates: \(2, 1\)"),
             (3, ((0,), (1,), (3, 3)), r"row 2 is not sorted or has duplicates: \(3, 3\)"),
             (3, ((0,), (1,)), r"expected m=3 rows, got 2"),
+            (1, ((0,), (1,)), r"expected m=1 rows, got 2"),
         ],
     )
     def test_constructor_names_the_offending_row(self, m, rows, message):
@@ -84,6 +85,86 @@ class TestSparseParityMatrix:
             cols[0] = 2
         with pytest.raises(ValueError):
             owner[0] = 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda h: SparseParityMatrix(h.n, h.m, h.rows),
+            lambda h: SparseParityMatrix.from_rows(h.n, [row[::-1] + row for row in h.rows]),
+            lambda h: load_alist(save_alist(h)),
+            lambda h: pickle.loads(pickle.dumps(h)),
+        ],
+        ids=["constructor", "from_rows", "load_alist", "pickle"],
+    )
+    @pytest.mark.parametrize(
+        "h",
+        [gallager_construct(48, 3, 6, seed=5), identity_matrix(9), H_CHAIN],
+        ids=["gallager_construct", "identity_matrix", "from_rows"],
+    )
+    def test_construction_paths_agree(self, build, h):
+        copy = build(h)
+        assert copy == h and hash(copy) == hash(h) and copy.rows == h.rows
+        restored = pickle.loads(pickle.dumps(copy))
+        assert restored == h and hash(restored) == hash(h)
+        for index in restored.entries:
+            assert index.dtype == np.int64 and not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
+
+    def test_equality_needs_equal_shape_and_entries(self):
+        assert H_CHAIN != SparseParityMatrix(4, 2, H_CHAIN.rows)
+        assert H_CHAIN != SparseParityMatrix(3, 3, H_CHAIN.rows + ((),))
+        assert H_CHAIN != SparseParityMatrix(3, 2, ((0, 1), (0, 2)))
+        # equal column ids, different row ids
+        split = SparseParityMatrix(3, 2, ((0, 1), (2,)))
+        assert split != SparseParityMatrix(3, 2, ((0,), (1, 2)))
+        assert H_CHAIN != H_CHAIN.rows
+
+    def test_rows_of_a_flat_built_matrix(self):
+        rows = ((1, 4), (), (0, 2, 3), (4,))
+        cols = np.array([1, 4, 0, 2, 3, 4])
+        owner = np.array([0, 0, 2, 2, 2, 3])
+        assert SparseParityMatrix._from_entries(5, 4, cols, owner).rows == rows
+
+    @given(st.data())
+    def test_flat_path_matches_constructor(self, data):
+        # rows drawn loosely: indices out of range, unsorted and repeated
+        n = data.draw(st.integers(1, 8), label="n")
+        m = data.draw(st.integers(0, n), label="m")
+        rows = data.draw(
+            st.lists(st.lists(st.integers(-2, n + 1), max_size=4), min_size=m, max_size=m),
+            label="rows",
+        )
+        cols = np.array([i for row in rows for i in row], dtype=np.int64)
+        owner = np.repeat(np.arange(m), [len(row) for row in rows])
+        outcomes = []
+        for build in (
+            lambda: SparseParityMatrix(n, m, rows),
+            lambda: SparseParityMatrix._from_entries(n, m, cols, owner),
+        ):
+            try:
+                outcomes.append(build())
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], SparseParityMatrix):
+            assert outcomes[0].rows == tuple(map(tuple, rows))
+
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [
+            (4.0, 1, r"column count must be an integer, got 4\.0"),
+            (True, 1, r"column count must be an integer, got True"),
+            (4, 1.0, r"row count must be an integer, got 1\.0"),
+            (4, False, r"row count must be an integer, got False"),
+        ],
+    )
+    def test_counts_must_be_integers(self, n, m, message):
+        with pytest.raises(ValueError, match=message):
+            SparseParityMatrix(n, m, [(0,)])
+        with pytest.raises(ValueError, match=message):
+            SparseParityMatrix._from_entries(n, m, np.array([0]), np.array([0]))
+        assert SparseParityMatrix(np.int64(4), np.int64(1), [(0,)]).n == 4
 
     @given(st.data())
     def test_single_format_properties(self, data):

@@ -62,6 +62,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(trials=0)
 
+    @pytest.mark.parametrize("trials", [True, 2.0])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+            _config(trials=trials)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             _config(mode="both")
@@ -122,6 +127,9 @@ class TestRunTrials:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             run_trials(_config(), jobs=0)
+        for jobs in (True, 2.0):
+            with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
+                run_trials(_config(), jobs=jobs)
 
 
 class TestSweep:
