@@ -21,22 +21,8 @@ from .correlation import (
     sample_pair,
     sw_region_check,
 )
-from .decoder import (
-    BruteForceResult,
-    DecodeResult,
-    DecoderConfig,
-    IterationInfo,
-    brute_force_marginals,
-    decode,
-)
-from .graph import (
-    EXPLICIT_Z,
-    FOLDED_Z,
-    JointTannerGraph,
-    build_joint_graph,
-    fold_hidden,
-    is_cycle_free,
-)
+from .decoder import DecodeResult, DecoderConfig, IterationInfo, decode
+from .graph import EXPLICIT_Z, FOLDED_Z, JointTannerGraph, build_joint_graph
 from .ldpc import (
     AlistFormatError,
     ConstructionError,
@@ -49,6 +35,7 @@ from .ldpc import (
     save_alist,
     syndrome,
 )
+from .reference import BruteForceResult, brute_force_marginals, is_cycle_free
 from .sim import (
     SimConfig,
     SimRecord,
@@ -89,14 +76,13 @@ __all__ = [
     "FOLDED_Z",
     "JointTannerGraph",
     "build_joint_graph",
-    "fold_hidden",
-    "is_cycle_free",
-    "BruteForceResult",
     "DecodeResult",
     "DecoderConfig",
     "IterationInfo",
-    "brute_force_marginals",
     "decode",
+    "BruteForceResult",
+    "brute_force_marginals",
+    "is_cycle_free",
     "SimConfig",
     "SimRecord",
     "configs_over_p",

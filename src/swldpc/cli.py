@@ -25,6 +25,7 @@ from .graph import build_joint_graph
 from .ldpc import (
     AlistFormatError,
     ConstructionError,
+    _check_positive_count,
     gallager_construct,
     gf2_rank,
     load_alist,
@@ -32,6 +33,9 @@ from .ldpc import (
     syndrome,
 )
 from . import sim as simmod
+
+ASYMMETRIC = "asymmetric"  # source 1 sent raw: h1 is the identity
+SYMMETRIC = "symmetric"  # both sources compressed
 
 
 class UsageError(Exception):
@@ -114,11 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--n", type=int, help="block length for constructed codes")
     si.add_argument("--dv", type=int, help="variable degree for constructed codes")
     si.add_argument("--dc", type=int, help="check degree for constructed codes")
-    si.add_argument("--code1", help="alist for source 1 (symmetric mode)")
+    si.add_argument("--code1", help="alist for source 1 (--mode symmetric with --code2)")
     si.add_argument("--code2", help="alist for source 2")
-    si.add_argument(
-        "--mode", choices=[simmod.ASYMMETRIC, simmod.SYMMETRIC], help="default asymmetric"
-    )
+    si.add_argument("--mode", choices=[ASYMMETRIC, SYMMETRIC], help="default asymmetric")
     si.add_argument("--max-iters", dest="max_iters", type=int, help="iteration budget")
     si.add_argument("--damping", type=float, help="message damping in [0, 1)")
     si.add_argument("--jobs", type=int, help="worker processes (default 1)")
@@ -366,11 +368,17 @@ def _cmd_simulate(args) -> int:
         raise UsageError("simulate requires --p or --sweep-p")
 
     seed = settings["seed"]
-    mode = settings.get("mode", simmod.ASYMMETRIC)
+    mode = settings.get("mode", ASYMMETRIC)
+    if mode not in (ASYMMETRIC, SYMMETRIC):
+        raise UsageError(f"unknown mode {mode!r}")
+    if settings.get("code1") is not None and (
+        mode != SYMMETRIC or settings.get("code2") is None
+    ):
+        raise UsageError("--code1 is used only with --mode symmetric and --code2")
     if settings.get("code2") is not None:
         h2 = _load_code(settings["code2"])
         h1 = None
-        if mode == simmod.SYMMETRIC:
+        if mode == SYMMETRIC:
             if settings.get("code1") is None:
                 raise UsageError("symmetric mode requires --code1 alongside --code2")
             h1 = _load_code(settings["code1"])
@@ -385,7 +393,7 @@ def _cmd_simulate(args) -> int:
             h2 = gallager_construct(settings["n"], settings["dv"], settings["dc"], seed)
             h1 = (
                 gallager_construct(settings["n"], settings["dv"], settings["dc"], seed + 1)
-                if mode == simmod.SYMMETRIC
+                if mode == SYMMETRIC
                 else None
             )
         except ValueError as err:
@@ -409,14 +417,15 @@ def _cmd_simulate(args) -> int:
                 max_iterations=settings.get("max_iters", 100),
                 damping=settings.get("damping", 0.0),
             ),
-            mode=mode,
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
 
     jobs = settings.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
-        raise UsageError("jobs must be a positive integer")
+    try:
+        _check_positive_count("jobs", jobs)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     if sweep_values is not None:
         records = simmod.sweep(simmod.configs_over_p(config, sweep_values), jobs=jobs)
     else:

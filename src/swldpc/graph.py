@@ -22,7 +22,7 @@ stored check-major with ascending variable ids inside each check.
 When h1 pins every u1 bit through a degree-1 check (the identity at the
 corner point, or any row order of it), u1 is known from s1 and the joint
 graph decodes like H2 alone. ``JointTannerGraph._known_u1`` detects this
-from the structure once per graph and returns a :class:`KnownU1Graph`: the
+from the structure once per graph and holds a :class:`KnownU1Graph`: the
 h2 edge lists and their layout, the constant messages of the identity and
 correlation checks, and the offset of 2 joint iterations that precede the
 reduced loop (see :func:`_reduce_known_u1` and the decoder module).
@@ -30,7 +30,8 @@ reduced loop (see :func:`_reduce_known_u1` and the decoder module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +44,6 @@ FOLDED_Z = "folded"
 # Largest magnitude tanh(m/2) can reach under the message clamp; the
 # atanh argument is clipped here so saturated products stay finite.
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
-
-_UNSET = object()  # a cache not yet filled
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +69,6 @@ class JointTannerGraph:
     priors: np.ndarray
     corr_param: float  # hidden-bit LLR attached to the correlation checks
 
-    # decoding layout derived from the edge lists (see _decode_layout)
-    _layout: dict | None = field(init=False, default=None, repr=False, compare=False)
-    # the known-u1 reduction, or None where it does not apply (see _known_u1)
-    _reduced: object = field(init=False, default=_UNSET, repr=False, compare=False)
-
     @property
     def num_edges(self) -> int:
         return len(self.edge_var)
@@ -83,100 +77,32 @@ class JointTannerGraph:
     def num_code_checks(self) -> int:
         return self.m1 + self.m2
 
-    def var_role(self, var_id: int) -> tuple[str, int]:
-        """Role tag ('u1' | 'u2' | 'z') and block-local index of a variable."""
-        if 0 <= var_id < self.n:
-            return "u1", var_id
-        if self.n <= var_id < 2 * self.n:
-            return "u2", var_id - self.n
-        if self.form == EXPLICIT_Z and 2 * self.n <= var_id < 3 * self.n:
-            return "z", var_id - 2 * self.n
-        raise IndexError(f"variable id {var_id} out of range")
-
-    def check_role(self, check_id: int) -> tuple[str, int]:
-        """Role tag ('code1' | 'code2' | 'corr') and local index of a check.
-
-        For code checks the local index is the syndrome position.
-        """
-        if 0 <= check_id < self.m1:
-            return "code1", check_id
-        if self.m1 <= check_id < self.m1 + self.m2:
-            return "code2", check_id - self.m1
-        if self.m1 + self.m2 <= check_id < self.check_count:
-            return "corr", check_id - self.m1 - self.m2
-        raise IndexError(f"check id {check_id} out of range")
-
-    def check_degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_check, minlength=self.check_count)
-
-    def var_degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_var, minlength=self.var_count)
-
-    def structure_equal(self, other: "JointTannerGraph") -> bool:
-        """Node-for-node, edge-for-edge structural equality."""
-        return (
-            self.form == other.form
-            and self.n == other.n
-            and self.m1 == other.m1
-            and self.m2 == other.m2
-            and self.var_count == other.var_count
-            and self.check_count == other.check_count
-            and self.corr_param == other.corr_param
-            and np.array_equal(self.edge_var, other.edge_var)
-            and np.array_equal(self.edge_check, other.edge_check)
-            and np.array_equal(self.priors, other.priors)
-        )
-
-    def serialize(self) -> str:
-        """Plain-text adjacency dump for golden-file comparisons.
-
-        One line per node ("V <role> <i>", "C <role> <i>", correlation
-        checks additionally show their parity and LLR parameter), then one
-        line per edge ("E <var-id> <check-id>") sorted by (var, check).
-        """
-        lines = []
-        for v in range(self.var_count):
-            role, i = self.var_role(v)
-            lines.append(f"V {role} {i}")
-        for c in range(self.check_count):
-            role, i = self.check_role(c)
-            if role == "corr":
-                lines.append(f"C corr {i} parity=0 param={self.corr_param!r}")
-            else:
-                lines.append(f"C {role} {i}")
-        order = np.lexsort((self.edge_check, self.edge_var))
-        for e in order:
-            lines.append(f"E {self.edge_var[e]} {self.edge_check[e]}")
-        return "\n".join(lines) + "\n"
-
-    def _decode_layout(self) -> dict:
-        """Index structures used by the message-passing sweeps.
+    @cached_property
+    def _layout(self) -> dict:
+        """Index structures used by the message-passing sweeps, built once.
 
         ``check_groups``, ``group_order`` and ``code_groups`` come from
         :func:`_flood_layout` over the graph's edge lists. ``check_factor``
         holds each check's factor f: 1 for code checks and, in folded form,
         tanh(llr/2) for the correlation checks.
         """
-        if self._layout is None:
-            layout = _flood_layout(
-                self.edge_var, self.edge_check, self.check_count, self.num_code_checks
-            )
-            factor = np.ones(self.check_count)
-            if self.form == FOLDED_Z:
-                factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
-            layout["check_factor"] = factor
-            object.__setattr__(self, "_layout", layout)
-        return self._layout
+        layout = _flood_layout(
+            self.edge_var, self.edge_check, self.check_count, self.num_code_checks
+        )
+        factor = np.ones(self.check_count)
+        if self.form == FOLDED_Z:
+            factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
+        layout["check_factor"] = factor
+        return layout
 
+    @cached_property
     def _known_u1(self) -> "KnownU1Graph | None":
         """The H2-only graph that decodes this graph when u1 is known, or None.
 
         Computed once per graph by :func:`_reduce_known_u1`; it never
         builds the joint layout.
         """
-        if self._reduced is _UNSET:
-            object.__setattr__(self, "_reduced", _reduce_known_u1(self))
-        return self._reduced
+        return _reduce_known_u1(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +110,7 @@ class KnownU1Graph:
     """H2 alone, with u1 read off s1 (see :func:`_reduce_known_u1`).
 
     Variables are the u2 block numbered from 0, checks are the h2 rows;
-    ``layout`` has the keys of ``JointTannerGraph._decode_layout`` except
+    ``layout`` has the keys of ``JointTannerGraph._layout`` except
     ``check_factor``, since every check is a code check with factor 1.
     """
 
@@ -360,53 +286,3 @@ def build_joint_graph(
         priors=priors,
         corr_param=llr,
     )
-
-
-def fold_hidden(graph: JointTannerGraph) -> JointTannerGraph:
-    """Eliminate the degree-1 z nodes of an explicit-form graph.
-
-    A degree-1 variable always sends its prior, so a correlation check's
-    messages to u1/u2 reduce exactly to a degree-2 check rule with the
-    constant tanh(llr/2) factor absorbed into the check. The returned
-    graph is structurally identical to building the folded form directly.
-    """
-    if graph.form != EXPLICIT_Z:
-        raise ValueError(f"can only fold an explicit-form graph, got {graph.form!r}")
-    keep = graph.edge_var < 2 * graph.n
-    return JointTannerGraph(
-        form=FOLDED_Z,
-        model=graph.model,
-        h1=graph.h1,
-        h2=graph.h2,
-        n=graph.n,
-        m1=graph.m1,
-        m2=graph.m2,
-        var_count=2 * graph.n,
-        check_count=graph.check_count,
-        edge_var=graph.edge_var[keep].copy(),
-        edge_check=graph.edge_check[keep].copy(),
-        priors=graph.priors[: 2 * graph.n].copy(),
-        corr_param=graph.corr_param,
-    )
-
-
-def is_cycle_free(graph: JointTannerGraph) -> bool:
-    """True iff the bipartite var/check graph contains no cycle.
-
-    Sum-product posteriors are exact marginals precisely on such graphs,
-    which is what the brute-force oracle tests rely on.
-    """
-    parent = list(range(graph.var_count + graph.check_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v, c in zip(graph.edge_var, graph.edge_check):
-        rv, rc = find(int(v)), find(int(c) + graph.var_count)
-        if rv == rc:
-            return False
-        parent[rv] = rc
-    return True

@@ -46,6 +46,12 @@ def _shape(n: int, m: int) -> tuple[int, int]:
     return int(n), int(m)
 
 
+def _check_positive_count(name: str, count) -> None:
+    """Reject a count that is not an ``int`` of at least 1 (``bool`` included)."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SparseParityMatrix:
     """Binary parity-check matrix held as one flat row-major index.

@@ -11,9 +11,9 @@ outside the achievable region and errors are expected).
 Determinism: trial t draws its source pair from a seed produced by
 ``derive_trial_seed(master_seed, t)``, and error counts are accumulated
 as integers, so results are identical for any ``jobs`` setting or chunk
-split. Two modes are supported: ``asymmetric`` sends the first source
-uncompressed (its code is the identity, r1 = 1) and compresses only the
-second; ``symmetric`` compresses both sources with the provided codes.
+split. Without a code for the first source it is sent uncompressed (its
+code is the identity, r1 = 1) and only the second is compressed; given
+one, both sources are compressed (the symmetric mode of the command line).
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ import numpy as np
 from .correlation import CorrelationModel, joint_entropy, sample_pair
 from .decoder import DecoderConfig, decode
 from .graph import FOLDED_Z, build_joint_graph
-from .ldpc import SparseParityMatrix, identity_matrix, syndrome
-
-ASYMMETRIC = "asymmetric"
-SYMMETRIC = "symmetric"
+from .ldpc import SparseParityMatrix, _check_positive_count, identity_matrix, syndrome
 
 CSV_COLUMNS = (
     "p",
@@ -74,10 +71,9 @@ class SimConfig:
         h2: code compressing the second source.
         trials: number of independent frames.
         master_seed: seed from which all per-trial seeds derive.
-        h1: code for the first source; must be omitted in asymmetric mode
-            (the identity is used) and given in symmetric mode.
+        h1: code compressing the first source; None sends it uncompressed
+            (the identity).
         decoder: decoder settings shared by all trials.
-        mode: ASYMMETRIC or SYMMETRIC.
         decode_model: correlation model the decoder assumes; defaults to
             the sampling model. Setting it differently measures the cost
             of a mismatched correlation estimate.
@@ -89,23 +85,14 @@ class SimConfig:
     master_seed: int
     h1: Optional[SparseParityMatrix] = None
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
-    mode: str = ASYMMETRIC
     decode_model: Optional[CorrelationModel] = None
 
     def __post_init__(self):
-        if self.mode not in (ASYMMETRIC, SYMMETRIC):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == ASYMMETRIC and self.h1 is not None:
-            raise ValueError("asymmetric mode always uses the identity for source 1")
-        if self.mode == SYMMETRIC and self.h1 is None:
-            raise ValueError("symmetric mode requires a code for source 1")
         if self.h1 is not None and self.h1.n != self.h2.n:
             raise ValueError(
                 f"codes disagree on block length: {self.h1.n} vs {self.h2.n}"
             )
-        trials = self.trials
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {trials!r}")
+        _check_positive_count("trials", self.trials)
 
     def effective_h1(self) -> SparseParityMatrix:
         return self.h1 if self.h1 is not None else identity_matrix(self.h2.n)
@@ -148,7 +135,7 @@ def _run_range(
     for trial in range(start, stop):
         pair = sample_pair(config.model, config.h2.n, derive_trial_seed(config.master_seed, trial))
         # the identity's syndrome is the block itself
-        s1 = pair.u1 if config.mode == ASYMMETRIC else syndrome(h1, pair.u1)
+        s1 = pair.u1 if config.h1 is None else syndrome(h1, pair.u1)
         s2 = syndrome(config.h2, pair.u2)
         result = decode(graph, s1, s2, config.decoder)
         e1 = int(np.count_nonzero(result.u1_hat != pair.u1))
@@ -168,8 +155,7 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     counts it aggregates are integers, so the result does not depend on
     the split.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    _check_positive_count("jobs", jobs)
     trials = config.trials
     h1 = config.effective_h1()
     if jobs == 1 or trials == 1:

@@ -396,6 +396,45 @@ class TestSimulate:
                 "--seed", "3", "--mode", "symmetric"]
         assert run_cli(capsys, *argv)[0] == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # an asymmetric run sends source 1 raw, whatever --code1 holds
+            ["--code1", "{c32}", "--code2", "{c64}"],
+            # a symmetric inline construction builds its own h1
+            ["--mode", "symmetric", "--code1", "{c32}", "--n", "64", "--dv", "3", "--dc", "6"],
+            # rejected before any file is read
+            ["--code1", "{missing}", "--n", "64", "--dv", "3", "--dc", "6"],
+        ],
+        ids=["asymmetric", "symmetric-inline", "missing-file"],
+    )
+    def test_unused_code1_is_rejected(self, capsys, tmp_path, extra):
+        files = {"c32": tmp_path / "c32.alist", "c64": tmp_path / "c64.alist",
+                 "missing": tmp_path / "missing.alist"}
+        files["c32"].write_text(save_alist(gallager_construct(32, 3, 6, seed=1)))
+        files["c64"].write_text(save_alist(gallager_construct(64, 3, 6, seed=3)))
+        argv = ["simulate", "--p", "0.95", "--trials", "2", "--seed", "3"]
+        argv += [arg.format(**files) for arg in extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "--code1" in err
+
+    def test_unused_code1_key_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "sim.json"
+        settings = {"p": 0.95, "n": 64, "dv": 3, "dc": 6, "trials": 2, "seed": 3,
+                    "code1": str(tmp_path / "missing.alist")}
+        path.write_text(json.dumps(settings))
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1 and "--code1" in err
+
+    def test_unknown_mode_key_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(
+            {"p": 0.95, "n": 64, "dv": 3, "dc": 6, "trials": 2, "seed": 3, "mode": "both"}
+        ))
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1 and "unknown mode 'both'" in err
+
     def test_symmetric_inline_construction(self, capsys):
         argv = ["simulate", "--p", "0.99", "--n", "48", "--dv", "3", "--dc", "6",
                 "--trials", "2", "--seed", "3", "--mode", "symmetric"]

@@ -7,7 +7,6 @@ from swldpc import (
     CorrelationModel,
     SparseParityMatrix,
     build_joint_graph,
-    fold_hidden,
     gallager_construct,
     hidden_llr,
     identity_matrix,
@@ -19,15 +18,6 @@ from swldpc import (
 H1 = identity_matrix(2)
 H2 = SparseParityMatrix.from_rows(2, ((0, 1),))
 MODEL = CorrelationModel(0.9)
-
-GOLDEN_FOLDED = (
-    "V u1 0\nV u1 1\nV u2 0\nV u2 1\n"
-    "C code1 0\nC code1 1\nC code2 0\n"
-    "C corr 0 parity=0 param=2.1972245773362196\n"
-    "C corr 1 parity=0 param=2.1972245773362196\n"
-    "E 0 0\nE 0 3\nE 1 1\nE 1 4\nE 2 2\nE 2 3\nE 3 2\nE 3 4\n"
-)
-
 
 class TestBuild:
     def test_folded_shape(self):
@@ -64,8 +54,8 @@ class TestBuild:
 
     def test_degrees(self):
         g = build_joint_graph(H1, H2, MODEL)
-        assert list(g.check_degrees()) == [1, 1, 2, 2, 2]
-        assert list(g.var_degrees()) == [2, 2, 2, 2]
+        assert np.bincount(g.edge_check, minlength=g.check_count).tolist() == [1, 1, 2, 2, 2]
+        assert np.bincount(g.edge_var, minlength=g.var_count).tolist() == [2, 2, 2, 2]
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -121,7 +111,7 @@ class TestDecodeLayout:
 
     @staticmethod
     def _grouped(g):
-        layout = g._decode_layout()
+        layout = g._layout
         order = layout["group_order"]
         if order is None:
             return layout, g.edge_var, g.edge_check
@@ -135,7 +125,7 @@ class TestDecodeLayout:
     )
     def test_regular_graphs_need_no_permutation(self, h1, form):
         g = build_joint_graph(h1, gallager_construct(1024, 3, 6, seed=7), MODEL, form=form)
-        layout = g._decode_layout()
+        layout = g._layout
         assert layout["group_order"] is None
         ranges = [(start, stop) for _, start, stop in layout["check_groups"]]
         # the ranges tile [0, num_edges) once, in order
@@ -143,7 +133,8 @@ class TestDecodeLayout:
         assert ranges[-1][1] == g.num_edges
         # degrees in order of first appearance along the edge lists
         appearance = []
-        for d in g.check_degrees()[g.edge_check]:
+        degrees = np.bincount(g.edge_check, minlength=g.check_count)
+        for d in degrees[g.edge_check]:
             if d not in appearance:
                 appearance.append(int(d))
         assert [d for d, _, _ in layout["check_groups"]] == appearance
@@ -161,7 +152,7 @@ class TestDecodeLayout:
     def test_groups_hold_whole_checks_of_their_degree(self, h1, h2, form):
         g = build_joint_graph(h1, h2, MODEL, form=form)
         layout, edge_var, edge_check = self._grouped(g)
-        degrees = g.check_degrees()
+        degrees = np.bincount(g.edge_check, minlength=g.check_count)
         assert sorted(edge_check.tolist()) == sorted(g.edge_check.tolist())
         covered = 0
         for degree, start, stop in layout["check_groups"]:
@@ -189,59 +180,28 @@ class TestDecodeLayout:
         }
 
 
-class TestRoles:
-    def test_round_trip(self):
-        g = build_joint_graph(H1, H2, MODEL, form=EXPLICIT_Z)
-        assert g.var_role(0) == ("u1", 0)
-        assert g.var_role(3) == ("u2", 1)
-        assert g.var_role(4) == ("z", 0)
-        assert g.check_role(1) == ("code1", 1)
-        assert g.check_role(2) == ("code2", 0)
-        assert g.check_role(4) == ("corr", 1)
-
-    def test_out_of_range(self):
-        g = build_joint_graph(H1, H2, MODEL)
-        with pytest.raises(IndexError):
-            g.var_role(4)  # z block absent in folded form
-        with pytest.raises(IndexError):
-            g.check_role(5)
-
-
 class TestFold:
     def test_fold_matches_direct_build(self):
+        # the folded form is the explicit form without the z block
         for h2 in (H2, gallager_construct(24, 3, 6, seed=3)):
             h1 = identity_matrix(h2.n)
             explicit = build_joint_graph(h1, h2, MODEL, form=EXPLICIT_Z)
             direct = build_joint_graph(h1, h2, MODEL, form=FOLDED_Z)
-            assert fold_hidden(explicit).structure_equal(direct)
-
-    def test_fold_requires_explicit(self):
-        with pytest.raises(ValueError):
-            fold_hidden(build_joint_graph(H1, H2, MODEL))
-
-    def test_structure_equal_notices_model_change(self):
-        a = build_joint_graph(H1, H2, CorrelationModel(0.9))
-        b = build_joint_graph(H1, H2, CorrelationModel(0.8))
-        assert not a.structure_equal(b)
+            keep = explicit.edge_var < 2 * h2.n
+            assert np.array_equal(explicit.edge_var[keep], direct.edge_var)
+            assert np.array_equal(explicit.edge_check[keep], direct.edge_check)
+            assert np.array_equal(explicit.priors[: 2 * h2.n], direct.priors)
+            assert explicit.corr_param == direct.corr_param
 
 
 class TestSerialize:
+    """The edge lists of the smallest corner graph, spelled out by hand."""
+
     def test_golden_folded(self):
-        assert build_joint_graph(H1, H2, MODEL).serialize() == GOLDEN_FOLDED
-
-    def test_explicit_adds_z_rows(self):
-        text = build_joint_graph(H1, H2, MODEL, form=EXPLICIT_Z).serialize()
-        assert "V z 0\n" in text and "V z 1\n" in text
-        assert text.count("E ") == 10
-        # shared structure prints identically
-        for line in GOLDEN_FOLDED.splitlines():
-            assert line in text
-
-    def test_serialize_is_deterministic(self):
-        h2 = gallager_construct(24, 3, 6, seed=5)
-        g1 = build_joint_graph(identity_matrix(24), h2, MODEL)
-        g2 = build_joint_graph(identity_matrix(24), h2, MODEL)
-        assert g1.serialize() == g2.serialize()
+        g = build_joint_graph(H1, H2, MODEL)
+        assert g.edge_var.tolist() == [0, 1, 2, 3, 0, 2, 1, 3]
+        assert g.edge_check.tolist() == [0, 1, 2, 2, 3, 3, 4, 4]
+        assert g.corr_param == 2.1972245773362196
 
 
 class TestCycleFree:
@@ -269,8 +229,8 @@ class TestKnownU1:
     )
     def test_applies_to_the_corner_graph(self, h1):
         g = build_joint_graph(h1, self.H2, CorrelationModel(0.96))
-        known = g._known_u1()
-        assert known is not None and g._known_u1() is known  # computed once
+        known = g._known_u1
+        assert known is not None and g._known_u1 is known  # computed once
         assert g.num_edges == 6 * 64 and len(known.edge_var) == 3 * 64
         assert known.offset == 2
         assert np.array_equal(known.u1_check, np.arange(64))
@@ -282,13 +242,13 @@ class TestKnownU1:
         # q is the correlation check's message, not the hidden-bit LLR
         assert known.corr_message == 3.1780538303457027
         assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
-        assert g._layout is None  # the joint layout is not built
+        assert "_layout" not in vars(g)  # the joint layout is not built
 
     def test_permuted_identity(self):
         perm = [3, 0, 2, 1]
         h1 = SparseParityMatrix.from_rows(4, [(i,) for i in perm])
         h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (1, 2, 3)))
-        known = build_joint_graph(h1, h2, MODEL)._known_u1()
+        known = build_joint_graph(h1, h2, MODEL)._known_u1
         assert known is not None
         # u1[perm[j]] is pinned by row j
         assert known.u1_check.tolist() == [1, 3, 2, 0]
@@ -316,9 +276,11 @@ class TestKnownU1:
         ids=["explicit", "symmetric", "u1-degree-2", "h1-empty-row", "h2-degree-1", "h2-no-entries"],
     )
     def test_does_not_apply(self, h1, h2, form):
-        assert build_joint_graph(h1, h2, MODEL, form=form)._known_u1() is None
+        g = build_joint_graph(h1, h2, MODEL, form=form)
+        assert g._known_u1 is None
+        assert "_known_u1" in vars(g)  # None is cached too
 
     def test_applies_with_an_empty_h2_row(self):
         h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (), (1, 3)))
-        known = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1()
+        known = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1
         assert known is not None and len(known.edge_var) == 5

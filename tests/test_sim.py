@@ -12,12 +12,13 @@ from swldpc import (
     derive_trial_seed,
     format_csv,
     gallager_construct,
+    identity_matrix,
     joint_entropy,
     run_trials,
     sweep,
     write_csv,
 )
-from swldpc.sim import ASYMMETRIC, SYMMETRIC, CSV_COLUMNS
+from swldpc.sim import CSV_COLUMNS
 
 H2_64 = gallager_construct(64, 3, 6, seed=2)
 H2_256 = gallager_construct(256, 3, 6, seed=6)
@@ -46,17 +47,9 @@ class TestTrialSeeds:
 
 
 class TestConfigValidation:
-    def test_asymmetric_forbids_h1(self):
-        with pytest.raises(ValueError):
-            _config(h1=gallager_construct(64, 3, 6, seed=9))
-
-    def test_symmetric_requires_h1(self):
-        with pytest.raises(ValueError):
-            _config(mode=SYMMETRIC)
-
     def test_block_length_must_agree(self):
         with pytest.raises(ValueError):
-            _config(mode=SYMMETRIC, h1=gallager_construct(128, 3, 6, seed=9))
+            _config(h1=gallager_construct(128, 3, 6, seed=9))
 
     def test_trials_positive(self):
         with pytest.raises(ValueError):
@@ -66,10 +59,6 @@ class TestConfigValidation:
     def test_trials_must_be_an_integer(self, trials):
         with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
             _config(trials=trials)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            _config(mode="both")
 
 
 class TestRunTrials:
@@ -111,11 +100,16 @@ class TestRunTrials:
             h1=gallager_construct(24, 3, 6, seed=9),
             trials=5,
             master_seed=11,
-            mode=SYMMETRIC,
         )
         record = run_trials(config)
         assert record.r1 == 0.5 and record.r2 == 0.5
         assert run_trials(config) == record
+
+    def test_identity_h1_matches_no_h1(self):
+        # a given h1 is applied by syndrome; the identity's is u1 itself
+        config = _config(p=0.92, trials=12)
+        with_identity = _config(p=0.92, trials=12, h1=identity_matrix(64))
+        assert run_trials(with_identity) == run_trials(config)
 
     def test_mismatched_decode_model_hurts(self):
         enabled = _config(p=0.92, h2=H2_256, trials=100, seed=3)
