@@ -162,6 +162,12 @@ def _load_code(path: str):
         raise DataError(f"{path}: {err}") from err
 
 
+def _check_same_length(path1: str, h1, path2: str, h2) -> None:
+    """The two codes of one joint graph must share their block length."""
+    if h1.n != h2.n:
+        raise DataError(f"{path1} and {path2} disagree on block length: {h1.n} vs {h2.n}")
+
+
 def _read_bits(path: str, expect_len: int) -> list[np.ndarray]:
     """Read one block of '0'/'1' characters per line, all of expect_len bits."""
     try:
@@ -225,10 +231,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     h1 = _load_code(args.code1)
     h2 = _load_code(args.code2)
-    if h1.n != h2.n:
-        raise DataError(
-            f"{args.code1} and {args.code2} disagree on block length: {h1.n} vs {h2.n}"
-        )
+    _check_same_length(args.code1, h1, args.code2, h2)
     model = _model(args.p)
     try:
         config = DecoderConfig(max_iterations=args.max_iters, damping=args.damping)
@@ -382,6 +385,7 @@ def _cmd_simulate(args) -> int:
             if settings.get("code1") is None:
                 raise UsageError("symmetric mode requires --code1 alongside --code2")
             h1 = _load_code(settings["code1"])
+            _check_same_length(settings["code1"], h1, settings["code2"], h2)
     else:
         missing = [k for k in ("n", "dv", "dc") if settings.get(k) is None]
         if missing:

@@ -5,7 +5,9 @@ positive value favors bit 0. The schedule is flooding: every iteration
 updates all variable-to-check messages, then all check-to-variable
 messages, then the posteriors.
 
-Update rules (messages clamped to +/- LLR_MAX at every step):
+Update rules (variable messages clamped to +/- LLR_MAX; check messages
+stay inside that bound because the atanh argument is clipped to
++/- tanh(LLR_MAX/2)):
 
 * variable v to check c: prior(v) plus the sum of incoming check messages
   excluding the one from c. It is computed as the posterior of v from the
@@ -57,7 +59,7 @@ it returns bit for bit what the joint graph returns:
   offset of 2 back.
 * ``posterior_llrs[:n]`` is rebuilt after the loop as the joint graph sums
   it: c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2))
-  clamped as in the kernel, where v = L_prev - q (1 - 2 u1) and L_prev is
+  clipped as in the kernel, where v = L_prev - q (1 - 2 u1) and L_prev is
   the u2 posterior of the iteration before the last (the priors, if the
   loop ran once). ``u1_hat`` is that posterior's sign.
 
@@ -318,8 +320,9 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
         np.multiply(edge_scale, excl, out=arg)
         arg.clip(-_TANH_LIMIT, _TANH_LIMIT, out=arg)
         np.arctanh(arg, out=fresh)
+        # 2 atanh(_TANH_LIMIT) is just below LLR_MAX, and damping mixes two
+        # such values, so check messages need no clamp of their own
         np.multiply(fresh, 2.0, out=fresh)
-        fresh.clip(-LLR_MAX, LLR_MAX, out=fresh)
         if damping > 0.0:
             np.multiply(fresh, 1.0 - damping, out=fresh)
             np.multiply(c2v, damping, out=c2v)
@@ -343,6 +346,10 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
             report(iteration, unsatisfied_checks, v2c, c2v, posteriors)
         if converged and config.early_stop:
             break
+        if iteration == 1 and max_iterations > 1 and report is None and not c2v.any():
+            # Stalled: with every check message zero the next iteration
+            # starts from this one's state and repeats it, up to the cap.
+            return posteriors, posteriors, converged, max_iterations
 
     return posteriors, previous, converged, iterations_used
 

@@ -126,9 +126,9 @@ class KnownU1Graph:
 
 def _check_message(x):
     """The decoder's check rule on a scaled product x: 2 atanh(x), with x
-    clipped to +/- _TANH_LIMIT and the result to +/- LLR_MAX."""
+    clipped to +/- _TANH_LIMIT, so the result lies inside +/- LLR_MAX."""
     x = np.clip(x, -_TANH_LIMIT, _TANH_LIMIT)
-    return np.clip(np.arctanh(x) * 2.0, -LLR_MAX, LLR_MAX)
+    return np.arctanh(x) * 2.0
 
 
 def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -187,6 +187,11 @@ def gallager_construct(
     pair), so the result is a simple bipartite graph. 4-cycles are not
     excluded. Deterministic given the seed.
 
+    A draw costs one permutation of the n*dv sockets plus an O(n*dv) test:
+    a parallel edge is two sockets of one variable in one check, so the
+    test compares the dv(dv-1)/2 pairs of columns of the (n, dv) socket
+    table. Only the accepted draw is sorted into rows.
+
     Args:
         n: block length; n*dv must be divisible by dc and n >= dc.
         dv: column weight, at least 2.
@@ -209,12 +214,15 @@ def gallager_construct(
         raise ValueError(f"n*dv must be divisible by dc, got n={n}, dv={dv}, dc={dc}")
     m = (n * dv) // dc
     rng = np.random.default_rng(int(seed) % 2**64)
-    var_of_socket = np.repeat(np.arange(n, dtype=np.int64), dv)
+    socket_pairs = list(combinations(range(dv), 2))
     for _ in range(max_retries):
         check_of_socket = rng.permutation(n * dv) // dc
-        keys = np.sort(check_of_socket * n + var_of_socket)
-        if np.any(np.diff(keys) == 0):
+        # row v holds the checks of variable v's dv sockets
+        checks_of_var = check_of_socket.reshape(n, dv)
+        if any((checks_of_var[:, a] == checks_of_var[:, b]).any() for a, b in socket_pairs):
             continue  # parallel edge, reject the whole permutation
+        var_of_socket = np.repeat(np.arange(n, dtype=np.int64), dv)
+        keys = np.sort(check_of_socket * n + var_of_socket)
         # keys are sorted and distinct, so every row is strictly increasing
         return SparseParityMatrix._from_entries(n, m, keys % n, keys // n)
     raise ConstructionError(

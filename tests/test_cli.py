@@ -396,6 +396,22 @@ class TestSimulate:
                 "--seed", "3", "--mode", "symmetric"]
         assert run_cli(capsys, *argv)[0] == 1
 
+    def test_block_length_mismatch(self, capsys, tmp_path):
+        # a data error naming both files, as decode reports it
+        c32, c64 = tmp_path / "c32.alist", tmp_path / "c64.alist"
+        c32.write_text(save_alist(gallager_construct(32, 3, 6, seed=1)))
+        c64.write_text(save_alist(gallager_construct(64, 3, 6, seed=3)))
+        argv = ["simulate", "--p", "0.99", "--trials", "2", "--seed", "3",
+                "--mode", "symmetric", "--code1", str(c32), "--code2", str(c64)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"swldpc: error: {c32} and {c64} disagree on block length: 32 vs 64\n"
+        syn = tmp_path / "syn.txt"
+        syn.write_text("")
+        decode_argv = ["decode", "--code1", str(c32), "--code2", str(c64),
+                       "--syn1", str(syn), "--syn2", str(syn), "--p", "0.99"]
+        assert run_cli(capsys, *decode_argv) == (2, "", err)
+
     @pytest.mark.parametrize(
         "extra",
         [

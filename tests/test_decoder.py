@@ -19,6 +19,8 @@ from swldpc import (
     sample_pair,
     syndrome,
 )
+from swldpc import decoder as decoder_module
+from swldpc.graph import _TANH_LIMIT, _check_message
 
 from _decoder_reference import decode_reference
 from _forest import random_forest_instance
@@ -243,6 +245,20 @@ class TestEdgeCases:
             assert np.all(np.isfinite(info.posteriors))
             assert np.abs(info.v2c).max() <= LLR_MAX
             assert np.abs(info.c2v).max() <= LLR_MAX
+
+    def test_check_messages_stay_inside_the_clamp(self):
+        # the check update clips only the atanh argument: 2 atanh of the
+        # clip bound must stay below LLR_MAX through numpy's scalar path and
+        # its (vectorised) array path
+        assert 2.0 * np.arctanh(np.float64(_TANH_LIMIT)) < LLR_MAX
+        edge = np.tile([-_TANH_LIMIT, _TANH_LIMIT], 512)
+        fresh = np.arctanh(edge)
+        np.multiply(fresh, 2.0, out=fresh)
+        assert np.abs(fresh).max() < LLR_MAX
+        # damping mixes two such messages
+        assert (fresh * 0.7 + fresh * 0.3).max() < LLR_MAX
+        assert np.abs(_check_message(np.array([-2.0, -1.0, 1.0, 2.0]))).max() < LLR_MAX
+        assert abs(_check_message(3.0)) < LLR_MAX
 
 
 class TestTreeExactness:
@@ -549,6 +565,95 @@ def _unsatisfied_from_posteriors(graph, posteriors, s1, s2):
         np.count_nonzero(syndrome(graph.h1, u1) != s1)
         + np.count_nonzero(syndrome(graph.h2, u2) != s2)
     )
+
+
+class TestStalledGraphs:
+    """A graph whose first iteration leaves every check message zero
+    repeats that iteration up to the cap; decode returns after it, with
+    what the full loop returns."""
+
+    @staticmethod
+    def _count_iterations(monkeypatch):
+        """Count the convergence tests that decode runs, one per iteration."""
+        calls = []
+        parity_test = decoder_module._parity_test
+
+        def counting(layout, syndrome_bits):
+            unsatisfied = parity_test(layout, syndrome_bits)
+
+            def counted(hard):
+                calls.append(1)
+                return unsatisfied(hard)
+
+            return counted
+
+        monkeypatch.setattr(decoder_module, "_parity_test", counting)
+        return calls
+
+    @staticmethod
+    def _assert_same_bits(graph, s1, s2, config):
+        result = _assert_same_result(graph, s1, s2, config)
+        expected = decode_reference(graph, s1, s2, config)
+        # array_equal would not tell -0.0 from 0.0
+        assert result.posterior_llrs.tobytes() == expected.posterior_llrs.tobytes()
+        return result
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_symmetric_point(self, monkeypatch, form, early_stop, damping):
+        n = 128
+        h1, h2 = gallager_construct(n, 3, 6, seed=1), gallager_construct(n, 3, 6, seed=2)
+        model = CorrelationModel(0.99)
+        graph = build_joint_graph(h1, h2, model, form=form)
+        calls = self._count_iterations(monkeypatch)
+        config = DecoderConfig(max_iterations=50, damping=damping, early_stop=early_stop)
+        for seed in range(3):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            calls.clear()
+            result = self._assert_same_bits(graph, s1, s2, config)
+            assert not result.converged and result.iterations_used == 50
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("max_iterations", [1, 2, 7])
+    def test_all_zero_syndromes(self, monkeypatch, form, early_stop, max_iterations):
+        n = 64
+        h1, h2 = gallager_construct(n, 3, 6, seed=6), gallager_construct(n, 3, 6, seed=5)
+        graph = build_joint_graph(h1, h2, CorrelationModel(0.9), form=form)
+        calls = self._count_iterations(monkeypatch)
+        config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
+        result = self._assert_same_bits(
+            graph, np.zeros(h1.m, np.uint8), np.zeros(h2.m, np.uint8), config
+        )
+        assert result.converged
+        assert result.iterations_used == (1 if early_stop else max_iterations)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("max_iterations", [3, 4, 20])
+    def test_uncorrelated_corner_point(self, monkeypatch, early_stop, max_iterations):
+        # at p = 0.5 the correlation message is 0, so H2 alone runs on the
+        # priors +/-0.0 and the joint graph never moves u2 either
+        graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.5)
+        calls = self._count_iterations(monkeypatch)
+        config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
+        for seed in range(4):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            calls.clear()
+            result = self._assert_same_bits(graph, s1, s2, config)
+            assert not result.converged and result.iterations_used == max_iterations
+            # the early test of joint iteration 2, then one iteration on H2
+            assert len(calls) == early_stop + 1
+
+    def test_moving_messages_run_every_iteration(self, monkeypatch):
+        graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.92)
+        calls = self._count_iterations(monkeypatch)
+        s1, s2 = _frame_syndromes(h1, h2, model, 0)
+        config = DecoderConfig(max_iterations=12, early_stop=False)
+        self._assert_same_bits(graph, s1, s2, config)
+        assert len(calls) == 10
 
 
 class TestEmptyCodeRows:
