@@ -34,6 +34,19 @@ stay inside that bound because the atanh argument is clipped to
   the check-major order itself; other graphs pay one gather into it and
   one scatter back per iteration.
 
+The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
+units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
+scaling pass. Values are doubled only where they leave the loop, and
+scaling by 2 is exact in binary floating point short of the subnormal
+range, so every output equals the full-unit rule bit for bit. The
+clip of the atanh argument can only act on a single tanh value: a degree-1
+check's empty product is stored as its clipped value, and a product of two
+or more clamped tanh values lies below the clip, so the clip runs only on
+graphs with degree-2 checks (the folded correlation checks, for one).
+Check messages are tested for finiteness when the loop exits and before
+each hook call, not in every iteration: a NaN check message keeps some
+check message NaN in every later iteration, so the test still raises.
+
 Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
 code checks (the correlation checks hold by construction of z_hat): it
@@ -165,14 +178,16 @@ def decode(
     if iteration_hook is not None:
 
         def report(iteration, unsatisfied_checks, v2c, c2v, posteriors):
+            # the kernel's buffers are in half-LLR units; doubling copies them
+            posteriors = posteriors[: 2 * n] * 2.0
             iteration_hook(
                 IterationInfo(
                     iteration=iteration,
                     unsatisfied_checks=unsatisfied_checks,
-                    mean_abs_posterior=float(np.abs(posteriors[: 2 * n]).mean()),
-                    v2c=v2c.copy(),
-                    c2v=c2v.copy(),
-                    posteriors=posteriors[: 2 * n].copy(),
+                    mean_abs_posterior=float(np.abs(posteriors).mean()),
+                    v2c=v2c * 2.0,
+                    c2v=c2v * 2.0,
+                    posteriors=posteriors,
                 )
             )
 
@@ -259,18 +274,40 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     per variable; ``layout`` has the keys of ``_flood_layout``. Runs at most
     ``max_iterations`` iterations with ``config``'s damping and early stop,
     calling ``report(iteration, unsatisfied, v2c, c2v, posteriors)`` after
-    each one when given.
+    each one when given, with the loop's own buffers in half-LLR units.
+
+    Inside the loop every message, prior and posterior is held in half-LLR
+    units (m/2, clamped at +/- LLR_MAX/2): tanh takes the variable messages
+    as they are and 2 atanh drops its factor 2. Halving and doubling are
+    exact in binary floating point away from subnormals, so the values are
+    doubled where they leave the loop (the returned posteriors and, in
+    ``decode``, the hook's snapshots) and equal the full-unit loop's bit for
+    bit.
+
+    The atanh argument is the product of a check's other tanh values times
+    its sign and factor |f| <= 1. A degree-1 check's product is empty, and
+    such a check is a code check (f = 1), so its entries of ``excl`` hold
+    ``_TANH_LIMIT``, the clipped value of 1, from the start. A product of two or more
+    clamped tanh values is at most tanh(LLR_MAX/2)**2 < ``_TANH_LIMIT``, so
+    the clip is skipped unless some check has degree 2: its argument is a
+    single tanh value, bounded by ``_TANH_LIMIT`` only as far as the
+    library's tanh is monotone at the clamp.
+
+    Check messages are tested for finiteness where the loop exits and, when
+    ``report`` is given, before each call to it. A NaN check message makes
+    its variable's posterior NaN, so some check message stays NaN in every
+    later iteration, and the test at exit raises the same
+    ``FloatingPointError`` as a test in every iteration would.
 
     Returns the last posteriors, those of the iteration before (the priors
     after one iteration), whether the last hard decisions satisfy every
     code check, and the number of iterations run.
     """
-    # Message buffers, reused by every iteration. A degree-1 check's
-    # leave-one-out product is empty, so its entries of ``excl`` stay 1.
+    # Message buffers, reused by every iteration (see above for ``excl``).
     num_edges = len(edge_var)
     v2c = np.empty(num_edges)
     t = np.empty(num_edges)
-    excl = np.ones(num_edges)
+    excl = np.full(num_edges, _TANH_LIMIT)
     arg = np.empty(num_edges)
     c2v = np.zeros(num_edges)
     fresh = np.empty(num_edges)
@@ -278,7 +315,7 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     if group_order is None:
         t_grouped, excl_grouped = t, excl
     else:
-        t_grouped, excl_grouped = np.empty(num_edges), np.ones(num_edges)
+        t_grouped, excl_grouped = np.empty(num_edges), np.full(num_edges, _TANH_LIMIT)
     check_groups = []
     for degree, start, stop in layout["check_groups"]:
         t_cols = list(t_grouped[start:stop].reshape(-1, degree).T)
@@ -290,23 +327,25 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
             rows = len(t_cols[0])
             prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
             check_groups.append((t_cols, out_cols, prefixes, np.empty(rows)))
+    clip = any(degree == 2 for degree, _, _ in layout["check_groups"])
 
     damping = config.damping
-    posteriors = priors
+    priors = priors * 0.5
+    posteriors = previous = priors
     converged = False
     iterations_used = 0
+    limit = LLR_MAX * 0.5
 
     for iteration in range(1, max_iterations + 1):
         # Variable update: each edge sends the posterior minus its own
         # incoming message.
         np.subtract(posteriors[edge_var], c2v, out=v2c)
-        v2c.clip(-LLR_MAX, LLR_MAX, out=v2c)
+        v2c.clip(-limit, limit, out=v2c)
 
         # Check update on the contiguous degree groups: a degree-2 check
         # passes each edge its partner's value, larger degrees take
         # leave-one-out products.
-        np.multiply(v2c, 0.5, out=arg)
-        np.tanh(arg, out=t)
+        np.tanh(v2c, out=t)
         if group_order is not None:
             t.take(group_order, out=t_grouped)
         for t_cols, out_cols, prefixes, suffix in check_groups:
@@ -318,18 +357,16 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
         if group_order is not None:
             excl[group_order] = excl_grouped
         np.multiply(edge_scale, excl, out=arg)
-        arg.clip(-_TANH_LIMIT, _TANH_LIMIT, out=arg)
-        np.arctanh(arg, out=fresh)
-        # 2 atanh(_TANH_LIMIT) is just below LLR_MAX, and damping mixes two
+        if clip:
+            arg.clip(-_TANH_LIMIT, _TANH_LIMIT, out=arg)
+        # atanh(_TANH_LIMIT) is just below LLR_MAX/2, and damping mixes two
         # such values, so check messages need no clamp of their own
-        np.multiply(fresh, 2.0, out=fresh)
+        np.arctanh(arg, out=fresh)
         if damping > 0.0:
             np.multiply(fresh, 1.0 - damping, out=fresh)
             np.multiply(c2v, damping, out=c2v)
             np.add(fresh, c2v, out=fresh)
         c2v, fresh = fresh, c2v
-        if not np.isfinite(c2v).all():
-            raise FloatingPointError("non-finite check message despite clamping")
 
         previous = posteriors
         posteriors = np.bincount(edge_var, weights=c2v, minlength=len(priors))
@@ -343,15 +380,24 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
         iterations_used = iteration
 
         if report is not None:
+            _check_finite(c2v)
             report(iteration, unsatisfied_checks, v2c, c2v, posteriors)
         if converged and config.early_stop:
             break
         if iteration == 1 and max_iterations > 1 and report is None and not c2v.any():
             # Stalled: with every check message zero the next iteration
             # starts from this one's state and repeats it, up to the cap.
-            return posteriors, posteriors, converged, max_iterations
+            previous, iterations_used = posteriors, max_iterations
+            break
 
-    return posteriors, previous, converged, iterations_used
+    _check_finite(c2v)
+    return posteriors * 2.0, previous * 2.0, converged, iterations_used
+
+
+def _check_finite(c2v):
+    """Raise if a check message is not finite (see ``_flood``)."""
+    if not np.isfinite(c2v).all():
+        raise FloatingPointError("non-finite check message despite clamping")
 
 
 def _leave_one_out(t_cols, out_cols, prefixes, suffix):

@@ -127,7 +127,7 @@ class KnownU1Graph:
 def _check_message(x):
     """The decoder's check rule on a scaled product x: 2 atanh(x), with x
     clipped to +/- _TANH_LIMIT, so the result lies inside +/- LLR_MAX."""
-    x = np.clip(x, -_TANH_LIMIT, _TANH_LIMIT)
+    x = np.asarray(x).clip(-_TANH_LIMIT, _TANH_LIMIT)
     return np.arctanh(x) * 2.0
 
 

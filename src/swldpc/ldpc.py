@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -148,6 +149,11 @@ class SparseParityMatrix:
         ends = np.cumsum(np.bincount(owner, minlength=self.m)).tolist()
         return tuple([flat[start:end] for start, end in zip([0] + ends, ends)])
 
+    @cached_property
+    def _row_starts(self) -> np.ndarray:
+        """Where each row with entries starts in ``entries``, rows ascending."""
+        return np.flatnonzero(np.diff(self.entries[1], prepend=-1))
+
     @property
     def num_entries(self) -> int:
         return len(self.entries[0])
@@ -236,9 +242,15 @@ def as_bit_array(bits: Sequence[int] | np.ndarray, length: int | None = None) ->
     u = np.asarray(bits)
     if u.ndim != 1:
         raise ValueError(f"bit sequence must be one-dimensional, got shape {u.shape}")
-    # text is rejected by its dtype kind: numpy before 1.25 answers
-    # str == int with one scalar (and a warning) instead of a mask
-    if u.size and (u.dtype.kind in "SU" or not ((u == 0) | (u == 1)).all()):
+    if not u.size:
+        valid = True
+    elif u.dtype == np.uint8:
+        valid = np.maximum.reduce(u) <= 1
+    else:
+        # text is rejected by its dtype kind: numpy before 1.25 answers
+        # str == int with one scalar (and a warning) instead of a mask
+        valid = u.dtype.kind not in "SU" and ((u == 0) | (u == 1)).all()
+    if not valid:
         raise ValueError("bit sequence may only contain 0 and 1")
     if length is not None and u.size != length:
         raise ValueError(f"bit sequence has length {u.size}, expected {length}")
@@ -251,13 +263,25 @@ def syndrome(h: SparseParityMatrix, u: Sequence[int] | np.ndarray) -> np.ndarray
     s[j] is the XOR of u over the columns in row j. Linear: the syndrome
     of u XOR v is the XOR of the two syndromes.
 
+    The bits of u are gathered in ``entries`` order, where every row is one
+    run, and xor-reduced run by run (``np.bitwise_xor.reduceat`` at the row
+    starts the matrix caches). ``reduceat`` cannot express an empty run, so
+    rows without entries are left out of the reduction and keep bit 0.
+
     Returns:
         uint8 array of length h.m.
     """
     u = as_bit_array(u, h.n)
     cols, owner = h.entries
-    acc = np.bincount(owner, weights=u[cols].astype(np.float64), minlength=h.m)
-    return (acc.astype(np.int64) & 1).astype(np.uint8)
+    starts = h._row_starts
+    if not len(starts):
+        return np.zeros(h.m, dtype=np.uint8)
+    parity = np.bitwise_xor.reduceat(u[cols], starts)
+    if len(starts) == h.m:
+        return parity
+    s = np.zeros(h.m, dtype=np.uint8)
+    s[owner[starts]] = parity
+    return s
 
 
 def gf2_rank(h: SparseParityMatrix) -> int:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,7 +316,7 @@ def _assert_matches_reference(graph, s1, s2, config):
     expected = decode_reference(graph, s1, s2, config, iteration_hook=ref_snaps.append)
     for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
         got, want = getattr(result, name), getattr(expected, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert result.converged == expected.converged
     assert result.iterations_used == expected.iterations_used
     assert len(snaps) == len(ref_snaps) == result.iterations_used
@@ -323,7 +325,7 @@ def _assert_matches_reference(graph, s1, s2, config):
         assert got.unsatisfied_checks == want.unsatisfied_checks, got.iteration
         assert got.mean_abs_posterior == want.mean_abs_posterior, got.iteration
         for name in ("v2c", "c2v", "posteriors"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
                 got.iteration,
                 name,
             )
@@ -437,7 +439,7 @@ def _assert_same_result(graph, s1, s2, config):
     expected = decode_reference(graph, s1, s2, config)
     for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
         got, want = getattr(result, name), getattr(expected, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert result.converged == expected.converged
     assert result.iterations_used == expected.iterations_used
     return result
@@ -556,6 +558,105 @@ class TestKnownU1MatchesReference:
         )
         graph = build_joint_graph(h1, h2, CorrelationModel(p))
         _assert_same_result(graph, syndrome(h1, u1), s2, config)
+
+
+def _irregular_h2(n, degrees, seed):
+    """An H2 whose rows take the row degrees in ``degrees`` in turn, so the
+    check-degree groups interleave; no row has degree 1."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.choice(n, degrees[j % len(degrees)], replace=False) for j in range(n // 2)]
+    return SparseParityMatrix.from_rows(n, rows)
+
+
+def _group_degrees(layout):
+    return {degree for degree, _, _ in layout["check_groups"]}
+
+
+class TestAtanhArgumentClip:
+    """The kernel clips the atanh argument only on graphs with degree-2
+    checks, and stores a degree-1 check's product as its clipped value."""
+
+    @pytest.mark.parametrize(
+        "degrees, clipped", [((2, 3, 5, 2, 4), True), ((3, 5, 4), False)],
+        ids=["degree-2-rows", "no-degree-2-row"],
+    )
+    @pytest.mark.parametrize("p", [0.92, 0.96])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_known_u1_graph(self, degrees, clipped, p, early_stop):
+        n = 120
+        h1, h2 = identity_matrix(n), _irregular_h2(n, degrees, seed=5)
+        model = CorrelationModel(p)
+        graph = build_joint_graph(h1, h2, model)
+        known = graph._known_u1
+        assert known is not None and known.layout["group_order"] is not None
+        assert (2 in _group_degrees(known.layout)) == clipped
+        config = DecoderConfig(max_iterations=60, early_stop=early_stop)
+        iterations = set()
+        for seed in range(4):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            iterations.add(_assert_same_result(graph, s1, s2, config).iterations_used)
+        assert max(iterations) > 3  # the reduced loop ran
+
+    def test_joint_graph_with_degree_1_checks(self):
+        # explicit corner graph: identity rows have degree 1, correlation
+        # checks degree 3, so no clip runs and the preset alone bounds the
+        # identity rows' messages
+        n = 256
+        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=3)
+        model = CorrelationModel(0.93)
+        graph = build_joint_graph(h1, h2, model, form=EXPLICIT_Z)
+        assert _group_degrees(graph._layout) == {1, 3, 6}
+        s1, s2 = _frame_syndromes(h1, h2, model, 2)
+        result = _assert_matches_reference(graph, s1, s2, DecoderConfig(max_iterations=30))
+        assert result.iterations_used > 2
+
+
+class TestNonFiniteCheckMessages:
+    """The finiteness test runs where the loop exits and before each hook
+    call; a NaN check message still raises."""
+
+    @staticmethod
+    def _explicit_with_nan_prior(n=64):
+        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=5)
+        model = CorrelationModel(0.93)
+        graph = build_joint_graph(h1, h2, model, form=EXPLICIT_Z)
+        priors = graph.priors.copy()
+        priors[2 * n + 5] = np.nan  # one z prior
+        s1, s2 = _frame_syndromes(h1, h2, model, 1)
+        return replace(graph, priors=priors), s1, s2
+
+    @pytest.mark.parametrize("max_iterations", [1, 7, 100])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("zero_syndromes", [True, False])
+    def test_joint_graph(self, max_iterations, early_stop, zero_syndromes):
+        graph, s1, s2 = self._explicit_with_nan_prior()
+        if zero_syndromes:  # converges at iteration 1 despite the NaN
+            s1, s2 = np.zeros_like(s1), np.zeros_like(s2)
+        config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
+        for run in (decode, decode_reference):
+            with pytest.raises(FloatingPointError, match="non-finite check message"):
+                run(graph, s1, s2, config)
+
+    def test_hook_sees_no_non_finite_message(self):
+        graph, s1, s2 = self._explicit_with_nan_prior()
+        snaps = []
+        with pytest.raises(FloatingPointError, match="non-finite check message"):
+            decode(graph, s1, s2, DecoderConfig(early_stop=False), iteration_hook=snaps.append)
+        assert snaps == []
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_known_u1_graph(self, early_stop):
+        n = 64
+        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=5)
+        model = CorrelationModel(0.93)
+        graph = build_joint_graph(h1, h2, model)
+        # a NaN correlation message makes the reduced loop's priors NaN
+        vars(graph)["_known_u1"] = replace(graph._known_u1, corr_message=np.nan)
+        s1, s2 = _frame_syndromes(h1, h2, model, 1)
+        assert s2.any()
+        config = DecoderConfig(max_iterations=20, early_stop=early_stop)
+        with pytest.raises(FloatingPointError, match="non-finite check message"):
+            decode(graph, s1, s2, config)
 
 
 def _unsatisfied_from_posteriors(graph, posteriors, s1, s2):

@@ -217,6 +217,28 @@ class TestSyndrome:
         with pytest.raises(ValueError):
             syndrome(H_CHAIN, np.zeros((3, 1)))  # not one-dimensional
 
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            (5, ((0, 2), (1, 3, 4), (), ())),
+            (4, ((), (), ())),
+            (3, ()),
+            (6, ((0, 1, 2, 3, 4, 5),)),
+            (6, ((), (0, 5), (), (1, 2, 3), ())),
+        ],
+        ids=["trailing-empty-rows", "every-row-empty", "no-rows", "one-full-row", "interleaved-empty"],
+    )
+    def test_rows_the_xor_reduction_cannot_see(self, n, rows):
+        # reduceat has no empty segment, so these rows are reduced around
+        h = SparseParityMatrix.from_rows(n, rows)
+        rng = np.random.default_rng(n)
+        for u in (np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8),
+                  *rng.integers(0, 2, (6, n)).astype(np.uint8)):
+            got = syndrome(h, u)
+            want = h.to_dense().astype(np.int64) @ u % 2
+            assert got.dtype == np.uint8 and got.shape == (h.m,)
+            assert np.array_equal(got, want)
+
 
 class TestAsBitArray:
     def test_coerces_and_validates(self):
@@ -271,6 +293,29 @@ class TestAsBitArray:
     def test_rejects_other_shapes_before_values(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             as_bit_array(np.array([[0, 1], [1, 2]]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            as_bit_array(np.array([[0, 1], [1, 2]], dtype=np.uint8))
+
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_uint8_rejects_other_values(self, bad):
+        bits = np.array([0, 1, bad, 0], dtype=np.uint8)
+        with pytest.raises(ValueError, match="^bit sequence may only contain 0 and 1$"):
+            as_bit_array(bits)
+        # values are checked before the length
+        with pytest.raises(ValueError, match="^bit sequence may only contain 0 and 1$"):
+            as_bit_array(bits, length=3)
+
+    def test_uint8_wrong_length(self):
+        with pytest.raises(ValueError, match="^bit sequence has length 3, expected 4$"):
+            as_bit_array(np.array([0, 1, 1], dtype=np.uint8), length=4)
+
+    def test_uint8_returns_a_new_array(self):
+        bits = np.array([1, 0, 1, 1], dtype=np.uint8)
+        out = as_bit_array(bits, length=4)
+        assert out.dtype == np.uint8 and out.tolist() == [1, 0, 1, 1]
+        assert not np.shares_memory(out, bits)
+        out[0] = 0
+        assert bits[0] == 1
 
 
 class TestGallagerConstruct:
