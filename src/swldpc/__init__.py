@@ -14,7 +14,6 @@ from .correlation import (
     RatePair,
     RegionCheck,
     binary_entropy,
-    clamp_llr,
     conditional_entropy,
     hidden_llr,
     joint_entropy,
@@ -44,7 +43,6 @@ from .sim import (
     format_csv,
     run_trials,
     sweep,
-    write_csv,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +54,6 @@ __all__ = [
     "RatePair",
     "RegionCheck",
     "binary_entropy",
-    "clamp_llr",
     "conditional_entropy",
     "hidden_llr",
     "joint_entropy",
@@ -90,6 +87,5 @@ __all__ = [
     "format_csv",
     "run_trials",
     "sweep",
-    "write_csv",
     "__version__",
 ]

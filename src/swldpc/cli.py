@@ -379,6 +379,12 @@ def _cmd_simulate(args) -> int:
     ):
         raise UsageError("--code1 is used only with --mode symmetric and --code2")
     if settings.get("code2") is not None:
+        given = [k for k in ("n", "dv", "dc") if settings.get(k) is not None]
+        if given:
+            raise UsageError(
+                "--n/--dv/--dc are used only without --code2 "
+                f"(given: {', '.join('--' + k for k in given)})"
+            )
         h2 = _load_code(settings["code2"])
         h1 = None
         if mode == SYMMETRIC:

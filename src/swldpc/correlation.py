@@ -25,15 +25,6 @@ import numpy as np
 LLR_MAX = 30.0
 
 
-def clamp_llr(value: float) -> float:
-    """Clamp an LLR to the interval [-LLR_MAX, +LLR_MAX]."""
-    if value > LLR_MAX:
-        return LLR_MAX
-    if value < -LLR_MAX:
-        return -LLR_MAX
-    return value
-
-
 @dataclass(frozen=True)
 class CorrelationModel:
     """Single-parameter symmetric correlation between two binary sources.
@@ -86,13 +77,17 @@ class CorrelatedPair:
 class RatePair:
     """Compression rates in bits per source bit for the two encoders.
 
-    Rates above 1 are legal (merely wasteful), negative rates are not.
+    Rates above 1 are legal (merely wasteful); negative, infinite and NaN
+    rates are not.
     """
 
     r1: float
     r2: float
 
     def __post_init__(self):
+        for rate in (self.r1, self.r2):
+            if not (isinstance(rate, (int, float)) and math.isfinite(rate)):
+                raise ValueError(f"rates must be finite numbers, got ({self.r1!r}, {self.r2!r})")
         if self.r1 < 0 or self.r2 < 0:
             raise ValueError(f"rates must be nonnegative, got ({self.r1}, {self.r2})")
 
@@ -147,7 +142,7 @@ def hidden_llr(model: CorrelationModel) -> float:
     so that complementary parameters give exactly opposite values.
     """
     p = model.p
-    return clamp_llr(math.log(p) - math.log(1.0 - p))
+    return min(max(math.log(p) - math.log(1.0 - p), -LLR_MAX), LLR_MAX)
 
 
 def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:

@@ -6,8 +6,8 @@ updates all variable-to-check messages, then all check-to-variable
 messages, then the posteriors.
 
 Update rules (variable messages clamped to +/- LLR_MAX; check messages
-stay inside that bound because the atanh argument is clipped to
-+/- tanh(LLR_MAX/2)):
+stay inside that bound because every tanh value is at most
+tanh(LLR_MAX/2) in magnitude and |f| <= 1, see ``_flood``):
 
 * variable v to check c: prior(v) plus the sum of incoming check messages
   excluding the one from c. It is computed as the posterior of v from the
@@ -38,14 +38,13 @@ The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
 scaling pass. Values are doubled only where they leave the loop, and
 scaling by 2 is exact in binary floating point short of the subnormal
-range, so every output equals the full-unit rule bit for bit. The
-clip of the atanh argument can only act on a single tanh value: a degree-1
-check's empty product is stored as its clipped value, and a product of two
-or more clamped tanh values lies below the clip, so the clip runs only on
-graphs with degree-2 checks (the folded correlation checks, for one).
-Check messages are tested for finiteness when the loop exits and before
-each hook call, not in every iteration: a NaN check message keeps some
-check message NaN in every later iteration, so the test still raises.
+range, so every output equals the full-unit rule bit for bit. The atanh
+argument needs no clip: it is at most tanh(LLR_MAX/2) in magnitude, since
+every tanh value is and |f| <= 1, and a degree-1 check's empty product is
+stored as that bound. Check messages are tested for finiteness when the
+loop exits and before each hook call, not in every iteration: a NaN check
+message keeps some check message NaN in every later iteration, so the test
+still raises.
 
 Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
@@ -71,10 +70,10 @@ it returns bit for bit what the joint graph returns:
   ``max_iterations - 2`` iterations, and ``iterations_used`` adds that
   offset of 2 back.
 * ``posterior_llrs[:n]`` is rebuilt after the loop as the joint graph sums
-  it: c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2))
-  clipped as in the kernel, where v = L_prev - q (1 - 2 u1) and L_prev is
-  the u2 posterior of the iteration before the last (the priors, if the
-  loop ran once). ``u1_hat`` is that posterior's sign.
+  it: c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2)),
+  where v = L_prev - q (1 - 2 u1) and L_prev is the u2 posterior of the
+  iteration before the last (the priors, if the loop ran once). ``u1_hat``
+  is that posterior's sign.
 
 The joint graph runs instead when an ``iteration_hook`` is given (its
 snapshots, and so ``--trace``, show the joint graph), when damping is
@@ -92,7 +91,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .correlation import LLR_MAX
-from .graph import _TANH_LIMIT, JointTannerGraph, KnownU1Graph, _check_message
+from .graph import _KNOWN_U1_OFFSET, _TANH_LIMIT, JointTannerGraph, KnownU1Graph
 from .ldpc import _check_positive_count, as_bit_array
 
 
@@ -160,7 +159,7 @@ def decode(
     # and only while the correlation messages to u2 are constant.
     if iteration_hook is None and config.damping == 0.0:
         known = graph._known_u1
-        if known is not None and config.max_iterations > known.offset:
+        if known is not None and config.max_iterations > _KNOWN_U1_OFFSET:
             return _decode_known_u1(known, s1, s2, config)
 
     n = graph.n
@@ -215,14 +214,16 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> Deco
     edge_scale = (1.0 - 2.0 * s2)[known.edge_check]
     posteriors, previous, converged, iterations_used = _flood(
         known.layout, known.edge_var, edge_scale, priors, unsatisfied,
-        config, config.max_iterations - known.offset,
+        config, config.max_iterations - _KNOWN_U1_OFFSET,
     )
     # The last iteration's correlation messages to u1, from the u2
     # messages of the iteration before, summed as the joint graph does.
     v2c = np.subtract(previous, priors).clip(-LLR_MAX, LLR_MAX)
-    corr = _check_message(known.corr_factor * np.tanh(v2c * 0.5))
+    corr = np.arctanh(known.corr_factor * np.tanh(v2c * 0.5)) * 2.0
     return _result(
-        np.concatenate([identity + corr, posteriors]), converged, iterations_used + known.offset
+        np.concatenate([identity + corr, posteriors]),
+        converged,
+        iterations_used + _KNOWN_U1_OFFSET,
     )
 
 
@@ -285,13 +286,13 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     bit.
 
     The atanh argument is the product of a check's other tanh values times
-    its sign and factor |f| <= 1. A degree-1 check's product is empty, and
-    such a check is a code check (f = 1), so its entries of ``excl`` hold
-    ``_TANH_LIMIT``, the clipped value of 1, from the start. A product of two or more
-    clamped tanh values is at most tanh(LLR_MAX/2)**2 < ``_TANH_LIMIT``, so
-    the clip is skipped unless some check has degree 2: its argument is a
-    single tanh value, bounded by ``_TANH_LIMIT`` only as far as the
-    library's tanh is monotone at the clamp.
+    its sign and factor |f| <= 1, and it needs no clip. A degree-1 check's
+    product is empty, and such a check is a code check (f = 1), so its
+    entries of ``excl`` hold ``_TANH_LIMIT`` from the start rather than 1.
+    Every other argument is at most ``_TANH_LIMIT`` in magnitude because
+    every tanh value is: the variable messages are clamped at LLR_MAX/2,
+    and the tests pin numpy's tanh to ``_TANH_LIMIT`` at and near that
+    clamp. 2 atanh(``_TANH_LIMIT``) lies below LLR_MAX.
 
     Check messages are tested for finiteness where the loop exits and, when
     ``report`` is given, before each call to it. A NaN check message makes
@@ -308,7 +309,6 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     v2c = np.empty(num_edges)
     t = np.empty(num_edges)
     excl = np.full(num_edges, _TANH_LIMIT)
-    arg = np.empty(num_edges)
     c2v = np.zeros(num_edges)
     fresh = np.empty(num_edges)
     group_order = layout["group_order"]
@@ -327,7 +327,6 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
             rows = len(t_cols[0])
             prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
             check_groups.append((t_cols, out_cols, prefixes, np.empty(rows)))
-    clip = any(degree == 2 for degree, _, _ in layout["check_groups"])
 
     damping = config.damping
     priors = priors * 0.5
@@ -356,12 +355,10 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
                 _leave_one_out(t_cols, out_cols, prefixes, suffix)
         if group_order is not None:
             excl[group_order] = excl_grouped
-        np.multiply(edge_scale, excl, out=arg)
-        if clip:
-            arg.clip(-_TANH_LIMIT, _TANH_LIMIT, out=arg)
+        np.multiply(edge_scale, excl, out=fresh)
         # atanh(_TANH_LIMIT) is just below LLR_MAX/2, and damping mixes two
         # such values, so check messages need no clamp of their own
-        np.arctanh(arg, out=fresh)
+        np.arctanh(fresh, out=fresh)
         if damping > 0.0:
             np.multiply(fresh, 1.0 - damping, out=fresh)
             np.multiply(c2v, damping, out=c2v)

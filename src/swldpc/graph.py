@@ -23,8 +23,8 @@ When h1 pins every u1 bit through a degree-1 check (the identity at the
 corner point, or any row order of it), u1 is known from s1 and the joint
 graph decodes like H2 alone. ``JointTannerGraph._known_u1`` detects this
 from the structure once per graph and holds a :class:`KnownU1Graph`: the
-h2 edge lists and their layout, the constant messages of the identity and
-correlation checks, and the offset of 2 joint iterations that precede the
+h2 edge lists and their layout and the constant messages of the identity
+and correlation checks; ``_KNOWN_U1_OFFSET`` joint iterations precede the
 reduced loop (see :func:`_reduce_known_u1` and the decoder module).
 """
 
@@ -41,9 +41,14 @@ from .ldpc import SparseParityMatrix
 EXPLICIT_Z = "explicit"
 FOLDED_Z = "folded"
 
-# Largest magnitude tanh(m/2) can reach under the message clamp; the
-# atanh argument is clipped here so saturated products stay finite.
+# Largest magnitude tanh(m/2) can reach under the message clamp. Every
+# atanh argument is a tanh value or a product of them times a factor
+# |f| <= 1, so it stays inside this bound and 2 atanh of it inside LLR_MAX;
+# the decoder tests pin numpy's tanh to it at the clamp.
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
+
+# Joint iterations that precede the known-u1 loop (see _reduce_known_u1).
+_KNOWN_U1_OFFSET = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +126,6 @@ class KnownU1Graph:
     corr_factor: float  # f = tanh(llr/2) of the correlation checks
     identity_message: float  # c_id: a degree-1 h1 check's message for bit 0
     corr_message: float  # q: a correlation check's message to u2 for u1 = 0
-    offset: int = 2  # joint iterations that precede the reduced loop
-
-
-def _check_message(x):
-    """The decoder's check rule on a scaled product x: 2 atanh(x), with x
-    clipped to +/- _TANH_LIMIT, so the result lies inside +/- LLR_MAX."""
-    x = np.asarray(x).clip(-_TANH_LIMIT, _TANH_LIMIT)
-    return np.arctanh(x) * 2.0
 
 
 def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
@@ -142,9 +139,10 @@ def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
 
     It also requires the folded form (explicit z nodes change the
     messages) and an H2 with entries but no degree-1 row, whose iteration-1
-    message would move u2 off 0 and so shift the offset. Last, u1's hard
-    decisions must stay equal to s1: the correlation message to u1 is at
-    most 2 atanh(|f| tanh(LLR_MAX/2)), which must stay strictly below c_id.
+    message would move u2 off 0 and so shift ``_KNOWN_U1_OFFSET``. Last,
+    u1's hard decisions must stay equal to s1: the correlation message to
+    u1 is at most 2 atanh(|f| tanh(LLR_MAX/2)), which must stay strictly
+    below c_id.
     Under LLR_MAX = 30 that holds for every model (29.31 against 29.9998).
     """
     if graph.form != FOLDED_Z:
@@ -157,8 +155,9 @@ def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
     if len(rows2) == 0 or np.any(np.bincount(rows2, minlength=graph.m2) == 1):
         return None
     factor = np.tanh(graph.corr_param * 0.5)
-    identity = _check_message(1.0)
-    bound = _check_message(abs(factor) * _TANH_LIMIT)
+    # a degree-1 check's empty product is stored as _TANH_LIMIT (see _flood)
+    identity = np.arctanh(_TANH_LIMIT) * 2.0
+    bound = np.arctanh(abs(factor) * _TANH_LIMIT) * 2.0
     if not bound < identity:
         return None
     u1_check = np.empty(n, dtype=np.int64)
@@ -170,7 +169,7 @@ def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
         layout=_flood_layout(cols2, rows2, graph.m2, graph.m2),
         corr_factor=float(factor),
         identity_message=float(identity),
-        corr_message=float(_check_message(factor * np.tanh(identity * 0.5))),
+        corr_message=float(np.arctanh(factor * np.tanh(identity * 0.5)) * 2.0),
     )
 
 

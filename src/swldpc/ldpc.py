@@ -154,15 +154,6 @@ class SparseParityMatrix:
         """Where each row with entries starts in ``entries``, rows ascending."""
         return np.flatnonzero(np.diff(self.entries[1], prepend=-1))
 
-    @property
-    def num_entries(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def rate(self) -> float:
-        """Nominal compression rate m/n in bits per source bit."""
-        return self.m / self.n
-
     def to_dense(self) -> np.ndarray:
         """Dense (m, n) uint8 copy, for small-instance tooling."""
         h = np.zeros((self.m, self.n), dtype=np.uint8)

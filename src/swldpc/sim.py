@@ -18,7 +18,6 @@ one, both sources are compressed (the symmetric mode of the command line).
 
 from __future__ import annotations
 
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -94,9 +93,6 @@ class SimConfig:
             )
         _check_positive_count("trials", self.trials)
 
-    def effective_h1(self) -> SparseParityMatrix:
-        return self.h1 if self.h1 is not None else identity_matrix(self.h2.n)
-
 
 @dataclass(frozen=True)
 class SimRecord:
@@ -123,7 +119,8 @@ def _run_range(
 ) -> tuple[int, int, int, int, int]:
     """Raw error counts for trials [start, stop).
 
-    ``h1`` is ``config.effective_h1()``, built once by the caller.
+    ``h1`` is the first code, the identity when ``config.h1`` is None,
+    built once by the caller.
 
     Returns (bit errors source 1, bit errors source 2, frame errors,
     summed iteration counts, converged frames).
@@ -157,7 +154,7 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     """
     _check_positive_count("jobs", jobs)
     trials = config.trials
-    h1 = config.effective_h1()
+    h1 = config.h1 if config.h1 is not None else identity_matrix(config.h2.n)
     if jobs == 1 or trials == 1:
         counts = _run_range(config, h1, 0, trials)
     else:
@@ -231,15 +228,3 @@ def format_csv(results: Sequence[SimRecord]) -> str:
             cells.append(str(value) if isinstance(value, int) else repr(float(value)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(results: Sequence[SimRecord], destination) -> None:
-    """Write results to a path or text file object."""
-    text = format_csv(results)
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-    elif isinstance(destination, io.TextIOBase) or hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        raise TypeError(f"cannot write CSV to {type(destination).__name__}")

@@ -51,7 +51,7 @@ def decode_reference(graph, s1, s2, config=None, iteration_hook=None) -> DecodeR
     parity[graph.m1 : graph.num_code_checks] = s2
     edge_scale = ((1.0 - 2.0 * parity) * check_factor)[graph.edge_check]
     syndrome_bits = np.concatenate([s1, s2]).astype(np.int64)
-    code_edges = slice(0, graph.h1.num_entries + graph.h2.num_entries)
+    code_edges = slice(0, len(graph.h1.entries[0]) + len(graph.h2.entries[0]))
 
     posteriors = priors
     c2v = np.zeros(graph.num_edges)

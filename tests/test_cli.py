@@ -72,6 +72,16 @@ class TestBounds:
     def test_negative_rate(self, capsys):
         assert run_cli(capsys, "bounds", "--p", "0.9", "--r1", "-1", "--r2", "1")[0] == 1
 
+    @pytest.mark.parametrize("flag", ["--r1", "--r2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rate(self, capsys, flag, value):
+        rates = {"--r1": "1.0", "--r2": "0.5", flag: value}
+        # "--r1=-inf": argparse would read a separate "-inf" as a flag
+        argv = ["bounds", "--p", "0.9", *(f"{k}={v}" for k, v in rates.items())]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "rates must be finite numbers" in err
+
 
 class TestMakecode:
     def test_writes_valid_deterministic_alist(self, capsys, tmp_path):
@@ -434,6 +444,36 @@ class TestSimulate:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert "--code1" in err
+
+    @pytest.mark.parametrize(
+        "extra, given",
+        [
+            (["--dv", "7", "--dc", "2"], "--dv, --dc"),
+            (["--n", "64", "--dv", "3", "--dc", "6"], "--n, --dv, --dc"),
+            (["--mode", "symmetric", "--code1", "{c64}", "--n", "64"], "--n"),
+        ],
+        ids=["inconsistent-degrees", "full-construction", "symmetric"],
+    )
+    def test_construction_flags_with_code2_are_rejected(self, capsys, tmp_path, extra, given):
+        c64 = tmp_path / "c64.alist"
+        c64.write_text(save_alist(gallager_construct(64, 3, 6, seed=3)))
+        argv = ["simulate", "--p", "0.95", "--trials", "2", "--seed", "3", "--code2", str(c64)]
+        argv += [arg.format(c64=c64) for arg in extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"swldpc: error: --n/--dv/--dc are used only without --code2 (given: {given})\n"
+        )
+
+    def test_construction_keys_with_code2_are_rejected(self, capsys, tmp_path):
+        c64 = tmp_path / "c64.alist"
+        c64.write_text(save_alist(gallager_construct(64, 3, 6, seed=3)))
+        path = tmp_path / "sim.json"
+        settings = {"p": 0.95, "trials": 2, "seed": 3, "code2": str(c64), "dv": 7}
+        path.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, out) == (1, "")
+        assert "--n/--dv/--dc are used only without --code2 (given: --dv)" in err
 
     def test_unused_code1_key_is_rejected(self, capsys, tmp_path):
         path = tmp_path / "sim.json"

@@ -10,7 +10,6 @@ from swldpc import (
     CorrelationModel,
     RatePair,
     binary_entropy,
-    clamp_llr,
     conditional_entropy,
     hidden_llr,
     joint_entropy,
@@ -89,12 +88,6 @@ class TestHiddenLlr:
         assert hidden_llr(CorrelationModel(1.0 - 1e-14)) == LLR_MAX
         assert hidden_llr(CorrelationModel(1e-14)) == -LLR_MAX
 
-    def test_clamp_llr(self):
-        assert clamp_llr(31.0) == LLR_MAX
-        assert clamp_llr(-1e9) == -LLR_MAX
-        assert clamp_llr(5.25) == 5.25
-        assert clamp_llr(float("inf")) == LLR_MAX
-
 
 class TestSamplePair:
     def test_deterministic_in_seed(self):
@@ -171,6 +164,12 @@ class TestRegion:
     def test_rate_pair_rejects_negative(self):
         with pytest.raises(ValueError):
             RatePair(-0.1, 0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rate_pair_rejects_non_finite(self, bad):
+        for rates in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="rates must be finite numbers"):
+                RatePair(*rates)
 
     @given(
         st.floats(min_value=0.05, max_value=0.95),

@@ -22,7 +22,7 @@ from swldpc import (
     syndrome,
 )
 from swldpc import decoder as decoder_module
-from swldpc.graph import _TANH_LIMIT, _check_message
+from swldpc.graph import _TANH_LIMIT
 
 from _decoder_reference import decode_reference
 from _forest import random_forest_instance
@@ -249,9 +249,9 @@ class TestEdgeCases:
             assert np.abs(info.c2v).max() <= LLR_MAX
 
     def test_check_messages_stay_inside_the_clamp(self):
-        # the check update clips only the atanh argument: 2 atanh of the
-        # clip bound must stay below LLR_MAX through numpy's scalar path and
-        # its (vectorised) array path
+        # the atanh argument is at most _TANH_LIMIT in magnitude (see
+        # TestTanhBound): 2 atanh of that bound must stay below LLR_MAX
+        # through numpy's scalar path and its (vectorised) array path
         assert 2.0 * np.arctanh(np.float64(_TANH_LIMIT)) < LLR_MAX
         edge = np.tile([-_TANH_LIMIT, _TANH_LIMIT], 512)
         fresh = np.arctanh(edge)
@@ -259,8 +259,51 @@ class TestEdgeCases:
         assert np.abs(fresh).max() < LLR_MAX
         # damping mixes two such messages
         assert (fresh * 0.7 + fresh * 0.3).max() < LLR_MAX
-        assert np.abs(_check_message(np.array([-2.0, -1.0, 1.0, 2.0]))).max() < LLR_MAX
-        assert abs(_check_message(3.0)) < LLR_MAX
+
+
+class TestTanhBound:
+    """numpy's tanh never leaves +/- _TANH_LIMIT on the clamped range
+    [-LLR_MAX/2, LLR_MAX/2], so no atanh argument can: it is one tanh value
+    or a product of them times a sign and a factor |f| <= 1. This is what
+    lets the kernel skip any clip of the argument; the tests cover the
+    scalar path and the vectorised loops with their tails and unaligned
+    starts."""
+
+    LIMIT = LLR_MAX * 0.5  # the kernel's clamp in half-LLR units
+    NEAR = np.concatenate(
+        [[LIMIT, np.nextafter(LIMIT, 0.0)], np.linspace(14.9, LIMIT, 101)]
+    )
+
+    @staticmethod
+    def _assert_bounded(x):
+        assert np.all(np.tanh(x) <= _TANH_LIMIT)
+        assert np.all(np.tanh(-x) >= -_TANH_LIMIT)
+        out = np.empty_like(x)
+        np.tanh(x, out=out)  # the kernel's call
+        assert np.all(out <= _TANH_LIMIT)
+
+    def test_scalar_path(self):
+        for x in self.NEAR.tolist():
+            for value in (x, np.float64(x)):
+                assert np.tanh(value) <= _TANH_LIMIT
+                assert np.tanh(-value) >= -_TANH_LIMIT
+
+    @pytest.mark.parametrize("length", range(1, 65))
+    def test_array_lengths_and_offsets(self, length):
+        near = np.resize(self.NEAR, length)
+        for x in (np.full(length, self.LIMIT), near, near[::-1].copy()):
+            for offset in range(4):
+                # a slice at an offset starts off the vector alignment
+                buffer = np.zeros(length + offset)
+                buffer[offset:] = x
+                self._assert_bounded(buffer[offset:])
+        self._assert_bounded(np.resize(self.NEAR, 2 * length)[::2])
+
+    @pytest.mark.parametrize("p", [1e-14, 1 - 1e-14])
+    def test_correlation_factor_at_the_llr_clamp(self, p):
+        llr = hidden_llr(CorrelationModel(p))
+        assert abs(llr) == LLR_MAX
+        assert abs(np.tanh(llr * 0.5)) <= _TANH_LIMIT
 
 
 class TestTreeExactness:
@@ -573,34 +616,38 @@ def _group_degrees(layout):
 
 
 class TestAtanhArgumentClip:
-    """The kernel clips the atanh argument only on graphs with degree-2
-    checks, and stores a degree-1 check's product as its clipped value."""
+    """The kernel has no clip of the atanh argument, which the oracle keeps.
+    Graphs with degree-2 checks, whose argument is a single tanh value,
+    decode bit for bit like the clipping oracle, and a degree-1 check's
+    product is stored as the clip bound."""
 
     @pytest.mark.parametrize(
-        "degrees, clipped", [((2, 3, 5, 2, 4), True), ((3, 5, 4), False)],
+        "degrees, has_degree_2", [((2, 3, 5, 2, 4), True), ((3, 5, 4), False)],
         ids=["degree-2-rows", "no-degree-2-row"],
     )
     @pytest.mark.parametrize("p", [0.92, 0.96])
     @pytest.mark.parametrize("early_stop", [True, False])
-    def test_known_u1_graph(self, degrees, clipped, p, early_stop):
+    def test_known_u1_graph(self, degrees, has_degree_2, p, early_stop):
         n = 120
         h1, h2 = identity_matrix(n), _irregular_h2(n, degrees, seed=5)
         model = CorrelationModel(p)
         graph = build_joint_graph(h1, h2, model)
         known = graph._known_u1
         assert known is not None and known.layout["group_order"] is not None
-        assert (2 in _group_degrees(known.layout)) == clipped
+        assert (2 in _group_degrees(known.layout)) == has_degree_2
         config = DecoderConfig(max_iterations=60, early_stop=early_stop)
         iterations = set()
         for seed in range(4):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             iterations.add(_assert_same_result(graph, s1, s2, config).iterations_used)
+            # the joint graph, through the hook, snapshot by snapshot
+            _assert_matches_reference(graph, s1, s2, config)
         assert max(iterations) > 3  # the reduced loop ran
 
     def test_joint_graph_with_degree_1_checks(self):
         # explicit corner graph: identity rows have degree 1, correlation
-        # checks degree 3, so no clip runs and the preset alone bounds the
-        # identity rows' messages
+        # checks degree 3, and the preset alone bounds the identity rows'
+        # messages
         n = 256
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=3)
         model = CorrelationModel(0.93)

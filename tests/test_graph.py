@@ -232,7 +232,6 @@ class TestKnownU1:
         known = g._known_u1
         assert known is not None and g._known_u1 is known  # computed once
         assert g.num_edges == 6 * 64 and len(known.edge_var) == 3 * 64
-        assert known.offset == 2
         assert np.array_equal(known.u1_check, np.arange(64))
         assert (known.edge_var.tolist(), known.edge_check.tolist()) == (
             self.H2.entries[0].tolist(),

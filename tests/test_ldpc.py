@@ -35,8 +35,6 @@ class TestSparseParityMatrix:
         assert H_CHAIN.m == 2
         assert H_CHAIN.rows == ((0, 1), (1, 2))
         assert _columns(H_CHAIN) == [[0], [0, 1], [1]]
-        assert H_CHAIN.num_entries == 4
-        assert H_CHAIN.rate == pytest.approx(2 / 3)
 
     def test_to_dense(self):
         assert np.array_equal(

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from swldpc import (
     joint_entropy,
     run_trials,
     sweep,
-    write_csv,
 )
 from swldpc.sim import CSV_COLUMNS
 
@@ -194,15 +191,3 @@ class TestCsv:
         assert float(row[0]) == record.p
         assert float(row[10]) == record.sw_sum_slack
         assert int(row[4]) == record.trials
-
-    def test_write_csv_to_path_and_stream(self, tmp_path):
-        records = [run_trials(_config(trials=3))]
-        target = tmp_path / "out.csv"
-        write_csv(records, target)
-        buffer = io.StringIO()
-        write_csv(records, buffer)
-        assert target.read_text() == buffer.getvalue() == format_csv(records)
-
-    def test_write_csv_rejects_bad_destination(self):
-        with pytest.raises(TypeError):
-            write_csv([], 42)
