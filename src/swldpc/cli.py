@@ -27,7 +27,6 @@ from .ldpc import (
     ConstructionError,
     _check_positive_count,
     gallager_construct,
-    gf2_rank,
     load_alist,
     save_alist,
     syndrome,
@@ -210,10 +209,9 @@ def _cmd_makecode(args) -> int:
         raise UsageError(str(err)) from err
     except ConstructionError as err:
         raise DataError(str(err)) from err
-    rank = gf2_rank(h)
     print(
         f"constructed ({args.dv},{args.dc})-regular code: n={h.n} m={h.m} "
-        f"gf2_rank={rank} design_rate={h.m / h.n!r}",
+        f"design_rate={h.m / h.n!r}",
         file=sys.stderr,
     )
     _emit(save_alist(h), args.out)

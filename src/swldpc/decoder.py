@@ -46,6 +46,14 @@ loop exits and before each hook call, not in every iteration: a NaN check
 message keeps some check message NaN in every later iteration, so the test
 still raises.
 
+The kernel's message buffers, with the column views and scratch of the
+check update, are built once per layout and kept in it between frames
+(``_Workspace``, under the layout's ``"workspace"`` key). A decode checks
+them out with ``dict.pop`` and puts them back when it returns, also on an
+exception, so a decode that starts meanwhile (another thread, or a hook
+decoding the same graph) finds none and builds its own; results never
+depend on which buffers a decode gets.
+
 Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
 code checks (the correlation checks hold by construction of z_hat): it
@@ -267,6 +275,46 @@ def _parity_test(layout: dict, syndrome_bits: np.ndarray):
     return unsatisfied
 
 
+class _Workspace:
+    """The message buffers of ``_flood`` for one layout, kept across frames.
+
+    ``v2c``, ``t``, ``excl``, ``c2v`` and ``fresh`` hold one value per
+    check-major edge; ``t_grouped`` and ``excl_grouped`` are ``t`` and
+    ``excl`` in the decode-local order (the same arrays when no reordering
+    is needed). ``check_groups`` holds, per check-degree group of degree 2
+    or more, the column views of the grouped buffers and, for degree 3 and
+    up, the prefix and suffix scratch of ``_leave_one_out``. Degree-1
+    entries of ``excl`` hold ``_TANH_LIMIT`` from the start and are never
+    written, so they need no reset between frames; ``c2v`` is zeroed at the
+    start of every frame and every other buffer is written before it is
+    read.
+    """
+
+    def __init__(self, layout: dict, num_edges: int):
+        self.v2c = np.empty(num_edges)
+        self.t = np.empty(num_edges)
+        self.excl = np.full(num_edges, _TANH_LIMIT)
+        self.c2v = np.empty(num_edges)
+        self.fresh = np.empty(num_edges)
+        self.group_order = layout["group_order"]
+        if self.group_order is None:
+            self.t_grouped, self.excl_grouped = self.t, self.excl
+        else:
+            self.t_grouped = np.empty(num_edges)
+            self.excl_grouped = np.full(num_edges, _TANH_LIMIT)
+        self.check_groups = []
+        for degree, start, stop in layout["check_groups"]:
+            t_cols = list(self.t_grouped[start:stop].reshape(-1, degree).T)
+            out_cols = list(self.excl_grouped[start:stop].reshape(-1, degree).T)
+            if degree == 2:
+                self.check_groups.append((t_cols, out_cols, None, None))
+            elif degree > 2:
+                # prefixes[j] receives the product of columns 0..j
+                rows = len(t_cols[0])
+                prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
+                self.check_groups.append((t_cols, out_cols, prefixes, np.empty(rows)))
+
+
 def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
     """The flooding loop over one graph's edges, the decode kernel.
 
@@ -300,95 +348,87 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     later iteration, and the test at exit raises the same
     ``FloatingPointError`` as a test in every iteration would.
 
+    The buffers come from the layout's workspace (see ``_Workspace``),
+    checked out for the length of the call: ``report`` receives them and
+    must copy what it keeps, and a decode it starts builds its own.
+
     Returns the last posteriors, those of the iteration before (the priors
     after one iteration), whether the last hard decisions satisfy every
     code check, and the number of iterations run.
     """
-    # Message buffers, reused by every iteration (see above for ``excl``).
-    num_edges = len(edge_var)
-    v2c = np.empty(num_edges)
-    t = np.empty(num_edges)
-    excl = np.full(num_edges, _TANH_LIMIT)
-    c2v = np.zeros(num_edges)
-    fresh = np.empty(num_edges)
-    group_order = layout["group_order"]
-    if group_order is None:
-        t_grouped, excl_grouped = t, excl
-    else:
-        t_grouped, excl_grouped = np.empty(num_edges), np.full(num_edges, _TANH_LIMIT)
-    check_groups = []
-    for degree, start, stop in layout["check_groups"]:
-        t_cols = list(t_grouped[start:stop].reshape(-1, degree).T)
-        out_cols = list(excl_grouped[start:stop].reshape(-1, degree).T)
-        if degree == 2:
-            check_groups.append((t_cols, out_cols, None, None))
-        elif degree > 2:
-            # prefixes[j] receives the product of columns 0..j
-            rows = len(t_cols[0])
-            prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
-            check_groups.append((t_cols, out_cols, prefixes, np.empty(rows)))
-
+    # Check the workspace out, so that a decode running meanwhile (another
+    # thread, or a hook decoding the same graph) builds its own.
+    workspace = layout.pop("workspace", None) or _Workspace(layout, len(edge_var))
+    v2c, t, excl, c2v, fresh = (
+        workspace.v2c, workspace.t, workspace.excl, workspace.c2v, workspace.fresh
+    )
+    c2v.fill(0.0)
+    group_order = workspace.group_order
+    t_grouped, excl_grouped = workspace.t_grouped, workspace.excl_grouped
     damping = config.damping
     priors = priors * 0.5
     posteriors = previous = priors
     converged = False
     iterations_used = 0
     limit = LLR_MAX * 0.5
+    try:
+        for iteration in range(1, max_iterations + 1):
+            # Variable update: each edge sends the posterior minus its own
+            # incoming message.
+            posteriors.take(edge_var, out=v2c, mode="clip")
+            np.subtract(v2c, c2v, out=v2c)
+            v2c.clip(-limit, limit, out=v2c)
 
-    for iteration in range(1, max_iterations + 1):
-        # Variable update: each edge sends the posterior minus its own
-        # incoming message.
-        np.subtract(posteriors[edge_var], c2v, out=v2c)
-        v2c.clip(-limit, limit, out=v2c)
+            # Check update on the contiguous degree groups: a degree-2 check
+            # passes each edge its partner's value, larger degrees take
+            # leave-one-out products.
+            np.tanh(v2c, out=t)
+            if group_order is not None:
+                t.take(group_order, out=t_grouped, mode="clip")
+            for t_cols, out_cols, prefixes, suffix in workspace.check_groups:
+                if prefixes is None:
+                    out_cols[0][...] = t_cols[1]
+                    out_cols[1][...] = t_cols[0]
+                else:
+                    _leave_one_out(t_cols, out_cols, prefixes, suffix)
+            if group_order is not None:
+                excl[group_order] = excl_grouped
+            np.multiply(edge_scale, excl, out=fresh)
+            # atanh(_TANH_LIMIT) is just below LLR_MAX/2, and damping mixes two
+            # such values, so check messages need no clamp of their own
+            np.arctanh(fresh, out=fresh)
+            if damping > 0.0:
+                np.multiply(fresh, 1.0 - damping, out=fresh)
+                np.multiply(c2v, damping, out=c2v)
+                np.add(fresh, c2v, out=fresh)
+            c2v, fresh = fresh, c2v
 
-        # Check update on the contiguous degree groups: a degree-2 check
-        # passes each edge its partner's value, larger degrees take
-        # leave-one-out products.
-        np.tanh(v2c, out=t)
-        if group_order is not None:
-            t.take(group_order, out=t_grouped)
-        for t_cols, out_cols, prefixes, suffix in check_groups:
-            if prefixes is None:
-                out_cols[0][...] = t_cols[1]
-                out_cols[1][...] = t_cols[0]
-            else:
-                _leave_one_out(t_cols, out_cols, prefixes, suffix)
-        if group_order is not None:
-            excl[group_order] = excl_grouped
-        np.multiply(edge_scale, excl, out=fresh)
-        # atanh(_TANH_LIMIT) is just below LLR_MAX/2, and damping mixes two
-        # such values, so check messages need no clamp of their own
-        np.arctanh(fresh, out=fresh)
-        if damping > 0.0:
-            np.multiply(fresh, 1.0 - damping, out=fresh)
-            np.multiply(c2v, damping, out=c2v)
-            np.add(fresh, c2v, out=fresh)
-        c2v, fresh = fresh, c2v
+            previous = posteriors
+            posteriors = np.bincount(edge_var, weights=c2v, minlength=len(priors))
+            posteriors += priors
+            hard = posteriors < 0
 
-        previous = posteriors
-        posteriors = np.bincount(edge_var, weights=c2v, minlength=len(priors))
-        posteriors += priors
-        hard = posteriors < 0
+            # Convergence test: z_hat = u1_hat xor u2_hat satisfies every
+            # correlation check, so only the code checks can be violated.
+            unsatisfied_checks = unsatisfied(hard)
+            converged = unsatisfied_checks == 0
+            iterations_used = iteration
 
-        # Convergence test: z_hat = u1_hat xor u2_hat satisfies every
-        # correlation check, so only the code checks can be violated.
-        unsatisfied_checks = unsatisfied(hard)
-        converged = unsatisfied_checks == 0
-        iterations_used = iteration
+            if report is not None:
+                _check_finite(c2v)
+                report(iteration, unsatisfied_checks, v2c, c2v, posteriors)
+            if converged and config.early_stop:
+                break
+            if iteration == 1 and max_iterations > 1 and report is None and not c2v.any():
+                # Stalled: with every check message zero the next iteration
+                # starts from this one's state and repeats it, up to the cap.
+                previous, iterations_used = posteriors, max_iterations
+                break
 
-        if report is not None:
-            _check_finite(c2v)
-            report(iteration, unsatisfied_checks, v2c, c2v, posteriors)
-        if converged and config.early_stop:
-            break
-        if iteration == 1 and max_iterations > 1 and report is None and not c2v.any():
-            # Stalled: with every check message zero the next iteration
-            # starts from this one's state and repeats it, up to the cap.
-            previous, iterations_used = posteriors, max_iterations
-            break
-
-    _check_finite(c2v)
-    return posteriors * 2.0, previous * 2.0, converged, iterations_used
+        _check_finite(c2v)
+        return posteriors * 2.0, previous * 2.0, converged, iterations_used
+    finally:
+        layout["workspace"] = workspace
 
 
 def _check_finite(c2v):

@@ -55,9 +55,14 @@ _KNOWN_U1_OFFSET = 2
 class JointTannerGraph:
     """Immutable structure of the joint decoding graph.
 
-    Message storage is deliberately not part of the graph: a decode
-    session allocates its own buffers, so any number of sessions may run
-    concurrently over one shared graph.
+    Message storage is not part of the graph's structure. The decoder keeps
+    one set of message buffers per layout (``_layout``, or the known-u1
+    graph's ``layout``) under its ``"workspace"`` key, so that frames after
+    the first allocate none. A decode checks the workspace out with
+    ``dict.pop`` and puts it back when it returns; a decode that runs
+    meanwhile (in another thread, or from an iteration hook) finds none and
+    builds its own. So any number of decodes may run concurrently over one
+    shared graph.
     """
 
     form: str
@@ -89,7 +94,8 @@ class JointTannerGraph:
         ``check_groups``, ``group_order`` and ``code_groups`` come from
         :func:`_flood_layout` over the graph's edge lists. ``check_factor``
         holds each check's factor f: 1 for code checks and, in folded form,
-        tanh(llr/2) for the correlation checks.
+        tanh(llr/2) for the correlation checks. The decoder adds its
+        ``"workspace"`` (see the class notes).
         """
         layout = _flood_layout(
             self.edge_var, self.edge_check, self.check_count, self.num_code_checks
@@ -116,7 +122,8 @@ class KnownU1Graph:
 
     Variables are the u2 block numbered from 0, checks are the h2 rows;
     ``layout`` has the keys of ``JointTannerGraph._layout`` except
-    ``check_factor``, since every check is a code check with factor 1.
+    ``check_factor``, since every check is a code check with factor 1, and
+    holds the decoder's workspace for this graph in the same way.
     """
 
     u1_check: np.ndarray  # the h1 row that pins each u1 variable

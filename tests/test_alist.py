@@ -6,6 +6,8 @@ same line number and message, except for the documented narrowing of the
 token grammar (pinned in ``TestGrammar``).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -113,8 +115,9 @@ class TestDifferential:
     @given(st.data())
     def test_formatting_property(self, data):
         # random matrices in free formatting: m = 0, empty rows and columns,
-        # zero padding, shuffled entries, signs, leading zeros, tabs and runs
-        # of spaces, CRLF line ends, trailing blank lines
+        # zero padding, shuffled entries, signs, leading zeros (tokens of up
+        # to 22 digits), tabs and runs of spaces, CRLF line ends, trailing
+        # blank lines
         n = data.draw(st.integers(1, 8), label="n")
         m = data.draw(st.integers(0, n), label="m")
         row_sets = data.draw(
@@ -123,7 +126,12 @@ class TestDifferential:
         h = SparseParityMatrix.from_rows(n, row_sets)
         blank = st.sampled_from(["", " ", "\t", "  \t "])
         gap = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x0c"])
-        spell = st.sampled_from(["{}", "+{}", "0{}", "00{}"])
+        # zero padding up to 20 digits crosses the 8- and 16-digit words
+        spell = st.builds(
+            lambda sign, zeros: sign + "0" * zeros + "{}",
+            st.sampled_from(["", "+"]),
+            st.integers(0, 20),
+        )
         out = []
         for k, line in enumerate(save_alist(h).split("\n")[:-1]):
             words = line.split()
@@ -158,6 +166,52 @@ class TestDifferential:
             keep = at + 1 if kind != "insert" else at
             text = text[:at] + ("" if kind == "delete" else data.draw(alphabet)) + text[keep:]
         assert_same(text)
+
+
+# digit counts around the tokenizer's 8-byte words: one word holds up to 8
+# digits, two up to 16, and longer tokens are parsed one by one
+DIGIT_COUNTS = [1, 7, 8, 9, 16, 17, 18, 19, 25]
+
+
+class TestTokenBoundaries:
+    """Tokens of every length around the 8-byte word decode, against the
+    reference parser: the same matrix, or the same line and message."""
+
+    @pytest.mark.parametrize("digits", DIGIT_COUNTS)
+    def test_every_token_at_every_width(self, digits):
+        # each token of the chain in turn, spelled with `digits` digits:
+        # zero-padded (the same matrix), all nines, or a one and zeros,
+        # unsigned or signed; the header's first token sits at byte 0
+        _, positions = _tokens(H_CHAIN_ALIST)
+        for k, t in positions:
+            for sign in ("", "+", "-"):
+                for spell in (
+                    lambda w: w.zfill(digits),
+                    lambda w: "9" * digits,
+                    lambda w: "1" + "0" * (digits - 1),
+                ):
+                    text = _edit_token(H_CHAIN_ALIST, k, t, lambda w: [sign + spell(w)])
+                    assert_same(text)
+                    assert_same(text[:-1])  # no final newline
+
+    @pytest.mark.parametrize("digits", DIGIT_COUNTS)
+    @pytest.mark.parametrize("sign", ["", "+"])
+    def test_zero_padded_matrix(self, digits, sign):
+        text = re.sub("[0-9]+", lambda w: sign + w.group().zfill(digits), H_CHAIN_ALIST)
+        assert text.startswith(sign + "0" * (digits - 1) + "3 ")
+        for case in (text, text[:-1]):
+            assert load_alist(case) == H_CHAIN
+            assert_same(case)
+
+    @pytest.mark.parametrize("digits", [1, 8, 9, 17])
+    @pytest.mark.parametrize("separator", ["\t", "\r", "\x0b", "\x0c"])
+    def test_separators(self, digits, separator):
+        text = re.sub("[0-9]+", lambda w: w.group().zfill(digits), H_CHAIN_ALIST)
+        text = text.replace(" ", separator)
+        for case in (text, text.replace("\n", "\r\n"), separator + text[:-1]):
+            assert load_alist(case) == H_CHAIN
+            assert_same(case)
+        assert_same(text.replace(separator + "0" * (digits - 1) + "3", separator + "9" * digits))
 
 
 class TestGrammar:

@@ -92,7 +92,7 @@ class TestMakecode:
         )
         assert code == 0
         assert out_file.read_text() == out
-        assert "gf2_rank=" in err
+        assert err == "constructed (3,6)-regular code: n=24 m=12 design_rate=0.5\n"
         h = load_alist(out)
         assert h.n == 24 and h.m == 12
         assert h == gallager_construct(24, 3, 6, seed=5)

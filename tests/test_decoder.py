@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -352,17 +354,18 @@ class TestFormEquivalence:
         )
 
 
-def _assert_matches_reference(graph, s1, s2, config):
-    """decode and the reference loop agree bit for bit, snapshot by snapshot."""
-    snaps, ref_snaps = [], []
-    result = decode(graph, s1, s2, config, iteration_hook=snaps.append)
-    expected = decode_reference(graph, s1, s2, config, iteration_hook=ref_snaps.append)
+def _assert_same_decode(result, expected):
+    """Two DecodeResults agree bit for bit."""
     for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
         got, want = getattr(result, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert result.converged == expected.converged
     assert result.iterations_used == expected.iterations_used
-    assert len(snaps) == len(ref_snaps) == result.iterations_used
+
+
+def _assert_same_snapshots(snaps, ref_snaps):
+    """Two lists of hook snapshots agree bit for bit."""
+    assert len(snaps) == len(ref_snaps)
     for got, want in zip(snaps, ref_snaps):
         assert got.iteration == want.iteration
         assert got.unsatisfied_checks == want.unsatisfied_checks, got.iteration
@@ -372,6 +375,16 @@ def _assert_matches_reference(graph, s1, s2, config):
                 got.iteration,
                 name,
             )
+
+
+def _assert_matches_reference(graph, s1, s2, config):
+    """decode and the reference loop agree bit for bit, snapshot by snapshot."""
+    snaps, ref_snaps = [], []
+    result = decode(graph, s1, s2, config, iteration_hook=snaps.append)
+    expected = decode_reference(graph, s1, s2, config, iteration_hook=ref_snaps.append)
+    _assert_same_decode(result, expected)
+    assert len(snaps) == result.iterations_used
+    _assert_same_snapshots(snaps, ref_snaps)
     return result
 
 
@@ -479,12 +492,7 @@ def _assert_same_result(graph, s1, s2, config):
     applies, returns bit for bit what the reference loop on the joint graph
     returns."""
     result = decode(graph, s1, s2, config)
-    expected = decode_reference(graph, s1, s2, config)
-    for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
-        got, want = getattr(result, name), getattr(expected, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert result.converged == expected.converged
-    assert result.iterations_used == expected.iterations_used
+    _assert_same_decode(result, decode_reference(graph, s1, s2, config))
     return result
 
 
@@ -601,6 +609,92 @@ class TestKnownU1MatchesReference:
         )
         graph = build_joint_graph(h1, h2, CorrelationModel(p))
         _assert_same_result(graph, syndrome(h1, u1), s2, config)
+
+
+class TestWorkspace:
+    """The kernel keeps its buffers in the layout between decodes: every
+    decode checks them out and puts them back, and a decode that finds
+    none (a nested or concurrent one) builds its own."""
+
+    @staticmethod
+    def _graphs():
+        """The known-u1 corner graph and an irregular graph whose layout
+        reorders its edges, each followed by three frames of syndromes."""
+        corner, h1, h2, model = TestKnownU1MatchesReference._corner(256, 0.93)
+        corner_frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(3)]
+        h1, h2 = _interleaved_code(96, 1), _interleaved_code(96, 2)
+        model = CorrelationModel(0.9)
+        irregular = build_joint_graph(h1, h2, model)
+        assert irregular._layout["group_order"] is not None
+        irregular_frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(3)]
+        return corner, corner_frames, irregular, irregular_frames
+
+    def test_alternating_frames(self):
+        corner, corner_frames, irregular, irregular_frames = self._graphs()
+        order = [0, 1, 0, 2, 2, 1, 0]
+        for k in order:
+            # the known-u1 graph, then the joint one, with and without damping
+            result = _assert_same_result(corner, *corner_frames[k], DecoderConfig())
+            assert result.iterations_used > 3
+            _assert_matches_reference(corner, *corner_frames[k], DecoderConfig(damping=0.3))
+            _assert_same_result(corner, *corner_frames[k], DecoderConfig(damping=0.3))
+            for damping in (0.0, 0.3):
+                _assert_matches_reference(
+                    irregular, *irregular_frames[k], DecoderConfig(damping=damping)
+                )
+        for layout in (corner._known_u1.layout, corner._layout, irregular._layout):
+            assert "workspace" in layout
+
+    def test_hook_decodes_the_same_graph(self):
+        corner, frames, _, _ = self._graphs()
+        configs = [DecoderConfig(damping=0.3), DecoderConfig()]  # joint, known u1
+        inner, snaps, ref_snaps = [], [], []
+
+        def hook(info):
+            if info.iteration == 1:
+                # the outer decode holds the joint layout's workspace; later
+                # the inner joint decodes have put theirs back
+                assert "workspace" not in corner._layout
+            snaps.append(info)
+            config = configs[info.iteration % 2]
+            s1, s2 = frames[1 + info.iteration % 2]
+            inner.append((s1, s2, config, decode(corner, s1, s2, config)))
+
+        config = DecoderConfig(max_iterations=12, early_stop=False)
+        result = decode(corner, *frames[0], config, iteration_hook=hook)
+        expected = decode_reference(corner, *frames[0], config, iteration_hook=ref_snaps.append)
+        _assert_same_decode(result, expected)
+        _assert_same_snapshots(snaps, ref_snaps)
+        assert len(inner) == 12
+        for s1, s2, config, got in inner:
+            _assert_same_decode(got, decode_reference(corner, s1, s2, config))
+        assert "workspace" in corner._layout
+
+    @pytest.mark.parametrize(
+        "config, hooked",
+        [(DecoderConfig(), False), (DecoderConfig(damping=0.3), False), (DecoderConfig(), True)],
+        ids=["known-u1", "damped", "hooked"],
+    )
+    def test_threads_share_one_graph(self, config, hooked):
+        graph, h1, h2, model = TestKnownU1MatchesReference._corner(1024, 0.93)
+        frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(6)] * 2
+
+        def run(frame):
+            snaps = []
+            result = decode(graph, *frame, config, iteration_hook=snaps.append if hooked else None)
+            return result, snaps
+
+        serial = [run(frame) for frame in frames]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the loop
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(run, frames, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for (got, got_snaps), (want, want_snaps) in zip(threaded, serial):
+            _assert_same_decode(got, want)
+            _assert_same_snapshots(got_snaps, want_snaps)
 
 
 def _irregular_h2(n, degrees, seed):
