@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -45,8 +46,23 @@ class DataError(Exception):
     """Malformed or inconsistent input files; exit code 2."""
 
 
+# Flag values that argparse must not take for flags: anything that starts like
+# a negative number, such as -1e-3, -.5, -inf, -nan or the list -0.9,0.95.
+# argparse's own pattern knows only whole negative decimals (-1, -0.5), and no
+# flag of this program starts like a number.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures raise instead of exiting 2."""
+    """argparse variant whose usage failures raise instead of exiting 2, and
+    which reads any negative number after a flag as its value, as the
+    ``--flag=value`` form always does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse consults this pattern to tell a negative-number argument
+        # from a flag; subcommand parsers are made by this class too
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)

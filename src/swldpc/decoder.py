@@ -48,18 +48,21 @@ still raises.
 
 The kernel's message buffers, with the column views and scratch of the
 check update, are built once per layout and kept in it between frames
-(``_Workspace``, under the layout's ``"workspace"`` key). A decode checks
-them out with ``dict.pop`` and puts them back when it returns, also on an
-exception, so a decode that starts meanwhile (another thread, or a hook
-decoding the same graph) finds none and builds its own; results never
-depend on which buffers a decode gets.
+(``_Workspace``, under the layout's ``"workspace"`` key): the joint graph's
+in its ``_layout``, the known-u1 decode's in h2's ``_check_layout``, so
+every graph over one h2 object shares the latter. A decode checks them out
+with ``dict.pop`` and puts them back when it returns, also on an exception,
+so a decode that starts meanwhile (another thread, a hook decoding the same
+graph, or a decode over another graph on the same h2) finds none and
+builds its own; results never depend on which buffers a decode gets.
 
 Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
 code checks (the correlation checks hold by construction of z_hat): it
-xors the hard decisions over each code check's edges, one (degree, rows)
-block per check-degree group, in integers, and counts a code row without
-entries as unsatisfied exactly when its syndrome bit is 1.
+counts the rows whose syndrome of the hard decisions differs from the
+received bit, h1 over the u1 block and h2 over the u2 block, with the xor
+reductions of ``syndrome`` over each code's row blocks. A row without
+entries has syndrome bit 0, so it fails exactly when its received bit is 1.
 
 Known u1 (the corner point). When every u1 variable's only code edge goes
 to a degree-1 h1 check, as when h1 is the identity and u1 is sent raw,
@@ -72,7 +75,9 @@ it returns bit for bit what the joint graph returns:
   leaves u1 at +/- c_id (the degree-1 check's message) and u2 at 0, so it
   converges iff s2 is all zero. Iteration 2 sends each u2 the constant
   correlation message q (1 - 2 u1), and converges iff the signs of those
-  priors satisfy H2, which the kernel's own parity test decides.
+  priors satisfy H2, which the kernel's own parity test decides. Both
+  messages are read from 2-entry tables indexed by the u1 bit
+  (``KnownU1Graph``), which hold +/- c_id and +/- q/2 exactly.
 * From joint iteration 3 on, the u2 edges carry exactly what H2 alone
   carries with priors q (1 - 2 u1). The loop runs for at most
   ``max_iterations - 2`` iterations, and ``iterations_used`` adds that
@@ -80,8 +85,10 @@ it returns bit for bit what the joint graph returns:
 * ``posterior_llrs[:n]`` is rebuilt after the loop as the joint graph sums
   it: c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2)),
   where v = L_prev - q (1 - 2 u1) and L_prev is the u2 posterior of the
-  iteration before the last (the priors, if the loop ran once). ``u1_hat``
-  is that posterior's sign.
+  iteration before the last (the priors, if the loop ran once). The kernel
+  hands L_prev back in half-LLR units, so v/2 is formed directly, which
+  equals the full-unit value halved bit for bit. ``u1_hat`` is that
+  posterior's sign.
 
 The joint graph runs instead when an ``iteration_hook`` is given (its
 snapshots, and so ``--trace``, show the joint graph), when damping is
@@ -94,13 +101,17 @@ any other h1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .correlation import LLR_MAX
 from .graph import _KNOWN_U1_OFFSET, _TANH_LIMIT, JointTannerGraph, KnownU1Graph
-from .ldpc import _check_positive_count, as_bit_array
+from .ldpc import _check_positive_count, _row_parity, as_bit_array
+
+# 1 - 2 b for a bit b, by table lookup
+_SIGN = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,7 @@ def decode(
     parity[: graph.m1] = s1
     parity[graph.m1 : graph.num_code_checks] = s2
     edge_scale = ((1.0 - 2.0 * parity) * layout["check_factor"])[graph.edge_check]
-    unsatisfied = _parity_test(layout, np.concatenate([s1, s2]).astype(bool))
+    unsatisfied = _parity_test((graph.h1, s1, 0), (graph.h2, s2, n))
 
     report = None
     if iteration_hook is not None:
@@ -199,45 +210,48 @@ def decode(
             )
 
     posteriors, _, converged, iterations_used = _flood(
-        layout, graph.edge_var, edge_scale, graph.priors, unsatisfied,
+        layout, graph.edge_var, edge_scale, graph.priors * 0.5, unsatisfied,
         config, config.max_iterations, report,
     )
-    return _result(posteriors[: 2 * n].copy(), converged, iterations_used)
+    return _result(posteriors[: 2 * n] * 2.0, converged, iterations_used)
 
 
 def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> DecodeResult:
     """``decode`` on a graph whose u1 block is known (see the module notes)."""
     n = len(known.u1_check)
-    sign = 1.0 - 2.0 * s1[known.u1_check]
-    identity = known.identity_message * sign  # the u1 posteriors of iterations 1 and 2
-    priors = known.corr_message * sign  # the u2 posteriors of iteration 2
-    syndrome_bits = s2.astype(bool)
-    unsatisfied = _parity_test(known.layout, syndrome_bits)
+    u1 = s1[known.u1_check]
+    identity = known.identity_by_bit.take(u1)  # the u1 posteriors of iterations 1 and 2
+    priors = known.half_prior_by_bit.take(u1)  # the u2 posteriors of iteration 2, halved
+    unsatisfied = _parity_test((known.h2, s2, 0))
     if config.early_stop:
-        if not syndrome_bits.any():
+        if not np.count_nonzero(s2):
             return _result(np.concatenate([identity, np.zeros(n)]), True, 1)
         if unsatisfied(priors < 0) == 0:
-            return _result(np.concatenate([identity, priors]), True, 2)
+            return _result(np.concatenate([identity, priors * 2.0]), True, 2)
 
-    edge_scale = (1.0 - 2.0 * s2)[known.edge_check]
+    edge_scale = _SIGN.take(s2)[known.edge_check]
     posteriors, previous, converged, iterations_used = _flood(
         known.layout, known.edge_var, edge_scale, priors, unsatisfied,
         config, config.max_iterations - _KNOWN_U1_OFFSET,
     )
     # The last iteration's correlation messages to u1, from the u2
-    # messages of the iteration before, summed as the joint graph does.
-    v2c = np.subtract(previous, priors).clip(-LLR_MAX, LLR_MAX)
-    corr = np.arctanh(known.corr_factor * np.tanh(v2c * 0.5)) * 2.0
-    return _result(
-        np.concatenate([identity + corr, posteriors]),
-        converged,
-        iterations_used + _KNOWN_U1_OFFSET,
-    )
+    # messages of the iteration before (in half-LLR units, as the kernel
+    # holds them), summed as the joint graph does. The rebuild runs in place.
+    v = np.subtract(previous, priors)
+    v.clip(-LLR_MAX * 0.5, LLR_MAX * 0.5, out=v)
+    np.tanh(v, out=v)
+    np.multiply(v, known.corr_factor, out=v)
+    np.arctanh(v, out=v)
+    np.multiply(v, 2.0, out=v)
+    posterior_llrs = np.empty(2 * n)
+    np.add(identity, v, out=posterior_llrs[:n])
+    np.multiply(posteriors, 2.0, out=posterior_llrs[n:])
+    return _result(posterior_llrs, converged, iterations_used + _KNOWN_U1_OFFSET)
 
 
 def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
     """A result from the u1 and u2 posteriors, hard decisions by sign."""
-    hard = (posterior_llrs < 0).astype(np.uint8)
+    hard = np.less(posterior_llrs, 0).view(np.uint8)
     n = len(hard) // 2
     u1_hat, u2_hat = hard[:n], hard[n:]
     return DecodeResult(
@@ -250,26 +264,22 @@ def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
     )
 
 
-def _parity_test(layout: dict, syndrome_bits: np.ndarray):
+def _parity_test(*codes):
     """The convergence test: a function from hard decisions to the count
     of code checks they violate.
 
-    Per group it xors the variables of the code rows' edges, one column
-    per row, and compares with the rows' syndrome bits. A code row
-    without entries has parity 0, so it fails iff its bit is 1.
+    Each code comes as ``(h, received syndrome, first variable)``, the
+    syndrome as ``as_bit_array`` returns it: the code reads the hard
+    decisions of ``h.n`` variables from that one on, and its violated
+    checks are the rows whose syndrome of those decisions differs from the
+    received bit.
     """
-    groups = [
-        (variables, syndrome_bits[checks]) for variables, checks in layout["code_groups"]
-    ]
-    empty_unsatisfied = int(np.count_nonzero(syndrome_bits)) - sum(
-        int(np.count_nonzero(target)) for _, target in groups
-    )
+    codes = [(h, s.view(bool), start, start + h.n) for h, s, start in codes]
 
     def unsatisfied(hard) -> int:
-        count = empty_unsatisfied
-        for variables, target in groups:
-            row_parity = np.bitwise_xor.reduce(hard[variables], axis=0)
-            count += int(np.count_nonzero(row_parity != target))
+        count = 0
+        for h, bits, start, stop in codes:
+            count += int(np.count_nonzero(_row_parity(h, hard[start:stop]) != bits))
         return count
 
     return unsatisfied
@@ -281,57 +291,67 @@ class _Workspace:
     ``v2c``, ``t``, ``excl``, ``c2v`` and ``fresh`` hold one value per
     check-major edge; ``t_grouped`` and ``excl_grouped`` are ``t`` and
     ``excl`` in the decode-local order (the same arrays when no reordering
-    is needed). ``check_groups`` holds, per check-degree group of degree 2
-    or more, the column views of the grouped buffers and, for degree 3 and
-    up, the prefix and suffix scratch of ``_leave_one_out``. Degree-1
-    entries of ``excl`` hold ``_TANH_LIMIT`` from the start and are never
-    written, so they need no reset between frames; ``c2v`` is zeroed at the
-    start of every frame and every other buffer is written before it is
-    read.
+    is needed). ``v2c`` is used only when a hook reads the variable
+    messages (otherwise they are built in ``t`` and turned into their tanh
+    in place), and ``fresh`` only under damping (otherwise the check
+    messages are written into ``c2v`` in place), so both are allocated on
+    first use: a known-u1 workspace never holds them. The check update of
+    every check-degree group of degree 2 or more is spelled out once, on
+    column views of the grouped buffers: ``copies`` holds the ``(target, source)``
+    column pairs of the degree-2 groups, and ``products`` the ``(a, b,
+    out)`` column multiplications of the larger ones, in order (see
+    ``_leave_one_out``). Degree-1 entries of ``excl`` hold ``_TANH_LIMIT``
+    from the start and are never written, so they need no reset between
+    frames; ``c2v`` is zeroed at the start of every frame and every other
+    buffer is written before it is read.
     """
 
     def __init__(self, layout: dict, num_edges: int):
-        self.v2c = np.empty(num_edges)
         self.t = np.empty(num_edges)
         self.excl = np.full(num_edges, _TANH_LIMIT)
         self.c2v = np.empty(num_edges)
-        self.fresh = np.empty(num_edges)
         self.group_order = layout["group_order"]
         if self.group_order is None:
             self.t_grouped, self.excl_grouped = self.t, self.excl
         else:
             self.t_grouped = np.empty(num_edges)
             self.excl_grouped = np.full(num_edges, _TANH_LIMIT)
-        self.check_groups = []
+        self.copies, self.products = [], []
         for degree, start, stop in layout["check_groups"]:
             t_cols = list(self.t_grouped[start:stop].reshape(-1, degree).T)
             out_cols = list(self.excl_grouped[start:stop].reshape(-1, degree).T)
             if degree == 2:
-                self.check_groups.append((t_cols, out_cols, None, None))
+                self.copies += [(out_cols[0], t_cols[1]), (out_cols[1], t_cols[0])]
             elif degree > 2:
-                # prefixes[j] receives the product of columns 0..j
-                rows = len(t_cols[0])
-                prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
-                self.check_groups.append((t_cols, out_cols, prefixes, np.empty(rows)))
+                self.products += _leave_one_out(t_cols, out_cols)
+
+    @cached_property
+    def v2c(self) -> np.ndarray:
+        return np.empty(len(self.t))
+
+    @cached_property
+    def fresh(self) -> np.ndarray:
+        return np.empty(len(self.t))
 
 
 def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
     """The flooding loop over one graph's edges, the decode kernel.
 
     ``edge_var`` maps each check-major edge to its variable, ``edge_scale``
-    holds each edge's check sign times check factor and ``priors`` one LLR
-    per variable; ``layout`` has the keys of ``_flood_layout``. Runs at most
-    ``max_iterations`` iterations with ``config``'s damping and early stop,
-    calling ``report(iteration, unsatisfied, v2c, c2v, posteriors)`` after
-    each one when given, with the loop's own buffers in half-LLR units.
+    holds each edge's check sign times check factor and ``priors`` one
+    half-LLR per variable; ``layout`` has the keys of ``_flood_layout``.
+    Runs at most ``max_iterations`` iterations with ``config``'s damping
+    and early stop, calling ``report(iteration, unsatisfied, v2c, c2v,
+    posteriors)`` after each one when given, with the loop's own buffers in
+    half-LLR units.
 
     Inside the loop every message, prior and posterior is held in half-LLR
     units (m/2, clamped at +/- LLR_MAX/2): tanh takes the variable messages
     as they are and 2 atanh drops its factor 2. Halving and doubling are
-    exact in binary floating point away from subnormals, so the values are
-    doubled where they leave the loop (the returned posteriors and, in
-    ``decode``, the hook's snapshots) and equal the full-unit loop's bit for
-    bit.
+    exact in binary floating point away from subnormals, so the callers
+    halve the priors and double what leaves the loop (the posteriors and
+    the hook's snapshots), and the values equal the full-unit loop's bit
+    for bit.
 
     The atanh argument is the product of a check's other tanh values times
     its sign and factor |f| <= 1, and it needs no clip. A degree-1 check's
@@ -352,21 +372,23 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     checked out for the length of the call: ``report`` receives them and
     must copy what it keeps, and a decode it starts builds its own.
 
-    Returns the last posteriors, those of the iteration before (the priors
-    after one iteration), whether the last hard decisions satisfy every
-    code check, and the number of iterations run.
+    Returns the last posteriors and those of the iteration before (the
+    priors after one iteration), both in half-LLR units, whether the last
+    hard decisions satisfy every code check, and the number of iterations
+    run.
     """
-    # Check the workspace out, so that a decode running meanwhile (another
-    # thread, or a hook decoding the same graph) builds its own.
+    # Check the workspace out, so that a decode running meanwhile over the
+    # same layout (another thread, or a hook's decode) builds its own.
     workspace = layout.pop("workspace", None) or _Workspace(layout, len(edge_var))
-    v2c, t, excl, c2v, fresh = (
-        workspace.v2c, workspace.t, workspace.excl, workspace.c2v, workspace.fresh
-    )
+    t, excl, c2v = workspace.t, workspace.excl, workspace.c2v
+    # the variable messages are needed after their tanh only by the hook
+    v2c = t if report is None else workspace.v2c
+    fresh = workspace.fresh if config.damping > 0.0 else None
     c2v.fill(0.0)
     group_order = workspace.group_order
     t_grouped, excl_grouped = workspace.t_grouped, workspace.excl_grouped
+    copies, products = workspace.copies, workspace.products
     damping = config.damping
-    priors = priors * 0.5
     posteriors = previous = priors
     converged = False
     iterations_used = 0
@@ -385,23 +407,24 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
             np.tanh(v2c, out=t)
             if group_order is not None:
                 t.take(group_order, out=t_grouped, mode="clip")
-            for t_cols, out_cols, prefixes, suffix in workspace.check_groups:
-                if prefixes is None:
-                    out_cols[0][...] = t_cols[1]
-                    out_cols[1][...] = t_cols[0]
-                else:
-                    _leave_one_out(t_cols, out_cols, prefixes, suffix)
+            for target, source in copies:
+                target[...] = source
+            for a, b, out in products:
+                np.multiply(a, b, out)  # a positional out skips keyword parsing
             if group_order is not None:
                 excl[group_order] = excl_grouped
-            np.multiply(edge_scale, excl, out=fresh)
             # atanh(_TANH_LIMIT) is just below LLR_MAX/2, and damping mixes two
             # such values, so check messages need no clamp of their own
-            np.arctanh(fresh, out=fresh)
             if damping > 0.0:
+                np.multiply(edge_scale, excl, out=fresh)
+                np.arctanh(fresh, out=fresh)
                 np.multiply(fresh, 1.0 - damping, out=fresh)
                 np.multiply(c2v, damping, out=c2v)
                 np.add(fresh, c2v, out=fresh)
-            c2v, fresh = fresh, c2v
+                c2v, fresh = fresh, c2v
+            else:
+                np.multiply(edge_scale, excl, out=c2v)
+                np.arctanh(c2v, out=c2v)
 
             previous = posteriors
             posteriors = np.bincount(edge_var, weights=c2v, minlength=len(priors))
@@ -426,7 +449,7 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
                 break
 
         _check_finite(c2v)
-        return posteriors * 2.0, previous * 2.0, converged, iterations_used
+        return posteriors, previous, converged, iterations_used
     finally:
         layout["workspace"] = workspace
 
@@ -437,24 +460,30 @@ def _check_finite(c2v):
         raise FloatingPointError("non-finite check message despite clamping")
 
 
-def _leave_one_out(t_cols, out_cols, prefixes, suffix):
-    """Set each column of a check group to the product of the other columns.
+def _leave_one_out(t_cols, out_cols):
+    """The column multiplications that set each column of a check group to
+    the product of the other columns, as ``(a, b, out)`` triples in order.
 
     ``t_cols`` and ``out_cols`` are the columns of a (checks, degree) block
-    with degree >= 3. ``prefixes[j]`` receives the product of columns 0..j:
-    its first entry is ``t_cols[0]`` itself and its last is
-    ``out_cols[-1]``, whose leave-one-out product that is. ``suffix`` is a
-    (checks,) scratch buffer. Column k gets the product of columns 0..k-1
-    times the product of columns degree-1..k+1, each multiplied in one
-    column at a time in that order: the same chain of roundings as a
-    forward and a backward ``np.cumprod`` along each row.
+    with degree >= 3. Column k gets the product of columns 0..k-1 times the
+    product of columns degree-1..k+1, each multiplied in one column at a
+    time in that order: the same chain of roundings as a forward and a
+    backward ``np.cumprod`` along each row. The prefix products of columns
+    0..j go to scratch columns, except that of 0..degree-2, which is the
+    last column's own product and goes straight to ``out_cols[-1]``; the
+    running suffix product goes to one more scratch column and its last
+    step to ``out_cols[0]``.
     """
     degree = len(t_cols)
-    for k in range(1, degree - 1):
-        np.multiply(prefixes[k - 1], t_cols[k], out=prefixes[k])
+    rows = len(t_cols[0])
+    # prefixes[j] receives the product of columns 0..j
+    prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
+    suffix = np.empty(rows)
+    steps = [(prefixes[k - 1], t_cols[k], prefixes[k]) for k in range(1, degree - 1)]
     running = t_cols[-1]
     for k in range(degree - 2, 0, -1):
-        np.multiply(prefixes[k - 1], running, out=out_cols[k])
+        steps.append((prefixes[k - 1], running, out_cols[k]))
         following = out_cols[0] if k == 1 else suffix
-        np.multiply(running, t_cols[k], out=following)
+        steps.append((running, t_cols[k], following))
         running = following
+    return steps

@@ -22,15 +22,16 @@ stored check-major with ascending variable ids inside each check.
 When h1 pins every u1 bit through a degree-1 check (the identity at the
 corner point, or any row order of it), u1 is known from s1 and the joint
 graph decodes like H2 alone. ``JointTannerGraph._known_u1`` detects this
-from the structure once per graph and holds a :class:`KnownU1Graph`: the
-h2 edge lists and their layout and the constant messages of the identity
-and correlation checks; ``_KNOWN_U1_OFFSET`` joint iterations precede the
-reduced loop (see :func:`_reduce_known_u1` and the decoder module).
+from the structure once per graph and holds a :class:`KnownU1Graph`: h2,
+whose edge lists and kernel layout it uses, and the constant messages of
+the identity and correlation checks; ``_KNOWN_U1_OFFSET`` joint iterations
+precede the reduced loop (see :func:`_reduce_known_u1` and the decoder
+module).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,13 +57,16 @@ class JointTannerGraph:
     """Immutable structure of the joint decoding graph.
 
     Message storage is not part of the graph's structure. The decoder keeps
-    one set of message buffers per layout (``_layout``, or the known-u1
-    graph's ``layout``) under its ``"workspace"`` key, so that frames after
-    the first allocate none. A decode checks the workspace out with
-    ``dict.pop`` and puts it back when it returns; a decode that runs
-    meanwhile (in another thread, or from an iteration hook) finds none and
-    builds its own. So any number of decodes may run concurrently over one
-    shared graph.
+    one set of message buffers per layout under its ``"workspace"`` key, so
+    that frames after the first allocate none: the joint decode's in this
+    graph's ``_layout``, and the known-u1 decode's in h2's
+    ``_check_layout``, which every graph over the same h2 object shares
+    (and so every ``run_trials`` call and sweep point over one code). A
+    decode checks the workspace out with ``dict.pop`` and puts it back when
+    it returns; a decode that runs meanwhile (in another thread, from an
+    iteration hook, or over another graph on the same h2) finds none and
+    builds its own. So any number of decodes may run concurrently over
+    shared graphs and codes.
     """
 
     form: str
@@ -91,15 +95,13 @@ class JointTannerGraph:
     def _layout(self) -> dict:
         """Index structures used by the message-passing sweeps, built once.
 
-        ``check_groups``, ``group_order`` and ``code_groups`` come from
+        ``check_groups`` and ``group_order`` come from
         :func:`_flood_layout` over the graph's edge lists. ``check_factor``
         holds each check's factor f: 1 for code checks and, in folded form,
         tanh(llr/2) for the correlation checks. The decoder adds its
         ``"workspace"`` (see the class notes).
         """
-        layout = _flood_layout(
-            self.edge_var, self.edge_check, self.check_count, self.num_code_checks
-        )
+        layout = _flood_layout(self.edge_check, self.check_count)
         factor = np.ones(self.check_count)
         if self.form == FOLDED_Z:
             factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
@@ -120,19 +122,41 @@ class JointTannerGraph:
 class KnownU1Graph:
     """H2 alone, with u1 read off s1 (see :func:`_reduce_known_u1`).
 
-    Variables are the u2 block numbered from 0, checks are the h2 rows;
-    ``layout`` has the keys of ``JointTannerGraph._layout`` except
-    ``check_factor``, since every check is a code check with factor 1, and
-    holds the decoder's workspace for this graph in the same way.
+    Variables are the u2 block numbered from 0, checks are the h2 rows.
+    The structure is h2's: ``edge_var`` and ``edge_check`` are its
+    ``entries`` and ``layout`` is its ``_check_layout``, built once per h2
+    object and holding the decoder's workspace for every graph over it.
+    The graph keeps only what depends on the model: the constant messages
+    and, indexed by a u1 bit, the identity check's message to u1
+    (``identity_by_bit``) and the correlation check's message to u2 in
+    half-LLR units (``half_prior_by_bit``), the kernel's unit.
     """
 
+    h2: SparseParityMatrix
     u1_check: np.ndarray  # the h1 row that pins each u1 variable
-    edge_var: np.ndarray
-    edge_check: np.ndarray
-    layout: dict
     corr_factor: float  # f = tanh(llr/2) of the correlation checks
     identity_message: float  # c_id: a degree-1 h1 check's message for bit 0
     corr_message: float  # q: a correlation check's message to u2 for u1 = 0
+    identity_by_bit: np.ndarray = field(init=False)
+    half_prior_by_bit: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        # c (1 - 2 b) is +c or -c exactly, so a table lookup stands in for it
+        c_id, half_q = self.identity_message, self.corr_message * 0.5
+        object.__setattr__(self, "identity_by_bit", np.array([c_id, -c_id]))
+        object.__setattr__(self, "half_prior_by_bit", np.array([half_q, -half_q]))
+
+    @property
+    def edge_var(self) -> np.ndarray:
+        return self.h2.entries[0]
+
+    @property
+    def edge_check(self) -> np.ndarray:
+        return self.h2.entries[1]
+
+    @property
+    def layout(self) -> dict:
+        return self.h2._check_layout
 
 
 def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
@@ -156,10 +180,10 @@ def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
         return None
     n = graph.n
     cols1, rows1 = graph.h1.entries
-    cols2, rows2 = graph.h2.entries
+    rows2 = graph.h2.entries[1]
     if not (np.array_equal(rows1, np.arange(n)) and np.bincount(cols1, minlength=n).max() == 1):
         return None
-    if len(rows2) == 0 or np.any(np.bincount(rows2, minlength=graph.m2) == 1):
+    if len(rows2) == 0 or any(len(block) == 1 for block, _ in graph.h2._row_blocks):
         return None
     factor = np.tanh(graph.corr_param * 0.5)
     # a degree-1 check's empty product is stored as _TANH_LIMIT (see _flood)
@@ -170,18 +194,16 @@ def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
     u1_check = np.empty(n, dtype=np.int64)
     u1_check[cols1] = rows1
     return KnownU1Graph(
+        h2=graph.h2,
         u1_check=u1_check,
-        edge_var=cols2,
-        edge_check=rows2,
-        layout=_flood_layout(cols2, rows2, graph.m2, graph.m2),
         corr_factor=float(factor),
         identity_message=float(identity),
         corr_message=float(np.arctanh(factor * np.tanh(identity * 0.5)) * 2.0),
     )
 
 
-def _flood_layout(edge_var, edge_check, check_count, num_code_checks) -> dict:
-    """Check-degree groups of check-major edge lists, for the decode kernel.
+def _flood_layout(edge_check, check_count) -> dict:
+    """Check-degree groups of a check-major edge list, for the decode kernel.
 
     Every check's edges are one run of the check-major edge lists. The
     decoder works in a decode-local order where, in addition, all checks
@@ -194,16 +216,9 @@ def _flood_layout(edge_var, edge_check, check_count, num_code_checks) -> dict:
     already grouped. Every graph that ``build_joint_graph`` makes from
     regular codes is already grouped (identity rows, code rows and
     correlation checks each have one degree and follow each other), so
-    the decoder then neither gathers nor scatters.
-
-    The convergence test reads the code checks, ids below
-    ``num_code_checks``, in the same order. Code checks precede
-    correlation checks, so they lead every group: ``code_groups`` holds,
-    for each group with code rows, the variables of those rows' edges as
-    a contiguous ``(degree, rows)`` array (edge k of every row in row k)
-    and the rows' check ids. Code rows without entries belong to no
-    group. The variable update needs no layout of its own; it reads the
-    posteriors through ``edge_var``.
+    the decoder then neither gathers nor scatters. The variable update
+    and the convergence test need no layout of their own: they read the
+    posteriors through ``edge_var`` and the codes' row blocks.
     """
     degrees = np.bincount(edge_check, minlength=check_count)
     edge_degree = degrees[edge_check]
@@ -213,27 +228,15 @@ def _flood_layout(edge_var, edge_check, check_count, num_code_checks) -> dict:
     rank[appearance] = np.arange(len(appearance))
     edge_rank = rank[edge_degree]
     group_order = None
-    grouped_var, grouped_check = edge_var, edge_check
     if np.any(edge_rank[1:] < edge_rank[:-1]):
         group_order = np.argsort(edge_rank, kind="stable")
-        grouped_var = grouped_var[group_order]
-        grouped_check = grouped_check[group_order]
 
-    check_groups, code_groups = [], []
+    check_groups = []
     stop = 0
     for degree, size in zip(appearance.tolist(), np.bincount(edge_rank).tolist()):
         start, stop = stop, stop + size
         check_groups.append((degree, start, stop))
-        checks = grouped_check[start:stop:degree]
-        rows = int(np.count_nonzero(checks < num_code_checks))
-        if rows:
-            block = grouped_var[start : start + rows * degree]
-            code_groups.append((block.reshape(rows, degree).T.copy(), checks[:rows]))
-    return {
-        "check_groups": tuple(check_groups),
-        "group_order": group_order,
-        "code_groups": tuple(code_groups),
-    }
+    return {"check_groups": tuple(check_groups), "group_order": group_order}
 
 
 def build_joint_graph(

@@ -2,7 +2,8 @@
 
 A code is held as a :class:`SparseParityMatrix`: the m x n binary matrix H
 as one flat row-major index of its nonzeros, from which the sorted row
-adjacency is derived on demand.
+adjacency is derived on demand and the rows grouped by weight, which
+:func:`syndrome` and the decoder reduce over, are built once.
 Compression of a source block u is the syndrome map s = H u over GF(2);
 the joint decoder recovers u from s.
 
@@ -68,7 +69,11 @@ class SparseParityMatrix:
     increasing sequence of column indices of its ones, or with
     :meth:`from_rows` from unsorted rows. Matrices compare equal when
     ``n``, ``m`` and ``entries`` are equal. The object is immutable, so it
-    can be shared freely across decoder sessions.
+    can be shared freely across decoder sessions, and what is derived from
+    ``entries`` alone is built once per object and kept on it: the rows
+    grouped by weight (``_row_blocks``) and the decode kernel's layout of
+    H alone (``_check_layout``). A pickled copy carries only the index and
+    builds its own.
     """
 
     n: int
@@ -150,9 +155,51 @@ class SparseParityMatrix:
         return tuple([flat[start:end] for start, end in zip([0] + ends, ends)])
 
     @cached_property
-    def _row_starts(self) -> np.ndarray:
-        """Where each row with entries starts in ``entries``, rows ascending."""
-        return np.flatnonzero(np.diff(self.entries[1], prepend=-1))
+    def _row_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The rows grouped by weight, built once per matrix.
+
+        One ``(block, rows)`` pair per row weight, in the order in which the
+        weights first appear down the rows: ``rows`` holds the ascending ids
+        of the rows of that weight and ``block`` their column ids as one
+        contiguous ``(weight, len(rows))`` array, entry k of every row in
+        row k. Every row, also one without entries, is in exactly one block,
+        so a single block holds all rows in order. Both arrays are read-only.
+        """
+        cols, owner = self.entries
+        weights = np.bincount(owner, minlength=self.m)
+        starts = np.cumsum(weights) - weights
+        _, first = np.unique(weights, return_index=True)
+        blocks = []
+        for weight in weights[np.sort(first)].tolist():
+            rows = np.flatnonzero(weights == weight)
+            block = cols[starts[rows] + np.arange(weight)[:, None]]
+            rows.flags.writeable = block.flags.writeable = False
+            blocks.append((block, rows))
+        return tuple(blocks)
+
+    @cached_property
+    def _check_layout(self) -> dict:
+        """The rows with entries as checks of the decode kernel, built once.
+
+        The keys of ``graph._flood_layout`` for the edge lists ``entries``:
+        the check-degree groups follow the row blocks of weight 1 and up, in
+        their order, and so come out as ``_flood_layout`` makes them. The
+        decoder keeps its kernel workspace for H alone here, under the
+        ``"workspace"`` key, so that every graph over this matrix shares it.
+        """
+        weights = np.bincount(self.entries[1], minlength=self.m)
+        starts = np.cumsum(weights) - weights
+        check_groups, order = [], []
+        stop = 0
+        for block, rows in self._row_blocks:
+            weight = len(block)
+            if weight:
+                start, stop = stop, stop + block.size
+                check_groups.append((weight, start, stop))
+                order.append((starts[rows][:, None] + np.arange(weight)).ravel())
+        order = np.concatenate(order) if order else np.zeros(0, dtype=np.int64)
+        grouped = bool(np.all(order == np.arange(len(order))))
+        return {"check_groups": tuple(check_groups), "group_order": None if grouped else order}
 
     def to_dense(self) -> np.ndarray:
         """Dense (m, n) uint8 copy, for small-instance tooling."""
@@ -254,24 +301,29 @@ def syndrome(h: SparseParityMatrix, u: Sequence[int] | np.ndarray) -> np.ndarray
     s[j] is the XOR of u over the columns in row j. Linear: the syndrome
     of u XOR v is the XOR of the two syndromes.
 
-    The bits of u are gathered in ``entries`` order, where every row is one
-    run, and xor-reduced run by run (``np.bitwise_xor.reduceat`` at the row
-    starts the matrix caches). ``reduceat`` cannot express an empty run, so
-    rows without entries are left out of the reduction and keep bit 0.
+    The bits of u are gathered through the matrix's row blocks (one
+    ``(weight, rows)`` array of column ids per row weight) and each block
+    is xor-reduced along its first axis. A row without entries reduces
+    over nothing and gets bit 0.
 
     Returns:
         uint8 array of length h.m.
     """
-    u = as_bit_array(u, h.n)
-    cols, owner = h.entries
-    starts = h._row_starts
-    if not len(starts):
-        return np.zeros(h.m, dtype=np.uint8)
-    parity = np.bitwise_xor.reduceat(u[cols], starts)
-    if len(starts) == h.m:
-        return parity
-    s = np.zeros(h.m, dtype=np.uint8)
-    s[owner[starts]] = parity
+    return _row_parity(h, as_bit_array(u, h.n))
+
+
+def _row_parity(h: SparseParityMatrix, u: np.ndarray) -> np.ndarray:
+    """The xor of ``u`` over each row of H, in ``u``'s dtype (uint8 or bool).
+
+    ``u`` is not validated; the decoder's convergence test passes its hard
+    decisions here.
+    """
+    blocks = h._row_blocks
+    if len(blocks) == 1:  # every row, in order
+        return np.bitwise_xor.reduce(u[blocks[0][0]], axis=0)
+    s = np.zeros(h.m, dtype=u.dtype)
+    for block, rows in blocks:
+        s[rows] = np.bitwise_xor.reduce(u[block], axis=0)
     return s
 
 

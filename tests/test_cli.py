@@ -82,6 +82,30 @@ class TestBounds:
         assert (code, out) == (1, "")
         assert "rates must be finite numbers" in err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-inf", "rates must be finite numbers, got (-inf, 0.5)"),
+            ("-Infinity", "rates must be finite numbers, got (-inf, 0.5)"),
+            ("-nan", "rates must be finite numbers, got (nan, 0.5)"),
+            ("-1e-3", "rates must be nonnegative, got (-0.001, 0.5)"),
+            ("-.5E+1", "rates must be nonnegative, got (-5.0, 0.5)"),
+            ("-2", "rates must be nonnegative, got (-2.0, 0.5)"),
+        ],
+    )
+    def test_negative_value_after_the_flag(self, capsys, value, message):
+        # a separate value that starts with "-" reads like the "=" form
+        separate = run_cli(capsys, "bounds", "--p", "0.9", "--r1", value, "--r2", "0.5")
+        joined = run_cli(capsys, "bounds", "--p", "0.9", f"--r1={value}", "--r2", "0.5")
+        assert separate == joined
+        assert separate[:2] == (1, "")
+        assert message in separate[2]
+
+    def test_flag_after_a_flag_still_needs_a_value(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--p", "0.9", "--r1", "--r2", "0.5")
+        assert (code, out) == (1, "")
+        assert "argument --r1: expected one argument" in err
+
 
 class TestMakecode:
     def test_writes_valid_deterministic_alist(self, capsys, tmp_path):
@@ -278,6 +302,23 @@ class TestDecode:
         assert "not converged" in err
         assert len(out.splitlines()) == 2  # best-effort output still written
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--p", "-inf", "correlation parameter must be a finite number"),
+            ("--p", "-nan", "correlation parameter must be a finite number"),
+            ("--p", "-1e-3", "correlation parameter must satisfy 0 < p < 1, got -0.001"),
+            ("--damping", "-1e-3", "damping must lie in [0, 1)"),
+        ],
+    )
+    def test_negative_value_after_the_flag(self, capsys, coding_setup, flag, value, message):
+        paths, _ = coding_setup
+        separate = run_cli(capsys, *self._argv(paths, flag, value))
+        joined = run_cli(capsys, *self._argv(paths, f"{flag}={value}"))
+        assert separate == joined
+        assert separate[:2] == (1, "")
+        assert message in separate[2]
+
     def test_frame_count_mismatch(self, capsys, coding_setup):
         paths, _ = coding_setup
         paths["s1"].write_text(paths["s1"].read_text().splitlines()[0] + "\n")
@@ -389,6 +430,25 @@ class TestSimulate:
                        "--dv", "3", "--dc", "6")[0] == 1
         assert run_cli(capsys, "simulate", "--p", "0.9", "--seed", "1", "--n", "64",
                        "--dv", "3", "--dc", "6", "--trials", "0")[0] == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--p", "-inf", "correlation parameter must be a finite number"),
+            ("--p", "-1e-3", "correlation parameter must satisfy 0 < p < 1, got -0.001"),
+            ("--damping", "-1E-3", "damping must lie in [0, 1)"),
+            ("--sweep-p", "-inf,0.9", "correlation parameter must be a finite number"),
+        ],
+    )
+    def test_negative_value_after_the_flag(self, capsys, flag, value, message):
+        flags = ["simulate", "--seed", "1", "--n", "64", "--dv", "3", "--dc", "6", "--trials", "2"]
+        if flag == "--damping":
+            flags += ["--p", "0.9"]
+        separate = run_cli(capsys, *flags, flag, value)
+        joined = run_cli(capsys, *flags, f"{flag}={value}")
+        assert separate == joined
+        assert separate[:2] == (1, "")
+        assert message in separate[2]
 
     def test_code_files(self, capsys, tmp_path):
         c2 = tmp_path / "c2.alist"

@@ -1,3 +1,4 @@
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -697,6 +698,115 @@ class TestWorkspace:
             _assert_same_snapshots(got_snaps, want_snaps)
 
 
+class TestSharedCode:
+    """Graphs over one h2 object share its row blocks and its known-u1
+    layout, with the kernel workspace kept there, while what depends on the
+    model stays per graph. Every decode equals one on a fresh graph over a
+    fresh copy of the code, which shares nothing."""
+
+    N = 256
+
+    @classmethod
+    def _setup(cls):
+        h1, h2 = identity_matrix(cls.N), gallager_construct(cls.N, 3, 6, seed=3)
+        models = [CorrelationModel(0.93), CorrelationModel(0.96)]
+        graphs = [build_joint_graph(h1, h2, model) for model in models]
+        frames = [[_frame_syndromes(h1, h2, model, seed) for seed in range(3)] for model in models]
+        return h2, models, graphs, frames
+
+    @staticmethod
+    def _fresh(h2, model, s1, s2):
+        copy = pickle.loads(pickle.dumps(h2))  # a copy carries none of the caches
+        assert "_check_layout" not in vars(copy)
+        return decode(build_joint_graph(identity_matrix(h2.n), copy, model), s1, s2)
+
+    def test_graphs_share_the_code_layout(self):
+        h2, _, graphs, _ = self._setup()
+        first, second = (graph._known_u1 for graph in graphs)
+        assert first.layout is second.layout is h2._check_layout
+        assert first.corr_message != second.corr_message
+
+    def test_alternating_frames(self):
+        h2, models, graphs, frames = self._setup()
+        for k in [0, 1, 0, 2, 2, 1]:
+            for model, graph, model_frames in zip(models, graphs, frames):
+                s1, s2 = model_frames[k]
+                want = self._fresh(h2, model, s1, s2)
+                _assert_same_decode(decode(graph, s1, s2), want)
+                # a new graph on every call, as every run_trials call builds
+                again = build_joint_graph(identity_matrix(self.N), h2, model)
+                _assert_same_decode(decode(again, s1, s2), want)
+        assert "workspace" in h2._check_layout
+
+    def test_threads_over_two_graphs(self):
+        h2, models, graphs, frames = self._setup()
+        jobs = [
+            (model, graph, model_frames[k])
+            for k in range(3)
+            for model, graph, model_frames in zip(models, graphs, frames)
+        ] * 3
+        serial = [self._fresh(h2, model, *frame) for model, _, frame in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the loop
+        try:
+            # more workers than the two cores of a small host
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                threaded = list(pool.map(lambda job: decode(job[1], *job[2]), jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded) == len(jobs)
+        for got, want in zip(threaded, serial):
+            _assert_same_decode(got, want)
+
+    def test_hook_decodes_another_graph_on_the_code(self):
+        h2, models, graphs, frames = self._setup()
+        inner = []
+
+        def hook(info):
+            # both graphs' known-u1 decodes, which share h2's workspace
+            for model, graph, model_frames in zip(models, graphs, frames):
+                s1, s2 = model_frames[info.iteration % 3]
+                inner.append((model, s1, s2, decode(graph, s1, s2)))
+
+        config = DecoderConfig(max_iterations=8, early_stop=False)
+        s1, s2 = frames[0][0]
+        result = decode(graphs[0], s1, s2, config, iteration_hook=hook)
+        _assert_same_decode(result, decode_reference(graphs[0], s1, s2, config))
+        assert len(inner) == 16
+        for model, s1, s2, got in inner:
+            _assert_same_decode(got, self._fresh(h2, model, s1, s2))
+
+
+class TestParityTest:
+    """The convergence test counts the code rows whose syndrome of the hard
+    decisions differs from the received bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_count_matches_the_dense_product(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        codes = []
+        for name in ("h1", "h2"):
+            m = data.draw(st.integers(0, n), label=f"{name} rows")
+            rows = data.draw(
+                st.lists(st.sets(st.integers(0, n - 1)), min_size=m, max_size=m), label=name
+            )
+            codes.append(SparseParityMatrix.from_rows(n, rows))
+        h1, h2 = codes
+        blocks = data.draw(st.sampled_from([2, 3]), label="variable blocks")  # folded, explicit
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s1 = rng.integers(0, 2, h1.m, dtype=np.uint8)
+        s2 = rng.integers(0, 2, h2.m, dtype=np.uint8)
+        for hard in (np.zeros(blocks * n, bool), rng.integers(0, 2, blocks * n).astype(bool)):
+            u1, u2 = hard[:n].astype(np.int64), hard[n : 2 * n].astype(np.int64)
+            wrong1 = int(np.count_nonzero(h1.to_dense() @ u1 % 2 != s1))
+            wrong2 = int(np.count_nonzero(h2.to_dense() @ u2 % 2 != s2))
+            joint = decoder_module._parity_test((h1, s1, 0), (h2, s2, n))
+            assert joint(hard) == wrong1 + wrong2
+            alone = decoder_module._parity_test((h2, s2, 0))
+            assert alone(hard[n : 2 * n]) == wrong2
+
+
 def _irregular_h2(n, degrees, seed):
     """An H2 whose rows take the row degrees in ``degrees`` in turn, so the
     check-degree groups interleave; no row has degree 1."""
@@ -820,8 +930,8 @@ class TestStalledGraphs:
         calls = []
         parity_test = decoder_module._parity_test
 
-        def counting(layout, syndrome_bits):
-            unsatisfied = parity_test(layout, syndrome_bits)
+        def counting(*codes):
+            unsatisfied = parity_test(*codes)
 
             def counted(hard):
                 calls.append(1)

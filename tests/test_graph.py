@@ -164,20 +164,21 @@ class TestDecodeLayout:
             assert (degrees[block[:, 0]] == degree).all()
             assert (np.diff(block[:, 0]) > 0).all()
         assert covered == g.num_edges
-        # the convergence test's blocks: each code row with entries once,
-        # its variables down one column
-        listed = {}
-        for variables, checks in layout["code_groups"]:
-            assert variables.flags.c_contiguous
-            assert variables.shape[1] == len(checks)
-            for c, column in zip(checks.tolist(), variables.T.tolist()):
-                assert c < g.num_code_checks and c not in listed
-                listed[c] = column
-        assert listed == {
-            c: g.edge_var[g.edge_check == c].tolist()
-            for c in range(g.num_code_checks)
-            if degrees[c]
-        }
+        # the convergence test's blocks: each code row once, also one
+        # without entries, its variables (counted from the code's first
+        # variable) down one column
+        for h, first_check, first_var in ((g.h1, 0, 0), (g.h2, g.m1, g.n)):
+            listed = {}
+            for variables, rows in h._row_blocks:
+                assert variables.flags.c_contiguous
+                assert variables.shape[1] == len(rows)
+                for r, column in zip(rows.tolist(), variables.T.tolist()):
+                    assert r < h.m and r not in listed
+                    listed[r] = column
+            assert listed == {
+                r: (g.edge_var[g.edge_check == first_check + r] - first_var).tolist()
+                for r in range(h.m)
+            }
 
 
 class TestFold:
