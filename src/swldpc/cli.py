@@ -13,6 +13,7 @@ flows from an explicit --seed flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -145,10 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process; parsing leaves it as
+    it was, so every call reads its arguments alike."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as err:
         print(f"swldpc: error: {err}", file=sys.stderr)

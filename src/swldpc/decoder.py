@@ -21,7 +21,7 @@ tanh(LLR_MAX/2) in magnitude and |f| <= 1, see ``_flood``):
   the one from v. Code checks use their syndrome bit as b and f = 1;
   correlation checks use b = 0, and in folded form f = tanh(llr/2)
   stands in for the eliminated hidden-bit node. The update runs on the
-  graph's check-degree groups (see ``JointTannerGraph._layout``):
+  graph's check-degree groups (see ``graph._group_checks``):
   each group is one contiguous run of edges in a decode-local order, read
   as a (checks, degree) view. A degree-1 check's product is empty (1); a
   degree-2 check passes each edge its partner's value; for larger degrees
@@ -47,14 +47,15 @@ message keeps some check message NaN in every later iteration, so the test
 still raises.
 
 The kernel's message buffers, with the column views and scratch of the
-check update, are built once per layout and kept in it between frames
-(``_Workspace``, under the layout's ``"workspace"`` key): the joint graph's
-in its ``_layout``, the known-u1 decode's in h2's ``_check_layout``, so
-every graph over one h2 object shares the latter. A decode checks them out
-with ``dict.pop`` and puts them back when it returns, also on an exception,
-so a decode that starts meanwhile (another thread, a hook decoding the same
-graph, or a decode over another graph on the same h2) finds none and
-builds its own; results never depend on which buffers a decode gets.
+check update (``_Workspace``), are built once per plan and kept in it
+between frames: the joint decode's in the graph's ``_plan``, the known-u1
+decode's in the plan of the graph's ``KnownU1Graph``. Each graph holds its
+own plans, so graphs over one code share no buffers. A decode checks the
+buffers out of the plan's ``idle`` slot with an atomic ``deque.pop`` and
+puts them back when it returns, also on an exception, so a decode that
+starts meanwhile (another thread, or a hook decoding the same graph) finds
+none and builds its own; results never depend on which buffers a decode
+gets.
 
 Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
@@ -107,7 +108,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .correlation import LLR_MAX
-from .graph import _KNOWN_U1_OFFSET, _TANH_LIMIT, JointTannerGraph, KnownU1Graph
+from .graph import FOLDED_Z, _KNOWN_U1_OFFSET, _TANH_LIMIT, JointTannerGraph, KnownU1Graph
 from .ldpc import _check_positive_count, _row_parity, as_bit_array
 
 # 1 - 2 b for a bit b, by table lookup
@@ -181,15 +182,15 @@ def decode(
         if known is not None and config.max_iterations > _KNOWN_U1_OFFSET:
             return _decode_known_u1(known, s1, s2, config)
 
-    n = graph.n
-    layout = graph._layout
-    # Per-edge constant: target-parity sign times check factor (exact, as
-    # the sign is +/-1). Correlation checks have parity 0, so only the
-    # code blocks consult the syndromes.
-    parity = np.zeros(graph.check_count)
-    parity[: graph.m1] = s1
-    parity[graph.m1 : graph.num_code_checks] = s2
-    edge_scale = ((1.0 - 2.0 * parity) * layout["check_factor"])[graph.edge_check]
+    n, m1, code_checks = graph.n, graph.m1, graph.num_code_checks
+    # Per-edge constant: target-parity sign times check factor. Code checks
+    # have f = 1 and so scale by their sign; correlation checks have parity
+    # 0 and scale by f, tanh(llr/2) in folded form and 1 in explicit form.
+    check_scale = np.empty(graph.check_count)
+    check_scale[:m1] = _SIGN.take(s1)
+    check_scale[m1:code_checks] = _SIGN.take(s2)
+    check_scale[code_checks:] = np.tanh(graph.corr_param * 0.5) if graph.form == FOLDED_Z else 1.0
+    edge_scale = check_scale[graph.edge_check]
     unsatisfied = _parity_test((graph.h1, s1, 0), (graph.h2, s2, n))
 
     report = None
@@ -210,7 +211,7 @@ def decode(
             )
 
     posteriors, _, converged, iterations_used = _flood(
-        layout, graph.edge_var, edge_scale, graph.priors * 0.5, unsatisfied,
+        graph._plan, edge_scale, graph.priors * 0.5, unsatisfied,
         config, config.max_iterations, report,
     )
     return _result(posteriors[: 2 * n] * 2.0, converged, iterations_used)
@@ -229,9 +230,9 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> Deco
         if unsatisfied(priors < 0) == 0:
             return _result(np.concatenate([identity, priors * 2.0]), True, 2)
 
-    edge_scale = _SIGN.take(s2)[known.edge_check]
+    edge_scale = _SIGN.take(s2)[known.h2.entries[1]]
     posteriors, previous, converged, iterations_used = _flood(
-        known.layout, known.edge_var, edge_scale, priors, unsatisfied,
+        known._plan, edge_scale, priors, unsatisfied,
         config, config.max_iterations - _KNOWN_U1_OFFSET,
     )
     # The last iteration's correlation messages to u1, from the u2
@@ -286,7 +287,7 @@ def _parity_test(*codes):
 
 
 class _Workspace:
-    """The message buffers of ``_flood`` for one layout, kept across frames.
+    """The message buffers of ``_flood`` for one plan, kept across frames.
 
     ``v2c``, ``t``, ``excl``, ``c2v`` and ``fresh`` hold one value per
     check-major edge; ``t_grouped`` and ``excl_grouped`` are ``t`` and
@@ -306,18 +307,19 @@ class _Workspace:
     buffer is written before it is read.
     """
 
-    def __init__(self, layout: dict, num_edges: int):
+    def __init__(self, plan):
+        num_edges = len(plan.edge_var)
         self.t = np.empty(num_edges)
         self.excl = np.full(num_edges, _TANH_LIMIT)
         self.c2v = np.empty(num_edges)
-        self.group_order = layout["group_order"]
+        self.group_order = plan.group_order
         if self.group_order is None:
             self.t_grouped, self.excl_grouped = self.t, self.excl
         else:
             self.t_grouped = np.empty(num_edges)
             self.excl_grouped = np.full(num_edges, _TANH_LIMIT)
         self.copies, self.products = [], []
-        for degree, start, stop in layout["check_groups"]:
+        for degree, start, stop in plan.check_groups:
             t_cols = list(self.t_grouped[start:stop].reshape(-1, degree).T)
             out_cols = list(self.excl_grouped[start:stop].reshape(-1, degree).T)
             if degree == 2:
@@ -334,12 +336,12 @@ class _Workspace:
         return np.empty(len(self.t))
 
 
-def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
+def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
     """The flooding loop over one graph's edges, the decode kernel.
 
-    ``edge_var`` maps each check-major edge to its variable, ``edge_scale``
-    holds each edge's check sign times check factor and ``priors`` one
-    half-LLR per variable; ``layout`` has the keys of ``_flood_layout``.
+    ``plan`` is the graph's ``graph._KernelPlan``: ``plan.edge_var`` maps
+    each check-major edge to its variable. ``edge_scale`` holds each edge's
+    check sign times check factor and ``priors`` one half-LLR per variable.
     Runs at most ``max_iterations`` iterations with ``config``'s damping
     and early stop, calling ``report(iteration, unsatisfied, v2c, c2v,
     posteriors)`` after each one when given, with the loop's own buffers in
@@ -368,7 +370,7 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     later iteration, and the test at exit raises the same
     ``FloatingPointError`` as a test in every iteration would.
 
-    The buffers come from the layout's workspace (see ``_Workspace``),
+    The buffers come from the plan's idle workspace (see ``_Workspace``),
     checked out for the length of the call: ``report`` receives them and
     must copy what it keeps, and a decode it starts builds its own.
 
@@ -378,8 +380,12 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
     run.
     """
     # Check the workspace out, so that a decode running meanwhile over the
-    # same layout (another thread, or a hook's decode) builds its own.
-    workspace = layout.pop("workspace", None) or _Workspace(layout, len(edge_var))
+    # same plan (another thread, or a hook's decode) builds its own.
+    try:
+        workspace = plan.idle.pop()
+    except IndexError:
+        workspace = _Workspace(plan)
+    edge_var = plan.edge_var
     t, excl, c2v = workspace.t, workspace.excl, workspace.c2v
     # the variable messages are needed after their tanh only by the hook
     v2c = t if report is None else workspace.v2c
@@ -451,7 +457,7 @@ def _flood(layout, edge_var, edge_scale, priors, unsatisfied, config, max_iterat
         _check_finite(c2v)
         return posteriors, previous, converged, iterations_used
     finally:
-        layout["workspace"] = workspace
+        plan.idle.append(workspace)
 
 
 def _check_finite(c2v):

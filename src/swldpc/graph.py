@@ -19,18 +19,23 @@ in explicit form, the z block [2n, 3n); checks are code-1 rows [0, m1),
 code-2 rows [m1, m1+m2) and correlation checks [m1+m2, m1+m2+n). Edges are
 stored check-major with ascending variable ids inside each check.
 
+A graph stores its form, model and codes; the edge lists, priors and the
+kernel's plan of the edges (:class:`_KernelPlan`) are built on first use
+and kept by that graph alone.
+
 When h1 pins every u1 bit through a degree-1 check (the identity at the
 corner point, or any row order of it), u1 is known from s1 and the joint
 graph decodes like H2 alone. ``JointTannerGraph._known_u1`` detects this
 from the structure once per graph and holds a :class:`KnownU1Graph`: h2,
-whose edge lists and kernel layout it uses, and the constant messages of
-the identity and correlation checks; ``_KNOWN_U1_OFFSET`` joint iterations
-precede the reduced loop (see :func:`_reduce_known_u1` and the decoder
-module).
+the constant messages of the identity and correlation checks and its own
+plan over h2's entries. A graph decoded that way never builds its joint
+edge lists, priors or plan. ``_KNOWN_U1_OFFSET`` joint iterations precede
+the reduced loop (see :func:`_reduce_known_u1` and the decoder module).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,65 +61,92 @@ _KNOWN_U1_OFFSET = 2
 class JointTannerGraph:
     """Immutable structure of the joint decoding graph.
 
-    Message storage is not part of the graph's structure. The decoder keeps
-    one set of message buffers per layout under its ``"workspace"`` key, so
-    that frames after the first allocate none: the joint decode's in this
-    graph's ``_layout``, and the known-u1 decode's in h2's
-    ``_check_layout``, which every graph over the same h2 object shares
-    (and so every ``run_trials`` call and sweep point over one code). A
-    decode checks the workspace out with ``dict.pop`` and puts it back when
-    it returns; a decode that runs meanwhile (in another thread, from an
-    iteration hook, or over another graph on the same h2) finds none and
-    builds its own. So any number of decodes may run concurrently over
-    shared graphs and codes.
+    The sizes are read off the four fields. ``edge_var``, ``edge_check``,
+    ``priors`` and the decode plan ``_plan`` are built on first use and
+    kept on the graph, so a graph that only takes the known-u1 path
+    (``_known_u1``) never builds them. The decoder keeps its message
+    buffers between frames in the plan it decodes on: the joint decode's
+    in ``_plan``, the known-u1 decode's in ``_known_u1._plan``. No other
+    graph shares them, and a decode that runs meanwhile over the same
+    graph (another thread, or an iteration hook) builds its own.
     """
 
     form: str
     model: CorrelationModel
     h1: SparseParityMatrix
     h2: SparseParityMatrix
-    n: int
-    m1: int
-    m2: int
-    var_count: int
-    check_count: int
-    edge_var: np.ndarray
-    edge_check: np.ndarray
-    priors: np.ndarray
-    corr_param: float  # hidden-bit LLR attached to the correlation checks
 
     @property
-    def num_edges(self) -> int:
-        return len(self.edge_var)
+    def n(self) -> int:
+        return self.h1.n
+
+    @property
+    def m1(self) -> int:
+        return self.h1.m
+
+    @property
+    def m2(self) -> int:
+        return self.h2.m
 
     @property
     def num_code_checks(self) -> int:
         return self.m1 + self.m2
 
-    @cached_property
-    def _layout(self) -> dict:
-        """Index structures used by the message-passing sweeps, built once.
+    @property
+    def check_count(self) -> int:
+        return self.m1 + self.m2 + self.n
 
-        ``check_groups`` and ``group_order`` come from
-        :func:`_flood_layout` over the graph's edge lists. ``check_factor``
-        holds each check's factor f: 1 for code checks and, in folded form,
-        tanh(llr/2) for the correlation checks. The decoder adds its
-        ``"workspace"`` (see the class notes).
-        """
-        layout = _flood_layout(self.edge_check, self.check_count)
-        factor = np.ones(self.check_count)
-        if self.form == FOLDED_Z:
-            factor[self.num_code_checks:] = np.tanh(self.corr_param * 0.5)
-        layout["check_factor"] = factor
-        return layout
+    @property
+    def _corr_degree(self) -> int:  # one edge into each variable block
+        return 3 if self.form == EXPLICIT_Z else 2
+
+    @property
+    def var_count(self) -> int:
+        return self._corr_degree * self.n
+
+    @property
+    def num_edges(self) -> int:
+        code_edges = len(self.h1.entries[0]) + len(self.h2.entries[0])
+        return code_edges + self._corr_degree * self.n
+
+    @property
+    def corr_param(self) -> float:  # hidden-bit LLR of the correlation checks
+        return hidden_llr(self.model)
+
+    # Check-major: h1 rows, h2 rows, then one correlation check per index
+    # attached to u1[i], u2[i] and, in explicit form, z[i].
+
+    @cached_property
+    def edge_var(self) -> np.ndarray:
+        n = self.n
+        corr = np.arange(n, dtype=np.int64)[:, None] + n * np.arange(self._corr_degree)
+        return np.concatenate([self.h1.entries[0], self.h2.entries[0] + n, corr.ravel()])
+
+    @cached_property
+    def edge_check(self) -> np.ndarray:
+        corr = np.arange(self.num_code_checks, self.check_count, dtype=np.int64)
+        return np.concatenate(
+            [self.h1.entries[1], self.h2.entries[1] + self.m1, corr.repeat(self._corr_degree)]
+        )
+
+    @cached_property
+    def priors(self) -> np.ndarray:
+        priors = np.zeros(self.var_count)
+        if self.form == EXPLICIT_Z:
+            priors[2 * self.n:] = self.corr_param
+        return priors
+
+    @cached_property
+    def _plan(self) -> "_KernelPlan":
+        degrees = np.concatenate(
+            [_row_weights(self.h1), _row_weights(self.h2), np.full(self.n, self._corr_degree)]
+        )
+        return _KernelPlan(self.edge_var, degrees)
 
     @cached_property
     def _known_u1(self) -> "KnownU1Graph | None":
-        """The H2-only graph that decodes this graph when u1 is known, or None.
-
-        Computed once per graph by :func:`_reduce_known_u1`; it never
-        builds the joint layout.
-        """
+        """The H2-only graph that decodes this graph when u1 is known, or
+        None, from :func:`_reduce_known_u1`, which builds no joint edges."""
         return _reduce_known_u1(self)
 
 
@@ -122,14 +154,13 @@ class JointTannerGraph:
 class KnownU1Graph:
     """H2 alone, with u1 read off s1 (see :func:`_reduce_known_u1`).
 
-    Variables are the u2 block numbered from 0, checks are the h2 rows.
-    The structure is h2's: ``edge_var`` and ``edge_check`` are its
-    ``entries`` and ``layout`` is its ``_check_layout``, built once per h2
-    object and holding the decoder's workspace for every graph over it.
-    The graph keeps only what depends on the model: the constant messages
-    and, indexed by a u1 bit, the identity check's message to u1
-    (``identity_by_bit``) and the correlation check's message to u2 in
-    half-LLR units (``half_prior_by_bit``), the kernel's unit.
+    Variables are the u2 block numbered from 0, checks are the h2 rows and
+    the edges are h2's ``entries``. The graph holds its own decode plan
+    over them (``_plan``, built on first use) and what depends on the
+    model: the constant messages and, indexed by a u1 bit, the identity
+    check's message to u1 (``identity_by_bit``) and the correlation
+    check's message to u2 in half-LLR units (``half_prior_by_bit``), the
+    kernel's unit.
     """
 
     h2: SparseParityMatrix
@@ -146,17 +177,65 @@ class KnownU1Graph:
         object.__setattr__(self, "identity_by_bit", np.array([c_id, -c_id]))
         object.__setattr__(self, "half_prior_by_bit", np.array([half_q, -half_q]))
 
-    @property
-    def edge_var(self) -> np.ndarray:
-        return self.h2.entries[0]
+    @cached_property
+    def _plan(self) -> "_KernelPlan":
+        return _KernelPlan(self.h2.entries[0], _row_weights(self.h2))
 
-    @property
-    def edge_check(self) -> np.ndarray:
-        return self.h2.entries[1]
 
-    @property
-    def layout(self) -> dict:
-        return self.h2._check_layout
+class _KernelPlan:
+    """The decode kernel's layout of one graph's check-major edges.
+
+    ``edge_var`` maps each edge to its variable; ``check_groups`` and
+    ``group_order`` are :func:`_group_checks` of the check degrees. The
+    decoder keeps its message buffers for these edges in ``idle`` between
+    decodes, at most one set (see ``decoder._flood``).
+    """
+
+    def __init__(self, edge_var: np.ndarray, degrees: np.ndarray):
+        self.edge_var = edge_var
+        self.check_groups, self.group_order = _group_checks(degrees)
+        self.idle = deque(maxlen=1)
+
+
+def _row_weights(h: SparseParityMatrix) -> np.ndarray:
+    """Each row's number of entries, read off the row blocks."""
+    weights = np.empty(h.m, dtype=np.int64)
+    for block, rows in h._row_blocks:
+        weights[rows] = len(block)
+    return weights
+
+
+def _group_checks(degrees: np.ndarray):
+    """Check-degree groups of check-major edges, from each check's degree.
+
+    The decoder works in a decode-local order where all checks of one
+    degree are one run: the checks stably sorted by the order in which each
+    degree first appears (checks without edges take no part). Returns
+    ``check_groups``, one ``(degree, start, stop)`` edge range per degree
+    in that order, so that a ``(checks, degree)`` reshape of a range is a
+    view with one row per check, rows in ascending check id; and
+    ``group_order``, the sort as an edge permutation, or None when the
+    check-major order is already grouped, as in every graph that
+    ``build_joint_graph`` makes from regular codes (identity rows, code
+    rows and correlation checks each have one degree).
+    """
+    present = degrees[degrees > 0]
+    # the degree of each run of equal degrees, in check order
+    runs = present[:1].tolist() + present[1:][present[1:] != present[:-1]].tolist()
+    appearance = list(dict.fromkeys(runs))
+    counts = np.bincount(present).tolist()
+    check_groups = []
+    stop = 0
+    for degree in appearance:
+        start, stop = stop, stop + degree * counts[degree]
+        check_groups.append((degree, start, stop))
+    group_order = None
+    if len(runs) > len(appearance):  # some degree comes back after another
+        starts = np.cumsum(degrees) - degrees
+        group_order = np.concatenate(
+            [(starts[degrees == d][:, None] + np.arange(d)).ravel() for d in appearance]
+        )
+    return tuple(check_groups), group_order
 
 
 def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
@@ -202,43 +281,6 @@ def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
     )
 
 
-def _flood_layout(edge_check, check_count) -> dict:
-    """Check-degree groups of a check-major edge list, for the decode kernel.
-
-    Every check's edges are one run of the check-major edge lists. The
-    decoder works in a decode-local order where, in addition, all checks
-    of one degree are one run: the check-major edges stably sorted by
-    the order in which each check degree first appears. ``check_groups``
-    holds one ``(degree, start, stop)`` range per degree in that order,
-    so a ``(checks, degree)`` reshape of a range is a view with one row
-    per check, rows in ascending check id. ``group_order`` is the sort
-    as an edge permutation, or None when the check-major order is
-    already grouped. Every graph that ``build_joint_graph`` makes from
-    regular codes is already grouped (identity rows, code rows and
-    correlation checks each have one degree and follow each other), so
-    the decoder then neither gathers nor scatters. The variable update
-    and the convergence test need no layout of their own: they read the
-    posteriors through ``edge_var`` and the codes' row blocks.
-    """
-    degrees = np.bincount(edge_check, minlength=check_count)
-    edge_degree = degrees[edge_check]
-    _, first = np.unique(edge_degree, return_index=True)
-    appearance = edge_degree[np.sort(first)]
-    rank = np.zeros(appearance.max(initial=0) + 1, dtype=np.int64)
-    rank[appearance] = np.arange(len(appearance))
-    edge_rank = rank[edge_degree]
-    group_order = None
-    if np.any(edge_rank[1:] < edge_rank[:-1]):
-        group_order = np.argsort(edge_rank, kind="stable")
-
-    check_groups = []
-    stop = 0
-    for degree, size in zip(appearance.tolist(), np.bincount(edge_rank).tolist()):
-        start, stop = stop, stop + size
-        check_groups.append((degree, start, stop))
-    return {"check_groups": tuple(check_groups), "group_order": group_order}
-
-
 def build_joint_graph(
     h1: SparseParityMatrix,
     h2: SparseParityMatrix,
@@ -259,39 +301,4 @@ def build_joint_graph(
         raise ValueError(f"codes disagree on block length: {h1.n} vs {h2.n}")
     if form not in (EXPLICIT_Z, FOLDED_Z):
         raise ValueError(f"unknown graph form {form!r}")
-    n, m1, m2 = h1.n, h1.m, h2.m
-    llr = hidden_llr(model)
-
-    # Check-major: h1 rows, h2 rows, then one correlation check per index
-    # attached to u1[i], u2[i] and, in explicit form, z[i].
-    cols1, rows1 = h1.entries
-    cols2, rows2 = h2.entries
-    per_corr = 3 if form == EXPLICIT_Z else 2
-    index = np.arange(n, dtype=np.int64)
-    edge_var = np.concatenate(
-        [cols1, cols2 + n, (index[:, None] + n * np.arange(per_corr)).ravel()]
-    )
-    edge_check = np.concatenate(
-        [rows1, rows2 + m1, np.repeat(index + m1 + m2, per_corr)]
-    )
-
-    var_count = 3 * n if form == EXPLICIT_Z else 2 * n
-    priors = np.zeros(var_count)
-    if form == EXPLICIT_Z:
-        priors[2 * n:] = llr
-
-    return JointTannerGraph(
-        form=form,
-        model=model,
-        h1=h1,
-        h2=h2,
-        n=n,
-        m1=m1,
-        m2=m2,
-        var_count=var_count,
-        check_count=m1 + m2 + n,
-        edge_var=edge_var,
-        edge_check=edge_check,
-        priors=priors,
-        corr_param=llr,
-    )
+    return JointTannerGraph(form=form, model=model, h1=h1, h2=h2)

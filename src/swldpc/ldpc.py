@@ -3,7 +3,9 @@
 A code is held as a :class:`SparseParityMatrix`: the m x n binary matrix H
 as one flat row-major index of its nonzeros, from which the sorted row
 adjacency is derived on demand and the rows grouped by weight, which
-:func:`syndrome` and the decoder reduce over, are built once.
+:func:`syndrome` and the decoder's convergence test reduce over, are built
+once. A matrix holds nothing else: what a decoder builds over a code is
+kept by the decoder's graphs.
 Compression of a source block u is the syndrome map s = H u over GF(2);
 the joint decoder recovers u from s.
 
@@ -69,11 +71,10 @@ class SparseParityMatrix:
     increasing sequence of column indices of its ones, or with
     :meth:`from_rows` from unsorted rows. Matrices compare equal when
     ``n``, ``m`` and ``entries`` are equal. The object is immutable, so it
-    can be shared freely across decoder sessions, and what is derived from
-    ``entries`` alone is built once per object and kept on it: the rows
-    grouped by weight (``_row_blocks``) and the decode kernel's layout of
-    H alone (``_check_layout``). A pickled copy carries only the index and
-    builds its own.
+    can be shared freely across decoder sessions and threads. The rows
+    grouped by weight (``_row_blocks``) are built from ``entries`` once per
+    object and kept on it; that is the only cache a matrix holds. A pickled
+    copy carries only the index and builds its own.
     """
 
     n: int
@@ -176,30 +177,6 @@ class SparseParityMatrix:
             rows.flags.writeable = block.flags.writeable = False
             blocks.append((block, rows))
         return tuple(blocks)
-
-    @cached_property
-    def _check_layout(self) -> dict:
-        """The rows with entries as checks of the decode kernel, built once.
-
-        The keys of ``graph._flood_layout`` for the edge lists ``entries``:
-        the check-degree groups follow the row blocks of weight 1 and up, in
-        their order, and so come out as ``_flood_layout`` makes them. The
-        decoder keeps its kernel workspace for H alone here, under the
-        ``"workspace"`` key, so that every graph over this matrix shares it.
-        """
-        weights = np.bincount(self.entries[1], minlength=self.m)
-        starts = np.cumsum(weights) - weights
-        check_groups, order = [], []
-        stop = 0
-        for block, rows in self._row_blocks:
-            weight = len(block)
-            if weight:
-                start, stop = stop, stop + block.size
-                check_groups.append((weight, start, stop))
-                order.append((starts[rows][:, None] + np.arange(weight)).ravel())
-        order = np.concatenate(order) if order else np.zeros(0, dtype=np.int64)
-        grouped = bool(np.all(order == np.arange(len(order))))
-        return {"check_groups": tuple(check_groups), "group_order": None if grouped else order}
 
     def to_dense(self) -> np.ndarray:
         """Dense (m, n) uint8 copy, for small-instance tooling."""

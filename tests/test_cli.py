@@ -8,6 +8,7 @@ from swldpc import (
     CorrelationModel,
     DecoderConfig,
     SimConfig,
+    build_joint_graph,
     format_csv,
     gallager_construct,
     identity_matrix,
@@ -17,6 +18,7 @@ from swldpc import (
     save_alist,
     syndrome,
 )
+from swldpc import cli
 from swldpc.cli import main
 from swldpc.ldpc import SparseParityMatrix
 
@@ -43,6 +45,36 @@ class TestParsing:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "bounds", "--p", "0.9", "--r1", "1", "--r2", "1", "--x")[0] == 1
+
+    def test_reused_parser_reads_like_a_fresh_one(self, capsys, coding_setup):
+        paths, _ = coding_setup
+        decode_argv = [
+            "decode", "--code1", str(paths["c1"]), "--code2", str(paths["c2"]),
+            "--syn1", str(paths["s1"]), "--syn2", str(paths["s2"]), "--p", "0.93",
+        ]
+        calls = [
+            ["bounds", "--p", "0.9", "--r1", "1.0", "--r2", "0.5"],
+            ["encode", str(paths["u2"]), "--code1", str(paths["c2"])],
+            ["bounds", "--p", "0.9", "--r1", "-inf", "--r2", "0.5"],
+            decode_argv,
+            ["makecode", "--n", "12", "--dv", "3", "--dc", "6", "--seed", "4"],
+            ["simulate", "--p", "0.9", "--n", "16", "--dv", "3", "--dc", "6", "--trials", "2"],
+            decode_argv + ["--max-iters", "2", "--trace"],
+            ["encode", str(paths["u2"])],
+            ["encode", str(paths["u2"]), "--code1", str(paths["c2"]) + ".missing"],
+            [],
+            ["simulate", "--p", "0.9", "--n", "16", "--dv", "3", "--dc", "6", "--trials", "2",
+             "--seed", "5"],
+            ["bounds", "--p", "0.9", "--r1", "1", "--r2", "1", "--x"],
+            decode_argv,
+        ]
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert reused == fresh
+        assert {code for code, _, _ in reused} == {0, 1, 2, 3}
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -278,6 +310,23 @@ class TestDecode:
         assert "frame=0 iter=1 " in err
         assert "unsatisfied=" in err
         assert "frame=" not in out
+
+    def test_plain_decode_builds_no_joint_structure(self, capsys, coding_setup, monkeypatch):
+        paths, _ = coding_setup
+        graphs = []
+
+        def recording(*args, **kwargs):
+            graphs.append(build_joint_graph(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(cli, "build_joint_graph", recording)
+        plain = run_cli(capsys, *self._argv(paths))
+        traced = run_cli(capsys, *self._argv(paths, "--trace"))
+        assert plain[0] == traced[0] == 0 and plain[1] == traced[1]
+        (corner, joint) = graphs
+        assert corner._known_u1 is not None
+        assert not {"edge_var", "edge_check", "priors", "_plan"} & set(vars(corner))
+        assert "_plan" in vars(joint)  # --trace decodes on the joint graph
 
     def test_exit_3_on_unconverged_frame(self, capsys, tmp_path):
         n = 64

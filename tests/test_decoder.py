@@ -13,6 +13,7 @@ from swldpc import (
     LLR_MAX,
     CorrelationModel,
     DecoderConfig,
+    SimConfig,
     SparseParityMatrix,
     brute_force_marginals,
     build_joint_graph,
@@ -21,10 +22,12 @@ from swldpc import (
     hidden_llr,
     identity_matrix,
     is_cycle_free,
+    run_trials,
     sample_pair,
     syndrome,
 )
 from swldpc import decoder as decoder_module
+from swldpc import sim as sim_module
 from swldpc.graph import _TANH_LIMIT
 
 from _decoder_reference import decode_reference
@@ -415,7 +418,7 @@ class TestMatchesReference:
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=7)
         model = CorrelationModel(p)
         graph = build_joint_graph(h1, h2, model, form=form)
-        assert graph._layout["group_order"] is None
+        assert graph._plan.group_order is None
         outcomes = set()
         for seed in seeds:
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
@@ -443,7 +446,7 @@ class TestMatchesReference:
         h1, h2 = gallager_construct(n, 3, 6, seed=1), gallager_construct(n, 3, 6, seed=2)
         model = CorrelationModel(0.99)
         graph = build_joint_graph(h1, h2, model, form=form)
-        assert graph._layout["group_order"] is None
+        assert graph._plan.group_order is None
         for seed in range(2):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             _assert_matches_reference(graph, s1, s2, DecoderConfig())
@@ -455,7 +458,7 @@ class TestMatchesReference:
         h1, h2 = _interleaved_code(n, 1), _interleaved_code(n, 2)
         model = CorrelationModel(0.9)
         graph = build_joint_graph(h1, h2, model, form=form)
-        assert graph._layout["group_order"] is not None
+        assert graph._plan.group_order is not None
         for seed in range(3):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             result = _assert_matches_reference(graph, s1, s2, DecoderConfig(damping=damping))
@@ -515,7 +518,8 @@ class TestKnownU1MatchesReference:
         for seed in seeds:
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             outcomes.add(_assert_same_result(graph, s1, s2, DecoderConfig()).converged)
-        assert "_layout" not in vars(graph)  # the joint layout was never needed
+        # the joint plan was never needed (the reference reads the edge lists)
+        assert "_plan" not in vars(graph)
         assert True in outcomes if p == 0.96 else False in outcomes
 
     def test_exits_in_iterations_1_and_2(self):
@@ -613,20 +617,20 @@ class TestKnownU1MatchesReference:
 
 
 class TestWorkspace:
-    """The kernel keeps its buffers in the layout between decodes: every
-    decode checks them out and puts them back, and a decode that finds
-    none (a nested or concurrent one) builds its own."""
+    """The kernel keeps its buffers in the graph's plan between decodes:
+    every decode checks them out and puts them back, and a decode that
+    finds none (a nested or concurrent one) builds its own."""
 
     @staticmethod
     def _graphs():
-        """The known-u1 corner graph and an irregular graph whose layout
+        """The known-u1 corner graph and an irregular graph whose plan
         reorders its edges, each followed by three frames of syndromes."""
         corner, h1, h2, model = TestKnownU1MatchesReference._corner(256, 0.93)
         corner_frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(3)]
         h1, h2 = _interleaved_code(96, 1), _interleaved_code(96, 2)
         model = CorrelationModel(0.9)
         irregular = build_joint_graph(h1, h2, model)
-        assert irregular._layout["group_order"] is not None
+        assert irregular._plan.group_order is not None
         irregular_frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(3)]
         return corner, corner_frames, irregular, irregular_frames
 
@@ -643,8 +647,8 @@ class TestWorkspace:
                 _assert_matches_reference(
                     irregular, *irregular_frames[k], DecoderConfig(damping=damping)
                 )
-        for layout in (corner._known_u1.layout, corner._layout, irregular._layout):
-            assert "workspace" in layout
+        for plan in (corner._known_u1._plan, corner._plan, irregular._plan):
+            assert len(plan.idle) == 1
 
     def test_hook_decodes_the_same_graph(self):
         corner, frames, _, _ = self._graphs()
@@ -653,9 +657,9 @@ class TestWorkspace:
 
         def hook(info):
             if info.iteration == 1:
-                # the outer decode holds the joint layout's workspace; later
+                # the outer decode holds the joint plan's workspace; later
                 # the inner joint decodes have put theirs back
-                assert "workspace" not in corner._layout
+                assert not corner._plan.idle
             snaps.append(info)
             config = configs[info.iteration % 2]
             s1, s2 = frames[1 + info.iteration % 2]
@@ -669,7 +673,7 @@ class TestWorkspace:
         assert len(inner) == 12
         for s1, s2, config, got in inner:
             _assert_same_decode(got, decode_reference(corner, s1, s2, config))
-        assert "workspace" in corner._layout
+        assert len(corner._plan.idle) == 1
 
     @pytest.mark.parametrize(
         "config, hooked",
@@ -699,10 +703,10 @@ class TestWorkspace:
 
 
 class TestSharedCode:
-    """Graphs over one h2 object share its row blocks and its known-u1
-    layout, with the kernel workspace kept there, while what depends on the
-    model stays per graph. Every decode equals one on a fresh graph over a
-    fresh copy of the code, which shares nothing."""
+    """Graphs over one h2 object share only its row blocks: each graph
+    holds its own known-u1 plan, with the kernel workspace kept there, and
+    what depends on the model. Every decode equals one on a fresh graph
+    over a fresh copy of the code, which shares nothing."""
 
     N = 256
 
@@ -716,14 +720,20 @@ class TestSharedCode:
 
     @staticmethod
     def _fresh(h2, model, s1, s2):
-        copy = pickle.loads(pickle.dumps(h2))  # a copy carries none of the caches
-        assert "_check_layout" not in vars(copy)
+        copy = pickle.loads(pickle.dumps(h2))  # a copy carries no cache
+        assert "_row_blocks" not in vars(copy)
         return decode(build_joint_graph(identity_matrix(h2.n), copy, model), s1, s2)
 
-    def test_graphs_share_the_code_layout(self):
-        h2, _, graphs, _ = self._setup()
+    def test_graphs_share_only_the_row_blocks(self):
+        h2, _, graphs, frames = self._setup()
+        for graph, model_frames in zip(graphs, frames):
+            decode(graph, *model_frames[0])
         first, second = (graph._known_u1 for graph in graphs)
-        assert first.layout is second.layout is h2._check_layout
+        assert first._plan is not second._plan
+        assert len(first._plan.idle) == len(second._plan.idle) == 1
+        assert first._plan.idle[0] is not second._plan.idle[0]
+        assert first._plan.edge_var is second._plan.edge_var is h2.entries[0]
+        assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks"]
         assert first.corr_message != second.corr_message
 
     def test_alternating_frames(self):
@@ -736,7 +746,7 @@ class TestSharedCode:
                 # a new graph on every call, as every run_trials call builds
                 again = build_joint_graph(identity_matrix(self.N), h2, model)
                 _assert_same_decode(decode(again, s1, s2), want)
-        assert "workspace" in h2._check_layout
+        assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks"]
 
     def test_threads_over_two_graphs(self):
         h2, models, graphs, frames = self._setup()
@@ -763,7 +773,7 @@ class TestSharedCode:
         inner = []
 
         def hook(info):
-            # both graphs' known-u1 decodes, which share h2's workspace
+            # both graphs' known-u1 decodes, over the outer decode's h2
             for model, graph, model_frames in zip(models, graphs, frames):
                 s1, s2 = model_frames[info.iteration % 3]
                 inner.append((model, s1, s2, decode(graph, s1, s2)))
@@ -775,6 +785,86 @@ class TestSharedCode:
         assert len(inner) == 16
         for model, s1, s2, got in inner:
             _assert_same_decode(got, self._fresh(h2, model, s1, s2))
+
+
+# what a graph builds only when it decodes on the joint graph
+_JOINT_STRUCTURE = {"edge_var", "edge_check", "priors", "_plan"}
+
+
+class TestCornerBuildsNoJointStructure:
+    """A corner decode on the known-u1 path builds none of the joint edge
+    lists, priors or plan; the decodes that run the joint graph build them
+    and still match the reference loop bit for bit."""
+
+    @staticmethod
+    def _recorded_graphs(monkeypatch, module):
+        """Graphs that ``module`` builds from now on, in order."""
+        graphs = []
+
+        def recording(*args, **kwargs):
+            graphs.append(build_joint_graph(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(module, "build_joint_graph", recording)
+        return graphs
+
+    def test_decode(self):
+        graph, h1, h2, pair, s1, s2 = _corner_instance(256, 0.96, seed=1)
+        for s2 in (s2, np.zeros_like(s2)):  # the loop runs, and it does not
+            result = decode(graph, s1, s2)
+            assert result.converged
+        assert graph._known_u1 is not None
+        assert not _JOINT_STRUCTURE & set(vars(graph))
+
+    def test_run_trials(self, monkeypatch):
+        graphs = self._recorded_graphs(monkeypatch, sim_module)
+        h2 = gallager_construct(256, 3, 6, seed=7)
+        record = run_trials(SimConfig(CorrelationModel(0.94), h2, trials=6, master_seed=3))
+        assert record.avg_iterations > 3  # the known-u1 loop ran
+        assert len(graphs) == 1 and graphs[0]._known_u1 is not None
+        assert not _JOINT_STRUCTURE & set(vars(graphs[0]))
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            (identity_matrix(64), gallager_construct(64, 3, 6, seed=2)),
+            (gallager_construct(64, 3, 6, seed=1), gallager_construct(64, 3, 6, seed=2)),
+            (_interleaved_code(48, 1), _interleaved_code(48, 2)),
+            (identity_matrix(8), SparseParityMatrix.from_rows(8, [])),
+        ],
+        ids=["corner", "symmetric", "interleaved", "h2-without-rows"],
+    )
+    def test_num_edges_is_counted_without_the_edges(self, h1, h2, form):
+        graph = build_joint_graph(h1, h2, CorrelationModel(0.9), form=form)
+        num_edges = graph.num_edges
+        assert not _JOINT_STRUCTURE & set(vars(graph))
+        assert num_edges == len(graph.edge_var) == len(graph.edge_check)
+        assert len(graph.priors) == graph.var_count
+
+    @pytest.mark.parametrize(
+        "form, config, hooked",
+        [
+            (FOLDED_Z, DecoderConfig(), True),
+            (FOLDED_Z, DecoderConfig(damping=0.3), False),
+            (FOLDED_Z, DecoderConfig(max_iterations=1), False),
+            (FOLDED_Z, DecoderConfig(max_iterations=2, early_stop=False), False),
+            (EXPLICIT_Z, DecoderConfig(), False),
+        ],
+        ids=["hook", "damping", "max-iterations-1", "max-iterations-2", "explicit"],
+    )
+    def test_joint_decodes_match_the_reference(self, form, config, hooked):
+        h1, h2 = identity_matrix(256), gallager_construct(256, 3, 6, seed=7)
+        model = CorrelationModel(0.93)
+        graph = build_joint_graph(h1, h2, model, form=form)
+        for seed in range(3):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            if hooked:
+                _assert_matches_reference(graph, s1, s2, config)
+            else:
+                expected = decode_reference(graph, s1, s2, config)
+                _assert_same_decode(decode(graph, s1, s2, config), expected)
+        assert "_plan" in vars(graph)  # these decodes ran the joint graph
 
 
 class TestParityTest:
@@ -815,8 +905,8 @@ def _irregular_h2(n, degrees, seed):
     return SparseParityMatrix.from_rows(n, rows)
 
 
-def _group_degrees(layout):
-    return {degree for degree, _, _ in layout["check_groups"]}
+def _group_degrees(plan):
+    return {degree for degree, _, _ in plan.check_groups}
 
 
 class TestAtanhArgumentClip:
@@ -837,8 +927,8 @@ class TestAtanhArgumentClip:
         model = CorrelationModel(p)
         graph = build_joint_graph(h1, h2, model)
         known = graph._known_u1
-        assert known is not None and known.layout["group_order"] is not None
-        assert (2 in _group_degrees(known.layout)) == has_degree_2
+        assert known is not None and known._plan.group_order is not None
+        assert (2 in _group_degrees(known._plan)) == has_degree_2
         config = DecoderConfig(max_iterations=60, early_stop=early_stop)
         iterations = set()
         for seed in range(4):
@@ -856,7 +946,7 @@ class TestAtanhArgumentClip:
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=3)
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model, form=EXPLICIT_Z)
-        assert _group_degrees(graph._layout) == {1, 3, 6}
+        assert _group_degrees(graph._plan) == {1, 3, 6}
         s1, s2 = _frame_syndromes(h1, h2, model, 2)
         result = _assert_matches_reference(graph, s1, s2, DecoderConfig(max_iterations=30))
         assert result.iterations_used > 2
@@ -871,10 +961,9 @@ class TestNonFiniteCheckMessages:
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=5)
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model, form=EXPLICIT_Z)
-        priors = graph.priors.copy()
-        priors[2 * n + 5] = np.nan  # one z prior
+        graph.priors[2 * n + 5] = np.nan  # one z prior, in the graph's cached priors
         s1, s2 = _frame_syndromes(h1, h2, model, 1)
-        return replace(graph, priors=priors), s1, s2
+        return graph, s1, s2
 
     @pytest.mark.parametrize("max_iterations", [1, 7, 100])
     @pytest.mark.parametrize("early_stop", [True, False])

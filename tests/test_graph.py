@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swldpc import (
     EXPLICIT_Z,
@@ -14,6 +15,10 @@ from swldpc import (
     load_alist,
     save_alist,
 )
+from swldpc.graph import _group_checks, _row_weights
+
+from _layout_reference import flood_layout_reference
+from _strategies import mixed_weight_matrices
 
 H1 = identity_matrix(2)
 H2 = SparseParityMatrix.from_rows(2, ((0, 1),))
@@ -111,11 +116,11 @@ class TestDecodeLayout:
 
     @staticmethod
     def _grouped(g):
-        layout = g._layout
-        order = layout["group_order"]
+        plan = g._plan
+        order = plan.group_order
         if order is None:
-            return layout, g.edge_var, g.edge_check
-        return layout, g.edge_var[order], g.edge_check[order]
+            return plan, g.edge_var, g.edge_check
+        return plan, g.edge_var[order], g.edge_check[order]
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize(
@@ -125,9 +130,9 @@ class TestDecodeLayout:
     )
     def test_regular_graphs_need_no_permutation(self, h1, form):
         g = build_joint_graph(h1, gallager_construct(1024, 3, 6, seed=7), MODEL, form=form)
-        layout = g._layout
-        assert layout["group_order"] is None
-        ranges = [(start, stop) for _, start, stop in layout["check_groups"]]
+        plan = g._plan
+        assert plan.group_order is None and plan.edge_var is g.edge_var
+        ranges = [(start, stop) for _, start, stop in plan.check_groups]
         # the ranges tile [0, num_edges) once, in order
         assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
         assert ranges[-1][1] == g.num_edges
@@ -137,7 +142,7 @@ class TestDecodeLayout:
         for d in degrees[g.edge_check]:
             if d not in appearance:
                 appearance.append(int(d))
-        assert [d for d, _, _ in layout["check_groups"]] == appearance
+        assert [d for d, _, _ in plan.check_groups] == appearance
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize(
@@ -151,11 +156,11 @@ class TestDecodeLayout:
     )
     def test_groups_hold_whole_checks_of_their_degree(self, h1, h2, form):
         g = build_joint_graph(h1, h2, MODEL, form=form)
-        layout, edge_var, edge_check = self._grouped(g)
+        plan, edge_var, edge_check = self._grouped(g)
         degrees = np.bincount(g.edge_check, minlength=g.check_count)
         assert sorted(edge_check.tolist()) == sorted(g.edge_check.tolist())
         covered = 0
-        for degree, start, stop in layout["check_groups"]:
+        for degree, start, stop in plan.check_groups:
             assert start == covered
             covered = stop
             block = edge_check[start:stop].reshape(-1, degree)
@@ -179,6 +184,58 @@ class TestDecodeLayout:
                 r: (g.edge_var[g.edge_check == first_check + r] - first_var).tolist()
                 for r in range(h.m)
             }
+
+
+def _assert_same_groups(got, want):
+    """``_group_checks`` output equals the edge-based oracle's."""
+    (groups, order), (want_groups, want_order) = got, want
+    assert groups == want_groups
+    if want_order is None:
+        assert order is None
+    else:
+        assert order.dtype == np.int64 and np.array_equal(order, want_order)
+
+
+class TestKernelPlan:
+    """The one plan builder, from check degrees, against the edge-based
+    oracle in ``tests/_layout_reference.py``."""
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            IRREGULAR,
+            SparseParityMatrix.from_rows(12, []),
+            SparseParityMatrix.from_rows(5, [(), (), ()]),
+            SparseParityMatrix.from_rows(6, [(0, 1), (2,), (3, 4), (5,), (0, 2, 4)]),
+            gallager_construct(1024, 3, 6, seed=7),
+            identity_matrix(64),
+        ],
+        ids=["irregular", "no-rows", "all-empty", "weights-out-of-order", "regular", "identity"],
+    )
+    def test_code_plans(self, h):
+        got = _group_checks(_row_weights(h))
+        _assert_same_groups(got, flood_layout_reference(h.entries[1], h.m))
+        # one weight in row order needs no permutation
+        if len(h._row_blocks) == 1:
+            assert got[1] is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=mixed_weight_matrices())
+    def test_code_plan_is_the_flood_layout_of_the_entries(self, h):
+        assert _row_weights(h).tolist() == [len(row) for row in h.rows]
+        want = flood_layout_reference(h.entries[1], h.m)
+        _assert_same_groups(_group_checks(_row_weights(h)), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), form=st.sampled_from([EXPLICIT_Z, FOLDED_Z]))
+    def test_joint_plan_is_the_flood_layout_of_the_edges(self, data, form):
+        h1 = data.draw(mixed_weight_matrices(), label="h1")
+        h2 = data.draw(mixed_weight_matrices(n=h1.n), label="h2")
+        g = build_joint_graph(h1, h2, MODEL, form=form)
+        plan = g._plan
+        assert plan.edge_var is g.edge_var and g.num_edges == len(g.edge_var)
+        want = flood_layout_reference(g.edge_check, g.check_count)
+        _assert_same_groups((plan.check_groups, plan.group_order), want)
 
 
 class TestFold:
@@ -232,17 +289,18 @@ class TestKnownU1:
         g = build_joint_graph(h1, self.H2, CorrelationModel(0.96))
         known = g._known_u1
         assert known is not None and g._known_u1 is known  # computed once
-        assert g.num_edges == 6 * 64 and len(known.edge_var) == 3 * 64
+        plan = known._plan
+        assert known._plan is plan  # built once
+        assert g.num_edges == 6 * 64 and len(plan.edge_var) == 3 * 64
         assert np.array_equal(known.u1_check, np.arange(64))
-        assert (known.edge_var.tolist(), known.edge_check.tolist()) == (
-            self.H2.entries[0].tolist(),
-            self.H2.entries[1].tolist(),
-        )
-        assert known.layout["group_order"] is None
+        # the edges are h2's entries, variables numbered from u2's first
+        assert plan.edge_var is self.H2.entries[0]
+        assert plan.group_order is None and plan.check_groups == ((6, 0, 3 * 64),)
         # q is the correlation check's message, not the hidden-bit LLR
         assert known.corr_message == 3.1780538303457027
         assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
-        assert "_layout" not in vars(g)  # the joint layout is not built
+        # no joint structure is built
+        assert list(vars(g)) == ["form", "model", "h1", "h2", "_known_u1"]
 
     def test_permuted_identity(self):
         perm = [3, 0, 2, 1]
@@ -283,4 +341,4 @@ class TestKnownU1:
     def test_applies_with_an_empty_h2_row(self):
         h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (), (1, 3)))
         known = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1
-        assert known is not None and len(known.edge_var) == 5
+        assert known is not None and len(known._plan.edge_var) == 5

@@ -16,8 +16,7 @@ from swldpc import (
     save_alist,
     syndrome,
 )
-from swldpc.graph import _flood_layout
-
+from _strategies import mixed_weight_matrices
 from _syndrome_reference import syndrome_reference
 
 # H = [[1,1,0],[0,1,1]]: worked example used throughout this file
@@ -241,26 +240,12 @@ class TestSyndrome:
             assert np.array_equal(got, want)
 
 
-@st.composite
-def _mixed_weight_matrices(draw, max_n=40):
-    """Matrices whose rows take a few weights, 0 included, in any order, so
-    that row blocks hold several rows and interleave down the matrix."""
-    n = draw(st.integers(1, max_n), label="n")
-    m = draw(st.integers(0, n), label="m")
-    pool = draw(st.lists(st.integers(0, min(n, 7)), min_size=1, max_size=3), label="weights")
-    rows = [
-        draw(st.sets(st.integers(0, n - 1), min_size=w, max_size=w))
-        for w in draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m), label="row weights")
-    ]
-    return SparseParityMatrix.from_rows(n, rows)
-
-
 class TestRowBlocks:
     """The rows grouped by weight, which ``syndrome`` and the decoder's
     convergence test reduce over, against the ``reduceat`` oracle."""
 
     @settings(max_examples=200, deadline=None)
-    @given(h=_mixed_weight_matrices(), seed=st.integers(0, 2**32 - 1))
+    @given(h=mixed_weight_matrices(), seed=st.integers(0, 2**32 - 1))
     def test_syndrome_matches_the_reduceat_oracle(self, h, seed):
         rng = np.random.default_rng(seed)
         for u in (np.ones(h.n, dtype=np.uint8), *rng.integers(0, 2, (3, h.n), dtype=np.uint8)):
@@ -269,7 +254,7 @@ class TestRowBlocks:
             assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(h=st.one_of(_mixed_weight_matrices(), _mixed_weight_matrices(max_n=4)))
+    @given(h=st.one_of(mixed_weight_matrices(), mixed_weight_matrices(max_n=4)))
     def test_blocks_partition_the_rows(self, h):
         weights = [len(row) for row in h.rows]
         blocks = h._row_blocks
@@ -288,18 +273,6 @@ class TestRowBlocks:
         # weights in the order in which they first appear down the rows
         assert [len(block) for block, _ in blocks] == list(dict.fromkeys(weights))
 
-    @settings(max_examples=100, deadline=None)
-    @given(h=_mixed_weight_matrices())
-    def test_check_layout_is_the_flood_layout_of_the_entries(self, h):
-        layout = h._check_layout
-        assert h._check_layout is layout  # built once
-        want = _flood_layout(h.entries[1], h.m)
-        assert layout["check_groups"] == want["check_groups"]
-        if want["group_order"] is None:
-            assert layout["group_order"] is None
-        else:
-            assert np.array_equal(layout["group_order"], want["group_order"])
-
     @pytest.mark.parametrize(
         "h", [gallager_construct(1024, 3, 6, seed=7), identity_matrix(64)], ids=["regular", "identity"]
     )
@@ -307,13 +280,13 @@ class TestRowBlocks:
         (block, rows), = h._row_blocks
         assert np.array_equal(rows, np.arange(h.m))
         assert np.array_equal(block.T.ravel(), h.entries[0])
-        assert h._check_layout["group_order"] is None
 
     def test_caches_do_not_travel_with_a_pickle(self):
         h = gallager_construct(24, 3, 6, seed=1)
-        h._check_layout["workspace"] = object()
+        syndrome(h, np.ones(h.n, dtype=np.uint8))
+        assert list(vars(h)) == ["n", "m", "entries", "_row_blocks"]  # the only cache
         copy = pickle.loads(pickle.dumps(h))
-        assert copy == h and "_row_blocks" not in vars(copy) and "_check_layout" not in vars(copy)
+        assert copy == h and list(vars(copy)) == ["n", "m", "entries"]
 
 
 class TestAsBitArray:
