@@ -28,13 +28,12 @@ from .ldpc import (
     SparseParityMatrix,
     as_bit_array,
     gallager_construct,
-    gf2_rank,
     identity_matrix,
     load_alist,
     save_alist,
     syndrome,
 )
-from .reference import BruteForceResult, brute_force_marginals, is_cycle_free
+from .reference import BruteForceResult, brute_force_marginals, gf2_rank, is_cycle_free
 from .sim import (
     SimConfig,
     SimRecord,

@@ -27,7 +27,7 @@ from .graph import build_joint_graph
 from .ldpc import (
     AlistFormatError,
     ConstructionError,
-    _check_positive_count,
+    _integer,
     gallager_construct,
     load_alist,
     save_alist,
@@ -454,7 +454,7 @@ def _cmd_simulate(args) -> int:
 
     jobs = settings.get("jobs", 1)
     try:
-        _check_positive_count("jobs", jobs)
+        _integer("jobs", jobs, positive=True)
     except ValueError as err:
         raise UsageError(str(err)) from err
     if sweep_values is not None:

@@ -15,14 +15,23 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ldpc import _integer
 
 # Clamp for every LLR handled by this package. tanh(30/2) is 1.0 minus a
 # few ulps, so larger magnitudes carry no extra information and only risk
 # overflow in atanh during message passing.
 LLR_MAX = 30.0
+
+
+def _is_finite_real(x) -> bool:
+    """Whether ``x`` is a finite real number, numpy's scalars included: the
+    one check of every probability and rate."""
+    return isinstance(x, numbers.Real) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,7 @@ class CorrelationModel:
 
     def __post_init__(self):
         p = self.p
-        if not (isinstance(p, (int, float)) and math.isfinite(p)):
+        if not _is_finite_real(p):
             raise ValueError(f"correlation parameter must be a finite number, got {p!r}")
         if not 0.0 < p < 1.0:
             raise ValueError(f"correlation parameter must satisfy 0 < p < 1, got {p}")
@@ -85,11 +94,12 @@ class RatePair:
     r2: float
 
     def __post_init__(self):
-        for rate in (self.r1, self.r2):
-            if not (isinstance(rate, (int, float)) and math.isfinite(rate)):
-                raise ValueError(f"rates must be finite numbers, got ({self.r1!r}, {self.r2!r})")
+        if not (_is_finite_real(self.r1) and _is_finite_real(self.r2)):
+            raise ValueError(f"rates must be finite numbers, got ({self.r1!r}, {self.r2!r})")
         if self.r1 < 0 or self.r2 < 0:
             raise ValueError(f"rates must be nonnegative, got ({self.r1}, {self.r2})")
+        object.__setattr__(self, "r1", float(self.r1))
+        object.__setattr__(self, "r2", float(self.r2))
 
 
 @dataclass(frozen=True)
@@ -115,10 +125,11 @@ def binary_entropy(q: float) -> float:
         -q*log2(q) - (1-q)*log2(1-q), symmetric in q <-> 1-q and equal
         to 1.0 at q = 0.5.
     """
-    if not (isinstance(q, (int, float)) and math.isfinite(q)):
+    if not _is_finite_real(q):
         raise ValueError(f"probability must be a finite number, got {q!r}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {q}")
+    q = float(q)
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
@@ -157,9 +168,10 @@ def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:
         n: block length, at least 1.
         seed: 64-bit seed (arbitrary ints are reduced mod 2**64).
     """
+    n, seed = _integer("block length", n), _integer("seed", seed)
     if n < 1:
         raise ValueError(f"block length must be at least 1, got {n}")
-    rng = np.random.default_rng(int(seed) % 2**64)
+    rng = np.random.default_rng(seed % 2**64)
     u1 = rng.integers(0, 2, size=n, dtype=np.uint8)
     z = (rng.random(n) < (1.0 - model.p)).astype(np.uint8)
     return CorrelatedPair(u1=u1, u2=u1 ^ z, z=z)

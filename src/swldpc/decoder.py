@@ -36,15 +36,18 @@ tanh(LLR_MAX/2) in magnitude and |f| <= 1, see ``_flood``):
 
 The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
-scaling pass. Values are doubled only where they leave the loop, and
-scaling by 2 is exact in binary floating point short of the subnormal
-range, so every output equals the full-unit rule bit for bit. The atanh
-argument needs no clip: it is at most tanh(LLR_MAX/2) in magnitude, since
-every tanh value is and |f| <= 1, and a degree-1 check's empty product is
-stored as that bound. Check messages are tested for finiteness when the
-loop exits and before each hook call, not in every iteration: a NaN check
-message keeps some check message NaN in every later iteration, so the test
-still raises.
+scaling pass. Its callers halve the priors and double what leaves the
+loop (the posteriors and the hook's snapshots); scaling by 2 is exact in
+binary floating point short of the subnormal range, so every output
+equals the full-unit rule bit for bit. The atanh argument needs no clip:
+it is at most tanh(LLR_MAX/2) in magnitude, since every tanh value is
+(the tests pin numpy's tanh to that bound at and near the clamp) and
+|f| <= 1, and a degree-1 check, always a code check (f = 1), has its
+empty product stored as that bound. Check messages are tested for
+finiteness when the loop exits and before each hook call, not in every
+iteration: a NaN check message makes its variable's posterior NaN, so
+some check message stays NaN in every later iteration and the test still
+raises.
 
 The kernel's message buffers, with the column views and scratch of the
 check update (``_Workspace``), are built once per plan and kept in it
@@ -65,20 +68,27 @@ received bit, h1 over the u1 block and h2 over the u2 block, with the xor
 reductions of ``syndrome`` over each code's row blocks. A row without
 entries has syndrome bit 0, so it fails exactly when its received bit is 1.
 
-Known u1 (the corner point). When every u1 variable's only code edge goes
-to a degree-1 h1 check, as when h1 is the identity and u1 is sent raw,
-``decode`` runs the same kernel on H2 alone (``JointTannerGraph._known_u1``),
+Known u1 (the corner point). When h1 is the n x n identity, rows in
+order, u1 is sent raw and s1 is u1. ``decode`` then runs the same kernel
+on H2 alone (``JointTannerGraph._known_u1``, a ``graph.KnownU1Graph``),
 3n edges where the corner graph has 6n. This is the side-information
 decoder of Liveris, Xiong and Georghiades (IEEE Commun. Lett., 2002), and
 it returns bit for bit what the joint graph returns:
 
-* The first two joint iterations are known in closed form. Iteration 1
-  leaves u1 at +/- c_id (the degree-1 check's message) and u2 at 0, so it
-  converges iff s2 is all zero. Iteration 2 sends each u2 the constant
-  correlation message q (1 - 2 u1), and converges iff the signs of those
-  priors satisfy H2, which the kernel's own parity test decides. Both
-  messages are read from 2-entry tables indexed by the u1 bit
-  (``KnownU1Graph``), which hold +/- c_id and +/- q/2 exactly.
+* Every h1 check has degree 1 and sends u1 the constant c_id (1 - 2 u1),
+  c_id = 2 atanh(tanh(LLR_MAX/2)) = 29.9998. A correlation check sends u1
+  2 atanh(f tanh(m/2)) for a clamped u2 message m, and the hidden-bit LLR
+  is clamped too, so that is at most 2 atanh(tanh(LLR_MAX/2)^2) = 29.31
+  in magnitude, below c_id: u1's hard decisions equal s1 in every
+  iteration, and h1 always holds.
+* Iteration 1 leaves u1 at c_id (1 - 2 u1) and u2 at 0, since no H2 row
+  has degree 1 (whose empty product is not 0); it converges iff s2 is all
+  zero. Iteration 2 sends each u2 the constant correlation message
+  q (1 - 2 u1), q = 2 atanh(f tanh(c_id/2)), and converges iff the signs
+  of those priors satisfy H2. Both messages come from 2-entry tables
+  indexed by the u1 bit, +/- c_id (``graph._IDENTITY_BY_BIT``) and +/- q/2
+  (``KnownU1Graph``), exact. ``decode`` returns after iteration 1 or 2
+  where the budget ends, or where early stop is on and it converged.
 * From joint iteration 3 on, the u2 edges carry exactly what H2 alone
   carries with priors q (1 - 2 u1). The loop runs for at most
   ``max_iterations - 2`` iterations, and ``iterations_used`` adds that
@@ -94,9 +104,10 @@ it returns bit for bit what the joint graph returns:
 The joint graph runs instead when an ``iteration_hook`` is given (its
 snapshots, and so ``--trace``, show the joint graph), when damping is
 positive (the correlation message then ramps up instead of being
-constant), when ``max_iterations`` is at most 2, and for graphs the pass
-rejects: explicit form, an H2 with a degree-1 row or without entries, or
-any other h1.
+constant), and for graphs the reduction rejects: explicit form (the z
+nodes change the messages), an H2 with a degree-1 row, an H2 without
+entries (the kernel needs an edge) and any other h1, the identity's rows
+in another order included.
 """
 
 from __future__ import annotations
@@ -107,12 +118,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .correlation import LLR_MAX
-from .graph import FOLDED_Z, _KNOWN_U1_OFFSET, _TANH_LIMIT, JointTannerGraph, KnownU1Graph
-from .ldpc import _check_positive_count, _row_parity, as_bit_array
+from .correlation import LLR_MAX, _is_finite_real
+from .graph import _IDENTITY_BY_BIT, _TANH_LIMIT, FOLDED_Z, JointTannerGraph, KnownU1Graph
+from .ldpc import _integer, _row_parity, as_bit_array
 
 # 1 - 2 b for a bit b, by table lookup
 _SIGN = np.array([1.0, -1.0])
+
+# Joint iterations that precede the known-u1 loop (see the module notes).
+_KNOWN_U1_OFFSET = 2
 
 
 @dataclass(frozen=True)
@@ -122,9 +136,10 @@ class DecoderConfig:
     early_stop: bool = True
 
     def __post_init__(self):
-        _check_positive_count("max_iterations", self.max_iterations)
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
+        max_iterations = _integer("max_iterations", self.max_iterations, positive=True)
+        object.__setattr__(self, "max_iterations", max_iterations)
+        if not (_is_finite_real(self.damping) and 0.0 <= self.damping < 1.0):
+            raise ValueError(f"damping must lie in [0, 1), got {self.damping!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,12 +190,8 @@ def decode(
         config = DecoderConfig()
     s1 = as_bit_array(s1, graph.m1)
     s2 = as_bit_array(s2, graph.m2)
-    # The known-u1 graph reproduces every output but the hook's snapshots,
-    # and only while the correlation messages to u2 are constant.
-    if iteration_hook is None and config.damping == 0.0:
-        known = graph._known_u1
-        if known is not None and config.max_iterations > _KNOWN_U1_OFFSET:
-            return _decode_known_u1(known, s1, s2, config)
+    if iteration_hook is None and config.damping == 0.0 and graph._known_u1 is not None:
+        return _decode_known_u1(graph._known_u1, s1, s2, config)
 
     n, m1, code_checks = graph.n, graph.m1, graph.num_code_checks
     # Per-edge constant: target-parity sign times check factor. Code checks
@@ -218,22 +229,24 @@ def decode(
 
 
 def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> DecodeResult:
-    """``decode`` on a graph whose u1 block is known (see the module notes)."""
-    n = len(known.u1_check)
-    u1 = s1[known.u1_check]
-    identity = known.identity_by_bit.take(u1)  # the u1 posteriors of iterations 1 and 2
-    priors = known.half_prior_by_bit.take(u1)  # the u2 posteriors of iteration 2, halved
+    """``decode`` on a graph whose u1 block is s1 (see the module notes)."""
+    n = len(s1)
+    budget, early_stop = config.max_iterations, config.early_stop
+    identity = _IDENTITY_BY_BIT.take(s1)  # the u1 posteriors of iterations 1 and 2
+    converged = not s2.any()  # the test of iteration 1, where u2 is 0
+    if budget == 1 or early_stop and converged:
+        return _result(np.concatenate([identity, np.zeros(n)]), converged, 1)
+    priors = known.half_prior_by_bit.take(s1)  # the u2 posteriors of iteration 2, halved
     unsatisfied = _parity_test((known.h2, s2, 0))
-    if config.early_stop:
-        if not np.count_nonzero(s2):
-            return _result(np.concatenate([identity, np.zeros(n)]), True, 1)
-        if unsatisfied(priors < 0) == 0:
-            return _result(np.concatenate([identity, priors * 2.0]), True, 2)
+    if budget == 2 or early_stop:
+        converged = unsatisfied(priors < 0) == 0
+        if budget == 2 or converged:
+            return _result(np.concatenate([identity, priors * 2.0]), converged, 2)
 
     edge_scale = _SIGN.take(s2)[known.h2.entries[1]]
     posteriors, previous, converged, iterations_used = _flood(
         known._plan, edge_scale, priors, unsatisfied,
-        config, config.max_iterations - _KNOWN_U1_OFFSET,
+        config, budget - _KNOWN_U1_OFFSET,
     )
     # The last iteration's correlation messages to u1, from the u2
     # messages of the iteration before (in half-LLR units, as the kernel
@@ -347,28 +360,10 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
     posteriors)`` after each one when given, with the loop's own buffers in
     half-LLR units.
 
-    Inside the loop every message, prior and posterior is held in half-LLR
-    units (m/2, clamped at +/- LLR_MAX/2): tanh takes the variable messages
-    as they are and 2 atanh drops its factor 2. Halving and doubling are
-    exact in binary floating point away from subnormals, so the callers
-    halve the priors and double what leaves the loop (the posteriors and
-    the hook's snapshots), and the values equal the full-unit loop's bit
-    for bit.
-
-    The atanh argument is the product of a check's other tanh values times
-    its sign and factor |f| <= 1, and it needs no clip. A degree-1 check's
-    product is empty, and such a check is a code check (f = 1), so its
-    entries of ``excl`` hold ``_TANH_LIMIT`` from the start rather than 1.
-    Every other argument is at most ``_TANH_LIMIT`` in magnitude because
-    every tanh value is: the variable messages are clamped at LLR_MAX/2,
-    and the tests pin numpy's tanh to ``_TANH_LIMIT`` at and near that
-    clamp. 2 atanh(``_TANH_LIMIT``) lies below LLR_MAX.
-
-    Check messages are tested for finiteness where the loop exits and, when
-    ``report`` is given, before each call to it. A NaN check message makes
-    its variable's posterior NaN, so some check message stays NaN in every
-    later iteration, and the test at exit raises the same
-    ``FloatingPointError`` as a test in every iteration would.
+    Messages, priors and posteriors are in half-LLR units, the atanh
+    argument is not clipped, and check messages are tested for finiteness
+    only where the loop exits and before each ``report`` call (see the
+    module notes).
 
     The buffers come from the plan's idle workspace (see ``_Workspace``),
     checked out for the length of the call: ``report`` receives them and

@@ -23,20 +23,18 @@ A graph stores its form, model and codes; the edge lists, priors and the
 kernel's plan of the edges (:class:`_KernelPlan`) are built on first use
 and kept by that graph alone.
 
-When h1 pins every u1 bit through a degree-1 check (the identity at the
-corner point, or any row order of it), u1 is known from s1 and the joint
-graph decodes like H2 alone. ``JointTannerGraph._known_u1`` detects this
-from the structure once per graph and holds a :class:`KnownU1Graph`: h2,
-the constant messages of the identity and correlation checks and its own
-plan over h2's entries. A graph decoded that way never builds its joint
-edge lists, priors or plan. ``_KNOWN_U1_OFFSET`` joint iterations precede
-the reduced loop (see :func:`_reduce_known_u1` and the decoder module).
+When h1 is the identity, u1 is sent raw and known from s1, and the
+decoder runs on H2 alone: ``JointTannerGraph._known_u1`` holds that
+:class:`KnownU1Graph`, with its own plan over h2's entries, and a graph
+decoded that way never builds its joint edge lists, priors or plan. The
+decoder module states when the reduction applies and why it returns what
+the joint graph returns.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,8 +51,10 @@ FOLDED_Z = "folded"
 # the decoder tests pin numpy's tanh to it at the clamp.
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
 
-# Joint iterations that precede the known-u1 loop (see _reduce_known_u1).
-_KNOWN_U1_OFFSET = 2
+# A degree-1 code check's message, indexed by its syndrome bit: +c_id and
+# -c_id, c_id = 2 atanh(_TANH_LIMIT), as its empty product is stored as
+# _TANH_LIMIT (see decoder._flood). It does not depend on the model.
+_IDENTITY_BY_BIT = np.array([1.0, -1.0]) * (np.arctanh(_TANH_LIMIT) * 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,30 +152,19 @@ class JointTannerGraph:
 
 @dataclass(frozen=True, eq=False)
 class KnownU1Graph:
-    """H2 alone, with u1 read off s1 (see :func:`_reduce_known_u1`).
+    """H2 alone, which decodes a joint graph whose u1 is known.
 
     Variables are the u2 block numbered from 0, checks are the h2 rows and
-    the edges are h2's ``entries``. The graph holds its own decode plan
-    over them (``_plan``, built on first use) and what depends on the
-    model: the constant messages and, indexed by a u1 bit, the identity
-    check's message to u1 (``identity_by_bit``) and the correlation
-    check's message to u2 in half-LLR units (``half_prior_by_bit``), the
-    kernel's unit.
+    the edges are h2's ``entries``; ``_plan``, built on first use, is the
+    kernel's plan over them. ``corr_factor`` is f = tanh(llr/2) of the
+    correlation checks, and ``half_prior_by_bit`` a correlation check's
+    message to u2 in half-LLR units, the kernel's unit, indexed by the u1
+    bit: +q/2 and -q/2. The decoder module describes the decode.
     """
 
     h2: SparseParityMatrix
-    u1_check: np.ndarray  # the h1 row that pins each u1 variable
-    corr_factor: float  # f = tanh(llr/2) of the correlation checks
-    identity_message: float  # c_id: a degree-1 h1 check's message for bit 0
-    corr_message: float  # q: a correlation check's message to u2 for u1 = 0
-    identity_by_bit: np.ndarray = field(init=False)
-    half_prior_by_bit: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # c (1 - 2 b) is +c or -c exactly, so a table lookup stands in for it
-        c_id, half_q = self.identity_message, self.corr_message * 0.5
-        object.__setattr__(self, "identity_by_bit", np.array([c_id, -c_id]))
-        object.__setattr__(self, "half_prior_by_bit", np.array([half_q, -half_q]))
+    corr_factor: float
+    half_prior_by_bit: np.ndarray
 
     @cached_property
     def _plan(self) -> "_KernelPlan":
@@ -239,46 +228,22 @@ def _group_checks(degrees: np.ndarray):
 
 
 def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
-    """Take the u1 block out of a folded graph whose h1 pins every u1 bit.
+    """The :class:`KnownU1Graph` of a graph whose u1 is known, or None.
 
-    It applies when every u1 variable's only code edge goes to a degree-1
-    h1 check: h1 is the identity, or its rows in any order, however it was
-    built or loaded. Such a check sends u1 the constant +/- c_id, and from
-    the second joint iteration on each correlation check sends u2 the
-    constant +/- q; the decoder module describes the resulting schedule.
-
-    It also requires the folded form (explicit z nodes change the
-    messages) and an H2 with entries but no degree-1 row, whose iteration-1
-    message would move u2 off 0 and so shift ``_KNOWN_U1_OFFSET``. Last,
-    u1's hard decisions must stay equal to s1: the correlation message to
-    u1 is at most 2 atanh(|f| tanh(LLR_MAX/2)), which must stay strictly
-    below c_id.
-    Under LLR_MAX = 30 that holds for every model (29.31 against 29.9998).
+    It applies to a folded graph whose h1 is the identity, rows in order,
+    and whose H2 has entries but no degree-1 row; the decoder module says
+    why each condition is needed.
     """
     if graph.form != FOLDED_Z:
         return None
-    n = graph.n
-    cols1, rows1 = graph.h1.entries
-    rows2 = graph.h2.entries[1]
-    if not (np.array_equal(rows1, np.arange(n)) and np.bincount(cols1, minlength=n).max() == 1):
+    ids = np.arange(graph.n)
+    if not all(np.array_equal(a, ids) for a in graph.h1.entries):
         return None
-    if len(rows2) == 0 or any(len(block) == 1 for block, _ in graph.h2._row_blocks):
+    if len(graph.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in graph.h2._row_blocks):
         return None
     factor = np.tanh(graph.corr_param * 0.5)
-    # a degree-1 check's empty product is stored as _TANH_LIMIT (see _flood)
-    identity = np.arctanh(_TANH_LIMIT) * 2.0
-    bound = np.arctanh(abs(factor) * _TANH_LIMIT) * 2.0
-    if not bound < identity:
-        return None
-    u1_check = np.empty(n, dtype=np.int64)
-    u1_check[cols1] = rows1
-    return KnownU1Graph(
-        h2=graph.h2,
-        u1_check=u1_check,
-        corr_factor=float(factor),
-        identity_message=float(identity),
-        corr_message=float(np.arctanh(factor * np.tanh(identity * 0.5)) * 2.0),
-    )
+    half_q = np.arctanh(factor * np.tanh(_IDENTITY_BY_BIT[0] * 0.5))
+    return KnownU1Graph(graph.h2, float(factor), np.array([half_q, -half_q]))
 
 
 def build_joint_graph(

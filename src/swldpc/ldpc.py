@@ -15,6 +15,7 @@ published LDPC matrices, see :func:`load_alist` / :func:`save_alist`.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,22 +39,36 @@ class AlistFormatError(ValueError):
         super().__init__(message)
 
 
+def _integer(name: str, value, positive: bool = False) -> int:
+    """``value`` as an ``int``: the one check of every count and seed.
+
+    Python and numpy integers pass; a ``bool``, a float or anything else
+    raises ``ValueError`` naming ``name``, and so does a value below 1 when
+    ``positive`` is set. Nothing is silently truncated.
+    """
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or positive and value < 1:
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def _shape(n: int, m: int) -> tuple[int, int]:
     """Check a matrix's column and row counts; return them as ints."""
-    for what, count in (("column", n), ("row", m)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{what} count must be an integer, got {count!r}")
+    n, m = _integer("column count", n), _integer("row count", m)
     if n < 1:
         raise ValueError(f"column count must be positive, got {n}")
     if not 0 <= m <= n:
         raise ValueError(f"row count must satisfy 0 <= m <= n, got m={m}, n={n}")
-    return int(n), int(m)
+    return n, m
 
 
-def _check_positive_count(name: str, count) -> None:
-    """Reject a count that is not an ``int`` of at least 1 (``bool`` included)."""
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {count!r}")
+def _column_id(value) -> int:
+    """A column index as an ``int``; a float raises instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"column index {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -87,7 +102,7 @@ class SparseParityMatrix:
             raise ValueError(f"expected m={m} rows, got {len(rows)}")
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=m)
         cols = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum())
+            map(_column_id, chain.from_iterable(rows)), dtype=np.int64, count=int(lengths.sum())
         )
         self._index(n, m, cols, np.repeat(np.arange(m, dtype=np.int64), lengths))
 
@@ -144,7 +159,7 @@ class SparseParityMatrix:
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Iterable[int]]) -> "SparseParityMatrix":
         """Build a matrix from row adjacency in any order; repeats collapse."""
-        sorted_rows = [sorted({int(i) for i in row}) for row in rows]
+        sorted_rows = [sorted(set(map(_column_id, row))) for row in rows]
         return cls(n, len(sorted_rows), sorted_rows)
 
     @property
@@ -225,6 +240,9 @@ def gallager_construct(
         ConstructionError: no parallel-edge-free permutation found within
             max_retries draws.
     """
+    n, seed = _integer("block length", n), _integer("seed", seed)
+    dv, dc = _integer("variable degree", dv), _integer("check degree", dc)
+    max_retries = _integer("max_retries", max_retries)
     if dv < 2:
         raise ValueError(f"variable degree must be at least 2, got dv={dv}")
     if dc <= dv:
@@ -234,7 +252,7 @@ def gallager_construct(
     if (n * dv) % dc != 0:
         raise ValueError(f"n*dv must be divisible by dc, got n={n}, dv={dv}, dc={dc}")
     m = (n * dv) // dc
-    rng = np.random.default_rng(int(seed) % 2**64)
+    rng = np.random.default_rng(seed % 2**64)
     socket_pairs = list(combinations(range(dv), 2))
     for _ in range(max_retries):
         check_of_socket = rng.permutation(n * dv) // dc
@@ -302,30 +320,6 @@ def _row_parity(h: SparseParityMatrix, u: np.ndarray) -> np.ndarray:
     for block, rows in blocks:
         s[rows] = np.bitwise_xor.reduce(u[block], axis=0)
     return s
-
-
-def gf2_rank(h: SparseParityMatrix) -> int:
-    """Rank of H over GF(2).
-
-    Random regular constructions are occasionally rank-deficient; they
-    still work, the deficiency just wastes syndrome bits. The true rate
-    of a code is gf2_rank(h)/h.n rather than h.m/h.n.
-    """
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in h.rows:
-        acc = 0
-        for i in row:
-            acc |= 1 << i
-        while acc:
-            top = acc.bit_length() - 1
-            if top in pivots:
-                acc ^= pivots[top]
-            else:
-                pivots[top] = acc
-                rank += 1
-                break
-    return rank
 
 
 def _text(values: np.ndarray, counts: np.ndarray) -> str:

@@ -1,4 +1,4 @@
-"""Exact oracles that judge the decoder on small graphs.
+"""Exact oracles that judge the decoder on small graphs, and a code's rank.
 
 Nothing that ``simulate`` or ``decode`` runs imports this module; the
 tests and the acceptance criteria do, through the package.
@@ -7,7 +7,8 @@ tests and the acceptance criteria do, through the package.
 words, weighs each pair by the correlation model, and reports exact
 per-bit posteriors and the maximum-weight pair. ``is_cycle_free`` tells
 whether a joint graph is a forest, where sum-product posteriors are
-exact marginals, so that the two may be compared at all.
+exact marginals, so that the two may be compared at all. ``gf2_rank``
+gives a code's true rate, gf2_rank(h)/n.
 """
 
 from __future__ import annotations
@@ -147,3 +148,27 @@ def is_cycle_free(graph: JointTannerGraph) -> bool:
             return False
         parent[rv] = rc
     return True
+
+
+def gf2_rank(h: SparseParityMatrix) -> int:
+    """Rank of H over GF(2).
+
+    Random regular constructions are occasionally rank-deficient; they
+    still work, the deficiency just wastes syndrome bits. The true rate
+    of a code is gf2_rank(h)/h.n rather than h.m/h.n.
+    """
+    pivots: dict[int, int] = {}
+    rank = 0
+    for row in h.rows:
+        acc = 0
+        for i in row:
+            acc |= 1 << i
+        while acc:
+            top = acc.bit_length() - 1
+            if top in pivots:
+                acc ^= pivots[top]
+            else:
+                pivots[top] = acc
+                rank += 1
+                break
+    return rank

@@ -27,7 +27,7 @@ import numpy as np
 from .correlation import CorrelationModel, joint_entropy, sample_pair
 from .decoder import DecoderConfig, decode
 from .graph import FOLDED_Z, build_joint_graph
-from .ldpc import SparseParityMatrix, _check_positive_count, identity_matrix, syndrome
+from .ldpc import SparseParityMatrix, _integer, identity_matrix, syndrome
 
 CSV_COLUMNS = (
     "p",
@@ -91,7 +91,8 @@ class SimConfig:
             raise ValueError(
                 f"codes disagree on block length: {self.h1.n} vs {self.h2.n}"
             )
-        _check_positive_count("trials", self.trials)
+        object.__setattr__(self, "trials", _integer("trials", self.trials, positive=True))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     counts it aggregates are integers, so the result does not depend on
     the split.
     """
-    _check_positive_count("jobs", jobs)
+    jobs = _integer("jobs", jobs, positive=True)
     trials = config.trials
     h1 = config.h1 if config.h1 is not None else identity_matrix(config.h2.n)
     if jobs == 1 or trials == 1:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,55 @@ class TestSamplePair:
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             sample_pair(CorrelationModel(0.9), 0, seed=1)
+
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (16, 1.5, "seed must be an integer, got 1.5"),
+            (16, "1", "seed must be an integer, got '1'"),
+            (16.0, 1, "block length must be an integer, got 16.0"),
+            (True, 1, "block length must be an integer, got True"),
+        ],
+    )
+    def test_rejects_non_integers(self, n, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_pair(CorrelationModel(0.9), n, seed)
+
+    def test_numpy_integers(self):
+        model = CorrelationModel(0.9)
+        got = sample_pair(model, np.int64(16), np.uint64(2**63 + 5))
+        want = sample_pair(model, 16, 2**63 + 5)
+        assert got.u1.tobytes() == want.u1.tobytes() and got.z.tobytes() == want.z.tobytes()
+
+
+class TestRealNumbers:
+    """Probabilities and rates take any finite real number, numpy's
+    scalars included, and hold it as a float."""
+
+    def test_numpy_scalars(self):
+        p = np.float32(0.9)
+        model = CorrelationModel(p)
+        assert type(model.p) is float and model.p == float(p)
+        assert hidden_llr(model) == hidden_llr(CorrelationModel(float(p)))
+        q = binary_entropy(np.float32(0.5))
+        assert type(q) is float and q == 1.0
+        assert binary_entropy(np.float64(0.9)) == H2_09
+        rates = RatePair(np.float32(0.5), np.int64(1))
+        assert (rates.r1, rates.r2) == (0.5, 1.0)
+        assert type(rates.r1) is float and type(rates.r2) is float
+        assert sw_region_check(CorrelationModel(0.9), rates) == sw_region_check(
+            CorrelationModel(0.9), RatePair(0.5, 1.0)
+        )
+
+    @pytest.mark.parametrize("bad", [np.float32("nan"), np.float64("inf"), "0.9", None])
+    def test_rejects_what_is_not_a_finite_number(self, bad):
+        with pytest.raises(ValueError, match="correlation parameter must be a finite number"):
+            CorrelationModel(bad)
+        with pytest.raises(ValueError, match="probability must be a finite number"):
+            binary_entropy(bad)
+        with pytest.raises(ValueError, match="rates must be finite numbers"):
+            RatePair(0.5, bad)
 
 
 class TestCorrelatedPair:

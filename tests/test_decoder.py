@@ -1,4 +1,5 @@
 import pickle
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -59,6 +60,13 @@ class TestConfig:
             DecoderConfig(damping=1.0)
         with pytest.raises(ValueError):
             DecoderConfig(damping=-0.1)
+
+    @pytest.mark.parametrize("damping", ["0.1", None, float("nan"), 1.0])
+    def test_damping_must_be_a_number_in_range(self, damping):
+        message = re.escape(f"damping must lie in [0, 1), got {damping!r}")
+        with pytest.raises(ValueError, match=message):
+            DecoderConfig(damping=damping)
+        assert DecoderConfig(damping=np.float64(0.25)).damping == 0.25
 
     @pytest.mark.parametrize("count", [True, 10.0])
     def test_iteration_cap_must_be_an_integer(self, count):
@@ -734,7 +742,7 @@ class TestSharedCode:
         assert first._plan.idle[0] is not second._plan.idle[0]
         assert first._plan.edge_var is second._plan.edge_var is h2.entries[0]
         assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks"]
-        assert first.corr_message != second.corr_message
+        assert first.half_prior_by_bit[0] != second.half_prior_by_bit[0]
 
     def test_alternating_frames(self):
         h2, models, graphs, frames = self._setup()
@@ -843,17 +851,19 @@ class TestCornerBuildsNoJointStructure:
         assert len(graph.priors) == graph.var_count
 
     @pytest.mark.parametrize(
-        "form, config, hooked",
+        "form, config, hooked, joint",
         [
-            (FOLDED_Z, DecoderConfig(), True),
-            (FOLDED_Z, DecoderConfig(damping=0.3), False),
-            (FOLDED_Z, DecoderConfig(max_iterations=1), False),
-            (FOLDED_Z, DecoderConfig(max_iterations=2, early_stop=False), False),
-            (EXPLICIT_Z, DecoderConfig(), False),
+            (FOLDED_Z, DecoderConfig(), True, True),
+            (FOLDED_Z, DecoderConfig(damping=0.3), False, True),
+            (FOLDED_Z, DecoderConfig(max_iterations=1), False, False),
+            (FOLDED_Z, DecoderConfig(max_iterations=2, early_stop=False), False, False),
+            (EXPLICIT_Z, DecoderConfig(), False, True),
         ],
         ids=["hook", "damping", "max-iterations-1", "max-iterations-2", "explicit"],
     )
-    def test_joint_decodes_match_the_reference(self, form, config, hooked):
+    def test_joint_decodes_match_the_reference(self, form, config, hooked, joint):
+        """The first two budgets stay on the known-u1 path; the others run
+        the joint graph."""
         h1, h2 = identity_matrix(256), gallager_construct(256, 3, 6, seed=7)
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model, form=form)
@@ -864,7 +874,10 @@ class TestCornerBuildsNoJointStructure:
             else:
                 expected = decode_reference(graph, s1, s2, config)
                 _assert_same_decode(decode(graph, s1, s2, config), expected)
-        assert "_plan" in vars(graph)  # these decodes ran the joint graph
+        # the reference loop reads the joint edge lists, but not the plan
+        assert ("_plan" in vars(graph)) == joint
+        if not joint:
+            assert "_plan" not in vars(graph._known_u1)  # iterations 1 and 2 need no kernel
 
 
 class TestParityTest:
@@ -991,7 +1004,7 @@ class TestNonFiniteCheckMessages:
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model)
         # a NaN correlation message makes the reduced loop's priors NaN
-        vars(graph)["_known_u1"] = replace(graph._known_u1, corr_message=np.nan)
+        vars(graph)["_known_u1"] = replace(graph._known_u1, half_prior_by_bit=np.full(2, np.nan))
         s1, s2 = _frame_syndromes(h1, h2, model, 1)
         assert s2.any()
         config = DecoderConfig(max_iterations=20, early_stop=early_stop)

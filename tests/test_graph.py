@@ -5,18 +5,23 @@ from hypothesis import given, settings, strategies as st
 from swldpc import (
     EXPLICIT_Z,
     FOLDED_Z,
+    LLR_MAX,
     CorrelationModel,
+    DecoderConfig,
     SparseParityMatrix,
     build_joint_graph,
+    decode,
     gallager_construct,
     hidden_llr,
     identity_matrix,
     is_cycle_free,
     load_alist,
     save_alist,
+    syndrome,
 )
-from swldpc.graph import _group_checks, _row_weights
+from swldpc.graph import _IDENTITY_BY_BIT, _TANH_LIMIT, _group_checks, _row_weights
 
+from _decoder_reference import decode_reference
 from _layout_reference import flood_layout_reference
 from _strategies import mixed_weight_matrices
 
@@ -292,24 +297,56 @@ class TestKnownU1:
         plan = known._plan
         assert known._plan is plan  # built once
         assert g.num_edges == 6 * 64 and len(plan.edge_var) == 3 * 64
-        assert np.array_equal(known.u1_check, np.arange(64))
         # the edges are h2's entries, variables numbered from u2's first
         assert plan.edge_var is self.H2.entries[0]
         assert plan.group_order is None and plan.check_groups == ((6, 0, 3 * 64),)
-        # q is the correlation check's message, not the hidden-bit LLR
-        assert known.corr_message == 3.1780538303457027
+        # q is the correlation check's message, not the hidden-bit LLR; the
+        # table holds +/- q/2, the kernel's half-LLR unit
+        q = 3.1780538303457027
+        assert (known.half_prior_by_bit * 2.0).tolist() == [q, -q]
         assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
         # no joint structure is built
         assert list(vars(g)) == ["form", "model", "h1", "h2", "_known_u1"]
 
     def test_permuted_identity(self):
+        # the identity's rows in another order run on the joint graph, which
+        # decodes them as well
         perm = [3, 0, 2, 1]
         h1 = SparseParityMatrix.from_rows(4, [(i,) for i in perm])
         h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (1, 2, 3)))
-        known = build_joint_graph(h1, h2, MODEL)._known_u1
-        assert known is not None
-        # u1[perm[j]] is pinned by row j
-        assert known.u1_check.tolist() == [1, 3, 2, 0]
+        graph = build_joint_graph(h1, h2, MODEL)
+        assert graph._known_u1 is None
+        for u1, s2 in (([1, 0, 1, 1], [1, 0]), ([0, 1, 1, 0], [0, 1]), ([0, 0, 0, 1], [0, 0])):
+            s1 = syndrome(h1, u1)
+            for config in (DecoderConfig(), DecoderConfig(max_iterations=2, early_stop=False)):
+                result = decode(graph, s1, s2, config)
+                expected = decode_reference(graph, s1, s2, config)
+                for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
+                    assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
+                assert result.converged == expected.converged
+                assert result.iterations_used == expected.iterations_used
+                assert result.u1_hat.tolist() == u1
+
+    def test_u1_keeps_the_sign_of_s1(self):
+        """The largest correlation message to u1, 2 atanh(|f| tanh(LLR_MAX/2)),
+        stays below the identity check's c_id for every model, so u1's hard
+        decisions equal s1 (see the decoder module)."""
+        c_id = _IDENTITY_BY_BIT[0]
+        assert _IDENTITY_BY_BIT.tolist() == [c_id, -c_id]
+        assert c_id == np.arctanh(_TANH_LIMIT) * 2.0
+
+        def bound(p):
+            factor = np.tanh(hidden_llr(CorrelationModel(p)) * 0.5)
+            assert abs(factor) <= _TANH_LIMIT
+            return np.arctanh(abs(factor) * _TANH_LIMIT) * 2.0
+
+        # both clamped extremes: 29.31 against 29.9998
+        for p in (1e-16, 1 - 1e-16, 1 - 1e-14, 1e-300):
+            assert abs(hidden_llr(CorrelationModel(p))) == LLR_MAX
+            assert round(bound(p), 4) == 29.3067 and round(c_id, 4) == 29.9998
+        grid = np.concatenate([np.linspace(0.001, 0.999, 999), np.logspace(-15, -1, 57)])
+        for p in np.concatenate([grid, 1.0 - grid]).tolist():
+            assert bound(p) < c_id
 
     @pytest.mark.parametrize(
         "h1, h2, form",

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,52 @@ class TestSparseParityMatrix:
         with pytest.raises(ValueError, match=message):
             SparseParityMatrix._from_entries(n, m, np.array([0]), np.array([0]))
         assert SparseParityMatrix(np.int64(4), np.int64(1), [(0,)]).n == 4
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rows: SparseParityMatrix(4, len(rows), rows),
+            lambda rows: SparseParityMatrix.from_rows(4, rows),
+        ],
+        ids=["constructor", "from_rows"],
+    )
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1.5, 2.7)], "column index 1.5 is not an integer"),
+            ([(0, 1.9)], "column index 1.9 is not an integer"),
+            ([(0,), (1.2, 1.9)], "column index 1.2 is not an integer"),
+            ([(3,), (2, 1.0)], "column index 1.0 is not an integer"),
+            ([(np.float64(2.0),)], "is not an integer"),
+            ([("1",)], "column index '1' is not an integer"),
+        ],
+    )
+    def test_column_ids_must_be_integers(self, build, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(rows)
+
+    def test_numpy_integer_column_ids(self):
+        rows = [(np.int64(0), np.int32(2)), (np.uint8(3),)]
+        expected = SparseParityMatrix(4, 2, [(0, 2), (3,)])
+        assert SparseParityMatrix(4, 2, rows) == SparseParityMatrix.from_rows(4, rows) == expected
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((24, 3, 6, 1.5), {}, "seed must be an integer, got 1.5"),
+            ((24.0, 3, 6, 1), {}, "block length must be an integer, got 24.0"),
+            ((24, 3.0, 6, 1), {}, "variable degree must be an integer, got 3.0"),
+            ((24, 3, True, 1), {}, "check degree must be an integer, got True"),
+            ((24, 3, 6, 1), {"max_retries": 5.0}, "max_retries must be an integer, got 5.0"),
+        ],
+    )
+    def test_construction_arguments_must_be_integers(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gallager_construct(*args, **kwargs)
+
+    def test_construction_takes_numpy_integers(self):
+        h = gallager_construct(np.int64(24), np.int64(3), np.int32(6), np.uint64(1))
+        assert h == gallager_construct(24, 3, 6, 1)
 
     @given(st.data())
     def test_single_format_properties(self, data):

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,21 @@ class TestConfigValidation:
     def test_trials_must_be_an_integer(self, trials):
         with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
             _config(trials=trials)
+
+    @pytest.mark.parametrize("seed", [1.5, "1", None, True])
+    def test_master_seed_must_be_an_integer(self, seed):
+        message = re.escape(f"master_seed must be an integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            _config(seed=seed)
+
+    def test_numpy_integers(self):
+        config = _config(trials=np.int64(3), seed=np.uint64(2**64 - 1))
+        assert type(config.trials) is int and type(config.master_seed) is int
+        decoder = DecoderConfig(max_iterations=np.int32(30))
+        assert type(decoder.max_iterations) is int
+        record = run_trials(replace(config, decoder=decoder), jobs=np.int64(1))
+        expected = run_trials(_config(trials=3, seed=2**64 - 1, decoder=DecoderConfig(30)))
+        assert format_csv([record]) == format_csv([expected])
 
 
 class TestRunTrials:
