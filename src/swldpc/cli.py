@@ -69,6 +69,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Every simulate setting, as flag (--max-iters) and as config key (max_iters):
+# its type and help. sweep_p has no type: a flag gives a comma list, a config
+# file a comma list or an array of numbers, and _parse_sweep reads both.
+_SIM_SETTINGS = {
+    "p": (float, "correlation parameter"),
+    "sweep_p": (None, "comma list of p values"),
+    "trials": (int, "frames per point (default 100)"),
+    "seed": (int, "master seed (required)"),
+    "n": (int, "block length for constructed codes"),
+    "dv": (int, "variable degree for constructed codes"),
+    "dc": (int, "check degree for constructed codes"),
+    "code1": (str, "alist for source 1 (--mode symmetric with --code2)"),
+    "code2": (str, "alist for source 2"),
+    "mode": (str, f"{ASYMMETRIC} (default) or {SYMMETRIC}"),
+    "max_iters": (int, "iteration budget"),
+    "damping": (float, "message damping in [0, 1)"),
+    "jobs": (int, "worker processes (default 1)"),
+    "out": (str, "also write the CSV to this file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="swldpc",
@@ -127,20 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         "from --n/--dv/--dc (source 2 uses --seed, source 1 uses seed+1).",
     )
     si.add_argument("config", nargs="?", help="optional JSON config file")
-    si.add_argument("--p", type=float, help="correlation parameter")
-    si.add_argument("--sweep-p", dest="sweep_p", help="comma list of p values")
-    si.add_argument("--trials", type=int, help="frames per point (default 100)")
-    si.add_argument("--seed", type=int, help="master seed (required)")
-    si.add_argument("--n", type=int, help="block length for constructed codes")
-    si.add_argument("--dv", type=int, help="variable degree for constructed codes")
-    si.add_argument("--dc", type=int, help="check degree for constructed codes")
-    si.add_argument("--code1", help="alist for source 1 (--mode symmetric with --code2)")
-    si.add_argument("--code2", help="alist for source 2")
-    si.add_argument("--mode", choices=[ASYMMETRIC, SYMMETRIC], help="default asymmetric")
-    si.add_argument("--max-iters", dest="max_iters", type=int, help="iteration budget")
-    si.add_argument("--damping", type=float, help="message damping in [0, 1)")
-    si.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    si.add_argument("--out", help="also write the CSV to this file")
+    for name, (kind, help_text) in _SIM_SETTINGS.items():
+        si.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=help_text)
     si.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -166,10 +175,15 @@ def main(argv=None) -> int:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    sys.stdout.write(text)
+    """Write ``text`` to ``out``, if given, and then to stdout, so a file
+    that cannot be written leaves stdout empty."""
     if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise DataError(f"{out}: {err.strerror or err}") from err
+    sys.stdout.write(text)
 
 
 def _load_code(path: str):
@@ -225,13 +239,18 @@ def _model(p: float) -> CorrelationModel:
         raise UsageError(str(err)) from err
 
 
-def _cmd_makecode(args) -> int:
+def _construct(n: int, dv: int, dc: int, seed: int):
+    """``gallager_construct``: bad arguments exit 1, exhausted retries exit 2."""
     try:
-        h = gallager_construct(args.n, args.dv, args.dc, args.seed)
+        return gallager_construct(n, dv, dc, seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
     except ConstructionError as err:
         raise DataError(str(err)) from err
+
+
+def _cmd_makecode(args) -> int:
+    h = _construct(args.n, args.dv, args.dc, args.seed)
     print(
         f"constructed ({args.dv},{args.dc})-regular code: n={h.n} m={h.m} "
         f"design_rate={h.m / h.n!r}",
@@ -307,22 +326,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-_SIM_KEYS = {
-    "p": float,
-    "sweep_p": None,
-    "trials": int,
-    "seed": int,
-    "n": int,
-    "dv": int,
-    "dc": int,
-    "code1": str,
-    "code2": str,
-    "mode": str,
-    "max_iters": int,
-    "damping": float,
-    "jobs": int,
-    "out": str,
-}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _load_sim_file(path: str) -> dict:
@@ -337,25 +341,19 @@ def _load_sim_file(path: str) -> dict:
         raise DataError(f"{path}: config must be a JSON object")
     settings = {}
     for key, value in data.items():
-        norm = key.replace("-", "_")
-        if norm not in _SIM_KEYS:
+        name = key.replace("-", "_")
+        if name not in _SIM_SETTINGS:
             raise DataError(f"{path}: unknown config key {key!r}")
-        expect = _SIM_KEYS[norm]
-        if expect is int:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DataError(f"{path}: key {key!r} must be an integer")
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise DataError(f"{path}: key {key!r} must be an integer")
-                value = int(value)
-        elif expect is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DataError(f"{path}: key {key!r} must be a number")
-            value = float(value)
-        elif expect is str:
-            if not isinstance(value, str):
-                raise DataError(f"{path}: key {key!r} must be a string")
-        settings[norm] = value
+        kind = _SIM_SETTINGS[name][0]
+        if kind is None:  # sweep_p: _parse_sweep reads a string or an array
+            settings[name] = value
+            continue
+        if kind is int and isinstance(value, float) and value.is_integer():
+            value = int(value)  # a count written as 4.0
+        accepted = (str,) if kind is str else (int, kind)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise DataError(f"{path}: key {key!r} must be {_KIND_NAMES[kind]}")
+        settings[name] = kind(value)
     return settings
 
 
@@ -379,10 +377,9 @@ def _parse_sweep(raw) -> list[float]:
 
 def _cmd_simulate(args) -> int:
     settings = _load_sim_file(args.config) if args.config else {}
-    for key in _SIM_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
+    for name in _SIM_SETTINGS:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
 
     if settings.get("seed") is None:
         raise UsageError("simulate requires --seed")
@@ -420,26 +417,15 @@ def _cmd_simulate(args) -> int:
                 "simulate needs --code2 or all of --n/--dv/--dc "
                 f"(missing: {', '.join('--' + m for m in missing)})"
             )
-        try:
-            h2 = gallager_construct(settings["n"], settings["dv"], settings["dc"], seed)
-            h1 = (
-                gallager_construct(settings["n"], settings["dv"], settings["dc"], seed + 1)
-                if mode == SYMMETRIC
-                else None
-            )
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        except ConstructionError as err:
-            raise DataError(str(err)) from err
+        shape = settings["n"], settings["dv"], settings["dc"]
+        h2 = _construct(*shape, seed)
+        h1 = _construct(*shape, seed + 1) if mode == SYMMETRIC else None
 
-    sweep_values = _parse_sweep(settings["sweep_p"]) if settings.get("sweep_p") is not None else None
-    if sweep_values is not None:
-        for value in sweep_values:
-            _model(value)
-    first_p = sweep_values[0] if sweep_values is not None else settings["p"]
+    sweep_p = settings.get("sweep_p")
+    p_values = [settings["p"]] if sweep_p is None else _parse_sweep(sweep_p)
     try:
         config = simmod.SimConfig(
-            model=_model(first_p),
+            model=CorrelationModel(p_values[0]),
             h2=h2,
             trials=settings.get("trials", 100),
             master_seed=seed,
@@ -449,17 +435,9 @@ def _cmd_simulate(args) -> int:
                 damping=settings.get("damping", 0.0),
             ),
         )
+        configs = simmod.configs_over_p(config, p_values)
+        jobs = _integer("jobs", settings.get("jobs", 1), positive=True)
     except ValueError as err:
         raise UsageError(str(err)) from err
-
-    jobs = settings.get("jobs", 1)
-    try:
-        _integer("jobs", jobs, positive=True)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    if sweep_values is not None:
-        records = simmod.sweep(simmod.configs_over_p(config, sweep_values), jobs=jobs)
-    else:
-        records = [simmod.run_trials(config, jobs=jobs)]
-    _emit(simmod.format_csv(records), settings.get("out"))
+    _emit(simmod.format_csv(simmod.sweep(configs, jobs=jobs)), settings.get("out"))
     return 0

@@ -19,7 +19,7 @@ one, both sources are compressed (the symmetric mode of the command line).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,20 +28,6 @@ from .correlation import CorrelationModel, joint_entropy, sample_pair
 from .decoder import DecoderConfig, decode
 from .graph import FOLDED_Z, build_joint_graph
 from .ldpc import SparseParityMatrix, _integer, identity_matrix, syndrome
-
-CSV_COLUMNS = (
-    "p",
-    "n",
-    "r1",
-    "r2",
-    "trials",
-    "ber1",
-    "ber2",
-    "fer",
-    "avg_iterations",
-    "converged_fraction",
-    "sw_sum_slack",
-)
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,6 +39,7 @@ def derive_trial_seed(master_seed: int, trial: int) -> int:
     at stream position ``trial``: advance by the 64-bit golden ratio, then
     apply the standard finalizer.
     """
+    master_seed, trial = _integer("master_seed", master_seed), _integer("trial", trial)
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
     z = (master_seed + (trial + 1) * 0x9E3779B97F4A7C15) & _MASK64
@@ -113,6 +100,9 @@ class SimRecord:
 
     def row(self) -> tuple:
         return tuple(getattr(self, c) for c in CSV_COLUMNS)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SimRecord))
 
 
 def _run_range(

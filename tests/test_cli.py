@@ -604,12 +604,14 @@ class TestSimulate:
         assert code == 1 and "--code1" in err
 
     def test_unknown_mode_key_is_rejected(self, capsys, tmp_path):
+        # one check after the merge, so a flag and a file key read alike
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(
             {"p": 0.95, "n": 64, "dv": 3, "dc": 6, "trials": 2, "seed": 3, "mode": "both"}
         ))
-        code, _, err = run_cli(capsys, "simulate", str(path))
-        assert code == 1 and "unknown mode 'both'" in err
+        rejected = (1, "", "swldpc: error: unknown mode 'both'\n")
+        assert run_cli(capsys, "simulate", str(path)) == rejected
+        assert run_cli(capsys, *self.FLAGS, "--mode", "both") == rejected
 
     def test_symmetric_inline_construction(self, capsys):
         argv = ["simulate", "--p", "0.99", "--n", "48", "--dv", "3", "--dc", "6",
@@ -620,13 +622,44 @@ class TestSimulate:
         assert row[2] == "0.5" and row[3] == "0.5"  # r1 = r2 = m/n
 
     def test_config_file(self, capsys, tmp_path):
-        config = {"p": 0.95, "n": 64, "dv": 3, "dc": 6, "trials": 6, "seed": 3}
+        # every key, each run compared byte for byte with the same flags
+        files = {"c1": tmp_path / "c1.alist", "c2": tmp_path / "c2.alist"}
+        files["c1"].write_text(save_alist(gallager_construct(48, 3, 6, seed=1)))
+        files["c2"].write_text(save_alist(gallager_construct(48, 3, 6, seed=2)))
+        cases = [
+            ({"p": 0.95, "n": 64, "dv": 3, "dc": 6, "trials": 6, "seed": 3}, self.FLAGS[1:]),
+            (
+                # an integral float for an int key, an array for sweep_p
+                {"sweep_p": [0.99, 0.95], "n": 48, "dv": 3, "dc": 6, "trials": 4.0,
+                 "seed": 3, "mode": "symmetric", "max_iters": 20, "damping": 0.25,
+                 "jobs": 2, "out": "{out}"},
+                ["--sweep-p", "0.99,0.95", "--n", "48", "--dv", "3", "--dc", "6",
+                 "--trials", "4", "--seed", "3", "--mode", "symmetric", "--max-iters", "20",
+                 "--damping", "0.25", "--jobs", "2", "--out", "{out}"],
+            ),
+            (
+                # the code files; a key may be spelt as its flag, and an int
+                # stands for a float
+                {"p": 0.97, "code1": "{c1}", "code2": "{c2}", "mode": "symmetric",
+                 "trials": 3, "seed": 5, "max-iters": 7, "damping": 0, "jobs": 1},
+                ["--p", "0.97", "--code1", "{c1}", "--code2", "{c2}", "--mode", "symmetric",
+                 "--trials", "3", "--seed", "5", "--max-iters", "7", "--damping", "0.0",
+                 "--jobs", "1"],
+            ),
+        ]
+        fill = lambda value, out: (
+            value.format(out=tmp_path / out, **files) if isinstance(value, str) else value
+        )
         path = tmp_path / "sim.json"
-        path.write_text(json.dumps(config))
-        code, out, _ = run_cli(capsys, "simulate", str(path))
-        assert code == 0
-        _, flags_out, _ = run_cli(capsys, *self.FLAGS)
-        assert out == flags_out
+        for config, flags in cases:
+            path.write_text(json.dumps({key: fill(v, "config.csv") for key, v in config.items()}))
+            from_file = run_cli(capsys, "simulate", str(path))
+            from_flags = run_cli(capsys, "simulate", *(fill(arg, "flags.csv") for arg in flags))
+            assert from_file[0] == 0
+            assert from_file == from_flags
+            if "out" in config:
+                written = (tmp_path / "config.csv").read_bytes()
+                assert written == (tmp_path / "flags.csv").read_bytes() == from_file[1].encode()
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         path = tmp_path / "sim.json"
@@ -665,3 +698,22 @@ class TestSimulate:
 
         missing = tmp_path / "missing.json"
         assert run_cli(capsys, "simulate", str(missing))[0] == 2
+
+
+@pytest.mark.parametrize("subcommand", ["makecode", "encode", "decode", "simulate"])
+def test_unwritable_out_is_a_data_error(capsys, coding_setup, tmp_path, subcommand):
+    # the file is opened before stdout is written, so nothing reaches stdout
+    paths, _ = coding_setup
+    argv = {
+        "makecode": ["--n", "16", "--dv", "3", "--dc", "6", "--seed", "5"],
+        "encode": [str(paths["u2"]), "--code1", str(paths["c2"])],
+        "decode": ["--code1", str(paths["c1"]), "--code2", str(paths["c2"]),
+                   "--syn1", str(paths["s1"]), "--syn2", str(paths["s2"]), "--p", "0.93"],
+        "simulate": TestSimulate.FLAGS[1:],
+    }[subcommand]
+    assert run_cli(capsys, subcommand, *argv)[0] == 0
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, subcommand, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"swldpc: error: {target}: No such file or directory\n")
+    assert not target.parent.exists()

@@ -45,6 +45,21 @@ class TestTrialSeeds:
         with pytest.raises(ValueError):
             derive_trial_seed(1, -1)
 
+    def test_numpy_integers(self):
+        # a trial replayed from numpy values draws the same seed
+        assert derive_trial_seed(np.int64(5), 0) == derive_trial_seed(5, 0)
+        assert derive_trial_seed(5, np.int64(0)) == derive_trial_seed(5, 0)
+        assert derive_trial_seed(np.uint64(2**64 - 1), np.int32(3)) == 7862637804313477842
+
+    @pytest.mark.parametrize(
+        "master_seed, trial, name",
+        [(1.5, 0, "master_seed"), (5.0, 0, "master_seed"), (True, 0, "master_seed"),
+         (5, 1.0, "trial"), (5, False, "trial"), (5, np.float64(2), "trial")],
+    )
+    def test_rejects_non_integers(self, master_seed, trial, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            derive_trial_seed(master_seed, trial)
+
 
 class TestConfigValidation:
     def test_block_length_must_agree(self):
