@@ -2,17 +2,21 @@
 
 Subcommands write their machine-readable product to standard output
 (``--out`` additionally saves it to a file) and diagnostics to standard
-error. Exit codes: 0 success, 1 usage error, 2 data/format error, 3 at
-least one frame failed to converge (decode only).
+error. Exit codes: 0 success, 1 usage error (a bad flag, or a value out of
+range from a flag or a config key), 2 data error (a file that cannot be
+read, parsed or written, or a config key of the wrong type), 3 at least one
+frame failed to converge (decode only).
 
 File formats: parity-check matrices use the alist format, bit blocks and
-syndromes are ASCII '0'/'1' lines, one block per line. All randomness
-flows from an explicit --seed flag.
+syndromes are '0'/'1' lines, one block per line, both ASCII; the simulate
+config is a UTF-8 JSON object. A byte outside a file's encoding fails as a
+format error on its line. All randomness flows from an explicit --seed flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -25,7 +29,6 @@ from .correlation import CorrelationModel, RatePair, sw_region_check
 from .decoder import DecoderConfig, decode
 from .graph import build_joint_graph
 from .ldpc import (
-    AlistFormatError,
     ConstructionError,
     _integer,
     gallager_construct,
@@ -41,10 +44,25 @@ SYMMETRIC = "symmetric"  # both sources compressed
 
 class UsageError(Exception):
     """Bad flags or flag values; exit code 1."""
+    exit_code = 1
 
 
 class DataError(Exception):
     """Malformed or inconsistent input files; exit code 2."""
+    exit_code = 2
+
+
+@contextlib.contextmanager
+def _library_errors():
+    """Errors of library calls on values from flags or config keys: a
+    ValueError (a value out of range) exits 1, and a ConstructionError
+    (every construction retry failed) exits 2."""
+    try:
+        yield
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+    except ConstructionError as err:
+        raise DataError(str(err)) from err
 
 
 # Flag values that argparse must not take for flags: anything that starts like
@@ -69,12 +87,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _p_list(text: str) -> list[float]:
+    """--sweep-p's type: a comma list of numbers, such as "0.97,0.95"."""
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+    return values
+
+
 # Every simulate setting, as flag (--max-iters) and as config key (max_iters):
-# its type and help. sweep_p has no type: a flag gives a comma list, a config
-# file a comma list or an array of numbers, and _parse_sweep reads both.
+# its type and help. A config file gives each key as a JSON value of that
+# type, and sweep_p also as an array of numbers (_config_value).
 _SIM_SETTINGS = {
     "p": (float, "correlation parameter"),
-    "sweep_p": (None, "comma list of p values"),
+    "sweep_p": (_p_list, "comma list of p values"),
     "trials": (int, "frames per point (default 100)"),
     "seed": (int, "master seed (required)"),
     "n": (int, "block length for constructed codes"),
@@ -166,12 +195,29 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, DataError) as err:
         print(f"swldpc: error: {err}", file=sys.stderr)
-        return 1
-    except DataError as err:
-        print(f"swldpc: error: {err}", file=sys.stderr)
-        return 2
+        return err.exit_code
+
+
+def _file_error(path: str, err: Exception) -> DataError:
+    """``err`` from reading or writing ``path``, as a data error naming it."""
+    return DataError(f"{path}: {getattr(err, 'strerror', None) or err}")
+
+
+def _read(path: str, parse, encoding: str = "ascii"):
+    """``parse`` of an input file's text. An ``OSError``, the ValueError of a
+    path ``open`` rejects (a config file can spell a NUL byte), and the
+    ValueError ``parse`` raises for bad text are data errors naming the
+    file. A byte outside ``encoding`` reads as a ``\\xNN`` escape, which
+    every input format rejects on its line (unless, in a JSON string, it
+    follows a backslash)."""
+    try:
+        with open(path, encoding=encoding, errors="backslashreplace") as fh:
+            text = fh.read()
+        return parse(text)
+    except (OSError, ValueError) as err:
+        raise _file_error(path, err) from err
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -181,48 +227,32 @@ def _emit(text: str, out: Optional[str]) -> None:
         try:
             with open(out, "w", encoding="ascii") as fh:
                 fh.write(text)
-        except OSError as err:
-            raise DataError(f"{out}: {err.strerror or err}") from err
+        except (OSError, ValueError) as err:
+            raise _file_error(out, err) from err
     sys.stdout.write(text)
 
 
-def _load_code(path: str):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror or err}") from err
-    try:
-        return load_alist(text)
-    except AlistFormatError as err:
-        raise DataError(f"{path}: {err}") from err
-
-
-def _check_same_length(path1: str, h1, path2: str, h2) -> None:
-    """The two codes of one joint graph must share their block length."""
+def _load_pair(path1: str, path2: str):
+    """The two codes of one joint graph, which must share their block length."""
+    h1, h2 = _read(path1, load_alist), _read(path2, load_alist)
     if h1.n != h2.n:
         raise DataError(f"{path1} and {path2} disagree on block length: {h1.n} vs {h2.n}")
+    return h1, h2
 
 
-def _read_bits(path: str, expect_len: int) -> list[np.ndarray]:
-    """Read one block of '0'/'1' characters per line, all of expect_len bits."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw_lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"{path}: {err}") from err
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
+def _parse_bits(expect_len: int, text: str) -> list[np.ndarray]:
+    """One block of '0'/'1' characters per line, all of expect_len bits."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     blocks = []
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in enumerate(lines, start=1):
         # every byte other than '0' and '1' wraps to a value above 1
         block = np.frombuffer(line.strip().encode("ascii"), dtype=np.uint8) - ord("0")
         if (block > 1).any():
-            raise DataError(f"{path}: line {lineno}: expected only 0/1 characters")
+            raise ValueError(f"line {lineno}: expected only 0/1 characters")
         if len(block) != expect_len:
-            raise DataError(
-                f"{path}: line {lineno}: expected {expect_len} bits, found {len(block)}"
-            )
+            raise ValueError(f"line {lineno}: expected {expect_len} bits, found {len(block)}")
         blocks.append(block)
     return blocks
 
@@ -232,25 +262,9 @@ def _bits_line(bits: np.ndarray) -> str:
     return (bits + ord("0")).tobytes().decode("ascii")
 
 
-def _model(p: float) -> CorrelationModel:
-    try:
-        return CorrelationModel(p)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-
-
-def _construct(n: int, dv: int, dc: int, seed: int):
-    """``gallager_construct``: bad arguments exit 1, exhausted retries exit 2."""
-    try:
-        return gallager_construct(n, dv, dc, seed)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    except ConstructionError as err:
-        raise DataError(str(err)) from err
-
-
 def _cmd_makecode(args) -> int:
-    h = _construct(args.n, args.dv, args.dc, args.seed)
+    with _library_errors():
+        h = gallager_construct(args.n, args.dv, args.dc, args.seed)
     print(
         f"constructed ({args.dv},{args.dc})-regular code: n={h.n} m={h.m} "
         f"design_rate={h.m / h.n!r}",
@@ -261,24 +275,20 @@ def _cmd_makecode(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    h = _load_code(args.code1)
-    blocks = _read_bits(args.bits, expect_len=h.n)
+    h = _read(args.code1, load_alist)
+    blocks = _read(args.bits, functools.partial(_parse_bits, h.n))
     lines = [_bits_line(syndrome(h, block)) for block in blocks]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 
 
 def _cmd_decode(args) -> int:
-    h1 = _load_code(args.code1)
-    h2 = _load_code(args.code2)
-    _check_same_length(args.code1, h1, args.code2, h2)
-    model = _model(args.p)
-    try:
+    h1, h2 = _load_pair(args.code1, args.code2)
+    with _library_errors():
+        model = CorrelationModel(args.p)
         config = DecoderConfig(max_iterations=args.max_iters, damping=args.damping)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    syn1 = _read_bits(args.syn1, expect_len=h1.m)
-    syn2 = _read_bits(args.syn2, expect_len=h2.m)
+    syn1 = _read(args.syn1, functools.partial(_parse_bits, h1.m))
+    syn2 = _read(args.syn2, functools.partial(_parse_bits, h2.m))
     if len(syn1) != len(syn2):
         raise DataError(
             f"{args.syn1} has {len(syn1)} frames but {args.syn2} has {len(syn2)}"
@@ -312,11 +322,9 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    model = _model(args.p)
-    try:
+    with _library_errors():
+        model = CorrelationModel(args.p)
         rates = RatePair(args.r1, args.r2)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
     check = sw_region_check(model, rates)
     print(
         f"admissible={'true' if check.admissible else 'false'} "
@@ -326,57 +334,50 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               _p_list: "a comma list or a nonempty array of numbers"}
 
 
-def _load_sim_file(path: str) -> dict:
+def _config_value(kind, value):
+    """A config file's JSON value as a setting of type ``kind``. A value of
+    another type raises TypeError, a bad comma list ArgumentTypeError, and
+    a whole number too large for a float OverflowError."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)  # a count written as 4.0
+    accepted = {float: (int, float), _p_list: (str, list)}.get(kind, kind)
+    if isinstance(value, bool) or not isinstance(value, accepted) or value == []:
+        raise TypeError(value)
+    if isinstance(value, list):
+        return [_config_value(float, v) for v in value]
+    return kind(value)
+
+
+def _parse_config(text: str) -> dict:
+    """A simulate config file's settings, each typed as its flag types it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror or err}") from err
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path}: invalid JSON: {err}") from err
+        data = json.loads(text)
+    # also an integer of more digits than int() reads, or nesting too deep
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"invalid JSON: {err}") from err
     if not isinstance(data, dict):
-        raise DataError(f"{path}: config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     settings = {}
     for key, value in data.items():
         name = key.replace("-", "_")
         if name not in _SIM_SETTINGS:
-            raise DataError(f"{path}: unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         kind = _SIM_SETTINGS[name][0]
-        if kind is None:  # sweep_p: _parse_sweep reads a string or an array
-            settings[name] = value
-            continue
-        if kind is int and isinstance(value, float) and value.is_integer():
-            value = int(value)  # a count written as 4.0
-        accepted = (str,) if kind is str else (int, kind)
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise DataError(f"{path}: key {key!r} must be {_KIND_NAMES[kind]}")
-        settings[name] = kind(value)
+        try:
+            settings[name] = _config_value(kind, value)
+        except OverflowError as err:
+            raise ValueError(f"key {key!r} holds a number too large for a float") from err
+        except (TypeError, argparse.ArgumentTypeError) as err:
+            raise ValueError(f"key {key!r} must be {_KIND_NAMES[kind]}") from err
     return settings
 
 
-def _parse_sweep(raw) -> list[float]:
-    if isinstance(raw, str):
-        parts = [part.strip() for part in raw.split(",") if part.strip()]
-        try:
-            values = [float(part) for part in parts]
-        except ValueError as err:
-            raise UsageError(f"--sweep-p: {err}") from err
-    elif isinstance(raw, list):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-            raise UsageError("sweep_p list must contain numbers")
-        values = [float(v) for v in raw]
-    else:
-        raise UsageError("sweep_p must be a comma list or an array of numbers")
-    if not values:
-        raise UsageError("--sweep-p needs at least one value")
-    return values
-
-
 def _cmd_simulate(args) -> int:
-    settings = _load_sim_file(args.config) if args.config else {}
+    settings = _read(args.config, _parse_config, "utf-8") if args.config else {}
     for name in _SIM_SETTINGS:
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)
@@ -403,13 +404,12 @@ def _cmd_simulate(args) -> int:
                 "--n/--dv/--dc are used only without --code2 "
                 f"(given: {', '.join('--' + k for k in given)})"
             )
-        h2 = _load_code(settings["code2"])
-        h1 = None
         if mode == SYMMETRIC:
             if settings.get("code1") is None:
                 raise UsageError("symmetric mode requires --code1 alongside --code2")
-            h1 = _load_code(settings["code1"])
-            _check_same_length(settings["code1"], h1, settings["code2"], h2)
+            h1, h2 = _load_pair(settings["code1"], settings["code2"])
+        else:
+            h1, h2 = None, _read(settings["code2"], load_alist)
     else:
         missing = [k for k in ("n", "dv", "dc") if settings.get(k) is None]
         if missing:
@@ -418,12 +418,12 @@ def _cmd_simulate(args) -> int:
                 f"(missing: {', '.join('--' + m for m in missing)})"
             )
         shape = settings["n"], settings["dv"], settings["dc"]
-        h2 = _construct(*shape, seed)
-        h1 = _construct(*shape, seed + 1) if mode == SYMMETRIC else None
+        with _library_errors():
+            h2 = gallager_construct(*shape, seed)
+            h1 = gallager_construct(*shape, seed + 1) if mode == SYMMETRIC else None
 
-    sweep_p = settings.get("sweep_p")
-    p_values = [settings["p"]] if sweep_p is None else _parse_sweep(sweep_p)
-    try:
+    p_values = settings.get("sweep_p") or [settings["p"]]
+    with _library_errors():
         config = simmod.SimConfig(
             model=CorrelationModel(p_values[0]),
             h2=h2,
@@ -437,7 +437,5 @@ def _cmd_simulate(args) -> int:
         )
         configs = simmod.configs_over_p(config, p_values)
         jobs = _integer("jobs", settings.get("jobs", 1), positive=True)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
     _emit(simmod.format_csv(simmod.sweep(configs, jobs=jobs)), settings.get("out"))
     return 0

@@ -215,12 +215,17 @@ class TestEncode:
             ("101\n/01\n", "line 2: expected only 0/1 characters"),
             ("101\n10\n", "line 2: expected 3 bits, found 2"),
             ("101\n\n", "line 2: expected 3 bits, found 0"),
+            # bits files are ASCII: a non-ASCII digit or space, here in UTF-8,
+            # fails on its line
+            ("101\n1\u00e91\n", "line 2: expected only 0/1 characters"),
+            ("101\n011\n\u00a0101\n", "line 3: expected only 0/1 characters"),
+            ("\uff11\uff10\uff11\n", "line 1: expected only 0/1 characters"),
         ],
     )
     def test_bit_file_errors_name_the_line(self, capsys, tmp_path, text, message):
         code_path = self._write_code(tmp_path)
         bits = tmp_path / "bits.txt"
-        bits.write_text(text)
+        bits.write_bytes(text.encode())
         code, out, err = run_cli(capsys, "encode", str(bits), "--code1", code_path)
         assert (code, out) == (2, "")
         assert err == f"swldpc: error: {bits}: {message}\n"
@@ -327,6 +332,25 @@ class TestDecode:
         assert corner._known_u1 is not None
         assert not {"edge_var", "edge_check", "priors", "_plan"} & set(vars(corner))
         assert "_plan" in vars(joint)  # --trace decodes on the joint graph
+
+    def test_layer_calls_per_decode(self, capsys, coding_setup, monkeypatch):
+        # the benchmark's traced CLI run rebinds these three names
+        paths, frames = coding_setup
+        calls = {"load_alist": 0, "build_joint_graph": 0, "decode": 0}
+
+        def counting(name):
+            inner = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        assert run_cli(capsys, *self._argv(paths))[0] == 0
+        assert calls == {"load_alist": 2, "build_joint_graph": 1, "decode": len(frames)}
 
     def test_exit_3_on_unconverged_frame(self, capsys, tmp_path):
         n = 64
@@ -698,6 +722,68 @@ class TestSimulate:
 
         missing = tmp_path / "missing.json"
         assert run_cli(capsys, "simulate", str(missing))[0] == 2
+
+        # a JSON integer beyond float range, and a sweep_p of another type:
+        # one line naming the file and the key
+        huge = "1" + "0" * 400
+        base = '"seed": 1, "n": 64, "dv": 3, "dc": 6'
+        cases = [
+            (f'{{"p": {huge}, {base}}}', "'p' holds a number too large for a float"),
+            (f'{{"p": 0.9, "damping": {huge}, {base}}}',
+             "'damping' holds a number too large for a float"),
+            (f'{{"sweep_p": [0.9, {huge}], {base}}}',
+             "'sweep_p' holds a number too large for a float"),
+        ]
+        for sweep in ('"0.9,x"', '","', "[]", '["0.9"]', "[true]", "0.9", "{}"):
+            cases.append((
+                f'{{"sweep_p": {sweep}, {base}}}',
+                "'sweep_p' must be a comma list or a nonempty array of numbers",
+            ))
+        path = tmp_path / "sim.json"
+        for text, message in cases:
+            path.write_text(text)
+            assert run_cli(capsys, "simulate", str(path)) == (
+                2, "", f"swldpc: error: {path}: key {message}\n"
+            )
+
+
+# every argument that names an input file, as argv with BAD in its place
+INPUT_FILE_ARGS = {
+    "encode-bits": ["encode", "BAD", "--code1", "{c2}"],
+    "encode-code1": ["encode", "{u2}", "--code1", "BAD"],
+    "decode-code1": ["decode", "--code1", "BAD", "--code2", "{c2}",
+                     "--syn1", "{s1}", "--syn2", "{s2}", "--p", "0.93"],
+    "decode-code2": ["decode", "--code1", "{c1}", "--code2", "BAD",
+                     "--syn1", "{s1}", "--syn2", "{s2}", "--p", "0.93"],
+    "decode-syn1": ["decode", "--code1", "{c1}", "--code2", "{c2}",
+                    "--syn1", "BAD", "--syn2", "{s2}", "--p", "0.93"],
+    "decode-syn2": ["decode", "--code1", "{c1}", "--code2", "{c2}",
+                    "--syn1", "{s1}", "--syn2", "BAD", "--p", "0.93"],
+    "simulate-config": ["simulate", "BAD"],
+    "simulate-code1": ["simulate", "--p", "0.93", "--trials", "1", "--seed", "1",
+                       "--mode", "symmetric", "--code1", "BAD", "--code2", "{c2}"],
+    "simulate-code2": ["simulate", "--p", "0.93", "--trials", "1", "--seed", "1",
+                       "--code2", "BAD"],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "byte-0xff"])
+@pytest.mark.parametrize("arg", list(INPUT_FILE_ARGS))
+def test_bad_input_file_is_one_line_data_error(capsys, coding_setup, tmp_path, arg, bad):
+    # the error names the file; a byte outside the encoding fails on line 1
+    paths, _ = coding_setup
+    target = {"missing": tmp_path / "missing", "directory": tmp_path,
+              "byte-0xff": tmp_path / "0xff"}[bad]
+    (tmp_path / "0xff").write_bytes(b"\xff\n")
+    argv = [str(target) if a == "BAD" else a.format(**paths) for a in INPUT_FILE_ARGS[arg]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    prefix = f"swldpc: error: {target}: "
+    if bad == "byte-0xff":
+        assert err.startswith(prefix) and "line 1" in err and err.count("\n") == 1
+    else:
+        reason = {"missing": "No such file or directory", "directory": "Is a directory"}[bad]
+        assert err == f"{prefix}{reason}\n"
 
 
 @pytest.mark.parametrize("subcommand", ["makecode", "encode", "decode", "simulate"])
