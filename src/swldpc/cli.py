@@ -4,13 +4,15 @@ Subcommands write their machine-readable product to standard output
 (``--out`` additionally saves it to a file) and diagnostics to standard
 error. Exit codes: 0 success, 1 usage error (a bad flag, or a value out of
 range from a flag or a config key), 2 data error (a file that cannot be
-read, parsed or written, or a config key of the wrong type), 3 at least one
-frame failed to converge (decode only).
+read, parsed or written, a config key of the wrong type, or a code that
+cannot be constructed), 3 at least one frame failed to converge (decode
+only).
 
 File formats: parity-check matrices use the alist format, bit blocks and
 syndromes are '0'/'1' lines, one block per line, both ASCII; the simulate
-config is a UTF-8 JSON object. A byte outside a file's encoding fails as a
-format error on its line. All randomness flows from an explicit --seed flag.
+config is a UTF-8 JSON object. Every file is decoded strictly: a byte
+outside its encoding fails as a data error naming the byte and its line.
+All randomness flows from an explicit --seed flag.
 """
 
 from __future__ import annotations
@@ -56,13 +58,16 @@ class DataError(Exception):
 def _library_errors():
     """Errors of library calls on values from flags or config keys: a
     ValueError (a value out of range) exits 1, and a ConstructionError
-    (every construction retry failed) exits 2."""
+    (every construction retry failed) or a MemoryError (a code too large
+    to build in memory) exits 2."""
     try:
         yield
     except ValueError as err:
         raise UsageError(str(err)) from err
     except ConstructionError as err:
         raise DataError(str(err)) from err
+    except MemoryError as err:
+        raise DataError("not enough memory to construct the code") from err
 
 
 # Flag values that argparse must not take for flags: anything that starts like
@@ -206,15 +211,23 @@ def _file_error(path: str, err: Exception) -> DataError:
 
 
 def _read(path: str, parse, encoding: str = "ascii"):
-    """``parse`` of an input file's text. An ``OSError``, the ValueError of a
-    path ``open`` rejects (a config file can spell a NUL byte), and the
+    """``parse`` of an input file's text, decoded strictly. An ``OSError``,
+    the ValueError of a path ``open`` rejects (a config file can spell a NUL
+    byte), a byte outside ``encoding`` (named with its line) and the
     ValueError ``parse`` raises for bad text are data errors naming the
-    file. A byte outside ``encoding`` reads as a ``\\xNN`` escape, which
-    every input format rejects on its line (unless, in a JSON string, it
-    follows a backslash)."""
+    file."""
     try:
-        with open(path, encoding=encoding, errors="backslashreplace") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:  # the newlines of text mode: "\r\n" and a lone "\r" end a line
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            text = data.decode(encoding)
+        except UnicodeDecodeError as err:
+            line, byte = data.count(b"\n", 0, err.start) + 1, data[err.start]
+            message = f"line {line}: byte 0x{byte:02x} is not valid {err.encoding.upper()}"
+            raise ValueError(message) from None
+        del data  # freed before parsing, for a lower peak of memory
         return parse(text)
     except (OSError, ValueError) as err:
         raise _file_error(path, err) from err

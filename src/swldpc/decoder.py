@@ -20,8 +20,10 @@ tanh(LLR_MAX/2) in magnitude and |f| <= 1, see ``_flood``):
   2 atanh((1-2b) * f * prod tanh(m/2)) over incoming messages excluding
   the one from v. Code checks use their syndrome bit as b and f = 1;
   correlation checks use b = 0, and in folded form f = tanh(llr/2)
-  stands in for the eliminated hidden-bit node. The update runs on the
-  graph's check-degree groups (see ``graph._group_checks``):
+  stands in for the eliminated hidden-bit node. Each decode takes the
+  sign of an edge from its own code's row ids (``_edge_signs``), so no
+  per-check array is built. The update runs on the graph's check-degree
+  groups (see ``graph._KernelPlan``):
   each group is one contiguous run of edges in a decode-local order, read
   as a (checks, degree) view. A degree-1 check's product is empty (1); a
   degree-2 check passes each edge its partner's value; for larger degrees
@@ -193,15 +195,13 @@ def decode(
     if iteration_hook is None and config.damping == 0.0 and graph._known_u1 is not None:
         return _decode_known_u1(graph._known_u1, s1, s2, config)
 
-    n, m1, code_checks = graph.n, graph.m1, graph.num_code_checks
+    n = graph.n
     # Per-edge constant: target-parity sign times check factor. Code checks
     # have f = 1 and so scale by their sign; correlation checks have parity
     # 0 and scale by f, tanh(llr/2) in folded form and 1 in explicit form.
-    check_scale = np.empty(graph.check_count)
-    check_scale[:m1] = _SIGN.take(s1)
-    check_scale[m1:code_checks] = _SIGN.take(s2)
-    check_scale[code_checks:] = np.tanh(graph.corr_param * 0.5) if graph.form == FOLDED_Z else 1.0
-    edge_scale = check_scale[graph.edge_check]
+    factor = np.tanh(graph.corr_param * 0.5) if graph.form == FOLDED_Z else 1.0
+    corr_scale = np.full(graph._corr_degree * n, factor)
+    edge_scale = np.concatenate([_edge_signs(graph.h1, s1), _edge_signs(graph.h2, s2), corr_scale])
     unsatisfied = _parity_test((graph.h1, s1, 0), (graph.h2, s2, n))
 
     report = None
@@ -243,7 +243,7 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> Deco
         if budget == 2 or converged:
             return _result(np.concatenate([identity, priors * 2.0]), converged, 2)
 
-    edge_scale = _SIGN.take(s2)[known.h2.entries[1]]
+    edge_scale = _edge_signs(known.h2, s2)
     posteriors, previous, converged, iterations_used = _flood(
         known._plan, edge_scale, priors, unsatisfied,
         config, budget - _KNOWN_U1_OFFSET,
@@ -261,6 +261,12 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> Deco
     np.add(identity, v, out=posterior_llrs[:n])
     np.multiply(posteriors, 2.0, out=posterior_llrs[n:])
     return _result(posterior_llrs, converged, iterations_used + _KNOWN_U1_OFFSET)
+
+
+def _edge_signs(h, s) -> np.ndarray:
+    """The check sign 1 - 2 s[j] of every entry of h, j its row id: the
+    target-parity signs of a code's edges, in check-major order."""
+    return _SIGN.take(s)[h.entries[1]]
 
 
 def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .correlation import LLR_MAX, CorrelationModel, hidden_llr
-from .ldpc import SparseParityMatrix
+from .ldpc import SparseParityMatrix, _degree_groups
 
 EXPLICIT_Z = "explicit"
 FOLDED_Z = "folded"
@@ -61,10 +61,13 @@ _IDENTITY_BY_BIT = np.array([1.0, -1.0]) * (np.arctanh(_TANH_LIMIT) * 2.0)
 class JointTannerGraph:
     """Immutable structure of the joint decoding graph.
 
-    The sizes are read off the four fields. ``edge_var``, ``edge_check``,
-    ``priors`` and the decode plan ``_plan`` are built on first use and
-    kept on the graph, so a graph that only takes the known-u1 path
-    (``_known_u1``) never builds them. The decoder keeps its message
+    The sizes are read off the four fields. ``edge_var``, ``priors`` and
+    the decode plan ``_plan`` are built on first use and kept on the graph,
+    so a graph that only takes the known-u1 path (``_known_u1``) never
+    builds them. No decode reads ``edge_check``, each edge's check: the
+    decoder takes an edge's check sign from its code's row ids, so only a
+    reader of the whole edge list, such as ``reference.is_cycle_free``,
+    builds it. The decoder keeps its message
     buffers between frames in the plan it decodes on: the joint decode's
     in ``_plan``, the known-u1 decode's in ``_known_u1._plan``. No other
     graph shares them, and a decode that runs meanwhile over the same
@@ -138,10 +141,9 @@ class JointTannerGraph:
 
     @cached_property
     def _plan(self) -> "_KernelPlan":
-        degrees = np.concatenate(
-            [_row_weights(self.h1), _row_weights(self.h2), np.full(self.n, self._corr_degree)]
-        )
-        return _KernelPlan(self.edge_var, degrees)
+        degrees = [np.bincount(h.entries[1], minlength=h.m) for h in (self.h1, self.h2)]
+        degrees.append(np.full(self.n, self._corr_degree))
+        return _KernelPlan(self.edge_var, np.concatenate(degrees))
 
     @cached_property
     def _known_u1(self) -> "KnownU1Graph | None":
@@ -168,63 +170,43 @@ class KnownU1Graph:
 
     @cached_property
     def _plan(self) -> "_KernelPlan":
-        return _KernelPlan(self.h2.entries[0], _row_weights(self.h2))
+        return _KernelPlan(self.h2.entries[0], np.bincount(self.h2.entries[1], minlength=self.h2.m))
 
 
 class _KernelPlan:
     """The decode kernel's layout of one graph's check-major edges.
 
-    ``edge_var`` maps each edge to its variable; ``check_groups`` and
-    ``group_order`` are :func:`_group_checks` of the check degrees. The
-    decoder keeps its message buffers for these edges in ``idle`` between
-    decodes, at most one set (see ``decoder._flood``).
+    ``edge_var`` maps each edge to its variable. The decoder works in a
+    decode-local order where all checks of one degree are one run: the
+    checks grouped by degree in the order in which the degrees first
+    appear (``ldpc._degree_groups``), checks without edges left out.
+    ``check_groups`` holds one ``(degree, start, stop)`` edge range per
+    degree in that order, so that a ``(checks, degree)`` reshape of a
+    range is a view with one row per check, rows in ascending check id;
+    ``group_order`` is that order as an edge permutation, or None when the
+    check-major order is already grouped, as in every graph that
+    ``build_joint_graph`` makes from regular codes (identity rows, code
+    rows and correlation checks each have one degree). The decoder keeps
+    its message buffers for these edges in ``idle`` between decodes, at
+    most one set (see ``decoder._flood``).
     """
 
     def __init__(self, edge_var: np.ndarray, degrees: np.ndarray):
         self.edge_var = edge_var
-        self.check_groups, self.group_order = _group_checks(degrees)
+        present = degrees > 0
+        groups, in_order = _degree_groups(degrees[present])
+        check_groups, stop = [], 0
+        for degree, checks in groups:
+            start, stop = stop, stop + degree * len(checks)
+            check_groups.append((degree, start, stop))
+        self.check_groups = tuple(check_groups)
+        self.group_order = None
+        if not in_order:
+            starts = (np.cumsum(degrees) - degrees)[present]
+            self.group_order = np.concatenate(
+                [(starts[checks][:, None] + np.arange(d)).ravel() for d, checks in groups]
+            )
         self.idle = deque(maxlen=1)
-
-
-def _row_weights(h: SparseParityMatrix) -> np.ndarray:
-    """Each row's number of entries, read off the row blocks."""
-    weights = np.empty(h.m, dtype=np.int64)
-    for block, rows in h._row_blocks:
-        weights[rows] = len(block)
-    return weights
-
-
-def _group_checks(degrees: np.ndarray):
-    """Check-degree groups of check-major edges, from each check's degree.
-
-    The decoder works in a decode-local order where all checks of one
-    degree are one run: the checks stably sorted by the order in which each
-    degree first appears (checks without edges take no part). Returns
-    ``check_groups``, one ``(degree, start, stop)`` edge range per degree
-    in that order, so that a ``(checks, degree)`` reshape of a range is a
-    view with one row per check, rows in ascending check id; and
-    ``group_order``, the sort as an edge permutation, or None when the
-    check-major order is already grouped, as in every graph that
-    ``build_joint_graph`` makes from regular codes (identity rows, code
-    rows and correlation checks each have one degree).
-    """
-    present = degrees[degrees > 0]
-    # the degree of each run of equal degrees, in check order
-    runs = present[:1].tolist() + present[1:][present[1:] != present[:-1]].tolist()
-    appearance = list(dict.fromkeys(runs))
-    counts = np.bincount(present).tolist()
-    check_groups = []
-    stop = 0
-    for degree in appearance:
-        start, stop = stop, stop + degree * counts[degree]
-        check_groups.append((degree, start, stop))
-    group_order = None
-    if len(runs) > len(appearance):  # some degree comes back after another
-        starts = np.cumsum(degrees) - degrees
-        group_order = np.concatenate(
-            [(starts[degrees == d][:, None] + np.arange(d)).ravel() for d in appearance]
-        )
-    return tuple(check_groups), group_order
 
 
 def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:

@@ -1,11 +1,13 @@
 """Sparse binary parity-check codes and syndrome encoding.
 
 A code is held as a :class:`SparseParityMatrix`: the m x n binary matrix H
-as one flat row-major index of its nonzeros, from which the sorted row
-adjacency is derived on demand and the rows grouped by weight, which
-:func:`syndrome` and the decoder's convergence test reduce over, are built
-once. A matrix holds nothing else: what a decoder builds over a code is
-kept by the decoder's graphs.
+as one flat row-major index of its nonzeros, ``entries`` (column ids, row
+ids). It is built from that index by its constructor or from row lists by
+``from_rows``. The only other row layout, the rows grouped by weight that
+:func:`syndrome` and the decoder's convergence test reduce over, is built
+from the index once per matrix, by the grouping rule (``_degree_groups``)
+that the decoder's plan of check degrees uses too. A matrix holds nothing
+else: what a decoder builds over a code is kept by the decoder's graphs.
 Compression of a source block u is the syndrome map s = H u over GF(2);
 the joint decoder recovers u from s.
 
@@ -71,6 +73,39 @@ def _column_id(value) -> int:
         raise ValueError(f"column index {value!r} is not an integer") from None
 
 
+def _ids(name: str, values) -> np.ndarray:
+    """One side of a flat index as int64; floats and bools raise instead of
+    being truncated, except in an empty array."""
+    ids = np.asarray(values)
+    if ids.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise ValueError(f"{name} must be integers, got dtype {ids.dtype}")
+    if ids.dtype == np.uint64 and ids.size and ids.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must fit int64, got {ids.max()}")  # not wrapped below 0
+    return ids.astype(np.int64, copy=False)
+
+
+def _degree_groups(degrees: np.ndarray) -> tuple[list[tuple[int, np.ndarray]], bool]:
+    """Ids grouped by degree, in the order in which the degrees first appear.
+
+    Returns one ``(degree, ids)`` pair per distinct value of ``degrees``,
+    ``ids`` the ascending positions that hold it, and whether the ids come
+    in order, each degree one run, so that the groups, concatenated, list
+    the ids 0, 1, 2, ... This is the one grouping rule of both row layouts:
+    the rows of a matrix by weight (``SparseParityMatrix._row_blocks``) and
+    the checks of a graph by degree (``graph._KernelPlan``).
+    """
+    # the position where each run of equal degrees after the first starts
+    starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
+    runs = degrees[:1].tolist() + degrees[starts].tolist()
+    appearance = list(dict.fromkeys(runs))
+    if len(runs) == len(appearance):
+        bounds = [0, *starts.tolist(), len(degrees)]
+        return [(d, np.arange(lo, hi)) for d, lo, hi in zip(runs, bounds, bounds[1:])], True
+    return [(d, np.flatnonzero(degrees == d)) for d in appearance], False
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SparseParityMatrix:
     """Binary parity-check matrix held as one flat row-major index.
@@ -81,46 +116,27 @@ class SparseParityMatrix:
         entries: the nonzeros as a pair of read-only int64 arrays (column
             ids, row ids), sorted by row and, within a row, by column.
 
-    ``rows`` derives the sorted row adjacency on demand. Construct with
-    ``SparseParityMatrix(n, m, rows)``, where each row is the strictly
-    increasing sequence of column indices of its ones, or with
-    :meth:`from_rows` from unsorted rows. Matrices compare equal when
-    ``n``, ``m`` and ``entries`` are equal. The object is immutable, so it
-    can be shared freely across decoder sessions and threads. The rows
-    grouped by weight (``_row_blocks``) are built from ``entries`` once per
-    object and kept on it; that is the only cache a matrix holds. A pickled
-    copy carries only the index and builds its own.
+    Construct with ``SparseParityMatrix(n, m, (col_ids, row_ids))`` from the
+    index itself, or with :meth:`from_rows` from each row's column indices
+    in any order. The constructor checks the index and keeps int64 arrays
+    as given, marking them read-only; other integer arrays are converted.
+    Matrices compare equal when ``n``, ``m`` and ``entries`` are equal. The
+    object is immutable, so it can be shared freely across decoder sessions
+    and threads. The rows grouped by weight (``_row_blocks``) are built
+    from ``entries`` once per object and kept on it; that is the only cache
+    a matrix holds. A pickled copy carries only the index and builds its
+    own.
     """
 
     n: int
     m: int
     entries: tuple[np.ndarray, np.ndarray]
 
-    def __init__(self, n: int, m: int, rows: Sequence[Sequence[int]]):
+    def __init__(self, n: int, m: int, entries: tuple[np.ndarray, np.ndarray]):
         n, m = _shape(n, m)
-        if len(rows) != m:
-            raise ValueError(f"expected m={m} rows, got {len(rows)}")
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=m)
-        cols = np.fromiter(
-            map(_column_id, chain.from_iterable(rows)), dtype=np.int64, count=int(lengths.sum())
-        )
-        self._index(n, m, cols, np.repeat(np.arange(m, dtype=np.int64), lengths))
-
-    @classmethod
-    def _from_entries(
-        cls, n: int, m: int, cols: np.ndarray, owner: np.ndarray
-    ) -> "SparseParityMatrix":
-        """Build a matrix from its flat index, with the constructor's checks.
-
-        The matrix takes the arrays over and makes them read-only.
-        """
-        n, m = _shape(n, m)
-        h = cls.__new__(cls)
-        cols, owner = (np.asarray(a, dtype=np.int64) for a in (cols, owner))
-        h._index(n, m, cols, owner)
-        return h
-
-    def _index(self, n: int, m: int, cols: np.ndarray, owner: np.ndarray) -> None:
+        cols, owner = _ids("column ids", entries[0]), _ids("row ids", entries[1])
+        if len(cols) != len(owner):
+            raise ValueError(f"got {len(cols)} column ids but {len(owner)} row ids")
         step = np.diff(owner)
         if owner.size and (owner[0] < 0 or (step < 0).any()):
             raise ValueError("row ids must be non-decreasing from 0")
@@ -143,7 +159,7 @@ class SparseParityMatrix:
 
     def __reduce__(self):
         # pickle the flat index; the copy is rebuilt read-only
-        return (SparseParityMatrix._from_entries, (self.n, self.m, *self.entries))
+        return (SparseParityMatrix, (self.n, self.m, self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, SparseParityMatrix):
@@ -160,34 +176,28 @@ class SparseParityMatrix:
     def from_rows(cls, n: int, rows: Iterable[Iterable[int]]) -> "SparseParityMatrix":
         """Build a matrix from row adjacency in any order; repeats collapse."""
         sorted_rows = [sorted(set(map(_column_id, row))) for row in rows]
-        return cls(n, len(sorted_rows), sorted_rows)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """For each row, the strictly increasing tuple of its column indices."""
-        cols, owner = self.entries
-        flat = tuple(cols.tolist())
-        ends = np.cumsum(np.bincount(owner, minlength=self.m)).tolist()
-        return tuple([flat[start:end] for start, end in zip([0] + ends, ends)])
+        lengths = [len(row) for row in sorted_rows]
+        cols = np.fromiter(chain.from_iterable(sorted_rows), dtype=np.int64, count=sum(lengths))
+        owner = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        return cls(n, len(lengths), (cols, owner))
 
     @cached_property
     def _row_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The rows grouped by weight, built once per matrix.
 
         One ``(block, rows)`` pair per row weight, in the order in which the
-        weights first appear down the rows: ``rows`` holds the ascending ids
-        of the rows of that weight and ``block`` their column ids as one
-        contiguous ``(weight, len(rows))`` array, entry k of every row in
-        row k. Every row, also one without entries, is in exactly one block,
-        so a single block holds all rows in order. Both arrays are read-only.
+        weights first appear down the rows (:func:`_degree_groups`): ``rows``
+        holds the ascending ids of the rows of that weight and ``block``
+        their column ids as one contiguous ``(weight, len(rows))`` array,
+        entry k of every row in row k. Every row, also one without entries,
+        is in exactly one block, so a single block holds all rows in order.
+        Both arrays are read-only.
         """
         cols, owner = self.entries
         weights = np.bincount(owner, minlength=self.m)
         starts = np.cumsum(weights) - weights
-        _, first = np.unique(weights, return_index=True)
         blocks = []
-        for weight in weights[np.sort(first)].tolist():
-            rows = np.flatnonzero(weights == weight)
+        for weight, rows in _degree_groups(weights)[0]:
             block = cols[starts[rows] + np.arange(weight)[:, None]]
             rows.flags.writeable = block.flags.writeable = False
             blocks.append((block, rows))
@@ -208,7 +218,7 @@ def identity_matrix(n: int) -> SparseParityMatrix:
     point flow through the same encode/decode pathway as any other code.
     """
     ids = np.arange(n, dtype=np.int64)
-    return SparseParityMatrix._from_entries(n, n, ids, ids)
+    return SparseParityMatrix(n, n, (ids, ids))
 
 
 def gallager_construct(
@@ -226,7 +236,8 @@ def gallager_construct(
     A draw costs one permutation of the n*dv sockets plus an O(n*dv) test:
     a parallel edge is two sockets of one variable in one check, so the
     test compares the dv(dv-1)/2 pairs of columns of the (n, dv) socket
-    table. Only the accepted draw is sorted into rows.
+    table. Only the accepted draw is sorted into rows, by one (row, column)
+    key per entry below n*m, so n*m must fit a numpy index (``np.intp``).
 
     Args:
         n: block length; n*dv must be divisible by dc and n >= dc.
@@ -236,7 +247,7 @@ def gallager_construct(
         max_retries: bound on rejection resampling before giving up.
 
     Raises:
-        ValueError: incompatible (n, dv, dc).
+        ValueError: incompatible (n, dv, dc), or n*m beyond ``np.intp``.
         ConstructionError: no parallel-edge-free permutation found within
             max_retries draws.
     """
@@ -252,6 +263,9 @@ def gallager_construct(
     if (n * dv) % dc != 0:
         raise ValueError(f"n*dv must be divisible by dc, got n={n}, dv={dv}, dc={dc}")
     m = (n * dv) // dc
+    largest = np.iinfo(np.intp).max
+    if n * m > largest:  # and so n*dv, as n >= dc
+        raise ValueError(f"block length n={n} is too large: n*m={n * m} exceeds {largest}")
     rng = np.random.default_rng(seed % 2**64)
     socket_pairs = list(combinations(range(dv), 2))
     for _ in range(max_retries):
@@ -263,7 +277,7 @@ def gallager_construct(
         var_of_socket = np.repeat(np.arange(n, dtype=np.int64), dv)
         keys = np.sort(check_of_socket * n + var_of_socket)
         # keys are sorted and distinct, so every row is strictly increasing
-        return SparseParityMatrix._from_entries(n, m, keys % n, keys // n)
+        return SparseParityMatrix(n, m, (keys % n, keys // n))
     raise ConstructionError(
         f"could not build a parallel-edge-free ({dv},{dc})-regular matrix with "
         f"n={n} within {max_retries} permutation draws"
@@ -648,4 +662,4 @@ def load_alist(text: str) -> SparseParityMatrix:
         )
 
     owner, cols = np.divmod(from_rows, n)
-    return SparseParityMatrix._from_entries(n, m, cols, owner)
+    return SparseParityMatrix(n, m, (cols, owner))

@@ -121,11 +121,8 @@ def brute_force_marginals(
 
 def _syndrome_consistent(words: np.ndarray, h: SparseParityMatrix, s: np.ndarray):
     """Boolean mask of rows of ``words`` whose syndrome under h equals s."""
-    mask = np.ones(len(words), dtype=bool)
-    for j, row in enumerate(h.rows):
-        parity = words[:, list(row)].sum(axis=1) & 1 if row else np.zeros(len(words), dtype=np.uint8)
-        mask &= parity == s[j]
-    return mask
+    # a row holds at most n <= 16 ones, so the uint8 sums cannot wrap
+    return ((words @ h.to_dense().T) & 1 == s).all(axis=1)
 
 
 def is_cycle_free(graph: JointTannerGraph) -> bool:
@@ -157,12 +154,12 @@ def gf2_rank(h: SparseParityMatrix) -> int:
     still work, the deficiency just wastes syndrome bits. The true rate
     of a code is gf2_rank(h)/h.n rather than h.m/h.n.
     """
+    rows = [0] * h.m  # each row as an integer, bit i set for column i
+    for i, j in zip(*(ids.tolist() for ids in h.entries)):
+        rows[j] |= 1 << i
     pivots: dict[int, int] = {}
     rank = 0
-    for row in h.rows:
-        acc = 0
-        for i in row:
-            acc |= 1 << i
+    for acc in rows:
         while acc:
             top = acc.bit_length() - 1
             if top in pivots:

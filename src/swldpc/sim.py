@@ -136,6 +136,13 @@ def _run_range(
     return bit1, bit2, frames, iters, conv
 
 
+def _split(trials: int, jobs: int) -> list[tuple[int, int]]:
+    """Trials [0, trials) as ``jobs`` contiguous ranges in order, by exact
+    integer bounds trials*k // jobs; none is empty when jobs <= trials."""
+    bounds = [trials * k // jobs for k in range(jobs + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     """Run all trials of one simulation point.
 
@@ -149,14 +156,9 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     if jobs == 1 or trials == 1:
         counts = _run_range(config, h1, 0, trials)
     else:
-        jobs = min(jobs, trials)
-        bounds = np.linspace(0, trials, jobs + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_range, config, h1, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
+        chunks = _split(trials, min(jobs, trials))
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(_run_range, config, h1, lo, hi) for lo, hi in chunks]
             parts = [f.result() for f in futures]
         counts = tuple(sum(part[k] for part in parts) for k in range(5))
 

@@ -111,17 +111,19 @@ def load_alist_reference(text: str) -> SparseParityMatrix:
                 f"row {j} adjacency disagrees with the column listings", 5 + n + j
             )
 
-    return SparseParityMatrix(n=n, m=m, rows=tuple(rows))
+    return SparseParityMatrix.from_rows(n, rows)
 
 
 def save_alist_reference(h: SparseParityMatrix) -> str:
-    """Canonical alist text, with the column listings gathered one entry at a
-    time from the row-major index ``h.entries``."""
+    """Canonical alist text, with the column and row listings gathered one
+    entry at a time from the row-major index ``h.entries``."""
     cols = [[] for _ in range(h.n)]
+    rows = [[] for _ in range(h.m)]
     for i, j in zip(*(ids.tolist() for ids in h.entries)):
         cols[i].append(j)
+        rows[j].append(i)
     col_weights = [len(c) for c in cols]
-    row_weights = [len(r) for r in h.rows]
+    row_weights = [len(r) for r in rows]
     lines = [
         f"{h.n} {h.m}",
         f"{max(col_weights, default=0)} {max(row_weights, default=0)}",
@@ -130,6 +132,6 @@ def save_alist_reference(h: SparseParityMatrix) -> str:
     ]
     for col in cols:
         lines.append(" ".join(str(j + 1) for j in col))
-    for row in h.rows:
+    for row in rows:
         lines.append(" ".join(str(i + 1) for i in row))
     return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ def gallager_construct_reference(
         if np.any(np.diff(keys) == 0):
             continue  # parallel edge, reject the whole permutation
         # keys are sorted and distinct, so every row is strictly increasing
-        return SparseParityMatrix._from_entries(n, m, keys % n, keys // n)
+        return SparseParityMatrix(n, m, (keys % n, keys // n))
     raise ConstructionError(
         f"could not build a parallel-edge-free ({dv},{dc})-regular matrix with "
         f"n={n} within {max_retries} permutation draws"

@@ -166,6 +166,32 @@ class TestMakecode:
     def test_seed_required(self, capsys):
         assert run_cli(capsys, "makecode", "--n", "24", "--dv", "3", "--dc", "6")[0] == 1
 
+    def test_block_length_beyond_the_index_range(self, capsys):
+        # refused by its size before anything is allocated
+        n = 10**21
+        code, out, err = run_cli(capsys, "makecode", "--n", str(n), "--dv", "3", "--dc", "6",
+                                 "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == (f"swldpc: error: block length n={n} is too large: "
+                       f"n*m={n * n // 2} exceeds {2**63 - 1}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["makecode", "--n", "24", "--dv", "3", "--dc", "6", "--seed", "1"],
+        ["simulate", "--p", "0.9", "--n", "24", "--dv", "3", "--dc", "6", "--seed", "1"],
+        ["simulate", "--p", "0.9", "--n", "24", "--dv", "3", "--dc", "6", "--seed", "1",
+         "--mode", "symmetric"],
+    ], ids=["makecode", "simulate", "simulate-symmetric"])
+    def test_construction_out_of_memory(self, capsys, monkeypatch, argv):
+        # a code too large for memory is one error line, exit 2; the
+        # constructor is stubbed, so nothing large is allocated
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 18.6 GiB")
+
+        monkeypatch.setattr(cli, "gallager_construct", out_of_memory)
+        assert run_cli(capsys, *argv) == (
+            2, "", "swldpc: error: not enough memory to construct the code\n"
+        )
+
 
 class TestEncode:
     H = SparseParityMatrix.from_rows(3, ((0, 1), (1, 2)))
@@ -216,10 +242,10 @@ class TestEncode:
             ("101\n10\n", "line 2: expected 3 bits, found 2"),
             ("101\n\n", "line 2: expected 3 bits, found 0"),
             # bits files are ASCII: a non-ASCII digit or space, here in UTF-8,
-            # fails on its line
-            ("101\n1\u00e91\n", "line 2: expected only 0/1 characters"),
-            ("101\n011\n\u00a0101\n", "line 3: expected only 0/1 characters"),
-            ("\uff11\uff10\uff11\n", "line 1: expected only 0/1 characters"),
+            # fails on its line at its first byte
+            ("101\n1\u00e91\n", "line 2: byte 0xc3 is not valid ASCII"),
+            ("101\n011\n\u00a0101\n", "line 3: byte 0xc2 is not valid ASCII"),
+            ("\uff11\uff10\uff11\n", "line 1: byte 0xef is not valid ASCII"),
         ],
     )
     def test_bit_file_errors_name_the_line(self, capsys, tmp_path, text, message):
@@ -747,6 +773,29 @@ class TestSimulate:
             )
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        # a bad byte right after a backslash inside a JSON string
+        (b'{"p": 0.9,\n "mode": "a\\\xff"}\n', 2),
+        (b'{"p": 0.9, "seed": 1,\n "n": 64, "dv": 3, "dc": 6,\n "out": "x\\\xffy"}\n', 3),
+        # CRLF and a lone CR end a line, as in text mode
+        (b'{"p": 0.9,\r\n\r\n "mode": "a\\\xff"}\n', 3),
+        (b'{"p": 0.9,\r "mode": "\xfe"}\r', 2),
+    ],
+    ids=["mode", "out", "crlf", "cr"],
+)
+def test_config_byte_outside_utf8(capsys, monkeypatch, tmp_path, data, line):
+    monkeypatch.chdir(tmp_path)  # where an "out" path would be written
+    path = tmp_path / "sim.json"
+    path.write_bytes(data)
+    byte = max(data)  # the one byte above 0x7f
+    assert run_cli(capsys, "simulate", str(path)) == (
+        2, "", f"swldpc: error: {path}: line {line}: byte 0x{byte:02x} is not valid UTF-8\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
+
+
 # every argument that names an input file, as argv with BAD in its place
 INPUT_FILE_ARGS = {
     "encode-bits": ["encode", "BAD", "--code1", "{c2}"],
@@ -780,7 +829,8 @@ def test_bad_input_file_is_one_line_data_error(capsys, coding_setup, tmp_path, a
     assert (code, out) == (2, "")
     prefix = f"swldpc: error: {target}: "
     if bad == "byte-0xff":
-        assert err.startswith(prefix) and "line 1" in err and err.count("\n") == 1
+        encoding = "UTF-8" if arg == "simulate-config" else "ASCII"
+        assert err == f"{prefix}line 1: byte 0xff is not valid {encoding}\n"
     else:
         reason = {"missing": "No such file or directory", "directory": "Is a directory"}[bad]
         assert err == f"{prefix}{reason}\n"

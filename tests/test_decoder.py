@@ -33,6 +33,7 @@ from swldpc.graph import _TANH_LIMIT
 
 from _decoder_reference import decode_reference
 from _forest import random_forest_instance
+from _strategies import rows_of
 
 LN_9 = 2.1972245773362196
 
@@ -580,7 +581,7 @@ class TestKnownU1MatchesReference:
     def test_irregular_h2(self, h2):
         h1, model = identity_matrix(12), CorrelationModel(0.9)
         graph = build_joint_graph(h1, h2, model)
-        assert (graph._known_u1 is None) == any(len(row) == 1 for row in h2.rows)
+        assert (graph._known_u1 is None) == any(len(row) == 1 for row in rows_of(h2))
         for seed in range(6):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             for bit in (0, 1):
@@ -878,6 +879,30 @@ class TestCornerBuildsNoJointStructure:
         assert ("_plan" in vars(graph)) == joint
         if not joint:
             assert "_plan" not in vars(graph._known_u1)  # iterations 1 and 2 need no kernel
+
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize("case", ["hooked", "damped", "symmetric"])
+    def test_joint_decode_builds_no_edge_checks(self, case, form):
+        """A joint decode takes each edge's check sign from its code's row
+        ids: it builds the joint structure but ``edge_check``."""
+        if case == "symmetric":  # both codes regular: the groups are runs
+            h1, h2 = gallager_construct(64, 3, 6, seed=1), gallager_construct(64, 3, 6, seed=2)
+        else:  # an interleaved h2 makes the decode permute its groups
+            h1, h2 = identity_matrix(64), _interleaved_code(64, 2)
+        model = CorrelationModel(0.93)
+        graph = build_joint_graph(h1, h2, model, form=form)
+        config = DecoderConfig(max_iterations=12, damping=0.3 if case == "damped" else 0.0)
+        snaps = []
+        hook = snaps.append if case == "hooked" else None
+        s1, s2 = _frame_syndromes(h1, h2, model, seed=4)
+        result = decode(graph, s1, s2, config, iteration_hook=hook)
+        assert _JOINT_STRUCTURE & set(vars(graph)) == _JOINT_STRUCTURE - {"edge_check"}
+        assert (graph._plan.group_order is None) == (case == "symmetric")
+        expected = decode_reference(graph, s1, s2, config, iteration_hook=hook)
+        _assert_same_decode(result, expected)
+        if snaps:
+            half = len(snaps) // 2
+            _assert_same_snapshots(snaps[:half], snaps[half:])
 
 
 class TestParityTest:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swldpc import (
     EXPLICIT_Z,
@@ -19,11 +19,11 @@ from swldpc import (
     save_alist,
     syndrome,
 )
-from swldpc.graph import _IDENTITY_BY_BIT, _TANH_LIMIT, _group_checks, _row_weights
+from swldpc.graph import _IDENTITY_BY_BIT, _TANH_LIMIT, KnownU1Graph
 
 from _decoder_reference import decode_reference
 from _layout_reference import flood_layout_reference
-from _strategies import mixed_weight_matrices
+from _strategies import mixed_weight_matrices, rows_of
 
 H1 = identity_matrix(2)
 H2 = SparseParityMatrix.from_rows(2, ((0, 1),))
@@ -80,10 +80,10 @@ def _reference_edges(h1, h2, form):
     """Edge lists built by a plain loop over the rows (check-major order)."""
     n, m1, m2 = h1.n, h1.m, h2.m
     edge_var, edge_check = [], []
-    for j, row in enumerate(h1.rows):
+    for j, row in enumerate(rows_of(h1)):
         edge_var.extend(row)
         edge_check.extend([j] * len(row))
-    for k, row in enumerate(h2.rows):
+    for k, row in enumerate(rows_of(h2)):
         edge_var.extend(n + i for i in row)
         edge_check.extend([m1 + k] * len(row))
     for i in range(n):
@@ -191,9 +191,10 @@ class TestDecodeLayout:
             }
 
 
-def _assert_same_groups(got, want):
-    """``_group_checks`` output equals the edge-based oracle's."""
-    (groups, order), (want_groups, want_order) = got, want
+def _assert_same_groups(plan, want):
+    """A kernel plan's groups equal the edge-based oracle's."""
+    groups, order = plan.check_groups, plan.group_order
+    want_groups, want_order = want
     assert groups == want_groups
     if want_order is None:
         assert order is None
@@ -201,9 +202,24 @@ def _assert_same_groups(got, want):
         assert order.dtype == np.int64 and np.array_equal(order, want_order)
 
 
+# row weights 0, 1 and 3 interleaved down the matrix, so that the groups
+# are not runs: every plan of it needs a permutation
+INTERLEAVED = SparseParityMatrix.from_rows(
+    9, [(0, 4, 8), (), (2,), (1, 3, 5), (), (7,), (0, 6, 7), (3,)]
+)
+# matrices that each draw rows of weights 0, 1 and 3 only
+ZERO_ONE_THREE = mixed_weight_matrices(max_n=12, weights=(0, 1, 3))
+
+
+def _code_plan(h):
+    """The kernel plan of the H2-only graph over h."""
+    return KnownU1Graph(h, 1.0, np.zeros(2))._plan
+
+
 class TestKernelPlan:
     """The one plan builder, from check degrees, against the edge-based
-    oracle in ``tests/_layout_reference.py``."""
+    oracle in ``tests/_layout_reference.py``, and grouped by the rule that
+    groups a matrix's rows (``ldpc._degree_groups``)."""
 
     @pytest.mark.parametrize(
         "h",
@@ -212,35 +228,45 @@ class TestKernelPlan:
             SparseParityMatrix.from_rows(12, []),
             SparseParityMatrix.from_rows(5, [(), (), ()]),
             SparseParityMatrix.from_rows(6, [(0, 1), (2,), (3, 4), (5,), (0, 2, 4)]),
+            INTERLEAVED,
             gallager_construct(1024, 3, 6, seed=7),
             identity_matrix(64),
         ],
-        ids=["irregular", "no-rows", "all-empty", "weights-out-of-order", "regular", "identity"],
+        ids=["irregular", "no-rows", "all-empty", "weights-out-of-order", "interleaved",
+             "regular", "identity"],
     )
     def test_code_plans(self, h):
-        got = _group_checks(_row_weights(h))
-        _assert_same_groups(got, flood_layout_reference(h.entries[1], h.m))
+        plan = _code_plan(h)
+        assert plan.edge_var is h.entries[0]
+        _assert_same_groups(plan, flood_layout_reference(h.entries[1], h.m))
         # one weight in row order needs no permutation
         if len(h._row_blocks) == 1:
-            assert got[1] is None
+            assert plan.group_order is None
 
     @settings(max_examples=100, deadline=None)
-    @given(h=mixed_weight_matrices())
+    @given(h=st.one_of(mixed_weight_matrices(), ZERO_ONE_THREE))
+    @example(h=INTERLEAVED)
     def test_code_plan_is_the_flood_layout_of_the_entries(self, h):
-        assert _row_weights(h).tolist() == [len(row) for row in h.rows]
+        plan = _code_plan(h)
         want = flood_layout_reference(h.entries[1], h.m)
-        _assert_same_groups(_group_checks(_row_weights(h)), want)
+        _assert_same_groups(plan, want)
+        # the row blocks of the same weights come in the same order, the
+        # rows without entries, which have no edges, left out
+        weights = [len(block) for block, _ in h._row_blocks]
+        assert [degree for degree, _, _ in plan.check_groups] == [w for w in weights if w]
+        assert sorted(weights) == sorted(set(len(row) for row in rows_of(h)))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), form=st.sampled_from([EXPLICIT_Z, FOLDED_Z]))
     def test_joint_plan_is_the_flood_layout_of_the_edges(self, data, form):
-        h1 = data.draw(mixed_weight_matrices(), label="h1")
-        h2 = data.draw(mixed_weight_matrices(n=h1.n), label="h2")
+        h1 = data.draw(st.one_of(mixed_weight_matrices(), ZERO_ONE_THREE), label="h1")
+        pools = [mixed_weight_matrices(n=h1.n, weights=w) for w in (None, (0, 1, 3))]
+        h2 = data.draw(st.one_of(pools), label="h2")
         g = build_joint_graph(h1, h2, MODEL, form=form)
         plan = g._plan
         assert plan.edge_var is g.edge_var and g.num_edges == len(g.edge_var)
         want = flood_layout_reference(g.edge_check, g.check_count)
-        _assert_same_groups((plan.check_groups, plan.group_order), want)
+        _assert_same_groups(plan, want)
 
 
 class TestFold:

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swldpc import (
     AlistFormatError,
@@ -17,13 +17,19 @@ from swldpc import (
     save_alist,
     syndrome,
 )
-from _strategies import mixed_weight_matrices
+from _strategies import mixed_weight_matrices, rows_of
 from _syndrome_reference import syndrome_reference
 
 # H = [[1,1,0],[0,1,1]]: worked example used throughout this file
 H_CHAIN = SparseParityMatrix.from_rows(3, ((0, 1), (1, 2)))
 
 H_CHAIN_ALIST = "3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n"
+
+
+def _flat(rows):
+    """The flat index (column ids, row ids) of rows listed in order."""
+    cols = [i for row in rows for i in row]
+    return cols, np.repeat(np.arange(len(rows)), [len(row) for row in rows]).tolist()
 
 
 def _columns(h):
@@ -36,7 +42,7 @@ class TestSparseParityMatrix:
     def test_from_rows_derives_columns(self):
         assert H_CHAIN.n == 3
         assert H_CHAIN.m == 2
-        assert H_CHAIN.rows == ((0, 1), (1, 2))
+        assert rows_of(H_CHAIN) == ((0, 1), (1, 2))
         assert _columns(H_CHAIN) == [[0], [0, 1], [1]]
 
     def test_to_dense(self):
@@ -46,20 +52,20 @@ class TestSparseParityMatrix:
 
     def test_identity(self):
         h = identity_matrix(4)
-        assert h.rows == ((0,), (1,), (2,), (3,))
+        assert rows_of(h) == ((0,), (1,), (2,), (3,))
         assert np.array_equal(h.to_dense(), np.eye(4, dtype=np.uint8))
 
     def test_validation_rejects_inconsistency(self):
         with pytest.raises(ValueError):
-            SparseParityMatrix(n=3, m=1, rows=((0, 1, 1),))
+            SparseParityMatrix(n=3, m=1, entries=([0, 1, 1], [0, 0, 0]))
         with pytest.raises(ValueError):
-            SparseParityMatrix(n=2, m=3, rows=((0,), (1,), (0,)))
+            SparseParityMatrix(n=2, m=3, entries=([0, 1, 0], [0, 1, 2]))
         with pytest.raises(ValueError):
             SparseParityMatrix.from_rows(3, ((0, 5),))
         with pytest.raises(ValueError):
             SparseParityMatrix.from_rows(0, ())
         with pytest.raises(ValueError):
-            SparseParityMatrix(n=3, m=1, rows=((1, 0),))
+            SparseParityMatrix(n=3, m=1, entries=([1, 0], [0, 0]))
 
     @pytest.mark.parametrize(
         "m, rows, message",
@@ -68,13 +74,49 @@ class TestSparseParityMatrix:
             (3, ((0,), (), (-1, 2)), r"row 2 has column index -1 outside \[0, 4\)"),
             (2, ((0, 3), (2, 1)), r"row 1 is not sorted or has duplicates: \(2, 1\)"),
             (3, ((0,), (1,), (3, 3)), r"row 2 is not sorted or has duplicates: \(3, 3\)"),
-            (3, ((0,), (1,)), r"expected m=3 rows, got 2"),
+            # more rows than m; fewer are empty rows, see the next test
+            (3, ((0,), (1,), (2,), (3,)), r"expected m=3 rows, got 4"),
             (1, ((0,), (1,)), r"expected m=1 rows, got 2"),
         ],
     )
     def test_constructor_names_the_offending_row(self, m, rows, message):
         with pytest.raises(ValueError, match=message):
-            SparseParityMatrix(n=4, m=m, rows=rows)
+            SparseParityMatrix(n=4, m=m, entries=_flat(rows))
+
+    def test_rows_after_the_last_entry_are_empty(self):
+        # the index lists entries, not rows: m=3 over entries in rows 0 and
+        # 1 leaves row 2 empty
+        h = SparseParityMatrix(n=4, m=3, entries=_flat(((0,), (1,))))
+        assert rows_of(h) == ((0,), (1,), ())
+        assert h == SparseParityMatrix.from_rows(4, ((0,), (1,), ()))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((np.array([0.0, 1.9]), [0, 0]), "column ids must be integers, got dtype float64"),
+            ((np.array([1.0]), [0]), "column ids must be integers, got dtype float64"),
+            (([True, False], [0, 0]), "column ids must be integers, got dtype bool"),
+            (([0, 1], np.array([0.0, 0.5])), "row ids must be integers, got dtype float64"),
+            (([0, 1], [False, True]), "row ids must be integers, got dtype bool"),
+            (([0, 1], ["0", "0"]), "row ids must be integers, got dtype <U1"),
+            (([[0, 1]], [[0, 0]]), "column ids must be one-dimensional, got shape (1, 2)"),
+            (([0, 1], [0]), "got 2 column ids but 1 row ids"),
+            ((np.array([0, 2**64 - 1], dtype=np.uint64), [0, 0]),
+             f"column ids must fit int64, got {2**64 - 1}"),
+        ],
+        ids=["float", "whole-float", "bool", "float-rows", "bool-rows", "text-rows", "2d",
+             "lengths", "uint64"],
+    )
+    def test_index_arrays_are_checked_whole(self, entries, message):
+        # a float or bool array is refused, never truncated
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SparseParityMatrix(2, 2, entries)
+
+    def test_empty_index_of_any_dtype(self):
+        # np.asarray([]) is float64, and an empty array has nothing to truncate
+        for h in (SparseParityMatrix(3, 0, ([], [])), SparseParityMatrix(3, 2, ([], []))):
+            assert [ids.dtype for ids in h.entries] == [np.int64, np.int64]
+            assert h == SparseParityMatrix.from_rows(3, ((),) * h.m)
 
     @pytest.mark.parametrize("copy", [lambda h: h, lambda h: pickle.loads(pickle.dumps(h))])
     def test_flat_index_is_read_only(self, copy):
@@ -90,8 +132,8 @@ class TestSparseParityMatrix:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda h: SparseParityMatrix(h.n, h.m, h.rows),
-            lambda h: SparseParityMatrix.from_rows(h.n, [row[::-1] + row for row in h.rows]),
+            lambda h: SparseParityMatrix(h.n, h.m, tuple(ids.copy() for ids in h.entries)),
+            lambda h: SparseParityMatrix.from_rows(h.n, [row[::-1] + row for row in rows_of(h)]),
             lambda h: load_alist(save_alist(h)),
             lambda h: pickle.loads(pickle.dumps(h)),
         ],
@@ -104,7 +146,7 @@ class TestSparseParityMatrix:
     )
     def test_construction_paths_agree(self, build, h):
         copy = build(h)
-        assert copy == h and hash(copy) == hash(h) and copy.rows == h.rows
+        assert copy == h and hash(copy) == hash(h) and rows_of(copy) == rows_of(h)
         restored = pickle.loads(pickle.dumps(copy))
         assert restored == h and hash(restored) == hash(h)
         for index in restored.entries:
@@ -113,19 +155,20 @@ class TestSparseParityMatrix:
                 index[0] = 1
 
     def test_equality_needs_equal_shape_and_entries(self):
-        assert H_CHAIN != SparseParityMatrix(4, 2, H_CHAIN.rows)
-        assert H_CHAIN != SparseParityMatrix(3, 3, H_CHAIN.rows + ((),))
-        assert H_CHAIN != SparseParityMatrix(3, 2, ((0, 1), (0, 2)))
+        assert H_CHAIN != SparseParityMatrix(4, 2, H_CHAIN.entries)
+        assert H_CHAIN != SparseParityMatrix(3, 3, H_CHAIN.entries)  # an empty third row
+        assert H_CHAIN != SparseParityMatrix.from_rows(3, ((0, 1), (0, 2)))
         # equal column ids, different row ids
-        split = SparseParityMatrix(3, 2, ((0, 1), (2,)))
-        assert split != SparseParityMatrix(3, 2, ((0,), (1, 2)))
-        assert H_CHAIN != H_CHAIN.rows
+        split = SparseParityMatrix.from_rows(3, ((0, 1), (2,)))
+        assert split != SparseParityMatrix.from_rows(3, ((0,), (1, 2)))
+        assert H_CHAIN != H_CHAIN.entries
 
     def test_rows_of_a_flat_built_matrix(self):
         rows = ((1, 4), (), (0, 2, 3), (4,))
         cols = np.array([1, 4, 0, 2, 3, 4])
         owner = np.array([0, 0, 2, 2, 2, 3])
-        assert SparseParityMatrix._from_entries(5, 4, cols, owner).rows == rows
+        h = SparseParityMatrix(5, 4, (cols, owner))
+        assert rows_of(h) == rows and h == SparseParityMatrix.from_rows(5, rows)
 
     @given(st.data())
     def test_flat_path_matches_constructor(self, data):
@@ -136,20 +179,22 @@ class TestSparseParityMatrix:
             st.lists(st.lists(st.integers(-2, n + 1), max_size=4), min_size=m, max_size=m),
             label="rows",
         )
-        cols = np.array([i for row in rows for i in row], dtype=np.int64)
-        owner = np.repeat(np.arange(m), [len(row) for row in rows])
-        outcomes = []
-        for build in (
-            lambda: SparseParityMatrix(n, m, rows),
-            lambda: SparseParityMatrix._from_entries(n, m, cols, owner),
-        ):
-            try:
-                outcomes.append(build())
-            except ValueError as err:
-                outcomes.append(str(err))
-        assert outcomes[0] == outcomes[1]
-        if isinstance(outcomes[0], SparseParityMatrix):
-            assert outcomes[0].rows == tuple(map(tuple, rows))
+        # the checks row by row: the first entry out of range, else the
+        # first row that does not strictly increase
+        outside = [(j, i) for j, row in enumerate(rows) for i in row if not 0 <= i < n]
+        unsorted = [j for j, row in enumerate(rows) if any(b <= a for a, b in zip(row, row[1:]))]
+        if outside:
+            want = "row {} has column index {} outside [0, {})".format(*outside[0], n)
+        elif unsorted:
+            want = f"row {unsorted[0]} is not sorted or has duplicates: {tuple(rows[unsorted[0]])}"
+        else:
+            want = tuple(map(tuple, rows))
+        try:
+            h = SparseParityMatrix(n, m, _flat(rows))
+        except ValueError as err:
+            assert str(err) == want
+        else:
+            assert rows_of(h) == want and h == SparseParityMatrix.from_rows(n, rows)
 
     @pytest.mark.parametrize(
         "n, m, message",
@@ -162,19 +207,12 @@ class TestSparseParityMatrix:
     )
     def test_counts_must_be_integers(self, n, m, message):
         with pytest.raises(ValueError, match=message):
-            SparseParityMatrix(n, m, [(0,)])
+            SparseParityMatrix(n, m, ([0], [0]))
         with pytest.raises(ValueError, match=message):
-            SparseParityMatrix._from_entries(n, m, np.array([0]), np.array([0]))
-        assert SparseParityMatrix(np.int64(4), np.int64(1), [(0,)]).n == 4
+            SparseParityMatrix(n, m, (np.array([0]), np.array([0])))
+        assert SparseParityMatrix(np.int64(4), np.int64(1), ([0], [0])).n == 4
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda rows: SparseParityMatrix(4, len(rows), rows),
-            lambda rows: SparseParityMatrix.from_rows(4, rows),
-        ],
-        ids=["constructor", "from_rows"],
-    )
+    @pytest.mark.parametrize("build", ["constructor", "from_rows"])
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -187,13 +225,24 @@ class TestSparseParityMatrix:
         ],
     )
     def test_column_ids_must_be_integers(self, build, rows, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            build(rows)
+        if build == "from_rows":
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SparseParityMatrix.from_rows(4, rows)
+        else:
+            # the constructor reads one array, which a single float or text
+            # id makes a float or text array, refused whole
+            cols = np.array([i for row in rows for i in row])
+            message = f"column ids must be integers, got dtype {cols.dtype}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SparseParityMatrix(4, len(rows), (cols, _flat(rows)[1]))
 
     def test_numpy_integer_column_ids(self):
         rows = [(np.int64(0), np.int32(2)), (np.uint8(3),)]
-        expected = SparseParityMatrix(4, 2, [(0, 2), (3,)])
-        assert SparseParityMatrix(4, 2, rows) == SparseParityMatrix.from_rows(4, rows) == expected
+        expected = SparseParityMatrix(4, 2, ([0, 2, 3], [0, 0, 1]))
+        narrow = (np.array([0, 2, 3], dtype=np.int32), np.array([0, 0, 1], dtype=np.uint8))
+        built = SparseParityMatrix(4, 2, narrow)
+        assert built == SparseParityMatrix.from_rows(4, rows) == expected
+        assert [ids.dtype for ids in built.entries] == [np.int64, np.int64]
 
     @pytest.mark.parametrize(
         "args, kwargs, message",
@@ -287,12 +336,21 @@ class TestSyndrome:
             assert np.array_equal(got, want)
 
 
+# row weights 0, 1 and 3 interleaved down the matrix
+INTERLEAVED = SparseParityMatrix.from_rows(
+    9, [(0, 4, 8), (), (2,), (1, 3, 5), (), (7,), (0, 6, 7), (3,)]
+)
+# matrices that each draw rows of weights 0, 1 and 3 only
+ZERO_ONE_THREE = mixed_weight_matrices(max_n=12, weights=(0, 1, 3))
+
+
 class TestRowBlocks:
     """The rows grouped by weight, which ``syndrome`` and the decoder's
     convergence test reduce over, against the ``reduceat`` oracle."""
 
     @settings(max_examples=200, deadline=None)
-    @given(h=mixed_weight_matrices(), seed=st.integers(0, 2**32 - 1))
+    @given(h=st.one_of(mixed_weight_matrices(), ZERO_ONE_THREE), seed=st.integers(0, 2**32 - 1))
+    @example(h=INTERLEAVED, seed=0)
     def test_syndrome_matches_the_reduceat_oracle(self, h, seed):
         rng = np.random.default_rng(seed)
         for u in (np.ones(h.n, dtype=np.uint8), *rng.integers(0, 2, (3, h.n), dtype=np.uint8)):
@@ -301,9 +359,10 @@ class TestRowBlocks:
             assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(h=st.one_of(mixed_weight_matrices(), mixed_weight_matrices(max_n=4)))
+    @given(h=st.one_of(mixed_weight_matrices(), mixed_weight_matrices(max_n=4), ZERO_ONE_THREE))
+    @example(h=INTERLEAVED)
     def test_blocks_partition_the_rows(self, h):
-        weights = [len(row) for row in h.rows]
+        weights = [len(row) for row in rows_of(h)]
         blocks = h._row_blocks
         assert h._row_blocks is blocks  # built once
         seen = []
@@ -314,7 +373,7 @@ class TestRowBlocks:
             assert block.shape == (len(block), len(rows)) and len(rows) > 0
             assert (np.diff(rows) > 0).all()
             assert all(weights[r] == len(block) for r in rows.tolist())
-            assert [h.rows[r] for r in rows.tolist()] == [tuple(c) for c in block.T.tolist()]
+            assert [rows_of(h)[r] for r in rows.tolist()] == [tuple(c) for c in block.T.tolist()]
             seen.extend(rows.tolist())
         assert sorted(seen) == list(range(h.m))
         # weights in the order in which they first appear down the rows
@@ -418,8 +477,16 @@ class TestGallagerConstruct:
     def test_regular_degrees(self):
         h = gallager_construct(1024, 3, 6, seed=7)
         assert h.n == 1024 and h.m == 512
-        assert all(len(row) == 6 for row in h.rows)
+        assert all(len(row) == 6 for row in rows_of(h))
         assert all(len(col) == 3 for col in _columns(h))
+
+    @pytest.mark.parametrize("n", [2**32, 2**32 + 6, 10**21])
+    def test_block_length_beyond_the_index_range(self, n):
+        # n*m sort keys past np.intp are refused before anything is drawn
+        m = n // 2
+        message = f"block length n={n} is too large: n*m={n * m} exceeds {np.iinfo(np.intp).max}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gallager_construct(n, 3, 6, seed=1)
 
     def test_deterministic_in_seed(self):
         assert gallager_construct(96, 3, 6, seed=4) == gallager_construct(96, 3, 6, seed=4)

@@ -18,7 +18,7 @@ from swldpc import (
     run_trials,
     sweep,
 )
-from swldpc.sim import CSV_COLUMNS
+from swldpc.sim import CSV_COLUMNS, _split
 
 H2_64 = gallager_construct(64, 3, 6, seed=2)
 H2_256 = gallager_construct(256, 3, 6, seed=6)
@@ -99,6 +99,22 @@ class TestRunTrials:
         record = run_trials(_config(trials=24))
         assert run_trials(_config(trials=24), jobs=3) == record
         assert run_trials(_config(trials=24), jobs=7) == record
+
+    @pytest.mark.parametrize(
+        "trials",
+        [1, 2, 7, 24, 100, 2**53 - 1, 2**53 + 1, 10**17 + 3, 2**63 - 1, 2**64 - 1, 2**64],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
+    def test_split_is_exact(self, trials, jobs):
+        # no trial is run: the ranges tile [0, trials) once, in order, and
+        # their sizes differ by at most one, beyond float precision too
+        jobs = min(jobs, trials)
+        chunks = _split(trials, jobs)
+        assert len(chunks) == jobs and chunks[0][0] == 0 and chunks[-1][1] == trials
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        sizes = {hi - lo for lo, hi in chunks}
+        assert sizes <= {trials // jobs, -(-trials // jobs)} and min(sizes) > 0
+        assert all(type(bound) is int for chunk in chunks for bound in chunk)
 
     def test_record_fields(self):
         config = _config(p=0.9, trials=25)
