@@ -20,8 +20,8 @@ from .correlation import (
     sample_pair,
     sw_region_check,
 )
+from .decoder import EXPLICIT_Z, FOLDED_Z, JointTannerGraph, build_joint_graph
 from .decoder import DecodeResult, DecoderConfig, IterationInfo, decode
-from .graph import EXPLICIT_Z, FOLDED_Z, JointTannerGraph, build_joint_graph
 from .ldpc import (
     AlistFormatError,
     ConstructionError,

@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .correlation import CorrelationModel, RatePair, sw_region_check
-from .decoder import DecoderConfig, decode
-from .graph import build_joint_graph
+from .decoder import DecoderConfig, build_joint_graph, decode
 from .ldpc import (
     ConstructionError,
     _integer,

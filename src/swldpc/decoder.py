@@ -1,13 +1,30 @@
 """Joint sum-product decoding of two syndrome-compressed correlated sources.
 
+The decoder's graph contains the Tanner graphs of both codes plus, for every bit
+position i, a correlation check enforcing u1[i] + u2[i] + z[i] = 0 over
+GF(2), where z[i] is the hidden error bit of the source pair. Two
+equivalent forms are supported:
+
+* ``explicit``: each correlation check has degree 3 and is attached to a
+  degree-1 z variable node whose prior is the constant hidden-bit LLR.
+* ``folded``: the z node is eliminated algebraically. The correlation
+  check has degree 2 and carries the hidden LLR as a check-local
+  parameter. Because a degree-1 variable always emits its prior, the two
+  forms exchange the same messages on the u1/u2 edges, up to the rounding
+  of the variable update (below).
+
+Node ids are assigned deterministically so message traces are comparable
+across runs: variables are the u1 block [0, n), the u2 block [n, 2n) and,
+in explicit form, the z block [2n, 3n); checks are code-1 rows [0, m1),
+code-2 rows [m1, m1+m2) and correlation checks [m1+m2, m1+m2+n). Edges are
+stored check-major with ascending variable ids inside each check.
+
 Messages are LLRs under the convention L(x) = ln(P(x=0)/P(x=1)), so a
 positive value favors bit 0. The schedule is flooding: every iteration
 updates all variable-to-check messages, then all check-to-variable
-messages, then the posteriors.
-
-Update rules (variable messages clamped to +/- LLR_MAX; check messages
-stay inside that bound because every tanh value is at most
-tanh(LLR_MAX/2) in magnitude and |f| <= 1, see ``_flood``):
+messages, then the posteriors. Variable messages are clamped to
++/- LLR_MAX, and check messages stay inside that bound (see the kernel
+notes below).
 
 * variable v to check c: prior(v) plus the sum of incoming check messages
   excluding the one from c. It is computed as the posterior of v from the
@@ -23,18 +40,17 @@ tanh(LLR_MAX/2) in magnitude and |f| <= 1, see ``_flood``):
   stands in for the eliminated hidden-bit node. Each decode takes the
   sign of an edge from its own code's row ids (``_edge_signs``), so no
   per-check array is built. The update runs on the graph's check-degree
-  groups (see ``graph._KernelPlan``):
-  each group is one contiguous run of edges in a decode-local order, read
-  as a (checks, degree) view. A degree-1 check's product is empty (1); a
-  degree-2 check passes each edge its partner's value; for larger degrees
-  the leave-one-out products are built column by column, prefix products
-  from the left and suffix products from the right. Each product is
-  multiplied in the same order as a forward and a backward ``np.cumprod``
-  along the row and then joined by one multiplication, so it rounds
-  exactly as the cumulative products did. For the graphs that
-  ``build_joint_graph`` makes from regular codes the decode-local order is
-  the check-major order itself; other graphs pay one gather into it and
-  one scatter back per iteration.
+  groups (``_KernelPlan``): each group is one contiguous run of edges in
+  a decode-local order, read as a (checks, degree) view. A degree-1
+  check's product is empty (1); a degree-2 check passes each edge its
+  partner's value; for larger degrees the leave-one-out products are
+  built column by column, prefix products from the left and suffix
+  products from the right. Each product is multiplied in the same order
+  as a forward and a backward ``np.cumprod`` along the row and then
+  joined by one multiplication, so it rounds exactly as the cumulative
+  products did. For the graphs that ``build_joint_graph`` makes from
+  regular codes the decode-local order is the check-major order itself;
+  other graphs pay one gather into it and one scatter back per iteration.
 
 The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
@@ -42,25 +58,27 @@ scaling pass. Its callers halve the priors and double what leaves the
 loop (the posteriors and the hook's snapshots); scaling by 2 is exact in
 binary floating point short of the subnormal range, so every output
 equals the full-unit rule bit for bit. The atanh argument needs no clip:
-it is at most tanh(LLR_MAX/2) in magnitude, since every tanh value is
-(the tests pin numpy's tanh to that bound at and near the clamp) and
-|f| <= 1, and a degree-1 check, always a code check (f = 1), has its
-empty product stored as that bound. Check messages are tested for
-finiteness when the loop exits and before each hook call, not in every
-iteration: a NaN check message makes its variable's posterior NaN, so
-some check message stays NaN in every later iteration and the test still
-raises.
+it is at most tanh(LLR_MAX/2) (``_TANH_LIMIT``) in magnitude, since every
+tanh value is (the tests pin numpy's tanh to that bound at and near the
+clamp) and |f| <= 1, and a degree-1 check, always a code check (f = 1),
+has its empty product stored as that bound. So 2 atanh of it, and a
+damped mix of two such values, stay inside LLR_MAX, and check messages
+need no clamp of their own. Check messages are tested for finiteness
+when the loop exits and before each hook call, not in every iteration: a
+NaN check message makes its variable's posterior NaN, so some check
+message stays NaN in every later iteration and the test still raises.
 
-The kernel's message buffers, with the column views and scratch of the
-check update (``_Workspace``), are built once per plan and kept in it
-between frames: the joint decode's in the graph's ``_plan``, the known-u1
-decode's in the plan of the graph's ``KnownU1Graph``. Each graph holds its
-own plans, so graphs over one code share no buffers. A decode checks the
-buffers out of the plan's ``idle`` slot with an atomic ``deque.pop`` and
-puts them back when it returns, also on an exception, so a decode that
-starts meanwhile (another thread, or a hook decoding the same graph) finds
-none and builds its own; results never depend on which buffers a decode
-gets.
+A graph stores its form, model and codes; its edge lists, priors and
+plans are built on first use and kept by that graph alone. The kernel's
+message buffers, with the column views and scratch of the check update
+(``_Workspace``), are built once per plan and kept in it between frames:
+the joint decode's in the graph's ``_plan``, the known-u1 decode's in the
+plan of the graph's ``KnownU1Graph``. So graphs over one code share no
+buffers. A decode checks the buffers out of the plan's ``idle`` slot with
+an atomic ``deque.pop`` and puts them back when it returns, also on an
+exception, so a decode that starts meanwhile (another thread, or a hook
+decoding the same graph) finds none and builds its own; results never
+depend on which buffers a decode gets.
 
 Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
@@ -72,10 +90,11 @@ entries has syndrome bit 0, so it fails exactly when its received bit is 1.
 
 Known u1 (the corner point). When h1 is the n x n identity, rows in
 order, u1 is sent raw and s1 is u1. ``decode`` then runs the same kernel
-on H2 alone (``JointTannerGraph._known_u1``, a ``graph.KnownU1Graph``),
-3n edges where the corner graph has 6n. This is the side-information
-decoder of Liveris, Xiong and Georghiades (IEEE Commun. Lett., 2002), and
-it returns bit for bit what the joint graph returns:
+on H2 alone (``JointTannerGraph._known_u1``, a ``KnownU1Graph`` that
+``_reduce_known_u1`` builds without the joint edges), 3n edges where the
+corner graph has 6n. This is the side-information decoder of Liveris,
+Xiong and Georghiades (IEEE Commun. Lett., 2002), and it returns bit for
+bit what the joint graph returns:
 
 * Every h1 check has degree 1 and sends u1 the constant c_id (1 - 2 u1),
   c_id = 2 atanh(tanh(LLR_MAX/2)) = 29.9998. A correlation check sends u1
@@ -88,7 +107,7 @@ it returns bit for bit what the joint graph returns:
   zero. Iteration 2 sends each u2 the constant correlation message
   q (1 - 2 u1), q = 2 atanh(f tanh(c_id/2)), and converges iff the signs
   of those priors satisfy H2. Both messages come from 2-entry tables
-  indexed by the u1 bit, +/- c_id (``graph._IDENTITY_BY_BIT``) and +/- q/2
+  indexed by the u1 bit, +/- c_id (``_IDENTITY_BY_BIT``) and +/- q/2
   (``KnownU1Graph``), exact. ``decode`` returns after iteration 1 or 2
   where the budget ends, or where early stop is on and it converged.
 * From joint iteration 3 on, the u2 edges carry exactly what H2 alone
@@ -114,21 +133,221 @@ in another order included.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .correlation import LLR_MAX, _is_finite_real
-from .graph import _IDENTITY_BY_BIT, _TANH_LIMIT, FOLDED_Z, JointTannerGraph, KnownU1Graph
-from .ldpc import _integer, _row_parity, as_bit_array
+from .correlation import LLR_MAX, CorrelationModel, _is_finite_real, hidden_llr
+from .ldpc import SparseParityMatrix, _degree_groups, _integer, _row_parity, as_bit_array
+
+EXPLICIT_Z = "explicit"
+FOLDED_Z = "folded"
+
+# Largest magnitude tanh(m/2) can reach under the message clamp, the bound
+# of every atanh argument (see the module notes).
+_TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
+
+# A degree-1 code check's message +c_id or -c_id, indexed by its syndrome
+# bit: its empty product is stored as _TANH_LIMIT. It does not depend on
+# the model.
+_IDENTITY_BY_BIT = np.array([1.0, -1.0]) * (np.arctanh(_TANH_LIMIT) * 2.0)
 
 # 1 - 2 b for a bit b, by table lookup
 _SIGN = np.array([1.0, -1.0])
 
 # Joint iterations that precede the known-u1 loop (see the module notes).
 _KNOWN_U1_OFFSET = 2
+
+
+@dataclass(frozen=True, eq=False)
+class JointTannerGraph:
+    """Immutable structure of the joint decoding graph.
+
+    The constructor checks that the codes share their block length and
+    that ``form`` is EXPLICIT_Z or FOLDED_Z; the sizes are read off the
+    four fields. ``edge_var``, ``priors`` and the kernel plan ``_plan`` are
+    built on first use, so a graph that only takes the known-u1 path
+    (``_known_u1``) never builds them. No decode reads ``edge_check``, each
+    edge's check; only a reader of the whole edge list, such as
+    ``reference.is_cycle_free``, builds it.
+    """
+
+    form: str
+    model: CorrelationModel
+    h1: SparseParityMatrix
+    h2: SparseParityMatrix
+
+    def __post_init__(self):
+        if self.h1.n != self.h2.n:
+            raise ValueError(f"codes disagree on block length: {self.h1.n} vs {self.h2.n}")
+        if self.form not in (EXPLICIT_Z, FOLDED_Z):
+            raise ValueError(f"unknown graph form {self.form!r}")
+
+    @property
+    def n(self) -> int:
+        return self.h1.n
+
+    @property
+    def m1(self) -> int:
+        return self.h1.m
+
+    @property
+    def m2(self) -> int:
+        return self.h2.m
+
+    @property
+    def num_code_checks(self) -> int:
+        return self.m1 + self.m2
+
+    @property
+    def check_count(self) -> int:
+        return self.m1 + self.m2 + self.n
+
+    @property
+    def _corr_degree(self) -> int:  # one edge into each variable block
+        return 3 if self.form == EXPLICIT_Z else 2
+
+    @property
+    def var_count(self) -> int:
+        return self._corr_degree * self.n
+
+    @property
+    def num_edges(self) -> int:
+        code_edges = len(self.h1.entries[0]) + len(self.h2.entries[0])
+        return code_edges + self._corr_degree * self.n
+
+    @property
+    def corr_param(self) -> float:  # hidden-bit LLR of the correlation checks
+        return hidden_llr(self.model)
+
+    # Check-major: h1 rows, h2 rows, then one correlation check per index
+    # attached to u1[i], u2[i] and, in explicit form, z[i].
+
+    @cached_property
+    def edge_var(self) -> np.ndarray:
+        n = self.n
+        corr = np.arange(n, dtype=np.int64)[:, None] + n * np.arange(self._corr_degree)
+        return np.concatenate([self.h1.entries[0], self.h2.entries[0] + n, corr.ravel()])
+
+    @cached_property
+    def edge_check(self) -> np.ndarray:
+        corr = np.arange(self.num_code_checks, self.check_count, dtype=np.int64)
+        return np.concatenate(
+            [self.h1.entries[1], self.h2.entries[1] + self.m1, corr.repeat(self._corr_degree)]
+        )
+
+    @cached_property
+    def priors(self) -> np.ndarray:
+        priors = np.zeros(self.var_count)
+        if self.form == EXPLICIT_Z:
+            priors[2 * self.n:] = self.corr_param
+        return priors
+
+    @cached_property
+    def _plan(self) -> "_KernelPlan":
+        degrees = [np.bincount(h.entries[1], minlength=h.m) for h in (self.h1, self.h2)]
+        degrees.append(np.full(self.n, self._corr_degree))
+        return _KernelPlan(self.edge_var, np.concatenate(degrees))
+
+    @cached_property
+    def _known_u1(self) -> "KnownU1Graph | None":
+        """The H2-only graph that decodes this graph when u1 is known, or
+        None, from :func:`_reduce_known_u1`, which builds no joint edges."""
+        return _reduce_known_u1(self)
+
+
+@dataclass(frozen=True, eq=False)
+class KnownU1Graph:
+    """H2 alone, which decodes a joint graph whose u1 is known.
+
+    Variables are the u2 block numbered from 0, checks are the h2 rows and
+    the edges are h2's ``entries``; ``_plan``, built on first use, is the
+    kernel's plan over them. ``corr_factor`` is f = tanh(llr/2) of the
+    correlation checks, and ``half_prior_by_bit`` a correlation check's
+    message to u2 in half-LLR units, the kernel's unit, indexed by the u1
+    bit: +q/2 and -q/2.
+    """
+
+    h2: SparseParityMatrix
+    corr_factor: float
+    half_prior_by_bit: np.ndarray
+
+    @cached_property
+    def _plan(self) -> "_KernelPlan":
+        return _KernelPlan(self.h2.entries[0], np.bincount(self.h2.entries[1], minlength=self.h2.m))
+
+
+class _KernelPlan:
+    """The decode kernel's layout of one graph's check-major edges.
+
+    ``edge_var`` maps each edge to its variable. The decoder works in a
+    decode-local order where all checks of one degree are one run: the
+    checks grouped by degree in the order in which the degrees first
+    appear (``ldpc._degree_groups``), checks without edges left out.
+    ``check_groups`` holds one ``(degree, start, stop)`` edge range per
+    degree in that order, so that a ``(checks, degree)`` reshape of a
+    range is a view with one row per check, rows in ascending check id;
+    ``group_order`` is that order as an edge permutation, or None when the
+    check-major order is already grouped, as in every graph that
+    ``build_joint_graph`` makes from regular codes (identity rows, code
+    rows and correlation checks each have one degree). ``idle`` keeps the
+    kernel's message buffers for these edges between decodes, at most one
+    set (see ``_flood``).
+    """
+
+    def __init__(self, edge_var: np.ndarray, degrees: np.ndarray):
+        self.edge_var = edge_var
+        present = degrees > 0
+        groups, in_order = _degree_groups(degrees[present])
+        check_groups, stop = [], 0
+        for degree, checks in groups:
+            start, stop = stop, stop + degree * len(checks)
+            check_groups.append((degree, start, stop))
+        self.check_groups = tuple(check_groups)
+        self.group_order = None
+        if not in_order:
+            starts = (np.cumsum(degrees) - degrees)[present]
+            self.group_order = np.concatenate(
+                [(starts[checks][:, None] + np.arange(d)).ravel() for d, checks in groups]
+            )
+        self.idle = deque(maxlen=1)
+
+
+def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
+    """The :class:`KnownU1Graph` of a graph whose u1 is known, or None
+    where the reduction does not apply (see the module notes)."""
+    if graph.form != FOLDED_Z:
+        return None
+    ids = np.arange(graph.n)
+    if not all(np.array_equal(a, ids) for a in graph.h1.entries):
+        return None
+    if len(graph.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in graph.h2._row_blocks):
+        return None
+    factor = np.tanh(graph.corr_param * 0.5)
+    half_q = np.arctanh(factor * np.tanh(_IDENTITY_BY_BIT[0] * 0.5))
+    return KnownU1Graph(graph.h2, float(factor), np.array([half_q, -half_q]))
+
+
+def build_joint_graph(
+    h1: SparseParityMatrix,
+    h2: SparseParityMatrix,
+    model: CorrelationModel,
+    form: str = FOLDED_Z,
+) -> JointTannerGraph:
+    """Assemble the joint graph for two codes over correlated sources.
+
+    Args:
+        h1: code for the first source (identity for the uncompressed
+            corner point).
+        h2: code for the second source; must have the same block length.
+        model: correlation model; its hidden-bit LLR becomes the z priors
+            (explicit form) or the correlation-check parameter (folded).
+        form: EXPLICIT_Z or FOLDED_Z.
+    """
+    return JointTannerGraph(form=form, model=model, h1=h1, h2=h2)
 
 
 @dataclass(frozen=True)
@@ -331,8 +550,7 @@ class _Workspace:
         self.t = np.empty(num_edges)
         self.excl = np.full(num_edges, _TANH_LIMIT)
         self.c2v = np.empty(num_edges)
-        self.group_order = plan.group_order
-        if self.group_order is None:
+        if plan.group_order is None:
             self.t_grouped, self.excl_grouped = self.t, self.excl
         else:
             self.t_grouped = np.empty(num_edges)
@@ -358,7 +576,7 @@ class _Workspace:
 def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
     """The flooding loop over one graph's edges, the decode kernel.
 
-    ``plan`` is the graph's ``graph._KernelPlan``: ``plan.edge_var`` maps
+    ``plan`` is the graph's ``_KernelPlan``: ``plan.edge_var`` maps
     each check-major edge to its variable. ``edge_scale`` holds each edge's
     check sign times check factor and ``priors`` one half-LLR per variable.
     Runs at most ``max_iterations`` iterations with ``config``'s damping
@@ -386,13 +604,12 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
         workspace = plan.idle.pop()
     except IndexError:
         workspace = _Workspace(plan)
-    edge_var = plan.edge_var
+    edge_var, group_order = plan.edge_var, plan.group_order
     t, excl, c2v = workspace.t, workspace.excl, workspace.c2v
     # the variable messages are needed after their tanh only by the hook
     v2c = t if report is None else workspace.v2c
     fresh = workspace.fresh if config.damping > 0.0 else None
     c2v.fill(0.0)
-    group_order = workspace.group_order
     t_grouped, excl_grouped = workspace.t_grouped, workspace.excl_grouped
     copies, products = workspace.copies, workspace.products
     damping = config.damping
@@ -420,8 +637,6 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
                 np.multiply(a, b, out)  # a positional out skips keyword parsing
             if group_order is not None:
                 excl[group_order] = excl_grouped
-            # atanh(_TANH_LIMIT) is just below LLR_MAX/2, and damping mixes two
-            # such values, so check messages need no clamp of their own
             if damping > 0.0:
                 np.multiply(edge_scale, excl, out=fresh)
                 np.arctanh(fresh, out=fresh)

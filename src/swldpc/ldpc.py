@@ -17,7 +17,6 @@ published LDPC matrices, see :func:`load_alist` / :func:`save_alist`.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,11 +65,20 @@ def _shape(n: int, m: int) -> tuple[int, int]:
 
 
 def _column_id(value) -> int:
-    """A column index as an ``int``; a float raises instead of being truncated."""
+    """A column index as an ``int`` by the test of ``_integer``; a float or
+    a bool raises instead of being truncated."""
     try:
-        return operator.index(value)
-    except TypeError:
+        return _integer("column index", value)
+    except ValueError:
         raise ValueError(f"column index {value!r} is not an integer") from None
+
+
+def _check_columns(cols: np.ndarray, owner: np.ndarray, n: int) -> None:
+    """Raise for the first column id, in index order, outside [0, n)."""
+    outside = (cols < 0) | (cols >= n)
+    if outside.any():
+        e = int(np.argmax(outside))
+        raise ValueError(f"row {owner[e]} has column index {cols[e]} outside [0, {n})")
 
 
 def _ids(name: str, values) -> np.ndarray:
@@ -94,7 +102,7 @@ def _degree_groups(degrees: np.ndarray) -> tuple[list[tuple[int, np.ndarray]], b
     in order, each degree one run, so that the groups, concatenated, list
     the ids 0, 1, 2, ... This is the one grouping rule of both row layouts:
     the rows of a matrix by weight (``SparseParityMatrix._row_blocks``) and
-    the checks of a graph by degree (``graph._KernelPlan``).
+    the checks of a graph by degree (``decoder._KernelPlan``).
     """
     # the position where each run of equal degrees after the first starts
     starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
@@ -142,10 +150,7 @@ class SparseParityMatrix:
             raise ValueError("row ids must be non-decreasing from 0")
         if owner.size and owner[-1] >= m:
             raise ValueError(f"expected m={m} rows, got {owner[-1] + 1}")
-        outside = (cols < 0) | (cols >= n)
-        if outside.any():
-            e = int(np.argmax(outside))
-            raise ValueError(f"row {owner[e]} has column index {cols[e]} outside [0, {n})")
+        _check_columns(cols, owner, n)
         unsorted = (np.diff(cols) <= 0) & (step == 0)
         if unsorted.any():
             j = owner[np.argmax(unsorted)]
@@ -174,11 +179,22 @@ class SparseParityMatrix:
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Iterable[int]]) -> "SparseParityMatrix":
-        """Build a matrix from row adjacency in any order; repeats collapse."""
+        """Build a matrix from row adjacency in any order; repeats collapse.
+
+        The column ids pass the checks of the constructor; one beyond int64
+        is refused as outside [0, n), as the constructor refuses any other,
+        or, where n is larger still, as an id that int64 cannot hold.
+        """
         sorted_rows = [sorted(set(map(_column_id, row))) for row in rows]
         lengths = [len(row) for row in sorted_rows]
-        cols = np.fromiter(chain.from_iterable(sorted_rows), dtype=np.int64, count=sum(lengths))
         owner = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        try:
+            cols = np.fromiter(chain.from_iterable(sorted_rows), dtype=np.int64, count=sum(lengths))
+        except OverflowError:  # an id beyond int64, checked on the Python ints
+            cols = np.array(list(chain.from_iterable(sorted_rows)), dtype=object)
+        if cols.dtype == object:
+            _check_columns(cols, owner, _shape(n, len(lengths))[0])
+            raise ValueError(f"column ids must fit int64, got {cols.max()}")
         return cls(n, len(lengths), (cols, owner))
 
     @cached_property

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationModel
-from .graph import JointTannerGraph
+from .decoder import JointTannerGraph
 from .ldpc import SparseParityMatrix, as_bit_array
 
 

@@ -25,8 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .correlation import CorrelationModel, joint_entropy, sample_pair
-from .decoder import DecoderConfig, decode
-from .graph import FOLDED_Z, build_joint_graph
+from .decoder import FOLDED_Z, DecoderConfig, build_joint_graph, decode
 from .ldpc import SparseParityMatrix, _integer, identity_matrix, syndrome
 
 _MASK64 = (1 << 64) - 1

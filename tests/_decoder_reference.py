@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from swldpc import LLR_MAX, DecodeResult, DecoderConfig, IterationInfo
-from swldpc.graph import FOLDED_Z
+from swldpc.decoder import FOLDED_Z
 from swldpc.ldpc import as_bit_array
 
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))

@@ -1,6 +1,6 @@
 """Check-degree groups of a check-major edge list, kept as a test oracle.
 
-The edge-based form of the grouping of ``swldpc.graph._KernelPlan``: it
+The edge-based form of the grouping of ``swldpc.decoder._KernelPlan``: it
 reads the check of every edge instead of each check's degree, ranks every
 edge by the order in which its check's degree first appears along the edge
 lists, and sorts the edges stably by that rank.

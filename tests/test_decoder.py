@@ -29,7 +29,7 @@ from swldpc import (
 )
 from swldpc import decoder as decoder_module
 from swldpc import sim as sim_module
-from swldpc.graph import _TANH_LIMIT
+from swldpc.decoder import _TANH_LIMIT
 
 from _decoder_reference import decode_reference
 from _forest import random_forest_instance

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,7 @@ from swldpc import (
     LLR_MAX,
     CorrelationModel,
     DecoderConfig,
+    JointTannerGraph,
     SparseParityMatrix,
     build_joint_graph,
     decode,
@@ -19,7 +22,7 @@ from swldpc import (
     save_alist,
     syndrome,
 )
-from swldpc.graph import _IDENTITY_BY_BIT, _TANH_LIMIT, KnownU1Graph
+from swldpc.decoder import _IDENTITY_BY_BIT, _TANH_LIMIT, KnownU1Graph
 
 from _decoder_reference import decode_reference
 from _layout_reference import flood_layout_reference
@@ -68,12 +71,23 @@ class TestBuild:
         assert np.bincount(g.edge_var, minlength=g.var_count).tolist() == [2, 2, 2, 2]
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
+        # the constructor refuses what build_joint_graph refuses
+        with pytest.raises(ValueError, match="codes disagree on block length: 3 vs 2"):
             build_joint_graph(identity_matrix(3), H2, MODEL)
+        with pytest.raises(ValueError, match="codes disagree on block length: 3 vs 2"):
+            JointTannerGraph(FOLDED_Z, MODEL, identity_matrix(3), H2)
+        # a corner graph over an h2 of half the length
+        h1, h2 = identity_matrix(64), gallager_construct(32, 3, 6, seed=1)
+        with pytest.raises(ValueError, match="codes disagree on block length: 64 vs 32"):
+            JointTannerGraph(form=FOLDED_Z, model=MODEL, h1=h1, h2=h2)
 
     def test_rejects_unknown_form(self):
-        with pytest.raises(ValueError):
-            build_joint_graph(H1, H2, MODEL, form="implicit")
+        for form in ("implicit", "Folded", None):
+            message = re.escape(f"unknown graph form {form!r}")
+            with pytest.raises(ValueError, match=message):
+                build_joint_graph(H1, H2, MODEL, form=form)
+            with pytest.raises(ValueError, match=message):
+                JointTannerGraph(form=form, model=MODEL, h1=H1, h2=H2)
 
 
 def _reference_edges(h1, h2, form):

@@ -222,6 +222,14 @@ class TestSparseParityMatrix:
             ([(3,), (2, 1.0)], "column index 1.0 is not an integer"),
             ([(np.float64(2.0),)], "is not an integer"),
             ([("1",)], "column index '1' is not an integer"),
+            ([(True,)], "column index True is not an integer"),
+            ([(np.True_,)], "is not an integer"),
+            ([np.array([False, True])], "is not an integer"),
+            # ids beyond int64 are outside [0, 4), as an id of any size is
+            ([(2**70,)], "row 0 has column index 1180591620717411303424 outside [0, 4)"),
+            ([(0,), (np.uint64(2**63),)], "row 1 has column index 9223372036854775808 outside [0, 4)"),
+            ([(1,), (3, -(2**64))], "row 1 has column index -18446744073709551616 outside [0, 4)"),
+            ([(1,), (2, 2**64, -1)], "row 1 has column index -1 outside [0, 4)"),
         ],
     )
     def test_column_ids_must_be_integers(self, build, rows, message):
@@ -229,12 +237,20 @@ class TestSparseParityMatrix:
             with pytest.raises(ValueError, match=re.escape(message)):
                 SparseParityMatrix.from_rows(4, rows)
         else:
-            # the constructor reads one array, which a single float or text
-            # id makes a float or text array, refused whole
+            # the constructor reads one array, which a single float, text,
+            # bool or too large id makes a float, text, bool or object
+            # array, refused whole; a uint64 array is refused past int64
             cols = np.array([i for row in rows for i in row])
             message = f"column ids must be integers, got dtype {cols.dtype}"
+            if cols.dtype == np.uint64:
+                message = f"column ids must fit int64, got {cols.max()}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 SparseParityMatrix(4, len(rows), (cols, _flat(rows)[1]))
+
+    def test_column_ids_beyond_int64_where_n_is_larger(self):
+        # n is beyond int64 too: the id is inside [0, n), but no index holds it
+        with pytest.raises(ValueError, match=re.escape(f"column ids must fit int64, got {2**65}")):
+            SparseParityMatrix.from_rows(2**70, [(2**65,)])
 
     def test_numpy_integer_column_ids(self):
         rows = [(np.int64(0), np.int32(2)), (np.uint8(3),)]

@@ -6,7 +6,7 @@ from pathlib import Path
 import swldpc
 
 PACKAGE = Path(swldpc.__file__).parent
-HOT_PATH = ["cli.py", "sim.py", "decoder.py", "graph.py", "ldpc.py", "correlation.py"]
+HOT_PATH = ["cli.py", "sim.py", "decoder.py", "ldpc.py", "correlation.py"]
 
 
 def _imported_modules(path):
