@@ -29,9 +29,10 @@ LLR_MAX = 30.0
 
 
 def _is_finite_real(x) -> bool:
-    """Whether ``x`` is a finite real number, numpy's scalars included: the
-    one check of every probability and rate."""
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """Whether ``x`` is a finite real number, numpy's scalars included and
+    a ``bool`` excluded, as ``_integer`` excludes it: the one check of every
+    probability, rate and damping factor."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

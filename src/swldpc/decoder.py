@@ -90,11 +90,11 @@ entries has syndrome bit 0, so it fails exactly when its received bit is 1.
 
 Known u1 (the corner point). When h1 is the n x n identity, rows in
 order, u1 is sent raw and s1 is u1. ``decode`` then runs the same kernel
-on H2 alone (``JointTannerGraph._known_u1``, a ``KnownU1Graph`` that
-``_reduce_known_u1`` builds without the joint edges), 3n edges where the
-corner graph has 6n. This is the side-information decoder of Liveris,
-Xiong and Georghiades (IEEE Commun. Lett., 2002), and it returns bit for
-bit what the joint graph returns:
+on H2 alone (``JointTannerGraph._known_u1``, a ``KnownU1Graph`` built
+without the joint edges), 3n edges where the corner graph has 6n. This
+is the side-information decoder of Liveris, Xiong and Georghiades (IEEE
+Commun. Lett., 2002), and it returns bit for bit what the joint graph
+returns:
 
 * Every h1 check has degree 1 and sends u1 the constant c_id (1 - 2 u1),
   c_id = 2 atanh(tanh(LLR_MAX/2)) = 29.9998. A correlation check sends u1
@@ -164,27 +164,35 @@ _KNOWN_U1_OFFSET = 2
 
 @dataclass(frozen=True, eq=False)
 class JointTannerGraph:
-    """Immutable structure of the joint decoding graph.
+    """Immutable structure of the joint decoding graph for two codes over
+    correlated sources; ``build_joint_graph`` is this class.
 
-    The constructor checks that the codes share their block length and
-    that ``form`` is EXPLICIT_Z or FOLDED_Z; the sizes are read off the
-    four fields. ``edge_var``, ``priors`` and the kernel plan ``_plan`` are
-    built on first use, so a graph that only takes the known-u1 path
-    (``_known_u1``) never builds them. No decode reads ``edge_check``, each
-    edge's check; only a reader of the whole edge list, such as
-    ``reference.is_cycle_free``, builds it.
+    Args:
+        h1: code for the first source (identity for the uncompressed
+            corner point).
+        h2: code for the second source; must have the same block length.
+        model: correlation model; its hidden-bit LLR becomes the z priors
+            (explicit form) or the correlation-check parameter (folded).
+        form: EXPLICIT_Z or FOLDED_Z.
+
+    The constructor checks ``form``, then that the codes share their block
+    length; the sizes are read off the four fields. ``edge_var``,
+    ``priors`` and the kernel plan ``_plan`` are built on first use, so a
+    graph that only takes the known-u1 path (``_known_u1``) never builds
+    them. No decode reads ``edge_check``, each edge's check; only a reader
+    of the whole edge list, such as ``reference.is_cycle_free``, builds it.
     """
 
-    form: str
-    model: CorrelationModel
     h1: SparseParityMatrix
     h2: SparseParityMatrix
+    model: CorrelationModel
+    form: str = FOLDED_Z
 
     def __post_init__(self):
-        if self.h1.n != self.h2.n:
-            raise ValueError(f"codes disagree on block length: {self.h1.n} vs {self.h2.n}")
         if self.form not in (EXPLICIT_Z, FOLDED_Z):
             raise ValueError(f"unknown graph form {self.form!r}")
+        if self.h1.n != self.h2.n:
+            raise ValueError(f"codes disagree on block length: {self.h1.n} vs {self.h2.n}")
 
     @property
     def n(self) -> int:
@@ -215,13 +223,16 @@ class JointTannerGraph:
         return self._corr_degree * self.n
 
     @property
-    def num_edges(self) -> int:
-        code_edges = len(self.h1.entries[0]) + len(self.h2.entries[0])
-        return code_edges + self._corr_degree * self.n
+    def num_edges(self) -> int:  # code edges, then one correlation edge per variable
+        return len(self.h1.entries[0]) + len(self.h2.entries[0]) + self.var_count
 
     @property
     def corr_param(self) -> float:  # hidden-bit LLR of the correlation checks
         return hidden_llr(self.model)
+
+    @property
+    def _corr_factor(self) -> float:  # f of the correlation checks
+        return float(np.tanh(self.corr_param * 0.5)) if self.form == FOLDED_Z else 1.0
 
     # Check-major: h1 rows, h2 rows, then one correlation check per index
     # attached to u1[i], u2[i] and, in explicit form, z[i].
@@ -254,9 +265,20 @@ class JointTannerGraph:
 
     @cached_property
     def _known_u1(self) -> "KnownU1Graph | None":
-        """The H2-only graph that decodes this graph when u1 is known, or
-        None, from :func:`_reduce_known_u1`, which builds no joint edges."""
-        return _reduce_known_u1(self)
+        """The H2-only graph that decodes this graph when u1 is known, built
+        without the joint edges, or None where the reduction does not apply
+        (see the module notes)."""
+        ids = np.arange(self.n)
+        if self.form != FOLDED_Z or not all(np.array_equal(a, ids) for a in self.h1.entries):
+            return None
+        if len(self.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in self.h2._row_blocks):
+            return None
+        factor = self._corr_factor
+        half_q = np.arctanh(factor * np.tanh(_IDENTITY_BY_BIT[0] * 0.5))
+        return KnownU1Graph(self.h2, factor, np.array([half_q, -half_q]))
+
+
+build_joint_graph = JointTannerGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,40 +336,6 @@ class _KernelPlan:
                 [(starts[checks][:, None] + np.arange(d)).ravel() for d, checks in groups]
             )
         self.idle = deque(maxlen=1)
-
-
-def _reduce_known_u1(graph: JointTannerGraph) -> KnownU1Graph | None:
-    """The :class:`KnownU1Graph` of a graph whose u1 is known, or None
-    where the reduction does not apply (see the module notes)."""
-    if graph.form != FOLDED_Z:
-        return None
-    ids = np.arange(graph.n)
-    if not all(np.array_equal(a, ids) for a in graph.h1.entries):
-        return None
-    if len(graph.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in graph.h2._row_blocks):
-        return None
-    factor = np.tanh(graph.corr_param * 0.5)
-    half_q = np.arctanh(factor * np.tanh(_IDENTITY_BY_BIT[0] * 0.5))
-    return KnownU1Graph(graph.h2, float(factor), np.array([half_q, -half_q]))
-
-
-def build_joint_graph(
-    h1: SparseParityMatrix,
-    h2: SparseParityMatrix,
-    model: CorrelationModel,
-    form: str = FOLDED_Z,
-) -> JointTannerGraph:
-    """Assemble the joint graph for two codes over correlated sources.
-
-    Args:
-        h1: code for the first source (identity for the uncompressed
-            corner point).
-        h2: code for the second source; must have the same block length.
-        model: correlation model; its hidden-bit LLR becomes the z priors
-            (explicit form) or the correlation-check parameter (folded).
-        form: EXPLICIT_Z or FOLDED_Z.
-    """
-    return JointTannerGraph(form=form, model=model, h1=h1, h2=h2)
 
 
 @dataclass(frozen=True)
@@ -418,8 +406,7 @@ def decode(
     # Per-edge constant: target-parity sign times check factor. Code checks
     # have f = 1 and so scale by their sign; correlation checks have parity
     # 0 and scale by f, tanh(llr/2) in folded form and 1 in explicit form.
-    factor = np.tanh(graph.corr_param * 0.5) if graph.form == FOLDED_Z else 1.0
-    corr_scale = np.full(graph._corr_degree * n, factor)
+    corr_scale = np.full(graph._corr_degree * n, graph._corr_factor)
     edge_scale = np.concatenate([_edge_signs(graph.h1, s1), _edge_signs(graph.h2, s2), corr_scale])
     unsatisfied = _parity_test((graph.h1, s1, 0), (graph.h2, s2, n))
 

@@ -83,12 +83,16 @@ def _check_columns(cols: np.ndarray, owner: np.ndarray, n: int) -> None:
 
 def _ids(name: str, values) -> np.ndarray:
     """One side of a flat index as int64; floats and bools raise instead of
-    being truncated, except in an empty array."""
+    being truncated, except in an empty array, and so does a bool inside a
+    sequence that is not an array, which numpy would read as 0 or 1."""
     ids = np.asarray(values)
     if ids.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {ids.shape}")
     if ids.dtype.kind not in "iu" and ids.size:
         raise ValueError(f"{name} must be integers, got dtype {ids.dtype}")
+    for item in () if isinstance(values, np.ndarray) else values:
+        if isinstance(item, (bool, np.bool_)):
+            raise ValueError(f"{name} must be integers, got {item}")
     if ids.dtype == np.uint64 and ids.size and ids.max() > np.iinfo(np.int64).max:
         raise ValueError(f"{name} must fit int64, got {ids.max()}")  # not wrapped below 0
     return ids.astype(np.int64, copy=False)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .correlation import CorrelationModel, joint_entropy, sample_pair
-from .decoder import FOLDED_Z, DecoderConfig, build_joint_graph, decode
+from .decoder import DecoderConfig, build_joint_graph, decode
 from .ldpc import SparseParityMatrix, _integer, identity_matrix, syndrome
 
 _MASK64 = (1 << 64) - 1
@@ -115,9 +115,7 @@ def _run_range(
     Returns (bit errors source 1, bit errors source 2, frame errors,
     summed iteration counts, converged frames).
     """
-    graph = build_joint_graph(
-        h1, config.h2, config.decode_model or config.model, form=FOLDED_Z
-    )
+    graph = build_joint_graph(h1, config.h2, config.decode_model or config.model)  # folded form
     bit1 = bit2 = frames = iters = conv = 0
     for trial in range(start, stop):
         pair = sample_pair(config.model, config.h2.n, derive_trial_seed(config.master_seed, trial))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from swldpc import (
+    ConstructionError,
     CorrelationModel,
     DecoderConfig,
     SimConfig,
@@ -191,6 +192,18 @@ class TestMakecode:
         assert run_cli(capsys, *argv) == (
             2, "", "swldpc: error: not enough memory to construct the code\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["makecode", "--n", "24", "--dv", "3", "--dc", "6", "--seed", "1"],
+        ["simulate", "--p", "0.9", "--n", "24", "--dv", "3", "--dc", "6", "--seed", "1"],
+    ], ids=["makecode", "simulate"])
+    def test_construction_failure(self, capsys, monkeypatch, argv):
+        # every permutation draw rejected: one error line, exit 2
+        def no_draw_accepted(*args):
+            raise ConstructionError("could not build the code")
+
+        monkeypatch.setattr(cli, "gallager_construct", no_draw_accepted)
+        assert run_cli(capsys, *argv) == (2, "", "swldpc: error: could not build the code\n")
 
 
 class TestEncode:

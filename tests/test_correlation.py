@@ -164,7 +164,9 @@ class TestRealNumbers:
             CorrelationModel(0.9), RatePair(0.5, 1.0)
         )
 
-    @pytest.mark.parametrize("bad", [np.float32("nan"), np.float64("inf"), "0.9", None])
+    @pytest.mark.parametrize(
+        "bad", [np.float32("nan"), np.float64("inf"), "0.9", None, True, False]
+    )
     def test_rejects_what_is_not_a_finite_number(self, bad):
         with pytest.raises(ValueError, match="correlation parameter must be a finite number"):
             CorrelationModel(bad)
@@ -175,6 +177,11 @@ class TestRealNumbers:
 
 
 class TestCorrelatedPair:
+    def test_rejects_an_empty_pair(self):
+        empty = np.zeros(0, dtype=np.uint8)
+        with pytest.raises(ValueError, match="correlated pair must contain at least one bit"):
+            CorrelatedPair(u1=empty, u2=empty, z=empty)
+
     def test_validates_xor_relation(self):
         u1 = np.array([0, 1, 1], dtype=np.uint8)
         z = np.array([1, 0, 1], dtype=np.uint8)
@@ -210,6 +217,14 @@ class TestRegion:
         check = sw_region_check(CorrelationModel(0.9), RatePair(0.4, 1.0))
         assert not check.admissible
         assert check.r1_slack < 0
+
+    def test_bools_are_not_rates(self):
+        # a bool is not read as the rate 0 or 1, so no region check runs on it
+        message = re.escape("rates must be finite numbers, got (True, 0.5)")
+        with pytest.raises(ValueError, match=message):
+            RatePair(True, 0.5)
+        with pytest.raises(ValueError, match="rates must be finite numbers"):
+            sw_region_check(CorrelationModel(0.9), RatePair(True, True))
 
     def test_rate_pair_rejects_negative(self):
         with pytest.raises(ValueError):

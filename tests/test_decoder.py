@@ -62,7 +62,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             DecoderConfig(damping=-0.1)
 
-    @pytest.mark.parametrize("damping", ["0.1", None, float("nan"), 1.0])
+    @pytest.mark.parametrize("damping", ["0.1", None, float("nan"), 1.0, False, True])
     def test_damping_must_be_a_number_in_range(self, damping):
         message = re.escape(f"damping must lie in [0, 1), got {damping!r}")
         with pytest.raises(ValueError, match=message):

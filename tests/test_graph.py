@@ -70,12 +70,20 @@ class TestBuild:
         assert np.bincount(g.edge_check, minlength=g.check_count).tolist() == [1, 1, 2, 2, 2]
         assert np.bincount(g.edge_var, minlength=g.var_count).tolist() == [2, 2, 2, 2]
 
+    def test_build_joint_graph_is_the_class(self):
+        assert build_joint_graph is JointTannerGraph
+        g = JointTannerGraph(H1, H2, MODEL)
+        assert (g.h1, g.h2, g.model, g.form) == (H1, H2, MODEL, FOLDED_Z)
+        # the field order before build_joint_graph became the class fails on
+        # the form, the first field checked
+        with pytest.raises(ValueError, match="unknown graph form SparseParityMatrix"):
+            JointTannerGraph(FOLDED_Z, MODEL, H1, H2)
+
     def test_rejects_mismatched_lengths(self):
-        # the constructor refuses what build_joint_graph refuses
         with pytest.raises(ValueError, match="codes disagree on block length: 3 vs 2"):
             build_joint_graph(identity_matrix(3), H2, MODEL)
         with pytest.raises(ValueError, match="codes disagree on block length: 3 vs 2"):
-            JointTannerGraph(FOLDED_Z, MODEL, identity_matrix(3), H2)
+            JointTannerGraph(identity_matrix(3), H2, MODEL, FOLDED_Z)
         # a corner graph over an h2 of half the length
         h1, h2 = identity_matrix(64), gallager_construct(32, 3, 6, seed=1)
         with pytest.raises(ValueError, match="codes disagree on block length: 64 vs 32"):
@@ -346,7 +354,7 @@ class TestKnownU1:
         assert (known.half_prior_by_bit * 2.0).tolist() == [q, -q]
         assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
         # no joint structure is built
-        assert list(vars(g)) == ["form", "model", "h1", "h2", "_known_u1"]
+        assert list(vars(g)) == ["h1", "h2", "model", "form", "_known_u1"]
 
     def test_permuted_identity(self):
         # the identity's rows in another order run on the joint graph, which

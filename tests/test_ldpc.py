@@ -98,14 +98,22 @@ class TestSparseParityMatrix:
             (([True, False], [0, 0]), "column ids must be integers, got dtype bool"),
             (([0, 1], np.array([0.0, 0.5])), "row ids must be integers, got dtype float64"),
             (([0, 1], [False, True]), "row ids must be integers, got dtype bool"),
+            # a bool among integers, which numpy would promote to 0 or 1
+            (([0, 1, True], [0, 0, 1]), "column ids must be integers, got True"),
+            (([0, 1, 0], (0, 0, True)), "row ids must be integers, got True"),
+            (([0, np.True_], [0, 0]), "column ids must be integers, got True"),
+            (([False, 1], [0, 0]), "column ids must be integers, got False"),
             (([0, 1], ["0", "0"]), "row ids must be integers, got dtype <U1"),
             (([[0, 1]], [[0, 0]]), "column ids must be one-dimensional, got shape (1, 2)"),
             (([0, 1], [0]), "got 2 column ids but 1 row ids"),
+            (([0, 1], [1, 0]), "row ids must be non-decreasing from 0"),
+            (([0], [-1]), "row ids must be non-decreasing from 0"),
             ((np.array([0, 2**64 - 1], dtype=np.uint64), [0, 0]),
              f"column ids must fit int64, got {2**64 - 1}"),
         ],
-        ids=["float", "whole-float", "bool", "float-rows", "bool-rows", "text-rows", "2d",
-             "lengths", "uint64"],
+        ids=["float", "whole-float", "bool", "float-rows", "bool-rows", "bool-item",
+             "bool-item-rows", "numpy-bool-item", "false-item", "text-rows", "2d", "lengths",
+             "decreasing-rows", "negative-row", "uint64"],
     )
     def test_index_arrays_are_checked_whole(self, entries, message):
         # a float or bool array is refused, never truncated
