@@ -20,7 +20,7 @@ from .correlation import (
     sample_pair,
     sw_region_check,
 )
-from .decoder import EXPLICIT_Z, FOLDED_Z, JointTannerGraph, build_joint_graph
+from .decoder import FOLDED_Z, JointTannerGraph, build_joint_graph
 from .decoder import DecodeResult, DecoderConfig, IterationInfo, decode
 from .ldpc import (
     AlistFormatError,
@@ -33,7 +33,6 @@ from .ldpc import (
     save_alist,
     syndrome,
 )
-from .reference import BruteForceResult, brute_force_marginals, gf2_rank, is_cycle_free
 from .sim import (
     SimConfig,
     SimRecord,
@@ -63,12 +62,10 @@ __all__ = [
     "SparseParityMatrix",
     "as_bit_array",
     "gallager_construct",
-    "gf2_rank",
     "identity_matrix",
     "load_alist",
     "save_alist",
     "syndrome",
-    "EXPLICIT_Z",
     "FOLDED_Z",
     "JointTannerGraph",
     "build_joint_graph",
@@ -76,9 +73,6 @@ __all__ = [
     "DecoderConfig",
     "IterationInfo",
     "decode",
-    "BruteForceResult",
-    "brute_force_marginals",
-    "is_cycle_free",
     "SimConfig",
     "SimRecord",
     "configs_over_p",

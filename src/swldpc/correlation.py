@@ -57,6 +57,14 @@ class CorrelationModel:
         object.__setattr__(self, "p", float(p))
 
 
+def _check_model(name: str, model) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``model`` is a
+    ``CorrelationModel``, so a bare probability fails where it is passed
+    rather than where its ``p`` is first read."""
+    if not isinstance(model, CorrelationModel):
+        raise ValueError(f"{name} must be a CorrelationModel, got {model!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelatedPair:
     """One sampled block pair (u1, u2) together with the error pattern z.

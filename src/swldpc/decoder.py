@@ -2,22 +2,19 @@
 
 The decoder's graph contains the Tanner graphs of both codes plus, for every bit
 position i, a correlation check enforcing u1[i] + u2[i] + z[i] = 0 over
-GF(2), where z[i] is the hidden error bit of the source pair. Two
-equivalent forms are supported:
-
-* ``explicit``: each correlation check has degree 3 and is attached to a
-  degree-1 z variable node whose prior is the constant hidden-bit LLR.
-* ``folded``: the z node is eliminated algebraically. The correlation
-  check has degree 2 and carries the hidden LLR as a check-local
-  parameter. Because a degree-1 variable always emits its prior, the two
-  forms exchange the same messages on the u1/u2 edges, up to the rounding
-  of the variable update (below).
+GF(2), where z[i] is the hidden error bit of the source pair. The paper
+draws z[i] as a degree-1 variable node whose prior is the constant
+hidden-bit LLR; here that node is folded into its check, which has degree 2
+and carries the hidden LLR as a check-local parameter. Because a degree-1
+variable always emits its prior, both graphs exchange the same messages on
+the u1/u2 edges, up to the rounding of the variable update (below); the
+tests keep the explicit graph as an oracle.
 
 Node ids are assigned deterministically so message traces are comparable
-across runs: variables are the u1 block [0, n), the u2 block [n, 2n) and,
-in explicit form, the z block [2n, 3n); checks are code-1 rows [0, m1),
-code-2 rows [m1, m1+m2) and correlation checks [m1+m2, m1+m2+n). Edges are
-stored check-major with ascending variable ids inside each check.
+across runs: variables are the u1 block [0, n) and the u2 block [n, 2n);
+checks are code-1 rows [0, m1), code-2 rows [m1, m1+m2) and correlation
+checks [m1+m2, m1+m2+n). Edges are stored check-major with ascending
+variable ids inside each check.
 
 Messages are LLRs under the convention L(x) = ln(P(x=0)/P(x=1)), so a
 positive value favors bit 0. The schedule is flooding: every iteration
@@ -36,10 +33,10 @@ notes below).
 * check c (target parity b, check factor f) to variable v:
   2 atanh((1-2b) * f * prod tanh(m/2)) over incoming messages excluding
   the one from v. Code checks use their syndrome bit as b and f = 1;
-  correlation checks use b = 0, and in folded form f = tanh(llr/2)
-  stands in for the eliminated hidden-bit node. Each decode takes the
-  sign of an edge from its own code's row ids (``_edge_signs``), so no
-  per-check array is built. The update runs on the graph's check-degree
+  correlation checks use b = 0 and f = tanh(llr/2), which stands in for
+  the folded hidden-bit node. Each decode takes the sign of an edge from
+  its own code's row ids (``_edge_signs``), so no per-check array is
+  built. The update runs on the graph's check-degree
   groups (``_KernelPlan``): each group is one contiguous run of edges in
   a decode-local order, read as a (checks, degree) view. A degree-1
   check's product is empty (1); a degree-2 check passes each edge its
@@ -68,10 +65,10 @@ when the loop exits and before each hook call, not in every iteration: a
 NaN check message makes its variable's posterior NaN, so some check
 message stays NaN in every later iteration and the test still raises.
 
-A graph stores its form, model and codes; its edge lists, priors and
-plans are built on first use and kept by that graph alone. The kernel's
-message buffers, with the column views and scratch of the check update
-(``_Workspace``), are built once per plan and kept in it between frames:
+A graph stores its codes and model; its edge list and plans are built on
+first use and kept by that graph alone. The kernel's message buffers,
+with the column views and scratch of the check update (``_Workspace``),
+are built once per plan and kept in it between frames:
 the joint decode's in the graph's ``_plan``, the known-u1 decode's in the
 plan of the graph's ``KnownU1Graph``. So graphs over one code share no
 buffers. A decode checks the buffers out of the plan's ``idle`` slot with
@@ -125,10 +122,9 @@ returns:
 The joint graph runs instead when an ``iteration_hook`` is given (its
 snapshots, and so ``--trace``, show the joint graph), when damping is
 positive (the correlation message then ramps up instead of being
-constant), and for graphs the reduction rejects: explicit form (the z
-nodes change the messages), an H2 with a degree-1 row, an H2 without
-entries (the kernel needs an edge) and any other h1, the identity's rows
-in another order included.
+constant), and for graphs the reduction rejects: an H2 with a degree-1
+row, an H2 without entries (the kernel needs an edge) and any other h1,
+the identity's rows in another order included.
 """
 
 from __future__ import annotations
@@ -140,10 +136,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .correlation import LLR_MAX, CorrelationModel, _is_finite_real, hidden_llr
+from .correlation import LLR_MAX, CorrelationModel, _check_model, _is_finite_real, hidden_llr
 from .ldpc import SparseParityMatrix, _degree_groups, _integer, _row_parity, as_bit_array
 
-EXPLICIT_Z = "explicit"
+# The one graph form, the folded one; the field ``JointTannerGraph.form``
+# takes no other value.
 FOLDED_Z = "folded"
 
 # Largest magnitude tanh(m/2) can reach under the message clamp, the bound
@@ -171,16 +168,15 @@ class JointTannerGraph:
         h1: code for the first source (identity for the uncompressed
             corner point).
         h2: code for the second source; must have the same block length.
-        model: correlation model; its hidden-bit LLR becomes the z priors
-            (explicit form) or the correlation-check parameter (folded).
-        form: EXPLICIT_Z or FOLDED_Z.
+        model: correlation model; its hidden-bit LLR becomes the
+            correlation-check parameter.
+        form: FOLDED_Z, the only form.
 
-    The constructor checks ``form``, then that the codes share their block
-    length; the sizes are read off the four fields. ``edge_var``,
-    ``priors`` and the kernel plan ``_plan`` are built on first use, so a
-    graph that only takes the known-u1 path (``_known_u1``) never builds
-    them. No decode reads ``edge_check``, each edge's check; only a reader
-    of the whole edge list, such as ``reference.is_cycle_free``, builds it.
+    The constructor checks ``form``, that the codes share their block
+    length and that ``model`` is a ``CorrelationModel``; the sizes are
+    read off the fields. ``edge_var`` and the kernel plan ``_plan`` are
+    built on first use, so a graph that only takes the known-u1 path
+    (``_known_u1``) never builds them.
     """
 
     h1: SparseParityMatrix
@@ -189,10 +185,11 @@ class JointTannerGraph:
     form: str = FOLDED_Z
 
     def __post_init__(self):
-        if self.form not in (EXPLICIT_Z, FOLDED_Z):
+        if self.form != FOLDED_Z:
             raise ValueError(f"unknown graph form {self.form!r}")
         if self.h1.n != self.h2.n:
             raise ValueError(f"codes disagree on block length: {self.h1.n} vs {self.h2.n}")
+        _check_model("model", self.model)
 
     @property
     def n(self) -> int:
@@ -207,24 +204,8 @@ class JointTannerGraph:
         return self.h2.m
 
     @property
-    def num_code_checks(self) -> int:
-        return self.m1 + self.m2
-
-    @property
-    def check_count(self) -> int:
-        return self.m1 + self.m2 + self.n
-
-    @property
-    def _corr_degree(self) -> int:  # one edge into each variable block
-        return 3 if self.form == EXPLICIT_Z else 2
-
-    @property
-    def var_count(self) -> int:
-        return self._corr_degree * self.n
-
-    @property
     def num_edges(self) -> int:  # code edges, then one correlation edge per variable
-        return len(self.h1.entries[0]) + len(self.h2.entries[0]) + self.var_count
+        return len(self.h1.entries[0]) + len(self.h2.entries[0]) + 2 * self.n
 
     @property
     def corr_param(self) -> float:  # hidden-bit LLR of the correlation checks
@@ -232,35 +213,21 @@ class JointTannerGraph:
 
     @property
     def _corr_factor(self) -> float:  # f of the correlation checks
-        return float(np.tanh(self.corr_param * 0.5)) if self.form == FOLDED_Z else 1.0
+        return float(np.tanh(self.corr_param * 0.5))
 
     # Check-major: h1 rows, h2 rows, then one correlation check per index
-    # attached to u1[i], u2[i] and, in explicit form, z[i].
+    # attached to u1[i] and u2[i].
 
     @cached_property
     def edge_var(self) -> np.ndarray:
         n = self.n
-        corr = np.arange(n, dtype=np.int64)[:, None] + n * np.arange(self._corr_degree)
+        corr = np.arange(n, dtype=np.int64)[:, None] + np.array([0, n])
         return np.concatenate([self.h1.entries[0], self.h2.entries[0] + n, corr.ravel()])
-
-    @cached_property
-    def edge_check(self) -> np.ndarray:
-        corr = np.arange(self.num_code_checks, self.check_count, dtype=np.int64)
-        return np.concatenate(
-            [self.h1.entries[1], self.h2.entries[1] + self.m1, corr.repeat(self._corr_degree)]
-        )
-
-    @cached_property
-    def priors(self) -> np.ndarray:
-        priors = np.zeros(self.var_count)
-        if self.form == EXPLICIT_Z:
-            priors[2 * self.n:] = self.corr_param
-        return priors
 
     @cached_property
     def _plan(self) -> "_KernelPlan":
         degrees = [np.bincount(h.entries[1], minlength=h.m) for h in (self.h1, self.h2)]
-        degrees.append(np.full(self.n, self._corr_degree))
+        degrees.append(np.full(self.n, 2))
         return _KernelPlan(self.edge_var, np.concatenate(degrees))
 
     @cached_property
@@ -269,7 +236,7 @@ class JointTannerGraph:
         without the joint edges, or None where the reduction does not apply
         (see the module notes)."""
         ids = np.arange(self.n)
-        if self.form != FOLDED_Z or not all(np.array_equal(a, ids) for a in self.h1.entries):
+        if not all(np.array_equal(a, ids) for a in self.h1.entries):
             return None
         if len(self.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in self.h2._row_blocks):
             return None
@@ -349,6 +316,9 @@ class DecoderConfig:
         object.__setattr__(self, "max_iterations", max_iterations)
         if not (_is_finite_real(self.damping) and 0.0 <= self.damping < 1.0):
             raise ValueError(f"damping must lie in [0, 1), got {self.damping!r}")
+        if not isinstance(self.early_stop, (bool, np.bool_)):
+            raise ValueError(f"early_stop must be a bool, got {self.early_stop!r}")
+        object.__setattr__(self, "early_stop", bool(self.early_stop))
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,7 +353,7 @@ def decode(
     """Run joint belief propagation for one pair of syndromes.
 
     Args:
-        graph: joint Tanner graph (either form).
+        graph: joint Tanner graph.
         s1: syndrome of the first source, length graph.m1.
         s2: syndrome of the second source, length graph.m2.
         config: decoder settings; defaults to DecoderConfig().
@@ -405,8 +375,8 @@ def decode(
     n = graph.n
     # Per-edge constant: target-parity sign times check factor. Code checks
     # have f = 1 and so scale by their sign; correlation checks have parity
-    # 0 and scale by f, tanh(llr/2) in folded form and 1 in explicit form.
-    corr_scale = np.full(graph._corr_degree * n, graph._corr_factor)
+    # 0 and scale by f = tanh(llr/2).
+    corr_scale = np.full(2 * n, graph._corr_factor)
     edge_scale = np.concatenate([_edge_signs(graph.h1, s1), _edge_signs(graph.h2, s2), corr_scale])
     unsatisfied = _parity_test((graph.h1, s1, 0), (graph.h2, s2, n))
 
@@ -415,7 +385,7 @@ def decode(
 
         def report(iteration, unsatisfied_checks, v2c, c2v, posteriors):
             # the kernel's buffers are in half-LLR units; doubling copies them
-            posteriors = posteriors[: 2 * n] * 2.0
+            posteriors = posteriors * 2.0
             iteration_hook(
                 IterationInfo(
                     iteration=iteration,
@@ -428,10 +398,10 @@ def decode(
             )
 
     posteriors, _, converged, iterations_used = _flood(
-        graph._plan, edge_scale, graph.priors * 0.5, unsatisfied,
+        graph._plan, edge_scale, np.zeros(2 * n), unsatisfied,
         config, config.max_iterations, report,
     )
-    return _result(posteriors[: 2 * n] * 2.0, converged, iterations_used)
+    return _result(posteriors * 2.0, converged, iterations_used)
 
 
 def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> DecodeResult:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .correlation import CorrelationModel, joint_entropy, sample_pair
+from .correlation import CorrelationModel, _check_model, joint_entropy, sample_pair
 from .decoder import DecoderConfig, build_joint_graph, decode
 from .ldpc import SparseParityMatrix, _integer, identity_matrix, syndrome
 
@@ -73,6 +73,9 @@ class SimConfig:
     decode_model: Optional[CorrelationModel] = None
 
     def __post_init__(self):
+        _check_model("model", self.model)
+        if self.decode_model is not None:
+            _check_model("decode_model", self.decode_model)
         if self.h1 is not None and self.h1.n != self.h2.n:
             raise ValueError(
                 f"codes disagree on block length: {self.h1.n} vs {self.h2.n}"

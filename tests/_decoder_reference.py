@@ -1,22 +1,140 @@
-"""Reference flooding decoder with fancy-index degree groups, kept as a test oracle.
+"""Reference joint graph and flooding decoder, kept as test oracles.
 
-This is the plain form of the loop that :func:`swldpc.decoder.decode` runs on
-contiguous views: every check-degree group is gathered into a slot matrix,
-its leave-one-out products come from two ``np.cumprod`` calls, and the
-convergence test counts each code check's ones with a float ``bincount``.
-The differential tests require ``decode`` to return bit-identical results and
-hook snapshots, so this file must keep the arithmetic exactly as it is.
+``ReferenceGraph`` builds the edge lists of the joint graph from ``(h1, h2,
+model)`` by a plain loop over the rows, in either of two forms that pass
+the same messages on the u1/u2 edges, up to rounding:
+
+* ``FOLDED_Z``, the form that :mod:`swldpc.decoder` decodes: each
+  correlation check has degree 2 and scales its messages by
+  f = tanh(llr/2);
+* ``EXPLICIT_Z``, the graph of the paper: each correlation check has
+  degree 3, its third edge going to a degree-1 z variable, numbered
+  2n + i, whose prior is the hidden-bit LLR, and f = 1.
+
+``decode_reference`` is the plain form of the loop that
+:func:`swldpc.decoder.decode` runs on contiguous views: every check-degree
+group is gathered into a slot matrix, its leave-one-out products come from
+two ``np.cumprod`` calls, and the convergence test counts each code check's
+ones with a float ``bincount``. The differential tests require ``decode``
+to return bit-identical results and hook snapshots to this loop on the
+folded graph, so this file must keep the arithmetic exactly as it is.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
-from swldpc import LLR_MAX, DecodeResult, DecoderConfig, IterationInfo
-from swldpc.decoder import FOLDED_Z
+from swldpc import (
+    FOLDED_Z,
+    LLR_MAX,
+    CorrelationModel,
+    DecodeResult,
+    DecoderConfig,
+    IterationInfo,
+    SparseParityMatrix,
+    hidden_llr,
+)
 from swldpc.ldpc import as_bit_array
 
+from _strategies import rows_of
+
+EXPLICIT_Z = "explicit"
+
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceGraph:
+    """The joint graph of two codes as check-major edge lists.
+
+    Variables are the u1 block [0, n), the u2 block [n, 2n) and, in
+    explicit form, the z block [2n, 3n); checks are code-1 rows [0, m1),
+    code-2 rows [m1, m1+m2) and correlation checks [m1+m2, m1+m2+n).
+    Edges are listed check by check, variables ascending inside each.
+    """
+
+    h1: SparseParityMatrix
+    h2: SparseParityMatrix
+    model: CorrelationModel
+    form: str = FOLDED_Z
+
+    def __post_init__(self):
+        if self.form not in (EXPLICIT_Z, FOLDED_Z):
+            raise ValueError(f"unknown graph form {self.form!r}")
+
+    @property
+    def explicit(self) -> bool:
+        return self.form == EXPLICIT_Z
+
+    @property
+    def n(self) -> int:
+        return self.h1.n
+
+    @property
+    def m1(self) -> int:
+        return self.h1.m
+
+    @property
+    def m2(self) -> int:
+        return self.h2.m
+
+    @property
+    def num_code_checks(self) -> int:
+        return self.m1 + self.m2
+
+    @property
+    def check_count(self) -> int:
+        return self.m1 + self.m2 + self.n
+
+    @property
+    def var_count(self) -> int:
+        return (3 if self.explicit else 2) * self.n
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_var)
+
+    @cached_property
+    def _edges(self):
+        n, m1, m2 = self.n, self.m1, self.m2
+        edge_var, edge_check = [], []
+        for j, row in enumerate(rows_of(self.h1)):
+            edge_var.extend(row)
+            edge_check.extend([j] * len(row))
+        for k, row in enumerate(rows_of(self.h2)):
+            edge_var.extend(n + i for i in row)
+            edge_check.extend([m1 + k] * len(row))
+        for i in range(n):
+            attached = (i, n + i, 2 * n + i) if self.explicit else (i, n + i)
+            edge_var.extend(attached)
+            edge_check.extend([m1 + m2 + i] * len(attached))
+        return np.array(edge_var, dtype=np.int64), np.array(edge_check, dtype=np.int64)
+
+    @property
+    def edge_var(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def edge_check(self) -> np.ndarray:
+        return self._edges[1]
+
+    @cached_property
+    def priors(self) -> np.ndarray:
+        """One LLR per variable: 0 on u1 and u2, the hidden-bit LLR on z."""
+        priors = np.zeros(self.var_count)
+        priors[2 * self.n :] = hidden_llr(self.model)
+        return priors
+
+    @cached_property
+    def check_factor(self) -> np.ndarray:
+        """f of every check: 1, but tanh(llr/2) on folded correlation checks."""
+        factor = np.ones(self.check_count)
+        if not self.explicit:
+            factor[self.num_code_checks :] = np.tanh(hidden_llr(self.model) * 0.5)
+        return factor
 
 
 def _degree_groups(edge_check: np.ndarray, count: int):
@@ -34,6 +152,11 @@ def _degree_groups(edge_check: np.ndarray, count: int):
 
 
 def decode_reference(graph, s1, s2, config=None, iteration_hook=None) -> DecodeResult:
+    """Flooding belief propagation on a ``ReferenceGraph``; any other graph,
+    such as a ``JointTannerGraph``, is decoded on the folded
+    ``ReferenceGraph`` of its codes and model."""
+    if not isinstance(graph, ReferenceGraph):
+        graph = ReferenceGraph(graph.h1, graph.h2, graph.model)
     if config is None:
         config = DecoderConfig()
     s1 = as_bit_array(s1, graph.m1)
@@ -42,9 +165,7 @@ def decode_reference(graph, s1, s2, config=None, iteration_hook=None) -> DecodeR
     edge_var = graph.edge_var
     priors = graph.priors
     check_groups = _degree_groups(graph.edge_check, graph.check_count)
-    check_factor = np.ones(graph.check_count)
-    if graph.form == FOLDED_Z:
-        check_factor[graph.num_code_checks :] = np.tanh(graph.corr_param * 0.5)
+    check_factor = graph.check_factor
 
     parity = np.zeros(graph.check_count)
     parity[: graph.m1] = s1

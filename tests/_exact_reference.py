@@ -1,14 +1,12 @@
 """Exact oracles that judge the decoder on small graphs, and a code's rank.
 
-Nothing that ``simulate`` or ``decode`` runs imports this module; the
-tests and the acceptance criteria do, through the package.
-
 ``brute_force_marginals`` enumerates every pair of syndrome-consistent
 words, weighs each pair by the correlation model, and reports exact
 per-bit posteriors and the maximum-weight pair. ``is_cycle_free`` tells
-whether a joint graph is a forest, where sum-product posteriors are
-exact marginals, so that the two may be compared at all. ``gf2_rank``
-gives a code's true rate, gf2_rank(h)/n.
+whether a joint graph, given by the edge lists of ``_decoder_reference``,
+is a forest, where sum-product posteriors are exact marginals, so that
+the two may be compared at all. ``gf2_rank`` gives a code's true rate,
+gf2_rank(h)/n.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationModel
-from .decoder import JointTannerGraph
-from .ldpc import SparseParityMatrix, as_bit_array
+from swldpc import CorrelationModel, SparseParityMatrix, as_bit_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +121,10 @@ def _syndrome_consistent(words: np.ndarray, h: SparseParityMatrix, s: np.ndarray
     return ((words @ h.to_dense().T) & 1 == s).all(axis=1)
 
 
-def is_cycle_free(graph: JointTannerGraph) -> bool:
+def is_cycle_free(graph) -> bool:
     """True iff the bipartite var/check graph contains no cycle.
+
+    ``graph`` is a ``_decoder_reference.ReferenceGraph``, in either form.
 
     Sum-product posteriors are exact marginals precisely on such graphs,
     which is what the brute-force oracle tests rely on.

@@ -12,13 +12,11 @@ import sys
 import numpy as np
 
 from swldpc import (
-    EXPLICIT_Z,
     FOLDED_Z,
     CorrelationModel,
     DecoderConfig,
     SimConfig,
     binary_entropy,
-    brute_force_marginals,
     build_joint_graph,
     conditional_entropy,
     decode,
@@ -32,6 +30,8 @@ from swldpc import (
     syndrome,
 )
 
+from _decoder_reference import EXPLICIT_Z, ReferenceGraph, decode_reference
+from _exact_reference import brute_force_marginals
 from _forest import random_forest_instance
 
 GRID = [k / 100 for k in range(1, 100)]
@@ -108,13 +108,15 @@ def test_criterion_4_explicit_and_folded_forms_agree():
         pair = sample_pair(model, n, seed=300 + r)
         s1 = syndrome(h1, pair.u1)
         s2 = syndrome(h2, pair.u2)
-        explicit = build_joint_graph(h1, h2, model, form=EXPLICIT_Z)
+        # the explicit graph of the paper is a test oracle, decoded by the
+        # reference loop; the library decodes the folded graph
+        explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
         folded = build_joint_graph(h1, h2, model, form=FOLDED_Z)
         shared = explicit.edge_var < 2 * n
 
         config = DecoderConfig(max_iterations=20, early_stop=False)
         trace_e, trace_f = [], []
-        decode(explicit, s1, s2, config, iteration_hook=trace_e.append)
+        decode_reference(explicit, s1, s2, config, iteration_hook=trace_e.append)
         decode(folded, s1, s2, config, iteration_hook=trace_f.append)
         assert len(trace_e) == len(trace_f) == 20
         for info_e, info_f in zip(trace_e, trace_f):

@@ -369,7 +369,7 @@ class TestDecode:
         assert plain[0] == traced[0] == 0 and plain[1] == traced[1]
         (corner, joint) = graphs
         assert corner._known_u1 is not None
-        assert not {"edge_var", "edge_check", "priors", "_plan"} & set(vars(corner))
+        assert not {"edge_var", "_plan"} & set(vars(corner))
         assert "_plan" in vars(joint)  # --trace decodes on the joint graph
 
     def test_layer_calls_per_decode(self, capsys, coding_setup, monkeypatch):

@@ -1,3 +1,8 @@
+"""The joint graph and its decoder, ``swldpc.decoder``, against the oracles
+under ``tests/``: the reference graph and loop in ``_decoder_reference``,
+which also builds the explicit graph of the paper, the exact marginals in
+``_exact_reference`` and the edge-based layout in ``_layout_reference``."""
+
 import pickle
 import re
 import sys
@@ -6,34 +11,36 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swldpc import (
-    EXPLICIT_Z,
     FOLDED_Z,
     LLR_MAX,
     CorrelationModel,
     DecoderConfig,
+    JointTannerGraph,
     SimConfig,
     SparseParityMatrix,
-    brute_force_marginals,
     build_joint_graph,
     decode,
     gallager_construct,
     hidden_llr,
     identity_matrix,
-    is_cycle_free,
+    load_alist,
     run_trials,
     sample_pair,
+    save_alist,
     syndrome,
 )
 from swldpc import decoder as decoder_module
 from swldpc import sim as sim_module
-from swldpc.decoder import _TANH_LIMIT
+from swldpc.decoder import _IDENTITY_BY_BIT, _TANH_LIMIT, KnownU1Graph
 
-from _decoder_reference import decode_reference
+from _decoder_reference import EXPLICIT_Z, ReferenceGraph, decode_reference
+from _exact_reference import brute_force_marginals, is_cycle_free
 from _forest import random_forest_instance
-from _strategies import rows_of
+from _layout_reference import flood_layout_reference
+from _strategies import mixed_weight_matrices, rows_of
 
 LN_9 = 2.1972245773362196
 
@@ -45,6 +52,387 @@ def _corner_instance(n, p, seed, code_seed=7):
     pair = sample_pair(model, n, seed=seed)
     graph = build_joint_graph(h1, h2, model)
     return graph, h1, h2, pair, syndrome(h1, pair.u1), syndrome(h2, pair.u2)
+
+
+H1 = identity_matrix(2)
+H2 = SparseParityMatrix.from_rows(2, ((0, 1),))
+MODEL = CorrelationModel(0.9)
+
+
+class TestBuild:
+    def test_folded_shape(self):
+        g = build_joint_graph(H1, H2, MODEL)
+        assert g.form == FOLDED_Z
+        assert (g.n, g.m1, g.m2) == (2, 2, 1)
+        assert g.num_edges == 2 + 2 + 2 * 2
+        reference = ReferenceGraph(H1, H2, MODEL)
+        assert (reference.var_count, reference.check_count, reference.num_code_checks) == (4, 5, 3)
+        assert reference.num_edges == g.num_edges
+
+    def test_explicit_shape(self):
+        g = ReferenceGraph(H1, H2, MODEL, EXPLICIT_Z)
+        assert g.var_count == 6
+        assert g.check_count == 5
+        assert g.num_edges == 2 + 2 + 3 * 2
+
+    def test_explicit_correlation_adjacency(self):
+        h2 = gallager_construct(12, 3, 6, seed=2)
+        g = ReferenceGraph(identity_matrix(12), h2, MODEL, EXPLICIT_Z)
+        for i in range(g.n):
+            check = g.m1 + g.m2 + i
+            attached = sorted(g.edge_var[g.edge_check == check])
+            assert attached == [i, g.n + i, 2 * g.n + i]
+
+    def test_priors(self):
+        llr = hidden_llr(MODEL)
+        explicit = ReferenceGraph(H1, H2, MODEL, EXPLICIT_Z)
+        assert not explicit.priors[:4].any()
+        assert np.all(explicit.priors[4:] == llr)
+        assert build_joint_graph(H1, H2, MODEL).corr_param == llr
+
+    def test_degrees(self):
+        g = build_joint_graph(H1, H2, MODEL)
+        reference = ReferenceGraph(H1, H2, MODEL)
+        assert np.bincount(reference.edge_check).tolist() == [1, 1, 2, 2, 2]
+        assert np.bincount(g.edge_var).tolist() == [2, 2, 2, 2]
+
+    def test_build_joint_graph_is_the_class(self):
+        assert build_joint_graph is JointTannerGraph
+        g = JointTannerGraph(H1, H2, MODEL)
+        assert (g.h1, g.h2, g.model, g.form) == (H1, H2, MODEL, FOLDED_Z)
+        # the field order before build_joint_graph became the class fails on
+        # the form, the first field checked
+        with pytest.raises(ValueError, match="unknown graph form SparseParityMatrix"):
+            JointTannerGraph(FOLDED_Z, MODEL, H1, H2)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="codes disagree on block length: 3 vs 2"):
+            build_joint_graph(identity_matrix(3), H2, MODEL)
+        # a corner graph over an h2 of half the length, every field by name
+        h1, h2 = identity_matrix(64), gallager_construct(32, 3, 6, seed=1)
+        with pytest.raises(ValueError, match="codes disagree on block length: 64 vs 32"):
+            JointTannerGraph(form=FOLDED_Z, model=MODEL, h1=h1, h2=h2)
+
+    @pytest.mark.parametrize("form", ["explicit", "implicit", "Folded", None])
+    def test_rejects_unknown_form(self, form):
+        # the explicit form of the paper is a test oracle only
+        with pytest.raises(ValueError, match=re.escape(f"unknown graph form {form!r}")):
+            build_joint_graph(H1, H2, MODEL, form=form)
+
+    @pytest.mark.parametrize(
+        "model", [0.9, None, "0.9", hidden_llr(MODEL)], ids=["p", "none", "str", "llr"]
+    )
+    def test_rejects_a_model_that_is_not_a_correlation_model(self, model):
+        message = re.escape(f"model must be a CorrelationModel, got {model!r}")
+        with pytest.raises(ValueError, match=message):
+            build_joint_graph(H1, H2, model)
+
+
+IRREGULAR = SparseParityMatrix.from_rows(12, [(), (0, 5, 11), (3,), (), (1, 2, 4, 6, 7, 8)])
+
+
+class TestEdgeLists:
+    @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            (identity_matrix(24), gallager_construct(24, 3, 6, seed=3)),
+            (gallager_construct(24, 3, 6, seed=4), gallager_construct(24, 3, 6, seed=3)),
+            (IRREGULAR, identity_matrix(12)),
+            (gallager_construct(12, 3, 6, seed=1), IRREGULAR),
+            (IRREGULAR, SparseParityMatrix.from_rows(12, [])),
+        ],
+    )
+    def test_match_per_row_loop(self, h1, h2, form):
+        """The graph's edges are the oracle's, in either form, without the
+        explicit form's z edges."""
+        g = build_joint_graph(h1, h2, MODEL)
+        reference = ReferenceGraph(h1, h2, MODEL, form)
+        assert g.edge_var.dtype == np.int64
+        assert g.edge_var.tolist() == reference.edge_var[reference.edge_var < 2 * g.n].tolist()
+        assert g.num_edges == reference.num_edges - (g.n if form == EXPLICIT_Z else 0)
+
+
+class TestDecodeLayout:
+    """The check-degree groups that the decoder reads as contiguous views."""
+
+    @pytest.mark.parametrize(
+        "h1",
+        [identity_matrix(1024), gallager_construct(1024, 3, 6, seed=8)],
+        ids=["corner", "symmetric"],
+    )
+    def test_regular_graphs_need_no_permutation(self, h1):
+        g = build_joint_graph(h1, gallager_construct(1024, 3, 6, seed=7), MODEL)
+        plan = g._plan
+        assert plan.group_order is None and plan.edge_var is g.edge_var
+        ranges = [(start, stop) for _, start, stop in plan.check_groups]
+        # the ranges tile [0, num_edges) once, in order
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == g.num_edges
+        # degrees in order of first appearance along the edge lists
+        appearance = []
+        edge_check = ReferenceGraph(g.h1, g.h2, MODEL).edge_check
+        for d in np.bincount(edge_check)[edge_check]:
+            if d not in appearance:
+                appearance.append(int(d))
+        assert [d for d, _, _ in plan.check_groups] == appearance
+
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            (identity_matrix(24), gallager_construct(24, 3, 6, seed=3)),
+            (IRREGULAR, identity_matrix(12)),
+            (gallager_construct(12, 3, 6, seed=1), IRREGULAR),
+            (IRREGULAR, SparseParityMatrix.from_rows(12, [])),
+        ],
+    )
+    def test_groups_hold_whole_checks_of_their_degree(self, h1, h2):
+        g = build_joint_graph(h1, h2, MODEL)
+        plan = g._plan
+        all_checks = ReferenceGraph(h1, h2, MODEL).edge_check
+        edge_check = all_checks if plan.group_order is None else all_checks[plan.group_order]
+        degrees = np.bincount(all_checks)
+        assert sorted(edge_check.tolist()) == sorted(all_checks.tolist())
+        covered = 0
+        for degree, start, stop in plan.check_groups:
+            assert start == covered
+            covered = stop
+            block = edge_check[start:stop].reshape(-1, degree)
+            # each row is one whole check of this degree, in ascending id
+            assert (block == block[:, :1]).all()
+            assert (degrees[block[:, 0]] == degree).all()
+            assert (np.diff(block[:, 0]) > 0).all()
+        assert covered == g.num_edges
+        # the convergence test's blocks: each code row once, also one
+        # without entries, its variables (counted from the code's first
+        # variable) down one column
+        for h, first_check, first_var in ((g.h1, 0, 0), (g.h2, g.m1, g.n)):
+            listed = {}
+            for variables, rows in h._row_blocks:
+                assert variables.flags.c_contiguous
+                assert variables.shape[1] == len(rows)
+                for r, column in zip(rows.tolist(), variables.T.tolist()):
+                    assert r < h.m and r not in listed
+                    listed[r] = column
+            assert listed == {
+                r: (g.edge_var[all_checks == first_check + r] - first_var).tolist()
+                for r in range(h.m)
+            }
+
+
+def _assert_same_groups(plan, want):
+    """A kernel plan's groups equal the edge-based oracle's."""
+    groups, order = plan.check_groups, plan.group_order
+    want_groups, want_order = want
+    assert groups == want_groups
+    if want_order is None:
+        assert order is None
+    else:
+        assert order.dtype == np.int64 and np.array_equal(order, want_order)
+
+
+# row weights 0, 1 and 3 interleaved down the matrix, so that the groups
+# are not runs: every plan of it needs a permutation
+INTERLEAVED = SparseParityMatrix.from_rows(
+    9, [(0, 4, 8), (), (2,), (1, 3, 5), (), (7,), (0, 6, 7), (3,)]
+)
+# matrices that each draw rows of weights 0, 1 and 3 only
+ZERO_ONE_THREE = mixed_weight_matrices(max_n=12, weights=(0, 1, 3))
+
+
+def _code_plan(h):
+    """The kernel plan of the H2-only graph over h."""
+    return KnownU1Graph(h, 1.0, np.zeros(2))._plan
+
+
+class TestKernelPlan:
+    """The one plan builder, from check degrees, against the edge-based
+    oracle in ``tests/_layout_reference.py``, and grouped by the rule that
+    groups a matrix's rows (``ldpc._degree_groups``)."""
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            IRREGULAR,
+            SparseParityMatrix.from_rows(12, []),
+            SparseParityMatrix.from_rows(5, [(), (), ()]),
+            SparseParityMatrix.from_rows(6, [(0, 1), (2,), (3, 4), (5,), (0, 2, 4)]),
+            INTERLEAVED,
+            gallager_construct(1024, 3, 6, seed=7),
+            identity_matrix(64),
+        ],
+        ids=["irregular", "no-rows", "all-empty", "weights-out-of-order", "interleaved",
+             "regular", "identity"],
+    )
+    def test_code_plans(self, h):
+        plan = _code_plan(h)
+        assert plan.edge_var is h.entries[0]
+        _assert_same_groups(plan, flood_layout_reference(h.entries[1], h.m))
+        # one weight in row order needs no permutation
+        if len(h._row_blocks) == 1:
+            assert plan.group_order is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.one_of(mixed_weight_matrices(), ZERO_ONE_THREE))
+    @example(h=INTERLEAVED)
+    def test_code_plan_is_the_flood_layout_of_the_entries(self, h):
+        plan = _code_plan(h)
+        want = flood_layout_reference(h.entries[1], h.m)
+        _assert_same_groups(plan, want)
+        # the row blocks of the same weights come in the same order, the
+        # rows without entries, which have no edges, left out
+        weights = [len(block) for block, _ in h._row_blocks]
+        assert [degree for degree, _, _ in plan.check_groups] == [w for w in weights if w]
+        assert sorted(weights) == sorted(set(len(row) for row in rows_of(h)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_joint_plan_is_the_flood_layout_of_the_edges(self, data):
+        h1 = data.draw(st.one_of(mixed_weight_matrices(), ZERO_ONE_THREE), label="h1")
+        pools = [mixed_weight_matrices(n=h1.n, weights=w) for w in (None, (0, 1, 3))]
+        h2 = data.draw(st.one_of(pools), label="h2")
+        g = build_joint_graph(h1, h2, MODEL)
+        plan = g._plan
+        assert plan.edge_var is g.edge_var and g.num_edges == len(g.edge_var)
+        reference = ReferenceGraph(h1, h2, MODEL)
+        want = flood_layout_reference(reference.edge_check, reference.check_count)
+        _assert_same_groups(plan, want)
+
+
+class TestFold:
+    def test_fold_matches_direct_build(self):
+        # the folded form is the explicit form without the z block
+        for h2 in (H2, gallager_construct(24, 3, 6, seed=3)):
+            h1 = identity_matrix(h2.n)
+            explicit = ReferenceGraph(h1, h2, MODEL, EXPLICIT_Z)
+            folded = ReferenceGraph(h1, h2, MODEL)
+            keep = explicit.edge_var < 2 * h2.n
+            assert np.array_equal(explicit.edge_var[keep], folded.edge_var)
+            assert np.array_equal(explicit.edge_check[keep], folded.edge_check)
+            assert np.array_equal(explicit.priors[: 2 * h2.n], folded.priors)
+            assert np.array_equal(folded.edge_var, build_joint_graph(h1, h2, MODEL).edge_var)
+
+
+class TestSerialize:
+    """The edge lists of the smallest corner graph, spelled out by hand."""
+
+    def test_golden_folded(self):
+        g = build_joint_graph(H1, H2, MODEL)
+        assert g.edge_var.tolist() == [0, 1, 2, 3, 0, 2, 1, 3]
+        assert ReferenceGraph(H1, H2, MODEL).edge_check.tolist() == [0, 1, 2, 2, 3, 3, 4, 4]
+        assert g.corr_param == 2.1972245773362196
+
+
+class TestCycleFree:
+    def test_chain_is_a_tree(self):
+        assert is_cycle_free(ReferenceGraph(H1, H2, MODEL))
+        assert is_cycle_free(ReferenceGraph(H1, H2, MODEL, EXPLICIT_Z))
+
+    def test_repeated_row_creates_a_cycle(self):
+        h2 = SparseParityMatrix.from_rows(2, ((0, 1), (0, 1)))
+        assert not is_cycle_free(ReferenceGraph(H1, h2, MODEL))
+
+    def test_regular_code_graph_is_loopy(self):
+        h2 = gallager_construct(24, 3, 6, seed=1)
+        assert not is_cycle_free(ReferenceGraph(identity_matrix(24), h2, MODEL))
+
+
+class TestKnownU1:
+    """The pass that takes a known u1 block out of the joint graph."""
+
+    H2 = gallager_construct(64, 3, 6, seed=3)
+
+    @pytest.mark.parametrize(
+        "h1", [identity_matrix(64), load_alist(save_alist(identity_matrix(64)))],
+        ids=["built", "alist"],
+    )
+    def test_applies_to_the_corner_graph(self, h1):
+        g = build_joint_graph(h1, self.H2, CorrelationModel(0.96))
+        known = g._known_u1
+        assert known is not None and g._known_u1 is known  # computed once
+        plan = known._plan
+        assert known._plan is plan  # built once
+        assert g.num_edges == 6 * 64 and len(plan.edge_var) == 3 * 64
+        # the edges are h2's entries, variables numbered from u2's first
+        assert plan.edge_var is self.H2.entries[0]
+        assert plan.group_order is None and plan.check_groups == ((6, 0, 3 * 64),)
+        # q is the correlation check's message, not the hidden-bit LLR; the
+        # table holds +/- q/2, the kernel's half-LLR unit
+        q = 3.1780538303457027
+        assert (known.half_prior_by_bit * 2.0).tolist() == [q, -q]
+        assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
+        # no joint structure is built
+        assert list(vars(g)) == ["h1", "h2", "model", "form", "_known_u1"]
+
+    def test_permuted_identity(self):
+        # the identity's rows in another order run on the joint graph, which
+        # decodes them as well
+        perm = [3, 0, 2, 1]
+        h1 = SparseParityMatrix.from_rows(4, [(i,) for i in perm])
+        h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (1, 2, 3)))
+        graph = build_joint_graph(h1, h2, MODEL)
+        assert graph._known_u1 is None
+        for u1, s2 in (([1, 0, 1, 1], [1, 0]), ([0, 1, 1, 0], [0, 1]), ([0, 0, 0, 1], [0, 0])):
+            s1 = syndrome(h1, u1)
+            for config in (DecoderConfig(), DecoderConfig(max_iterations=2, early_stop=False)):
+                result = _assert_same_result(graph, s1, s2, config)
+                assert result.u1_hat.tolist() == u1
+
+    def test_u1_keeps_the_sign_of_s1(self):
+        """The largest correlation message to u1, 2 atanh(|f| tanh(LLR_MAX/2)),
+        stays below the identity check's c_id for every model, so u1's hard
+        decisions equal s1 (see the decoder module)."""
+        c_id = _IDENTITY_BY_BIT[0]
+        assert _IDENTITY_BY_BIT.tolist() == [c_id, -c_id]
+        assert c_id == np.arctanh(_TANH_LIMIT) * 2.0
+
+        def bound(p):
+            factor = np.tanh(hidden_llr(CorrelationModel(p)) * 0.5)
+            assert abs(factor) <= _TANH_LIMIT
+            return np.arctanh(abs(factor) * _TANH_LIMIT) * 2.0
+
+        # both clamped extremes: 29.31 against 29.9998
+        for p in (1e-16, 1 - 1e-16, 1 - 1e-14, 1e-300):
+            assert abs(hidden_llr(CorrelationModel(p))) == LLR_MAX
+            assert round(bound(p), 4) == 29.3067 and round(c_id, 4) == 29.9998
+        grid = np.concatenate([np.linspace(0.001, 0.999, 999), np.logspace(-15, -1, 57)])
+        for p in np.concatenate([grid, 1.0 - grid]).tolist():
+            assert bound(p) < c_id
+
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            # the identity's first n - 1 rows leave u1 variable 3 unpinned
+            (
+                SparseParityMatrix.from_rows(4, ((0,), (1,), (2,))),
+                SparseParityMatrix.from_rows(4, ((0, 1, 2),)),
+            ),
+            (gallager_construct(12, 3, 6, seed=2), gallager_construct(12, 3, 6, seed=1)),
+            # u1 variable 0 has a second code edge
+            (
+                SparseParityMatrix.from_rows(4, ((0, 1), (1,), (2,), (3,))),
+                SparseParityMatrix.from_rows(4, ((0, 1, 2),)),
+            ),
+            # an h1 row without entries leaves u1 variable 1 unpinned
+            (
+                SparseParityMatrix.from_rows(4, ((0,), (), (2,), (3,))),
+                SparseParityMatrix.from_rows(4, ((0, 1, 2),)),
+            ),
+            (identity_matrix(4), SparseParityMatrix.from_rows(4, ((0, 1, 2), (3,)))),
+            (identity_matrix(4), SparseParityMatrix.from_rows(4, ((), ()))),
+        ],
+        ids=["h1-missing-row", "symmetric", "u1-degree-2", "h1-empty-row", "h2-degree-1",
+             "h2-no-entries"],
+    )
+    def test_does_not_apply(self, h1, h2):
+        g = build_joint_graph(h1, h2, MODEL)
+        assert g._known_u1 is None
+        assert "_known_u1" in vars(g)  # None is cached too
+
+    def test_applies_with_an_empty_h2_row(self):
+        h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (), (1, 3)))
+        known = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1
+        assert known is not None and len(known._plan.edge_var) == 5
 
 
 class TestConfig:
@@ -74,6 +462,24 @@ class TestConfig:
         message = f"max_iterations must be a positive integer, got {count}"
         with pytest.raises(ValueError, match=message):
             DecoderConfig(max_iterations=count)
+
+    @pytest.mark.parametrize(
+        "early_stop", ["no", None, 0, 1, 1.0, np.int64(1)],
+        ids=["str", "none", "int-0", "int-1", "float", "numpy-int"],
+    )
+    def test_early_stop_must_be_a_bool(self, early_stop):
+        message = re.escape(f"early_stop must be a bool, got {early_stop!r}")
+        with pytest.raises(ValueError, match=message):
+            DecoderConfig(early_stop=early_stop)
+
+    @pytest.mark.parametrize(
+        "early_stop", [False, np.bool_(False), True, np.bool_(True)],
+        ids=["false", "numpy-false", "true", "numpy-true"],
+    )
+    def test_early_stop_takes_numpy_bools(self, early_stop):
+        config = DecoderConfig(early_stop=early_stop)
+        assert config.early_stop is bool(early_stop)
+        assert config == DecoderConfig(early_stop=bool(early_stop))
 
 
 class TestSingleBit:
@@ -176,8 +582,9 @@ class TestIterationHook:
 
 
 def _leave_one_out_v2c(graph, c2v):
-    """Variable-to-check messages by their definition: the prior plus the
-    incoming check messages of every other edge of the variable, clamped."""
+    """Variable-to-check messages by their definition on a
+    ``ReferenceGraph``: the prior plus the incoming check messages of every
+    other edge of the variable, clamped."""
     edges_of = {}
     for e, v in enumerate(graph.edge_var):
         edges_of.setdefault(int(v), []).append(e)
@@ -195,19 +602,23 @@ class TestVariableUpdate:
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_matches_leave_one_out_definition(self, form, damping):
-        # identity h1 gives degree-1 checks; the explicit form adds
-        # degree-1 z variables
+        """decode on the folded graph, and the reference loop on the
+        explicit graph, whose z variables have degree 1."""
+        # identity h1 gives degree-1 checks
         graph, _, _, _, s1, s2 = _corner_instance(32, 0.9, seed=5)
-        graph = build_joint_graph(graph.h1, graph.h2, graph.model, form=form)
-        assert np.bincount(graph.edge_check, minlength=graph.check_count).min() == 1
-        var_degrees = np.bincount(graph.edge_var, minlength=graph.var_count)
+        reference = ReferenceGraph(graph.h1, graph.h2, graph.model, form)
+        assert np.bincount(reference.edge_check).min() == 1
+        var_degrees = np.bincount(reference.edge_var, minlength=reference.var_count)
         assert (var_degrees.min() == 1) == (form == EXPLICIT_Z)
         snaps = []
         config = DecoderConfig(max_iterations=12, damping=damping, early_stop=False)
-        decode(graph, s1, s2, config, iteration_hook=snaps.append)
-        previous = np.zeros(graph.num_edges)
+        if form == EXPLICIT_Z:
+            decode_reference(reference, s1, s2, config, iteration_hook=snaps.append)
+        else:
+            decode(graph, s1, s2, config, iteration_hook=snaps.append)
+        previous = np.zeros(reference.num_edges)
         for info in snaps:
-            expected = _leave_one_out_v2c(graph, previous)
+            expected = _leave_one_out_v2c(reference, previous)
             assert np.abs(info.v2c - expected).max() <= 1e-12
             previous = info.c2v
 
@@ -227,17 +638,21 @@ class TestEdgeCases:
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_all_zero_syndromes(self, form, symmetric):
+        """decode, and the reference loop on the graph of either form."""
         n = 64
         h2 = gallager_construct(n, 3, 6, seed=5)
         h1 = gallager_construct(n, 3, 6, seed=6) if symmetric else identity_matrix(n)
-        graph = build_joint_graph(h1, h2, CorrelationModel(0.9), form=form)
-        result = decode(graph, np.zeros(h1.m, np.uint8), np.zeros(h2.m, np.uint8))
-        assert result.converged
-        assert result.iterations_used == 1
-        assert not result.u1_hat.any()
-        assert not result.u2_hat.any()
-        assert not result.z_hat.any()
-        assert np.all(np.isfinite(result.posterior_llrs))
+        model = CorrelationModel(0.9)
+        runs = [(decode, build_joint_graph(h1, h2, model)),
+                (decode_reference, ReferenceGraph(h1, h2, model, form))]
+        for run, graph in runs:
+            result = run(graph, np.zeros(h1.m, np.uint8), np.zeros(h2.m, np.uint8))
+            assert result.converged
+            assert result.iterations_used == 1
+            assert not result.u1_hat.any()
+            assert not result.u2_hat.any()
+            assert not result.z_hat.any()
+            assert np.all(np.isfinite(result.posterior_llrs))
 
     def test_saturated_frame_at_iteration_cap_stays_finite(self):
         # the model says u1 == u2 with near certainty while the syndromes
@@ -328,15 +743,19 @@ class TestTreeExactness:
             h1, h2, model, s1, s2 = random_forest_instance(seed)
             oracle = brute_force_marginals(h1, h2, model, s1, s2)
             reference = oracle.posterior_llrs()
-            for form in (EXPLICIT_Z, FOLDED_Z):
-                graph = build_joint_graph(h1, h2, model, form=form)
-                assert is_cycle_free(graph)
-                result = decode(graph, s1, s2, config)
-                assert result.posterior_llrs == pytest.approx(reference, abs=1e-9)
+            assert is_cycle_free(ReferenceGraph(h1, h2, model))
+            result = decode(build_joint_graph(h1, h2, model), s1, s2, config)
+            assert result.posterior_llrs == pytest.approx(reference, abs=1e-9)
+            explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
+            assert is_cycle_free(explicit)
+            result = decode_reference(explicit, s1, s2, config)
+            assert result.posterior_llrs == pytest.approx(reference, abs=1e-9)
 
 
 class TestFormEquivalence:
     def test_message_trajectories_agree(self):
+        """decode on the folded graph against the reference loop on the
+        explicit graph of the paper."""
         h1 = identity_matrix(64)
         h2 = gallager_construct(64, 3, 6, seed=3)
         model = CorrelationModel(0.9)
@@ -344,27 +763,20 @@ class TestFormEquivalence:
         s1, s2 = syndrome(h1, pair.u1), syndrome(h2, pair.u2)
         config = DecoderConfig(max_iterations=20, early_stop=False)
 
-        trajectories = {}
-        results = {}
-        for form in (EXPLICIT_Z, FOLDED_Z):
-            graph = build_joint_graph(h1, h2, model, form=form)
-            snaps = []
-            results[form] = decode(graph, s1, s2, config, iteration_hook=snaps.append)
-            trajectories[form] = (graph, snaps)
+        explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
+        exp_snaps, fold_snaps = [], []
+        expected = decode_reference(explicit, s1, s2, config, iteration_hook=exp_snaps.append)
+        folded = build_joint_graph(h1, h2, model)
+        result = decode(folded, s1, s2, config, iteration_hook=fold_snaps.append)
 
-        g_exp, exp_snaps = trajectories[EXPLICIT_Z]
-        _, fold_snaps = trajectories[FOLDED_Z]
-        shared = g_exp.edge_var < 2 * g_exp.n  # u1/u2 edges, same order in both forms
+        shared = explicit.edge_var < 2 * explicit.n  # u1/u2 edges, same order in both forms
+        assert len(exp_snaps) == len(fold_snaps) == 20
         for a, b in zip(exp_snaps, fold_snaps):
             assert np.abs(a.v2c[shared] - b.v2c).max() <= 1e-12
             assert np.abs(a.c2v[shared] - b.c2v).max() <= 1e-12
             assert np.abs(a.posteriors - b.posteriors).max() <= 1e-12
-        assert np.array_equal(
-            results[EXPLICIT_Z].u1_hat, results[FOLDED_Z].u1_hat
-        )
-        assert np.array_equal(
-            results[EXPLICIT_Z].u2_hat, results[FOLDED_Z].u2_hat
-        )
+        assert np.array_equal(expected.u1_hat, result.u1_hat)
+        assert np.array_equal(expected.u2_hat, result.u2_hat)
 
 
 def _assert_same_decode(result, expected):
@@ -390,14 +802,47 @@ def _assert_same_snapshots(snaps, ref_snaps):
             )
 
 
-def _assert_matches_reference(graph, s1, s2, config):
-    """decode and the reference loop agree bit for bit, snapshot by snapshot."""
+# How far the explicit graph's messages may drift from the folded graph's:
+# they differ by the rounding of each z variable's update (its prior plus a
+# check message, minus that message), which the iterations carry on; 40
+# damped iterations at n = 256 reach 3.6e-12. This is criterion 3's
+# tolerance.
+_FORM_TOL = 1e-9
+
+
+def _assert_forms_agree(result, expected, snaps, ref_snaps, shared):
+    """A folded decode and an explicit one agree: every decision and count
+    exactly, the u1/u2 messages (``shared`` of the explicit edges) and
+    the posteriors within ``_FORM_TOL``."""
+    for name in ("u1_hat", "u2_hat", "z_hat"):
+        assert np.array_equal(getattr(result, name), getattr(expected, name)), name
+    assert result.converged == expected.converged
+    assert result.iterations_used == expected.iterations_used
+    assert np.abs(result.posterior_llrs - expected.posterior_llrs).max() <= _FORM_TOL
+    assert len(snaps) == len(ref_snaps)
+    for got, want in zip(snaps, ref_snaps):
+        assert (got.iteration, got.unsatisfied_checks) == (want.iteration, want.unsatisfied_checks)
+        for a, b in ((got.v2c, want.v2c[shared]), (got.c2v, want.c2v[shared]),
+                     (got.posteriors, want.posteriors)):
+            assert np.abs(a - b).max() <= _FORM_TOL, got.iteration
+
+
+def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, hooked=True):
+    """decode and the reference loop on the graph of ``form`` agree, and
+    so do their hook snapshots when ``hooked``: bit for bit on the folded
+    graph, which decode runs, and as ``_assert_forms_agree`` says on the
+    explicit one."""
     snaps, ref_snaps = [], []
-    result = decode(graph, s1, s2, config, iteration_hook=snaps.append)
-    expected = decode_reference(graph, s1, s2, config, iteration_hook=ref_snaps.append)
-    _assert_same_decode(result, expected)
-    assert len(snaps) == result.iterations_used
-    _assert_same_snapshots(snaps, ref_snaps)
+    hooks = (snaps.append, ref_snaps.append) if hooked else (None, None)
+    result = decode(graph, s1, s2, config, iteration_hook=hooks[0])
+    reference = ReferenceGraph(graph.h1, graph.h2, graph.model, form)
+    expected = decode_reference(reference, s1, s2, config, iteration_hook=hooks[1])
+    assert len(snaps) == (result.iterations_used if hooked else 0)
+    if form == EXPLICIT_Z:
+        _assert_forms_agree(result, expected, snaps, ref_snaps, reference.edge_var < 2 * graph.n)
+    else:
+        _assert_same_decode(result, expected)
+        _assert_same_snapshots(snaps, ref_snaps)
     return result
 
 
@@ -418,7 +863,8 @@ def _frame_syndromes(h1, h2, model, seed):
 
 
 class TestMatchesReference:
-    """The contiguous-view kernel against the slot-matrix reference loop."""
+    """The contiguous-view kernel against the slot-matrix reference loop, on
+    the folded graph and on the explicit one."""
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize("p, seeds", [(0.96, (0, 1)), (0.92, (2, 3))])
@@ -426,12 +872,12 @@ class TestMatchesReference:
         n = 1024
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=7)
         model = CorrelationModel(p)
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         assert graph._plan.group_order is None
         outcomes = set()
         for seed in seeds:
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            result = _assert_matches_reference(graph, s1, s2, DecoderConfig())
+            result = _assert_matches_reference(graph, s1, s2, DecoderConfig(), form)
             outcomes.add(result.converged)
         # p = 0.92 covers a frame at the iteration cap as well
         assert outcomes == ({True} if p == 0.96 else {True, False})
@@ -442,10 +888,10 @@ class TestMatchesReference:
         n = 256
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=3)
         model = CorrelationModel(0.93)
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         s1, s2 = _frame_syndromes(h1, h2, model, 5)
         config = DecoderConfig(max_iterations=40, damping=damping, early_stop=False)
-        _assert_matches_reference(graph, s1, s2, config)
+        _assert_matches_reference(graph, s1, s2, config, form)
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     def test_symmetric_point(self, form):
@@ -454,11 +900,11 @@ class TestMatchesReference:
         n = 256
         h1, h2 = gallager_construct(n, 3, 6, seed=1), gallager_construct(n, 3, 6, seed=2)
         model = CorrelationModel(0.99)
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         assert graph._plan.group_order is None
         for seed in range(2):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            _assert_matches_reference(graph, s1, s2, DecoderConfig())
+            _assert_matches_reference(graph, s1, s2, DecoderConfig(), form)
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize("damping", [0.0, 0.3])
@@ -466,11 +912,11 @@ class TestMatchesReference:
         n = 96
         h1, h2 = _interleaved_code(n, 1), _interleaved_code(n, 2)
         model = CorrelationModel(0.9)
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         assert graph._plan.group_order is not None
         for seed in range(3):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            result = _assert_matches_reference(graph, s1, s2, DecoderConfig(damping=damping))
+            result = _assert_matches_reference(graph, s1, s2, DecoderConfig(damping=damping), form)
             assert np.count_nonzero(result.posterior_llrs) > n // 2
 
     @settings(max_examples=60, deadline=None)
@@ -490,13 +936,12 @@ class TestMatchesReference:
         s1 = syndrome(h1, data.draw(bits, label="u1"))
         s2 = data.draw(st.lists(st.integers(0, 1), min_size=h2.m, max_size=h2.m), label="s2")
         p = data.draw(st.sampled_from([0.55, 0.9, 0.99, 1 - 1e-14]), label="p")
-        form = data.draw(st.sampled_from([EXPLICIT_Z, FOLDED_Z]), label="form")
         config = DecoderConfig(
             max_iterations=data.draw(st.integers(1, 15), label="max_iterations"),
             damping=data.draw(st.sampled_from([0.0, 0.3]), label="damping"),
             early_stop=data.draw(st.booleans(), label="early_stop"),
         )
-        graph = build_joint_graph(h1, h2, CorrelationModel(p), form=form)
+        graph = build_joint_graph(h1, h2, CorrelationModel(p))
         _assert_matches_reference(graph, s1, s2, config)
 
 
@@ -592,10 +1037,11 @@ class TestKnownU1MatchesReference:
     def test_graphs_that_do_not_reduce(self, symmetric):
         n = 128
         h2 = gallager_construct(n, 3, 6, seed=2)
-        h1 = gallager_construct(n, 3, 6, seed=1) if symmetric else identity_matrix(n)
+        # the identity's rows in reverse order
+        reversed_identity = SparseParityMatrix.from_rows(n, [(i,) for i in range(n - 1, -1, -1)])
+        h1 = gallager_construct(n, 3, 6, seed=1) if symmetric else reversed_identity
         model = CorrelationModel(0.95)
-        form = FOLDED_Z if symmetric else EXPLICIT_Z
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         assert graph._known_u1 is None
         for seed in range(2):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
@@ -797,13 +1243,13 @@ class TestSharedCode:
 
 
 # what a graph builds only when it decodes on the joint graph
-_JOINT_STRUCTURE = {"edge_var", "edge_check", "priors", "_plan"}
+_JOINT_STRUCTURE = {"edge_var", "_plan"}
 
 
 class TestCornerBuildsNoJointStructure:
-    """A corner decode on the known-u1 path builds none of the joint edge
-    lists, priors or plan; the decodes that run the joint graph build them
-    and still match the reference loop bit for bit."""
+    """A corner decode on the known-u1 path builds neither the joint edge
+    list nor the plan; the decodes that run the joint graph build them and
+    still match the reference loop bit for bit."""
 
     @staticmethod
     def _recorded_graphs(monkeypatch, module):
@@ -845,11 +1291,15 @@ class TestCornerBuildsNoJointStructure:
         ids=["corner", "symmetric", "interleaved", "h2-without-rows"],
     )
     def test_num_edges_is_counted_without_the_edges(self, h1, h2, form):
-        graph = build_joint_graph(h1, h2, CorrelationModel(0.9), form=form)
+        """The folded graph has the edges of the graph of either form, but
+        for the explicit form's n z edges."""
+        model = CorrelationModel(0.9)
+        graph = build_joint_graph(h1, h2, model)
         num_edges = graph.num_edges
         assert not _JOINT_STRUCTURE & set(vars(graph))
-        assert num_edges == len(graph.edge_var) == len(graph.edge_check)
-        assert len(graph.priors) == graph.var_count
+        assert num_edges == len(graph.edge_var)
+        z_edges = h1.n if form == EXPLICIT_Z else 0
+        assert num_edges == ReferenceGraph(h1, h2, model, form).num_edges - z_edges
 
     @pytest.mark.parametrize(
         "form, config, hooked, joint",
@@ -858,24 +1308,20 @@ class TestCornerBuildsNoJointStructure:
             (FOLDED_Z, DecoderConfig(damping=0.3), False, True),
             (FOLDED_Z, DecoderConfig(max_iterations=1), False, False),
             (FOLDED_Z, DecoderConfig(max_iterations=2, early_stop=False), False, False),
-            (EXPLICIT_Z, DecoderConfig(), False, True),
+            (EXPLICIT_Z, DecoderConfig(), True, True),
         ],
         ids=["hook", "damping", "max-iterations-1", "max-iterations-2", "explicit"],
     )
     def test_joint_decodes_match_the_reference(self, form, config, hooked, joint):
         """The first two budgets stay on the known-u1 path; the others run
-        the joint graph."""
+        the joint graph. The reference loop runs on the graph of ``form``."""
         h1, h2 = identity_matrix(256), gallager_construct(256, 3, 6, seed=7)
         model = CorrelationModel(0.93)
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         for seed in range(3):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            if hooked:
-                _assert_matches_reference(graph, s1, s2, config)
-            else:
-                expected = decode_reference(graph, s1, s2, config)
-                _assert_same_decode(decode(graph, s1, s2, config), expected)
-        # the reference loop reads the joint edge lists, but not the plan
+            _assert_matches_reference(graph, s1, s2, config, form, hooked)
+        # the reference loop builds its own edge lists, and no plan
         assert ("_plan" in vars(graph)) == joint
         if not joint:
             assert "_plan" not in vars(graph._known_u1)  # iterations 1 and 2 need no kernel
@@ -884,25 +1330,19 @@ class TestCornerBuildsNoJointStructure:
     @pytest.mark.parametrize("case", ["hooked", "damped", "symmetric"])
     def test_joint_decode_builds_no_edge_checks(self, case, form):
         """A joint decode takes each edge's check sign from its code's row
-        ids: it builds the joint structure but ``edge_check``."""
+        ids: it builds the edge list and the plan, but no list of each
+        edge's check. The reference loop runs on the graph of ``form``."""
         if case == "symmetric":  # both codes regular: the groups are runs
             h1, h2 = gallager_construct(64, 3, 6, seed=1), gallager_construct(64, 3, 6, seed=2)
         else:  # an interleaved h2 makes the decode permute its groups
             h1, h2 = identity_matrix(64), _interleaved_code(64, 2)
         model = CorrelationModel(0.93)
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         config = DecoderConfig(max_iterations=12, damping=0.3 if case == "damped" else 0.0)
-        snaps = []
-        hook = snaps.append if case == "hooked" else None
         s1, s2 = _frame_syndromes(h1, h2, model, seed=4)
-        result = decode(graph, s1, s2, config, iteration_hook=hook)
-        assert _JOINT_STRUCTURE & set(vars(graph)) == _JOINT_STRUCTURE - {"edge_check"}
+        _assert_matches_reference(graph, s1, s2, config, form, hooked=case == "hooked")
+        assert _JOINT_STRUCTURE <= set(vars(graph)) and not hasattr(graph, "edge_check")
         assert (graph._plan.group_order is None) == (case == "symmetric")
-        expected = decode_reference(graph, s1, s2, config, iteration_hook=hook)
-        _assert_same_decode(result, expected)
-        if snaps:
-            half = len(snaps) // 2
-            _assert_same_snapshots(snaps[:half], snaps[half:])
 
 
 class TestParityTest:
@@ -921,11 +1361,10 @@ class TestParityTest:
             )
             codes.append(SparseParityMatrix.from_rows(n, rows))
         h1, h2 = codes
-        blocks = data.draw(st.sampled_from([2, 3]), label="variable blocks")  # folded, explicit
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         s1 = rng.integers(0, 2, h1.m, dtype=np.uint8)
         s2 = rng.integers(0, 2, h2.m, dtype=np.uint8)
-        for hard in (np.zeros(blocks * n, bool), rng.integers(0, 2, blocks * n).astype(bool)):
+        for hard in (np.zeros(2 * n, bool), rng.integers(0, 2, 2 * n).astype(bool)):
             u1, u2 = hard[:n].astype(np.int64), hard[n : 2 * n].astype(np.int64)
             wrong1 = int(np.count_nonzero(h1.to_dense() @ u1 % 2 != s1))
             wrong2 = int(np.count_nonzero(h2.to_dense() @ u2 % 2 != s2))
@@ -977,14 +1416,13 @@ class TestAtanhArgumentClip:
         assert max(iterations) > 3  # the reduced loop ran
 
     def test_joint_graph_with_degree_1_checks(self):
-        # explicit corner graph: identity rows have degree 1, correlation
-        # checks degree 3, and the preset alone bounds the identity rows'
-        # messages
+        # the joint corner graph, which the hook makes decode: identity rows
+        # have degree 1, and the preset alone bounds their messages
         n = 256
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=3)
         model = CorrelationModel(0.93)
-        graph = build_joint_graph(h1, h2, model, form=EXPLICIT_Z)
-        assert _group_degrees(graph._plan) == {1, 3, 6}
+        graph = build_joint_graph(h1, h2, model)
+        assert _group_degrees(graph._plan) == {1, 2, 6}
         s1, s2 = _frame_syndromes(h1, h2, model, 2)
         result = _assert_matches_reference(graph, s1, s2, DecoderConfig(max_iterations=30))
         assert result.iterations_used > 2
@@ -994,29 +1432,49 @@ class TestNonFiniteCheckMessages:
     """The finiteness test runs where the loop exits and before each hook
     call; a NaN check message still raises."""
 
-    @staticmethod
-    def _explicit_with_nan_prior(n=64):
-        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=5)
+    N = 64
+
+    @classmethod
+    def _with_a_nan_hidden_bit(cls, monkeypatch):
+        """A graph whose z[5] has a NaN LLR, and a frame: in the explicit
+        reference graph its prior, in the folded graph the factor f of
+        correlation check 5, which ``_flood`` receives in ``edge_scale`` on
+        that check's two edges, the last 2n edges being the correlation
+        checks'. h1 is the identity's rows in reverse order, so that decode
+        runs the joint graph."""
+        n = cls.N
+        h1 = SparseParityMatrix.from_rows(n, [(i,) for i in range(n - 1, -1, -1)])
+        h2 = gallager_construct(n, 3, 6, seed=5)
         model = CorrelationModel(0.93)
-        graph = build_joint_graph(h1, h2, model, form=EXPLICIT_Z)
-        graph.priors[2 * n + 5] = np.nan  # one z prior, in the graph's cached priors
+        flood = decoder_module._flood
+
+        def nan_factor(plan, edge_scale, *args, **kwargs):
+            edge_scale = edge_scale.copy()
+            first = len(edge_scale) - 2 * n + 2 * 5
+            edge_scale[first : first + 2] = np.nan
+            return flood(plan, edge_scale, *args, **kwargs)
+
+        monkeypatch.setattr(decoder_module, "_flood", nan_factor)
+        explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
+        explicit.priors[2 * n + 5] = np.nan  # one z prior, in the graph's cached priors
         s1, s2 = _frame_syndromes(h1, h2, model, 1)
-        return graph, s1, s2
+        return build_joint_graph(h1, h2, model), explicit, s1, s2
 
     @pytest.mark.parametrize("max_iterations", [1, 7, 100])
     @pytest.mark.parametrize("early_stop", [True, False])
     @pytest.mark.parametrize("zero_syndromes", [True, False])
-    def test_joint_graph(self, max_iterations, early_stop, zero_syndromes):
-        graph, s1, s2 = self._explicit_with_nan_prior()
+    def test_joint_graph(self, monkeypatch, max_iterations, early_stop, zero_syndromes):
+        graph, explicit, s1, s2 = self._with_a_nan_hidden_bit(monkeypatch)
         if zero_syndromes:  # converges at iteration 1 despite the NaN
             s1, s2 = np.zeros_like(s1), np.zeros_like(s2)
         config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
-        for run in (decode, decode_reference):
+        assert graph._known_u1 is None
+        for run, g in ((decode, graph), (decode_reference, explicit)):
             with pytest.raises(FloatingPointError, match="non-finite check message"):
-                run(graph, s1, s2, config)
+                run(g, s1, s2, config)
 
-    def test_hook_sees_no_non_finite_message(self):
-        graph, s1, s2 = self._explicit_with_nan_prior()
+    def test_hook_sees_no_non_finite_message(self, monkeypatch):
+        graph, _, s1, s2 = self._with_a_nan_hidden_bit(monkeypatch)
         snaps = []
         with pytest.raises(FloatingPointError, match="non-finite check message"):
             decode(graph, s1, s2, DecoderConfig(early_stop=False), iteration_hook=snaps.append)
@@ -1070,9 +1528,13 @@ class TestStalledGraphs:
         return calls
 
     @staticmethod
-    def _assert_same_bits(graph, s1, s2, config):
+    def _assert_same_bits(graph, s1, s2, config, form=FOLDED_Z):
+        """decode returns bit for bit what the reference loop returns on the
+        folded graph and, with every message zero, on the explicit one."""
         result = _assert_same_result(graph, s1, s2, config)
-        expected = decode_reference(graph, s1, s2, config)
+        reference = ReferenceGraph(graph.h1, graph.h2, graph.model, form)
+        expected = decode_reference(reference, s1, s2, config)
+        _assert_same_decode(result, expected)
         # array_equal would not tell -0.0 from 0.0
         assert result.posterior_llrs.tobytes() == expected.posterior_llrs.tobytes()
         return result
@@ -1084,13 +1546,13 @@ class TestStalledGraphs:
         n = 128
         h1, h2 = gallager_construct(n, 3, 6, seed=1), gallager_construct(n, 3, 6, seed=2)
         model = CorrelationModel(0.99)
-        graph = build_joint_graph(h1, h2, model, form=form)
+        graph = build_joint_graph(h1, h2, model)
         calls = self._count_iterations(monkeypatch)
         config = DecoderConfig(max_iterations=50, damping=damping, early_stop=early_stop)
         for seed in range(3):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             calls.clear()
-            result = self._assert_same_bits(graph, s1, s2, config)
+            result = self._assert_same_bits(graph, s1, s2, config, form)
             assert not result.converged and result.iterations_used == 50
             assert len(calls) == 1
 
@@ -1100,11 +1562,11 @@ class TestStalledGraphs:
     def test_all_zero_syndromes(self, monkeypatch, form, early_stop, max_iterations):
         n = 64
         h1, h2 = gallager_construct(n, 3, 6, seed=6), gallager_construct(n, 3, 6, seed=5)
-        graph = build_joint_graph(h1, h2, CorrelationModel(0.9), form=form)
+        graph = build_joint_graph(h1, h2, CorrelationModel(0.9))
         calls = self._count_iterations(monkeypatch)
         config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
         result = self._assert_same_bits(
-            graph, np.zeros(h1.m, np.uint8), np.zeros(h2.m, np.uint8), config
+            graph, np.zeros(h1.m, np.uint8), np.zeros(h2.m, np.uint8), config, form
         )
         assert result.converged
         assert result.iterations_used == (1 if early_stop else max_iterations)
@@ -1154,20 +1616,23 @@ class TestEmptyCodeRows:
         with_empty_row = s1 if empty_in == "h1" else s2
         assert with_empty_row[1] == 0
         with_empty_row[1] = bit
-        graph = build_joint_graph(h1, h2, model, form=form)
-        snaps = []
         config = DecoderConfig(max_iterations=30)
-        result = decode(graph, s1, s2, config, iteration_hook=snaps.append)
-        for info in snaps:
-            expected = _unsatisfied_from_posteriors(graph, info.posteriors, s1, s2)
-            assert info.unsatisfied_checks == expected
-            assert info.unsatisfied_checks >= bit
-        if bit:
-            assert not result.converged
-            assert result.iterations_used == config.max_iterations
-        else:
-            assert result.converged
-            assert snaps[-1].unsatisfied_checks == 0
+        # decode, and the reference loop on the graph of ``form``
+        runs = [(decode, build_joint_graph(h1, h2, model)),
+                (decode_reference, ReferenceGraph(h1, h2, model, form))]
+        for run, graph in runs:
+            snaps = []
+            result = run(graph, s1, s2, config, iteration_hook=snaps.append)
+            for info in snaps:
+                expected = _unsatisfied_from_posteriors(graph, info.posteriors, s1, s2)
+                assert info.unsatisfied_checks == expected
+                assert info.unsatisfied_checks >= bit
+            if bit:
+                assert not result.converged
+                assert result.iterations_used == config.max_iterations
+            else:
+                assert result.converged
+                assert snaps[-1].unsatisfied_checks == 0
 
 
 class TestBruteForce:

@@ -1,4 +1,5 @@
-"""The oracles in ``swldpc.reference`` stay off the path that simulate and decode run."""
+"""The package ships no test oracle: the oracles live under ``tests/`` and
+no module of ``swldpc`` imports one."""
 
 import ast
 from pathlib import Path
@@ -6,13 +7,15 @@ from pathlib import Path
 import swldpc
 
 PACKAGE = Path(swldpc.__file__).parent
-HOT_PATH = ["cli.py", "sim.py", "decoder.py", "ldpc.py", "correlation.py"]
+# the oracle modules under tests/, and an oracle module inside the package
+ORACLES = {path.stem for path in Path(__file__).parent.glob("_*_reference.py")}
+ORACLES.add("swldpc.reference")
 
 
-def _imported_modules(path):
-    """Absolute names of the swldpc modules that a module imports."""
+def _imported_modules(source):
+    """Absolute names of the modules that a module of the package imports."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -26,7 +29,13 @@ def _imported_modules(path):
 
 
 def test_hot_path_does_not_import_the_oracles():
-    # the package itself does, which shows the detector sees such an import
-    assert "swldpc.reference" in _imported_modules(PACKAGE / "__init__.py")
-    importers = [m for m in HOT_PATH if "swldpc.reference" in _imported_modules(PACKAGE / m)]
+    # the detector sees each form of such an import
+    synthetic = "from . import reference\nimport _exact_reference\nfrom _decoder_reference import x"
+    seen = _imported_modules(synthetic)
+    assert {"swldpc.reference", "_exact_reference", "_decoder_reference"} <= seen
+    assert {"_exact_reference", "_decoder_reference", "_layout_reference"} <= ORACLES
+    modules = sorted(path.name for path in PACKAGE.glob("*.py"))
+    assert modules == ["__init__.py", "__main__.py", "cli.py", "correlation.py", "decoder.py",
+                       "ldpc.py", "sim.py"]
+    importers = [m for m in modules if _imported_modules((PACKAGE / m).read_text()) & ORACLES]
     assert importers == []

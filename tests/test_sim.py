@@ -81,6 +81,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             _config(seed=seed)
 
+    @pytest.mark.parametrize("field", ["model", "decode_model"])
+    @pytest.mark.parametrize("model", [0.9, "0.9", 2.1972245773362196], ids=["p", "str", "llr"])
+    def test_models_must_be_correlation_models(self, field, model):
+        """A bare probability is refused where it is passed, not where a
+        trial first reads its ``p``."""
+        config = dict(model=CorrelationModel(0.9), h2=H2_64, trials=2, master_seed=1)
+        config[field] = model
+        message = re.escape(f"{field} must be a CorrelationModel, got {model!r}")
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**config)
+        if field == "decode_model":  # None decodes with the sampling model
+            assert SimConfig(**dict(config, decode_model=None)).decode_model is None
+
     def test_numpy_integers(self):
         config = _config(trials=np.int64(3), seed=np.uint64(2**64 - 1))
         assert type(config.trials) is int and type(config.master_seed) is int
