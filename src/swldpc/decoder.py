@@ -13,8 +13,9 @@ tests keep the explicit graph as an oracle.
 Node ids are assigned deterministically so message traces are comparable
 across runs: variables are the u1 block [0, n) and the u2 block [n, 2n);
 checks are code-1 rows [0, m1), code-2 rows [m1, m1+m2) and correlation
-checks [m1+m2, m1+m2+n). Edges are stored check-major with ascending
-variable ids inside each check.
+checks [m1+m2, m1+m2+n). Edges are listed check-major with ascending
+variable ids inside each check; the kernel holds them in its own order
+(below), and the hook's snapshots are mapped back to check-major order.
 
 Messages are LLRs under the convention L(x) = ln(P(x=0)/P(x=1)), so a
 positive value favors bit 0. The schedule is flooding: every iteration
@@ -35,19 +36,30 @@ notes below).
   the one from v. Code checks use their syndrome bit as b and f = 1;
   correlation checks use b = 0 and f = tanh(llr/2), which stands in for
   the folded hidden-bit node. Each decode takes the sign of an edge from
-  its own code's row ids (``_edge_signs``), so no per-check array is
-  built. The update runs on the graph's check-degree
-  groups (``_KernelPlan``): each group is one contiguous run of edges in
-  a decode-local order, read as a (checks, degree) view. A degree-1
-  check's product is empty (1); a degree-2 check passes each edge its
-  partner's value; for larger degrees the leave-one-out products are
-  built column by column, prefix products from the left and suffix
-  products from the right. Each product is multiplied in the same order
-  as a forward and a backward ``np.cumprod`` along the row and then
-  joined by one multiplication, so it rounds exactly as the cumulative
-  products did. For the graphs that ``build_joint_graph`` makes from
-  regular codes the decode-local order is the check-major order itself;
-  other graphs pay one gather into it and one scatter back per iteration.
+  its code check (``_edge_signs``), so no per-check array is built.
+
+The kernel's edge order is position-major (``_KernelPlan``): the codes'
+row blocks (``SparseParityMatrix._row_blocks``), h1's then h2's, and one
+block of the correlation checks, each a contiguous ``(degree, checks)``
+run of slots whose row k holds entry k of every check. So the known-u1
+graph's edges are h2's row blocks, and every graph of every code has one
+edge order, with no permutation in the loop. A degree-1 check's product
+is empty (1); a degree-2 check passes each edge its partner's value; for
+larger degrees the leave-one-out products are built row by row, prefix
+products from the first row and suffix products from the last, each
+multiplied in the same order as a forward and a backward ``np.cumprod``
+along the check and then joined by one multiplication, so it rounds
+exactly as the cumulative products did. A posterior is an ordered
+gather-sum over a staircase of slots: its messages in check-major order
+and then its prior, rounding exactly as ``np.bincount`` plus the priors
+(see ``_stair_sums``). The kernel numbers the variables lightest first,
+so that the k-th messages of all variables with more than k are one run
+and each row of the staircase is one addition; it renumbers them only
+where the degrees fall somewhere along the ids, and maps the priors in
+and the posteriors out once per frame. The slot of every entry and each code's
+staircase are built once per code and kept on the matrix
+(``SparseParityMatrix._slots``), so a graph built per call builds its
+known-u1 plan by concatenation alone.
 
 The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
@@ -64,10 +76,13 @@ need no clamp of their own. Check messages are tested for finiteness
 when the loop exits and before each hook call, not in every iteration: a
 NaN check message makes its variable's posterior NaN, so some check
 message stays NaN in every later iteration and the test still raises.
+Each iteration ends with the gather of its posteriors to the slots, which
+the next iteration's variable update starts from and the convergence test
+reads.
 
 A graph stores its codes and model; its edge list and plans are built on
 first use and kept by that graph alone. The kernel's message buffers,
-with the column views and scratch of the check update (``_Workspace``),
+with the row views and scratch of the check update (``_Workspace``),
 are built once per plan and kept in it between frames:
 the joint decode's in the graph's ``_plan``, the known-u1 decode's in the
 plan of the graph's ``KnownU1Graph``. So graphs over one code share no
@@ -81,9 +96,12 @@ Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
 code checks (the correlation checks hold by construction of z_hat): it
 counts the rows whose syndrome of the hard decisions differs from the
-received bit, h1 over the u1 block and h2 over the u2 block, with the xor
-reductions of ``syndrome`` over each code's row blocks. A row without
-entries has syndrome bit 0, so it fails exactly when its received bit is 1.
+received bit, h1 over the u1 block and h2 over the u2 block
+(``_parity_test``). It reads the signs of the posteriors that the kernel
+has gathered to the code blocks' slots for the next iteration and
+xor-reduces each block down its rows, so it needs no gather of its own.
+A row without entries has syndrome bit 0, so it fails exactly when its
+received bit is 1, a count fixed for the frame.
 
 Known u1 (the corner point). When h1 is the n x n identity, rows in
 order, u1 is sent raw and s1 is u1. ``decode`` then runs the same kernel
@@ -137,7 +155,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .correlation import LLR_MAX, CorrelationModel, _check_model, _is_finite_real, hidden_llr
-from .ldpc import SparseParityMatrix, _degree_groups, _integer, _row_parity, as_bit_array
+from .ldpc import SparseParityMatrix, _column_slots, _integer, as_bit_array
 
 # The one graph form, the folded one; the field ``JointTannerGraph.form``
 # takes no other value.
@@ -226,9 +244,17 @@ class JointTannerGraph:
 
     @cached_property
     def _plan(self) -> "_KernelPlan":
-        degrees = [np.bincount(h.entries[1], minlength=h.m) for h in (self.h1, self.h2)]
-        degrees.append(np.full(self.n, 2))
-        return _KernelPlan(self.edge_var, np.concatenate(degrees))
+        h1, h2, n = self.h1, self.h2, self.n
+        shift = len(h1.entries[0])
+        code_edges = shift + len(h2.entries[0])
+        blocks = (*h1._row_blocks, *((block + n, rows + h1.m) for block, rows in h2._row_blocks))
+        corr = np.arange(2 * n).reshape(2, n)  # column i: u1[i] and u2[i]
+        # correlation check i's edges are code_edges + 2i and code_edges + 2i + 1
+        slot_of_edge = np.concatenate(
+            [h1._slots[0], h2._slots[0] + shift, code_edges + corr.T.ravel()]
+        )
+        columns = _column_slots(self.edge_var, slot_of_edge, 2 * n)
+        return _KernelPlan(blocks, corr, 2 * n, slot_of_edge, *columns)
 
     @cached_property
     def _known_u1(self) -> "KnownU1Graph | None":
@@ -253,11 +279,11 @@ class KnownU1Graph:
     """H2 alone, which decodes a joint graph whose u1 is known.
 
     Variables are the u2 block numbered from 0, checks are the h2 rows and
-    the edges are h2's ``entries``; ``_plan``, built on first use, is the
-    kernel's plan over them. ``corr_factor`` is f = tanh(llr/2) of the
-    correlation checks, and ``half_prior_by_bit`` a correlation check's
-    message to u2 in half-LLR units, the kernel's unit, indexed by the u1
-    bit: +q/2 and -q/2.
+    the edges are h2's ``entries``; ``_plan``, built on first use from h2's
+    row blocks and slots, which h2 keeps, is the kernel's plan over them.
+    ``corr_factor`` is f = tanh(llr/2) of the correlation checks, and
+    ``half_prior_by_bit`` a correlation check's message to u2 in half-LLR
+    units, the kernel's unit, indexed by the u1 bit: +q/2 and -q/2.
     """
 
     h2: SparseParityMatrix
@@ -266,43 +292,85 @@ class KnownU1Graph:
 
     @cached_property
     def _plan(self) -> "_KernelPlan":
-        return _KernelPlan(self.h2.entries[0], np.bincount(self.h2.entries[1], minlength=self.h2.m))
+        return _KernelPlan(self.h2._row_blocks, None, self.h2.n, *self.h2._slots)
 
 
 class _KernelPlan:
-    """The decode kernel's layout of one graph's check-major edges.
+    """The decode kernel's layout of one graph, position-major.
 
-    ``edge_var`` maps each edge to its variable. The decoder works in a
-    decode-local order where all checks of one degree are one run: the
-    checks grouped by degree in the order in which the degrees first
-    appear (``ldpc._degree_groups``), checks without edges left out.
-    ``check_groups`` holds one ``(degree, start, stop)`` edge range per
-    degree in that order, so that a ``(checks, degree)`` reshape of a
-    range is a view with one row per check, rows in ascending check id;
-    ``group_order`` is that order as an edge permutation, or None when the
-    check-major order is already grouped, as in every graph that
-    ``build_joint_graph`` makes from regular codes (identity rows, code
-    rows and correlation checks each have one degree). ``idle`` keeps the
-    kernel's message buffers for these edges between decodes, at most one
-    set (see ``_flood``).
+    Checks are grouped by degree into blocks: the codes' row blocks
+    (``SparseParityMatrix._row_blocks``), h1's then h2's, and for the joint
+    graph one more block of the correlation checks, which never shares a
+    group with code checks. A block of c checks of degree d is a ``(d, c)``
+    run of slots whose row k holds entry k of every check, one slot per
+    edge; ``check_groups`` holds one ``(degree, start, stop)`` slot range
+    per block, ``code_groups`` the code blocks', which come first.
+    ``edge_var`` maps each slot to its variable, ``slot_check`` each code
+    slot to its code check (h1 rows, then h2 rows), ``empty_rows`` lists
+    the code checks without entries, and ``slot_of_edge`` maps each edge
+    of the check-major order to its slot.
+
+    The kernel numbers the variables by degree, lightest first, ties by id:
+    ``variables`` lists the variable at each kernel position, or is None
+    where that is the variable's own id, as in every graph that
+    ``build_joint_graph`` makes from codes of regular column weight (the
+    corner graph's u1 has degree 2 and its u2 degree 4); ``edge_var``
+    holds kernel positions. ``var_slots`` is a staircase of slots whose
+    row k holds the slot of the k-th edge, in check-major order, of every
+    variable of degree above k, the last ``var_counts[k]`` kernel
+    positions (``ldpc._column_slots``). ``idle`` keeps the kernel's message
+    buffers for this plan between decodes, at most one set (see
+    ``_flood``).
+
+    Args:
+        code_blocks: the codes' ``(block, rows)`` pairs, variables and
+            checks already numbered within the graph, empty ones included.
+        corr: the ``(2, n)`` block of the correlation checks, or None.
+        num_vars: number of variables.
+        slot_of_edge: the slot of every edge in check-major order.
+        order, counts, staircase: ``ldpc._column_slots`` over
+            ``slot_of_edge``.
     """
 
-    def __init__(self, edge_var: np.ndarray, degrees: np.ndarray):
-        self.edge_var = edge_var
-        present = degrees > 0
-        groups, in_order = _degree_groups(degrees[present])
-        check_groups, stop = [], 0
-        for degree, checks in groups:
-            start, stop = stop, stop + degree * len(checks)
-            check_groups.append((degree, start, stop))
-        self.check_groups = tuple(check_groups)
-        self.group_order = None
-        if not in_order:
-            starts = (np.cumsum(degrees) - degrees)[present]
-            self.group_order = np.concatenate(
-                [(starts[checks][:, None] + np.arange(d)).ravel() for d, checks in groups]
-            )
+    def __init__(self, code_blocks, corr, num_vars, slot_of_edge, order, counts, staircase):
+        code = [(block, rows) for block, rows in code_blocks if len(block)]
+        blocks = [block for block, _ in code] + ([] if corr is None else [corr])
+        groups, stop = [], 0
+        for block in blocks:
+            start, stop = stop, stop + block.size
+            groups.append((len(block), start, stop))
+        self.check_groups = tuple(groups)
+        self.code_groups = self.check_groups[: len(code)]
+        self.slot_check = _flat(np.broadcast_to(rows, block.shape) for block, rows in code)
+        self.empty_rows = _flat(rows for block, rows in code_blocks if not len(block))
+        self.slot_of_edge = slot_of_edge
+        edge_var = _flat(blocks)
+        self.variables = order
+        if order is not None:
+            position = np.empty(num_vars, dtype=np.int64)
+            position[order] = np.arange(num_vars)
+            edge_var = position[edge_var]
+        self.edge_var, self.num_vars = edge_var, num_vars
+        self.var_slots, self.var_counts = staircase, counts
         self.idle = deque(maxlen=1)
+
+    def kernel_order(self, values: np.ndarray) -> np.ndarray:
+        """Per-variable ``values`` by kernel position."""
+        return values if self.variables is None else values.take(self.variables)
+
+    def by_id(self, values: np.ndarray) -> np.ndarray:
+        """Per-variable ``values`` given by kernel position, by variable id,
+        in a new array."""
+        if self.variables is None:
+            return values.copy()
+        out = np.empty_like(values)
+        out[self.variables] = values
+        return out
+
+
+def _flat(arrays) -> np.ndarray:
+    """The integer arrays raveled and joined into one, empty if none."""
+    return np.concatenate([np.zeros(0, np.int64), *(array.ravel() for array in arrays)])
 
 
 @dataclass(frozen=True)
@@ -372,33 +440,35 @@ def decode(
     if iteration_hook is None and config.damping == 0.0 and graph._known_u1 is not None:
         return _decode_known_u1(graph._known_u1, s1, s2, config)
 
-    n = graph.n
-    # Per-edge constant: target-parity sign times check factor. Code checks
+    n, plan = graph.n, graph._plan
+    bits = np.concatenate([s1, s2])
+    # Per-slot constant: target-parity sign times check factor. Code checks
     # have f = 1 and so scale by their sign; correlation checks have parity
     # 0 and scale by f = tanh(llr/2).
     corr_scale = np.full(2 * n, graph._corr_factor)
-    edge_scale = np.concatenate([_edge_signs(graph.h1, s1), _edge_signs(graph.h2, s2), corr_scale])
-    unsatisfied = _parity_test((graph.h1, s1, 0), (graph.h2, s2, n))
+    edge_scale = np.concatenate([_edge_signs(plan, bits), corr_scale])
 
     report = None
     if iteration_hook is not None:
 
         def report(iteration, unsatisfied_checks, v2c, c2v, posteriors):
-            # the kernel's buffers are in half-LLR units; doubling copies them
-            posteriors = posteriors * 2.0
+            # the kernel's buffers are in half-LLR units and its layout;
+            # the snapshots are doubled copies in check-major and id order
+            posteriors = plan.by_id(posteriors)
+            np.multiply(posteriors, 2.0, out=posteriors)
             iteration_hook(
                 IterationInfo(
                     iteration=iteration,
                     unsatisfied_checks=unsatisfied_checks,
                     mean_abs_posterior=float(np.abs(posteriors).mean()),
-                    v2c=v2c * 2.0,
-                    c2v=c2v * 2.0,
+                    v2c=v2c.take(plan.slot_of_edge) * 2.0,
+                    c2v=c2v.take(plan.slot_of_edge) * 2.0,
                     posteriors=posteriors,
                 )
             )
 
     posteriors, _, converged, iterations_used = _flood(
-        graph._plan, edge_scale, np.zeros(2 * n), unsatisfied,
+        plan, edge_scale, np.zeros(2 * n), _parity_test(plan, bits),
         config, config.max_iterations, report,
     )
     return _result(posteriors * 2.0, converged, iterations_used)
@@ -412,16 +482,16 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> Deco
     converged = not s2.any()  # the test of iteration 1, where u2 is 0
     if budget == 1 or early_stop and converged:
         return _result(np.concatenate([identity, np.zeros(n)]), converged, 1)
+    plan = known._plan
     priors = known.half_prior_by_bit.take(s1)  # the u2 posteriors of iteration 2, halved
-    unsatisfied = _parity_test((known.h2, s2, 0))
+    unsatisfied = _parity_test(plan, s2)
     if budget == 2 or early_stop:
-        converged = unsatisfied(priors < 0) == 0
+        converged = unsatisfied(plan.kernel_order(priors).take(plan.edge_var)) == 0
         if budget == 2 or converged:
             return _result(np.concatenate([identity, priors * 2.0]), converged, 2)
 
-    edge_scale = _edge_signs(known.h2, s2)
     posteriors, previous, converged, iterations_used = _flood(
-        known._plan, edge_scale, priors, unsatisfied,
+        plan, _edge_signs(plan, s2), priors, unsatisfied,
         config, budget - _KNOWN_U1_OFFSET,
     )
     # The last iteration's correlation messages to u1, from the u2
@@ -439,10 +509,10 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> Deco
     return _result(posterior_llrs, converged, iterations_used + _KNOWN_U1_OFFSET)
 
 
-def _edge_signs(h, s) -> np.ndarray:
-    """The check sign 1 - 2 s[j] of every entry of h, j its row id: the
-    target-parity signs of a code's edges, in check-major order."""
-    return _SIGN.take(s)[h.entries[1]]
+def _edge_signs(plan, bits) -> np.ndarray:
+    """The check sign 1 - 2 bits[j] of every code slot of ``plan``, j its
+    code check: the target-parity signs of the code edges."""
+    return _SIGN.take(bits).take(plan.slot_check)
 
 
 def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
@@ -460,23 +530,36 @@ def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
     )
 
 
-def _parity_test(*codes):
-    """The convergence test: a function from hard decisions to the count
-    of code checks they violate.
+def _parity_test(plan, bits):
+    """The convergence test of one frame: a function from the posteriors
+    gathered to the slots (``posteriors.take(plan.edge_var)``) to the
+    number of code checks they violate.
 
-    Each code comes as ``(h, received syndrome, first variable)``, the
-    syndrome as ``as_bit_array`` returns it: the code reads the hard
-    decisions of ``h.n`` variables from that one on, and its violated
-    checks are the rows whose syndrome of those decisions differs from the
-    received bit.
+    ``bits`` is the received syndrome of the plan's code checks, as
+    ``as_bit_array`` returns it. A check is violated where the xor of the
+    hard decisions (negative posteriors) of its slots differs from its bit;
+    a check without entries has parity 0, so it is violated exactly when
+    its bit is 1, a count fixed for the frame. Each code block's signs go
+    to the first ``degree`` rows of a ``(degree + 1, checks)`` buffer whose
+    last row holds the checks' bits, so one xor reduction along the rows
+    leaves 1 on the violated checks.
     """
-    codes = [(h, s.view(bool), start, start + h.n) for h, s, start in codes]
+    fixed = int(np.count_nonzero(bits.take(plan.empty_rows)))
+    blocks = []
+    for degree, start, stop in plan.code_groups:
+        checks = (stop - start) // degree
+        signs = np.empty((degree + 1, checks), dtype=bool)
+        signs[degree] = bits.take(plan.slot_check[start : start + checks])
+        slots = signs.reshape(-1)[: stop - start]
+        blocks.append((start, stop, signs, slots, np.empty(checks, dtype=bool)))
 
-    def unsatisfied(hard) -> int:
-        count = 0
-        for h, bits, start, stop in codes:
-            count += int(np.count_nonzero(_row_parity(h, hard[start:stop]) != bits))
-        return count
+    def unsatisfied(gathered) -> int:
+        count = fixed
+        for start, stop, signs, slots, violated in blocks:
+            np.less(gathered[start:stop], 0, out=slots)
+            np.bitwise_xor.reduce(signs, axis=0, out=violated)
+            count += np.count_nonzero(violated)
+        return int(count)
 
     return unsatisfied
 
@@ -484,22 +567,27 @@ def _parity_test(*codes):
 class _Workspace:
     """The message buffers of ``_flood`` for one plan, kept across frames.
 
-    ``v2c``, ``t``, ``excl``, ``c2v`` and ``fresh`` hold one value per
-    check-major edge; ``t_grouped`` and ``excl_grouped`` are ``t`` and
-    ``excl`` in the decode-local order (the same arrays when no reordering
-    is needed). ``v2c`` is used only when a hook reads the variable
-    messages (otherwise they are built in ``t`` and turned into their tanh
-    in place), and ``fresh`` only under damping (otherwise the check
-    messages are written into ``c2v`` in place), so both are allocated on
-    first use: a known-u1 workspace never holds them. The check update of
-    every check-degree group of degree 2 or more is spelled out once, on
-    column views of the grouped buffers: ``copies`` holds the ``(target, source)``
-    column pairs of the degree-2 groups, and ``products`` the ``(a, b,
-    out)`` column multiplications of the larger ones, in order (see
-    ``_leave_one_out``). Degree-1 entries of ``excl`` hold ``_TANH_LIMIT``
-    from the start and are never written, so they need no reset between
-    frames; ``c2v`` is zeroed at the start of every frame and every other
-    buffer is written before it is read.
+    ``t``, ``excl``, ``c2v``, ``v2c`` and ``fresh`` hold one value per slot
+    of the plan. Once the check update has read ``t``, it takes the check
+    messages in the order of the staircase ``plan.var_slots`` and then the
+    posteriors gathered to the slots, which the next iteration starts
+    from. ``v2c`` is
+    used only when a hook reads the variable messages
+    (otherwise they are built in ``t`` and turned into their tanh in
+    place), and ``fresh`` only under damping (otherwise the check messages
+    are written into ``c2v`` in place), so both are allocated on first use:
+    a known-u1 workspace never holds them. The check update of every
+    check-degree group of degree 2 or more is spelled out once, on row
+    views of the blocks: ``copies`` holds the ``(target, source)`` row
+    pairs of the degree-2 groups, and ``products`` the ``(a, b, out)`` row
+    multiplications of the larger ones, in order (see ``_leave_one_out``).
+    Degree-1 entries of ``excl`` hold ``_TANH_LIMIT`` from the start and
+    are never written, so they need no reset between frames; ``c2v`` is
+    zeroed at the start of every frame and every other buffer is written
+    before it is read. ``posteriors`` is a pair of buffers that the
+    iterations take in turn, so that the last one's stays intact, and
+    ``sums`` the steps that fill each (see ``_stair_sums``); ``base``
+    takes the frame's priors plus 0.0.
     """
 
     def __init__(self, plan):
@@ -507,19 +595,19 @@ class _Workspace:
         self.t = np.empty(num_edges)
         self.excl = np.full(num_edges, _TANH_LIMIT)
         self.c2v = np.empty(num_edges)
-        if plan.group_order is None:
-            self.t_grouped, self.excl_grouped = self.t, self.excl
-        else:
-            self.t_grouped = np.empty(num_edges)
-            self.excl_grouped = np.full(num_edges, _TANH_LIMIT)
         self.copies, self.products = [], []
         for degree, start, stop in plan.check_groups:
-            t_cols = list(self.t_grouped[start:stop].reshape(-1, degree).T)
-            out_cols = list(self.excl_grouped[start:stop].reshape(-1, degree).T)
+            t_rows = self.t[start:stop].reshape(degree, -1)
+            out_rows = self.excl[start:stop].reshape(degree, -1)
             if degree == 2:
-                self.copies += [(out_cols[0], t_cols[1]), (out_cols[1], t_cols[0])]
+                self.copies += [(out_rows[0], t_rows[1]), (out_rows[1], t_rows[0])]
             elif degree > 2:
-                self.products += _leave_one_out(t_cols, out_cols)
+                self.products += _leave_one_out(list(t_rows), list(out_rows))
+        self.var_slots = plan.var_slots
+        self.base = np.empty(plan.num_vars)
+        self.posteriors = (np.empty(plan.num_vars), np.empty(plan.num_vars))
+        self.sums = [_stair_sums(plan.var_counts, self.t, self.base, buffer)
+                     for buffer in self.posteriors]
 
     @cached_property
     def v2c(self) -> np.ndarray:
@@ -530,30 +618,77 @@ class _Workspace:
         return np.empty(len(self.t))
 
 
+def _stair_sums(counts, t, base, out):
+    """The steps, ``(function, args)`` pairs, that fill ``out`` with the
+    posteriors: the staircase rows of the check messages in ``t`` (row k
+    the k-th message of the last ``counts[k]`` variables) added in order,
+    then ``base``; a variable without messages takes its ``base``.
+
+    ``base`` is the priors plus 0.0, which turns -0.0 into +0.0, and the
+    sums round exactly as ``np.bincount`` of the messages plus the priors:
+    the bincount starts each sum from +0.0, which changes the sum only
+    where every message is -0.0, and then that -0.0 plus the prior equals
+    +0.0 plus the prior, unless the prior is -0.0 too, which ``base`` has
+    turned into +0.0.
+    """
+    num_vars, rows, stop = len(out), [], 0
+    for count in counts:
+        start, stop = stop, stop + count
+        rows.append((num_vars - count, t[start:stop]))
+    head = rows[0][0] if rows else num_vars
+    steps = [(np.copyto, (out[:head], base[:head]))] if head else []
+    if len(rows) == 1:
+        steps.append((np.copyto, (out[head:], rows[0][1])))
+    elif rows:
+        (first, row), (second, following) = rows[:2]
+        if second > first:  # variables with one message
+            steps.append((np.copyto, (out[first:second], row[: second - first])))
+        steps.append((np.add, (row[second - first :], following, out[second:])))
+        steps += [(np.add, (out[start:], row, out[start:])) for start, row in rows[2:]]
+    if head < num_vars:
+        steps.append((np.add, (out[head:], base[head:], out[head:])))
+    return steps
+
+
+def _sum_messages(workspace, c2v, turn) -> np.ndarray:
+    """The posteriors, by kernel position, in the workspace's buffer
+    ``turn``: each variable's check messages ``c2v`` in check-major order,
+    then its prior (see ``_stair_sums``). The messages are gathered along
+    the staircase of slots into ``workspace.t``, which the check update
+    has done with."""
+    c2v.take(workspace.var_slots, out=workspace.t, mode="clip")
+    for step, args in workspace.sums[turn]:
+        step(*args)
+    return workspace.posteriors[turn]
+
+
 def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
     """The flooding loop over one graph's edges, the decode kernel.
 
-    ``plan`` is the graph's ``_KernelPlan``: ``plan.edge_var`` maps
-    each check-major edge to its variable. ``edge_scale`` holds each edge's
-    check sign times check factor and ``priors`` one half-LLR per variable.
-    Runs at most ``max_iterations`` iterations with ``config``'s damping
-    and early stop, calling ``report(iteration, unsatisfied, v2c, c2v,
-    posteriors)`` after each one when given, with the loop's own buffers in
-    half-LLR units.
+    ``plan`` is the graph's ``_KernelPlan`` and every per-edge array is
+    in its slot order. ``edge_scale`` holds each slot's check sign times
+    check factor, ``priors`` one half-LLR per variable, by id, and
+    ``unsatisfied`` is the frame's ``_parity_test``. Runs at most
+    ``max_iterations`` iterations with ``config``'s damping and early stop,
+    calling ``report(iteration, unsatisfied, v2c, c2v, posteriors)`` after
+    each one when given, with the loop's own buffers in half-LLR units, the
+    messages by slot and the posteriors by kernel position.
 
     Messages, priors and posteriors are in half-LLR units, the atanh
     argument is not clipped, and check messages are tested for finiteness
     only where the loop exits and before each ``report`` call (see the
-    module notes).
+    module notes). Each iteration ends with the gather of its posteriors
+    to the slots, which the next iteration starts from and the convergence
+    test reads.
 
     The buffers come from the plan's idle workspace (see ``_Workspace``),
     checked out for the length of the call: ``report`` receives them and
     must copy what it keeps, and a decode it starts builds its own.
 
     Returns the last posteriors and those of the iteration before (the
-    priors after one iteration), both in half-LLR units, whether the last
-    hard decisions satisfy every code check, and the number of iterations
-    run.
+    priors after one iteration), both in half-LLR units and by variable
+    id, whether the last hard decisions satisfy every code check, and the
+    number of iterations run.
     """
     # Check the workspace out, so that a decode running meanwhile over the
     # same plan (another thread, or a hook's decode) builds its own.
@@ -561,39 +696,35 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
         workspace = plan.idle.pop()
     except IndexError:
         workspace = _Workspace(plan)
-    edge_var, group_order = plan.edge_var, plan.group_order
+    edge_var = plan.edge_var
     t, excl, c2v = workspace.t, workspace.excl, workspace.c2v
     # the variable messages are needed after their tanh only by the hook
     v2c = t if report is None else workspace.v2c
     fresh = workspace.fresh if config.damping > 0.0 else None
     c2v.fill(0.0)
-    t_grouped, excl_grouped = workspace.t_grouped, workspace.excl_grouped
     copies, products = workspace.copies, workspace.products
     damping = config.damping
-    posteriors = previous = priors
+    posteriors = previous = priors = plan.kernel_order(priors)
+    np.add(priors, 0.0, out=workspace.base)
     converged = False
     iterations_used = 0
     limit = LLR_MAX * 0.5
     try:
+        priors.take(edge_var, out=t, mode="clip")
         for iteration in range(1, max_iterations + 1):
-            # Variable update: each edge sends the posterior minus its own
-            # incoming message.
-            posteriors.take(edge_var, out=v2c, mode="clip")
-            np.subtract(v2c, c2v, out=v2c)
+            # Variable update: each slot sends its variable's posterior,
+            # gathered in t, minus its own incoming message.
+            np.subtract(t, c2v, out=v2c)
             v2c.clip(-limit, limit, out=v2c)
 
-            # Check update on the contiguous degree groups: a degree-2 check
+            # Check update on the rows of the blocks: a degree-2 check
             # passes each edge its partner's value, larger degrees take
             # leave-one-out products.
             np.tanh(v2c, out=t)
-            if group_order is not None:
-                t.take(group_order, out=t_grouped, mode="clip")
             for target, source in copies:
                 target[...] = source
             for a, b, out in products:
                 np.multiply(a, b, out)  # a positional out skips keyword parsing
-            if group_order is not None:
-                excl[group_order] = excl_grouped
             if damping > 0.0:
                 np.multiply(edge_scale, excl, out=fresh)
                 np.arctanh(fresh, out=fresh)
@@ -606,13 +737,13 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
                 np.arctanh(c2v, out=c2v)
 
             previous = posteriors
-            posteriors = np.bincount(edge_var, weights=c2v, minlength=len(priors))
-            posteriors += priors
-            hard = posteriors < 0
+            posteriors = _sum_messages(workspace, c2v, iteration % 2)
+            posteriors.take(edge_var, out=t, mode="clip")
 
-            # Convergence test: z_hat = u1_hat xor u2_hat satisfies every
-            # correlation check, so only the code checks can be violated.
-            unsatisfied_checks = unsatisfied(hard)
+            # Convergence test on the gathered signs: z_hat = u1_hat xor
+            # u2_hat satisfies every correlation check, so only the code
+            # checks can be violated.
+            unsatisfied_checks = unsatisfied(t)
             converged = unsatisfied_checks == 0
             iterations_used = iteration
 
@@ -628,7 +759,8 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
                 break
 
         _check_finite(c2v)
-        return posteriors, previous, converged, iterations_used
+        # the posteriors leave in new arrays, by id, as the buffers stay
+        return plan.by_id(posteriors), plan.by_id(previous), converged, iterations_used
     finally:
         plan.idle.append(workspace)
 
@@ -639,30 +771,31 @@ def _check_finite(c2v):
         raise FloatingPointError("non-finite check message despite clamping")
 
 
-def _leave_one_out(t_cols, out_cols):
-    """The column multiplications that set each column of a check group to
-    the product of the other columns, as ``(a, b, out)`` triples in order.
+def _leave_one_out(t_rows, out_rows):
+    """The row multiplications that set each row of a check block to the
+    product of the other rows, as ``(a, b, out)`` triples in order.
 
-    ``t_cols`` and ``out_cols`` are the columns of a (checks, degree) block
-    with degree >= 3. Column k gets the product of columns 0..k-1 times the
-    product of columns degree-1..k+1, each multiplied in one column at a
-    time in that order: the same chain of roundings as a forward and a
-    backward ``np.cumprod`` along each row. The prefix products of columns
-    0..j go to scratch columns, except that of 0..degree-2, which is the
-    last column's own product and goes straight to ``out_cols[-1]``; the
-    running suffix product goes to one more scratch column and its last
-    step to ``out_cols[0]``.
+    ``t_rows`` and ``out_rows`` are the rows of a (degree, checks) block
+    with degree >= 3, row k holding entry k of every check. Row k gets the
+    product of rows 0..k-1 times the product of rows degree-1..k+1, each
+    multiplied in one row at a time in that order: the same chain of
+    roundings as a forward and a backward ``np.cumprod`` along each check.
+    The prefix products of rows 0..j go to scratch rows, except that of
+    0..degree-2, which is the last row's own product and goes straight to
+    ``out_rows[-1]``; the running suffix product goes to one more scratch
+    row and its last step to ``out_rows[0]``. Every operand is one
+    contiguous row, which numpy multiplies with the least overhead per call.
     """
-    degree = len(t_cols)
-    rows = len(t_cols[0])
-    # prefixes[j] receives the product of columns 0..j
-    prefixes = [t_cols[0], *np.empty((degree - 3, rows)), out_cols[-1]]
-    suffix = np.empty(rows)
-    steps = [(prefixes[k - 1], t_cols[k], prefixes[k]) for k in range(1, degree - 1)]
-    running = t_cols[-1]
+    degree = len(t_rows)
+    checks = len(t_rows[0])
+    # prefixes[j] receives the product of rows 0..j
+    prefixes = [t_rows[0], *np.empty((degree - 3, checks)), out_rows[-1]]
+    suffix = np.empty(checks)
+    steps = [(prefixes[k - 1], t_rows[k], prefixes[k]) for k in range(1, degree - 1)]
+    running = t_rows[-1]
     for k in range(degree - 2, 0, -1):
-        steps.append((prefixes[k - 1], running, out_cols[k]))
-        following = out_cols[0] if k == 1 else suffix
-        steps.append((running, t_cols[k], following))
+        steps.append((prefixes[k - 1], running, out_rows[k]))
+        following = out_rows[0] if k == 1 else suffix
+        steps.append((running, t_rows[k], following))
         running = following
     return steps

@@ -4,10 +4,11 @@ A code is held as a :class:`SparseParityMatrix`: the m x n binary matrix H
 as one flat row-major index of its nonzeros, ``entries`` (column ids, row
 ids). It is built from that index by its constructor or from row lists by
 ``from_rows``. The only other row layout, the rows grouped by weight that
-:func:`syndrome` and the decoder's convergence test reduce over, is built
-from the index once per matrix, by the grouping rule (``_degree_groups``)
-that the decoder's plan of check degrees uses too. A matrix holds nothing
-else: what a decoder builds over a code is kept by the decoder's graphs.
+:func:`syndrome` reduces over and the decoder lays its messages out in, is
+built from the index once per matrix (``_degree_groups``), and so is the
+place of every entry in that layout, with each column's places
+(``_slots``). A matrix holds nothing else: what a decoder builds over a
+code is kept by the decoder's graphs.
 Compression of a source block u is the syndrome map s = H u over GF(2);
 the joint decoder recovers u from s.
 
@@ -104,9 +105,9 @@ def _degree_groups(degrees: np.ndarray) -> tuple[list[tuple[int, np.ndarray]], b
     Returns one ``(degree, ids)`` pair per distinct value of ``degrees``,
     ``ids`` the ascending positions that hold it, and whether the ids come
     in order, each degree one run, so that the groups, concatenated, list
-    the ids 0, 1, 2, ... This is the one grouping rule of both row layouts:
-    the rows of a matrix by weight (``SparseParityMatrix._row_blocks``) and
-    the checks of a graph by degree (``decoder._KernelPlan``).
+    the ids 0, 1, 2, ... This is the one grouping rule of the rows of a
+    matrix by weight (``SparseParityMatrix._row_blocks``), which are the
+    decoder's check groups.
     """
     # the position where each run of equal degrees after the first starts
     starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
@@ -116,6 +117,37 @@ def _degree_groups(degrees: np.ndarray) -> tuple[list[tuple[int, np.ndarray]], b
         bounds = [0, *starts.tolist(), len(degrees)]
         return [(d, np.arange(lo, hi)) for d, lo, hi in zip(runs, bounds, bounds[1:])], True
     return [(d, np.flatnonzero(degrees == d)) for d in appearance], False
+
+
+def _column_slots(cols: np.ndarray, slots: np.ndarray, n: int):
+    """Each column's entries, as the slots that hold them, in the rows of a
+    staircase.
+
+    ``cols`` holds the column of every entry in row-major order and
+    ``slots`` where some layout holds that entry. The columns are ordered
+    by weight, lightest first, ties by id: ``order`` lists them so, or is
+    None where that is the id order. Row k of the staircase holds the slot
+    of entry k, counted in row-major order, of every column of weight above
+    k, which are the last ``counts[k]`` columns of the order. Returns
+    ``(order, counts, staircase)``, the rows joined into one array. Built
+    with one sort of unique keys, the column above the row-major position,
+    in the narrowest unsigned type that holds them (a 32-bit sort is twice
+    as fast as a 64-bit one).
+    """
+    num = len(cols)
+    shift = num.bit_length()
+    key_type = np.min_scalar_type(n << shift)
+    keys = np.sort(cols.astype(key_type) << shift | np.arange(num, dtype=key_type))
+    by_column = slots.take(keys & ((1 << shift) - 1))
+    weights = np.bincount(cols, minlength=n)
+    starts = np.cumsum(weights) - weights
+    order = None
+    if (weights[1:] < weights[:-1]).any():
+        order = np.argsort(weights, kind="stable")
+        weights, starts = weights[order], starts[order]
+    counts = tuple((n - np.cumsum(np.bincount(weights))[:-1]).tolist())
+    rows = [by_column.take(starts[n - count :] + k) for k, count in enumerate(counts)]
+    return order, counts, np.concatenate([np.zeros(0, np.int64), *rows])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -134,10 +166,11 @@ class SparseParityMatrix:
     as given, marking them read-only; other integer arrays are converted.
     Matrices compare equal when ``n``, ``m`` and ``entries`` are equal. The
     object is immutable, so it can be shared freely across decoder sessions
-    and threads. The rows grouped by weight (``_row_blocks``) are built
-    from ``entries`` once per object and kept on it; that is the only cache
-    a matrix holds. A pickled copy carries only the index and builds its
-    own.
+    and threads. The rows grouped by weight (``_row_blocks``) and the
+    place of every entry in them (``_slots``) are built from ``entries``
+    once per object, on first use, and kept on it; those are the only
+    caches a matrix holds. A pickled copy carries only the index and builds
+    its own.
     """
 
     n: int
@@ -222,6 +255,32 @@ class SparseParityMatrix:
             rows.flags.writeable = block.flags.writeable = False
             blocks.append((block, rows))
         return tuple(blocks)
+
+    @cached_property
+    def _slots(self):
+        """Where the decoder holds each entry, built once per matrix.
+
+        The decoder lays the entries out position-major: the row blocks,
+        each raveled, one after another, so that entry k of row
+        ``rows[j]`` of a block is its slot k * len(rows) + j.
+        ``(slots, order, counts, staircase)``: ``slots`` maps every entry of
+        the flat index to its slot, and the rest is ``_column_slots`` over
+        those slots. The arrays are read-only.
+        """
+        cols, owner = self.entries
+        weights = np.bincount(owner, minlength=self.m)
+        starts = np.cumsum(weights) - weights
+        slots = np.empty(len(cols), dtype=np.int64)
+        stop = 0
+        for block, rows in self._row_blocks:
+            start, stop = stop, stop + block.size
+            entries = starts[rows] + np.arange(len(block))[:, None]
+            slots[entries] = np.arange(start, stop).reshape(block.shape)
+        order, counts, staircase = _column_slots(cols, slots, self.n)
+        for array in (slots, order, staircase):
+            if array is not None:
+                array.flags.writeable = False
+        return slots, order, counts, staircase
 
     def to_dense(self) -> np.ndarray:
         """Dense (m, n) uint8 copy, for small-instance tooling."""
@@ -344,8 +403,7 @@ def syndrome(h: SparseParityMatrix, u: Sequence[int] | np.ndarray) -> np.ndarray
 def _row_parity(h: SparseParityMatrix, u: np.ndarray) -> np.ndarray:
     """The xor of ``u`` over each row of H, in ``u``'s dtype (uint8 or bool).
 
-    ``u`` is not validated; the decoder's convergence test passes its hard
-    decisions here.
+    ``u`` is not validated.
     """
     blocks = h._row_blocks
     if len(blocks) == 1:  # every row, in order

@@ -1,7 +1,7 @@
 """The joint graph and its decoder, ``swldpc.decoder``, against the oracles
 under ``tests/``: the reference graph and loop in ``_decoder_reference``,
 which also builds the explicit graph of the paper, the exact marginals in
-``_exact_reference`` and the edge-based layout in ``_layout_reference``."""
+``_exact_reference`` and the plain-loop layout in ``_layout_reference``."""
 
 import pickle
 import re
@@ -35,11 +35,12 @@ from swldpc import (
 from swldpc import decoder as decoder_module
 from swldpc import sim as sim_module
 from swldpc.decoder import _IDENTITY_BY_BIT, _TANH_LIMIT, KnownU1Graph
+from swldpc.ldpc import _row_parity
 
 from _decoder_reference import EXPLICIT_Z, ReferenceGraph, decode_reference
 from _exact_reference import brute_force_marginals, is_cycle_free
 from _forest import random_forest_instance
-from _layout_reference import flood_layout_reference
+from _layout_reference import code_sections, joint_sections, kernel_layout_reference
 from _strategies import mixed_weight_matrices, rows_of
 
 LN_9 = 2.1972245773362196
@@ -154,7 +155,7 @@ class TestEdgeLists:
 
 
 class TestDecodeLayout:
-    """The check-degree groups that the decoder reads as contiguous views."""
+    """The position-major blocks that the decoder reads as contiguous rows."""
 
     @pytest.mark.parametrize(
         "h1",
@@ -164,18 +165,20 @@ class TestDecodeLayout:
     def test_regular_graphs_need_no_permutation(self, h1):
         g = build_joint_graph(h1, gallager_construct(1024, 3, 6, seed=7), MODEL)
         plan = g._plan
-        assert plan.group_order is None and plan.edge_var is g.edge_var
+        # regular columns: the kernel numbers the variables by their ids
+        assert plan.variables is None
         ranges = [(start, stop) for _, start, stop in plan.check_groups]
         # the ranges tile [0, num_edges) once, in order
         assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
         assert ranges[-1][1] == g.num_edges
-        # degrees in order of first appearance along the edge lists
-        appearance = []
-        edge_check = ReferenceGraph(g.h1, g.h2, MODEL).edge_check
-        for d in np.bincount(edge_check)[edge_check]:
-            if d not in appearance:
-                appearance.append(int(d))
-        assert [d for d, _, _ in plan.check_groups] == appearance
+        # the codes' row blocks, h1's then h2's, then the correlation checks
+        blocks = [block for block, _ in g.h1._row_blocks]
+        blocks += [block + g.n for block, _ in g.h2._row_blocks]
+        assert [d for d, _, _ in plan.check_groups] == [len(block) for block in blocks] + [2]
+        assert plan.code_groups == plan.check_groups[:-1]
+        corr = np.arange(2 * g.n)
+        want = np.concatenate([block.ravel() for block in blocks] + [corr])
+        assert np.array_equal(plan.edge_var, want)
 
     @pytest.mark.parametrize(
         "h1, h2",
@@ -190,19 +193,32 @@ class TestDecodeLayout:
         g = build_joint_graph(h1, h2, MODEL)
         plan = g._plan
         all_checks = ReferenceGraph(h1, h2, MODEL).edge_check
-        edge_check = all_checks if plan.group_order is None else all_checks[plan.group_order]
+        # the check and the variable of every slot, through the slot of every edge
+        assert sorted(plan.slot_of_edge.tolist()) == list(range(g.num_edges))
+        slot_check = np.empty_like(all_checks)
+        slot_check[plan.slot_of_edge] = all_checks
+        slot_var = np.empty_like(all_checks)
+        slot_var[plan.slot_of_edge] = g.edge_var
+        assert np.array_equal(_slot_vars(plan), slot_var)
         degrees = np.bincount(all_checks)
-        assert sorted(edge_check.tolist()) == sorted(all_checks.tolist())
         covered = 0
         for degree, start, stop in plan.check_groups:
             assert start == covered
             covered = stop
-            block = edge_check[start:stop].reshape(-1, degree)
-            # each row is one whole check of this degree, in ascending id
-            assert (block == block[:, :1]).all()
-            assert (degrees[block[:, 0]] == degree).all()
-            assert (np.diff(block[:, 0]) > 0).all()
+            block = slot_check[start:stop].reshape(degree, -1)
+            # each column is one whole check of this degree, in ascending id
+            assert (block == block[:1]).all()
+            assert (degrees[block[0]] == degree).all()
+            assert (np.diff(block[0]) > 0).all()
+            # row k holds entry k of every check: variables ascend down a column
+            assert (np.diff(slot_var[start:stop].reshape(degree, -1), axis=0) > 0).all()
         assert covered == g.num_edges
+        # the code checks come first, and no block mixes them with the
+        # correlation checks
+        code_slots = len(plan.slot_check)
+        assert code_slots == sum(stop - start for _, start, stop in plan.code_groups)
+        assert np.array_equal(plan.slot_check, slot_check[:code_slots])
+        assert (slot_check[code_slots:] >= g.m1 + g.m2).all()
         # the convergence test's blocks: each code row once, also one
         # without entries, its variables (counted from the code's first
         # variable) down one column
@@ -220,19 +236,30 @@ class TestDecodeLayout:
             }
 
 
-def _assert_same_groups(plan, want):
-    """A kernel plan's groups equal the edge-based oracle's."""
-    groups, order = plan.check_groups, plan.group_order
-    want_groups, want_order = want
-    assert groups == want_groups
-    if want_order is None:
-        assert order is None
+def _slot_vars(plan):
+    """The variable id of every slot of a kernel plan."""
+    return plan.edge_var if plan.variables is None else plan.variables[plan.edge_var]
+
+
+def _assert_layout(plan, want):
+    """A kernel plan equals the plain-loop layout oracle ``want``."""
+    assert list(plan.check_groups) == want.check_groups
+    assert _slot_vars(plan).tolist() == want.slot_var
+    assert plan.slot_check.tolist() == want.slot_check[: len(plan.slot_check)]
+    assert plan.empty_rows.tolist() == want.empty_checks
+    assert plan.slot_of_edge.tolist() == want.edge_slot
+    # the variables by degree, and the staircase of their edges' slots
+    if want.var_order == sorted(want.var_order):
+        assert plan.variables is None
     else:
-        assert order.dtype == np.int64 and np.array_equal(order, want_order)
+        assert plan.variables.tolist() == want.var_order
+    assert list(plan.var_counts) == [len(row) for row in want.staircase]
+    assert plan.var_slots.tolist() == [slot for row in want.staircase for slot in row]
+    assert len(plan.var_slots) == len(plan.edge_var)
 
 
 # row weights 0, 1 and 3 interleaved down the matrix, so that the groups
-# are not runs: every plan of it needs a permutation
+# are not runs
 INTERLEAVED = SparseParityMatrix.from_rows(
     9, [(0, 4, 8), (), (2,), (1, 3, 5), (), (7,), (0, 6, 7), (3,)]
 )
@@ -246,9 +273,9 @@ def _code_plan(h):
 
 
 class TestKernelPlan:
-    """The one plan builder, from check degrees, against the edge-based
-    oracle in ``tests/_layout_reference.py``, and grouped by the rule that
-    groups a matrix's rows (``ldpc._degree_groups``)."""
+    """The kernel plans, over one code and over the joint graph, against
+    the plain-loop layout in ``tests/_layout_reference.py``; the code plan's
+    slots are the code's row blocks (``ldpc._degree_groups``)."""
 
     @pytest.mark.parametrize(
         "h",
@@ -266,19 +293,18 @@ class TestKernelPlan:
     )
     def test_code_plans(self, h):
         plan = _code_plan(h)
-        assert plan.edge_var is h.entries[0]
-        _assert_same_groups(plan, flood_layout_reference(h.entries[1], h.m))
-        # one weight in row order needs no permutation
-        if len(h._row_blocks) == 1:
-            assert plan.group_order is None
+        _assert_layout(plan, kernel_layout_reference(code_sections(h), h.n))
+        # the slots are the code's row blocks, raveled one after another
+        blocks = [block.ravel() for block, _ in h._row_blocks]
+        assert np.array_equal(_slot_vars(plan), np.concatenate(blocks + [np.zeros(0, int)]))
+        assert plan.slot_of_edge is h._slots[0]
 
     @settings(max_examples=100, deadline=None)
     @given(h=st.one_of(mixed_weight_matrices(), ZERO_ONE_THREE))
     @example(h=INTERLEAVED)
     def test_code_plan_is_the_flood_layout_of_the_entries(self, h):
         plan = _code_plan(h)
-        want = flood_layout_reference(h.entries[1], h.m)
-        _assert_same_groups(plan, want)
+        _assert_layout(plan, kernel_layout_reference(code_sections(h), h.n))
         # the row blocks of the same weights come in the same order, the
         # rows without entries, which have no edges, left out
         weights = [len(block) for block, _ in h._row_blocks]
@@ -293,10 +319,67 @@ class TestKernelPlan:
         h2 = data.draw(st.one_of(pools), label="h2")
         g = build_joint_graph(h1, h2, MODEL)
         plan = g._plan
-        assert plan.edge_var is g.edge_var and g.num_edges == len(g.edge_var)
-        reference = ReferenceGraph(h1, h2, MODEL)
-        want = flood_layout_reference(reference.edge_check, reference.check_count)
-        _assert_same_groups(plan, want)
+        assert g.num_edges == len(g.edge_var) == len(plan.edge_var)
+        _assert_layout(plan, kernel_layout_reference(joint_sections(h1, h2), 2 * h1.n))
+
+
+# messages and priors of either sign, zeros of both signs often among them
+_SIGNED_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-15.0, 15.0))
+
+
+def _drawn_plan(data):
+    """A drawn code with interleaved row and column weights, and either its
+    H2-only plan or the plan of a joint graph over it and a second code:
+    the plan, the check-major edge list and the codes with their first
+    variables."""
+    h = data.draw(st.one_of(mixed_weight_matrices(), ZERO_ONE_THREE), label="h")
+    if not data.draw(st.booleans(), label="joint"):
+        return _code_plan(h), h.entries[0], ((h, 0),)
+    h2 = data.draw(mixed_weight_matrices(n=h.n), label="h2")
+    g = build_joint_graph(h, h2, MODEL)
+    return g._plan, g.edge_var, ((h, 0), (h2, h.n))
+
+
+class TestKernelSums:
+    """The posterior sums and the fused convergence test on the
+    position-major layout, against ``np.bincount`` over the check-major
+    edges and against ``ldpc._row_parity``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_posterior_sum_is_the_bincount_plus_the_priors(self, data):
+        plan, edge_var, codes = _drawn_plan(data)
+        num_vars = sum(h.n for h, _ in codes)
+        c2v = np.array(data.draw(st.lists(_SIGNED_VALUES, min_size=len(edge_var),
+                                          max_size=len(edge_var)), label="c2v"))
+        priors = np.array(data.draw(st.lists(_SIGNED_VALUES, min_size=num_vars,
+                                             max_size=num_vars), label="priors"))
+        by_slot = np.empty_like(c2v)
+        by_slot[plan.slot_of_edge] = c2v
+        workspace = decoder_module._Workspace(plan)
+        np.add(plan.kernel_order(priors), 0.0, out=workspace.base)  # as _flood sets it
+        got = plan.by_id(decoder_module._sum_messages(workspace, by_slot, 0))
+        want = np.bincount(edge_var, weights=c2v, minlength=num_vars) + priors
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fused_count_is_the_row_parity_count(self, data):
+        plan, _, codes = _drawn_plan(data)
+        num_vars = sum(h.n for h, _ in codes)
+        posteriors = np.array(data.draw(st.lists(_SIGNED_VALUES, min_size=num_vars,
+                                                 max_size=num_vars), label="posteriors"))
+        bits = [np.array(data.draw(st.lists(st.integers(0, 1), min_size=h.m, max_size=h.m),
+                                   label="bits"), dtype=np.uint8) for h, _ in codes]
+        hard = posteriors < 0
+        want = sum(
+            int(np.count_nonzero(_row_parity(h, hard[first : first + h.n]) != s))
+            for (h, first), s in zip(codes, bits)
+        )
+        gathered = plan.kernel_order(posteriors).take(plan.edge_var)
+        unsatisfied = decoder_module._parity_test(plan, np.concatenate(bits))
+        assert unsatisfied(gathered) == want
+        assert unsatisfied(gathered) == want  # the buffers are reused
 
 
 class TestFold:
@@ -353,9 +436,11 @@ class TestKnownU1:
         plan = known._plan
         assert known._plan is plan  # built once
         assert g.num_edges == 6 * 64 and len(plan.edge_var) == 3 * 64
-        # the edges are h2's entries, variables numbered from u2's first
-        assert plan.edge_var is self.H2.entries[0]
-        assert plan.group_order is None and plan.check_groups == ((6, 0, 3 * 64),)
+        # the slots are h2's one row block, variables numbered from u2's first
+        (block, _), = self.H2._row_blocks
+        assert np.array_equal(plan.edge_var, block.ravel()) and plan.variables is None
+        assert plan.check_groups == plan.code_groups == ((6, 0, 3 * 64),)
+        assert plan.slot_of_edge is self.H2._slots[0]
         # q is the correlation check's message, not the hidden-bit LLR; the
         # table holds +/- q/2, the kernel's half-LLR unit
         q = 3.1780538303457027
@@ -863,7 +948,7 @@ def _frame_syndromes(h1, h2, model, seed):
 
 
 class TestMatchesReference:
-    """The contiguous-view kernel against the slot-matrix reference loop, on
+    """The position-major kernel against the slot-matrix reference loop, on
     the folded graph and on the explicit one."""
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
@@ -873,7 +958,7 @@ class TestMatchesReference:
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=7)
         model = CorrelationModel(p)
         graph = build_joint_graph(h1, h2, model)
-        assert graph._plan.group_order is None
+        assert graph._plan.variables is None
         outcomes = set()
         for seed in seeds:
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
@@ -901,7 +986,7 @@ class TestMatchesReference:
         h1, h2 = gallager_construct(n, 3, 6, seed=1), gallager_construct(n, 3, 6, seed=2)
         model = CorrelationModel(0.99)
         graph = build_joint_graph(h1, h2, model)
-        assert graph._plan.group_order is None
+        assert graph._plan.variables is None
         for seed in range(2):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             _assert_matches_reference(graph, s1, s2, DecoderConfig(), form)
@@ -913,7 +998,9 @@ class TestMatchesReference:
         h1, h2 = _interleaved_code(n, 1), _interleaved_code(n, 2)
         model = CorrelationModel(0.9)
         graph = build_joint_graph(h1, h2, model)
-        assert graph._plan.group_order is not None
+        # the row blocks interleave, and the kernel renumbers the variables
+        assert len(h1._row_blocks) == len(h2._row_blocks) == 6
+        assert graph._plan.variables is not None
         for seed in range(3):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             result = _assert_matches_reference(graph, s1, s2, DecoderConfig(damping=damping), form)
@@ -1079,13 +1166,13 @@ class TestWorkspace:
     @staticmethod
     def _graphs():
         """The known-u1 corner graph and an irregular graph whose plan
-        reorders its edges, each followed by three frames of syndromes."""
+        renumbers its variables, each followed by three frames of syndromes."""
         corner, h1, h2, model = TestKnownU1MatchesReference._corner(256, 0.93)
         corner_frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(3)]
         h1, h2 = _interleaved_code(96, 1), _interleaved_code(96, 2)
         model = CorrelationModel(0.9)
         irregular = build_joint_graph(h1, h2, model)
-        assert irregular._plan.group_order is not None
+        assert irregular._plan.variables is not None
         irregular_frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(3)]
         return corner, corner_frames, irregular, irregular_frames
 
@@ -1158,10 +1245,10 @@ class TestWorkspace:
 
 
 class TestSharedCode:
-    """Graphs over one h2 object share only its row blocks: each graph
-    holds its own known-u1 plan, with the kernel workspace kept there, and
-    what depends on the model. Every decode equals one on a fresh graph
-    over a fresh copy of the code, which shares nothing."""
+    """Graphs over one h2 object share only its row blocks and slots: each
+    graph holds its own known-u1 plan, with the kernel workspace kept
+    there, and what depends on the model. Every decode equals one on a
+    fresh graph over a fresh copy of the code, which shares nothing."""
 
     N = 256
 
@@ -1176,10 +1263,11 @@ class TestSharedCode:
     @staticmethod
     def _fresh(h2, model, s1, s2):
         copy = pickle.loads(pickle.dumps(h2))  # a copy carries no cache
-        assert "_row_blocks" not in vars(copy)
+        assert not {"_row_blocks", "_slots"} & set(vars(copy))
         return decode(build_joint_graph(identity_matrix(h2.n), copy, model), s1, s2)
 
     def test_graphs_share_only_the_row_blocks(self):
+        """The row blocks and the slots, the code's two caches."""
         h2, _, graphs, frames = self._setup()
         for graph, model_frames in zip(graphs, frames):
             decode(graph, *model_frames[0])
@@ -1187,8 +1275,8 @@ class TestSharedCode:
         assert first._plan is not second._plan
         assert len(first._plan.idle) == len(second._plan.idle) == 1
         assert first._plan.idle[0] is not second._plan.idle[0]
-        assert first._plan.edge_var is second._plan.edge_var is h2.entries[0]
-        assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks"]
+        assert first._plan.slot_of_edge is second._plan.slot_of_edge is h2._slots[0]
+        assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks", "_slots"]
         assert first.half_prior_by_bit[0] != second.half_prior_by_bit[0]
 
     def test_alternating_frames(self):
@@ -1201,7 +1289,7 @@ class TestSharedCode:
                 # a new graph on every call, as every run_trials call builds
                 again = build_joint_graph(identity_matrix(self.N), h2, model)
                 _assert_same_decode(decode(again, s1, s2), want)
-        assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks"]
+        assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks", "_slots"]
 
     def test_threads_over_two_graphs(self):
         h2, models, graphs, frames = self._setup()
@@ -1324,7 +1412,11 @@ class TestCornerBuildsNoJointStructure:
         # the reference loop builds its own edge lists, and no plan
         assert ("_plan" in vars(graph)) == joint
         if not joint:
-            assert "_plan" not in vars(graph._known_u1)  # iterations 1 and 2 need no kernel
+            # iterations 1 and 2 run no kernel loop; the test of iteration
+            # 2 reads the known-u1 plan's layout
+            known = vars(graph._known_u1)
+            assert ("_plan" in known) == (config.max_iterations == 2)
+            assert "_plan" not in known or not known["_plan"].idle
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize("case", ["hooked", "damped", "symmetric"])
@@ -1332,9 +1424,9 @@ class TestCornerBuildsNoJointStructure:
         """A joint decode takes each edge's check sign from its code's row
         ids: it builds the edge list and the plan, but no list of each
         edge's check. The reference loop runs on the graph of ``form``."""
-        if case == "symmetric":  # both codes regular: the groups are runs
+        if case == "symmetric":  # both codes regular: variables keep their ids
             h1, h2 = gallager_construct(64, 3, 6, seed=1), gallager_construct(64, 3, 6, seed=2)
-        else:  # an interleaved h2 makes the decode permute its groups
+        else:  # an interleaved h2 makes the decode renumber its variables
             h1, h2 = identity_matrix(64), _interleaved_code(64, 2)
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model)
@@ -1342,12 +1434,13 @@ class TestCornerBuildsNoJointStructure:
         s1, s2 = _frame_syndromes(h1, h2, model, seed=4)
         _assert_matches_reference(graph, s1, s2, config, form, hooked=case == "hooked")
         assert _JOINT_STRUCTURE <= set(vars(graph)) and not hasattr(graph, "edge_check")
-        assert (graph._plan.group_order is None) == (case == "symmetric")
+        assert (graph._plan.variables is None) == (case == "symmetric")
 
 
 class TestParityTest:
     """The convergence test counts the code rows whose syndrome of the hard
-    decisions differs from the received bit."""
+    decisions differs from the received bit; it reads the posteriors as the
+    kernel gathers them to the slots."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -1364,14 +1457,18 @@ class TestParityTest:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         s1 = rng.integers(0, 2, h1.m, dtype=np.uint8)
         s2 = rng.integers(0, 2, h2.m, dtype=np.uint8)
+        joint, alone = build_joint_graph(h1, h2, MODEL)._plan, _code_plan(h2)
         for hard in (np.zeros(2 * n, bool), rng.integers(0, 2, 2 * n).astype(bool)):
             u1, u2 = hard[:n].astype(np.int64), hard[n : 2 * n].astype(np.int64)
             wrong1 = int(np.count_nonzero(h1.to_dense() @ u1 % 2 != s1))
             wrong2 = int(np.count_nonzero(h2.to_dense() @ u2 % 2 != s2))
-            joint = decoder_module._parity_test((h1, s1, 0), (h2, s2, n))
-            assert joint(hard) == wrong1 + wrong2
-            alone = decoder_module._parity_test((h2, s2, 0))
-            assert alone(hard[n : 2 * n]) == wrong2
+            # a zero posterior of either sign decides bit 0
+            posteriors = np.where(hard, -1.0, rng.choice([0.0, -0.0, 1.0], 2 * n))
+            gathered = joint.kernel_order(posteriors).take(joint.edge_var)
+            unsatisfied = decoder_module._parity_test(joint, np.concatenate([s1, s2]))
+            assert unsatisfied(gathered) == wrong1 + wrong2
+            gathered = alone.kernel_order(posteriors[n:]).take(alone.edge_var)
+            assert decoder_module._parity_test(alone, s2)(gathered) == wrong2
 
 
 def _irregular_h2(n, degrees, seed):
@@ -1404,7 +1501,9 @@ class TestAtanhArgumentClip:
         model = CorrelationModel(p)
         graph = build_joint_graph(h1, h2, model)
         known = graph._known_u1
-        assert known is not None and known._plan.group_order is not None
+        # one block per row weight, the weights interleaved down the rows
+        assert known is not None and len(known._plan.check_groups) == len(set(degrees))
+        assert [len(block) for block, _ in h2._row_blocks] == list(dict.fromkeys(degrees))
         assert (2 in _group_degrees(known._plan)) == has_degree_2
         config = DecoderConfig(max_iterations=60, early_stop=early_stop)
         iterations = set()
@@ -1439,9 +1538,10 @@ class TestNonFiniteCheckMessages:
         """A graph whose z[5] has a NaN LLR, and a frame: in the explicit
         reference graph its prior, in the folded graph the factor f of
         correlation check 5, which ``_flood`` receives in ``edge_scale`` on
-        that check's two edges, the last 2n edges being the correlation
-        checks'. h1 is the identity's rows in reverse order, so that decode
-        runs the joint graph."""
+        that check's two slots: the last 2n slots are the correlation
+        checks' block, the u1 row then the u2 row, so those are slots 5 and
+        n + 5 of it. h1 is the identity's rows in reverse order, so that
+        decode runs the joint graph."""
         n = cls.N
         h1 = SparseParityMatrix.from_rows(n, [(i,) for i in range(n - 1, -1, -1)])
         h2 = gallager_construct(n, 3, 6, seed=5)
@@ -1450,8 +1550,8 @@ class TestNonFiniteCheckMessages:
 
         def nan_factor(plan, edge_scale, *args, **kwargs):
             edge_scale = edge_scale.copy()
-            first = len(edge_scale) - 2 * n + 2 * 5
-            edge_scale[first : first + 2] = np.nan
+            first = len(edge_scale) - 2 * n
+            edge_scale[[first + 5, first + n + 5]] = np.nan
             return flood(plan, edge_scale, *args, **kwargs)
 
         monkeypatch.setattr(decoder_module, "_flood", nan_factor)

@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import replace
 
@@ -112,6 +113,19 @@ class TestRunTrials:
         record = run_trials(_config(trials=24))
         assert run_trials(_config(trials=24), jobs=3) == record
         assert run_trials(_config(trials=24), jobs=7) == record
+
+    def test_caches_never_travel(self):
+        """A code's caches (its row blocks and slots) stay in the process
+        that built them: the pickle that a worker receives is the same
+        before and after a run warms them, and workers that build their own
+        give the record one process gives."""
+        h2 = gallager_construct(256, 3, 6, seed=6)
+        config = _config(p=0.94, h2=h2, trials=8)
+        before = pickle.dumps(h2), pickle.dumps(config)
+        record = run_trials(config)
+        assert {"_row_blocks", "_slots"} <= set(vars(h2))  # warm
+        assert (pickle.dumps(h2), pickle.dumps(config)) == before
+        assert run_trials(config, jobs=2) == record == run_trials(config, jobs=1)
 
     @pytest.mark.parametrize(
         "trials",
