@@ -146,11 +146,13 @@ def binary_entropy(q: float) -> float:
 
 def conditional_entropy(model: CorrelationModel) -> float:
     """H(U1|U2) = H(U2|U1) = h2(p), in bits per source bit."""
+    _check_model("model", model)
     return binary_entropy(model.p)
 
 
 def joint_entropy(model: CorrelationModel) -> float:
     """H(U1, U2) = 1 + h2(p), in bits per source-bit pair."""
+    _check_model("model", model)
     return 1.0 + binary_entropy(model.p)
 
 
@@ -161,6 +163,7 @@ def hidden_llr(model: CorrelationModel) -> float:
     ln(p / (1-p)), clamped to +-LLR_MAX. Computed as log(p) - log(1-p)
     so that complementary parameters give exactly opposite values.
     """
+    _check_model("model", model)
     p = model.p
     return min(max(math.log(p) - math.log(1.0 - p), -LLR_MAX), LLR_MAX)
 
@@ -177,6 +180,7 @@ def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:
         n: block length, at least 1.
         seed: 64-bit seed (arbitrary ints are reduced mod 2**64).
     """
+    _check_model("model", model)
     n, seed = _integer("block length", n), _integer("seed", seed)
     if n < 1:
         raise ValueError(f"block length must be at least 1, got {n}")
@@ -193,6 +197,7 @@ def sw_region_check(model: CorrelationModel, rates: RatePair) -> RegionCheck:
     r1 + r2 >= 1 + h2(p). The three slack values (rate minus bound) are
     returned so callers can see which constraint binds and by how much.
     """
+    _check_model("model", model)
     h = binary_entropy(model.p)
     r1_slack = rates.r1 - h
     r2_slack = rates.r2 - h

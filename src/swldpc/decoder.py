@@ -35,8 +35,8 @@ notes below).
   2 atanh((1-2b) * f * prod tanh(m/2)) over incoming messages excluding
   the one from v. Code checks use their syndrome bit as b and f = 1;
   correlation checks use b = 0 and f = tanh(llr/2), which stands in for
-  the folded hidden-bit node. Each decode takes the sign of an edge from
-  its code check (``_edge_signs``), so no per-check array is built.
+  the folded hidden-bit node. The kernel takes the sign of an edge from
+  its code check's syndrome bit, so no per-check array is built.
 
 The kernel's edge order is position-major (``_KernelPlan``): the codes'
 row blocks (``SparseParityMatrix._row_blocks``), h1's then h2's, and one
@@ -63,10 +63,11 @@ known-u1 plan by concatenation alone.
 
 The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
-scaling pass. Its callers halve the priors and double what leaves the
-loop (the posteriors and the hook's snapshots); scaling by 2 is exact in
-binary floating point short of the subnormal range, so every output
-equals the full-unit rule bit for bit. The atanh argument needs no clip:
+scaling pass. It is the only code that converts units: it halves the
+LLR priors it is given and doubles what leaves the loop (the posteriors
+and the hook's snapshots); scaling by 2 is exact in binary floating
+point short of the subnormal range, so every output equals the
+full-unit rule bit for bit. The atanh argument needs no clip:
 it is at most tanh(LLR_MAX/2) (``_TANH_LIMIT``) in magnitude, since every
 tanh value is (the tests pin numpy's tanh to that bound at and near the
 clamp) and |f| <= 1, and a degree-1 check, always a code check (f = 1),
@@ -122,20 +123,25 @@ returns:
   zero. Iteration 2 sends each u2 the constant correlation message
   q (1 - 2 u1), q = 2 atanh(f tanh(c_id/2)), and converges iff the signs
   of those priors satisfy H2. Both messages come from 2-entry tables
-  indexed by the u1 bit, +/- c_id (``_IDENTITY_BY_BIT``) and +/- q/2
-  (``KnownU1Graph``), exact. ``decode`` returns after iteration 1 or 2
-  where the budget ends, or where early stop is on and it converged.
+  indexed by the u1 bit, +/- c_id (``_IDENTITY_BY_BIT``) and +/- q
+  (``KnownU1Graph``), exact. ``decode`` returns iteration 1 in closed form
+  where the budget is 1, or where early stop is on and it converged.
+  Iteration 2 is the kernel's start state. Its u2 posteriors are the
+  priors q (1 - 2 u1) plus 0.0, as the joint graph sums them from H2
+  messages that are all zero (so a prior of -0.0, where q = 0 at p = 0.5,
+  gives +0.0), and the kernel tests them on the gather that iteration 3
+  starts from. Where the budget is 2, or early stop is on and they hold,
+  the decode exits there through the u1 rebuild below with L_prev those
+  posteriors: v = 0.0, which adds 2 atanh(f tanh(0)) = +/-0.0 to
+  +/- c_id, iteration 2's u1 posteriors bit for bit.
 * From joint iteration 3 on, the u2 edges carry exactly what H2 alone
-  carries with priors q (1 - 2 u1). The loop runs for at most
-  ``max_iterations - 2`` iterations, and ``iterations_used`` adds that
-  offset of 2 back.
+  carries with priors q (1 - 2 u1). The kernel numbers its iterations
+  from 3, as the joint graph does.
 * ``posterior_llrs[:n]`` is rebuilt after the loop as the joint graph sums
   it: c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2)),
   where v = L_prev - q (1 - 2 u1) and L_prev is the u2 posterior of the
-  iteration before the last (the priors, if the loop ran once). The kernel
-  hands L_prev back in half-LLR units, so v/2 is formed directly, which
-  equals the full-unit value halved bit for bit. ``u1_hat`` is that
-  posterior's sign.
+  iteration before the last (that of iteration 2, if the loop ran once
+  or not at all). ``u1_hat`` is that posterior's sign.
 
 The joint graph runs instead when an ``iteration_hook`` is given (its
 snapshots, and so ``--trace``, show the joint graph), when damping is
@@ -172,9 +178,6 @@ _IDENTITY_BY_BIT = np.array([1.0, -1.0]) * (np.arctanh(_TANH_LIMIT) * 2.0)
 
 # 1 - 2 b for a bit b, by table lookup
 _SIGN = np.array([1.0, -1.0])
-
-# Joint iterations that precede the known-u1 loop (see the module notes).
-_KNOWN_U1_OFFSET = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +257,7 @@ class JointTannerGraph:
             [h1._slots[0], h2._slots[0] + shift, code_edges + corr.T.ravel()]
         )
         columns = _column_slots(self.edge_var, slot_of_edge, 2 * n)
-        return _KernelPlan(blocks, corr, 2 * n, slot_of_edge, *columns)
+        return _KernelPlan(blocks, (corr, self._corr_factor), 2 * n, slot_of_edge, *columns)
 
     @cached_property
     def _known_u1(self) -> "KnownU1Graph | None":
@@ -267,8 +270,8 @@ class JointTannerGraph:
         if len(self.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in self.h2._row_blocks):
             return None
         factor = self._corr_factor
-        half_q = np.arctanh(factor * np.tanh(_IDENTITY_BY_BIT[0] * 0.5))
-        return KnownU1Graph(self.h2, factor, np.array([half_q, -half_q]))
+        q = np.arctanh(factor * np.tanh(_IDENTITY_BY_BIT[0] * 0.5)) * 2.0
+        return KnownU1Graph(self.h2, factor, np.array([q, -q]))
 
 
 build_joint_graph = JointTannerGraph
@@ -282,13 +285,15 @@ class KnownU1Graph:
     the edges are h2's ``entries``; ``_plan``, built on first use from h2's
     row blocks and slots, which h2 keeps, is the kernel's plan over them.
     ``corr_factor`` is f = tanh(llr/2) of the correlation checks, and
-    ``half_prior_by_bit`` a correlation check's message to u2 in half-LLR
-    units, the kernel's unit, indexed by the u1 bit: +q/2 and -q/2.
+    ``prior_by_bit`` a correlation check's message to u2, indexed by the u1
+    bit: +q and -q. Taken by u1 bit, those are the u2 posteriors of joint
+    iteration 2 and the priors from which ``_flood`` runs H2 alone,
+    numbering its iterations from 3 (see the module notes).
     """
 
     h2: SparseParityMatrix
     corr_factor: float
-    half_prior_by_bit: np.ndarray
+    prior_by_bit: np.ndarray
 
     @cached_property
     def _plan(self) -> "_KernelPlan":
@@ -307,8 +312,9 @@ class _KernelPlan:
     per block, ``code_groups`` the code blocks', which come first.
     ``edge_var`` maps each slot to its variable, ``slot_check`` each code
     slot to its code check (h1 rows, then h2 rows), ``empty_rows`` lists
-    the code checks without entries, and ``slot_of_edge`` maps each edge
-    of the check-major order to its slot.
+    the code checks without entries, ``slot_of_edge`` maps each edge of
+    the check-major order to its slot, and ``corr_scale`` holds the factor
+    f on every slot of the correlation block, or is None.
 
     The kernel numbers the variables by degree, lightest first, ties by id:
     ``variables`` lists the variable at each kernel position, or is None
@@ -325,7 +331,8 @@ class _KernelPlan:
     Args:
         code_blocks: the codes' ``(block, rows)`` pairs, variables and
             checks already numbered within the graph, empty ones included.
-        corr: the ``(2, n)`` block of the correlation checks, or None.
+        corr: the ``(2, n)`` block of the correlation checks and their
+            factor f, or None.
         num_vars: number of variables.
         slot_of_edge: the slot of every edge in check-major order.
         order, counts, staircase: ``ldpc._column_slots`` over
@@ -334,7 +341,12 @@ class _KernelPlan:
 
     def __init__(self, code_blocks, corr, num_vars, slot_of_edge, order, counts, staircase):
         code = [(block, rows) for block, rows in code_blocks if len(block)]
-        blocks = [block for block, _ in code] + ([] if corr is None else [corr])
+        blocks = [block for block, _ in code]
+        self.corr_scale = None
+        if corr is not None:
+            corr_block, factor = corr
+            blocks.append(corr_block)
+            self.corr_scale = np.full(corr_block.size, factor)
         groups, stop = [], 0
         for block in blocks:
             start, stop = stop, stop + block.size
@@ -359,10 +371,11 @@ class _KernelPlan:
         return values if self.variables is None else values.take(self.variables)
 
     def by_id(self, values: np.ndarray) -> np.ndarray:
-        """Per-variable ``values`` given by kernel position, by variable id,
-        in a new array."""
+        """Per-variable ``values`` given by kernel position, by variable id:
+        ``values`` itself where the positions are the ids, else a new
+        array."""
         if self.variables is None:
-            return values.copy()
+            return values
         out = np.empty_like(values)
         out[self.variables] = values
         return out
@@ -435,84 +448,38 @@ def decode(
     """
     if config is None:
         config = DecoderConfig()
+    elif not isinstance(config, DecoderConfig):
+        raise ValueError(f"config must be a DecoderConfig, got {config!r}")
     s1 = as_bit_array(s1, graph.m1)
     s2 = as_bit_array(s2, graph.m2)
     if iteration_hook is None and config.damping == 0.0 and graph._known_u1 is not None:
         return _decode_known_u1(graph._known_u1, s1, s2, config)
-
-    n, plan = graph.n, graph._plan
-    bits = np.concatenate([s1, s2])
-    # Per-slot constant: target-parity sign times check factor. Code checks
-    # have f = 1 and so scale by their sign; correlation checks have parity
-    # 0 and scale by f = tanh(llr/2).
-    corr_scale = np.full(2 * n, graph._corr_factor)
-    edge_scale = np.concatenate([_edge_signs(plan, bits), corr_scale])
-
-    report = None
-    if iteration_hook is not None:
-
-        def report(iteration, unsatisfied_checks, v2c, c2v, posteriors):
-            # the kernel's buffers are in half-LLR units and its layout;
-            # the snapshots are doubled copies in check-major and id order
-            posteriors = plan.by_id(posteriors)
-            np.multiply(posteriors, 2.0, out=posteriors)
-            iteration_hook(
-                IterationInfo(
-                    iteration=iteration,
-                    unsatisfied_checks=unsatisfied_checks,
-                    mean_abs_posterior=float(np.abs(posteriors).mean()),
-                    v2c=v2c.take(plan.slot_of_edge) * 2.0,
-                    c2v=c2v.take(plan.slot_of_edge) * 2.0,
-                    posteriors=posteriors,
-                )
-            )
-
     posteriors, _, converged, iterations_used = _flood(
-        plan, edge_scale, np.zeros(2 * n), _parity_test(plan, bits),
-        config, config.max_iterations, report,
+        graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, hook=iteration_hook
     )
-    return _result(posteriors * 2.0, converged, iterations_used)
+    return _result(posteriors, converged, iterations_used)
 
 
 def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> DecodeResult:
     """``decode`` on a graph whose u1 block is s1 (see the module notes)."""
-    n = len(s1)
-    budget, early_stop = config.max_iterations, config.early_stop
     identity = _IDENTITY_BY_BIT.take(s1)  # the u1 posteriors of iterations 1 and 2
     converged = not s2.any()  # the test of iteration 1, where u2 is 0
-    if budget == 1 or early_stop and converged:
-        return _result(np.concatenate([identity, np.zeros(n)]), converged, 1)
-    plan = known._plan
-    priors = known.half_prior_by_bit.take(s1)  # the u2 posteriors of iteration 2, halved
-    unsatisfied = _parity_test(plan, s2)
-    if budget == 2 or early_stop:
-        converged = unsatisfied(plan.kernel_order(priors).take(plan.edge_var)) == 0
-        if budget == 2 or converged:
-            return _result(np.concatenate([identity, priors * 2.0]), converged, 2)
-
-    posteriors, previous, converged, iterations_used = _flood(
-        plan, _edge_signs(plan, s2), priors, unsatisfied,
-        config, budget - _KNOWN_U1_OFFSET,
-    )
-    # The last iteration's correlation messages to u1, from the u2
-    # messages of the iteration before (in half-LLR units, as the kernel
-    # holds them), summed as the joint graph does. The rebuild runs in place.
-    v = np.subtract(previous, priors)
-    v.clip(-LLR_MAX * 0.5, LLR_MAX * 0.5, out=v)
+    if config.max_iterations == 1 or config.early_stop and converged:
+        return _result(np.concatenate([identity, np.zeros(len(s1))]), converged, 1)
+    priors = known.prior_by_bit.take(s1)  # the u2 posteriors of iteration 2
+    posteriors, v, converged, iterations_used = _flood(known._plan, s2, priors, config, first=3)
+    # The last iteration's correlation messages to u1, from the u2 messages
+    # of the iteration before (L_prev minus the priors), summed as the joint
+    # graph does. The rebuild runs in place on L_prev.
+    np.subtract(v, priors, out=v)
+    v.clip(-LLR_MAX, LLR_MAX, out=v)
+    np.multiply(v, 0.5, out=v)
     np.tanh(v, out=v)
     np.multiply(v, known.corr_factor, out=v)
     np.arctanh(v, out=v)
     np.multiply(v, 2.0, out=v)
-    posterior_llrs = np.empty(2 * n)
-    np.add(identity, v, out=posterior_llrs[:n])
-    np.multiply(posteriors, 2.0, out=posterior_llrs[n:])
-    return _result(posterior_llrs, converged, iterations_used + _KNOWN_U1_OFFSET)
-
-
-def _edge_signs(plan, bits) -> np.ndarray:
-    """The check sign 1 - 2 bits[j] of every code slot of ``plan``, j its
-    code check: the target-parity signs of the code edges."""
-    return _SIGN.take(bits).take(plan.slot_check)
+    np.add(identity, v, out=v)
+    return _result(np.concatenate([v, posteriors]), converged, iterations_used)
 
 
 def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
@@ -587,7 +554,8 @@ class _Workspace:
     before it is read. ``posteriors`` is a pair of buffers that the
     iterations take in turn, so that the last one's stays intact, and
     ``sums`` the steps that fill each (see ``_stair_sums``); ``base``
-    takes the frame's priors plus 0.0.
+    takes the frame's priors plus 0.0, the posteriors the loop starts
+    from.
     """
 
     def __init__(self, plan):
@@ -662,34 +630,47 @@ def _sum_messages(workspace, c2v, turn) -> np.ndarray:
     return workspace.posteriors[turn]
 
 
-def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report=None):
-    """The flooding loop over one graph's edges, the decode kernel.
+def _flood(plan, bits, priors, config, first=1, hook=None):
+    """The flooding loop over one graph's edges, the decode kernel, and the
+    only code that knows its formats: half-LLR units, the kernel's
+    variable order and its slot order.
 
-    ``plan`` is the graph's ``_KernelPlan`` and every per-edge array is
-    in its slot order. ``edge_scale`` holds each slot's check sign times
-    check factor, ``priors`` one half-LLR per variable, by id, and
-    ``unsatisfied`` is the frame's ``_parity_test``. Runs at most
-    ``max_iterations`` iterations with ``config``'s damping and early stop,
-    calling ``report(iteration, unsatisfied, v2c, c2v, posteriors)`` after
-    each one when given, with the loop's own buffers in half-LLR units, the
-    messages by slot and the posteriors by kernel position.
+    ``plan`` is the graph's ``_KernelPlan``, ``bits`` the frame's syndrome
+    of the plan's code checks, as ``as_bit_array`` returns it, and
+    ``priors`` one LLR per variable, by id. The iterations are numbered
+    from ``first`` up to ``config.max_iterations``, with ``config``'s
+    damping and early stop. The loop starts from the priors plus 0.0, as
+    it sums a posterior from no messages. Where ``first`` > 1 those are the
+    posteriors of iteration ``first - 1``: they are tested on the gather
+    that iteration ``first`` starts from, and the loop does not run where
+    that test ends the decode or the budget ends before ``first``.
+    ``hook``, when given, receives an ``IterationInfo`` after each
+    iteration: doubled copies, the messages in check-major order and the
+    posteriors by id.
 
-    Messages, priors and posteriors are in half-LLR units, the atanh
+    Messages, priors and posteriors are held in half-LLR units, the atanh
     argument is not clipped, and check messages are tested for finiteness
-    only where the loop exits and before each ``report`` call (see the
-    module notes). Each iteration ends with the gather of its posteriors
-    to the slots, which the next iteration starts from and the convergence
-    test reads.
+    only where the loop exits and before each hook call (see the module
+    notes). Each iteration ends with the gather of its posteriors to the
+    slots, which the next iteration starts from and the convergence test
+    reads.
 
     The buffers come from the plan's idle workspace (see ``_Workspace``),
-    checked out for the length of the call: ``report`` receives them and
-    must copy what it keeps, and a decode it starts builds its own.
+    checked out for the length of the call, so a decode that the hook
+    starts builds its own.
 
     Returns the last posteriors and those of the iteration before (the
-    priors after one iteration), both in half-LLR units and by variable
-    id, whether the last hard decisions satisfy every code check, and the
-    number of iterations run.
+    start state after one iteration or none), both LLRs by variable id in
+    new arrays, whether the last hard decisions satisfy every code check,
+    and the number of the last iteration.
     """
+    # Per-slot constant: target-parity sign times check factor. Code checks
+    # have f = 1 and so scale by their sign; correlation checks have parity
+    # 0 and scale by f = tanh(llr/2).
+    edge_scale = _SIGN.take(bits).take(plan.slot_check)
+    if plan.corr_scale is not None:
+        edge_scale = np.concatenate([edge_scale, plan.corr_scale])
+    unsatisfied = _parity_test(plan, bits)
     # Check the workspace out, so that a decode running meanwhile over the
     # same plan (another thread, or a hook's decode) builds its own.
     try:
@@ -699,19 +680,22 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
     edge_var = plan.edge_var
     t, excl, c2v = workspace.t, workspace.excl, workspace.c2v
     # the variable messages are needed after their tanh only by the hook
-    v2c = t if report is None else workspace.v2c
+    v2c = t if hook is None else workspace.v2c
     fresh = workspace.fresh if config.damping > 0.0 else None
     c2v.fill(0.0)
     copies, products = workspace.copies, workspace.products
-    damping = config.damping
-    posteriors = previous = priors = plan.kernel_order(priors)
-    np.add(priors, 0.0, out=workspace.base)
-    converged = False
-    iterations_used = 0
+    damping, max_iterations = config.damping, config.max_iterations
+    # The posteriors of iteration first - 1, summed as the loop sums one
+    # from no messages: the priors plus 0.0 (see _stair_sums).
+    posteriors = previous = np.multiply(plan.kernel_order(priors), 0.5, out=workspace.base)
+    np.add(posteriors, 0.0, out=posteriors)
+    iterations_used = first - 1
     limit = LLR_MAX * 0.5
     try:
-        priors.take(edge_var, out=t, mode="clip")
-        for iteration in range(1, max_iterations + 1):
+        posteriors.take(edge_var, out=t, mode="clip")
+        converged = first > 1 and unsatisfied(t) == 0
+        stop = iterations_used if converged and config.early_stop else max_iterations
+        for iteration in range(first, stop + 1):
             # Variable update: each slot sends its variable's posterior,
             # gathered in t, minus its own incoming message.
             np.subtract(t, c2v, out=v2c)
@@ -747,20 +731,30 @@ def _flood(plan, edge_scale, priors, unsatisfied, config, max_iterations, report
             converged = unsatisfied_checks == 0
             iterations_used = iteration
 
-            if report is not None:
+            if hook is not None:
                 _check_finite(c2v)
-                report(iteration, unsatisfied_checks, v2c, c2v, posteriors)
+                snapshot = plan.by_id(posteriors * 2.0)
+                hook(
+                    IterationInfo(
+                        iteration=iteration,
+                        unsatisfied_checks=unsatisfied_checks,
+                        mean_abs_posterior=float(np.abs(snapshot).mean()),
+                        v2c=v2c.take(plan.slot_of_edge) * 2.0,
+                        c2v=c2v.take(plan.slot_of_edge) * 2.0,
+                        posteriors=snapshot,
+                    )
+                )
             if converged and config.early_stop:
                 break
-            if iteration == 1 and max_iterations > 1 and report is None and not c2v.any():
+            if iteration == first and max_iterations > first and hook is None and not c2v.any():
                 # Stalled: with every check message zero the next iteration
                 # starts from this one's state and repeats it, up to the cap.
                 previous, iterations_used = posteriors, max_iterations
                 break
 
         _check_finite(c2v)
-        # the posteriors leave in new arrays, by id, as the buffers stay
-        return plan.by_id(posteriors), plan.by_id(previous), converged, iterations_used
+        # the posteriors leave in new arrays, as the buffers stay
+        return plan.by_id(posteriors * 2.0), plan.by_id(previous * 2.0), converged, iterations_used
     finally:
         plan.idle.append(workspace)
 

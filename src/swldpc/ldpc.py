@@ -99,15 +99,15 @@ def _ids(name: str, values) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
-def _degree_groups(degrees: np.ndarray) -> tuple[list[tuple[int, np.ndarray]], bool]:
+def _degree_groups(degrees: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Ids grouped by degree, in the order in which the degrees first appear.
 
     Returns one ``(degree, ids)`` pair per distinct value of ``degrees``,
-    ``ids`` the ascending positions that hold it, and whether the ids come
-    in order, each degree one run, so that the groups, concatenated, list
-    the ids 0, 1, 2, ... This is the one grouping rule of the rows of a
-    matrix by weight (``SparseParityMatrix._row_blocks``), which are the
-    decoder's check groups.
+    ``ids`` the ascending positions that hold it; where each degree is one
+    run, the ids of each group are an ``arange``. This is the one grouping
+    rule of the rows of a matrix by weight
+    (``SparseParityMatrix._row_blocks``), which are the decoder's check
+    groups.
     """
     # the position where each run of equal degrees after the first starts
     starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
@@ -115,8 +115,8 @@ def _degree_groups(degrees: np.ndarray) -> tuple[list[tuple[int, np.ndarray]], b
     appearance = list(dict.fromkeys(runs))
     if len(runs) == len(appearance):
         bounds = [0, *starts.tolist(), len(degrees)]
-        return [(d, np.arange(lo, hi)) for d, lo, hi in zip(runs, bounds, bounds[1:])], True
-    return [(d, np.flatnonzero(degrees == d)) for d in appearance], False
+        return [(d, np.arange(lo, hi)) for d, lo, hi in zip(runs, bounds, bounds[1:])]
+    return [(d, np.flatnonzero(degrees == d)) for d in appearance]
 
 
 def _column_slots(cols: np.ndarray, slots: np.ndarray, n: int):
@@ -250,7 +250,7 @@ class SparseParityMatrix:
         weights = np.bincount(owner, minlength=self.m)
         starts = np.cumsum(weights) - weights
         blocks = []
-        for weight, rows in _degree_groups(weights)[0]:
+        for weight, rows in _degree_groups(weights):
             block = cols[starts[rows] + np.arange(weight)[:, None]]
             rows.flags.writeable = block.flags.writeable = False
             blocks.append((block, rows))

@@ -118,7 +118,7 @@ def _run_range(
     Returns (bit errors source 1, bit errors source 2, frame errors,
     summed iteration counts, converged frames).
     """
-    graph = build_joint_graph(h1, config.h2, config.decode_model or config.model)  # folded form
+    graph = build_joint_graph(h1, config.h2, config.decode_model or config.model)
     bit1 = bit2 = frames = iters = conv = 0
     for trial in range(start, stop):
         pair = sample_pair(config.model, config.h2.n, derive_trial_seed(config.master_seed, trial))

@@ -176,6 +176,27 @@ class TestRealNumbers:
             RatePair(0.5, bad)
 
 
+class TestModelArgument:
+    """Every function of a model refuses anything but a CorrelationModel,
+    a bare probability included, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model: sample_pair(model, 8, 1),
+            hidden_llr,
+            conditional_entropy,
+            joint_entropy,
+            lambda model: sw_region_check(model, RatePair(1, 0.5)),
+        ],
+        ids=["sample_pair", "hidden_llr", "conditional_entropy", "joint_entropy",
+             "sw_region_check"],
+    )
+    def test_rejects_a_bare_probability(self, call):
+        with pytest.raises(ValueError, match=r"^model must be a CorrelationModel, got 0\.9$"):
+            call(0.9)
+
+
 class TestCorrelatedPair:
     def test_rejects_an_empty_pair(self):
         empty = np.zeros(0, dtype=np.uint8)

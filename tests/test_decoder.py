@@ -441,10 +441,9 @@ class TestKnownU1:
         assert np.array_equal(plan.edge_var, block.ravel()) and plan.variables is None
         assert plan.check_groups == plan.code_groups == ((6, 0, 3 * 64),)
         assert plan.slot_of_edge is self.H2._slots[0]
-        # q is the correlation check's message, not the hidden-bit LLR; the
-        # table holds +/- q/2, the kernel's half-LLR unit
+        # q is the correlation check's message, not the hidden-bit LLR
         q = 3.1780538303457027
-        assert (known.half_prior_by_bit * 2.0).tolist() == [q, -q]
+        assert known.prior_by_bit.tolist() == [q, -q]
         assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
         # no joint structure is built
         assert list(vars(g)) == ["h1", "h2", "model", "form", "_known_u1"]
@@ -565,6 +564,15 @@ class TestConfig:
         config = DecoderConfig(early_stop=early_stop)
         assert config.early_stop is bool(early_stop)
         assert config == DecoderConfig(early_stop=bool(early_stop))
+
+    @pytest.mark.parametrize(
+        "config", [5, {"max_iterations": 5}, "default"], ids=["int", "dict", "str"]
+    )
+    def test_decode_rejects_a_config_that_is_not_a_decoder_config(self, config):
+        s1, s2 = np.zeros(H1.m, np.uint8), np.zeros(H2.m, np.uint8)
+        message = re.escape(f"config must be a DecoderConfig, got {config!r}")
+        with pytest.raises(ValueError, match=message):
+            decode(build_joint_graph(H1, H2, MODEL), s1, s2, config)
 
 
 class TestSingleBit:
@@ -1076,8 +1084,13 @@ class TestKnownU1MatchesReference:
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3])
     @pytest.mark.parametrize("early_stop", [True, False])
-    def test_small_budgets(self, max_iterations, early_stop):
-        graph, h1, h2, model = self._corner(256, 0.999)
+    @pytest.mark.parametrize("p", [0.999, 0.5, 0.3, 1e-14])
+    def test_small_budgets(self, max_iterations, early_stop, p):
+        """Iteration 2 leaves through the u1 rebuild, which adds
+        2 atanh(f tanh(0)) to +/- c_id: +0.0, or -0.0 where f < 0 (p < 0.5);
+        at p = 0.5 f is 0 and the priors are +/-0.0; at p = 1e-14 f is
+        about -1, the hidden-bit LLR clamped."""
+        graph, h1, h2, model = self._corner(256, p)
         config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
         for seed in range(6):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
@@ -1277,7 +1290,7 @@ class TestSharedCode:
         assert first._plan.idle[0] is not second._plan.idle[0]
         assert first._plan.slot_of_edge is second._plan.slot_of_edge is h2._slots[0]
         assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks", "_slots"]
-        assert first.half_prior_by_bit[0] != second.half_prior_by_bit[0]
+        assert first.prior_by_bit[0] != second.prior_by_bit[0]
 
     def test_alternating_frames(self):
         h2, models, graphs, frames = self._setup()
@@ -1412,11 +1425,14 @@ class TestCornerBuildsNoJointStructure:
         # the reference loop builds its own edge lists, and no plan
         assert ("_plan" in vars(graph)) == joint
         if not joint:
-            # iterations 1 and 2 run no kernel loop; the test of iteration
-            # 2 reads the known-u1 plan's layout
+            # budget 1 runs no kernel; budget 2 runs the kernel to test
+            # iteration 2, but its loop runs no iteration, so no check
+            # message is ever written into the workspace it keeps
             known = vars(graph._known_u1)
             assert ("_plan" in known) == (config.max_iterations == 2)
-            assert "_plan" not in known or not known["_plan"].idle
+            if "_plan" in known:
+                workspace, = known["_plan"].idle
+                assert not workspace.c2v.any()
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
     @pytest.mark.parametrize("case", ["hooked", "damped", "symmetric"])
@@ -1534,37 +1550,32 @@ class TestNonFiniteCheckMessages:
     N = 64
 
     @classmethod
-    def _with_a_nan_hidden_bit(cls, monkeypatch):
+    def _with_a_nan_hidden_bit(cls):
         """A graph whose z[5] has a NaN LLR, and a frame: in the explicit
         reference graph its prior, in the folded graph the factor f of
-        correlation check 5, which ``_flood`` receives in ``edge_scale`` on
-        that check's two slots: the last 2n slots are the correlation
-        checks' block, the u1 row then the u2 row, so those are slots 5 and
-        n + 5 of it. h1 is the identity's rows in reverse order, so that
-        decode runs the joint graph."""
+        correlation check 5, which the joint plan keeps in ``corr_scale``
+        on that check's two slots: the correlation checks' block holds the
+        u1 row then the u2 row, so those are slots 5 and n + 5 of it. h1 is
+        the identity's rows in reverse order, so that decode runs the joint
+        graph."""
         n = cls.N
         h1 = SparseParityMatrix.from_rows(n, [(i,) for i in range(n - 1, -1, -1)])
         h2 = gallager_construct(n, 3, 6, seed=5)
         model = CorrelationModel(0.93)
-        flood = decoder_module._flood
-
-        def nan_factor(plan, edge_scale, *args, **kwargs):
-            edge_scale = edge_scale.copy()
-            first = len(edge_scale) - 2 * n
-            edge_scale[[first + 5, first + n + 5]] = np.nan
-            return flood(plan, edge_scale, *args, **kwargs)
-
-        monkeypatch.setattr(decoder_module, "_flood", nan_factor)
+        graph = build_joint_graph(h1, h2, model)
+        corr_scale = graph._plan.corr_scale.copy()
+        corr_scale[[5, n + 5]] = np.nan
+        graph._plan.corr_scale = corr_scale
         explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
         explicit.priors[2 * n + 5] = np.nan  # one z prior, in the graph's cached priors
         s1, s2 = _frame_syndromes(h1, h2, model, 1)
-        return build_joint_graph(h1, h2, model), explicit, s1, s2
+        return graph, explicit, s1, s2
 
     @pytest.mark.parametrize("max_iterations", [1, 7, 100])
     @pytest.mark.parametrize("early_stop", [True, False])
     @pytest.mark.parametrize("zero_syndromes", [True, False])
-    def test_joint_graph(self, monkeypatch, max_iterations, early_stop, zero_syndromes):
-        graph, explicit, s1, s2 = self._with_a_nan_hidden_bit(monkeypatch)
+    def test_joint_graph(self, max_iterations, early_stop, zero_syndromes):
+        graph, explicit, s1, s2 = self._with_a_nan_hidden_bit()
         if zero_syndromes:  # converges at iteration 1 despite the NaN
             s1, s2 = np.zeros_like(s1), np.zeros_like(s2)
         config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
@@ -1573,8 +1584,8 @@ class TestNonFiniteCheckMessages:
             with pytest.raises(FloatingPointError, match="non-finite check message"):
                 run(g, s1, s2, config)
 
-    def test_hook_sees_no_non_finite_message(self, monkeypatch):
-        graph, _, s1, s2 = self._with_a_nan_hidden_bit(monkeypatch)
+    def test_hook_sees_no_non_finite_message(self):
+        graph, _, s1, s2 = self._with_a_nan_hidden_bit()
         snaps = []
         with pytest.raises(FloatingPointError, match="non-finite check message"):
             decode(graph, s1, s2, DecoderConfig(early_stop=False), iteration_hook=snaps.append)
@@ -1587,7 +1598,7 @@ class TestNonFiniteCheckMessages:
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model)
         # a NaN correlation message makes the reduced loop's priors NaN
-        vars(graph)["_known_u1"] = replace(graph._known_u1, half_prior_by_bit=np.full(2, np.nan))
+        vars(graph)["_known_u1"] = replace(graph._known_u1, prior_by_bit=np.full(2, np.nan))
         s1, s2 = _frame_syndromes(h1, h2, model, 1)
         assert s2.any()
         config = DecoderConfig(max_iterations=20, early_stop=early_stop)
@@ -1685,8 +1696,9 @@ class TestStalledGraphs:
             calls.clear()
             result = self._assert_same_bits(graph, s1, s2, config)
             assert not result.converged and result.iterations_used == max_iterations
-            # the early test of joint iteration 2, then one iteration on H2
-            assert len(calls) == early_stop + 1
+            # the test of joint iteration 2, on the gather that iteration 3
+            # starts from, then one iteration on H2
+            assert len(calls) == 2
 
     def test_moving_messages_run_every_iteration(self, monkeypatch):
         graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.92)
@@ -1694,7 +1706,8 @@ class TestStalledGraphs:
         s1, s2 = _frame_syndromes(h1, h2, model, 0)
         config = DecoderConfig(max_iterations=12, early_stop=False)
         self._assert_same_bits(graph, s1, s2, config)
-        assert len(calls) == 10
+        # the test of iteration 2, then one test in each of iterations 3 to 12
+        assert len(calls) == 11
 
 
 class TestEmptyCodeRows:
