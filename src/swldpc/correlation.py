@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldpc import _integer
+from .ldpc import _check_type, _integer
 
 # Clamp for every LLR handled by this package. tanh(30/2) is 1.0 minus a
 # few ulps, so larger magnitudes carry no extra information and only risk
@@ -55,14 +55,6 @@ class CorrelationModel:
         if not 0.0 < p < 1.0:
             raise ValueError(f"correlation parameter must satisfy 0 < p < 1, got {p}")
         object.__setattr__(self, "p", float(p))
-
-
-def _check_model(name: str, model) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``model`` is a
-    ``CorrelationModel``, so a bare probability fails where it is passed
-    rather than where its ``p`` is first read."""
-    if not isinstance(model, CorrelationModel):
-        raise ValueError(f"{name} must be a CorrelationModel, got {model!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,13 +138,13 @@ def binary_entropy(q: float) -> float:
 
 def conditional_entropy(model: CorrelationModel) -> float:
     """H(U1|U2) = H(U2|U1) = h2(p), in bits per source bit."""
-    _check_model("model", model)
+    _check_type("model", model, CorrelationModel)
     return binary_entropy(model.p)
 
 
 def joint_entropy(model: CorrelationModel) -> float:
     """H(U1, U2) = 1 + h2(p), in bits per source-bit pair."""
-    _check_model("model", model)
+    _check_type("model", model, CorrelationModel)
     return 1.0 + binary_entropy(model.p)
 
 
@@ -163,7 +155,7 @@ def hidden_llr(model: CorrelationModel) -> float:
     ln(p / (1-p)), clamped to +-LLR_MAX. Computed as log(p) - log(1-p)
     so that complementary parameters give exactly opposite values.
     """
-    _check_model("model", model)
+    _check_type("model", model, CorrelationModel)
     p = model.p
     return min(max(math.log(p) - math.log(1.0 - p), -LLR_MAX), LLR_MAX)
 
@@ -180,7 +172,7 @@ def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:
         n: block length, at least 1.
         seed: 64-bit seed (arbitrary ints are reduced mod 2**64).
     """
-    _check_model("model", model)
+    _check_type("model", model, CorrelationModel)
     n, seed = _integer("block length", n), _integer("seed", seed)
     if n < 1:
         raise ValueError(f"block length must be at least 1, got {n}")
@@ -197,7 +189,7 @@ def sw_region_check(model: CorrelationModel, rates: RatePair) -> RegionCheck:
     r1 + r2 >= 1 + h2(p). The three slack values (rate minus bound) are
     returned so callers can see which constraint binds and by how much.
     """
-    _check_model("model", model)
+    _check_type("model", model, CorrelationModel)
     h = binary_entropy(model.p)
     r1_slack = rates.r1 - h
     r2_slack = rates.r2 - h

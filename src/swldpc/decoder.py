@@ -35,8 +35,8 @@ notes below).
   2 atanh((1-2b) * f * prod tanh(m/2)) over incoming messages excluding
   the one from v. Code checks use their syndrome bit as b and f = 1;
   correlation checks use b = 0 and f = tanh(llr/2), which stands in for
-  the folded hidden-bit node. The kernel takes the sign of an edge from
-  its code check's syndrome bit, so no per-check array is built.
+  the folded hidden-bit node. The kernel multiplies each slot by its
+  check's (1-2b) f, which its workspace holds (below).
 
 The kernel's edge order is position-major (``_KernelPlan``): the codes'
 row blocks (``SparseParityMatrix._row_blocks``), h1's then h2's, and one
@@ -83,26 +83,37 @@ reads.
 
 A graph stores its codes and model; its edge list and plans are built on
 first use and kept by that graph alone. The kernel's message buffers,
-with the row views and scratch of the check update (``_Workspace``),
-are built once per plan and kept in it between frames:
-the joint decode's in the graph's ``_plan``, the known-u1 decode's in the
-plan of the graph's ``KnownU1Graph``. So graphs over one code share no
-buffers. A decode checks the buffers out of the plan's ``idle`` slot with
-an atomic ``deque.pop`` and puts them back when it returns, also on an
-exception, so a decode that starts meanwhile (another thread, or a hook
-decoding the same graph) finds none and builds its own; results never
-depend on which buffers a decode gets.
+with the row views and scratch of the check update, and the frame's
+syndrome (``_Workspace``), are built once per plan and kept in it
+between frames: the joint decode's in the graph's ``_plan``, the
+known-u1 decode's in the plan of the graph's ``KnownU1Graph``. So graphs
+over one code share no buffers. A decode checks the buffers out of the
+plan's ``idle`` slot with an atomic ``deque.pop`` and puts them back when
+it returns, also on an exception, so a decode that starts meanwhile
+(another thread, or a hook decoding the same graph) finds none and
+builds its own; results never depend on which buffers a decode gets.
+The workspace is the one home of a frame's syndrome, which the kernel
+reads in two forms: the sign of every code slot, and the bits of the
+convergence test. ``_Workspace.load`` takes the frame's bits once, in
+the order of the code blocks, and copies each block's row of bits and
+broadcasts its signs into buffers built with the workspace, so a frame
+allocates none; the correlation slots hold f from the start.
 
 Hard decisions take bit 1 where the posterior is strictly negative, so an
 exactly zero posterior resolves to 0. The convergence test needs only the
 code checks (the correlation checks hold by construction of z_hat): it
 counts the rows whose syndrome of the hard decisions differs from the
 received bit, h1 over the u1 block and h2 over the u2 block
-(``_parity_test``). It reads the signs of the posteriors that the kernel
-has gathered to the code blocks' slots for the next iteration and
-xor-reduces each block down its rows, so it needs no gather of its own.
-A row without entries has syndrome bit 0, so it fails exactly when its
-received bit is 1, a count fixed for the frame.
+(``_Workspace.unsatisfied``). It reads the signs of the posteriors that
+the kernel has gathered to the code blocks' slots for the next iteration
+into a ``(degree + 1, checks)`` buffer per block, whose last row holds
+the block's bits, and xor-reduces it down its rows, so it needs no
+gather of its own. A row without entries has syndrome bit 0, so it fails
+exactly when its received bit is 1: such rows form one more block, of
+degree 0, whose buffer holds their bits alone. It exists only where some
+row is empty, since each block costs numpy calls in every iteration, and
+each block has a buffer of its own degree, so that a code with one dense
+row does not reduce that row's weight in rows over every check.
 
 Known u1 (the corner point). When h1 is the n x n identity, rows in
 order, u1 is sent raw and s1 is u1. ``decode`` then runs the same kernel
@@ -160,8 +171,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .correlation import LLR_MAX, CorrelationModel, _check_model, _is_finite_real, hidden_llr
-from .ldpc import SparseParityMatrix, _column_slots, _integer, as_bit_array
+from .correlation import LLR_MAX, CorrelationModel, _is_finite_real, hidden_llr
+from .ldpc import SparseParityMatrix, _check_type, _column_slots, _integer, as_bit_array
 
 # The one graph form, the folded one; the field ``JointTannerGraph.form``
 # takes no other value.
@@ -193,8 +204,9 @@ class JointTannerGraph:
             correlation-check parameter.
         form: FOLDED_Z, the only form.
 
-    The constructor checks ``form``, that the codes share their block
-    length and that ``model`` is a ``CorrelationModel``; the sizes are
+    The constructor checks ``form``, that the codes are
+    ``SparseParityMatrix`` objects of one block length and that ``model``
+    is a ``CorrelationModel``; the sizes are
     read off the fields. ``edge_var`` and the kernel plan ``_plan`` are
     built on first use, so a graph that only takes the known-u1 path
     (``_known_u1``) never builds them.
@@ -208,9 +220,11 @@ class JointTannerGraph:
     def __post_init__(self):
         if self.form != FOLDED_Z:
             raise ValueError(f"unknown graph form {self.form!r}")
+        _check_type("h1", self.h1, SparseParityMatrix)
+        _check_type("h2", self.h2, SparseParityMatrix)
         if self.h1.n != self.h2.n:
             raise ValueError(f"codes disagree on block length: {self.h1.n} vs {self.h2.n}")
-        _check_model("model", self.model)
+        _check_type("model", self.model, CorrelationModel)
 
     @property
     def n(self) -> int:
@@ -309,12 +323,15 @@ class _KernelPlan:
     group with code checks. A block of c checks of degree d is a ``(d, c)``
     run of slots whose row k holds entry k of every check, one slot per
     edge; ``check_groups`` holds one ``(degree, start, stop)`` slot range
-    per block, ``code_groups`` the code blocks', which come first.
-    ``edge_var`` maps each slot to its variable, ``slot_check`` each code
-    slot to its code check (h1 rows, then h2 rows), ``empty_rows`` lists
-    the code checks without entries, ``slot_of_edge`` maps each edge of
-    the check-major order to its slot, and ``corr_scale`` holds the factor
-    f on every slot of the correlation block, or is None.
+    per block. ``parity_groups`` holds a ``(degree, start, rows)`` triple
+    per code block, which come first: its degree, its first slot and its
+    checks (h1 rows, then h2 rows). Where some code checks have no entries
+    they follow as one more triple of degree 0, which has no slots but
+    holds its checks' bits for the convergence test; a graph without such
+    checks has none, as each block costs numpy calls every iteration.
+    ``corr_factor`` is the factor f of the correlation checks, or None.
+    ``edge_var`` maps each slot to its variable and ``slot_of_edge`` each
+    edge of the check-major order to its slot.
 
     The kernel numbers the variables by degree, lightest first, ties by id:
     ``variables`` lists the variable at each kernel position, or is None
@@ -324,8 +341,8 @@ class _KernelPlan:
     holds kernel positions. ``var_slots`` is a staircase of slots whose
     row k holds the slot of the k-th edge, in check-major order, of every
     variable of degree above k, the last ``var_counts[k]`` kernel
-    positions (``ldpc._column_slots``). ``idle`` keeps the kernel's message
-    buffers for this plan between decodes, at most one set (see
+    positions (``ldpc._column_slots``). ``idle`` keeps the kernel's
+    workspace for this plan between decodes, at most one (see
     ``_flood``).
 
     Args:
@@ -341,27 +358,21 @@ class _KernelPlan:
 
     def __init__(self, code_blocks, corr, num_vars, slot_of_edge, order, counts, staircase):
         code = [(block, rows) for block, rows in code_blocks if len(block)]
-        blocks = [block for block, _ in code]
-        self.corr_scale = None
+        blocks, self.corr_factor = [block for block, _ in code], None
         if corr is not None:
-            corr_block, factor = corr
+            corr_block, self.corr_factor = corr
             blocks.append(corr_block)
-            self.corr_scale = np.full(corr_block.size, factor)
-        groups, stop = [], 0
-        for block in blocks:
-            start, stop = stop, stop + block.size
-            groups.append((len(block), start, stop))
-        self.check_groups = tuple(groups)
-        self.code_groups = self.check_groups[: len(code)]
-        self.slot_check = _flat(np.broadcast_to(rows, block.shape) for block, rows in code)
-        self.empty_rows = _flat(rows for block, rows in code_blocks if not len(block))
+        starts = np.cumsum([0] + [block.size for block in blocks]).tolist()
+        self.check_groups = tuple(zip([len(block) for block in blocks], starts, starts[1:]))
+        parity = tuple((len(block), start, rows) for (block, rows), start in zip(code, starts))
+        empty = _flat(rows for block, rows in code_blocks if not len(block))
+        # the checks without entries have no slots, so any first slot will do
+        self.parity_groups = (*parity, (0, 0, empty)) if len(empty) else parity
         self.slot_of_edge = slot_of_edge
         edge_var = _flat(blocks)
         self.variables = order
-        if order is not None:
-            position = np.empty(num_vars, dtype=np.int64)
-            position[order] = np.arange(num_vars)
-            edge_var = position[edge_var]
+        if order is not None:  # the inverse permutation gives each id's position
+            edge_var = np.argsort(order)[edge_var]
         self.edge_var, self.num_vars = edge_var, num_vars
         self.var_slots, self.var_counts = staircase, counts
         self.idle = deque(maxlen=1)
@@ -446,10 +457,9 @@ def decode(
         decisions reproduce both syndromes; the correlation checks are
         satisfied by construction through z_hat = u1_hat xor u2_hat.
     """
-    if config is None:
-        config = DecoderConfig()
-    elif not isinstance(config, DecoderConfig):
-        raise ValueError(f"config must be a DecoderConfig, got {config!r}")
+    _check_type("graph", graph, JointTannerGraph)
+    config = DecoderConfig() if config is None else config
+    _check_type("config", config, DecoderConfig)
     s1 = as_bit_array(s1, graph.m1)
     s2 = as_bit_array(s2, graph.m2)
     if iteration_hook is None and config.damping == 0.0 and graph._known_u1 is not None:
@@ -497,40 +507,6 @@ def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
     )
 
 
-def _parity_test(plan, bits):
-    """The convergence test of one frame: a function from the posteriors
-    gathered to the slots (``posteriors.take(plan.edge_var)``) to the
-    number of code checks they violate.
-
-    ``bits`` is the received syndrome of the plan's code checks, as
-    ``as_bit_array`` returns it. A check is violated where the xor of the
-    hard decisions (negative posteriors) of its slots differs from its bit;
-    a check without entries has parity 0, so it is violated exactly when
-    its bit is 1, a count fixed for the frame. Each code block's signs go
-    to the first ``degree`` rows of a ``(degree + 1, checks)`` buffer whose
-    last row holds the checks' bits, so one xor reduction along the rows
-    leaves 1 on the violated checks.
-    """
-    fixed = int(np.count_nonzero(bits.take(plan.empty_rows)))
-    blocks = []
-    for degree, start, stop in plan.code_groups:
-        checks = (stop - start) // degree
-        signs = np.empty((degree + 1, checks), dtype=bool)
-        signs[degree] = bits.take(plan.slot_check[start : start + checks])
-        slots = signs.reshape(-1)[: stop - start]
-        blocks.append((start, stop, signs, slots, np.empty(checks, dtype=bool)))
-
-    def unsatisfied(gathered) -> int:
-        count = fixed
-        for start, stop, signs, slots, violated in blocks:
-            np.less(gathered[start:stop], 0, out=slots)
-            np.bitwise_xor.reduce(signs, axis=0, out=violated)
-            count += np.count_nonzero(violated)
-        return int(count)
-
-    return unsatisfied
-
-
 class _Workspace:
     """The message buffers of ``_flood`` for one plan, kept across frames.
 
@@ -556,6 +532,19 @@ class _Workspace:
     ``sums`` the steps that fill each (see ``_stair_sums``); ``base``
     takes the frame's priors plus 0.0, the posteriors the loop starts
     from.
+
+    The workspace is also the one home of the frame's syndrome, which
+    ``load`` fills at the start of every frame. ``signs`` holds each
+    slot's target-parity sign times its check factor f: the correlation
+    block (parity 0) holds f from the start and is never written, and the
+    code slots (f = 1) take their check's sign, broadcast down its block.
+    ``bits`` and ``check_signs`` hold the code checks' bits and signs in
+    the order of the plan's ``parity_groups`` (``rows``), and ``loads``
+    the ``(target, source)`` pairs that copy them into the blocks.
+    ``parity`` holds per parity group its slice of ``t``, the flat view of
+    the first ``degree`` rows of its bool ``(degree + 1, checks)`` buffer,
+    that buffer, whose last row holds the checks' bits, and a row for the
+    violated checks (see ``unsatisfied``).
     """
 
     def __init__(self, plan):
@@ -576,6 +565,43 @@ class _Workspace:
         self.posteriors = (np.empty(plan.num_vars), np.empty(plan.num_vars))
         self.sums = [_stair_sums(plan.var_counts, self.t, self.base, buffer)
                      for buffer in self.posteriors]
+        self.signs = np.empty(num_edges)
+        if plan.corr_factor is not None:  # the last block
+            self.signs[plan.check_groups[-1][1] :] = plan.corr_factor
+        self.rows = _flat(rows for _, _, rows in plan.parity_groups)
+        self.bits, self.check_signs = np.empty(len(self.rows), bool), np.empty(len(self.rows))
+        self.loads, self.parity, end = [], [], 0
+        for degree, start, rows in plan.parity_groups:
+            checks, part = len(rows), slice(end, end + len(rows))
+            slots, end = slice(start, start + degree * checks), part.stop
+            buffer = np.empty((degree + 1, checks), bool)
+            self.loads += [(buffer[degree], self.bits[part]),
+                           (self.signs[slots].reshape(degree, checks), self.check_signs[part])]
+            violated = np.empty(checks, bool)
+            self.parity.append((self.t[slots], buffer[:degree].reshape(-1), buffer, violated))
+
+    def load(self, bits):
+        """Take a frame's syndrome ``bits`` of the plan's code checks, as
+        ``as_bit_array`` returns them: once in the order of the parity
+        groups, then each group's row of bits and its broadcast signs."""
+        bits.view(bool).take(self.rows, out=self.bits, mode="clip")
+        _SIGN.take(self.bits, out=self.check_signs, mode="clip")
+        for target, source in self.loads:
+            np.copyto(target, source)
+
+    def unsatisfied(self) -> int:
+        """The number of code checks that the hard decisions of the
+        posteriors gathered in ``t`` violate: a check is violated where
+        the xor of its slots' signs (negative posteriors) differs from its
+        bit, so one xor reduction down each group's buffer leaves 1 on the
+        violated checks. A check without entries has parity 0, so it is
+        violated exactly when its bit is 1."""
+        count = 0
+        for gathered, slots, buffer, violated in self.parity:
+            np.less(gathered, 0, out=slots)
+            np.bitwise_xor.reduce(buffer, axis=0, out=violated)
+            count += np.count_nonzero(violated)
+        return int(count)
 
     @cached_property
     def v2c(self) -> np.ndarray:
@@ -657,27 +683,24 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
 
     The buffers come from the plan's idle workspace (see ``_Workspace``),
     checked out for the length of the call, so a decode that the hook
-    starts builds its own.
+    starts builds its own. The frame's ``bits`` live there too: ``load``
+    puts them in the edge signs of the check update and in the buffers of
+    the convergence test, so the loop allocates nothing per block or per
+    slot for them.
 
     Returns the last posteriors and those of the iteration before (the
     start state after one iteration or none), both LLRs by variable id in
     new arrays, whether the last hard decisions satisfy every code check,
     and the number of the last iteration.
     """
-    # Per-slot constant: target-parity sign times check factor. Code checks
-    # have f = 1 and so scale by their sign; correlation checks have parity
-    # 0 and scale by f = tanh(llr/2).
-    edge_scale = _SIGN.take(bits).take(plan.slot_check)
-    if plan.corr_scale is not None:
-        edge_scale = np.concatenate([edge_scale, plan.corr_scale])
-    unsatisfied = _parity_test(plan, bits)
     # Check the workspace out, so that a decode running meanwhile over the
     # same plan (another thread, or a hook's decode) builds its own.
     try:
         workspace = plan.idle.pop()
     except IndexError:
         workspace = _Workspace(plan)
-    edge_var = plan.edge_var
+    workspace.load(bits)
+    edge_var, signs, unsatisfied = plan.edge_var, workspace.signs, workspace.unsatisfied
     t, excl, c2v = workspace.t, workspace.excl, workspace.c2v
     # the variable messages are needed after their tanh only by the hook
     v2c = t if hook is None else workspace.v2c
@@ -693,7 +716,7 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     limit = LLR_MAX * 0.5
     try:
         posteriors.take(edge_var, out=t, mode="clip")
-        converged = first > 1 and unsatisfied(t) == 0
+        converged = first > 1 and unsatisfied() == 0
         stop = iterations_used if converged and config.early_stop else max_iterations
         for iteration in range(first, stop + 1):
             # Variable update: each slot sends its variable's posterior,
@@ -710,14 +733,14 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
             for a, b, out in products:
                 np.multiply(a, b, out)  # a positional out skips keyword parsing
             if damping > 0.0:
-                np.multiply(edge_scale, excl, out=fresh)
+                np.multiply(signs, excl, out=fresh)
                 np.arctanh(fresh, out=fresh)
                 np.multiply(fresh, 1.0 - damping, out=fresh)
                 np.multiply(c2v, damping, out=c2v)
                 np.add(fresh, c2v, out=fresh)
                 c2v, fresh = fresh, c2v
             else:
-                np.multiply(edge_scale, excl, out=c2v)
+                np.multiply(signs, excl, out=c2v)
                 np.arctanh(c2v, out=c2v)
 
             previous = posteriors
@@ -727,7 +750,7 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
             # Convergence test on the gathered signs: z_hat = u1_hat xor
             # u2_hat satisfies every correlation check, so only the code
             # checks can be violated.
-            unsatisfied_checks = unsatisfied(t)
+            unsatisfied_checks = unsatisfied()
             converged = unsatisfied_checks == 0
             iterations_used = iteration
 

@@ -55,6 +55,14 @@ def _integer(name: str, value, positive: bool = False) -> int:
     return int(value)
 
 
+def _check_type(name: str, value, cls: type) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a ``cls``,
+    so a wrong argument (a bare probability for a model, a dense array for
+    a code) fails where it is passed rather than where it is first used."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _shape(n: int, m: int) -> tuple[int, int]:
     """Check a matrix's column and row counts; return them as ints."""
     n, m = _integer("column count", n), _integer("row count", m)

@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .correlation import CorrelationModel, _check_model, joint_entropy, sample_pair
+from .correlation import CorrelationModel, joint_entropy, sample_pair
 from .decoder import DecoderConfig, build_joint_graph, decode
-from .ldpc import SparseParityMatrix, _integer, identity_matrix, syndrome
+from .ldpc import SparseParityMatrix, _check_type, _integer, identity_matrix, syndrome
 
 _MASK64 = (1 << 64) - 1
 
@@ -73,13 +73,15 @@ class SimConfig:
     decode_model: Optional[CorrelationModel] = None
 
     def __post_init__(self):
-        _check_model("model", self.model)
+        _check_type("model", self.model, CorrelationModel)
         if self.decode_model is not None:
-            _check_model("decode_model", self.decode_model)
-        if self.h1 is not None and self.h1.n != self.h2.n:
-            raise ValueError(
-                f"codes disagree on block length: {self.h1.n} vs {self.h2.n}"
-            )
+            _check_type("decode_model", self.decode_model, CorrelationModel)
+        _check_type("h2", self.h2, SparseParityMatrix)
+        if self.h1 is not None:
+            _check_type("h1", self.h1, SparseParityMatrix)
+            if self.h1.n != self.h2.n:
+                raise ValueError(f"codes disagree on block length: {self.h1.n} vs {self.h2.n}")
+        _check_type("decoder", self.decoder, DecoderConfig)
         object.__setattr__(self, "trials", _integer("trials", self.trials, positive=True))
         object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
 

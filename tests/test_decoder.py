@@ -128,6 +128,17 @@ class TestBuild:
         with pytest.raises(ValueError, match=message):
             build_joint_graph(H1, H2, model)
 
+    @pytest.mark.parametrize("name", ["h1", "h2"])
+    @pytest.mark.parametrize(
+        "code", [None, np.eye(2, dtype=np.uint8), [(0,), (1,)]], ids=["none", "dense", "rows"]
+    )
+    def test_rejects_a_code_that_is_not_a_matrix(self, name, code):
+        """Refused where it is passed, not where its block length is read."""
+        codes = {"h1": H1, "h2": H2, name: code}
+        message = re.escape(f"{name} must be a SparseParityMatrix, got {code!r}")
+        with pytest.raises(ValueError, match=message):
+            JointTannerGraph(codes["h1"], codes["h2"], MODEL)
+
 
 IRREGULAR = SparseParityMatrix.from_rows(12, [(), (0, 5, 11), (3,), (), (1, 2, 4, 6, 7, 8)])
 
@@ -175,7 +186,15 @@ class TestDecodeLayout:
         blocks = [block for block, _ in g.h1._row_blocks]
         blocks += [block + g.n for block, _ in g.h2._row_blocks]
         assert [d for d, _, _ in plan.check_groups] == [len(block) for block in blocks] + [2]
-        assert plan.code_groups == plan.check_groups[:-1]
+        # the convergence test's groups are the code blocks, with their rows;
+        # no row is empty, so no group of degree 0 follows
+        rows = [rows for _, rows in g.h1._row_blocks]
+        rows += [rows + g.m1 for _, rows in g.h2._row_blocks]
+        assert [(d, start) for d, start, _ in plan.parity_groups] == [
+            (d, start) for d, start, _ in plan.check_groups[:-1]
+        ]
+        assert all(np.array_equal(got, want) for (_, _, got), want in zip(plan.parity_groups, rows))
+        assert plan.corr_factor == g._corr_factor
         corr = np.arange(2 * g.n)
         want = np.concatenate([block.ravel() for block in blocks] + [corr])
         assert np.array_equal(plan.edge_var, want)
@@ -214,11 +233,22 @@ class TestDecodeLayout:
             assert (np.diff(slot_var[start:stop].reshape(degree, -1), axis=0) > 0).all()
         assert covered == g.num_edges
         # the code checks come first, and no block mixes them with the
-        # correlation checks
-        code_slots = len(plan.slot_check)
-        assert code_slots == sum(stop - start for _, start, stop in plan.code_groups)
-        assert np.array_equal(plan.slot_check, slot_check[:code_slots])
+        # correlation checks: the convergence test's groups are the code
+        # blocks, each with the checks of its first row, then the checks of
+        # degree 0, only where there are any
+        code_slots = 0
+        for degree, start, rows in plan.parity_groups:
+            if degree:
+                assert start == code_slots
+                code_slots += degree * len(rows)
+                assert np.array_equal(rows, slot_check[start : start + len(rows)])
+        assert code_slots == sum(stop - start for _, start, stop in plan.check_groups[:-1])
+        assert (slot_check[:code_slots] < g.m1 + g.m2).all()
         assert (slot_check[code_slots:] >= g.m1 + g.m2).all()
+        empty = np.flatnonzero(np.bincount(all_checks, minlength=g.m1 + g.m2)[: g.m1 + g.m2] == 0)
+        assert [rows.tolist() for d, _, rows in plan.parity_groups if not d] == (
+            [empty.tolist()] if len(empty) else []
+        )
         # the convergence test's blocks: each code row once, also one
         # without entries, its variables (counted from the code's first
         # variable) down one column
@@ -245,8 +275,14 @@ def _assert_layout(plan, want):
     """A kernel plan equals the plain-loop layout oracle ``want``."""
     assert list(plan.check_groups) == want.check_groups
     assert _slot_vars(plan).tolist() == want.slot_var
-    assert plan.slot_check.tolist() == want.slot_check[: len(plan.slot_check)]
-    assert plan.empty_rows.tolist() == want.empty_checks
+    # the convergence test's groups: each code block's degree, first slot
+    # and checks, then the checks without entries, only where there are any
+    code_groups = want.check_groups[: len(want.check_groups) - (plan.corr_factor is not None)]
+    parity = [(d, start, want.slot_check[start : start + (stop - start) // d])
+              for d, start, stop in code_groups]
+    if want.empty_checks:
+        parity.append((0, 0, want.empty_checks))
+    assert [(d, start, rows.tolist()) for d, start, rows in plan.parity_groups] == parity
     assert plan.slot_of_edge.tolist() == want.edge_slot
     # the variables by degree, and the staircase of their edges' slots
     if want.var_order == sorted(want.var_order):
@@ -365,21 +401,41 @@ class TestKernelSums:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_fused_count_is_the_row_parity_count(self, data):
+        """Two frames loaded in turn on one workspace: each count, and each
+        edge sign, is that of the frame loaded last."""
         plan, _, codes = _drawn_plan(data)
         num_vars = sum(h.n for h, _ in codes)
         posteriors = np.array(data.draw(st.lists(_SIGNED_VALUES, min_size=num_vars,
                                                  max_size=num_vars), label="posteriors"))
-        bits = [np.array(data.draw(st.lists(st.integers(0, 1), min_size=h.m, max_size=h.m),
-                                   label="bits"), dtype=np.uint8) for h, _ in codes]
+        frames = [
+            [np.array(data.draw(st.lists(st.integers(0, 1), min_size=h.m, max_size=h.m),
+                                label="bits"), dtype=np.uint8) for h, _ in codes]
+            for _ in range(2)
+        ]
         hard = posteriors < 0
-        want = sum(
-            int(np.count_nonzero(_row_parity(h, hard[first : first + h.n]) != s))
-            for (h, first), s in zip(codes, bits)
-        )
-        gathered = plan.kernel_order(posteriors).take(plan.edge_var)
-        unsatisfied = decoder_module._parity_test(plan, np.concatenate(bits))
-        assert unsatisfied(gathered) == want
-        assert unsatisfied(gathered) == want  # the buffers are reused
+        workspace = decoder_module._Workspace(plan)
+        # the posteriors gathered to the slots, as the kernel gathers them
+        plan.kernel_order(posteriors).take(plan.edge_var, out=workspace.t)
+        for bits in (frames[0], frames[1], frames[0]):
+            want = sum(
+                int(np.count_nonzero(_row_parity(h, hard[first : first + h.n]) != s))
+                for (h, first), s in zip(codes, bits)
+            )
+            workspace.load(np.concatenate(bits))
+            assert workspace.unsatisfied() == want
+            assert workspace.unsatisfied() == want  # the buffers are reused
+            assert workspace.signs.tobytes() == _edge_signs(plan, codes, bits).tobytes()
+
+
+def _edge_signs(plan, codes, bits):
+    """Every slot's target-parity sign times its check factor: 1 - 2b for a
+    code check with syndrome bit b, f of ``MODEL`` for a correlation check
+    (a joint plan's checks after the codes')."""
+    checks = np.concatenate([h.entries[1] + sum(g.m for g, _ in codes[:k])
+                             for k, (h, _) in enumerate(codes)])
+    signs = np.full(len(plan.edge_var), np.tanh(hidden_llr(MODEL) * 0.5))
+    signs[plan.slot_of_edge[: len(checks)]] = 1.0 - 2.0 * np.concatenate(bits)[checks]
+    return signs
 
 
 class TestFold:
@@ -439,7 +495,9 @@ class TestKnownU1:
         # the slots are h2's one row block, variables numbered from u2's first
         (block, _), = self.H2._row_blocks
         assert np.array_equal(plan.edge_var, block.ravel()) and plan.variables is None
-        assert plan.check_groups == plan.code_groups == ((6, 0, 3 * 64),)
+        assert plan.check_groups == ((6, 0, 3 * 64),) and plan.corr_factor is None
+        (degree, start, rows), = plan.parity_groups
+        assert (degree, start) == (6, 0) and rows is self.H2._row_blocks[0][1]
         assert plan.slot_of_edge is self.H2._slots[0]
         # q is the correlation check's message, not the hidden-bit LLR
         q = 3.1780538303457027
@@ -573,6 +631,17 @@ class TestConfig:
         message = re.escape(f"config must be a DecoderConfig, got {config!r}")
         with pytest.raises(ValueError, match=message):
             decode(build_joint_graph(H1, H2, MODEL), s1, s2, config)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [None, (H1, H2, MODEL), ReferenceGraph(H1, H2, MODEL)],
+        ids=["none", "fields", "reference-graph"],
+    )
+    def test_decode_rejects_a_graph_that_is_not_a_joint_graph(self, graph):
+        s1, s2 = np.zeros(H1.m, np.uint8), np.zeros(H2.m, np.uint8)
+        message = re.escape(f"graph must be a JointTannerGraph, got {graph!r}")
+        with pytest.raises(ValueError, match=message):
+            decode(graph, s1, s2)
 
 
 class TestSingleBit:
@@ -1454,9 +1523,9 @@ class TestCornerBuildsNoJointStructure:
 
 
 class TestParityTest:
-    """The convergence test counts the code rows whose syndrome of the hard
-    decisions differs from the received bit; it reads the posteriors as the
-    kernel gathers them to the slots."""
+    """The convergence test (``_Workspace.unsatisfied``) counts the code
+    rows whose syndrome of the hard decisions differs from the received bit;
+    it reads the posteriors as the kernel gathers them to the slots."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -1480,11 +1549,19 @@ class TestParityTest:
             wrong2 = int(np.count_nonzero(h2.to_dense() @ u2 % 2 != s2))
             # a zero posterior of either sign decides bit 0
             posteriors = np.where(hard, -1.0, rng.choice([0.0, -0.0, 1.0], 2 * n))
-            gathered = joint.kernel_order(posteriors).take(joint.edge_var)
-            unsatisfied = decoder_module._parity_test(joint, np.concatenate([s1, s2]))
-            assert unsatisfied(gathered) == wrong1 + wrong2
-            gathered = alone.kernel_order(posteriors[n:]).take(alone.edge_var)
-            assert decoder_module._parity_test(alone, s2)(gathered) == wrong2
+            count = _unsatisfied(joint, np.concatenate([s1, s2]), posteriors)
+            assert count == wrong1 + wrong2
+            assert _unsatisfied(alone, s2, posteriors[n:]) == wrong2
+
+
+def _unsatisfied(plan, bits, posteriors):
+    """The convergence test of a new workspace of ``plan``, loaded with the
+    syndrome ``bits``, on the posteriors by id gathered to the slots as the
+    kernel gathers them."""
+    workspace = decoder_module._Workspace(plan)
+    workspace.load(bits)
+    plan.kernel_order(posteriors).take(plan.edge_var, out=workspace.t)
+    return workspace.unsatisfied()
 
 
 def _irregular_h2(n, degrees, seed):
@@ -1553,19 +1630,22 @@ class TestNonFiniteCheckMessages:
     def _with_a_nan_hidden_bit(cls):
         """A graph whose z[5] has a NaN LLR, and a frame: in the explicit
         reference graph its prior, in the folded graph the factor f of
-        correlation check 5, which the joint plan keeps in ``corr_scale``
-        on that check's two slots: the correlation checks' block holds the
-        u1 row then the u2 row, so those are slots 5 and n + 5 of it. h1 is
-        the identity's rows in reverse order, so that decode runs the joint
-        graph."""
+        correlation check 5 on that check's two edge signs, in the
+        workspace that the graph's plan keeps for its next decode: the
+        correlation checks' block holds the u1 row then the u2 row, so those
+        are slots 5 and n + 5 of it. h1 is the identity's rows in reverse
+        order, so that decode runs the joint graph."""
         n = cls.N
         h1 = SparseParityMatrix.from_rows(n, [(i,) for i in range(n - 1, -1, -1)])
         h2 = gallager_construct(n, 3, 6, seed=5)
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model)
-        corr_scale = graph._plan.corr_scale.copy()
-        corr_scale[[5, n + 5]] = np.nan
-        graph._plan.corr_scale = corr_scale
+        plan = graph._plan
+        workspace = decoder_module._Workspace(plan)
+        _, start, _ = plan.check_groups[-1]  # the correlation checks' block
+        assert workspace.signs[start] == plan.corr_factor
+        workspace.signs[[start + 5, start + n + 5]] = np.nan
+        plan.idle.append(workspace)
         explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
         explicit.priors[2 * n + 5] = np.nan  # one z prior, in the graph's cached priors
         s1, s2 = _frame_syndromes(h1, h2, model, 1)
@@ -1624,18 +1704,13 @@ class TestStalledGraphs:
     def _count_iterations(monkeypatch):
         """Count the convergence tests that decode runs, one per iteration."""
         calls = []
-        parity_test = decoder_module._parity_test
+        unsatisfied = decoder_module._Workspace.unsatisfied
 
-        def counting(*codes):
-            unsatisfied = parity_test(*codes)
+        def counting(workspace):
+            calls.append(1)
+            return unsatisfied(workspace)
 
-            def counted(hard):
-                calls.append(1)
-                return unsatisfied(hard)
-
-            return counted
-
-        monkeypatch.setattr(decoder_module, "_parity_test", counting)
+        monkeypatch.setattr(decoder_module._Workspace, "unsatisfied", counting)
         return calls
 
     @staticmethod

@@ -95,6 +95,27 @@ class TestConfigValidation:
         if field == "decode_model":  # None decodes with the sampling model
             assert SimConfig(**dict(config, decode_model=None)).decode_model is None
 
+    @pytest.mark.parametrize(
+        "field, code",
+        [("h2", None), ("h2", np.eye(64, dtype=np.uint8)), ("h2", "code.alist"),
+         ("h1", np.eye(64, dtype=np.uint8)), ("h1", "code.alist")],
+        ids=["h2-none", "h2-dense", "h2-path", "h1-dense", "h1-path"],
+    )
+    def test_codes_must_be_matrices(self, field, code):
+        """Refused where it is passed, not inside ``run_trials``; None is
+        the identity for h1 only."""
+        message = re.escape(f"{field} must be a SparseParityMatrix, got {code!r}")
+        with pytest.raises(ValueError, match=message):
+            _config(**{field: code})
+
+    @pytest.mark.parametrize(
+        "decoder", [None, 30, {"max_iterations": 30}], ids=["none", "int", "dict"]
+    )
+    def test_decoder_must_be_a_decoder_config(self, decoder):
+        message = re.escape(f"decoder must be a DecoderConfig, got {decoder!r}")
+        with pytest.raises(ValueError, match=message):
+            _config(decoder=decoder)
+
     def test_numpy_integers(self):
         config = _config(trials=np.int64(3), seed=np.uint64(2**64 - 1))
         assert type(config.trials) is int and type(config.master_seed) is int
