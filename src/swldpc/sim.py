@@ -8,6 +8,12 @@ operating point's distance from the admissible-rate boundary
 (``sw_sum_slack`` = r1 + r2 - (1 + h(p)); negative means the point lies
 outside the achievable region and errors are expected).
 
+``sweep`` runs every point's trials, and ``run_trials`` is a sweep of one
+point. It splits each point into ``min(jobs, trials)`` contiguous trial
+ranges and runs them in this process where every point is one range,
+otherwise on one pool of worker processes per call, no larger than the
+CPUs this process may use.
+
 Determinism: trial t draws its source pair from a seed produced by
 ``derive_trial_seed(master_seed, t)``, and error counts are accumulated
 as integers, so results are identical for any ``jobs`` setting or chunk
@@ -18,9 +24,11 @@ one, both sources are compressed (the symmetric mode of the command line).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -109,17 +117,13 @@ class SimRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(SimRecord))
 
 
-def _run_range(
-    config: SimConfig, h1: SparseParityMatrix, start: int, stop: int
-) -> tuple[int, int, int, int, int]:
+def _run_range(config: SimConfig, start: int, stop: int) -> tuple[int, int, int, int, int]:
     """Raw error counts for trials [start, stop).
-
-    ``h1`` is the first code, the identity when ``config.h1`` is None,
-    built once by the caller.
 
     Returns (bit errors source 1, bit errors source 2, frame errors,
     summed iteration counts, converged frames).
     """
+    h1 = config.h1 if config.h1 is not None else identity_matrix(config.h2.n)
     graph = build_joint_graph(h1, config.h2, config.decode_model or config.model)
     bit1 = bit2 = frames = iters = conv = 0
     for trial in range(start, stop):
@@ -145,28 +149,11 @@ def _split(trials: int, jobs: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
-    """Run all trials of one simulation point.
-
-    ``jobs`` > 1 splits the trial range across worker processes; the
-    counts it aggregates are integers, so the result does not depend on
-    the split.
-    """
-    jobs = _integer("jobs", jobs, positive=True)
-    trials = config.trials
-    h1 = config.h1 if config.h1 is not None else identity_matrix(config.h2.n)
-    if jobs == 1 or trials == 1:
-        counts = _run_range(config, h1, 0, trials)
-    else:
-        chunks = _split(trials, min(jobs, trials))
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_run_range, config, h1, lo, hi) for lo, hi in chunks]
-            parts = [f.result() for f in futures]
-        counts = tuple(sum(part[k] for part in parts) for k in range(5))
-
-    bit1, bit2, frames, iters, conv = counts
-    n = config.h2.n
-    r1 = h1.m / n
+def _record(config: SimConfig, parts: Iterable[tuple[int, int, int, int, int]]) -> SimRecord:
+    """One point's record from the counts of its trial ranges."""
+    bit1, bit2, frames, iters, conv = (sum(column) for column in zip(*parts))
+    n, trials = config.h2.n, config.trials
+    r1 = 1.0 if config.h1 is None else config.h1.m / n
     r2 = config.h2.m / n
     return SimRecord(
         p=config.model.p,
@@ -183,12 +170,41 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     )
 
 
+def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
+    """Run all trials of one simulation point: ``sweep([config], jobs)[0]``.
+
+    ``jobs`` > 1 runs the point's ``min(jobs, trials)`` trial ranges on
+    a pool of worker processes (see ``sweep``); the result does not
+    depend on it.
+    """
+    return sweep([config], jobs)[0]
+
+
 def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SimRecord]:
-    """Run several simulation points; output order matches input order."""
+    """Run several simulation points; output order matches input order.
+
+    Each point's trials split into ``min(jobs, trials)`` contiguous ranges.
+    Where every point is one range (``jobs`` 1, or single-trial points),
+    the ranges run in this process. Otherwise every range of every point
+    goes to one pool of worker processes, opened once per call, with as
+    many workers as the point with the most ranges has, but no more than
+    the CPUs this process may run on. Each point's integer counts are
+    summed, so the records do not depend on ``jobs``.
+    """
     configs = list(configs)
     if not configs:
         raise ValueError("sweep requires at least one configuration")
-    return [run_trials(config, jobs=jobs) for config in configs]
+    jobs = _integer("jobs", jobs, positive=True)
+    ranges = [_split(config.trials, min(jobs, config.trials)) for config in configs]
+    tasks = [(config, lo, hi) for config, split in zip(configs, ranges) for lo, hi in split]
+    if len(tasks) == len(configs):
+        parts = [_run_range(*task) for task in tasks]
+    else:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(max(map(len, ranges)), cpus or 1)) as pool:
+            parts = list(pool.map(_run_range, *zip(*tasks)))
+    counts = iter(parts)
+    return [_record(config, islice(counts, len(split))) for config, split in zip(configs, ranges)]
 
 
 def configs_over_p(config: SimConfig, p_values: Sequence[float]) -> list[SimConfig]:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import swldpc
 from swldpc import (
     ConstructionError,
     CorrelationModel,
@@ -784,6 +787,57 @@ class TestSimulate:
             assert run_cli(capsys, "simulate", str(path)) == (
                 2, "", f"swldpc: error: {path}: key {message}\n"
             )
+
+
+def _swldpc(cwd, *argv):
+    """Run the command line in a fresh interpreter in ``cwd``, as the
+    console script does, on the package these tests import."""
+    paths = [str(Path(swldpc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run(
+        [sys.executable, "-m", "swldpc", *argv],
+        cwd=cwd, env=env, stdout=subprocess.DEVNULL, check=True,
+    )
+
+
+class TestWorkerProcesses:
+    """`simulate` writes the same CSV with one worker process and with two,
+    run in a fresh interpreter as the console script runs it."""
+
+    MAKECODE = ["makecode", "--n", "1024", "--dv", "3", "--dc", "6", "--seed", "2024", "--out"]
+
+    def test_same_csv_with_one_and_two_workers(self, tmp_path):
+        # the workers unpickle the code's flat index
+        _swldpc(tmp_path, *self.MAKECODE, "code.alist")
+        for jobs in (1, 2):
+            _swldpc(tmp_path, "simulate", "--code2", "code.alist", "--p", "0.96", "--trials", "8",
+                    "--seed", "1", "--jobs", str(jobs), "--out", f"jobs{jobs}.csv")
+        assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
+
+    def test_same_rows_from_a_sweep_as_from_single_points(self, tmp_path):
+        # every point builds its own graphs over one code object, which
+        # caches only its row blocks; no state may carry between points,
+        # and two worker processes give the sweep one gives
+        _swldpc(tmp_path, *self.MAKECODE, "sweep.alist")
+        flags = ["--code2", "sweep.alist", "--trials", "8", "--seed", "1"]
+        for jobs in (1, 2):
+            _swldpc(tmp_path, "simulate", *flags, "--sweep-p", "0.97,0.95,0.93",
+                    "--jobs", str(jobs), "--out", f"sweep{jobs}.csv")
+        swept = (tmp_path / "sweep1.csv").read_text()
+        assert (tmp_path / "sweep2.csv").read_text() == swept
+        points = []
+        for p in ("0.97", "0.95", "0.93"):
+            _swldpc(tmp_path, "simulate", *flags, "--p", p, "--out", f"point{p}.csv")
+            points.append((tmp_path / f"point{p}.csv").read_text().splitlines(keepends=True))
+        assert "".join(points[0][:1] + [row for lines in points for row in lines[1:]]) == swept
+
+    def test_same_symmetric_csv_with_one_and_two_workers(self, tmp_path):
+        # both sources compressed: the run that passes h1 to SimConfig
+        for jobs in (1, 2):
+            _swldpc(tmp_path, "simulate", "--mode", "symmetric", "--p", "0.99", "--n", "64",
+                    "--dv", "3", "--dc", "6", "--trials", "8", "--seed", "3",
+                    "--jobs", str(jobs), "--out", f"sym{jobs}.csv")
+        assert (tmp_path / "sym1.csv").read_bytes() == (tmp_path / "sym2.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

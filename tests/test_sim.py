@@ -1,5 +1,7 @@
+import os
 import pickle
 import re
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from swldpc import (
     run_trials,
     sweep,
 )
+from swldpc import sim
 from swldpc.sim import CSV_COLUMNS, _split
 
 H2_64 = gallager_construct(64, 3, 6, seed=2)
@@ -29,6 +32,34 @@ def _config(p=0.95, h2=H2_64, trials=20, seed=11, **kwargs):
     return SimConfig(
         model=CorrelationModel(p), h2=h2, trials=trials, master_seed=seed, **kwargs
     )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stands in for the worker pool: each pool opened is recorded by its
+    ``max_workers`` and maps in this process, so no process starts."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestTrialSeeds:
@@ -242,6 +273,41 @@ class TestSweep:
     def test_single_trial_fer_is_binary(self):
         records = sweep(configs_over_p(_config(trials=1), [0.99, 0.7]))
         assert all(r.fer in (0.0, 1.0) for r in records)
+
+    def test_one_pool_per_call(self, pools):
+        configs = configs_over_p(_config(trials=6), [0.99, 0.95, 0.9])
+        records = sweep(configs, jobs=2)
+        assert pools == [2]
+        assert records == sweep(configs, jobs=1)
+
+    @pytest.mark.parametrize("trials, jobs", [(6, 1), (1, 4)])
+    def test_no_pool_when_every_point_is_one_range(self, pools, trials, jobs):
+        sweep(configs_over_p(_config(trials=trials), [0.99, 0.9]), jobs=jobs)
+        assert pools == []
+
+    @pytest.mark.parametrize(
+        "trials, jobs, cpus, workers",
+        [((1, 5, 2), 3, 8, 3), ((1, 2), 4, 8, 2), ((12,), 5000, 3, 3), ((12,), 5000, None, 3)],
+        ids=["widest-point", "short-points", "affinity", "cpu-count"],
+    )
+    def test_pool_capped_at_usable_cpus(self, pools, monkeypatch, trials, jobs, cpus, workers):
+        # as many workers as the point with the most ranges, but no more
+        # than the CPUs this process may use (os.cpu_count where the
+        # affinity is unknown); the ranges, and so the records, stay
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        configs = [_config(p=0.95 - 0.02 * k, trials=t) for k, t in enumerate(trials)]
+        records = sweep(configs, jobs=jobs)
+        assert pools == [workers]
+        assert records == sweep(configs, jobs=1)
+
+    def test_points_of_unequal_length_share_one_pool(self):
+        configs = [_config(p=0.95, trials=1), _config(p=0.9, trials=5), _config(p=0.93, trials=2)]
+        records = sweep(configs, jobs=3)
+        assert records == sweep(configs, jobs=1) == [run_trials(c) for c in configs]
 
     def test_decode_model_swept_along(self):
         config = _config(trials=5, decode_model=CorrelationModel(0.95))
