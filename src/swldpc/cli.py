@@ -118,8 +118,8 @@ _SIM_SETTINGS = {
     "mode": (str, f"{ASYMMETRIC} (default) or {SYMMETRIC}"),
     "max_iters": (int, "iteration budget"),
     "damping": (float, "message damping in [0, 1)"),
-    "jobs": (int, "split each point into up to this many trial ranges, run on one pool of "
-                  "worker processes no larger than the usable CPUs (default 1)"),
+    "jobs": (int, "split each point into up to this many trial ranges, and no more than the "
+                  "usable CPUs, run on one pool of worker processes (default 1)"),
     "out": (str, "also write the CSV to this file"),
 }
 

@@ -164,8 +164,14 @@ def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:
     """Draw one correlated block pair of length n, reproducibly.
 
     u1 is n i.i.d. fair bits, z is n i.i.d. bits with Pr(z=1) = 1 - p,
-    and u2 = u1 XOR z. The draw is a pure function of (p, n, seed):
-    a PCG64 generator seeded with ``seed`` emits u1 first, then z.
+    and u2 = u1 XOR z. The draw is a pure function of (p, n, seed),
+    defined on the raw stream of ``np.random.PCG64(seed % 2**64)``, whose
+    64-bit words NEP 19 (https://numpy.org/neps/nep-0019-rng-policy.html)
+    keeps stable across numpy versions: bit i of u1 is the top bit of byte
+    i of the first ceil(n/8) words read as little-endian bytes, and z[i] is
+    1 where the next word w gives (w >> 11) * 2**-53 < 1 - p. That is bit
+    for bit what ``np.random.default_rng(seed % 2**64)`` draws with
+    ``integers(0, 2, size=n, dtype=np.uint8)`` and then ``random(n) < 1 - p``.
 
     Args:
         model: correlation model supplying p.
@@ -176,10 +182,17 @@ def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:
     n, seed = _integer("block length", n), _integer("seed", seed)
     if n < 1:
         raise ValueError(f"block length must be at least 1, got {n}")
-    rng = np.random.default_rng(seed % 2**64)
-    u1 = rng.integers(0, 2, size=n, dtype=np.uint8)
-    z = (rng.random(n) < (1.0 - model.p)).astype(np.uint8)
+    u1, z = _draw(model.p, n, seed)
     return CorrelatedPair(u1=u1, u2=u1 ^ z, z=z)
+
+
+def _draw(p: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """u1 and z of ``sample_pair``, as uint8 arrays; nothing is validated."""
+    words = -(-n // 8)
+    raw = np.random.PCG64(seed % 2**64).random_raw(words + n)
+    u1 = raw[:words].astype("<u8", copy=False).view(np.uint8)[:n] >> 7
+    z = ((raw[words:] >> 11) * 2.0**-53 < 1.0 - p).view(np.uint8)
+    return u1, z
 
 
 def sw_region_check(model: CorrelationModel, rates: RatePair) -> RegionCheck:

@@ -136,23 +136,29 @@ returns:
   of those priors satisfy H2. Both messages come from 2-entry tables
   indexed by the u1 bit, +/- c_id (``_IDENTITY_BY_BIT``) and +/- q
   (``KnownU1Graph``), exact. ``decode`` returns iteration 1 in closed form
-  where the budget is 1, or where early stop is on and it converged.
+  where the budget is 1, or where early stop is on and it converged; the
+  u1 rebuild below then reads u2 messages of 0.0 and adds +/-0.0 to
+  +/- c_id.
   Iteration 2 is the kernel's start state. Its u2 posteriors are the
   priors q (1 - 2 u1) plus 0.0, as the joint graph sums them from H2
   messages that are all zero (so a prior of -0.0, where q = 0 at p = 0.5,
   gives +0.0), and the kernel tests them on the gather that iteration 3
   starts from. Where the budget is 2, or early stop is on and they hold,
-  the decode exits there through the u1 rebuild below with L_prev those
+  the decode exits there, and the u1 rebuild below has L_prev those
   posteriors: v = 0.0, which adds 2 atanh(f tanh(0)) = +/-0.0 to
   +/- c_id, iteration 2's u1 posteriors bit for bit.
 * From joint iteration 3 on, the u2 edges carry exactly what H2 alone
   carries with priors q (1 - 2 u1). The kernel numbers its iterations
   from 3, as the joint graph does.
-* ``posterior_llrs[:n]`` is rebuilt after the loop as the joint graph sums
-  it: c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2)),
+* ``u1_hat`` is a copy of s1, since by the first bullet every u1
+  posterior has the sign of c_id (1 - 2 u1). ``u2_hat`` is the sign of
+  the kernel's posteriors. ``posterior_llrs[:n]`` is rebuilt only when the
+  result's ``posterior_llrs`` is first read, as the joint graph sums it:
+  c_id (1 - 2 u1) plus one correlation message, 2 atanh(f tanh(v/2)),
   where v = L_prev - q (1 - 2 u1) and L_prev is the u2 posterior of the
   iteration before the last (that of iteration 2, if the loop ran once
-  or not at all). ``u1_hat`` is that posterior's sign.
+  or not at all). A trial loop that reads only the hard decisions, as
+  ``run_trials`` and ``swldpc decode`` do, never builds it.
 
 The joint graph runs instead when an ``iteration_hook`` is given (its
 snapshots, and so ``--trace``, show the joint graph), when damping is
@@ -165,8 +171,8 @@ the identity's rows in another order included.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -427,12 +433,29 @@ class IterationInfo:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
+    """The outcome of one ``decode``.
+
+    ``u1_hat``, ``u2_hat`` and ``z_hat`` are the hard decisions, bit 1
+    where a posterior is negative, with z_hat = u1_hat xor u2_hat.
+    ``posterior_llrs`` holds the posteriors, the u1 block then the u2
+    block (length 2n); it is built by ``build_posteriors`` when first
+    read and kept. The joint graph sums every posterior in the loop, so
+    its ``build_posteriors`` only hands them over. On the known-u1 path
+    ``u1_hat`` is a copy of s1, which is the sign of u1's posteriors in
+    every iteration (see the module notes), so the u1 posteriors are
+    rebuilt only where they are read.
+    """
+
     u1_hat: np.ndarray
     u2_hat: np.ndarray
     z_hat: np.ndarray
     converged: bool
     iterations_used: int
-    posterior_llrs: np.ndarray  # length 2n: u1 block then u2 block
+    build_posteriors: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def posterior_llrs(self) -> np.ndarray:
+        return self.build_posteriors()
 
 
 def decode(
@@ -460,51 +483,58 @@ def decode(
     _check_type("graph", graph, JointTannerGraph)
     config = DecoderConfig() if config is None else config
     _check_type("config", config, DecoderConfig)
-    s1 = as_bit_array(s1, graph.m1)
-    s2 = as_bit_array(s2, graph.m2)
+    return _decode(graph, as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2), config,
+                   iteration_hook)
+
+
+def _decode(graph, s1, s2, config, iteration_hook=None) -> DecodeResult:
+    """``decode`` on arguments already checked: syndromes as uint8 arrays
+    of the graph's lengths, which it does not keep."""
     if iteration_hook is None and config.damping == 0.0 and graph._known_u1 is not None:
         return _decode_known_u1(graph._known_u1, s1, s2, config)
     posteriors, _, converged, iterations_used = _flood(
         graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, hook=iteration_hook
     )
-    return _result(posteriors, converged, iterations_used)
+    hard = np.less(posteriors, 0).view(np.uint8)
+    u1_hat, u2_hat = hard[: graph.n], hard[graph.n :]
+    return DecodeResult(u1_hat, u2_hat, u1_hat ^ u2_hat, converged, iterations_used,
+                        partial(np.asarray, posteriors))
 
 
 def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> DecodeResult:
     """``decode`` on a graph whose u1 block is s1 (see the module notes)."""
-    identity = _IDENTITY_BY_BIT.take(s1)  # the u1 posteriors of iterations 1 and 2
     converged = not s2.any()  # the test of iteration 1, where u2 is 0
     if config.max_iterations == 1 or config.early_stop and converged:
-        return _result(np.concatenate([identity, np.zeros(len(s1))]), converged, 1)
-    priors = known.prior_by_bit.take(s1)  # the u2 posteriors of iteration 2
-    posteriors, v, converged, iterations_used = _flood(known._plan, s2, priors, config, first=3)
-    # The last iteration's correlation messages to u1, from the u2 messages
-    # of the iteration before (L_prev minus the priors), summed as the joint
-    # graph does. The rebuild runs in place on L_prev.
-    np.subtract(v, priors, out=v)
+        # iteration 1, whose u2 posteriors are 0.0, as are the u2 messages
+        # that the u1 rebuild reads
+        iterations_used = 1
+        priors = previous = posteriors = np.zeros(len(s1))
+    else:
+        priors = known.prior_by_bit.take(s1)  # the u2 posteriors of iteration 2
+        posteriors, previous, converged, iterations_used = _flood(
+            known._plan, s2, priors, config, first=3
+        )
+    u1_hat, u2_hat = s1.copy(), np.less(posteriors, 0).view(np.uint8)
+    return DecodeResult(u1_hat, u2_hat, u1_hat ^ u2_hat, converged, iterations_used,
+                        partial(_known_u1_posteriors, known.corr_factor, u1_hat, priors,
+                                previous, posteriors))
+
+
+def _known_u1_posteriors(corr_factor, u1, priors, previous, posteriors) -> np.ndarray:
+    """The posteriors of the known-u1 decode as the joint graph sums them:
+    the u2 posteriors ``posteriors`` after u1's, each c_id (1 - 2 u1) plus
+    the last iteration's correlation message to u1, built from the u2
+    messages of the iteration before (``previous`` minus ``priors``). The
+    arguments are left as they are."""
+    v = np.subtract(previous, priors)
     v.clip(-LLR_MAX, LLR_MAX, out=v)
     np.multiply(v, 0.5, out=v)
     np.tanh(v, out=v)
-    np.multiply(v, known.corr_factor, out=v)
+    np.multiply(v, corr_factor, out=v)
     np.arctanh(v, out=v)
     np.multiply(v, 2.0, out=v)
-    np.add(identity, v, out=v)
-    return _result(np.concatenate([v, posteriors]), converged, iterations_used)
-
-
-def _result(posterior_llrs, converged, iterations_used) -> DecodeResult:
-    """A result from the u1 and u2 posteriors, hard decisions by sign."""
-    hard = np.less(posterior_llrs, 0).view(np.uint8)
-    n = len(hard) // 2
-    u1_hat, u2_hat = hard[:n], hard[n:]
-    return DecodeResult(
-        u1_hat=u1_hat,
-        u2_hat=u2_hat,
-        z_hat=u1_hat ^ u2_hat,
-        converged=converged,
-        iterations_used=iterations_used,
-        posterior_llrs=posterior_llrs,
-    )
+    np.add(_IDENTITY_BY_BIT.take(u1), v, out=v)
+    return np.concatenate([v, posteriors])
 
 
 class _Workspace:

@@ -9,17 +9,25 @@ operating point's distance from the admissible-rate boundary
 outside the achievable region and errors are expected).
 
 ``sweep`` runs every point's trials, and ``run_trials`` is a sweep of one
-point. It splits each point into ``min(jobs, trials)`` contiguous trial
-ranges and runs them in this process where every point is one range,
-otherwise on one pool of worker processes per call, no larger than the
-CPUs this process may use.
+point. It splits each point into ``min(jobs, trials, cpus)`` contiguous
+trial ranges, ``cpus`` the CPUs this process may use, and runs them in
+this process where every point is one range, otherwise on one pool of
+worker processes per call.
+
+A trial draws its pair with the sampler of ``sample_pair`` and calls the
+cores of ``syndrome`` and ``decode`` directly: the config was checked
+when it was made, and the arrays are the library's own. It reads only
+the decoder's hard decisions, so the u1 posteriors of a corner decode
+are never built (see ``decoder``).
 
 Determinism: trial t draws its source pair from a seed produced by
-``derive_trial_seed(master_seed, t)``, and error counts are accumulated
-as integers, so results are identical for any ``jobs`` setting or chunk
-split. Without a code for the first source it is sent uncompressed (its
-code is the identity, r1 = 1) and only the second is compressed; given
-one, both sources are compressed (the symmetric mode of the command line).
+``derive_trial_seed(master_seed, t)``, from the raw PCG64 stream that
+NEP 19 keeps stable across numpy versions (see ``sample_pair``), and
+error counts are accumulated as integers, so results are identical for
+any ``jobs`` setting or chunk split. Without a code for the first source
+it is sent uncompressed (its code is the identity, r1 = 1) and only the
+second is compressed; given one, both sources are compressed (the
+symmetric mode of the command line).
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .correlation import CorrelationModel, joint_entropy, sample_pair
-from .decoder import DecoderConfig, build_joint_graph, decode
-from .ldpc import SparseParityMatrix, _check_type, _integer, identity_matrix, syndrome
+from .correlation import CorrelationModel, _draw, joint_entropy
+from .decoder import DecoderConfig, _decode, build_joint_graph
+from .ldpc import SparseParityMatrix, _check_type, _integer, _row_parity, identity_matrix
 
 _MASK64 = (1 << 64) - 1
 
@@ -123,17 +131,20 @@ def _run_range(config: SimConfig, start: int, stop: int) -> tuple[int, int, int,
     Returns (bit errors source 1, bit errors source 2, frame errors,
     summed iteration counts, converged frames).
     """
-    h1 = config.h1 if config.h1 is not None else identity_matrix(config.h2.n)
+    n, p = config.h2.n, config.model.p
+    h1 = config.h1 if config.h1 is not None else identity_matrix(n)
     graph = build_joint_graph(h1, config.h2, config.decode_model or config.model)
     bit1 = bit2 = frames = iters = conv = 0
     for trial in range(start, stop):
-        pair = sample_pair(config.model, config.h2.n, derive_trial_seed(config.master_seed, trial))
+        # the cores of sample_pair, syndrome and decode, which check
+        # nothing: the config was checked when made, the arrays are ours
+        u1, z = _draw(p, n, derive_trial_seed(config.master_seed, trial))
+        u2 = u1 ^ z
         # the identity's syndrome is the block itself
-        s1 = pair.u1 if config.h1 is None else syndrome(h1, pair.u1)
-        s2 = syndrome(config.h2, pair.u2)
-        result = decode(graph, s1, s2, config.decoder)
-        e1 = int(np.count_nonzero(result.u1_hat != pair.u1))
-        e2 = int(np.count_nonzero(result.u2_hat != pair.u2))
+        s1 = u1 if config.h1 is None else _row_parity(h1, u1)
+        result = _decode(graph, s1, _row_parity(config.h2, u2), config.decoder)
+        e1 = int(np.count_nonzero(result.u1_hat != u1))
+        e2 = int(np.count_nonzero(result.u2_hat != u2))
         bit1 += e1
         bit2 += e2
         frames += 1 if (e1 or e2) else 0
@@ -173,9 +184,9 @@ def _record(config: SimConfig, parts: Iterable[tuple[int, int, int, int, int]]) 
 def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
     """Run all trials of one simulation point: ``sweep([config], jobs)[0]``.
 
-    ``jobs`` > 1 runs the point's ``min(jobs, trials)`` trial ranges on
-    a pool of worker processes (see ``sweep``); the result does not
-    depend on it.
+    ``jobs`` > 1 runs the point's ``min(jobs, trials, cpus)`` trial
+    ranges on a pool of worker processes (see ``sweep``); the result does
+    not depend on it.
     """
     return sweep([config], jobs)[0]
 
@@ -183,25 +194,29 @@ def run_trials(config: SimConfig, jobs: int = 1) -> SimRecord:
 def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SimRecord]:
     """Run several simulation points; output order matches input order.
 
-    Each point's trials split into ``min(jobs, trials)`` contiguous ranges.
-    Where every point is one range (``jobs`` 1, or single-trial points),
-    the ranges run in this process. Otherwise every range of every point
-    goes to one pool of worker processes, opened once per call, with as
-    many workers as the point with the most ranges has, but no more than
-    the CPUs this process may run on. Each point's integer counts are
+    Each point's trials split into ``min(jobs, trials, cpus)`` contiguous
+    ranges, where ``cpus`` counts the CPUs this process may run on: each
+    range rebuilds the point's graphs in its worker, so ranges beyond the
+    workers that can run at once only add that cost. Where every point is
+    one range (``jobs`` 1, single-trial points, or one CPU), the ranges
+    run in this process. Otherwise every range of every point goes to one
+    pool of worker processes, opened once per call, with as many workers
+    as the point with the most ranges has. Each point's integer counts are
     summed, so the records do not depend on ``jobs``.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("sweep requires at least one configuration")
     jobs = _integer("jobs", jobs, positive=True)
+    if jobs > 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        jobs = min(jobs, cpus or 1)
     ranges = [_split(config.trials, min(jobs, config.trials)) for config in configs]
     tasks = [(config, lo, hi) for config, split in zip(configs, ranges) for lo, hi in split]
     if len(tasks) == len(configs):
         parts = [_run_range(*task) for task in tasks]
     else:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(max(map(len, ranges)), cpus or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=max(map(len, ranges))) as pool:
             parts = list(pool.map(_run_range, *zip(*tasks)))
     counts = iter(parts)
     return [_record(config, islice(counts, len(split))) for config, split in zip(configs, ranges)]

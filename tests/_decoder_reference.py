@@ -23,7 +23,7 @@ folded graph, so this file must keep the arithmetic exactly as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -244,5 +244,5 @@ def decode_reference(graph, s1, s2, config=None, iteration_hook=None) -> DecodeR
         z_hat=u1_hat ^ u2_hat,
         converged=converged,
         iterations_used=iterations_used,
-        posterior_llrs=posteriors[: 2 * n].copy(),
+        build_posteriors=partial(np.asarray, posteriors[: 2 * n].copy()),
     )

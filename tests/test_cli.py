@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swldpc
@@ -789,14 +790,15 @@ class TestSimulate:
             )
 
 
-def _swldpc(cwd, *argv):
+def _swldpc(cwd, *argv, check=True):
     """Run the command line in a fresh interpreter in ``cwd``, as the
-    console script does, on the package these tests import."""
+    console script does, on the package these tests import; returns the
+    completed process, with its output as text. ``check`` requires exit 0."""
     paths = [str(Path(swldpc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "swldpc", *argv],
-        cwd=cwd, env=env, stdout=subprocess.DEVNULL, check=True,
+        cwd=cwd, env=env, capture_output=True, text=True, check=check,
     )
 
 
@@ -830,6 +832,37 @@ class TestWorkerProcesses:
             _swldpc(tmp_path, "simulate", *flags, "--p", p, "--out", f"point{p}.csv")
             points.append((tmp_path / f"point{p}.csv").read_text().splitlines(keepends=True))
         assert "".join(points[0][:1] + [row for lines in points for row in lines[1:]]) == swept
+
+    def test_same_decode_and_csv_on_an_irregular_code(self, tmp_path):
+        # row weights 2 to 6 interleave down the rows and one row is empty,
+        # so no row block is a run of rows, and the column weights vary, so
+        # the kernel renumbers the variables. A plain decode takes the
+        # known-u1 path on H2 alone, --trace the whole joint graph, and two
+        # workers build their own layouts of the code
+        n, p = 512, 0.98
+        rng = np.random.default_rng(7)
+        rows = [() if j == 100 else rng.choice(n, 2 + j % 5, replace=False) for j in range(n // 2)]
+        h1, h2 = identity_matrix(n), SparseParityMatrix.from_rows(n, rows)
+        assert build_joint_graph(h1, h2, CorrelationModel(p))._known_u1 is not None
+        (tmp_path / "identity.alist").write_text(save_alist(h1))
+        (tmp_path / "irregular.alist").write_text(save_alist(h2))
+        pairs = [sample_pair(CorrelationModel(p), n, seed) for seed in range(4)]
+        for name, h, block in (("syn1.txt", h1, "u1"), ("syn2.txt", h2, "u2")):
+            lines = ("".join(map(str, syndrome(h, getattr(pair, block)))) + "\n" for pair in pairs)
+            (tmp_path / name).write_text("".join(lines))
+        argv = ["decode", "--code1", "identity.alist", "--code2", "irregular.alist",
+                "--syn1", "syn1.txt", "--syn2", "syn2.txt", "--p", str(p)]
+        plain = _swldpc(tmp_path, *argv, check=False)
+        traced = _swldpc(tmp_path, *argv, "--trace", check=False)
+        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+        # --trace adds its iteration lines, and only those
+        assert [line for line in traced.stderr.splitlines(keepends=True)
+                if not line.startswith("frame=")] == plain.stderr.splitlines(keepends=True)
+        assert plain.stdout.count("\n") == 2 * len(pairs)
+        for jobs in (1, 2):
+            _swldpc(tmp_path, "simulate", "--code2", "irregular.alist", "--p", str(p),
+                    "--trials", "8", "--seed", "1", "--jobs", str(jobs), "--out", f"jobs{jobs}.csv")
+        assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
 
     def test_same_symmetric_csv_with_one_and_two_workers(self, tmp_path):
         # both sources compressed: the run that passes h1 to SimConfig

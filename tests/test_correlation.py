@@ -138,6 +138,28 @@ class TestSamplePair:
         with pytest.raises(ValueError, match=re.escape(message)):
             sample_pair(CorrelationModel(0.9), n, seed)
 
+    # n mod 8 of every value and odd n mod 4, so u1 ends inside a word and
+    # inside the half word that Generator.integers leaves unused
+    PIN_N = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 127, 255, 256, 257, 1023,
+             1024, 1025, 2047, 4099]
+    PIN_SEEDS = [0, 1, 2, 7, 255, 12345, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 5,
+                 2**80 + 3, -1, 987654321987654321]
+
+    @pytest.mark.parametrize("p", [1e-9, 0.08, 0.5, 0.92, 0.96, 1 - 1e-9])
+    def test_draws_what_default_rng_draws(self, p):
+        # the raw-stream definition of the docstring, against the Generator
+        # calls it replaces: integers for u1, then random for z
+        model = CorrelationModel(p)
+        for n in self.PIN_N:
+            for seed in self.PIN_SEEDS:
+                rng = np.random.default_rng(seed % 2**64)
+                u1 = rng.integers(0, 2, size=n, dtype=np.uint8)
+                z = (rng.random(n) < 1.0 - p).astype(np.uint8)
+                pair = sample_pair(model, n, seed)
+                for got, want in ((pair.u1, u1), (pair.z, z), (pair.u2, u1 ^ z)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (n, seed)
+
     def test_numpy_integers(self):
         model = CorrelationModel(0.9)
         got = sample_pair(model, np.int64(16), np.uint64(2**63 + 5))

@@ -942,7 +942,15 @@ class TestFormEquivalence:
 
 
 def _assert_same_decode(result, expected):
-    """Two DecodeResults agree bit for bit."""
+    """Two DecodeResults agree bit for bit. ``result``'s posteriors, built
+    where they are first read, are kept, and building them again gives the
+    same bytes and leaves every hard decision as it was."""
+    decisions = ("u1_hat", "u2_hat", "z_hat")
+    hard = [getattr(result, name).tobytes() for name in decisions]
+    llrs = result.posterior_llrs
+    assert result.posterior_llrs is llrs
+    assert result.build_posteriors().tobytes() == llrs.tobytes()
+    assert [getattr(result, name).tobytes() for name in decisions] == hard
     for name in ("u1_hat", "u2_hat", "z_hat", "posterior_llrs"):
         got, want = getattr(result, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -997,6 +1005,7 @@ def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, hooked=True)
     snaps, ref_snaps = [], []
     hooks = (snaps.append, ref_snaps.append) if hooked else (None, None)
     result = decode(graph, s1, s2, config, iteration_hook=hooks[0])
+    assert not np.shares_memory(result.u1_hat, s1)
     reference = ReferenceGraph(graph.h1, graph.h2, graph.model, form)
     expected = decode_reference(reference, s1, s2, config, iteration_hook=hooks[1])
     assert len(snaps) == (result.iterations_used if hooked else 0)
@@ -1114,6 +1123,7 @@ def _assert_same_result(graph, s1, s2, config):
     applies, returns bit for bit what the reference loop on the joint graph
     returns."""
     result = decode(graph, s1, s2, config)
+    assert not np.shares_memory(result.u1_hat, s1)
     _assert_same_decode(result, decode_reference(graph, s1, s2, config))
     return result
 

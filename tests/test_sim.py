@@ -286,22 +286,29 @@ class TestSweep:
         assert pools == []
 
     @pytest.mark.parametrize(
-        "trials, jobs, cpus, workers",
-        [((1, 5, 2), 3, 8, 3), ((1, 2), 4, 8, 2), ((12,), 5000, 3, 3), ((12,), 5000, None, 3)],
+        "trials, jobs, cpus, workers, ranges",
+        [((1, 5, 2), 3, 8, 3, 6), ((1, 2), 4, 8, 2, 3), ((12,), 5000, 3, 3, 3),
+         ((12,), 5000, None, 3, 3)],
         ids=["widest-point", "short-points", "affinity", "cpu-count"],
     )
-    def test_pool_capped_at_usable_cpus(self, pools, monkeypatch, trials, jobs, cpus, workers):
-        # as many workers as the point with the most ranges, but no more
-        # than the CPUs this process may use (os.cpu_count where the
-        # affinity is unknown); the ranges, and so the records, stay
+    def test_pool_capped_at_usable_cpus(self, pools, monkeypatch, trials, jobs, cpus, workers,
+                                        ranges):
+        # each point splits into at most as many ranges as the CPUs this
+        # process may use (os.cpu_count where the affinity is unknown), and
+        # the pool has as many workers as the point with the most ranges;
+        # the records stay those of jobs=1
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 3)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        calls = []
+        run_range = sim._run_range
+        monkeypatch.setattr(sim, "_run_range", lambda *task: calls.append(task) or run_range(*task))
         configs = [_config(p=0.95 - 0.02 * k, trials=t) for k, t in enumerate(trials)]
         records = sweep(configs, jobs=jobs)
         assert pools == [workers]
+        assert len(calls) == ranges
         assert records == sweep(configs, jobs=1)
 
     def test_points_of_unequal_length_share_one_pool(self):
