@@ -187,12 +187,16 @@ def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:
 
 
 def _draw(p: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """u1 and z of ``sample_pair``, as uint8 arrays; nothing is validated."""
+    """u1 and z of ``sample_pair``, as uint8 arrays; nothing is validated.
+    The z words are shifted in place and compared with (1 - p) 2**53, which
+    is the float compare scaled by 2**53: w >> 11 < 2**53 and the scaling
+    are exact in float64, so no float copy of the words is made."""
     words = -(-n // 8)
     raw = np.random.PCG64(seed % 2**64).random_raw(words + n)
     u1 = raw[:words].astype("<u8", copy=False).view(np.uint8)[:n] >> 7
-    z = ((raw[words:] >> 11) * 2.0**-53 < 1.0 - p).view(np.uint8)
-    return u1, z
+    tail = raw[words:]
+    tail >>= 11
+    return u1, (tail < (1.0 - p) * 2.0**53).view(np.uint8)
 
 
 def sw_region_check(model: CorrelationModel, rates: RatePair) -> RegionCheck:

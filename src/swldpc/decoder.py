@@ -10,12 +10,11 @@ variable always emits its prior, both graphs exchange the same messages on
 the u1/u2 edges, up to the rounding of the variable update (below); the
 tests keep the explicit graph as an oracle.
 
-Node ids are assigned deterministically so message traces are comparable
-across runs: variables are the u1 block [0, n) and the u2 block [n, 2n);
-checks are code-1 rows [0, m1), code-2 rows [m1, m1+m2) and correlation
-checks [m1+m2, m1+m2+n). Edges are listed check-major with ascending
-variable ids inside each check; the kernel holds them in its own order
-(below), and the hook's snapshots are mapped back to check-major order.
+Node ids are assigned deterministically so traces are comparable across
+runs: variables are the u1 block [0, n) and the u2 block [n, 2n); checks
+are code-1 rows [0, m1), code-2 rows [m1, m1+m2) and correlation checks
+[m1+m2, m1+m2+n). Edges are listed check-major with ascending variable
+ids inside each check; the kernel holds them in its own order (below).
 
 Messages are LLRs under the convention L(x) = ln(P(x=0)/P(x=1)), so a
 positive value favors bit 0. The schedule is flooding: every iteration
@@ -64,8 +63,8 @@ known-u1 plan by concatenation alone.
 The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
 scaling pass. It is the only code that converts units: it halves the
-LLR priors it is given and doubles what leaves the loop (the posteriors
-and the hook's snapshots); scaling by 2 is exact in binary floating
+LLR priors it is given and doubles the posteriors that leave the loop,
+at its exit and for its hook; scaling by 2 is exact in binary floating
 point short of the subnormal range, so every output equals the
 full-unit rule bit for bit. The atanh argument needs no clip:
 it is at most tanh(LLR_MAX/2) (``_TANH_LIMIT``) in magnitude, since every
@@ -159,13 +158,18 @@ returns:
   iteration before the last (that of iteration 2, if the loop ran once
   or not at all). A trial loop that reads only the hard decisions, as
   ``run_trials`` and ``swldpc decode`` do, never builds it.
+* An ``iteration_hook`` sees the joint graph's snapshots: iteration 1 in
+  closed form (its unsatisfied checks are the ones of s2), iteration 2
+  from the kernel's test of its start state, and each later one from the
+  kernel, the u1 posteriors rebuilt as above with L_prev the u2
+  posteriors of the iteration before. So ``--trace`` watches the decode
+  it reports on.
 
-The joint graph runs instead when an ``iteration_hook`` is given (its
-snapshots, and so ``--trace``, show the joint graph), when damping is
-positive (the correlation message then ramps up instead of being
-constant), and for graphs the reduction rejects: an H2 with a degree-1
-row, an H2 without entries (the kernel needs an edge) and any other h1,
-the identity's rows in another order included.
+The joint graph runs instead when damping is positive (the correlation
+message then ramps up instead of being constant), and for graphs the
+reduction rejects: an H2 with a degree-1 row, an H2 without entries (the
+kernel needs an edge) and any other h1, the identity's rows in another
+order included.
 """
 
 from __future__ import annotations
@@ -421,13 +425,15 @@ class DecoderConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterationInfo:
-    """Snapshot passed to the per-iteration hook (arrays are copies)."""
+    """Snapshot passed to the per-iteration hook: the iteration's number,
+    how many code checks its hard decisions violate, and its 2n posteriors
+    by variable id, u1 block then u2 block, in a new array, with their mean
+    magnitude. Every path of ``decode`` reports the same snapshots, those
+    of the joint graph, bit for bit."""
 
     iteration: int
     unsatisfied_checks: int
     mean_abs_posterior: float
-    v2c: np.ndarray
-    c2v: np.ndarray
     posteriors: np.ndarray
 
 
@@ -473,7 +479,8 @@ def decode(
         s2: syndrome of the second source, length graph.m2.
         config: decoder settings; defaults to DecoderConfig().
         iteration_hook: optional callable invoked after every iteration
-            with an IterationInfo snapshot.
+            with an IterationInfo snapshot. It does not change the path
+            the decode takes, nor its result.
 
     Returns:
         DecodeResult. ``converged`` is True iff the returned hard
@@ -490,10 +497,11 @@ def decode(
 def _decode(graph, s1, s2, config, iteration_hook=None) -> DecodeResult:
     """``decode`` on arguments already checked: syndromes as uint8 arrays
     of the graph's lengths, which it does not keep."""
-    if iteration_hook is None and config.damping == 0.0 and graph._known_u1 is not None:
-        return _decode_known_u1(graph._known_u1, s1, s2, config)
+    if config.damping == 0.0 and graph._known_u1 is not None:
+        return _decode_known_u1(graph._known_u1, s1, s2, config, iteration_hook)
+    hook = None if iteration_hook is None else partial(_report, iteration_hook)
     posteriors, _, converged, iterations_used = _flood(
-        graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, hook=iteration_hook
+        graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, hook=hook
     )
     hard = np.less(posteriors, 0).view(np.uint8)
     u1_hat, u2_hat = hard[: graph.n], hard[graph.n :]
@@ -501,23 +509,43 @@ def _decode(graph, s1, s2, config, iteration_hook=None) -> DecodeResult:
                         partial(np.asarray, posteriors))
 
 
-def _decode_known_u1(known: KnownU1Graph, s1, s2, config: DecoderConfig) -> DecodeResult:
-    """``decode`` on a graph whose u1 block is s1 (see the module notes)."""
-    converged = not s2.any()  # the test of iteration 1, where u2 is 0
+def _report(iteration_hook, iteration, unsatisfied_checks, posteriors, messages=None):
+    """Pass ``iteration_hook`` the ``IterationInfo`` of an iteration whose
+    2n posteriors by id are ``posteriors``; the kernel's ``messages`` are
+    not read."""
+    mean = float(np.abs(posteriors).mean())
+    iteration_hook(IterationInfo(iteration, unsatisfied_checks, mean, posteriors))
+
+
+def _decode_known_u1(known: KnownU1Graph, s1, s2, config, iteration_hook) -> DecodeResult:
+    """``decode`` on a graph whose u1 block is s1 (see the module notes).
+    The hook sees iteration 1 in closed form, iteration 2 from the test of
+    the kernel's start state and every later one from the kernel, each with
+    its u1 posteriors rebuilt as the result's are."""
+    u1_hat = s1.copy()
+    rebuild = partial(_known_u1_posteriors, known.corr_factor, u1_hat)
+    # iteration 1, whose u2 posteriors are 0.0, as are the u2 messages that
+    # the u1 rebuild reads
+    converged, iterations_used = not s2.any(), 1  # iteration 1's test, where u2 is 0
+    if iteration_hook is not None:
+        zeros = np.zeros(len(s1))
+        _report(iteration_hook, 1, int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros))
     if config.max_iterations == 1 or config.early_stop and converged:
-        # iteration 1, whose u2 posteriors are 0.0, as are the u2 messages
-        # that the u1 rebuild reads
-        iterations_used = 1
         priors = previous = posteriors = np.zeros(len(s1))
     else:
-        priors = known.prior_by_bit.take(s1)  # the u2 posteriors of iteration 2
+        last = priors = known.prior_by_bit.take(s1)  # the u2 posteriors of iteration 2
+
+        def hook(iteration, unsatisfied_checks, current, messages):
+            nonlocal last
+            _report(iteration_hook, iteration, unsatisfied_checks, rebuild(priors, last, current))
+            last = current
+
         posteriors, previous, converged, iterations_used = _flood(
-            known._plan, s2, priors, config, first=3
+            known._plan, s2, priors, config, 3, None if iteration_hook is None else hook
         )
-    u1_hat, u2_hat = s1.copy(), np.less(posteriors, 0).view(np.uint8)
+    u2_hat = np.less(posteriors, 0).view(np.uint8)
     return DecodeResult(u1_hat, u2_hat, u1_hat ^ u2_hat, converged, iterations_used,
-                        partial(_known_u1_posteriors, known.corr_factor, u1_hat, priors,
-                                previous, posteriors))
+                        partial(rebuild, priors, previous, posteriors))
 
 
 def _known_u1_posteriors(corr_factor, u1, priors, previous, posteriors) -> np.ndarray:
@@ -544,12 +572,13 @@ class _Workspace:
     of the plan. Once the check update has read ``t``, it takes the check
     messages in the order of the staircase ``plan.var_slots`` and then the
     posteriors gathered to the slots, which the next iteration starts
-    from. ``v2c`` is
-    used only when a hook reads the variable messages
-    (otherwise they are built in ``t`` and turned into their tanh in
-    place), and ``fresh`` only under damping (otherwise the check messages
-    are written into ``c2v`` in place), so both are allocated on first use:
-    a known-u1 workspace never holds them. The check update of every
+    from. ``v2c`` is used only when a hook is given, which is handed the
+    variable messages (otherwise they are built in ``t`` and turned into
+    their tanh in place), and ``fresh`` only under damping (otherwise the
+    check messages are written into ``c2v`` in place), so both are
+    allocated on first use: a known-u1 workspace never holds ``fresh``,
+    and holds ``v2c`` only once a hooked decode has used it. The check
+    update of every
     check-degree group of degree 2 or more is spelled out once, on row
     views of the blocks: ``copies`` holds the ``(target, source)`` row
     pairs of the degree-2 groups, and ``products`` the ``(a, b, out)`` row
@@ -700,9 +729,11 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     posteriors of iteration ``first - 1``: they are tested on the gather
     that iteration ``first`` starts from, and the loop does not run where
     that test ends the decode or the budget ends before ``first``.
-    ``hook``, when given, receives an ``IterationInfo`` after each
-    iteration: doubled copies, the messages in check-major order and the
-    posteriors by id.
+    ``hook``, when given, is called with the state of every iteration the
+    call tests: its number, its count of unsatisfied code checks, its
+    posteriors (LLRs by id, in a new array) and its messages, the kernel's
+    own ``(v2c, c2v)`` buffers in half-LLR units by slot, which a hook
+    that keeps them must copy; for the start state, which has none, None.
 
     Messages, priors and posteriors are held in half-LLR units, the atanh
     argument is not clipped, and check messages are tested for finiteness
@@ -746,7 +777,11 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     limit = LLR_MAX * 0.5
     try:
         posteriors.take(edge_var, out=t, mode="clip")
-        converged = first > 1 and unsatisfied() == 0
+        # the test of the start state, iteration first - 1
+        unsatisfied_checks = unsatisfied() if first > 1 else None
+        converged = unsatisfied_checks == 0
+        if hook is not None and first > 1:
+            hook(first - 1, unsatisfied_checks, plan.by_id(posteriors * 2.0), None)
         stop = iterations_used if converged and config.early_stop else max_iterations
         for iteration in range(first, stop + 1):
             # Variable update: each slot sends its variable's posterior,
@@ -786,17 +821,7 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
 
             if hook is not None:
                 _check_finite(c2v)
-                snapshot = plan.by_id(posteriors * 2.0)
-                hook(
-                    IterationInfo(
-                        iteration=iteration,
-                        unsatisfied_checks=unsatisfied_checks,
-                        mean_abs_posterior=float(np.abs(snapshot).mean()),
-                        v2c=v2c.take(plan.slot_of_edge) * 2.0,
-                        c2v=c2v.take(plan.slot_of_edge) * 2.0,
-                        posteriors=snapshot,
-                    )
-                )
+                hook(iteration, unsatisfied_checks, plan.by_id(posteriors * 2.0), (v2c, c2v))
             if converged and config.early_stop:
                 break
             if iteration == first and max_iterations > first and hook is None and not c2v.any():

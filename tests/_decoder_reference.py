@@ -15,9 +15,12 @@ the same messages on the u1/u2 edges, up to rounding:
 :func:`swldpc.decoder.decode` runs on contiguous views: every check-degree
 group is gathered into a slot matrix, its leave-one-out products come from
 two ``np.cumprod`` calls, and the convergence test counts each code check's
-ones with a float ``bincount``. The differential tests require ``decode``
-to return bit-identical results and hook snapshots to this loop on the
-folded graph, so this file must keep the arithmetic exactly as it is.
+ones with a float ``bincount``. Its hook receives a ``Snapshot``, an
+``IterationInfo`` plus the iteration's messages. The differential tests
+require ``decode`` to return bit-identical results and hook snapshots to
+this loop on the folded graph, and the library kernel on the joint graph
+(``kernel_snapshots``) bit-identical messages, so this file must keep the
+arithmetic exactly as it is.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from swldpc import (
     CorrelationModel,
     DecodeResult,
     DecoderConfig,
-    IterationInfo,
     SparseParityMatrix,
+    build_joint_graph,
     hidden_llr,
 )
+from swldpc.decoder import _flood
 from swldpc.ldpc import as_bit_array
 
 from _strategies import rows_of
@@ -44,6 +48,39 @@ from _strategies import rows_of
 EXPLICIT_Z = "explicit"
 
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
+
+
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """One iteration of a joint decode: the fields of ``IterationInfo``
+    and the messages ``v2c`` and ``c2v`` of every edge, in check-major
+    order, as copies."""
+
+    iteration: int
+    unsatisfied_checks: int
+    mean_abs_posterior: float
+    v2c: np.ndarray
+    c2v: np.ndarray
+    posteriors: np.ndarray
+
+
+def kernel_snapshots(graph, s1, s2, config=None) -> list:
+    """The ``Snapshot`` of every iteration of the library kernel on the
+    joint graph of ``graph``'s codes and model, which ``decode`` runs only
+    under damping or where the known-u1 reduction does not apply. The plan
+    is built on a new ``JointTannerGraph``, so ``graph`` gains nothing."""
+    plan = build_joint_graph(graph.h1, graph.h2, graph.model)._plan
+    bits = np.concatenate([as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)])
+    snapshots = []
+
+    def hook(iteration, unsatisfied_checks, posteriors, messages):
+        # the kernel's messages, half-LLRs by slot, in LLRs by edge
+        v2c, c2v = (m.take(plan.slot_of_edge) * 2.0 for m in messages)
+        mean = float(np.abs(posteriors).mean())
+        snapshots.append(Snapshot(iteration, unsatisfied_checks, mean, v2c, c2v, posteriors))
+
+    _flood(plan, bits, np.zeros(2 * graph.n), config or DecoderConfig(), hook=hook)
+    return snapshots
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +261,7 @@ def decode_reference(graph, s1, s2, config=None, iteration_hook=None) -> DecodeR
 
         if iteration_hook is not None:
             iteration_hook(
-                IterationInfo(
+                Snapshot(
                     iteration=iteration,
                     unsatisfied_checks=unsatisfied,
                     mean_abs_posterior=float(np.abs(posteriors[: 2 * n]).mean()),

@@ -30,7 +30,7 @@ from swldpc import (
     syndrome,
 )
 
-from _decoder_reference import EXPLICIT_Z, ReferenceGraph, decode_reference
+from _decoder_reference import EXPLICIT_Z, ReferenceGraph, decode_reference, kernel_snapshots
 from _exact_reference import brute_force_marginals
 from _forest import random_forest_instance
 
@@ -112,15 +112,15 @@ def test_criterion_4_explicit_and_folded_forms_agree():
             s1 = syndrome(h1, pair.u1)
             s2 = syndrome(h2, pair.u2)
             # the explicit graph of the paper is a test oracle, decoded by the
-            # reference loop; the library decodes the folded graph
+            # reference loop; the library kernel runs the folded graph
             explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
             folded = build_joint_graph(h1, h2, model, form=FOLDED_Z)
             shared = explicit.edge_var < 2 * n
 
             config = DecoderConfig(max_iterations=20, early_stop=False)
-            trace_e, trace_f = [], []
+            trace_e = []
             decode_reference(explicit, s1, s2, config, iteration_hook=trace_e.append)
-            decode(folded, s1, s2, config, iteration_hook=trace_f.append)
+            trace_f = kernel_snapshots(folded, s1, s2, config)
             assert len(trace_e) == len(trace_f) == 20
             for info_e, info_f in zip(trace_e, trace_f):
                 pairs = (

@@ -371,10 +371,10 @@ class TestDecode:
         plain = run_cli(capsys, *self._argv(paths))
         traced = run_cli(capsys, *self._argv(paths, "--trace"))
         assert plain[0] == traced[0] == 0 and plain[1] == traced[1]
-        (corner, joint) = graphs
-        assert corner._known_u1 is not None
-        assert not {"edge_var", "_plan"} & set(vars(corner))
-        assert "_plan" in vars(joint)  # --trace decodes on the joint graph
+        # --trace decodes on H2 alone too
+        for graph in graphs:
+            assert graph._known_u1 is not None
+            assert not {"edge_var", "_plan"} & set(vars(graph))
 
     def test_layer_calls_per_decode(self, capsys, coding_setup, monkeypatch):
         # the benchmark's traced CLI run rebinds these three names
@@ -455,9 +455,19 @@ class TestDecode:
         assert target.read_text() == out
 
 
+def _permuted_identity(n):
+    """The identity's rows in a fixed shuffled order: a code1 whose graph
+    the known-u1 reduction rejects, so that it decodes on the joint graph,
+    and whose syndrome is u1 shuffled the same way."""
+    rows = [(int(i),) for i in np.random.default_rng(1).permutation(n)]
+    return SparseParityMatrix.from_rows(n, rows)
+
+
 class TestTraceParity:
-    """``--trace`` decodes on the joint graph, a plain decode on H2 alone
-    with u1 read off s1; both must print the same blocks and stop lines."""
+    """A plain decode and ``--trace`` run H2 alone with u1 read off s1;
+    where h1 is the identity's rows in another order (s1 permuted to match)
+    the joint graph runs. All must print the same blocks and stop lines,
+    and both traces the same iteration lines."""
 
     @pytest.mark.parametrize(
         "p, max_iters, want, some_converge",
@@ -475,25 +485,32 @@ class TestTraceParity:
     ):
         n = 256
         h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=2)
+        permuted = _permuted_identity(n)
+        assert build_joint_graph(permuted, h2, CorrelationModel(float(p)))._known_u1 is None
         frames = [sample_pair(CorrelationModel(float(p)), n, seed=300 + t) for t in range(6)]
         to_line = lambda bits: "".join(str(int(b)) for b in bits)
         files = {}
         for name, content in (
             ("c1", save_alist(h1)),
+            ("c1p", save_alist(permuted)),
             ("c2", save_alist(h2)),
             ("s1", "".join(to_line(syndrome(h1, f.u1)) + "\n" for f in frames)),
+            ("s1p", "".join(to_line(syndrome(permuted, f.u1)) + "\n" for f in frames)),
             ("s2", "".join(to_line(syndrome(h2, f.u2)) + "\n" for f in frames)),
         ):
             files[name] = tmp_path / name
             files[name].write_text(content)
-        argv = [
+        argv = lambda c1, s1: [
             "decode",
-            "--code1", str(files["c1"]), "--code2", str(files["c2"]),
-            "--syn1", str(files["s1"]), "--syn2", str(files["s2"]),
+            "--code1", str(files[c1]), "--code2", str(files["c2"]),
+            "--syn1", str(files[s1]), "--syn2", str(files["s2"]),
             "--p", p, "--max-iters", max_iters,
         ]
-        code, out, err = run_cli(capsys, *argv)
-        traced_code, traced_out, traced_err = run_cli(capsys, *argv, "--trace")
+        code, out, err = run_cli(capsys, *argv("c1", "s1"))
+        traced_code, traced_out, traced_err = run_cli(capsys, *argv("c1", "s1"), "--trace")
+        assert run_cli(capsys, *argv("c1p", "s1p")) == (code, out, err)
+        joint = run_cli(capsys, *argv("c1p", "s1p"), "--trace")
+        assert joint == (traced_code, traced_out, traced_err)
         assert code == traced_code == want
         assert out == traced_out and len(out.splitlines()) == 2 * len(frames)
         trace = [line for line in traced_err.splitlines() if line.startswith("frame=")]
@@ -819,12 +836,18 @@ class TestWorkerProcesses:
     def test_same_rows_from_a_sweep_as_from_single_points(self, tmp_path):
         # every point builds its own graphs over one code object, which
         # caches only its row blocks; no state may carry between points,
-        # and two worker processes give the sweep one gives
+        # and two worker processes give the sweep one gives. The run with
+        # two workers reads the same settings from a JSON config file, whose
+        # keys are the flag names in either spelling, and a flag overrides
+        # a file value
         _swldpc(tmp_path, *self.MAKECODE, "sweep.alist")
-        flags = ["--code2", "sweep.alist", "--trials", "8", "--seed", "1"]
-        for jobs in (1, 2):
-            _swldpc(tmp_path, "simulate", *flags, "--sweep-p", "0.97,0.95,0.93",
-                    "--jobs", str(jobs), "--out", f"sweep{jobs}.csv")
+        flags = ["--code2", "sweep.alist", "--trials", "8", "--seed", "1", "--max-iters", "60"]
+        config = {"code2": "sweep.alist", "trials": 8.0, "seed": 1,
+                  "sweep_p": [0.97, 0.95, 0.93], "max-iters": 60}
+        (tmp_path / "sweep.json").write_text(json.dumps(config))
+        _swldpc(tmp_path, "simulate", *flags, "--sweep-p", "0.97,0.95,0.93",
+                "--jobs", "1", "--out", "sweep1.csv")
+        _swldpc(tmp_path, "simulate", "sweep.json", "--jobs", "2", "--out", "sweep2.csv")
         swept = (tmp_path / "sweep1.csv").read_text()
         assert (tmp_path / "sweep2.csv").read_text() == swept
         points = []
@@ -832,37 +855,69 @@ class TestWorkerProcesses:
             _swldpc(tmp_path, "simulate", *flags, "--p", p, "--out", f"point{p}.csv")
             points.append((tmp_path / f"point{p}.csv").read_text().splitlines(keepends=True))
         assert "".join(points[0][:1] + [row for lines in points for row in lines[1:]]) == swept
+        _swldpc(tmp_path, "simulate", "sweep.json", "--sweep-p", "0.93", "--out", "override.csv")
+        assert (tmp_path / "override.csv").read_text() == "".join(points[2])
+
+    @staticmethod
+    def _decode_argv(tmp_path, name, h1, h2, p):
+        """Write the codes and the syndromes of 4 frames at ``p`` under
+        ``name`` in ``tmp_path``; the decode command line that reads them."""
+        (tmp_path / f"{name}1.alist").write_text(save_alist(h1))
+        (tmp_path / f"{name}2.alist").write_text(save_alist(h2))
+        pairs = [sample_pair(CorrelationModel(p), h1.n, seed) for seed in range(4)]
+        for h, block in ((h1, "u1"), (h2, "u2")):
+            lines = ("".join(map(str, syndrome(h, getattr(pair, block)))) + "\n" for pair in pairs)
+            (tmp_path / f"{name}-{block}.txt").write_text("".join(lines))
+        return ["decode", "--code1", f"{name}1.alist", "--code2", f"{name}2.alist",
+                "--syn1", f"{name}-u1.txt", "--syn2", f"{name}-u2.txt", "--p", str(p)]
 
     def test_same_decode_and_csv_on_an_irregular_code(self, tmp_path):
-        # row weights 2 to 6 interleave down the rows and one row is empty,
-        # so no row block is a run of rows, and the column weights vary, so
-        # the kernel renumbers the variables. A plain decode takes the
-        # known-u1 path on H2 alone, --trace the whole joint graph, and two
-        # workers build their own layouts of the code
-        n, p = 512, 0.98
+        # corner: row weights 2 to 6 interleave down the rows and one row is
+        # empty, so no row block is a run of rows, and the column weights
+        # vary, so the kernel renumbers the variables. A plain decode and
+        # --trace take the known-u1 path on H2 alone; with the identity's
+        # rows shuffled, and s1 with them, --trace runs the whole joint
+        # graph and prints the same. symmetric: both codes have row weights
+        # 1 to 5 interleaved and some empty rows, as _interleaved_code in
+        # tests/test_decoder.py, so the joint plan has a row block per
+        # weight in each code and a block of the rows without entries. Two
+        # workers build their own layouts of the codes
+        n = 512
         rng = np.random.default_rng(7)
         rows = [() if j == 100 else rng.choice(n, 2 + j % 5, replace=False) for j in range(n // 2)]
-        h1, h2 = identity_matrix(n), SparseParityMatrix.from_rows(n, rows)
-        assert build_joint_graph(h1, h2, CorrelationModel(p))._known_u1 is not None
-        (tmp_path / "identity.alist").write_text(save_alist(h1))
-        (tmp_path / "irregular.alist").write_text(save_alist(h2))
-        pairs = [sample_pair(CorrelationModel(p), n, seed) for seed in range(4)]
-        for name, h, block in (("syn1.txt", h1, "u1"), ("syn2.txt", h2, "u2")):
-            lines = ("".join(map(str, syndrome(h, getattr(pair, block)))) + "\n" for pair in pairs)
-            (tmp_path / name).write_text("".join(lines))
-        argv = ["decode", "--code1", "identity.alist", "--code2", "irregular.alist",
-                "--syn1", "syn1.txt", "--syn2", "syn2.txt", "--p", str(p)]
-        plain = _swldpc(tmp_path, *argv, check=False)
-        traced = _swldpc(tmp_path, *argv, "--trace", check=False)
-        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
-        # --trace adds its iteration lines, and only those
-        assert [line for line in traced.stderr.splitlines(keepends=True)
-                if not line.startswith("frame=")] == plain.stderr.splitlines(keepends=True)
-        assert plain.stdout.count("\n") == 2 * len(pairs)
-        for jobs in (1, 2):
-            _swldpc(tmp_path, "simulate", "--code2", "irregular.alist", "--p", str(p),
-                    "--trials", "8", "--seed", "1", "--jobs", str(jobs), "--out", f"jobs{jobs}.csv")
-        assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
+        irregular = SparseParityMatrix.from_rows(n, rows)
+
+        def interleaved(seed):
+            rng = np.random.default_rng(seed)
+            rows = [() if j % 7 == 3 else rng.choice(n, 1 + j % 5, replace=False)
+                    for j in range(n // 2)]
+            return SparseParityMatrix.from_rows(n, rows)
+
+        cases = [("corner", 0.98, identity_matrix(n), irregular, []),
+                 ("symmetric", 0.97, interleaved(1), interleaved(2),
+                  ["--mode", "symmetric", "--code1", "symmetric1.alist"])]
+        for name, p, h1, h2, simulate in cases:
+            reduced = build_joint_graph(h1, h2, CorrelationModel(p))._known_u1 is not None
+            assert reduced == (name == "corner")
+            argv = self._decode_argv(tmp_path, name, h1, h2, p)
+            plain = _swldpc(tmp_path, *argv, check=False)
+            traced = _swldpc(tmp_path, *argv, "--trace", check=False)
+            assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+            # --trace adds its iteration lines, and only those
+            assert [line for line in traced.stderr.splitlines(keepends=True)
+                    if not line.startswith("frame=")] == plain.stderr.splitlines(keepends=True)
+            assert plain.stdout.count("\n") == 8 and "frame=0 iter=1 " in traced.stderr
+            if reduced:
+                joint = _swldpc(tmp_path, *self._decode_argv(
+                    tmp_path, "permuted", _permuted_identity(n), h2, p), "--trace", check=False)
+                assert (joint.returncode, joint.stdout, joint.stderr) == (
+                    traced.returncode, traced.stdout, traced.stderr)
+            for jobs in (1, 2):
+                _swldpc(tmp_path, "simulate", *simulate, "--code2", f"{name}2.alist",
+                        "--p", str(p), "--trials", "8", "--seed", "1", "--jobs", str(jobs),
+                        "--out", f"{name}-jobs{jobs}.csv")
+            csv = (tmp_path / f"{name}-jobs1.csv").read_bytes()
+            assert (tmp_path / f"{name}-jobs2.csv").read_bytes() == csv
 
     def test_same_symmetric_csv_with_one_and_two_workers(self, tmp_path):
         # both sources compressed: the run that passes h1 to SimConfig
@@ -934,6 +989,32 @@ def test_bad_input_file_is_one_line_data_error(capsys, coding_setup, tmp_path, a
     else:
         reason = {"missing": "No such file or directory", "directory": "Is a directory"}[bad]
         assert err == f"{prefix}{reason}\n"
+
+
+def test_no_traceback_from_a_bad_input_file(tmp_path):
+    # the command line in a fresh interpreter: a byte that is not ASCII in
+    # an alist, a directory given as a syndrome file and a config that is
+    # not UTF-8, also where the bad byte follows a backslash inside a JSON
+    # string, each exit 2; a block length too large to index exits 1; each
+    # prints one line and nothing on stdout
+    _swldpc(tmp_path, "makecode", "--n", "16", "--dv", "3", "--dc", "6", "--seed", "5",
+            "--out", "code.alist")
+    (tmp_path / "bad-byte.alist").write_bytes(b"16 8\n3 6\n\xff\n")
+    (tmp_path / "bits.txt").write_text("0" * 16 + "\n")
+    (tmp_path / "bad-utf8.json").write_bytes(b'{"p": 0.9, "mode": "\xff"}\n')
+    (tmp_path / "bad-escape.json").write_bytes(b'{"p": 0.9, "mode": "a\\\xff"}\n')
+    cases = [
+        (2, ["encode", "bits.txt", "--code1", "bad-byte.alist"]),
+        (2, ["decode", "--code1", "code.alist", "--code2", "code.alist", "--syn1", ".",
+             "--syn2", "bits.txt", "--p", "0.9"]),
+        (2, ["simulate", "bad-utf8.json"]),
+        (2, ["simulate", "bad-escape.json"]),
+        (1, ["makecode", "--n", "1" + "0" * 21, "--dv", "3", "--dc", "6", "--seed", "1"]),
+    ]
+    for status, argv in cases:
+        run = _swldpc(tmp_path, *argv, check=False)
+        assert (run.returncode, run.stdout) == (status, ""), argv
+        assert run.stderr.startswith("swldpc: error: ") and run.stderr.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("subcommand", ["makecode", "encode", "decode", "simulate"])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,23 @@ class TestSamplePair:
                 for got, want in ((pair.u1, u1), (pair.z, z), (pair.u2, u1 ^ z)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (n, seed)
+
+    def test_warm_draw_peaks_below_twice_its_words(self):
+        # the ceil(n/8) + n raw words, u1, z and the compare's float
+        # buffers, but no full-length copy of the z words
+        n = 16384
+        model = CorrelationModel(0.96)
+        sample_pair(model, n, 1)
+        tracemalloc.start()
+        try:
+            for seed in range(3):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                pair = sample_pair(model, n, seed)
+                assert tracemalloc.get_traced_memory()[1] - start <= 2 * (n // 8 + n) * 8
+                del pair
+        finally:
+            tracemalloc.stop()
 
     def test_numpy_integers(self):
         model = CorrelationModel(0.9)
