@@ -21,7 +21,7 @@ from .correlation import (
     sw_region_check,
 )
 from .decoder import FOLDED_Z, JointTannerGraph, build_joint_graph
-from .decoder import DecodeResult, DecoderConfig, IterationInfo, decode
+from .decoder import DecodeResult, DecoderConfig, decode
 from .ldpc import (
     AlistFormatError,
     ConstructionError,
@@ -71,7 +71,6 @@ __all__ = [
     "build_joint_graph",
     "DecodeResult",
     "DecoderConfig",
-    "IterationInfo",
     "decode",
     "SimConfig",
     "SimRecord",

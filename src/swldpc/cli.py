@@ -310,18 +310,13 @@ def _cmd_decode(args) -> int:
     out_lines = []
     failed = 0
     for frame, (s1, s2) in enumerate(zip(syn1, syn2)):
-        hook = None
-        if args.trace:
-
-            def hook(info, frame=frame):
-                print(
-                    f"frame={frame} iter={info.iteration} "
-                    f"unsatisfied={info.unsatisfied_checks} "
-                    f"mean_abs_llr={info.mean_abs_posterior:.6f}",
-                    file=sys.stderr,
-                )
-
-        result = decode(graph, s1, s2, config, iteration_hook=hook)
+        result = decode(graph, s1, s2, config, trace=args.trace)
+        for iteration, (unsatisfied, mean) in enumerate(result.trace or (), start=1):
+            print(
+                f"frame={frame} iter={iteration} unsatisfied={unsatisfied} "
+                f"mean_abs_llr={mean:.6f}",
+                file=sys.stderr,
+            )
         out_lines.append(_bits_line(result.u1_hat))
         out_lines.append(_bits_line(result.u2_hat))
         if not result.converged:

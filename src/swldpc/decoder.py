@@ -89,8 +89,8 @@ known-u1 decode's in the plan of the graph's ``KnownU1Graph``. So graphs
 over one code share no buffers. A decode checks the buffers out of the
 plan's ``idle`` slot with an atomic ``deque.pop`` and puts them back when
 it returns, also on an exception, so a decode that starts meanwhile
-(another thread, or a hook decoding the same graph) finds none and
-builds its own; results never depend on which buffers a decode gets.
+(on another thread, or nested in a private hook) finds none and builds
+its own; results never depend on which buffers a decode gets.
 The workspace is the one home of a frame's syndrome, which the kernel
 reads in two forms: the sign of every code slot, and the bits of the
 convergence test. ``_Workspace.load`` takes the frame's bits once, in
@@ -158,7 +158,7 @@ returns:
   iteration before the last (that of iteration 2, if the loop ran once
   or not at all). A trial loop that reads only the hard decisions, as
   ``run_trials`` and ``swldpc decode`` do, never builds it.
-* An ``iteration_hook`` sees the joint graph's snapshots: iteration 1 in
+* A traced decode records the joint graph's iterations: iteration 1 in
   closed form (its unsatisfied checks are the ones of s2), iteration 2
   from the kernel's test of its start state, and each later one from the
   kernel, the u1 posteriors rebuilt as above with L_prev the u2
@@ -175,7 +175,7 @@ order included.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, Optional
 
@@ -424,20 +424,6 @@ class DecoderConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class IterationInfo:
-    """Snapshot passed to the per-iteration hook: the iteration's number,
-    how many code checks its hard decisions violate, and its 2n posteriors
-    by variable id, u1 block then u2 block, in a new array, with their mean
-    magnitude. Every path of ``decode`` reports the same snapshots, those
-    of the joint graph, bit for bit."""
-
-    iteration: int
-    unsatisfied_checks: int
-    mean_abs_posterior: float
-    posteriors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DecodeResult:
     """The outcome of one ``decode``.
 
@@ -450,6 +436,10 @@ class DecodeResult:
     ``u1_hat`` is a copy of s1, which is the sign of u1's posteriors in
     every iteration (see the module notes), so the u1 posteriors are
     rebuilt only where they are read.
+
+    ``trace`` is None, or for a traced decode one pair per iteration
+    1..``iterations_used``: the unsatisfied code checks and the mean
+    |posterior| of the joint graph's 2n posteriors, on every path.
     """
 
     u1_hat: np.ndarray
@@ -458,6 +448,7 @@ class DecodeResult:
     converged: bool
     iterations_used: int
     build_posteriors: Callable[[], np.ndarray] = field(repr=False)
+    trace: Optional[tuple[tuple[int, float], ...]] = None
 
     @cached_property
     def posterior_llrs(self) -> np.ndarray:
@@ -469,7 +460,8 @@ def decode(
     s1,
     s2,
     config: Optional[DecoderConfig] = None,
-    iteration_hook: Optional[Callable[[IterationInfo], None]] = None,
+    *,
+    trace: bool = False,
 ) -> DecodeResult:
     """Run joint belief propagation for one pair of syndromes.
 
@@ -478,9 +470,8 @@ def decode(
         s1: syndrome of the first source, length graph.m1.
         s2: syndrome of the second source, length graph.m2.
         config: decoder settings; defaults to DecoderConfig().
-        iteration_hook: optional callable invoked after every iteration
-            with an IterationInfo snapshot. It does not change the path
-            the decode takes, nor its result.
+        trace: when true, the result's ``trace`` records every iteration.
+            It does not change the path the decode takes, nor its result.
 
     Returns:
         DecodeResult. ``converged`` is True iff the returned hard
@@ -490,16 +481,25 @@ def decode(
     _check_type("graph", graph, JointTannerGraph)
     config = DecoderConfig() if config is None else config
     _check_type("config", config, DecoderConfig)
-    return _decode(graph, as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2), config,
-                   iteration_hook)
+    s1, s2 = as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)
+    if not trace:
+        return _decode(graph, s1, s2, config)
+    pairs = []
+
+    def hook(iteration, unsatisfied_checks, posteriors, messages):
+        pairs.append((unsatisfied_checks, float(np.abs(posteriors).mean())))
+
+    return replace(_decode(graph, s1, s2, config, hook), trace=tuple(pairs))
 
 
-def _decode(graph, s1, s2, config, iteration_hook=None) -> DecodeResult:
+def _decode(graph, s1, s2, config, hook=None) -> DecodeResult:
     """``decode`` on arguments already checked: syndromes as uint8 arrays
-    of the graph's lengths, which it does not keep."""
+    of the graph's lengths, which it does not keep. ``hook``, when given,
+    is called as ``_flood`` calls it once for every iteration, with the
+    joint graph's 2n posteriors by id on both paths; its messages are the
+    kernel's on the joint path and None on the known-u1 path."""
     if config.damping == 0.0 and graph._known_u1 is not None:
-        return _decode_known_u1(graph._known_u1, s1, s2, config, iteration_hook)
-    hook = None if iteration_hook is None else partial(_report, iteration_hook)
+        return _decode_known_u1(graph._known_u1, s1, s2, config, hook)
     posteriors, _, converged, iterations_used = _flood(
         graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, hook=hook
     )
@@ -509,15 +509,7 @@ def _decode(graph, s1, s2, config, iteration_hook=None) -> DecodeResult:
                         partial(np.asarray, posteriors))
 
 
-def _report(iteration_hook, iteration, unsatisfied_checks, posteriors, messages=None):
-    """Pass ``iteration_hook`` the ``IterationInfo`` of an iteration whose
-    2n posteriors by id are ``posteriors``; the kernel's ``messages`` are
-    not read."""
-    mean = float(np.abs(posteriors).mean())
-    iteration_hook(IterationInfo(iteration, unsatisfied_checks, mean, posteriors))
-
-
-def _decode_known_u1(known: KnownU1Graph, s1, s2, config, iteration_hook) -> DecodeResult:
+def _decode_known_u1(known: KnownU1Graph, s1, s2, config, hook) -> DecodeResult:
     """``decode`` on a graph whose u1 block is s1 (see the module notes).
     The hook sees iteration 1 in closed form, iteration 2 from the test of
     the kernel's start state and every later one from the kernel, each with
@@ -527,21 +519,21 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config, iteration_hook) -> Dec
     # iteration 1, whose u2 posteriors are 0.0, as are the u2 messages that
     # the u1 rebuild reads
     converged, iterations_used = not s2.any(), 1  # iteration 1's test, where u2 is 0
-    if iteration_hook is not None:
+    if hook is not None:
         zeros = np.zeros(len(s1))
-        _report(iteration_hook, 1, int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros))
+        hook(1, int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros), None)
     if config.max_iterations == 1 or config.early_stop and converged:
         priors = previous = posteriors = np.zeros(len(s1))
     else:
         last = priors = known.prior_by_bit.take(s1)  # the u2 posteriors of iteration 2
 
-        def hook(iteration, unsatisfied_checks, current, messages):
+        def joint(iteration, unsatisfied_checks, current, messages):
             nonlocal last
-            _report(iteration_hook, iteration, unsatisfied_checks, rebuild(priors, last, current))
+            hook(iteration, unsatisfied_checks, rebuild(priors, last, current), None)
             last = current
 
         posteriors, previous, converged, iterations_used = _flood(
-            known._plan, s2, priors, config, 3, None if iteration_hook is None else hook
+            known._plan, s2, priors, config, 3, None if hook is None else joint
         )
     u2_hat = np.less(posteriors, 0).view(np.uint8)
     return DecodeResult(u1_hat, u2_hat, u1_hat ^ u2_hat, converged, iterations_used,
@@ -734,6 +726,9 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     posteriors (LLRs by id, in a new array) and its messages, the kernel's
     own ``(v2c, c2v)`` buffers in half-LLR units by slot, which a hook
     that keeps them must copy; for the start state, which has none, None.
+    A stalled loop exits after one iteration whether or not a hook is
+    given, and hands the hook that iteration's state once for each
+    iteration up to the cap, as the full loop would have.
 
     Messages, priors and posteriors are held in half-LLR units, the atanh
     argument is not clipped, and check messages are tested for finiteness
@@ -743,7 +738,7 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     reads.
 
     The buffers come from the plan's idle workspace (see ``_Workspace``),
-    checked out for the length of the call, so a decode that the hook
+    checked out for the length of the call, so a decode that a hook
     starts builds its own. The frame's ``bits`` live there too: ``load``
     puts them in the edge signs of the check update and in the buffers of
     the convergence test, so the loop allocates nothing per block or per
@@ -817,17 +812,18 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
             # checks can be violated.
             unsatisfied_checks = unsatisfied()
             converged = unsatisfied_checks == 0
+            done = converged and config.early_stop
             iterations_used = iteration
-
-            if hook is not None:
-                _check_finite(c2v)
-                hook(iteration, unsatisfied_checks, plan.by_id(posteriors * 2.0), (v2c, c2v))
-            if converged and config.early_stop:
-                break
-            if iteration == first and max_iterations > first and hook is None and not c2v.any():
+            if iteration == first and not done and not c2v.any():
                 # Stalled: with every check message zero the next iteration
                 # starts from this one's state and repeats it, up to the cap.
                 previous, iterations_used = posteriors, max_iterations
+
+            if hook is not None:
+                _check_finite(c2v)
+                for repeat in range(iteration, iterations_used + 1):  # each iteration it stands for
+                    hook(repeat, unsatisfied_checks, plan.by_id(posteriors * 2.0), (v2c, c2v))
+            if done or iterations_used == max_iterations:
                 break
 
         _check_finite(c2v)

@@ -15,10 +15,11 @@ the same messages on the u1/u2 edges, up to rounding:
 :func:`swldpc.decoder.decode` runs on contiguous views: every check-degree
 group is gathered into a slot matrix, its leave-one-out products come from
 two ``np.cumprod`` calls, and the convergence test counts each code check's
-ones with a float ``bincount``. Its hook receives a ``Snapshot``, an
-``IterationInfo`` plus the iteration's messages. The differential tests
-require ``decode`` to return bit-identical results and hook snapshots to
-this loop on the folded graph, and the library kernel on the joint graph
+ones with a float ``bincount``. Its hook receives a ``Snapshot`` of each
+iteration: its number, unsatisfied checks, mean |posterior|, posteriors
+and messages. The differential tests require ``decode`` to return
+bit-identical results, traces and snapshots (``hooked_decode``) to this
+loop on the folded graph, and the library kernel on the joint graph
 (``kernel_snapshots``) bit-identical messages, so this file must keep the
 arithmetic exactly as it is.
 """
@@ -40,7 +41,7 @@ from swldpc import (
     build_joint_graph,
     hidden_llr,
 )
-from swldpc.decoder import _flood
+from swldpc.decoder import _decode, _flood
 from swldpc.ldpc import as_bit_array
 
 from _strategies import rows_of
@@ -52,9 +53,11 @@ _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
 
 @dataclass(frozen=True, eq=False)
 class Snapshot:
-    """One iteration of a joint decode: the fields of ``IterationInfo``
-    and the messages ``v2c`` and ``c2v`` of every edge, in check-major
-    order, as copies."""
+    """One iteration of a joint decode: its number, its count of
+    unsatisfied code checks, the mean |posterior| of its 2n posteriors,
+    the messages ``v2c`` and ``c2v`` of every edge, in check-major order,
+    as copies (None where ``hooked_decode`` took it), and the 2n
+    posteriors."""
 
     iteration: int
     unsatisfied_checks: int
@@ -81,6 +84,20 @@ def kernel_snapshots(graph, s1, s2, config=None) -> list:
 
     _flood(plan, bits, np.zeros(2 * graph.n), config or DecoderConfig(), hook=hook)
     return snapshots
+
+
+def hooked_decode(graph, s1, s2, config, on_snapshot):
+    """``decode`` through the private hook of ``_decode``, which passes the
+    joint graph's 2n posteriors by id on every path: ``on_snapshot`` gets
+    the ``Snapshot`` of each iteration, without messages, as it happens.
+    Returns the result."""
+
+    def hook(iteration, unsatisfied_checks, posteriors, messages):
+        mean = float(np.abs(posteriors).mean())
+        on_snapshot(Snapshot(iteration, unsatisfied_checks, mean, None, None, posteriors))
+
+    bits = as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)
+    return _decode(graph, *bits, config, hook)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +205,7 @@ def _degree_groups(edge_check: np.ndarray, count: int):
     return groups
 
 
-def decode_reference(graph, s1, s2, config=None, iteration_hook=None) -> DecodeResult:
+def decode_reference(graph, s1, s2, config=None, hook=None) -> DecodeResult:
     """Flooding belief propagation on a ``ReferenceGraph``; any other graph,
     such as a ``JointTannerGraph``, is decoded on the folded
     ``ReferenceGraph`` of its codes and model."""
@@ -259,8 +276,8 @@ def decode_reference(graph, s1, s2, config=None, iteration_hook=None) -> DecodeR
         converged = unsatisfied == 0
         iterations_used = iteration
 
-        if iteration_hook is not None:
-            iteration_hook(
+        if hook is not None:
+            hook(
                 Snapshot(
                     iteration=iteration,
                     unsatisfied_checks=unsatisfied,

@@ -119,7 +119,7 @@ def test_criterion_4_explicit_and_folded_forms_agree():
 
             config = DecoderConfig(max_iterations=20, early_stop=False)
             trace_e = []
-            decode_reference(explicit, s1, s2, config, iteration_hook=trace_e.append)
+            decode_reference(explicit, s1, s2, config, hook=trace_e.append)
             trace_f = kernel_snapshots(folded, s1, s2, config)
             assert len(trace_e) == len(trace_f) == 20
             for info_e, info_f in zip(trace_e, trace_f):

@@ -477,8 +477,11 @@ class TestTraceParity:
             # budgets 1 and 2 end in closed form on the known-u1 path
             ("0.999", "1", 3, False),
             ("0.999", "2", 3, True),
+            # every frame stalls to the cap on the known-u1 path, which the
+            # joint graph runs in full
+            ("0.5", "100", 3, False),
         ],
-        ids=["exit-0", "exit-3", "max-iters-1", "max-iters-2"],
+        ids=["exit-0", "exit-3", "max-iters-1", "max-iters-2", "stalled"],
     )
     def test_same_output_with_and_without_trace(
         self, capsys, tmp_path, p, max_iters, want, some_converge
@@ -522,6 +525,12 @@ class TestTraceParity:
             assert 0 < len(stops) <= len(frames)
             assert (len(stops) < len(frames)) == some_converge
             assert all(line.endswith(f"not converged after {max_iters} iterations") for line in stops)
+        if p == "0.5":
+            # one line per iteration up to the cap, repeated from the stall
+            for frame in range(len(frames)):
+                ours = [line for line in trace if line.startswith(f"frame={frame} ")]
+                assert len(ours) == 100
+                assert len({line.split(" ", 2)[2] for line in ours[2:]}) == 1
 
 
 class TestSimulate:

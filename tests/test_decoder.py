@@ -3,11 +3,12 @@ under ``tests/``: the reference graph and loop in ``_decoder_reference``,
 which also builds the explicit graph of the paper, the exact marginals in
 ``_exact_reference`` and the plain-loop layout in ``_layout_reference``."""
 
+import inspect
 import pickle
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from swldpc import (
     LLR_MAX,
     CorrelationModel,
     DecoderConfig,
-    IterationInfo,
     JointTannerGraph,
     SimConfig,
     SparseParityMatrix,
@@ -33,12 +33,19 @@ from swldpc import (
     save_alist,
     syndrome,
 )
+import swldpc
 from swldpc import decoder as decoder_module
 from swldpc import sim as sim_module
 from swldpc.decoder import _IDENTITY_BY_BIT, _TANH_LIMIT, KnownU1Graph
 from swldpc.ldpc import _row_parity
 
-from _decoder_reference import EXPLICIT_Z, ReferenceGraph, decode_reference, kernel_snapshots
+from _decoder_reference import (
+    EXPLICIT_Z,
+    ReferenceGraph,
+    decode_reference,
+    hooked_decode,
+    kernel_snapshots,
+)
 from _exact_reference import brute_force_marginals, is_cycle_free
 from _forest import random_forest_instance
 from _layout_reference import code_sections, joint_sections, kernel_layout_reference
@@ -726,15 +733,12 @@ class TestConvergenceFlag:
 
 class TestIterationHook:
     def test_snapshots_cover_every_iteration(self):
+        """The private hook of ``_decode``, and the trace that ``decode``
+        returns from it, which is the public way to watch a decode."""
         graph, _, _, _, s1, s2 = _corner_instance(64, 0.96, seed=4)
         snapshots = []
-        result = decode(
-            graph,
-            s1,
-            s2,
-            DecoderConfig(max_iterations=25),
-            iteration_hook=snapshots.append,
-        )
+        config = DecoderConfig(max_iterations=25)
+        result = hooked_decode(graph, s1, s2, config, snapshots.append)
         assert [info.iteration for info in snapshots] == list(
             range(1, result.iterations_used + 1)
         )
@@ -742,12 +746,26 @@ class TestIterationHook:
         assert snapshots[-1].posteriors.shape == (2 * graph.n,)
         assert np.array_equal(snapshots[-1].posteriors, result.posterior_llrs)
         assert all(np.isfinite(info.mean_abs_posterior) for info in snapshots)
-        # the hook keeps the decode on the known-u1 path, and a snapshot
-        # holds no messages on any path
+        traced = decode(graph, s1, s2, config, trace=True)
+        assert traced.trace == tuple(
+            (info.unsatisfied_checks, info.mean_abs_posterior) for info in snapshots
+        )
+        assert result.trace is None and decode(graph, s1, s2, config).trace is None
+        # the hook and the trace keep the decode on the known-u1 path
         assert not _JOINT_STRUCTURE & set(vars(graph))
-        assert [f.name for f in fields(IterationInfo)] == [
-            "iteration", "unsatisfied_checks", "mean_abs_posterior", "posteriors"
+
+    def test_no_public_hook(self):
+        """A decode is watched through its trace alone."""
+        assert "IterationInfo" not in swldpc.__all__ and len(swldpc.__all__) == 34
+        assert not hasattr(decoder_module, "IterationInfo")
+        assert list(inspect.signature(decode).parameters) == [
+            "graph", "s1", "s2", "config", "trace"
         ]
+        graph, _, _, _, s1, s2 = _corner_instance(64, 0.96, seed=4)
+        with pytest.raises(TypeError, match="iteration_hook"):
+            decode(graph, s1, s2, iteration_hook=print)
+        with pytest.raises(TypeError, match="positional"):
+            decode(graph, s1, s2, None, print)  # a hook passed the old way
 
 
 def _leave_one_out_v2c(graph, c2v):
@@ -782,7 +800,7 @@ class TestVariableUpdate:
         snaps = []
         config = DecoderConfig(max_iterations=12, damping=damping, early_stop=False)
         if form == EXPLICIT_Z:
-            decode_reference(reference, s1, s2, config, iteration_hook=snaps.append)
+            decode_reference(reference, s1, s2, config, hook=snaps.append)
         else:
             snaps = kernel_snapshots(graph, s1, s2, config)
         assert len(snaps) == 12
@@ -837,7 +855,7 @@ class TestEdgeCases:
         s1, s2 = syndrome(h1, u1), syndrome(h2, u2)
         snaps = []
         config = DecoderConfig(max_iterations=100, early_stop=False)
-        result = decode(graph, s1, s2, config, iteration_hook=snaps.append)
+        result = hooked_decode(graph, s1, s2, config, snaps.append)
         assert result.iterations_used == len(snaps) == 100
         assert np.all(np.isfinite(result.posterior_llrs))
         assert all(np.all(np.isfinite(info.posteriors)) for info in snaps)
@@ -937,7 +955,7 @@ class TestFormEquivalence:
 
         explicit = ReferenceGraph(h1, h2, model, EXPLICIT_Z)
         exp_snaps = []
-        expected = decode_reference(explicit, s1, s2, config, iteration_hook=exp_snaps.append)
+        expected = decode_reference(explicit, s1, s2, config, hook=exp_snaps.append)
         folded = build_joint_graph(h1, h2, model)
         result = decode(folded, s1, s2, config)
         fold_snaps = kernel_snapshots(folded, s1, s2, config)
@@ -970,8 +988,9 @@ def _assert_same_decode(result, expected):
 
 
 def _assert_same_snapshots(snaps, ref_snaps, arrays=("posteriors",)):
-    """Two lists of snapshots agree bit for bit: the fields of
-    ``IterationInfo``, and the messages too where ``arrays`` names them."""
+    """Two lists of snapshots agree bit for bit: the iteration, its
+    unsatisfied checks and mean |posterior|, and the arrays that
+    ``arrays`` names."""
     assert len(snaps) == len(ref_snaps)
     for got, want in zip(snaps, ref_snaps):
         assert got.iteration == want.iteration
@@ -1013,18 +1032,23 @@ def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, hooked=True)
     """decode and the reference loop on the graph of ``form`` agree: bit
     for bit on the folded graph, which decode runs, and as
     ``_assert_forms_agree`` says on the explicit one. When ``hooked``, so
-    do the snapshots of decode's hook and, messages included, those of the
-    library kernel on the joint graph (``kernel_snapshots``), which decode
-    may not run; decode's hook shows the kernel's bit for bit."""
+    do the snapshots of decode's private hook, and the trace of a traced
+    decode, with those of the library kernel on the joint graph
+    (``kernel_snapshots``), messages included, which decode may not run;
+    decode's private hook shows the kernel's bit for bit."""
     infos, ref_snaps = [], []
-    hooks = (infos.append, ref_snaps.append) if hooked else (None, None)
-    result = decode(graph, s1, s2, config, iteration_hook=hooks[0])
+    if hooked:
+        result = hooked_decode(graph, s1, s2, config, infos.append)
+    else:
+        result = decode(graph, s1, s2, config)
     assert not np.shares_memory(result.u1_hat, s1)
     reference = ReferenceGraph(graph.h1, graph.h2, graph.model, form)
-    expected = decode_reference(reference, s1, s2, config, iteration_hook=hooks[1])
+    expected = decode_reference(reference, s1, s2, config, ref_snaps.append if hooked else None)
     assert len(infos) == (result.iterations_used if hooked else 0)
     snaps = kernel_snapshots(graph, s1, s2, config) if hooked else []
     _assert_same_snapshots(infos, snaps)
+    if hooked:
+        _assert_same_trace(decode(graph, s1, s2, config, trace=True), result, snaps)
     if form == EXPLICIT_Z:
         _assert_forms_agree(result, expected, snaps, ref_snaps, reference.edge_var < 2 * graph.n)
     else:
@@ -1134,27 +1158,39 @@ class TestMatchesReference:
         _assert_matches_reference(graph, s1, s2, config)
 
 
+def _assert_same_trace(traced, expected, snaps):
+    """A traced decode returns ``expected``, bit for bit, and one pair per
+    iteration: the unsatisfied checks and mean |posterior| of ``snaps``."""
+    _assert_same_decode(traced, expected)
+    assert len(traced.trace) == traced.iterations_used == len(snaps)
+    assert traced.trace == tuple((s.unsatisfied_checks, s.mean_abs_posterior) for s in snaps)
+
+
 def _assert_same_result(graph, s1, s2, config, hooked=False):
     """decode, which takes the known-u1 graph where it applies, returns bit
     for bit what the reference loop on the joint graph returns. When
-    ``hooked``, so does a decode with a hook, whose snapshots are the
-    reference loop's, bit for bit."""
+    ``hooked``, so do a decode with the private hook, whose snapshots are
+    the reference loop's, bit for bit, and a traced decode, whose trace
+    holds their counts and means."""
     result = decode(graph, s1, s2, config)
     assert not np.shares_memory(result.u1_hat, s1)
+    assert result.trace is None
     ref_snaps = []
     hook = ref_snaps.append if hooked else None
-    expected = decode_reference(graph, s1, s2, config, iteration_hook=hook)
+    expected = decode_reference(graph, s1, s2, config, hook=hook)
     _assert_same_decode(result, expected)
     if hooked:
         snaps = []
-        _assert_same_decode(decode(graph, s1, s2, config, iteration_hook=snaps.append), expected)
+        _assert_same_decode(hooked_decode(graph, s1, s2, config, snaps.append), expected)
         _assert_same_snapshots(snaps, ref_snaps)
+        _assert_same_trace(decode(graph, s1, s2, config, trace=True), expected, ref_snaps)
     return result
 
 
 class TestKnownU1MatchesReference:
     """The known-u1 decode on H2 alone against the joint reference loop,
-    with a hook and without: every snapshot, iteration by iteration."""
+    with the private hook, traced and plain: every snapshot, iteration by
+    iteration."""
 
     @staticmethod
     def _corner(n, p, code_seed=7):
@@ -1199,7 +1235,7 @@ class TestKnownU1MatchesReference:
         2 atanh(f tanh(0)) to +/- c_id: +0.0, or -0.0 where f < 0 (p < 0.5);
         at p = 0.5 f is 0 and the priors are +/-0.0; at p = 1e-14 f is
         about -1, the hidden-bit LLR clamped. Each frame is also decoded
-        with s2 = 0 and with u2 = u1, and with a hook, whose iterations 1
+        with s2 = 0 and with u2 = u1, and with the hook, whose iterations 1
         and 2 come from the closed form and the kernel's start state."""
         graph, h1, h2, model = self._corner(256, p)
         config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
@@ -1336,8 +1372,8 @@ class TestWorkspace:
             inner.append((s1, s2, config, decode(corner, s1, s2, config)))
 
         config = DecoderConfig(max_iterations=12, early_stop=False)
-        result = decode(corner, *frames[0], config, iteration_hook=hook)
-        expected = decode_reference(corner, *frames[0], config, iteration_hook=ref_snaps.append)
+        result = hooked_decode(corner, *frames[0], config, hook)
+        expected = decode_reference(corner, *frames[0], config, hook=ref_snaps.append)
         _assert_same_decode(result, expected)
         _assert_same_snapshots(snaps, ref_snaps)
         assert len(inner) == 12
@@ -1356,8 +1392,9 @@ class TestWorkspace:
 
         def run(frame):
             snaps = []
-            result = decode(graph, *frame, config, iteration_hook=snaps.append if hooked else None)
-            return result, snaps
+            if hooked:
+                return hooked_decode(graph, *frame, config, snaps.append), snaps
+            return decode(graph, *frame, config), snaps
 
         serial = [run(frame) for frame in frames]
         interval = sys.getswitchinterval()
@@ -1451,7 +1488,7 @@ class TestSharedCode:
 
         config = DecoderConfig(max_iterations=8, early_stop=False)
         s1, s2 = frames[0][0]
-        result = decode(graphs[0], s1, s2, config, iteration_hook=hook)
+        result = hooked_decode(graphs[0], s1, s2, config, hook)
         _assert_same_decode(result, decode_reference(graphs[0], s1, s2, config))
         assert len(inner) == 16
         for model, s1, s2, got in inner:
@@ -1650,8 +1687,8 @@ class TestAtanhArgumentClip:
         for seed in range(4):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             iterations.add(_assert_same_result(graph, s1, s2, config).iterations_used)
-            # decode's hook, and the kernel on the joint graph, snapshot by
-            # snapshot
+            # decode's private hook and trace, and the kernel on the joint
+            # graph, snapshot by snapshot
             _assert_matches_reference(graph, s1, s2, config)
         assert max(iterations) > 3  # the reduced loop ran
 
@@ -1717,7 +1754,7 @@ class TestNonFiniteCheckMessages:
         graph, _, s1, s2 = self._with_a_nan_hidden_bit()
         snaps = []
         with pytest.raises(FloatingPointError, match="non-finite check message"):
-            decode(graph, s1, s2, DecoderConfig(early_stop=False), iteration_hook=snaps.append)
+            hooked_decode(graph, s1, s2, DecoderConfig(early_stop=False), snaps.append)
         assert snaps == []
 
     @pytest.mark.parametrize("early_stop", [True, False])
@@ -1824,6 +1861,37 @@ class TestStalledGraphs:
             # starts from, then one iteration on H2
             assert len(calls) == 2
 
+    @pytest.mark.parametrize("case", ["corner", "symmetric", "damped"])
+    def test_traced_frame_runs_one_iteration(self, monkeypatch, case):
+        """A traced frame, and one with the private hook, stalls as a plain
+        one does: after one kernel iteration. Its trace and its snapshots
+        repeat that iteration's up to the cap, as the reference loop's do."""
+        if case == "corner":  # uncorrelated, as in test_uncorrelated_corner_point
+            graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.5)
+        else:
+            h1, h2 = gallager_construct(128, 3, 6, seed=1), gallager_construct(128, 3, 6, seed=2)
+            model = CorrelationModel(0.99)
+            graph = build_joint_graph(h1, h2, model)
+        config = DecoderConfig(max_iterations=40, damping=0.3 if case == "damped" else 0.0)
+        # the corner also tests joint iteration 2, the kernel's start state
+        kernel_tests = 2 if case == "corner" else 1
+        calls = self._count_iterations(monkeypatch)
+        for seed in range(2):
+            s1, s2 = _frame_syndromes(h1, h2, model, seed)
+            ref_snaps = []
+            expected = decode_reference(graph, s1, s2, config, ref_snaps.append)
+            assert not expected.converged and len(ref_snaps) == 40
+            calls.clear()
+            traced = decode(graph, s1, s2, config, trace=True)
+            assert len(calls) == kernel_tests
+            _assert_same_trace(traced, expected, ref_snaps)
+            assert len(traced.trace) == 40 and len(set(traced.trace[2:])) == 1
+            calls.clear()
+            snaps = []
+            _assert_same_decode(hooked_decode(graph, s1, s2, config, snaps.append), expected)
+            assert len(calls) == kernel_tests
+            _assert_same_snapshots(snaps, ref_snaps)
+
     def test_moving_messages_run_every_iteration(self, monkeypatch):
         graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.92)
         calls = self._count_iterations(monkeypatch)
@@ -1854,12 +1922,13 @@ class TestEmptyCodeRows:
         assert with_empty_row[1] == 0
         with_empty_row[1] = bit
         config = DecoderConfig(max_iterations=30)
-        # decode, and the reference loop on the graph of ``form``
-        runs = [(decode, build_joint_graph(h1, h2, model)),
+        # decode through its private hook, and the reference loop on the
+        # graph of ``form``
+        runs = [(hooked_decode, build_joint_graph(h1, h2, model)),
                 (decode_reference, ReferenceGraph(h1, h2, model, form))]
         for run, graph in runs:
             snaps = []
-            result = run(graph, s1, s2, config, iteration_hook=snaps.append)
+            result = run(graph, s1, s2, config, snaps.append)
             for info in snaps:
                 expected = _unsatisfied_from_posteriors(graph, info.posteriors, s1, s2)
                 assert info.unsatisfied_checks == expected

@@ -236,6 +236,20 @@ class TestRunTrials:
         with_identity = _config(p=0.92, trials=12, h1=identity_matrix(64))
         assert run_trials(with_identity) == run_trials(config)
 
+    def test_frames_wrong_in_source_1_alone_count(self):
+        """The mirrored corner point, h2 the identity: u2 is sent raw and
+        decoded without error, so every frame error is in source 1."""
+        config = SimConfig(
+            model=CorrelationModel(0.9),
+            h2=identity_matrix(256),
+            h1=gallager_construct(256, 3, 6, seed=2),
+            trials=40,
+            master_seed=3,
+        )
+        record = run_trials(config)
+        assert record.ber2 == 0.0 and record.ber1 > 0.0
+        assert record.fer == 0.875 and record.converged_fraction == 0.125
+
     def test_mismatched_decode_model_hurts(self):
         enabled = _config(p=0.92, h2=H2_256, trials=100, seed=3)
         disabled = _config(
