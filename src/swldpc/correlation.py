@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldpc import _check_type, _integer
+from .ldpc import _check_type, _integer, as_bit_array
 
 # Clamp for every LLR handled by this package. tanh(30/2) is 1.0 minus a
 # few ulps, so larger magnitudes carry no extra information and only risk
@@ -62,7 +62,9 @@ class CorrelatedPair:
     """One sampled block pair (u1, u2) together with the error pattern z.
 
     Satisfies ``u2 = u1 XOR z`` elementwise; all three arrays share the
-    same length and hold 0/1 values of dtype uint8.
+    same length and hold 0/1 values of dtype uint8. Each field is stored
+    as ``as_bit_array`` returns it, so a list of bits is taken and any
+    other value is refused.
     """
 
     u1: np.ndarray
@@ -70,6 +72,8 @@ class CorrelatedPair:
     z: np.ndarray
 
     def __post_init__(self):
+        for name in ("u1", "u2", "z"):
+            object.__setattr__(self, name, as_bit_array(getattr(self, name)))
         n = len(self.u1)
         if n < 1:
             raise ValueError("correlated pair must contain at least one bit")
@@ -207,6 +211,7 @@ def sw_region_check(model: CorrelationModel, rates: RatePair) -> RegionCheck:
     returned so callers can see which constraint binds and by how much.
     """
     _check_type("model", model, CorrelationModel)
+    _check_type("rates", rates, RatePair)
     h = binary_entropy(model.p)
     r1_slack = rates.r1 - h
     r2_slack = rates.r2 - h

@@ -66,7 +66,12 @@ scaling pass. It is the only code that converts units: it halves the
 LLR priors it is given and doubles the posteriors that leave the loop,
 at its exit and for its hook; scaling by 2 is exact in binary floating
 point short of the subnormal range, so every output equals the
-full-unit rule bit for bit. The atanh argument needs no clip:
+full-unit rule bit for bit. It keeps one buffer per message, on every
+frame: the variable messages, which become their tanh in place, the
+leave-one-out products and the check messages. A damped frame builds its
+new check messages in the first, once the products have read it, and
+mixes them into the last in place, damping times the old plus
+(1 - damping) times the new. The atanh argument needs no clip:
 it is at most tanh(LLR_MAX/2) (``_TANH_LIMIT``) in magnitude, since every
 tanh value is (the tests pin numpy's tanh to that bound at and near the
 clamp) and |f| <= 1, and a degree-1 check, always a code check (f = 1),
@@ -497,7 +502,8 @@ def _decode(graph, s1, s2, config, hook=None) -> DecodeResult:
     of the graph's lengths, which it does not keep. ``hook``, when given,
     is called as ``_flood`` calls it once for every iteration, with the
     joint graph's 2n posteriors by id on both paths; its messages are the
-    kernel's on the joint path and None on the known-u1 path."""
+    kernel's check messages on the joint path and None on the known-u1
+    path."""
     if config.damping == 0.0 and graph._known_u1 is not None:
         return _decode_known_u1(graph._known_u1, s1, s2, config, hook)
     posteriors, _, converged, iterations_used = _flood(
@@ -560,21 +566,19 @@ def _known_u1_posteriors(corr_factor, u1, priors, previous, posteriors) -> np.nd
 class _Workspace:
     """The message buffers of ``_flood`` for one plan, kept across frames.
 
-    ``t``, ``excl``, ``c2v``, ``v2c`` and ``fresh`` hold one value per slot
-    of the plan. Once the check update has read ``t``, it takes the check
-    messages in the order of the staircase ``plan.var_slots`` and then the
-    posteriors gathered to the slots, which the next iteration starts
-    from. ``v2c`` is used only when a hook is given, which is handed the
-    variable messages (otherwise they are built in ``t`` and turned into
-    their tanh in place), and ``fresh`` only under damping (otherwise the
-    check messages are written into ``c2v`` in place), so both are
-    allocated on first use: a known-u1 workspace never holds ``fresh``,
-    and holds ``v2c`` only once a hooked decode has used it. The check
-    update of every
-    check-degree group of degree 2 or more is spelled out once, on row
-    views of the blocks: ``copies`` holds the ``(target, source)`` row
-    pairs of the degree-2 groups, and ``products`` the ``(a, b, out)`` row
-    multiplications of the larger ones, in order (see ``_leave_one_out``).
+    ``t``, ``excl`` and ``c2v`` hold one value per slot of the plan, one
+    buffer per message, whether or not the frame is damped or hooked:
+    ``t`` the variable messages, turned into their tanh in place, ``excl``
+    the leave-one-out products and ``c2v`` the check messages. Once the
+    check update has read ``t``, a damped frame builds its new check
+    messages there and mixes them into ``c2v`` in place; then ``t`` takes
+    the check messages in the order of the staircase ``plan.var_slots``
+    and then the posteriors gathered to the slots, which the next
+    iteration starts from. The check update of every check-degree group
+    of degree 2 or more is spelled out once, on row views of the blocks:
+    ``copies`` holds the ``(target, source)`` row pairs of the degree-2
+    groups, and ``products`` the ``(a, b, out)`` row multiplications of
+    the larger ones, in order (see ``_leave_one_out``).
     Degree-1 entries of ``excl`` hold ``_TANH_LIMIT`` from the start and
     are never written, so they need no reset between frames; ``c2v`` is
     zeroed at the start of every frame and every other buffer is written
@@ -654,14 +658,6 @@ class _Workspace:
             count += np.count_nonzero(violated)
         return int(count)
 
-    @cached_property
-    def v2c(self) -> np.ndarray:
-        return np.empty(len(self.t))
-
-    @cached_property
-    def fresh(self) -> np.ndarray:
-        return np.empty(len(self.t))
-
 
 def _stair_sums(counts, t, base, out):
     """The steps, ``(function, args)`` pairs, that fill ``out`` with the
@@ -723,9 +719,12 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     that test ends the decode or the budget ends before ``first``.
     ``hook``, when given, is called with the state of every iteration the
     call tests: its number, its count of unsatisfied code checks, its
-    posteriors (LLRs by id, in a new array) and its messages, the kernel's
-    own ``(v2c, c2v)`` buffers in half-LLR units by slot, which a hook
+    posteriors (LLRs by id, in a new array) and its check messages, the
+    kernel's own ``c2v`` buffer in half-LLR units by slot, which a hook
     that keeps them must copy; for the start state, which has none, None.
+    A hook takes the path of a plain frame: the variable messages are
+    built in ``t`` and gone by the time it is called, and a damped frame
+    mixes its new check messages into ``c2v`` in place.
     A stalled loop exits after one iteration whether or not a hook is
     given, and hands the hook that iteration's state once for each
     iteration up to the cap, as the full loop would have.
@@ -758,12 +757,12 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     workspace.load(bits)
     edge_var, signs, unsatisfied = plan.edge_var, workspace.signs, workspace.unsatisfied
     t, excl, c2v = workspace.t, workspace.excl, workspace.c2v
-    # the variable messages are needed after their tanh only by the hook
-    v2c = t if hook is None else workspace.v2c
-    fresh = workspace.fresh if config.damping > 0.0 else None
+    damping, max_iterations = config.damping, config.max_iterations
+    # a damped frame builds its new check messages in t, which the check
+    # update has read, and mixes them into c2v
+    new = t if damping > 0.0 else c2v
     c2v.fill(0.0)
     copies, products = workspace.copies, workspace.products
-    damping, max_iterations = config.damping, config.max_iterations
     # The posteriors of iteration first - 1, summed as the loop sums one
     # from no messages: the priors plus 0.0 (see _stair_sums).
     posteriors = previous = np.multiply(plan.kernel_order(priors), 0.5, out=workspace.base)
@@ -781,27 +780,23 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
         for iteration in range(first, stop + 1):
             # Variable update: each slot sends its variable's posterior,
             # gathered in t, minus its own incoming message.
-            np.subtract(t, c2v, out=v2c)
-            v2c.clip(-limit, limit, out=v2c)
+            np.subtract(t, c2v, out=t)
+            t.clip(-limit, limit, out=t)
 
             # Check update on the rows of the blocks: a degree-2 check
             # passes each edge its partner's value, larger degrees take
             # leave-one-out products.
-            np.tanh(v2c, out=t)
+            np.tanh(t, out=t)
             for target, source in copies:
                 target[...] = source
             for a, b, out in products:
                 np.multiply(a, b, out)  # a positional out skips keyword parsing
+            np.multiply(signs, excl, out=new)
+            np.arctanh(new, out=new)
             if damping > 0.0:
-                np.multiply(signs, excl, out=fresh)
-                np.arctanh(fresh, out=fresh)
-                np.multiply(fresh, 1.0 - damping, out=fresh)
+                np.multiply(new, 1.0 - damping, out=new)
                 np.multiply(c2v, damping, out=c2v)
-                np.add(fresh, c2v, out=fresh)
-                c2v, fresh = fresh, c2v
-            else:
-                np.multiply(signs, excl, out=c2v)
-                np.arctanh(c2v, out=c2v)
+                np.add(c2v, new, out=c2v)
 
             previous = posteriors
             posteriors = _sum_messages(workspace, c2v, iteration % 2)
@@ -822,7 +817,7 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
             if hook is not None:
                 _check_finite(c2v)
                 for repeat in range(iteration, iterations_used + 1):  # each iteration it stands for
-                    hook(repeat, unsatisfied_checks, plan.by_id(posteriors * 2.0), (v2c, c2v))
+                    hook(repeat, unsatisfied_checks, plan.by_id(posteriors * 2.0), c2v)
             if done or iterations_used == max_iterations:
                 break
 

@@ -405,6 +405,7 @@ def syndrome(h: SparseParityMatrix, u: Sequence[int] | np.ndarray) -> np.ndarray
     Returns:
         uint8 array of length h.m.
     """
+    _check_type("h", h, SparseParityMatrix)
     return _row_parity(h, as_bit_array(u, h.n))
 
 
@@ -462,6 +463,7 @@ def save_alist(h: SparseParityMatrix) -> str:
     has sorted ascending indices, single spaces, no zero padding and a
     trailing newline, so equal matrices serialize byte-identically.
     """
+    _check_type("h", h, SparseParityMatrix)
     cols, owner = h.entries
     col_weights = np.bincount(cols, minlength=h.n)
     row_weights = np.bincount(owner, minlength=h.m)
@@ -643,6 +645,7 @@ def load_alist(text: str) -> SparseParityMatrix:
     runs on the resulting arrays; only error messages look at single
     tokens again.
     """
+    _check_type("text", text, str)
     tok = _Tokens(text)
 
     def line_text(k: int) -> str:

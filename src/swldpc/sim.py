@@ -207,6 +207,8 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SimRecord]:
     configs = list(configs)
     if not configs:
         raise ValueError("sweep requires at least one configuration")
+    for config in configs:
+        _check_type("config", config, SimConfig)
     jobs = _integer("jobs", jobs, positive=True)
     if jobs > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -228,9 +230,10 @@ def configs_over_p(config: SimConfig, p_values: Sequence[float]) -> list[SimConf
     Every point keeps the master seed, so points differ only in p. A
     configured decode_model is swept along with the sampling model.
     """
+    _check_type("config", config, SimConfig)
     points = []
     for p in p_values:
-        model = CorrelationModel(float(p))
+        model = CorrelationModel(p)
         points.append(
             replace(
                 config,
@@ -249,6 +252,7 @@ def format_csv(results: Sequence[SimRecord]) -> str:
     """
     lines = [",".join(CSV_COLUMNS)]
     for res in results:
+        _check_type("result", res, SimRecord)
         cells = []
         for value in res.row():
             cells.append(str(value) if isinstance(value, int) else repr(float(value)))

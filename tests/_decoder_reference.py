@@ -21,7 +21,9 @@ and messages. The differential tests require ``decode`` to return
 bit-identical results, traces and snapshots (``hooked_decode``) to this
 loop on the folded graph, and the library kernel on the joint graph
 (``kernel_snapshots``) bit-identical messages, so this file must keep the
-arithmetic exactly as it is.
+arithmetic exactly as it is. The kernel hands its hook the check messages
+alone; ``kernel_snapshots`` derives each iteration's variable messages
+from the snapshot before by the kernel's own rule.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class Snapshot:
     unsatisfied code checks, the mean |posterior| of its 2n posteriors,
     the messages ``v2c`` and ``c2v`` of every edge, in check-major order,
     as copies (None where ``hooked_decode`` took it), and the 2n
-    posteriors."""
+    posteriors. ``kernel_snapshots`` derives ``v2c``, which the kernel
+    does not keep."""
 
     iteration: int
     unsatisfied_checks: int
@@ -71,16 +74,28 @@ def kernel_snapshots(graph, s1, s2, config=None) -> list:
     """The ``Snapshot`` of every iteration of the library kernel on the
     joint graph of ``graph``'s codes and model, which ``decode`` runs only
     under damping or where the known-u1 reduction does not apply. The plan
-    is built on a new ``JointTannerGraph``, so ``graph`` gains nothing."""
-    plan = build_joint_graph(graph.h1, graph.h2, graph.model)._plan
+    is built on a new ``JointTannerGraph``, so ``graph`` gains nothing.
+
+    The kernel hands its hook the check messages alone. ``v2c`` follows
+    the kernel's rule: the last posteriors gathered to each edge, minus
+    that edge's last check message, clamped; before iteration 1 both are
+    zero. Doubling is exact, so the rule gives in LLRs what the kernel
+    computes in half-LLRs, bit for bit."""
+    joint = build_joint_graph(graph.h1, graph.h2, graph.model)
+    plan = joint._plan
     bits = np.concatenate([as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)])
     snapshots = []
+    last = np.zeros(2 * graph.n), np.zeros(joint.num_edges)  # posteriors, c2v
 
     def hook(iteration, unsatisfied_checks, posteriors, messages):
-        # the kernel's messages, half-LLRs by slot, in LLRs by edge
-        v2c, c2v = (m.take(plan.slot_of_edge) * 2.0 for m in messages)
+        nonlocal last
+        v2c = np.subtract(last[0].take(joint.edge_var), last[1])
+        np.clip(v2c, -LLR_MAX, LLR_MAX, out=v2c)
+        # the kernel's check messages, half-LLRs by slot, in LLRs by edge
+        c2v = messages.take(plan.slot_of_edge) * 2.0
         mean = float(np.abs(posteriors).mean())
         snapshots.append(Snapshot(iteration, unsatisfied_checks, mean, v2c, c2v, posteriors))
+        last = posteriors, c2v
 
     _flood(plan, bits, np.zeros(2 * graph.n), config or DecoderConfig(), hook=hook)
     return snapshots

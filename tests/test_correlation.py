@@ -253,6 +253,20 @@ class TestCorrelatedPair:
         with pytest.raises(ValueError):
             CorrelatedPair(u1=u1, u2=(u1 ^ z)[:2], z=z)
 
+    def test_holds_uint8_bits(self):
+        # values other than 0 and 1 are refused, whatever their xor says
+        with pytest.raises(ValueError, match="bit sequence may only contain 0 and 1"):
+            CorrelatedPair(np.array([2]), np.array([2]), np.array([0]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            CorrelatedPair(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
+        # lists of bits are taken, and every field is stored as uint8
+        pair = CorrelatedPair([0, 1, 1], [1, 1, 0], [1, 0, 1])
+        for field in (pair.u1, pair.u2, pair.z):
+            assert isinstance(field, np.ndarray) and field.dtype == np.uint8
+        assert pair.u2.tolist() == [1, 1, 0] and pair.n == 3
+        with pytest.raises(ValueError, match="u2 must equal u1 XOR z"):
+            CorrelatedPair([0, 1], [0, 1], [1, 0])
+
 
 class TestRegion:
     def test_corner_point_is_on_boundary(self):

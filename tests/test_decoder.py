@@ -1381,6 +1381,23 @@ class TestWorkspace:
             _assert_same_decode(got, decode_reference(corner, s1, s2, config))
         assert len(corner._plan.idle) == len(corner._known_u1._plan.idle) == 1
 
+    def test_damped_hooked_frame_mixes_in_place(self):
+        """A hooked, damped frame runs on the buffers of a plain one: the
+        workspace holds no other message buffer, and after an odd number
+        of iterations its ``c2v`` holds the last check messages, as a swap
+        of two buffers would not."""
+        corner, frames, _, _ = self._graphs()
+        config = DecoderConfig(max_iterations=7, damping=0.3, early_stop=False)
+        snaps, ref_snaps = [], []
+        hooked_decode(corner, *frames[0], config, snaps.append)
+        decode_reference(corner, *frames[0], config, hook=ref_snaps.append)
+        assert len(snaps) == len(ref_snaps) == 7
+        workspace, = corner._plan.idle
+        assert not hasattr(workspace, "v2c") and not hasattr(workspace, "fresh")
+        last = workspace.c2v.take(corner._plan.slot_of_edge) * 2.0
+        assert ref_snaps[-1].c2v.any()
+        assert last.tobytes() == ref_snaps[-1].c2v.tobytes()
+
     @pytest.mark.parametrize(
         "config, hooked",
         [(DecoderConfig(), False), (DecoderConfig(damping=0.3), False), (DecoderConfig(), True)],
