@@ -7,16 +7,15 @@ file; ``tests/test_mutants.py`` checks that every entry still applies.
 
 Run it from any directory; it works on the checkout that holds it:
 
-    python tests/_mutants.py [NAME ...]
+    python tests/_mutants.py
 
 It first runs every listed test on an unmutated copy of the checkout,
-where all must pass. Then, for each mutant (or each one named), it copies
-the checkout to a temporary directory, applies the mutant there and runs
-its tests with ``-x -q``: the mutant is killed where pytest reports a
-failed test. It prints each outcome with its time and the total wall
-time, and exits 1 if a mutant survives, a run ends in anything but passed
-or failed tests (a missing test id, an import error), or the unmutated
-run fails.
+where all must pass. Then, for each mutant, it copies the checkout to a
+temporary directory, applies the mutant there and runs its tests with
+``-x -q``: the mutant is killed where pytest reports a failed test. It
+prints each outcome with its time and the total wall time, and exits 1
+if a mutant survives, a run ends in anything but passed or failed tests
+(a missing test id, an import error), or the unmutated run fails.
 
 A change to ``src/`` adds mutants for the code it changes, and removes
 one only with a proof that it is equivalent.
@@ -99,6 +98,12 @@ MUTANTS = (
         ("tests/test_decoder.py::TestEdgeCases::test_saturated_frame_at_iteration_cap_stays_finite",),
     ),
     Mutant(
+        "variable-clamp-narrowed", DECODER,
+        "t.clip(-limit, limit, out=t)",
+        "t.clip(-0.9 * limit, 0.9 * limit, out=t)",
+        ("tests/test_decoder.py::TestEdgeCases::test_saturated_frame_at_iteration_cap_stays_finite",),
+    ),
+    Mutant(
         "row-parity-or-for-xor", LDPC,
         "return np.bitwise_xor.reduce(u[blocks[0][0]], axis=0)",
         "return np.bitwise_or.reduce(u[blocks[0][0]], axis=0)",
@@ -175,13 +180,8 @@ def _pytest(tree: Path, tests, *options: str) -> subprocess.CompletedProcess:
     return _run(tree, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options, *tests)
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {mutant.name for mutant in MUTANTS}
-    if unknown:
-        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
-    tests = list(dict.fromkeys(test for mutant in chosen for test in mutant.killers))
+def main() -> int:
+    tests = list(dict.fromkeys(test for mutant in MUTANTS for test in mutant.killers))
     start = time.perf_counter()
     failures = 0
     with tempfile.TemporaryDirectory() as scratch:
@@ -196,7 +196,7 @@ def main(names: list[str]) -> int:
         if run.returncode != 0:
             print(run.stdout[-3000:], run.stderr[-3000:], sep="\n")
             return 1
-        for k, mutant in enumerate(chosen):
+        for k, mutant in enumerate(MUTANTS):
             began = time.perf_counter()
             run = _pytest(_copy(Path(scratch), f"mutant-{k}", mutant), mutant.killers, "-x")
             # pytest exits 1 only where a test failed: any other code is no kill
@@ -205,10 +205,10 @@ def main(names: list[str]) -> int:
             if run.returncode != 1:
                 failures += 1
                 print(run.stdout[-3000:], run.stderr[-3000:], sep="\n")
-    print(f"{len(chosen)} mutants, {len(chosen) - failures} killed; "
+    print(f"{len(MUTANTS)} mutants, {len(MUTANTS) - failures} killed; "
           f"wall time {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -859,13 +859,17 @@ class TestEdgeCases:
         assert result.iterations_used == len(snaps) == 100
         assert np.all(np.isfinite(result.posterior_llrs))
         assert all(np.all(np.isfinite(info.posteriors)) for info in snaps)
-        # the messages of the same frame on the joint graph: variable
-        # messages hit the clamp
+        # the same frame on the joint graph: the reference loop's variable
+        # messages hit the clamp, and the kernel's check messages and
+        # posteriors equal the reference loop's bit for bit, which they
+        # would not if the kernel clamped its variable messages otherwise
         messages = kernel_snapshots(graph, s1, s2, config)
-        assert max(np.abs(snap.v2c).max() for snap in messages) == LLR_MAX
+        ref_snaps = []
+        decode_reference(graph, s1, s2, config, hook=ref_snaps.append)
+        assert max(np.abs(snap.v2c).max() for snap in ref_snaps) == LLR_MAX
+        _assert_same_snapshots(messages, ref_snaps, ("c2v", "posteriors"))
         for snap in messages:
             assert np.all(np.isfinite(snap.posteriors))
-            assert np.abs(snap.v2c).max() <= LLR_MAX
             assert np.abs(snap.c2v).max() <= LLR_MAX
 
     def test_check_messages_stay_inside_the_clamp(self):
