@@ -445,5 +445,13 @@ def _cmd_simulate(args) -> int:
         )
         configs = simmod.configs_over_p(config, p_values)
         jobs = _integer("jobs", settings.get("jobs", 1), positive=True)
-    _emit(simmod.format_csv(simmod.sweep(configs, jobs=jobs)), settings.get("out"))
+    records = simmod.sweep(configs, jobs=jobs)
+    for config, record in zip(configs, records):
+        check = sw_region_check(config.model, RatePair(record.r1, record.r2))
+        if not check.admissible:
+            failing = " ".join(f"{name}={getattr(check, name)!r}" for name in
+                               ("r1_slack", "r2_slack", "sum_slack") if getattr(check, name) < 0.0)
+            print(f"swldpc: warning: p={record.p!r} r1={record.r1!r} r2={record.r2!r} lies "
+                  f"outside the Slepian-Wolf region: {failing}", file=sys.stderr)
+    _emit(simmod.format_csv(records), settings.get("out"))
     return 0

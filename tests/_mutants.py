@@ -134,6 +134,18 @@ MUTANTS = (
         ("tests/test_sim.py::TestRunTrials::test_frames_wrong_in_source_1_alone_count",),
     ),
     Mutant(
+        "point-drops-its-last-range", SIM,
+        "islice(counts, len(split))",
+        "islice(counts, len(split) - 1)",
+        ("tests/test_cli.py::TestWorkerProcesses::test_same_csv_with_one_and_two_workers",),
+    ),
+    Mutant(
+        "every-point-runs-the-first-config", SIM,
+        "tasks = [(config, lo, hi) for",
+        "tasks = [(configs[0], lo, hi) for",
+        ("tests/test_cli.py::TestWorkerProcesses::test_same_rows_from_a_sweep_as_from_single_points",),
+    ),
+    Mutant(
         "configs-over-p-casts-text", SIM,
         "model = CorrelationModel(p)",
         "model = CorrelationModel(float(p))",
@@ -150,6 +162,83 @@ MUTANTS = (
         "enumerate(result.trace or (), start=1)",
         "enumerate(result.trace or (), start=0)",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-0]",),
+    ),
+    Mutant(
+        "joint-u1-from-the-u2-block", DECODER,
+        "u1_hat, u2_hat = hard[: graph.n], hard[graph.n :]",
+        "u1_hat, u2_hat = hard[graph.n :], hard[graph.n :]",
+        ("tests/test_cli.py::TestWorkerProcesses::test_same_decode_and_csv_on_an_irregular_code",),
+    ),
+    Mutant(
+        "known-u1-u2-off-the-priors", DECODER,
+        "u2_hat = np.less(posteriors, 0).view(np.uint8)",
+        "u2_hat = np.less(priors, 0).view(np.uint8)",
+        ("tests/test_cli.py::TestWorkerProcesses::test_same_decode_and_csv_on_an_irregular_code",),
+    ),
+    Mutant(
+        "known-u1-trace-rebuilds-from-the-same-iteration", DECODER,
+        "hook(iteration, unsatisfied_checks, rebuild(priors, last, current), None)",
+        "hook(iteration, unsatisfied_checks, rebuild(priors, current, current), None)",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-3]",),
+    ),
+    Mutant(
+        "closed-form-trace-counts-s1", DECODER,
+        "hook(1, int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros), None)",
+        "hook(1, int(np.count_nonzero(s1)), rebuild(zeros, zeros, zeros), None)",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
+         "[n16384-max-iters-1]",),
+    ),
+    Mutant(
+        "start-state-trace-in-half-llrs", DECODER,
+        "hook(first - 1, unsatisfied_checks, plan.by_id(posteriors * 2.0), None)",
+        "hook(first - 1, unsatisfied_checks, plan.by_id(posteriors), None)",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
+         "[n16384-max-iters-2]",),
+    ),
+    Mutant(
+        "bits-check-only-above-one", LDPC,
+        "((u == 0) | (u == 1)).all()",
+        "(u <= 1).all()",
+        ("tests/test_ldpc.py::TestAsBitArray::test_rejects_anything_else[minus-one]",
+         "tests/test_ldpc.py::TestAsBitArray::test_rejects_anything_else[half]"),
+    ),
+    Mutant(
+        "row-blocks-by-weight", LDPC,
+        "for d in dict.fromkeys(runs)]",
+        "for d in sorted(set(runs))]",
+        ("tests/test_ldpc.py::TestRowBlocks::test_blocks_partition_the_rows",),
+    ),
+    Mutant(
+        "low-word-reads-every-digit", LDPC,
+        "np.minimum(num_digits, 8) if width > 8 else num_digits)",
+        "num_digits)",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
+         "[n16384-max-iters-3]",),
+    ),
+    Mutant(
+        "crlf-read-as-two-line-ends", CLI,
+        'data.replace(b"\\r\\n", b"\\n").replace(b"\\r", b"\\n")',
+        'data.replace(b"\\r", b"\\n")',
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
+         "[n16384-max-iters-100]",),
+    ),
+    Mutant(
+        "config-file-wins-over-flags", CLI,
+        "if getattr(args, name) is not None:",
+        "if getattr(args, name) is not None and name not in settings:",
+        ("tests/test_cli.py::TestWorkerProcesses::test_same_rows_from_a_sweep_as_from_single_points",),
+    ),
+    Mutant(
+        "no-warning-outside-the-region", CLI,
+        "if not check.admissible:",
+        "if False:",
+        ("tests/test_cli.py::TestSimulate::test_warns_of_a_point_outside_the_region[symmetric]",),
+    ),
+    Mutant(
+        "read-catches-only-oserror", CLI,
+        "return parse(text)\n    except (OSError, ValueError) as err:",
+        "return parse(text)\n    except OSError as err:",
+        ("tests/test_cli.py::test_no_traceback_from_a_bad_input_file",),
     ),
 )
 

@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +159,7 @@ class TestMakecode:
         h = load_alist(out)
         assert h.n == 24 and h.m == 12
         assert h == gallager_construct(24, 3, 6, seed=5)
+        assert out == save_alist(h)
 
         code2, out2, _ = run_cli(
             capsys, "makecode", "--n", "24", "--dv", "3", "--dc", "6", "--seed", "5"
@@ -463,71 +466,106 @@ def _permuted_identity(n):
     return SparseParityMatrix.from_rows(n, rows)
 
 
+def _reformatted(text):
+    """Alist text with every number zero-padded to 10 digits, tabs for
+    spaces and CRLF line ends, as bytes: every token takes the parser's
+    two-word digit decode, and the reader its newline translation."""
+    wide = re.sub("[0-9]+", lambda token: token.group().zfill(10), text)
+    return wide.replace(" ", "\t").replace("\n", "\r\n").encode("ascii")
+
+
+# the codes and frames of each block length: H2's construction seed and the
+# frames' sample_pair seeds
+TRACE_PARITY_INPUTS = {256: (2, range(300, 306)), 16384: (2024, range(3))}
+
+
+@functools.cache
+def _trace_parity_files(n, p):
+    """The input files of one ``TestTraceParity`` row, as bytes by name."""
+    code_seed, frame_seeds = TRACE_PARITY_INPUTS[n]
+    h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=code_seed)
+    permuted = _permuted_identity(n)
+    assert build_joint_graph(permuted, h2, CorrelationModel(p))._known_u1 is None
+    frames = [sample_pair(CorrelationModel(p), n, seed=seed) for seed in frame_seeds]
+    lines = lambda h, block: "".join(
+        "".join(map(str, syndrome(h, getattr(f, block)))) + "\n" for f in frames
+    )
+    contents = {
+        "c1": save_alist(h1),
+        "c1p": save_alist(permuted),
+        "c2": save_alist(h2),
+        "s1": lines(h1, "u1"),
+        "s1p": lines(permuted, "u1"),
+        "s2": lines(h2, "u2"),
+    }
+    files = {name: text.encode("ascii") for name, text in contents.items()}
+    files["c2wide"] = _reformatted(contents["c2"])
+    return files
+
+
 class TestTraceParity:
     """A plain decode and ``--trace`` run H2 alone with u1 read off s1;
     where h1 is the identity's rows in another order (s1 permuted to match)
     the joint graph runs. All must print the same blocks and stop lines,
-    and both traces the same iteration lines."""
+    and both traces the same iteration lines. The plain decode on the
+    identity reads H2 reformatted (``_reformatted``), so its output, equal
+    to the joint graph's, is also that of the code as written."""
 
     @pytest.mark.parametrize(
-        "p, max_iters, want, some_converge",
+        "n, p, max_iters, want, some_converge",
         [
-            ("0.96", "100", 0, True),
-            ("0.93", "20", 3, True),
-            # budgets 1 and 2 end in closed form on the known-u1 path
-            ("0.999", "1", 3, False),
-            ("0.999", "2", 3, True),
+            (256, "0.96", "100", 0, True),
+            (256, "0.93", "20", 3, True),
+            # budgets 1 and 2 end in closed form on the known-u1 path, and
+            # budget 3 is the kernel's first iteration on H2
+            (256, "0.999", "1", 3, False),
+            (256, "0.999", "2", 3, True),
+            (256, "0.96", "3", 3, False),
             # every frame stalls to the cap on the known-u1 path, which the
             # joint graph runs in full
-            ("0.5", "100", 3, False),
+            (256, "0.5", "100", 3, False),
+            (16384, "0.96", "100", 0, True),
+            (16384, "0.96", "1", 3, False),
+            (16384, "0.96", "2", 3, False),
+            (16384, "0.96", "3", 3, False),
         ],
-        ids=["exit-0", "exit-3", "max-iters-1", "max-iters-2", "stalled"],
+        ids=["exit-0", "exit-3", "max-iters-1", "max-iters-2", "max-iters-3", "stalled",
+             "n16384-max-iters-100", "n16384-max-iters-1", "n16384-max-iters-2",
+             "n16384-max-iters-3"],
     )
     def test_same_output_with_and_without_trace(
-        self, capsys, tmp_path, p, max_iters, want, some_converge
+        self, capsys, tmp_path, n, p, max_iters, want, some_converge
     ):
-        n = 256
-        h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=2)
-        permuted = _permuted_identity(n)
-        assert build_joint_graph(permuted, h2, CorrelationModel(float(p)))._known_u1 is None
-        frames = [sample_pair(CorrelationModel(float(p)), n, seed=300 + t) for t in range(6)]
-        to_line = lambda bits: "".join(str(int(b)) for b in bits)
         files = {}
-        for name, content in (
-            ("c1", save_alist(h1)),
-            ("c1p", save_alist(permuted)),
-            ("c2", save_alist(h2)),
-            ("s1", "".join(to_line(syndrome(h1, f.u1)) + "\n" for f in frames)),
-            ("s1p", "".join(to_line(syndrome(permuted, f.u1)) + "\n" for f in frames)),
-            ("s2", "".join(to_line(syndrome(h2, f.u2)) + "\n" for f in frames)),
-        ):
+        for name, content in _trace_parity_files(n, float(p)).items():
             files[name] = tmp_path / name
-            files[name].write_text(content)
-        argv = lambda c1, s1: [
+            files[name].write_bytes(content)
+        argv = lambda c1, c2, s1: [
             "decode",
-            "--code1", str(files[c1]), "--code2", str(files["c2"]),
+            "--code1", str(files[c1]), "--code2", str(files[c2]),
             "--syn1", str(files[s1]), "--syn2", str(files["s2"]),
             "--p", p, "--max-iters", max_iters,
         ]
-        code, out, err = run_cli(capsys, *argv("c1", "s1"))
-        traced_code, traced_out, traced_err = run_cli(capsys, *argv("c1", "s1"), "--trace")
-        assert run_cli(capsys, *argv("c1p", "s1p")) == (code, out, err)
-        joint = run_cli(capsys, *argv("c1p", "s1p"), "--trace")
+        code, out, err = run_cli(capsys, *argv("c1", "c2wide", "s1"))
+        traced_code, traced_out, traced_err = run_cli(capsys, *argv("c1", "c2", "s1"), "--trace")
+        assert run_cli(capsys, *argv("c1p", "c2", "s1p")) == (code, out, err)
+        joint = run_cli(capsys, *argv("c1p", "c2", "s1p"), "--trace")
         assert joint == (traced_code, traced_out, traced_err)
         assert code == traced_code == want
-        assert out == traced_out and len(out.splitlines()) == 2 * len(frames)
+        num_frames = len(TRACE_PARITY_INPUTS[n][1])
+        assert out == traced_out and len(out.splitlines()) == 2 * num_frames
         trace = [line for line in traced_err.splitlines() if line.startswith("frame=")]
         stops = [line for line in traced_err.splitlines() if not line.startswith("frame=")]
         assert stops == err.splitlines()
         assert trace[0].startswith("frame=0 iter=1 ")
         if want == 3:
             # some frames converge (or none), the others stop at the budget
-            assert 0 < len(stops) <= len(frames)
-            assert (len(stops) < len(frames)) == some_converge
+            assert 0 < len(stops) <= num_frames
+            assert (len(stops) < num_frames) == some_converge
             assert all(line.endswith(f"not converged after {max_iters} iterations") for line in stops)
         if p == "0.5":
             # one line per iteration up to the cap, repeated from the stall
-            for frame in range(len(frames)):
+            for frame in range(num_frames):
                 ours = [line for line in trace if line.startswith(f"frame={frame} ")]
                 assert len(ours) == 100
                 assert len({line.split(" ", 2)[2] for line in ours[2:]}) == 1
@@ -546,6 +584,28 @@ class TestSimulate:
             trials=6,
             master_seed=3,
             decoder=DecoderConfig(max_iterations=100, damping=0.0),
+        )
+        assert out == format_csv([run_trials(config)])
+
+    @pytest.mark.parametrize(
+        "mode, warning",
+        [
+            ("symmetric", "swldpc: warning: p=0.96 r1=0.5 r2=0.5 lies outside the "
+                          "Slepian-Wolf region: sum_slack=-0.24229218908241493\n"),
+            ("asymmetric", ""),
+        ],
+        ids=["symmetric", "corner"],
+    )
+    def test_warns_of_a_point_outside_the_region(self, capsys, mode, warning):
+        code, out, err = run_cli(capsys, "simulate", "--p", "0.96", "--n", "64", "--dv", "3",
+                                 "--dc", "6", "--trials", "2", "--seed", "3", "--mode", mode)
+        assert (code, err) == (0, warning)
+        config = SimConfig(
+            model=CorrelationModel(0.96),
+            h2=gallager_construct(64, 3, 6, seed=3),
+            trials=2,
+            master_seed=3,
+            h1=gallager_construct(64, 3, 6, seed=4) if mode == "symmetric" else None,
         )
         assert out == format_csv([run_trials(config)])
 
