@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,28 +60,29 @@ class CorrelationModel:
 
 @dataclass(frozen=True, eq=False)
 class CorrelatedPair:
-    """One sampled block pair (u1, u2) together with the error pattern z.
+    """One sampled block pair: u1 and the error pattern z, which give
+    u2 = u1 XOR z.
 
-    Satisfies ``u2 = u1 XOR z`` elementwise; all three arrays share the
-    same length and hold 0/1 values of dtype uint8. Each field is stored
-    as ``as_bit_array`` returns it, so a list of bits is taken and any
-    other value is refused.
+    Both fields share one length and hold 0/1 values of dtype uint8. Each
+    is stored as ``as_bit_array`` returns it, so a list of bits is taken
+    and any other value is refused. ``u2`` is built from them when first
+    read and kept, so it holds u1 XOR z by construction.
     """
 
     u1: np.ndarray
-    u2: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        for name in ("u1", "u2", "z"):
+        for name in ("u1", "z"):
             object.__setattr__(self, name, as_bit_array(getattr(self, name)))
-        n = len(self.u1)
-        if n < 1:
+        if self.n < 1:
             raise ValueError("correlated pair must contain at least one bit")
-        if len(self.u2) != n or len(self.z) != n:
-            raise ValueError("u1, u2 and z must have equal length")
-        if np.any((self.u1 ^ self.z) != self.u2):
-            raise ValueError("u2 must equal u1 XOR z elementwise")
+        if len(self.z) != self.n:
+            raise ValueError("u1 and z must have equal length")
+
+    @cached_property
+    def u2(self) -> np.ndarray:
+        return self.u1 ^ self.z
 
     @property
     def n(self) -> int:
@@ -187,7 +189,7 @@ def sample_pair(model: CorrelationModel, n: int, seed: int) -> CorrelatedPair:
     if n < 1:
         raise ValueError(f"block length must be at least 1, got {n}")
     u1, z = _draw(model.p, n, seed)
-    return CorrelatedPair(u1=u1, u2=u1 ^ z, z=z)
+    return CorrelatedPair(u1, z)
 
 
 def _draw(p: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,15 +208,17 @@ def _draw(p: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def sw_region_check(model: CorrelationModel, rates: RatePair) -> RegionCheck:
     """Test a rate pair against the admissible region for this model.
 
-    The pair is admissible iff r1 >= h2(p), r2 >= h2(p) and
-    r1 + r2 >= 1 + h2(p). The three slack values (rate minus bound) are
-    returned so callers can see which constraint binds and by how much.
+    The pair is admissible iff r1 >= H(U1|U2), r2 >= H(U2|U1) and
+    r1 + r2 >= H(U1, U2), that is r1, r2 >= h2(p) and r1 + r2 >= 1 + h2(p).
+    The three slack values (rate minus bound) are returned so callers can
+    see which constraint binds and by how much; this is the one place the
+    package computes them.
     """
     _check_type("model", model, CorrelationModel)
     _check_type("rates", rates, RatePair)
-    h = binary_entropy(model.p)
+    h = conditional_entropy(model)
     r1_slack = rates.r1 - h
     r2_slack = rates.r2 - h
-    sum_slack = rates.r1 + rates.r2 - 1.0 - h
+    sum_slack = rates.r1 + rates.r2 - joint_entropy(model)
     admissible = r1_slack >= 0.0 and r2_slack >= 0.0 and sum_slack >= 0.0
     return RegionCheck(admissible, r1_slack, r2_slack, sum_slack)

@@ -139,7 +139,8 @@ returns:
   q (1 - 2 u1), q = 2 atanh(f tanh(c_id/2)), and converges iff the signs
   of those priors satisfy H2. Both messages come from 2-entry tables
   indexed by the u1 bit, +/- c_id (``_IDENTITY_BY_BIT``) and +/- q
-  (``KnownU1Graph``), exact. ``decode`` returns iteration 1 in closed form
+  (``KnownU1Graph``), each ``_SIGN`` times one ``_check_message``, which
+  is exact. ``decode`` returns iteration 1 in closed form
   where the budget is 1, or where early stop is on and it converged; the
   u1 rebuild below then reads u2 messages of 0.0 and adds +/-0.0 to
   +/- c_id.
@@ -197,13 +198,26 @@ FOLDED_Z = "folded"
 # of every atanh argument (see the module notes).
 _TANH_LIMIT = float(np.tanh(LLR_MAX * 0.5))
 
-# A degree-1 code check's message +c_id or -c_id, indexed by its syndrome
-# bit: its empty product is stored as _TANH_LIMIT. It does not depend on
-# the model.
-_IDENTITY_BY_BIT = np.array([1.0, -1.0]) * (np.arctanh(_TANH_LIMIT) * 2.0)
-
 # 1 - 2 b for a bit b, by table lookup
 _SIGN = np.array([1.0, -1.0])
+
+
+def _check_message(factor, m):
+    """2 atanh(f tanh(m/2)), elementwise: what a degree-2 check of factor f
+    sends one of its variables when the other sends m. Computed in place
+    on ``m``, a float64 array (0-d for one value), which it returns. The
+    kernel (``_flood``) computes it in its own buffers; this is every
+    other place."""
+    np.tanh(np.multiply(m, 0.5, out=m), out=m)
+    np.arctanh(np.multiply(m, factor, out=m), out=m)
+    return np.multiply(m, 2.0, out=m)
+
+
+# A degree-1 code check's message +c_id or -c_id, indexed by its syndrome
+# bit: its empty product is stored as _TANH_LIMIT = tanh(LLR_MAX/2), so
+# c_id is the message of a check of factor 1 fed LLR_MAX. It does not
+# depend on the model.
+_IDENTITY_BY_BIT = _SIGN * _check_message(1.0, np.array(LLR_MAX))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +272,8 @@ class JointTannerGraph:
         return len(self.h1.entries[0]) + len(self.h2.entries[0]) + 2 * self.n
 
     @property
-    def corr_param(self) -> float:  # hidden-bit LLR of the correlation checks
-        return hidden_llr(self.model)
-
-    @property
     def _corr_factor(self) -> float:  # f of the correlation checks
-        return float(np.tanh(self.corr_param * 0.5))
+        return float(np.tanh(hidden_llr(self.model) * 0.5))
 
     # Check-major: h1 rows, h2 rows, then one correlation check per index
     # attached to u1[i] and u2[i].
@@ -299,8 +309,8 @@ class JointTannerGraph:
         if len(self.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in self.h2._row_blocks):
             return None
         factor = self._corr_factor
-        q = np.arctanh(factor * np.tanh(_IDENTITY_BY_BIT[0] * 0.5)) * 2.0
-        return KnownU1Graph(self.h2, factor, np.array([q, -q]))
+        q = _check_message(factor, np.array(_IDENTITY_BY_BIT[0]))
+        return KnownU1Graph(self.h2, factor, _SIGN * q)
 
 
 build_joint_graph = JointTannerGraph
@@ -554,12 +564,7 @@ def _known_u1_posteriors(corr_factor, u1, priors, previous, posteriors) -> np.nd
     arguments are left as they are."""
     v = np.subtract(previous, priors)
     v.clip(-LLR_MAX, LLR_MAX, out=v)
-    np.multiply(v, 0.5, out=v)
-    np.tanh(v, out=v)
-    np.multiply(v, corr_factor, out=v)
-    np.arctanh(v, out=v)
-    np.multiply(v, 2.0, out=v)
-    np.add(_IDENTITY_BY_BIT.take(u1), v, out=v)
+    np.add(_IDENTITY_BY_BIT.take(u1), _check_message(corr_factor, v), out=v)
     return np.concatenate([v, posteriors])
 
 

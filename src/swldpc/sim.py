@@ -5,7 +5,8 @@ decoder settings, then runs independent trials: sample a correlated pair,
 compress both words to syndromes, decode jointly, and compare against the
 truth. Results report bit and frame error rates together with the
 operating point's distance from the admissible-rate boundary
-(``sw_sum_slack`` = r1 + r2 - (1 + h(p)); negative means the point lies
+(``sw_sum_slack`` is the ``sum_slack`` of ``sw_region_check``,
+r1 + r2 - H(U1,U2) = r1 + r2 - (1 + h(p)); negative means the point lies
 outside the achievable region and errors are expected).
 
 ``sweep`` runs every point's trials, and ``run_trials`` is a sweep of one
@@ -40,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .correlation import CorrelationModel, _draw, joint_entropy
+from .correlation import CorrelationModel, RatePair, _draw, sw_region_check
 from .decoder import DecoderConfig, _decode, build_joint_graph
 from .ldpc import SparseParityMatrix, _check_type, _integer, _row_parity, identity_matrix
 
@@ -177,7 +178,7 @@ def _record(config: SimConfig, parts: Iterable[tuple[int, int, int, int, int]]) 
         fer=frames / trials,
         avg_iterations=iters / trials,
         converged_fraction=conv / trials,
-        sw_sum_slack=r1 + r2 - joint_entropy(config.model),
+        sw_sum_slack=sw_region_check(config.model, RatePair(r1, r2)).sum_slack,
     )
 
 

@@ -18,7 +18,9 @@ if a mutant survives, a run ends in anything but passed or failed tests
 (a missing test id, an import error), or the unmutated run fails.
 
 A change to ``src/`` adds mutants for the code it changes, and removes
-one only with a proof that it is equivalent.
+one only with a proof that it is equivalent. ``EQUIVALENT`` lists such
+rewrites, which no test can kill, each with its one-line proof; the
+runner does not run them.
 """
 
 from __future__ import annotations
@@ -239,6 +241,106 @@ MUTANTS = (
         "return parse(text)\n    except (OSError, ValueError) as err:",
         "return parse(text)\n    except OSError as err:",
         ("tests/test_cli.py::test_no_traceback_from_a_bad_input_file",),
+    ),
+    Mutant(
+        "alist-minus-sign-dropped", LDPC,
+        "values[negative] *= -1",
+        "pass",
+        ("tests/test_alist.py::TestGrammar::test_signs_and_leading_zeros_keep_their_meaning",),
+    ),
+    Mutant(
+        "alist-cross-check-skipped", LDPC,
+        "if not np.array_equal(from_cols, from_rows):",
+        "if False:",
+        ("tests/test_alist.py::TestDifferential::test_single_token_mutations[chain]",),
+    ),
+    Mutant(
+        "column-staircase-heaviest-first", LDPC,
+        'order = np.argsort(weights, kind="stable")',
+        'order = np.argsort(weights, kind="stable")[::-1]',
+        ("tests/test_decoder.py::TestKernelPlan::test_code_plans[irregular]",),
+    ),
+    Mutant(
+        "construct-keeps-parallel-edges", LDPC,
+        "if any((checks_of_var[:, a] == checks_of_var[:, b]).any() for a, b in socket_pairs):",
+        "if False:",
+        ("tests/test_construct.py::TestMatchesReference::test_benchmark_size",),
+    ),
+    Mutant(
+        "trial-seed-from-position-0", SIM,
+        "(trial + 1) * 0x9E3779B97F4A7C15",
+        "trial * 0x9E3779B97F4A7C15",
+        ("tests/test_sim.py::TestTrialSeeds::test_frozen_values",),
+    ),
+    Mutant(
+        "split-drops-the-remainder", SIM,
+        "bounds = [trials * k // jobs for k in range(jobs + 1)]",
+        "bounds = [trials // jobs * k for k in range(jobs + 1)]",
+        ("tests/test_sim.py::TestRunTrials::test_split_is_exact[2-7]",),
+    ),
+    Mutant(
+        "model-takes-p-zero", CORRELATION,
+        "if not 0.0 < p < 1.0:",
+        "if not 0.0 <= p < 1.0:",
+        ("tests/test_correlation.py::TestModel::test_valid_range_is_open",),
+    ),
+    Mutant(
+        "damping-takes-one", DECODER,
+        "0.0 <= self.damping < 1.0",
+        "0.0 <= self.damping <= 1.0",
+        ("tests/test_decoder.py::TestConfig::test_damping_must_be_a_number_in_range[1.0]",),
+    ),
+    Mutant(
+        "sum-slack-off-the-joint-entropy", CORRELATION,
+        "sum_slack = rates.r1 + rates.r2 - joint_entropy(model)",
+        "sum_slack = rates.r1 + rates.r2 - 1.0 - h",
+        ("tests/test_cli.py::TestSimulate::test_warns_of_a_point_outside_the_region[symmetric]",),
+    ),
+    Mutant(
+        "check-message-without-half", DECODER,
+        "np.tanh(np.multiply(m, 0.5, out=m), out=m)",
+        "np.tanh(m, out=m)",
+        # c_id becomes 2 atanh(tanh(LLR_MAX)) = 2 atanh(1.0), an inf and a
+        # warning at import, which fails every test module at collection
+        ("tests/test_readme.py::test_python_blocks_run",),
+    ),
+    Mutant(
+        "known-u1-priors-negated", DECODER,
+        "_SIGN * q",
+        "_SIGN * -q",
+        ("tests/test_decoder.py::TestKnownU1::test_applies_to_the_corner_graph[built]",),
+    ),
+    Mutant(
+        "u2-or-for-xor", CORRELATION,
+        "return self.u1 ^ self.z",
+        "return self.u1 | self.z",
+        ("tests/test_correlation.py::TestSamplePair::test_draws_what_default_rng_draws[0.5]",),
+    ),
+)
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    proof: str  # why no input can tell the two apart
+
+
+# Rewrites that change no result, each with its proof; the runner does not
+# run them, and ``tests/test_mutants.py`` checks that each still applies.
+EQUIVALENT = (
+    Equivalent(
+        "check-message-factor-on-the-right", DECODER,
+        "np.multiply(m, factor, out=m)",
+        "np.multiply(factor, m, out=m)",
+        "IEEE 754 multiplication is commutative: both orders round the one exact product",
+    ),
+    Equivalent(
+        "known-u1-priors-spelled-out", DECODER,
+        "_SIGN * q",
+        "np.array([q, -q])",
+        "1.0 * q and -1.0 * q are exact, so _SIGN * q holds q and -q bit for bit",
     ),
 )
 

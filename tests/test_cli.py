@@ -588,18 +588,22 @@ class TestSimulate:
         assert out == format_csv([run_trials(config)])
 
     @pytest.mark.parametrize(
-        "mode, warning",
-        [
-            ("symmetric", "swldpc: warning: p=0.96 r1=0.5 r2=0.5 lies outside the "
-                          "Slepian-Wolf region: sum_slack=-0.24229218908241493\n"),
-            ("asymmetric", ""),
-        ],
+        "mode, r1, slack",
+        [("symmetric", "0.5", "-0.242292189082415"), ("asymmetric", "1.0", "0.257707810917585")],
         ids=["symmetric", "corner"],
     )
-    def test_warns_of_a_point_outside_the_region(self, capsys, mode, warning):
+    def test_warns_of_a_point_outside_the_region(self, capsys, mode, r1, slack):
         code, out, err = run_cli(capsys, "simulate", "--p", "0.96", "--n", "64", "--dv", "3",
                                  "--dc", "6", "--trials", "2", "--seed", "3", "--mode", mode)
-        assert (code, err) == (0, warning)
+        warning = (f"swldpc: warning: p=0.96 r1={r1} r2=0.5 lies outside the "
+                   f"Slepian-Wolf region: sum_slack={slack}\n")
+        assert (code, err) == (0, warning if slack.startswith("-") else "")
+        # the CSV, the warning and bounds state the one sum slack of
+        # sw_region_check, in the same digits
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["sw_sum_slack"] == slack
+        code, bounds, _ = run_cli(capsys, "bounds", "--p", "0.96", "--r1", r1, "--r2", "0.5")
+        assert code == 0 and f"sum_slack={slack}" in bounds.split()
         config = SimConfig(
             model=CorrelationModel(0.96),
             h2=gallager_construct(64, 3, 6, seed=3),

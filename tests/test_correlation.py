@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -241,31 +242,35 @@ class TestCorrelatedPair:
     def test_rejects_an_empty_pair(self):
         empty = np.zeros(0, dtype=np.uint8)
         with pytest.raises(ValueError, match="correlated pair must contain at least one bit"):
-            CorrelatedPair(u1=empty, u2=empty, z=empty)
+            CorrelatedPair(u1=empty, z=empty)
 
     def test_validates_xor_relation(self):
+        # u2 is not a field: it is u1 XOR z by construction, built when
+        # first read and kept
         u1 = np.array([0, 1, 1], dtype=np.uint8)
         z = np.array([1, 0, 1], dtype=np.uint8)
-        pair = CorrelatedPair(u1=u1, u2=u1 ^ z, z=z)
-        assert pair.n == 3
-        with pytest.raises(ValueError):
-            CorrelatedPair(u1=u1, u2=u1, z=z)
-        with pytest.raises(ValueError):
-            CorrelatedPair(u1=u1, u2=(u1 ^ z)[:2], z=z)
+        pair = CorrelatedPair(u1=u1, z=z)
+        assert pair.n == 3 and "u2" not in vars(pair)
+        assert pair.u2.tolist() == [1, 1, 0] and pair.u2 is pair.u2
+        assert [f.name for f in dataclasses.fields(CorrelatedPair)] == ["u1", "z"]
+        with pytest.raises(TypeError):
+            CorrelatedPair(u1, u1 ^ z, z)
+        with pytest.raises(ValueError, match="u1 and z must have equal length"):
+            CorrelatedPair(u1=u1, z=z[:2])
 
     def test_holds_uint8_bits(self):
-        # values other than 0 and 1 are refused, whatever their xor says
+        # values other than 0 and 1 are refused, in either field
         with pytest.raises(ValueError, match="bit sequence may only contain 0 and 1"):
-            CorrelatedPair(np.array([2]), np.array([2]), np.array([0]))
+            CorrelatedPair(np.array([2]), np.array([0]))
+        with pytest.raises(ValueError, match="bit sequence may only contain 0 and 1"):
+            CorrelatedPair(np.array([0]), np.array([2]))
         with pytest.raises(ValueError, match="one-dimensional"):
-            CorrelatedPair(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
-        # lists of bits are taken, and every field is stored as uint8
-        pair = CorrelatedPair([0, 1, 1], [1, 1, 0], [1, 0, 1])
+            CorrelatedPair(np.zeros((1, 2)), np.zeros((1, 2)))
+        # lists of bits are taken, and both fields and u2 are uint8
+        pair = CorrelatedPair([0, 1, 1], [1, 0, 1])
         for field in (pair.u1, pair.u2, pair.z):
             assert isinstance(field, np.ndarray) and field.dtype == np.uint8
         assert pair.u2.tolist() == [1, 1, 0] and pair.n == 3
-        with pytest.raises(ValueError, match="u2 must equal u1 XOR z"):
-            CorrelatedPair([0, 1], [0, 1], [1, 0])
 
 
 class TestRegion:

@@ -97,7 +97,11 @@ class TestBuild:
         explicit = ReferenceGraph(H1, H2, MODEL, EXPLICIT_Z)
         assert not explicit.priors[:4].any()
         assert np.all(explicit.priors[4:] == llr)
-        assert build_joint_graph(H1, H2, MODEL).corr_param == llr
+        # the folded graph carries the hidden-bit LLR as its correlation
+        # checks' factor f = tanh(llr/2)
+        graph = build_joint_graph(H1, H2, MODEL)
+        assert not hasattr(graph, "corr_param")
+        assert graph._plan.corr_factor == graph._known_u1.corr_factor == np.tanh(llr / 2)
 
     def test_degrees(self):
         g = build_joint_graph(H1, H2, MODEL)
@@ -467,7 +471,7 @@ class TestSerialize:
         g = build_joint_graph(H1, H2, MODEL)
         assert g.edge_var.tolist() == [0, 1, 2, 3, 0, 2, 1, 3]
         assert ReferenceGraph(H1, H2, MODEL).edge_check.tolist() == [0, 1, 2, 2, 3, 3, 4, 4]
-        assert g.corr_param == 2.1972245773362196
+        assert hidden_llr(g.model) == 2.1972245773362196
 
 
 class TestCycleFree:
