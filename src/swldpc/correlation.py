@@ -64,9 +64,11 @@ class CorrelatedPair:
     u2 = u1 XOR z.
 
     Both fields share one length and hold 0/1 values of dtype uint8. Each
-    is stored as ``as_bit_array`` returns it, so a list of bits is taken
-    and any other value is refused. ``u2`` is built from them when first
-    read and kept, so it holds u1 XOR z by construction.
+    is stored as ``as_bit_array`` returns it, a copy, so a list of bits is
+    taken and any other value is refused. ``u2`` is built from them when
+    first read and kept. All three arrays are read-only, as the index of a
+    ``SparseParityMatrix`` is, so u2 = u1 XOR z holds by construction: an
+    edit in place raises.
     """
 
     u1: np.ndarray
@@ -75,6 +77,7 @@ class CorrelatedPair:
     def __post_init__(self):
         for name in ("u1", "z"):
             object.__setattr__(self, name, as_bit_array(getattr(self, name)))
+            getattr(self, name).flags.writeable = False
         if self.n < 1:
             raise ValueError("correlated pair must contain at least one bit")
         if len(self.z) != self.n:
@@ -82,7 +85,9 @@ class CorrelatedPair:
 
     @cached_property
     def u2(self) -> np.ndarray:
-        return self.u1 ^ self.z
+        u2 = self.u1 ^ self.z
+        u2.flags.writeable = False
+        return u2
 
     @property
     def n(self) -> int:

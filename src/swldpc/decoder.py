@@ -90,12 +90,12 @@ first use and kept by that graph alone. The kernel's message buffers,
 with the row views and scratch of the check update, and the frame's
 syndrome (``_Workspace``), are built once per plan and kept in it
 between frames: the joint decode's in the graph's ``_plan``, the
-known-u1 decode's in the plan of the graph's ``KnownU1Graph``. So graphs
-over one code share no buffers. A decode checks the buffers out of the
-plan's ``idle`` slot with an atomic ``deque.pop`` and puts them back when
-it returns, also on an exception, so a decode that starts meanwhile
-(on another thread, or nested in a private hook) finds none and builds
-its own; results never depend on which buffers a decode gets.
+known-u1 decode's in its ``_known_u1``. So graphs over one code share no
+buffers. A decode checks the buffers out of the plan's ``idle`` slot
+with an atomic ``deque.pop`` and puts them back when it returns, also on
+an exception, so a decode that starts meanwhile (on another thread, or
+nested in a private hook) finds none and builds its own; results never
+depend on which buffers a decode gets.
 The workspace is the one home of a frame's syndrome, which the kernel
 reads in two forms: the sign of every code slot, and the bits of the
 convergence test. ``_Workspace.load`` takes the frame's bits once, in
@@ -121,8 +121,8 @@ row does not reduce that row's weight in rows over every check.
 
 Known u1 (the corner point). When h1 is the n x n identity, rows in
 order, u1 is sent raw and s1 is u1. ``decode`` then runs the same kernel
-on H2 alone (``JointTannerGraph._known_u1``, a ``KnownU1Graph`` built
-without the joint edges), 3n edges where the corner graph has 6n. This
+on H2 alone (``JointTannerGraph._known_u1``, a plan built without the
+joint edges), 3n edges where the corner graph has 6n. This
 is the side-information decoder of Liveris, Xiong and Georghiades (IEEE
 Commun. Lett., 2002), and it returns bit for bit what the joint graph
 returns:
@@ -139,11 +139,11 @@ returns:
   q (1 - 2 u1), q = 2 atanh(f tanh(c_id/2)), and converges iff the signs
   of those priors satisfy H2. Both messages come from 2-entry tables
   indexed by the u1 bit, +/- c_id (``_IDENTITY_BY_BIT``) and +/- q
-  (``KnownU1Graph``), each ``_SIGN`` times one ``_check_message``, which
-  is exact. ``decode`` returns iteration 1 in closed form
-  where the budget is 1, or where early stop is on and it converged; the
-  u1 rebuild below then reads u2 messages of 0.0 and adds +/-0.0 to
-  +/- c_id.
+  (``JointTannerGraph._known_u1_priors``), each ``_SIGN`` times one
+  ``_check_message``, which is exact. ``decode`` returns iteration 1 in
+  closed form where the budget is 1, or where early stop is on and it
+  converged; the u1 rebuild below then reads u2 messages of 0.0 and adds
+  +/-0.0 to +/- c_id.
   Iteration 2 is the kernel's start state. Its u2 posteriors are the
   priors q (1 - 2 u1) plus 0.0, as the joint graph sums them from H2
   messages that are all zero (so a prior of -0.0, where q = 0 at p = 0.5,
@@ -235,10 +235,14 @@ class JointTannerGraph:
 
     The constructor checks ``form``, that the codes are
     ``SparseParityMatrix`` objects of one block length and that ``model``
-    is a ``CorrelationModel``; the sizes are
-    read off the fields. ``edge_var`` and the kernel plan ``_plan`` are
-    built on first use, so a graph that only takes the known-u1 path
-    (``_known_u1``) never builds them.
+    is a ``CorrelationModel``; the sizes are read off the fields.
+    Everything else is built on first use and kept by the graph:
+    ``_corr_factor``, f = tanh(llr/2) of the correlation checks, which
+    every plan and known-u1 frame reads; ``edge_var`` and the kernel plan
+    ``_plan`` of the joint graph; and for the known-u1 path the plan of
+    H2 alone, ``_known_u1``, and its priors table ``_known_u1_priors``. A
+    graph that only takes the known-u1 path never builds the joint
+    structure.
     """
 
     h1: SparseParityMatrix
@@ -271,7 +275,7 @@ class JointTannerGraph:
     def num_edges(self) -> int:  # code edges, then one correlation edge per variable
         return len(self.h1.entries[0]) + len(self.h2.entries[0]) + 2 * self.n
 
-    @property
+    @cached_property
     def _corr_factor(self) -> float:  # f of the correlation checks
         return float(np.tanh(hidden_llr(self.model) * 0.5))
 
@@ -299,44 +303,31 @@ class JointTannerGraph:
         return _KernelPlan(blocks, (corr, self._corr_factor), 2 * n, slot_of_edge, *columns)
 
     @cached_property
-    def _known_u1(self) -> "KnownU1Graph | None":
-        """The H2-only graph that decodes this graph when u1 is known, built
-        without the joint edges, or None where the reduction does not apply
-        (see the module notes)."""
+    def _known_u1(self) -> "_KernelPlan | None":
+        """The kernel plan of H2 alone, which decodes this graph when u1 is
+        known, built without the joint edges, or None where the reduction
+        does not apply (see the module notes). Its variables are the u2
+        block numbered from 0, its checks the h2 rows and its slots h2's row
+        blocks and slots, which h2 keeps."""
         ids = np.arange(self.n)
         if not all(np.array_equal(a, ids) for a in self.h1.entries):
             return None
         if len(self.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in self.h2._row_blocks):
             return None
-        factor = self._corr_factor
-        q = _check_message(factor, np.array(_IDENTITY_BY_BIT[0]))
-        return KnownU1Graph(self.h2, factor, _SIGN * q)
+        return _KernelPlan(self.h2._row_blocks, None, self.n, *self.h2._slots)
+
+    @cached_property
+    def _known_u1_priors(self) -> np.ndarray:
+        """A correlation check's message to u2 when u1 is known, indexed by
+        the u1 bit: +q and -q. Taken by u1 bit, those are the u2 posteriors
+        of joint iteration 2 and the priors from which ``_flood`` runs the
+        ``_known_u1`` plan, numbering its iterations from 3 (see the module
+        notes)."""
+        q = _check_message(self._corr_factor, np.array(_IDENTITY_BY_BIT[0]))
+        return _SIGN * q
 
 
 build_joint_graph = JointTannerGraph
-
-
-@dataclass(frozen=True, eq=False)
-class KnownU1Graph:
-    """H2 alone, which decodes a joint graph whose u1 is known.
-
-    Variables are the u2 block numbered from 0, checks are the h2 rows and
-    the edges are h2's ``entries``; ``_plan``, built on first use from h2's
-    row blocks and slots, which h2 keeps, is the kernel's plan over them.
-    ``corr_factor`` is f = tanh(llr/2) of the correlation checks, and
-    ``prior_by_bit`` a correlation check's message to u2, indexed by the u1
-    bit: +q and -q. Taken by u1 bit, those are the u2 posteriors of joint
-    iteration 2 and the priors from which ``_flood`` runs H2 alone,
-    numbering its iterations from 3 (see the module notes).
-    """
-
-    h2: SparseParityMatrix
-    corr_factor: float
-    prior_by_bit: np.ndarray
-
-    @cached_property
-    def _plan(self) -> "_KernelPlan":
-        return _KernelPlan(self.h2._row_blocks, None, self.h2.n, *self.h2._slots)
 
 
 class _KernelPlan:
@@ -442,15 +433,15 @@ class DecoderConfig:
 class DecodeResult:
     """The outcome of one ``decode``.
 
-    ``u1_hat``, ``u2_hat`` and ``z_hat`` are the hard decisions, bit 1
-    where a posterior is negative, with z_hat = u1_hat xor u2_hat.
-    ``posterior_llrs`` holds the posteriors, the u1 block then the u2
-    block (length 2n); it is built by ``build_posteriors`` when first
-    read and kept. The joint graph sums every posterior in the loop, so
-    its ``build_posteriors`` only hands them over. On the known-u1 path
-    ``u1_hat`` is a copy of s1, which is the sign of u1's posteriors in
-    every iteration (see the module notes), so the u1 posteriors are
-    rebuilt only where they are read.
+    ``u1_hat`` and ``u2_hat`` are the hard decisions, bit 1 where a
+    posterior is negative. ``z_hat``, the hidden bits u1_hat xor u2_hat,
+    and ``posterior_llrs``, the posteriors, the u1 block then the u2
+    block (length 2n), are built when first read and kept:
+    ``posterior_llrs`` by ``build_posteriors``. The joint graph sums every
+    posterior in the loop, so its ``build_posteriors`` only hands them
+    over. On the known-u1 path ``u1_hat`` is a copy of s1, which is the
+    sign of u1's posteriors in every iteration (see the module notes), so
+    the u1 posteriors are rebuilt only where they are read.
 
     ``trace`` is None, or for a traced decode one pair per iteration
     1..``iterations_used``: the unsatisfied code checks and the mean
@@ -459,11 +450,14 @@ class DecodeResult:
 
     u1_hat: np.ndarray
     u2_hat: np.ndarray
-    z_hat: np.ndarray
     converged: bool
     iterations_used: int
     build_posteriors: Callable[[], np.ndarray] = field(repr=False)
     trace: Optional[tuple[tuple[int, float], ...]] = None
+
+    @cached_property
+    def z_hat(self) -> np.ndarray:
+        return self.u1_hat ^ self.u2_hat
 
     @cached_property
     def posterior_llrs(self) -> np.ndarray:
@@ -515,23 +509,23 @@ def _decode(graph, s1, s2, config, hook=None) -> DecodeResult:
     kernel's check messages on the joint path and None on the known-u1
     path."""
     if config.damping == 0.0 and graph._known_u1 is not None:
-        return _decode_known_u1(graph._known_u1, s1, s2, config, hook)
+        return _decode_known_u1(graph, s1, s2, config, hook)
     posteriors, _, converged, iterations_used = _flood(
         graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, hook=hook
     )
     hard = np.less(posteriors, 0).view(np.uint8)
     u1_hat, u2_hat = hard[: graph.n], hard[graph.n :]
-    return DecodeResult(u1_hat, u2_hat, u1_hat ^ u2_hat, converged, iterations_used,
-                        partial(np.asarray, posteriors))
+    return DecodeResult(u1_hat, u2_hat, converged, iterations_used, partial(np.asarray, posteriors))
 
 
-def _decode_known_u1(known: KnownU1Graph, s1, s2, config, hook) -> DecodeResult:
-    """``decode`` on a graph whose u1 block is s1 (see the module notes).
-    The hook sees iteration 1 in closed form, iteration 2 from the test of
-    the kernel's start state and every later one from the kernel, each with
-    its u1 posteriors rebuilt as the result's are."""
+def _decode_known_u1(graph, s1, s2, config, hook) -> DecodeResult:
+    """``decode`` on a graph whose u1 block is s1, on the graph's
+    ``_known_u1`` plan and priors (see the module notes). The hook sees
+    iteration 1 in closed form, iteration 2 from the test of the kernel's
+    start state and every later one from the kernel, each with its u1
+    posteriors rebuilt as the result's are."""
     u1_hat = s1.copy()
-    rebuild = partial(_known_u1_posteriors, known.corr_factor, u1_hat)
+    rebuild = partial(_known_u1_posteriors, graph._corr_factor, u1_hat)
     # iteration 1, whose u2 posteriors are 0.0, as are the u2 messages that
     # the u1 rebuild reads
     converged, iterations_used = not s2.any(), 1  # iteration 1's test, where u2 is 0
@@ -541,7 +535,7 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config, hook) -> DecodeResult:
     if config.max_iterations == 1 or config.early_stop and converged:
         priors = previous = posteriors = np.zeros(len(s1))
     else:
-        last = priors = known.prior_by_bit.take(s1)  # the u2 posteriors of iteration 2
+        last = priors = graph._known_u1_priors.take(s1)  # the u2 posteriors of iteration 2
 
         def joint(iteration, unsatisfied_checks, current, messages):
             nonlocal last
@@ -549,10 +543,10 @@ def _decode_known_u1(known: KnownU1Graph, s1, s2, config, hook) -> DecodeResult:
             last = current
 
         posteriors, previous, converged, iterations_used = _flood(
-            known._plan, s2, priors, config, 3, None if hook is None else joint
+            graph._known_u1, s2, priors, config, 3, None if hook is None else joint
         )
     u2_hat = np.less(posteriors, 0).view(np.uint8)
-    return DecodeResult(u1_hat, u2_hat, u1_hat ^ u2_hat, converged, iterations_used,
+    return DecodeResult(u1_hat, u2_hat, converged, iterations_used,
                         partial(rebuild, priors, previous, posteriors))
 
 

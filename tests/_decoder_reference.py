@@ -310,7 +310,6 @@ def decode_reference(graph, s1, s2, config=None, hook=None) -> DecodeResult:
     return DecodeResult(
         u1_hat=u1_hat,
         u2_hat=u2_hat,
-        z_hat=u1_hat ^ u2_hat,
         converged=converged,
         iterations_used=iterations_used,
         build_posteriors=partial(np.asarray, posteriors[: 2 * n].copy()),

@@ -312,9 +312,33 @@ MUTANTS = (
     ),
     Mutant(
         "u2-or-for-xor", CORRELATION,
-        "return self.u1 ^ self.z",
-        "return self.u1 | self.z",
+        "u2 = self.u1 ^ self.z",
+        "u2 = self.u1 | self.z",
         ("tests/test_correlation.py::TestSamplePair::test_draws_what_default_rng_draws[0.5]",),
+    ),
+    Mutant(
+        "z-hat-or-for-xor", DECODER,
+        "return self.u1_hat ^ self.u2_hat",
+        "return self.u1_hat | self.u2_hat",
+        ("tests/test_decoder.py::TestConvergenceFlag::test_flag_matches_reencoded_syndromes",),
+    ),
+    Mutant(
+        "known-u1-keeps-a-degree-1-row", DECODER,
+        " or any(len(block) == 1 for block, _ in self.h2._row_blocks)",
+        "",
+        ("tests/test_decoder.py::TestKnownU1::test_does_not_apply[h2-degree-1]",),
+    ),
+    Mutant(
+        "pair-arrays-left-writable", CORRELATION,
+        "getattr(self, name).flags.writeable = False",
+        "pass",
+        ("tests/test_correlation.py::TestCorrelatedPair::test_arrays_are_read_only",),
+    ),
+    Mutant(
+        "known-u1-priors-off-the-hidden-llr", DECODER,
+        "q = _check_message(self._corr_factor, np.array(_IDENTITY_BY_BIT[0]))",
+        "q = _check_message(self._corr_factor, np.array(hidden_llr(self.model)))",
+        ("tests/test_decoder.py::TestKnownU1::test_applies_to_the_corner_graph[built]",),
     ),
 )
 

@@ -258,6 +258,20 @@ class TestCorrelatedPair:
         with pytest.raises(ValueError, match="u1 and z must have equal length"):
             CorrelatedPair(u1=u1, z=z[:2])
 
+    def test_arrays_are_read_only(self):
+        """An edit in place raises, before and after u2 is first read, so
+        u2 = u1 XOR z holds after any attempt; the arrays passed in are
+        copied and stay writable."""
+        u1, z = np.array([0, 1], dtype=np.uint8), np.array([1, 1], dtype=np.uint8)
+        pair = CorrelatedPair(u1, z)
+        for names in (("u1", "z"), ("u1", "z", "u2")):  # before and after u2 is read
+            for name in names:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(pair, name)[0] = 1
+            assert pair.u2.tolist() == [1, 0]
+        u1[0] = z[0] = 0
+        assert pair.u1.tolist() == [0, 1] and pair.z.tolist() == [1, 1]
+
     def test_holds_uint8_bits(self):
         # values other than 0 and 1 are refused, in either field
         with pytest.raises(ValueError, match="bit sequence may only contain 0 and 1"):

@@ -3,12 +3,12 @@ under ``tests/``: the reference graph and loop in ``_decoder_reference``,
 which also builds the explicit graph of the paper, the exact marginals in
 ``_exact_reference`` and the plain-loop layout in ``_layout_reference``."""
 
+import dataclasses
 import inspect
 import pickle
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from swldpc import (
     FOLDED_Z,
     LLR_MAX,
     CorrelationModel,
+    DecodeResult,
     DecoderConfig,
     JointTannerGraph,
     SimConfig,
@@ -36,7 +37,7 @@ from swldpc import (
 import swldpc
 from swldpc import decoder as decoder_module
 from swldpc import sim as sim_module
-from swldpc.decoder import _IDENTITY_BY_BIT, _TANH_LIMIT, KnownU1Graph
+from swldpc.decoder import _IDENTITY_BY_BIT, _TANH_LIMIT, _KernelPlan
 from swldpc.ldpc import _row_parity
 
 from _decoder_reference import (
@@ -92,7 +93,7 @@ class TestBuild:
             attached = sorted(g.edge_var[g.edge_check == check])
             assert attached == [i, g.n + i, 2 * g.n + i]
 
-    def test_priors(self):
+    def test_priors(self, monkeypatch):
         llr = hidden_llr(MODEL)
         explicit = ReferenceGraph(H1, H2, MODEL, EXPLICIT_Z)
         assert not explicit.priors[:4].any()
@@ -101,7 +102,18 @@ class TestBuild:
         # checks' factor f = tanh(llr/2)
         graph = build_joint_graph(H1, H2, MODEL)
         assert not hasattr(graph, "corr_param")
-        assert graph._plan.corr_factor == graph._known_u1.corr_factor == np.tanh(llr / 2)
+        assert graph._plan.corr_factor == graph._corr_factor == np.tanh(llr / 2)
+        # f is computed once per graph, however many plans and frames read it
+        calls = []
+        monkeypatch.setattr(decoder_module, "hidden_llr", lambda model: calls.append(model) or llr)
+        graph = build_joint_graph(H1, H2, MODEL)
+        configs = DecoderConfig(max_iterations=5, early_stop=False), DecoderConfig(damping=0.3)
+        for config in configs:
+            for s2 in ([0], [1]):
+                decode(graph, [1, 0], s2, config, trace=True)
+                decode(graph, [1, 0], s2, config).posterior_llrs
+        assert {"_plan", "_known_u1", "_known_u1_priors"} <= set(vars(graph))
+        assert calls == [MODEL]
 
     def test_degrees(self):
         g = build_joint_graph(H1, H2, MODEL)
@@ -317,7 +329,7 @@ ZERO_ONE_THREE = mixed_weight_matrices(max_n=12, weights=(0, 1, 3))
 
 def _code_plan(h):
     """The kernel plan of the H2-only graph over h."""
-    return KnownU1Graph(h, 1.0, np.zeros(2))._plan
+    return _KernelPlan(h._row_blocks, None, h.n, *h._slots)
 
 
 class TestKernelPlan:
@@ -499,10 +511,8 @@ class TestKnownU1:
     )
     def test_applies_to_the_corner_graph(self, h1):
         g = build_joint_graph(h1, self.H2, CorrelationModel(0.96))
-        known = g._known_u1
-        assert known is not None and g._known_u1 is known  # computed once
-        plan = known._plan
-        assert known._plan is plan  # built once
+        plan = g._known_u1
+        assert isinstance(plan, _KernelPlan) and g._known_u1 is plan  # built once
         assert g.num_edges == 6 * 64 and len(plan.edge_var) == 3 * 64
         # the slots are h2's one row block, variables numbered from u2's first
         (block, _), = self.H2._row_blocks
@@ -513,10 +523,13 @@ class TestKnownU1:
         assert plan.slot_of_edge is self.H2._slots[0]
         # q is the correlation check's message, not the hidden-bit LLR
         q = 3.1780538303457027
-        assert known.prior_by_bit.tolist() == [q, -q]
+        priors = g._known_u1_priors
+        assert priors.tolist() == [q, -q] and g._known_u1_priors is priors  # built once
         assert hidden_llr(CorrelationModel(0.96)) == 3.1780538303479444
         # no joint structure is built
-        assert list(vars(g)) == ["h1", "h2", "model", "form", "_known_u1"]
+        assert list(vars(g)) == [
+            "h1", "h2", "model", "form", "_known_u1", "_corr_factor", "_known_u1_priors"
+        ]
 
     def test_permuted_identity(self):
         # the identity's rows in another order run on the joint graph, which
@@ -585,8 +598,8 @@ class TestKnownU1:
 
     def test_applies_with_an_empty_h2_row(self):
         h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (), (1, 3)))
-        known = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1
-        assert known is not None and len(known._plan.edge_var) == 5
+        plan = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1
+        assert plan is not None and len(plan.edge_var) == 5
 
 
 class TestConfig:
@@ -704,6 +717,19 @@ class TestConvergenceFlag:
             saw_converged |= result.converged
             saw_failed |= not result.converged
         assert saw_converged and saw_failed
+
+    def test_z_hat_is_derived(self):
+        """z_hat is not a field: it is u1_hat xor u2_hat, built when first
+        read and kept, on the known-u1 path and the joint one."""
+        names = [f.name for f in dataclasses.fields(DecodeResult)]
+        assert names == ["u1_hat", "u2_hat", "converged", "iterations_used", "build_posteriors",
+                         "trace"]
+        graph, _, _, pair, s1, s2 = _corner_instance(64, 0.96, seed=1)
+        for config in (DecoderConfig(), DecoderConfig(damping=0.3)):
+            result = decode(graph, s1, s2, config)
+            assert result.converged and "z_hat" not in vars(result)
+            assert result.z_hat.dtype == np.uint8 and result.z_hat.tolist() == pair.z.tolist()
+            assert result.z_hat is result.z_hat
 
     def test_corner_point_exact_recovery(self):
         for seed in (1, 2, 3, 4, 5):
@@ -1360,7 +1386,7 @@ class TestWorkspace:
                 _assert_matches_reference(
                     irregular, *irregular_frames[k], DecoderConfig(damping=damping)
                 )
-        for plan in (corner._known_u1._plan, corner._plan, irregular._plan):
+        for plan in (corner._known_u1, corner._plan, irregular._plan):
             assert len(plan.idle) == 1
 
     def test_hook_decodes_the_same_graph(self):
@@ -1373,7 +1399,7 @@ class TestWorkspace:
                 # the outer decode, on the known-u1 path, holds that plan's
                 # workspace from its test of iteration 2 on, which it has
                 # taken from the inner decode of iteration 1
-                assert not corner._known_u1._plan.idle
+                assert not corner._known_u1.idle
             snaps.append(info)
             config = configs[info.iteration % 2]
             s1, s2 = frames[1 + info.iteration % 2]
@@ -1387,7 +1413,7 @@ class TestWorkspace:
         assert len(inner) == 12
         for s1, s2, config, got in inner:
             _assert_same_decode(got, decode_reference(corner, s1, s2, config))
-        assert len(corner._plan.idle) == len(corner._known_u1._plan.idle) == 1
+        assert len(corner._plan.idle) == len(corner._known_u1.idle) == 1
 
     def test_damped_hooked_frame_mixes_in_place(self):
         """A hooked, damped frame runs on the buffers of a plain one: the
@@ -1462,12 +1488,12 @@ class TestSharedCode:
         for graph, model_frames in zip(graphs, frames):
             decode(graph, *model_frames[0])
         first, second = (graph._known_u1 for graph in graphs)
-        assert first._plan is not second._plan
-        assert len(first._plan.idle) == len(second._plan.idle) == 1
-        assert first._plan.idle[0] is not second._plan.idle[0]
-        assert first._plan.slot_of_edge is second._plan.slot_of_edge is h2._slots[0]
+        assert first is not second
+        assert len(first.idle) == len(second.idle) == 1
+        assert first.idle[0] is not second.idle[0]
+        assert first.slot_of_edge is second.slot_of_edge is h2._slots[0]
         assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks", "_slots"]
-        assert first.prior_by_bit[0] != second.prior_by_bit[0]
+        assert graphs[0]._known_u1_priors[0] != graphs[1]._known_u1_priors[0]
 
     def test_alternating_frames(self):
         h2, models, graphs, frames = self._setup()
@@ -1603,13 +1629,14 @@ class TestCornerBuildsNoJointStructure:
         # the reference loop builds its own edge lists, and no plan
         assert ("_plan" in vars(graph)) == joint
         if not joint:
-            # budget 1 runs no kernel; budget 2 runs the kernel to test
-            # iteration 2, but its loop runs no iteration, so no check
-            # message is ever written into the workspace it keeps
-            known = vars(graph._known_u1)
-            assert ("_plan" in known) == (config.max_iterations > 1)
+            # budget 1 runs no kernel, so its plan keeps no workspace;
+            # budget 2 runs the kernel to test iteration 2, but its loop
+            # runs no iteration, so no check message is ever written into
+            # the workspace it keeps
+            plan = graph._known_u1
+            assert len(plan.idle) == (config.max_iterations > 1)
             if config.max_iterations == 2:
-                workspace, = known["_plan"].idle
+                workspace, = plan.idle
                 assert not workspace.c2v.any()
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
@@ -1702,11 +1729,11 @@ class TestAtanhArgumentClip:
         h1, h2 = identity_matrix(n), _irregular_h2(n, degrees, seed=5)
         model = CorrelationModel(p)
         graph = build_joint_graph(h1, h2, model)
-        known = graph._known_u1
+        plan = graph._known_u1
         # one block per row weight, the weights interleaved down the rows
-        assert known is not None and len(known._plan.check_groups) == len(set(degrees))
+        assert plan is not None and len(plan.check_groups) == len(set(degrees))
         assert [len(block) for block, _ in h2._row_blocks] == list(dict.fromkeys(degrees))
-        assert (2 in _group_degrees(known._plan)) == has_degree_2
+        assert (2 in _group_degrees(plan)) == has_degree_2
         config = DecoderConfig(max_iterations=60, early_stop=early_stop)
         iterations = set()
         for seed in range(4):
@@ -1789,7 +1816,8 @@ class TestNonFiniteCheckMessages:
         model = CorrelationModel(0.93)
         graph = build_joint_graph(h1, h2, model)
         # a NaN correlation message makes the reduced loop's priors NaN
-        vars(graph)["_known_u1"] = replace(graph._known_u1, prior_by_bit=np.full(2, np.nan))
+        assert graph._known_u1 is not None
+        vars(graph)["_known_u1_priors"] = np.full(2, np.nan)
         s1, s2 = _frame_syndromes(h1, h2, model, 1)
         assert s2.any()
         config = DecoderConfig(max_iterations=20, early_stop=early_stop)
