@@ -58,7 +58,7 @@ where the degrees fall somewhere along the ids, and maps the priors in
 and the posteriors out once per frame. The slot of every entry and each code's
 staircase are built once per code and kept on the matrix
 (``SparseParityMatrix._slots``), so a graph built per call builds its
-known-u1 plan by concatenation alone.
+known-u1 plan by concatenation and copying alone.
 
 The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
@@ -96,6 +96,13 @@ with an atomic ``deque.pop`` and puts them back when it returns, also on
 an exception, so a decode that starts meanwhile (on another thread, or
 nested in a private hook) finds none and builds its own; results never
 depend on which buffers a decode gets.
+Every buffer starts on a page boundary (``_page_aligned``), as do the
+plan's index arrays ``edge_var`` and ``var_slots``: in an in-process
+A/B, whole decodes took 3-15 % less CPU time on such buffers than on
+malloc's placement, 16 bytes apart modulo 4096 (n = 1024 at p = 0.92
+and 0.96, and the CLI decode at n = 16384). The loop makes the same
+numpy calls on the same values wherever the buffers lie, so results
+never depend on their placement.
 The workspace is the one home of a frame's syndrome, which the kernel
 reads in two forms: the sign of every code slot, and the bits of the
 convergence test. ``_Workspace.load`` takes the frame's bits once, in
@@ -180,6 +187,7 @@ order included.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -357,9 +365,10 @@ class _KernelPlan:
     holds kernel positions. ``var_slots`` is a staircase of slots whose
     row k holds the slot of the k-th edge, in check-major order, of every
     variable of degree above k, the last ``var_counts[k]`` kernel
-    positions (``ldpc._column_slots``). ``idle`` keeps the kernel's
-    workspace for this plan between decodes, at most one (see
-    ``_flood``).
+    positions (``ldpc._column_slots``). Both index arrays are copies that
+    start on a page boundary, as the workspace buffers do. ``idle`` keeps
+    the kernel's workspace for this plan between decodes, at most one
+    (see ``_flood``).
 
     Args:
         code_blocks: the codes' ``(block, rows)`` pairs, variables and
@@ -384,13 +393,13 @@ class _KernelPlan:
         empty = _flat(rows for block, rows in code_blocks if not len(block))
         # the checks without entries have no slots, so any first slot will do
         self.parity_groups = (*parity, (0, 0, empty)) if len(empty) else parity
-        self.slot_of_edge = slot_of_edge
+        self.slot_of_edge, self.num_vars, self.var_counts = slot_of_edge, num_vars, counts
         edge_var = _flat(blocks)
         self.variables = order
         if order is not None:  # the inverse permutation gives each id's position
             edge_var = np.argsort(order)[edge_var]
-        self.edge_var, self.num_vars = edge_var, num_vars
-        self.var_slots, self.var_counts = staircase, counts
+        self.edge_var = _page_aligned(len(edge_var), dtype=np.int64, fill=edge_var)
+        self.var_slots = _page_aligned(len(staircase), dtype=np.int64, fill=staircase)
         self.idle = deque(maxlen=1)
 
     def kernel_order(self, values: np.ndarray) -> np.ndarray:
@@ -599,13 +608,20 @@ class _Workspace:
     the first ``degree`` rows of its bool ``(degree + 1, checks)`` buffer,
     that buffer, whose last row holds the checks' bits, and a row for the
     violated checks (see ``unsatisfied``).
+
+    Every buffer, the check update's scratch included, comes from
+    ``_page_aligned`` and starts on a page boundary, also where it is
+    empty, as ``bits`` is in a graph without code checks; the row views
+    are views of these. Whole decodes took 3-15 % less CPU time on such
+    buffers than on malloc's placement (see the module notes); results
+    never depend on where the buffers lie.
     """
 
     def __init__(self, plan):
         num_edges = len(plan.edge_var)
-        self.t = np.empty(num_edges)
-        self.excl = np.full(num_edges, _TANH_LIMIT)
-        self.c2v = np.empty(num_edges)
+        self.t = _page_aligned(num_edges)
+        self.excl = _page_aligned(num_edges, fill=_TANH_LIMIT)
+        self.c2v = _page_aligned(num_edges)
         self.copies, self.products = [], []
         for degree, start, stop in plan.check_groups:
             t_rows = self.t[start:stop].reshape(degree, -1)
@@ -615,23 +631,24 @@ class _Workspace:
             elif degree > 2:
                 self.products += _leave_one_out(list(t_rows), list(out_rows))
         self.var_slots = plan.var_slots
-        self.base = np.empty(plan.num_vars)
-        self.posteriors = (np.empty(plan.num_vars), np.empty(plan.num_vars))
+        self.base = _page_aligned(plan.num_vars)
+        self.posteriors = (_page_aligned(plan.num_vars), _page_aligned(plan.num_vars))
         self.sums = [_stair_sums(plan.var_counts, self.t, self.base, buffer)
                      for buffer in self.posteriors]
-        self.signs = np.empty(num_edges)
+        self.signs = _page_aligned(num_edges)
         if plan.corr_factor is not None:  # the last block
             self.signs[plan.check_groups[-1][1] :] = plan.corr_factor
         self.rows = _flat(rows for _, _, rows in plan.parity_groups)
-        self.bits, self.check_signs = np.empty(len(self.rows), bool), np.empty(len(self.rows))
+        self.bits = _page_aligned(len(self.rows), dtype=bool)
+        self.check_signs = _page_aligned(len(self.rows))
         self.loads, self.parity, end = [], [], 0
         for degree, start, rows in plan.parity_groups:
             checks, part = len(rows), slice(end, end + len(rows))
             slots, end = slice(start, start + degree * checks), part.stop
-            buffer = np.empty((degree + 1, checks), bool)
+            buffer = _page_aligned(degree + 1, checks, dtype=bool)
             self.loads += [(buffer[degree], self.bits[part]),
                            (self.signs[slots].reshape(degree, checks), self.check_signs[part])]
-            violated = np.empty(checks, bool)
+            violated = _page_aligned(checks, dtype=bool)
             self.parity.append((self.t[slots], buffer[:degree].reshape(-1), buffer, violated))
 
     def load(self, bits):
@@ -656,6 +673,24 @@ class _Workspace:
             np.bitwise_xor.reduce(buffer, axis=0, out=violated)
             count += np.count_nonzero(violated)
         return int(count)
+
+
+# The alignment of every workspace buffer, one memory page.
+_PAGE = 4096
+
+
+def _page_aligned(*shape, dtype=float, fill=None) -> np.ndarray:
+    """A new array of ``shape`` and ``dtype`` whose data starts on a page
+    boundary (see ``_Workspace``), also where it is empty: set to ``fill``,
+    a value or an array, where that is given, else not initialised. It
+    takes only ``ctypes.data``, slicing and ``view``, which numpy 1.24 has."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + _PAGE, np.uint8)
+    # cut the start first: an empty slice of raw starts where raw does
+    out = raw[-raw.ctypes.data % _PAGE :][:nbytes].view(dtype).reshape(shape)
+    if fill is not None:
+        out[...] = fill
+    return out
 
 
 def _stair_sums(counts, t, base, out):
@@ -847,12 +882,17 @@ def _leave_one_out(t_rows, out_rows):
     ``out_rows[-1]``; the running suffix product goes to one more scratch
     row and its last step to ``out_rows[0]``. Every operand is one
     contiguous row, which numpy multiplies with the least overhead per call.
+    The scratch rows are one block and the suffix row another, each
+    starting on a page boundary (``_page_aligned``) as every workspace
+    buffer does, on which decodes took 3-15 % less CPU time than on
+    malloc's placement (see the module notes); the products never depend
+    on where the rows lie.
     """
     degree = len(t_rows)
     checks = len(t_rows[0])
     # prefixes[j] receives the product of rows 0..j
-    prefixes = [t_rows[0], *np.empty((degree - 3, checks)), out_rows[-1]]
-    suffix = np.empty(checks)
+    prefixes = [t_rows[0], *_page_aligned(degree - 3, checks), out_rows[-1]]
+    suffix = _page_aligned(checks)
     steps = [(prefixes[k - 1], t_rows[k], prefixes[k]) for k in range(1, degree - 1)]
     running = t_rows[-1]
     for k in range(degree - 2, 0, -1):

@@ -340,6 +340,24 @@ MUTANTS = (
         "q = _check_message(self._corr_factor, np.array(hidden_llr(self.model)))",
         ("tests/test_decoder.py::TestKnownU1::test_applies_to_the_corner_graph[built]",),
     ),
+    Mutant(
+        "workspace-buffer-from-malloc", DECODER,
+        "self.c2v = _page_aligned(num_edges)",
+        "self.c2v = np.empty(num_edges)",
+        ("tests/test_decoder.py::TestWorkspace::test_buffers_are_page_aligned",),
+    ),
+    Mutant(
+        "plan-staircase-left-unaligned", DECODER,
+        "_page_aligned(len(staircase), dtype=np.int64, fill=staircase)",
+        "staircase",
+        ("tests/test_decoder.py::TestWorkspace::test_buffers_are_page_aligned",),
+    ),
+    Mutant(
+        "excl-degree-1-not-filled", DECODER,
+        "self.excl = _page_aligned(num_edges, fill=_TANH_LIMIT)",
+        "self.excl = _page_aligned(num_edges)",
+        ("tests/test_decoder.py::TestAtanhArgumentClip::test_joint_graph_with_degree_1_checks",),
+    ),
 )
 
 

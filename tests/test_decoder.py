@@ -872,6 +872,21 @@ class TestEdgeCases:
             assert not result.z_hat.any()
             assert np.all(np.isfinite(result.posterior_llrs))
 
+    def test_graph_without_code_checks(self):
+        """h1 and h2 without rows: the workspace holds zero-length bits and
+        no parity group, and every frame holds after iteration 1."""
+        n = 16
+        empty = SparseParityMatrix.from_rows(n, ())
+        graph = build_joint_graph(empty, empty, CorrelationModel(0.9))
+        bits = np.zeros(0, np.uint8)
+        result = decode(graph, bits, bits)
+        assert result.converged and result.iterations_used == 1
+        workspace, = graph._plan.idle
+        assert len(workspace.bits) == len(workspace.check_signs) == 0 and not workspace.parity
+        config = DecoderConfig(max_iterations=5, early_stop=False)
+        result = _assert_matches_reference(graph, bits, bits, config)
+        assert result.converged and result.iterations_used == 5
+
     def test_saturated_frame_at_iteration_cap_stays_finite(self):
         # the model says u1 == u2 with near certainty while the syndromes
         # say they differ in three bits, so saturated messages conflict
@@ -1432,6 +1447,38 @@ class TestWorkspace:
         assert ref_snaps[-1].c2v.any()
         assert last.tobytes() == ref_snaps[-1].c2v.tobytes()
 
+    def test_buffers_are_page_aligned(self, monkeypatch):
+        """Every buffer a workspace allocates, and the plan's index arrays,
+        start on a page boundary, the empty leave-one-out scratch of a
+        degree-3 block included; every float and bool array the workspace
+        holds lies in one of those buffers, and the degree-1 entries of
+        ``excl`` hold ``_TANH_LIMIT``."""
+        corner, _, irregular, _ = self._graphs()
+        large = TestKnownU1MatchesReference._corner(16384, 0.96)[0]
+        # the joint corner plan, which damped frames run, has degree-1 h1
+        # rows and the correlation block; the irregular one renumbers its
+        # variables and has a degree-0 parity group
+        assert 1 in _group_degrees(corner._plan) and corner._plan.corr_factor is not None
+        assert {0, 3} <= {degree for degree, _, _ in irregular._plan.parity_groups}
+        page_aligned, made = decoder_module._page_aligned, []
+
+        def recording(*args, **kwargs):
+            made.append(page_aligned(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(decoder_module, "_page_aligned", recording)
+        for plan in (corner._known_u1, corner._plan, irregular._plan, large._known_u1):
+            assert plan.edge_var.ctypes.data % 4096 == plan.var_slots.ctypes.data % 4096 == 0
+            made.clear()
+            workspace = decoder_module._Workspace(plan)
+            assert [buffer.ctypes.data % 4096 for buffer in made] == [0] * len(made)
+            held = [a for a in _arrays(vars(workspace)) if a.size and a.dtype.kind in "fb"]
+            for array in held:
+                assert any(np.shares_memory(array, buffer) for buffer in made)
+            for degree, start, stop in plan.check_groups:
+                if degree == 1:
+                    assert (workspace.excl[start:stop] == _TANH_LIMIT).all()
+
     @pytest.mark.parametrize(
         "config, hooked",
         [(DecoderConfig(), False), (DecoderConfig(damping=0.3), False), (DecoderConfig(), True)],
@@ -1710,6 +1757,15 @@ def _irregular_h2(n, degrees, seed):
 
 def _group_degrees(plan):
     return {degree for degree, _, _ in plan.check_groups}
+
+
+def _arrays(value):
+    """The numpy arrays in ``value``, through lists, tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
 
 
 class TestAtanhArgumentClip:
