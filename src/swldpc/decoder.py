@@ -64,7 +64,7 @@ The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
 scaling pass. It is the only code that converts units: it halves the
 LLR priors it is given and doubles the posteriors that leave the loop,
-at its exit and for its hook; scaling by 2 is exact in binary floating
+at its exit and into its record; scaling by 2 is exact in binary floating
 point short of the subnormal range, so every output equals the
 full-unit rule bit for bit. It keeps one buffer per message, on every
 frame: the variable messages, which become their tanh in place, the
@@ -78,9 +78,11 @@ clamp) and |f| <= 1, and a degree-1 check, always a code check (f = 1),
 has its empty product stored as that bound. So 2 atanh of it, and a
 damped mix of two such values, stay inside LLR_MAX, and check messages
 need no clamp of their own. Check messages are tested for finiteness
-when the loop exits and before each hook call, not in every iteration: a
-NaN check message makes its variable's posterior NaN, so some check
-message stays NaN in every later iteration and the test still raises.
+when the loop exits, not in every iteration: a NaN check message makes
+its variable's posterior NaN, so some check message stays NaN in every
+later iteration and the test still raises. That one test suffices for a
+traced decode too, whose record holds the states of earlier iterations:
+``decode`` builds the trace only from a call that returns.
 Each iteration ends with the gather of its posteriors to the slots, which
 the next iteration's variable update starts from and the convergence test
 reads.
@@ -93,9 +95,9 @@ between frames: the joint decode's in the graph's ``_plan``, the
 known-u1 decode's in its ``_known_u1``. So graphs over one code share no
 buffers. A decode checks the buffers out of the plan's ``idle`` slot
 with an atomic ``deque.pop`` and puts them back when it returns, also on
-an exception, so a decode that starts meanwhile (on another thread, or
-nested in a private hook) finds none and builds its own; results never
-depend on which buffers a decode gets.
+an exception, so a decode that starts meanwhile on another thread finds
+none and builds its own; results never depend on which buffers a decode
+gets.
 Every buffer starts on a page boundary (``_page_aligned``), as do the
 plan's index arrays ``edge_var`` and ``var_slots``: in an in-process
 A/B, whole decodes took 3-15 % less CPU time on such buffers than on
@@ -196,7 +198,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .correlation import LLR_MAX, CorrelationModel, _is_finite_real, hidden_llr
-from .ldpc import SparseParityMatrix, _check_type, _column_slots, _integer, as_bit_array
+from .ldpc import SparseParityMatrix, _boolean, _check_type, _column_slots, _integer, as_bit_array
 
 # The one graph form, the folded one; the field ``JointTannerGraph.form``
 # takes no other value.
@@ -433,9 +435,7 @@ class DecoderConfig:
         object.__setattr__(self, "max_iterations", max_iterations)
         if not (_is_finite_real(self.damping) and 0.0 <= self.damping < 1.0):
             raise ValueError(f"damping must lie in [0, 1), got {self.damping!r}")
-        if not isinstance(self.early_stop, (bool, np.bool_)):
-            raise ValueError(f"early_stop must be a bool, got {self.early_stop!r}")
-        object.__setattr__(self, "early_stop", bool(self.early_stop))
+        object.__setattr__(self, "early_stop", _boolean("early_stop", self.early_stop))
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,8 +488,9 @@ def decode(
         s1: syndrome of the first source, length graph.m1.
         s2: syndrome of the second source, length graph.m2.
         config: decoder settings; defaults to DecoderConfig().
-        trace: when true, the result's ``trace`` records every iteration.
-            It does not change the path the decode takes, nor its result.
+        trace: a bool; when true, the result's ``trace`` records every
+            iteration. It does not change the path the decode takes, nor
+            its result.
 
     Returns:
         DecodeResult. ``converged`` is True iff the returned hard
@@ -499,37 +500,34 @@ def decode(
     _check_type("graph", graph, JointTannerGraph)
     config = DecoderConfig() if config is None else config
     _check_type("config", config, DecoderConfig)
+    trace = _boolean("trace", trace)
     s1, s2 = as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)
     if not trace:
         return _decode(graph, s1, s2, config)
-    pairs = []
-
-    def hook(iteration, unsatisfied_checks, posteriors, messages):
-        pairs.append((unsatisfied_checks, float(np.abs(posteriors).mean())))
-
-    return replace(_decode(graph, s1, s2, config, hook), trace=tuple(pairs))
+    record = []
+    result = _decode(graph, s1, s2, config, record)
+    return replace(result, trace=tuple((count, float(np.abs(p).mean())) for count, p in record))
 
 
-def _decode(graph, s1, s2, config, hook=None) -> DecodeResult:
+def _decode(graph, s1, s2, config, record=None) -> DecodeResult:
     """``decode`` on arguments already checked: syndromes as uint8 arrays
-    of the graph's lengths, which it does not keep. ``hook``, when given,
-    is called as ``_flood`` calls it once for every iteration, with the
-    joint graph's 2n posteriors by id on both paths; its messages are the
-    kernel's check messages on the joint path and None on the known-u1
-    path."""
+    of the graph's lengths, which it does not keep. ``record``, a list or
+    None, takes one ``(unsatisfied checks, posteriors)`` entry for every
+    iteration, as ``_flood`` appends them, with the joint graph's 2n
+    posteriors, LLRs by id, on both paths."""
     if config.damping == 0.0 and graph._known_u1 is not None:
-        return _decode_known_u1(graph, s1, s2, config, hook)
+        return _decode_known_u1(graph, s1, s2, config, record)
     posteriors, _, converged, iterations_used = _flood(
-        graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, hook=hook
+        graph._plan, np.concatenate([s1, s2]), np.zeros(2 * graph.n), config, record=record
     )
     hard = np.less(posteriors, 0).view(np.uint8)
     u1_hat, u2_hat = hard[: graph.n], hard[graph.n :]
     return DecodeResult(u1_hat, u2_hat, converged, iterations_used, partial(np.asarray, posteriors))
 
 
-def _decode_known_u1(graph, s1, s2, config, hook) -> DecodeResult:
+def _decode_known_u1(graph, s1, s2, config, record) -> DecodeResult:
     """``decode`` on a graph whose u1 block is s1, on the graph's
-    ``_known_u1`` plan and priors (see the module notes). The hook sees
+    ``_known_u1`` plan and priors (see the module notes). ``record`` takes
     iteration 1 in closed form, iteration 2 from the test of the kernel's
     start state and every later one from the kernel, each with its u1
     posteriors rebuilt as the result's are."""
@@ -538,22 +536,22 @@ def _decode_known_u1(graph, s1, s2, config, hook) -> DecodeResult:
     # iteration 1, whose u2 posteriors are 0.0, as are the u2 messages that
     # the u1 rebuild reads
     converged, iterations_used = not s2.any(), 1  # iteration 1's test, where u2 is 0
-    if hook is not None:
+    if record is not None:
         zeros = np.zeros(len(s1))
-        hook(1, int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros), None)
+        record.append((int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros)))
     if config.max_iterations == 1 or config.early_stop and converged:
         priors = previous = posteriors = np.zeros(len(s1))
     else:
         last = priors = graph._known_u1_priors.take(s1)  # the u2 posteriors of iteration 2
-
-        def joint(iteration, unsatisfied_checks, current, messages):
-            nonlocal last
-            hook(iteration, unsatisfied_checks, rebuild(priors, last, current), None)
-            last = current
-
         posteriors, previous, converged, iterations_used = _flood(
-            graph._known_u1, s2, priors, config, 3, None if hook is None else joint
+            graph._known_u1, s2, priors, config, 3, record
         )
+        # The kernel's entries hold u2's posteriors alone: rebuild u1's in
+        # place, so that each u2 array is dropped once it has been read.
+        for k in range(1, len(record or ())):
+            unsatisfied_checks, current = record[k]
+            record[k] = unsatisfied_checks, rebuild(priors, last, current)
+            last = current
     u2_hat = np.less(posteriors, 0).view(np.uint8)
     return DecodeResult(u1_hat, u2_hat, converged, iterations_used,
                         partial(rebuild, priors, previous, posteriors))
@@ -575,7 +573,7 @@ class _Workspace:
     """The message buffers of ``_flood`` for one plan, kept across frames.
 
     ``t``, ``excl`` and ``c2v`` hold one value per slot of the plan, one
-    buffer per message, whether or not the frame is damped or hooked:
+    buffer per message, whether or not the frame is damped or traced:
     ``t`` the variable messages, turned into their tanh in place, ``excl``
     the leave-one-out products and ``c2v`` the check messages. Once the
     check update has read ``t``, a damped frame builds its new check
@@ -737,7 +735,7 @@ def _sum_messages(workspace, c2v, turn) -> np.ndarray:
     return workspace.posteriors[turn]
 
 
-def _flood(plan, bits, priors, config, first=1, hook=None):
+def _flood(plan, bits, priors, config, first=1, record=None):
     """The flooding loop over one graph's edges, the decode kernel, and the
     only code that knows its formats: half-LLR units, the kernel's
     variable order and its slot order.
@@ -751,31 +749,26 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     posteriors of iteration ``first - 1``: they are tested on the gather
     that iteration ``first`` starts from, and the loop does not run where
     that test ends the decode or the budget ends before ``first``.
-    ``hook``, when given, is called with the state of every iteration the
-    call tests: its number, its count of unsatisfied code checks, its
-    posteriors (LLRs by id, in a new array) and its check messages, the
-    kernel's own ``c2v`` buffer in half-LLR units by slot, which a hook
-    that keeps them must copy; for the start state, which has none, None.
-    A hook takes the path of a plain frame: the variable messages are
-    built in ``t`` and gone by the time it is called, and a damped frame
-    mixes its new check messages into ``c2v`` in place.
-    A stalled loop exits after one iteration whether or not a hook is
-    given, and hands the hook that iteration's state once for each
-    iteration up to the cap, as the full loop would have.
+    ``record``, a list or None, takes one ``(unsatisfied checks,
+    posteriors)`` entry for each iteration the call tests, in order: its
+    count of unsatisfied code checks and its posteriors, LLRs by id in a
+    new array. A recorded frame takes the path of a plain one. A stalled
+    loop exits after one iteration, recorded or not, and appends that
+    iteration's entry once for each iteration up to the cap, as the full
+    loop would have.
 
     Messages, priors and posteriors are held in half-LLR units, the atanh
     argument is not clipped, and check messages are tested for finiteness
-    only where the loop exits and before each hook call (see the module
-    notes). Each iteration ends with the gather of its posteriors to the
-    slots, which the next iteration starts from and the convergence test
-    reads.
+    only where the loop exits (see the module notes). Each iteration ends
+    with the gather of its posteriors to the slots, which the next
+    iteration starts from and the convergence test reads.
 
     The buffers come from the plan's idle workspace (see ``_Workspace``),
-    checked out for the length of the call, so a decode that a hook
-    starts builds its own. The frame's ``bits`` live there too: ``load``
-    puts them in the edge signs of the check update and in the buffers of
-    the convergence test, so the loop allocates nothing per block or per
-    slot for them.
+    checked out for the length of the call, so a decode that runs
+    meanwhile on another thread builds its own. The frame's ``bits`` live
+    there too: ``load`` puts them in the edge signs of the check update
+    and in the buffers of the convergence test, so the loop allocates
+    nothing per block or per slot for them.
 
     Returns the last posteriors and those of the iteration before (the
     start state after one iteration or none), both LLRs by variable id in
@@ -783,7 +776,7 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
     and the number of the last iteration.
     """
     # Check the workspace out, so that a decode running meanwhile over the
-    # same plan (another thread, or a hook's decode) builds its own.
+    # same plan, on another thread, builds its own.
     try:
         workspace = plan.idle.pop()
     except IndexError:
@@ -808,8 +801,8 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
         # the test of the start state, iteration first - 1
         unsatisfied_checks = unsatisfied() if first > 1 else None
         converged = unsatisfied_checks == 0
-        if hook is not None and first > 1:
-            hook(first - 1, unsatisfied_checks, plan.by_id(posteriors * 2.0), None)
+        if record is not None and first > 1:
+            record.append((unsatisfied_checks, plan.by_id(posteriors * 2.0)))
         stop = iterations_used if converged and config.early_stop else max_iterations
         for iteration in range(first, stop + 1):
             # Variable update: each slot sends its variable's posterior,
@@ -848,24 +841,18 @@ def _flood(plan, bits, priors, config, first=1, hook=None):
                 # starts from this one's state and repeats it, up to the cap.
                 previous, iterations_used = posteriors, max_iterations
 
-            if hook is not None:
-                _check_finite(c2v)
-                for repeat in range(iteration, iterations_used + 1):  # each iteration it stands for
-                    hook(repeat, unsatisfied_checks, plan.by_id(posteriors * 2.0), c2v)
+            if record is not None:  # an entry for each iteration it stands for
+                entry = unsatisfied_checks, plan.by_id(posteriors * 2.0)
+                record += [entry] * (iterations_used + 1 - iteration)
             if done or iterations_used == max_iterations:
                 break
 
-        _check_finite(c2v)
+        if not np.isfinite(c2v).all():
+            raise FloatingPointError("non-finite check message despite clamping")
         # the posteriors leave in new arrays, as the buffers stay
         return plan.by_id(posteriors * 2.0), plan.by_id(previous * 2.0), converged, iterations_used
     finally:
         plan.idle.append(workspace)
-
-
-def _check_finite(c2v):
-    """Raise if a check message is not finite (see ``_flood``)."""
-    if not np.isfinite(c2v).all():
-        raise FloatingPointError("non-finite check message despite clamping")
 
 
 def _leave_one_out(t_rows, out_rows):

@@ -55,6 +55,15 @@ def _integer(name: str, value, positive: bool = False) -> int:
     return int(value)
 
 
+def _boolean(name: str, value) -> bool:
+    """``value`` as a ``bool``: the one check of every flag. Python and
+    numpy bools pass; anything else, 0 and 1 included, raises
+    ``ValueError`` naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _check_type(name: str, value, cls: type) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a ``cls``,
     so a wrong argument (a bare probability for a model, a dense array for

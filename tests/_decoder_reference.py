@@ -18,17 +18,19 @@ two ``np.cumprod`` calls, and the convergence test counts each code check's
 ones with a float ``bincount``. Its hook receives a ``Snapshot`` of each
 iteration: its number, unsatisfied checks, mean |posterior|, posteriors
 and messages. The differential tests require ``decode`` to return
-bit-identical results, traces and snapshots (``hooked_decode``) to this
-loop on the folded graph, and the library kernel on the joint graph
-(``kernel_snapshots``) bit-identical messages, so this file must keep the
-arithmetic exactly as it is. The kernel hands its hook the check messages
-alone; ``kernel_snapshots`` derives each iteration's variable messages
-from the snapshot before by the kernel's own rule.
+bit-identical results, traces and snapshots (``recorded_decode``, from
+the record that ``_decode`` fills) to this loop on the folded graph, and
+the library kernel on the joint graph (``kernel_snapshots``)
+bit-identical messages, so this file must keep the arithmetic exactly as
+it is. The kernel records no messages; ``kernel_snapshots`` reads each
+iteration's check messages from a decode that the budget ends there, and
+derives its variable messages from the snapshot before by the kernel's
+own rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -58,7 +60,7 @@ class Snapshot:
     """One iteration of a joint decode: its number, its count of
     unsatisfied code checks, the mean |posterior| of its 2n posteriors,
     the messages ``v2c`` and ``c2v`` of every edge, in check-major order,
-    as copies (None where ``hooked_decode`` took it), and the 2n
+    as copies (None where ``recorded_decode`` took it), and the 2n
     posteriors. ``kernel_snapshots`` derives ``v2c``, which the kernel
     does not keep."""
 
@@ -76,43 +78,48 @@ def kernel_snapshots(graph, s1, s2, config=None) -> list:
     under damping or where the known-u1 reduction does not apply. The plan
     is built on a new ``JointTannerGraph``, so ``graph`` gains nothing.
 
-    The kernel hands its hook the check messages alone. ``v2c`` follows
-    the kernel's rule: the last posteriors gathered to each edge, minus
-    that edge's last check message, clamped; before iteration 1 both are
-    zero. Doubling is exact, so the rule gives in LLRs what the kernel
-    computes in half-LLRs, bit for bit."""
+    The unsatisfied checks and posteriors of every iteration come from
+    the record of one decode with ``config``. The check messages of
+    iteration k come from the workspace that a decode of budget k, with
+    early stop off, leaves in the plan: its ``c2v``, in half-LLRs by slot.
+    Early stop only ends the loop, so that decode runs iterations 1..k as
+    the recorded one does. ``v2c`` follows the kernel's rule: the last
+    posteriors gathered to each edge, minus that edge's last check
+    message, clamped; before iteration 1 both are zero. Doubling is exact,
+    so the rule gives in LLRs what the kernel computes in half-LLRs, bit
+    for bit."""
     joint = build_joint_graph(graph.h1, graph.h2, graph.model)
     plan = joint._plan
     bits = np.concatenate([as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)])
+    config, record = config or DecoderConfig(), []
+    _flood(plan, bits, np.zeros(2 * graph.n), config, record=record)
     snapshots = []
     last = np.zeros(2 * graph.n), np.zeros(joint.num_edges)  # posteriors, c2v
-
-    def hook(iteration, unsatisfied_checks, posteriors, messages):
-        nonlocal last
+    for iteration, (unsatisfied_checks, posteriors) in enumerate(record, start=1):
+        budget = replace(config, max_iterations=iteration, early_stop=False)
+        _flood(plan, bits, np.zeros(2 * graph.n), budget)
+        # the kernel's check messages, half-LLRs by slot, in LLRs by edge
+        c2v = plan.idle[0].c2v.take(plan.slot_of_edge) * 2.0
         v2c = np.subtract(last[0].take(joint.edge_var), last[1])
         np.clip(v2c, -LLR_MAX, LLR_MAX, out=v2c)
-        # the kernel's check messages, half-LLRs by slot, in LLRs by edge
-        c2v = messages.take(plan.slot_of_edge) * 2.0
         mean = float(np.abs(posteriors).mean())
         snapshots.append(Snapshot(iteration, unsatisfied_checks, mean, v2c, c2v, posteriors))
         last = posteriors, c2v
-
-    _flood(plan, bits, np.zeros(2 * graph.n), config or DecoderConfig(), hook=hook)
     return snapshots
 
 
-def hooked_decode(graph, s1, s2, config, on_snapshot):
-    """``decode`` through the private hook of ``_decode``, which passes the
-    joint graph's 2n posteriors by id on every path: ``on_snapshot`` gets
-    the ``Snapshot`` of each iteration, without messages, as it happens.
-    Returns the result."""
-
-    def hook(iteration, unsatisfied_checks, posteriors, messages):
+def recorded_decode(graph, s1, s2, config, on_snapshot):
+    """``decode`` through the record of ``_decode``, which holds the joint
+    graph's 2n posteriors by id on every path: once the decode returns,
+    ``on_snapshot`` gets the ``Snapshot`` of each iteration, in order,
+    without messages. Returns the result."""
+    bits = as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)
+    record = []
+    result = _decode(graph, *bits, config, record)
+    for iteration, (unsatisfied_checks, posteriors) in enumerate(record, start=1):
         mean = float(np.abs(posteriors).mean())
         on_snapshot(Snapshot(iteration, unsatisfied_checks, mean, None, None, posteriors))
-
-    bits = as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)
-    return _decode(graph, *bits, config, hook)
+    return result
 
 
 @dataclass(frozen=True, eq=False)

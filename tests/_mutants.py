@@ -58,19 +58,19 @@ MUTANTS = (
     Mutant(
         "stall-exit-only-without-hook", DECODER,
         "if iteration == first and not done and not c2v.any():",
-        "if hook is None and iteration == first and not done and not c2v.any():",
+        "if record is None and iteration == first and not done and not c2v.any():",
         ("tests/test_decoder.py::TestStalledGraphs::test_traced_frame_runs_one_iteration[corner]",),
     ),
     Mutant(
         "known-u1-trace-skips-iteration-1", DECODER,
-        "hook(1, int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros), None)",
+        "record.append((int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros)))",
         "pass",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-0]",),
     ),
     Mutant(
         "stalled-state-handed-over-once", DECODER,
-        "for repeat in range(iteration, iterations_used + 1):",
-        "for repeat in range(iteration, iteration + 1):",
+        "record += [entry] * (iterations_used + 1 - iteration)",
+        "record += [entry]",
         ("tests/test_acceptance.py::test_criterion_4_explicit_and_folded_forms_agree",),
     ),
     Mutant(
@@ -179,23 +179,59 @@ MUTANTS = (
     ),
     Mutant(
         "known-u1-trace-rebuilds-from-the-same-iteration", DECODER,
-        "hook(iteration, unsatisfied_checks, rebuild(priors, last, current), None)",
-        "hook(iteration, unsatisfied_checks, rebuild(priors, current, current), None)",
+        "record[k] = unsatisfied_checks, rebuild(priors, last, current)",
+        "record[k] = unsatisfied_checks, rebuild(priors, current, current)",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-3]",),
     ),
     Mutant(
         "closed-form-trace-counts-s1", DECODER,
-        "hook(1, int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros), None)",
-        "hook(1, int(np.count_nonzero(s1)), rebuild(zeros, zeros, zeros), None)",
+        "record.append((int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros)))",
+        "record.append((int(np.count_nonzero(s1)), rebuild(zeros, zeros, zeros)))",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
          "[n16384-max-iters-1]",),
     ),
     Mutant(
         "start-state-trace-in-half-llrs", DECODER,
-        "hook(first - 1, unsatisfied_checks, plan.by_id(posteriors * 2.0), None)",
-        "hook(first - 1, unsatisfied_checks, plan.by_id(posteriors), None)",
+        "record.append((unsatisfied_checks, plan.by_id(posteriors * 2.0)))",
+        "record.append((unsatisfied_checks, plan.by_id(posteriors)))",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
          "[n16384-max-iters-2]",),
+    ),
+    Mutant(
+        "loop-trace-in-half-llrs", DECODER,
+        "entry = unsatisfied_checks, plan.by_id(posteriors * 2.0)",
+        "entry = unsatisfied_checks, plan.by_id(posteriors)",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-0]",),
+    ),
+    Mutant(
+        "known-u1-trace-rebuilds-from-the-priors", DECODER,
+        "            last = current\n",
+        "            pass\n",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-3]",),
+    ),
+    Mutant(
+        "known-u1-trace-leaves-iteration-2-unbuilt", DECODER,
+        "for k in range(1, len(record or ())):",
+        "for k in range(2, len(record or ())):",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-2]",),
+    ),
+    Mutant(
+        "trace-mean-without-abs", DECODER,
+        "float(np.abs(p).mean())",
+        "float(p.mean())",
+        ("tests/test_decoder.py::TestIterationHook::test_snapshots_cover_every_iteration",),
+    ),
+    Mutant(
+        "decode-takes-any-trace", DECODER,
+        'trace = _boolean("trace", trace)',
+        "pass",
+        ("tests/test_decoder.py::TestConfig::test_decode_rejects_a_trace_that_is_not_a_bool[str]",),
+    ),
+    Mutant(
+        "flag-check-takes-ints", LDPC,
+        "if not isinstance(value, (bool, np.bool_)):",
+        "if not isinstance(value, (int, np.bool_)):",
+        ("tests/test_decoder.py::TestConfig::test_early_stop_must_be_a_bool[int-0]",),
     ),
     Mutant(
         "bits-check-only-above-one", LDPC,

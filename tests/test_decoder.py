@@ -44,8 +44,8 @@ from _decoder_reference import (
     EXPLICIT_Z,
     ReferenceGraph,
     decode_reference,
-    hooked_decode,
     kernel_snapshots,
+    recorded_decode,
 )
 from _exact_reference import brute_force_marginals, is_cycle_free
 from _forest import random_forest_instance
@@ -658,6 +658,20 @@ class TestConfig:
             decode(build_joint_graph(H1, H2, MODEL), s1, s2, config)
 
     @pytest.mark.parametrize(
+        "trace", ["no", None, 0, 1, 1.0, np.int64(1)],
+        ids=["str", "none", "int-0", "int-1", "float", "numpy-int"],
+    )
+    def test_decode_rejects_a_trace_that_is_not_a_bool(self, trace):
+        """``trace`` takes the check of ``early_stop``, numpy bools included."""
+        graph = build_joint_graph(H1, H2, MODEL)
+        s1, s2 = np.zeros(H1.m, np.uint8), np.zeros(H2.m, np.uint8)
+        with pytest.raises(ValueError, match=re.escape(f"trace must be a bool, got {trace!r}")):
+            decode(graph, s1, s2, trace=trace)
+        traced = decode(graph, s1, s2, trace=True).trace
+        assert traced and decode(graph, s1, s2, trace=np.bool_(True)).trace == traced
+        assert decode(graph, s1, s2, trace=np.bool_(False)).trace is None
+
+    @pytest.mark.parametrize(
         "graph",
         [None, (H1, H2, MODEL), ReferenceGraph(H1, H2, MODEL)],
         ids=["none", "fields", "reference-graph"],
@@ -763,12 +777,12 @@ class TestConvergenceFlag:
 
 class TestIterationHook:
     def test_snapshots_cover_every_iteration(self):
-        """The private hook of ``_decode``, and the trace that ``decode``
+        """The record that ``_decode`` fills, and the trace that ``decode``
         returns from it, which is the public way to watch a decode."""
         graph, _, _, _, s1, s2 = _corner_instance(64, 0.96, seed=4)
         snapshots = []
         config = DecoderConfig(max_iterations=25)
-        result = hooked_decode(graph, s1, s2, config, snapshots.append)
+        result = recorded_decode(graph, s1, s2, config, snapshots.append)
         assert [info.iteration for info in snapshots] == list(
             range(1, result.iterations_used + 1)
         )
@@ -781,8 +795,21 @@ class TestIterationHook:
             (info.unsatisfied_checks, info.mean_abs_posterior) for info in snapshots
         )
         assert result.trace is None and decode(graph, s1, s2, config).trace is None
-        # the hook and the trace keep the decode on the known-u1 path
+        # the record and the trace keep the decode on the known-u1 path
         assert not _JOINT_STRUCTURE & set(vars(graph))
+
+    def test_kernel_snapshots_of_a_frame_that_early_stop_ends(self):
+        """``kernel_snapshots`` reads each iteration's check messages from a
+        rerun of that budget with early stop off: on a frame that early
+        stop ends before the cap, they and the posteriors equal the
+        reference loop's bit for bit, iteration by iteration."""
+        graph, _, _, _, s1, s2 = _corner_instance(128, 0.95, seed=2)
+        config = DecoderConfig(max_iterations=40, damping=0.3)
+        ref_snaps = []
+        expected = decode_reference(graph, s1, s2, config, ref_snaps.append)
+        assert expected.converged and 3 < expected.iterations_used < config.max_iterations
+        snaps = kernel_snapshots(graph, s1, s2, config)
+        _assert_same_snapshots(snaps, ref_snaps, ("v2c", "c2v", "posteriors"))
 
     def test_no_public_hook(self):
         """A decode is watched through its trace alone."""
@@ -900,7 +927,7 @@ class TestEdgeCases:
         s1, s2 = syndrome(h1, u1), syndrome(h2, u2)
         snaps = []
         config = DecoderConfig(max_iterations=100, early_stop=False)
-        result = hooked_decode(graph, s1, s2, config, snaps.append)
+        result = recorded_decode(graph, s1, s2, config, snaps.append)
         assert result.iterations_used == len(snaps) == 100
         assert np.all(np.isfinite(result.posterior_llrs))
         assert all(np.all(np.isfinite(info.posteriors)) for info in snaps)
@@ -1077,26 +1104,26 @@ def _assert_forms_agree(result, expected, snaps, ref_snaps, shared):
             assert np.abs(a - b).max() <= _FORM_TOL, got.iteration
 
 
-def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, hooked=True):
+def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, recorded=True):
     """decode and the reference loop on the graph of ``form`` agree: bit
     for bit on the folded graph, which decode runs, and as
-    ``_assert_forms_agree`` says on the explicit one. When ``hooked``, so
-    do the snapshots of decode's private hook, and the trace of a traced
-    decode, with those of the library kernel on the joint graph
+    ``_assert_forms_agree`` says on the explicit one. When ``recorded``,
+    so do the snapshots of decode's private record, and the trace of a
+    traced decode, with those of the library kernel on the joint graph
     (``kernel_snapshots``), messages included, which decode may not run;
-    decode's private hook shows the kernel's bit for bit."""
+    decode's private record shows the kernel's bit for bit."""
     infos, ref_snaps = [], []
-    if hooked:
-        result = hooked_decode(graph, s1, s2, config, infos.append)
+    if recorded:
+        result = recorded_decode(graph, s1, s2, config, infos.append)
     else:
         result = decode(graph, s1, s2, config)
     assert not np.shares_memory(result.u1_hat, s1)
     reference = ReferenceGraph(graph.h1, graph.h2, graph.model, form)
-    expected = decode_reference(reference, s1, s2, config, ref_snaps.append if hooked else None)
-    assert len(infos) == (result.iterations_used if hooked else 0)
-    snaps = kernel_snapshots(graph, s1, s2, config) if hooked else []
+    expected = decode_reference(reference, s1, s2, config, ref_snaps.append if recorded else None)
+    assert len(infos) == (result.iterations_used if recorded else 0)
+    snaps = kernel_snapshots(graph, s1, s2, config) if recorded else []
     _assert_same_snapshots(infos, snaps)
-    if hooked:
+    if recorded:
         _assert_same_trace(decode(graph, s1, s2, config, trace=True), result, snaps)
     if form == EXPLICIT_Z:
         _assert_forms_agree(result, expected, snaps, ref_snaps, reference.edge_var < 2 * graph.n)
@@ -1215,22 +1242,22 @@ def _assert_same_trace(traced, expected, snaps):
     assert traced.trace == tuple((s.unsatisfied_checks, s.mean_abs_posterior) for s in snaps)
 
 
-def _assert_same_result(graph, s1, s2, config, hooked=False):
+def _assert_same_result(graph, s1, s2, config, recorded=False):
     """decode, which takes the known-u1 graph where it applies, returns bit
     for bit what the reference loop on the joint graph returns. When
-    ``hooked``, so do a decode with the private hook, whose snapshots are
+    ``recorded``, so do a decode with the private record, whose snapshots are
     the reference loop's, bit for bit, and a traced decode, whose trace
     holds their counts and means."""
     result = decode(graph, s1, s2, config)
     assert not np.shares_memory(result.u1_hat, s1)
     assert result.trace is None
     ref_snaps = []
-    hook = ref_snaps.append if hooked else None
+    hook = ref_snaps.append if recorded else None
     expected = decode_reference(graph, s1, s2, config, hook=hook)
     _assert_same_decode(result, expected)
-    if hooked:
+    if recorded:
         snaps = []
-        _assert_same_decode(hooked_decode(graph, s1, s2, config, snaps.append), expected)
+        _assert_same_decode(recorded_decode(graph, s1, s2, config, snaps.append), expected)
         _assert_same_snapshots(snaps, ref_snaps)
         _assert_same_trace(decode(graph, s1, s2, config, trace=True), expected, ref_snaps)
     return result
@@ -1238,7 +1265,7 @@ def _assert_same_result(graph, s1, s2, config, hooked=False):
 
 class TestKnownU1MatchesReference:
     """The known-u1 decode on H2 alone against the joint reference loop,
-    with the private hook, traced and plain: every snapshot, iteration by
+    with the private record, traced and plain: every snapshot, iteration by
     iteration."""
 
     @staticmethod
@@ -1259,7 +1286,8 @@ class TestKnownU1MatchesReference:
         outcomes = set()
         for seed in seeds:
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            outcomes.add(_assert_same_result(graph, s1, s2, DecoderConfig(), hooked=True).converged)
+            result = _assert_same_result(graph, s1, s2, DecoderConfig(), recorded=True)
+            outcomes.add(result.converged)
         # the joint plan was never needed (the reference reads the edge lists)
         assert "_plan" not in vars(graph)
         assert True in outcomes if p == 0.96 else False in outcomes
@@ -1269,11 +1297,12 @@ class TestKnownU1MatchesReference:
         iterations = []
         for seed in range(12):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            result = _assert_same_result(graph, s1, s2, DecoderConfig(), hooked=True)
+            result = _assert_same_result(graph, s1, s2, DecoderConfig(), recorded=True)
             iterations.append(result.iterations_used)
             # a zero s2 holds after iteration 1, whatever u1 is
-            zero = _assert_same_result(graph, s1, np.zeros_like(s2), DecoderConfig(), hooked=True)
-            assert zero.converged and zero.iterations_used == 1
+            s2 = np.zeros_like(s2)
+            result = _assert_same_result(graph, s1, s2, DecoderConfig(), recorded=True)
+            assert result.converged and result.iterations_used == 1
         assert {2, 3} <= set(iterations)
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3])
@@ -1284,14 +1313,14 @@ class TestKnownU1MatchesReference:
         2 atanh(f tanh(0)) to +/- c_id: +0.0, or -0.0 where f < 0 (p < 0.5);
         at p = 0.5 f is 0 and the priors are +/-0.0; at p = 1e-14 f is
         about -1, the hidden-bit LLR clamped. Each frame is also decoded
-        with s2 = 0 and with u2 = u1, and with the hook, whose iterations 1
+        with s2 = 0 and with u2 = u1, and with the record, whose iterations 1
         and 2 come from the closed form and the kernel's start state."""
         graph, h1, h2, model = self._corner(256, p)
         config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
         for seed in range(6):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             for s2 in (s2, np.zeros_like(s2), syndrome(h2, s1)):  # s1 is u1
-                _assert_same_result(graph, s1, s2, config, hooked=True)
+                _assert_same_result(graph, s1, s2, config, recorded=True)
 
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_full_budget_and_damping(self, damping):
@@ -1299,8 +1328,8 @@ class TestKnownU1MatchesReference:
         config = DecoderConfig(max_iterations=40, damping=damping, early_stop=False)
         for seed in range(3):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            _assert_same_result(graph, s1, s2, config, hooked=True)
-            _assert_same_result(graph, s1, s2, DecoderConfig(damping=damping), hooked=True)
+            _assert_same_result(graph, s1, s2, config, recorded=True)
+            _assert_same_result(graph, s1, s2, DecoderConfig(damping=damping), recorded=True)
 
     @pytest.mark.parametrize("p", [1 - 1e-14, 0.9999999, 1 - 1e-9, 1e-9])
     def test_saturated_correlation(self, p):
@@ -1308,9 +1337,9 @@ class TestKnownU1MatchesReference:
         graph, h1, h2, model = self._corner(256, p)
         for seed in range(4):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            _assert_same_result(graph, s1, s2, DecoderConfig(), hooked=True)
+            _assert_same_result(graph, s1, s2, DecoderConfig(), recorded=True)
             config = DecoderConfig(max_iterations=6, early_stop=False)
-            _assert_same_result(graph, s1, s2, config, hooked=True)
+            _assert_same_result(graph, s1, s2, config, recorded=True)
 
     @pytest.mark.parametrize(
         "h2",
@@ -1330,7 +1359,7 @@ class TestKnownU1MatchesReference:
                 s2[1] = bit
                 for config in (DecoderConfig(max_iterations=30),
                                DecoderConfig(max_iterations=30, early_stop=False)):
-                    _assert_same_result(graph, s1, s2, config, hooked=True)
+                    _assert_same_result(graph, s1, s2, config, recorded=True)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_graphs_that_do_not_reduce(self, symmetric):
@@ -1367,13 +1396,13 @@ class TestKnownU1MatchesReference:
             early_stop=data.draw(st.booleans(), label="early_stop"),
         )
         graph = build_joint_graph(h1, h2, CorrelationModel(p))
-        _assert_same_result(graph, syndrome(h1, u1), s2, config, hooked=True)
+        _assert_same_result(graph, syndrome(h1, u1), s2, config, recorded=True)
 
 
 class TestWorkspace:
     """The kernel keeps its buffers in the graph's plan between decodes:
     every decode checks them out and puts them back, and a decode that
-    finds none (a nested or concurrent one) builds its own."""
+    finds none (a concurrent one) builds its own."""
 
     @staticmethod
     def _graphs():
@@ -1391,54 +1420,32 @@ class TestWorkspace:
     def test_alternating_frames(self):
         corner, corner_frames, irregular, irregular_frames = self._graphs()
         order = [0, 1, 0, 2, 2, 1, 0]
-        for k in order:
-            # the known-u1 graph, then the joint one, with and without damping
+        for turn, k in enumerate(order):
+            # the known-u1 graph, then the joint one, with and without damping;
+            # the kernel's snapshots, which rerun each budget, on a frame's
+            # first turn alone
+            recorded = k not in order[:turn]
             result = _assert_same_result(corner, *corner_frames[k], DecoderConfig())
             assert result.iterations_used > 3
-            _assert_matches_reference(corner, *corner_frames[k], DecoderConfig(damping=0.3))
-            _assert_same_result(corner, *corner_frames[k], DecoderConfig(damping=0.3))
+            config = DecoderConfig(damping=0.3)
+            _assert_matches_reference(corner, *corner_frames[k], config, recorded=recorded)
+            _assert_same_result(corner, *corner_frames[k], config)
             for damping in (0.0, 0.3):
-                _assert_matches_reference(
-                    irregular, *irregular_frames[k], DecoderConfig(damping=damping)
-                )
+                config = DecoderConfig(damping=damping)
+                frame = irregular_frames[k]
+                _assert_matches_reference(irregular, *frame, config, recorded=recorded)
         for plan in (corner._known_u1, corner._plan, irregular._plan):
             assert len(plan.idle) == 1
 
-    def test_hook_decodes_the_same_graph(self):
-        corner, frames, _, _ = self._graphs()
-        configs = [DecoderConfig(damping=0.3), DecoderConfig()]  # joint, known u1
-        inner, snaps, ref_snaps = [], [], []
-
-        def hook(info):
-            if info.iteration == 2:
-                # the outer decode, on the known-u1 path, holds that plan's
-                # workspace from its test of iteration 2 on, which it has
-                # taken from the inner decode of iteration 1
-                assert not corner._known_u1.idle
-            snaps.append(info)
-            config = configs[info.iteration % 2]
-            s1, s2 = frames[1 + info.iteration % 2]
-            inner.append((s1, s2, config, decode(corner, s1, s2, config)))
-
-        config = DecoderConfig(max_iterations=12, early_stop=False)
-        result = hooked_decode(corner, *frames[0], config, hook)
-        expected = decode_reference(corner, *frames[0], config, hook=ref_snaps.append)
-        _assert_same_decode(result, expected)
-        _assert_same_snapshots(snaps, ref_snaps)
-        assert len(inner) == 12
-        for s1, s2, config, got in inner:
-            _assert_same_decode(got, decode_reference(corner, s1, s2, config))
-        assert len(corner._plan.idle) == len(corner._known_u1.idle) == 1
-
     def test_damped_hooked_frame_mixes_in_place(self):
-        """A hooked, damped frame runs on the buffers of a plain one: the
+        """A recorded, damped frame runs on the buffers of a plain one: the
         workspace holds no other message buffer, and after an odd number
         of iterations its ``c2v`` holds the last check messages, as a swap
         of two buffers would not."""
         corner, frames, _, _ = self._graphs()
         config = DecoderConfig(max_iterations=7, damping=0.3, early_stop=False)
         snaps, ref_snaps = [], []
-        hooked_decode(corner, *frames[0], config, snaps.append)
+        recorded_decode(corner, *frames[0], config, snaps.append)
         decode_reference(corner, *frames[0], config, hook=ref_snaps.append)
         assert len(snaps) == len(ref_snaps) == 7
         workspace, = corner._plan.idle
@@ -1480,31 +1487,46 @@ class TestWorkspace:
                     assert (workspace.excl[start:stop] == _TANH_LIMIT).all()
 
     @pytest.mark.parametrize(
-        "config, hooked",
-        [(DecoderConfig(), False), (DecoderConfig(damping=0.3), False), (DecoderConfig(), True)],
-        ids=["known-u1", "damped", "hooked"],
+        "configs, recorded",
+        [
+            ((DecoderConfig(),), False),
+            ((DecoderConfig(damping=0.3),), False),
+            ((DecoderConfig(), DecoderConfig(damping=0.3)), True),
+        ],
+        ids=["known-u1", "damped", "recorded"],
     )
-    def test_threads_share_one_graph(self, config, hooked):
+    def test_threads_share_one_graph(self, configs, recorded):
+        """Decodes on one graph at once, the recorded ones on both its plans
+        in turn: each equals the reference loop's, snapshots included, and
+        every plan keeps one workspace afterwards."""
         graph, h1, h2, model = TestKnownU1MatchesReference._corner(1024, 0.93)
-        frames = [_frame_syndromes(h1, h2, model, seed) for seed in range(6)] * 2
+        jobs = [(_frame_syndromes(h1, h2, model, seed), configs[seed % len(configs)])
+                for seed in range(6)]
 
-        def run(frame):
+        def run(job):
+            frame, config = job
             snaps = []
-            if hooked:
-                return hooked_decode(graph, *frame, config, snaps.append), snaps
+            if recorded:
+                return recorded_decode(graph, *frame, config, snaps.append), snaps
             return decode(graph, *frame, config), snaps
 
-        serial = [run(frame) for frame in frames]
+        serial = [run(job) for job in jobs]
+        for (frame, config), (want, want_snaps) in zip(jobs, serial):
+            ref_snaps = []
+            _assert_same_decode(want, decode_reference(graph, *frame, config, ref_snaps.append))
+            _assert_same_snapshots(want_snaps, ref_snaps if recorded else [])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, inside the loop
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                threaded = list(pool.map(run, frames, timeout=120))
+                threaded = list(pool.map(run, jobs * 2, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        for (got, got_snaps), (want, want_snaps) in zip(threaded, serial):
+        for (got, got_snaps), (want, want_snaps) in zip(threaded, serial * 2):
             _assert_same_decode(got, want)
             _assert_same_snapshots(got_snaps, want_snaps)
+        plans = {graph._known_u1 if config.damping == 0.0 else graph._plan for config in configs}
+        assert [len(plan.idle) for plan in plans] == [1] * len(configs)
 
 
 class TestSharedCode:
@@ -1555,6 +1577,9 @@ class TestSharedCode:
         assert list(vars(h2)) == ["n", "m", "entries", "_row_blocks", "_slots"]
 
     def test_threads_over_two_graphs(self):
+        """Decodes on two graphs over one h2 at once: each equals one on a
+        fresh graph and the reference loop's, and each graph's plan keeps
+        one workspace afterwards."""
         h2, models, graphs, frames = self._setup()
         jobs = [
             (model, graph, model_frames[k])
@@ -1573,24 +1598,9 @@ class TestSharedCode:
         assert len(threaded) == len(jobs)
         for got, want in zip(threaded, serial):
             _assert_same_decode(got, want)
-
-    def test_hook_decodes_another_graph_on_the_code(self):
-        h2, models, graphs, frames = self._setup()
-        inner = []
-
-        def hook(info):
-            # both graphs' known-u1 decodes, over the outer decode's h2
-            for model, graph, model_frames in zip(models, graphs, frames):
-                s1, s2 = model_frames[info.iteration % 3]
-                inner.append((model, s1, s2, decode(graph, s1, s2)))
-
-        config = DecoderConfig(max_iterations=8, early_stop=False)
-        s1, s2 = frames[0][0]
-        result = hooked_decode(graphs[0], s1, s2, config, hook)
-        _assert_same_decode(result, decode_reference(graphs[0], s1, s2, config))
-        assert len(inner) == 16
-        for model, s1, s2, got in inner:
-            _assert_same_decode(got, self._fresh(h2, model, s1, s2))
+        for (_, graph, frame), want in zip(jobs[:6], serial):  # each job once
+            _assert_same_decode(want, decode_reference(graph, *frame))
+        assert len(graphs[0]._known_u1.idle) == len(graphs[1]._known_u1.idle) == 1
 
 
 # what a graph builds only when it decodes on the joint graph
@@ -1653,7 +1663,7 @@ class TestCornerBuildsNoJointStructure:
         assert num_edges == ReferenceGraph(h1, h2, model, form).num_edges - z_edges
 
     @pytest.mark.parametrize(
-        "form, config, hooked, joint",
+        "form, config, recorded, joint",
         [
             (FOLDED_Z, DecoderConfig(), True, False),
             (FOLDED_Z, DecoderConfig(damping=0.3), False, True),
@@ -1661,10 +1671,10 @@ class TestCornerBuildsNoJointStructure:
             (FOLDED_Z, DecoderConfig(max_iterations=2, early_stop=False), False, False),
             (EXPLICIT_Z, DecoderConfig(), True, False),
         ],
-        ids=["hook", "damping", "max-iterations-1", "max-iterations-2", "explicit"],
+        ids=["record", "damping", "max-iterations-1", "max-iterations-2", "explicit"],
     )
-    def test_joint_decodes_match_the_reference(self, form, config, hooked, joint):
-        """Only damping runs the joint graph: a hook and the budgets 1 and 2
+    def test_joint_decodes_match_the_reference(self, form, config, recorded, joint):
+        """Only damping runs the joint graph: a record and the budgets 1 and 2
         stay on the known-u1 path. The reference loop runs on the graph of
         ``form``, and the kernel's messages come from a graph of their own."""
         h1, h2 = identity_matrix(256), gallager_construct(256, 3, 6, seed=7)
@@ -1672,7 +1682,7 @@ class TestCornerBuildsNoJointStructure:
         graph = build_joint_graph(h1, h2, model)
         for seed in range(3):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
-            _assert_matches_reference(graph, s1, s2, config, form, hooked)
+            _assert_matches_reference(graph, s1, s2, config, form, recorded)
         # the reference loop builds its own edge lists, and no plan
         assert ("_plan" in vars(graph)) == joint
         if not joint:
@@ -1687,7 +1697,7 @@ class TestCornerBuildsNoJointStructure:
                 assert not workspace.c2v.any()
 
     @pytest.mark.parametrize("form", [EXPLICIT_Z, FOLDED_Z])
-    @pytest.mark.parametrize("case", ["hooked", "damped", "symmetric"])
+    @pytest.mark.parametrize("case", ["recorded", "damped", "symmetric"])
     def test_joint_decode_builds_no_edge_checks(self, case, form):
         """A joint decode takes each edge's check sign from its code's row
         ids: it builds the edge list and the plan, but no list of each
@@ -1700,7 +1710,7 @@ class TestCornerBuildsNoJointStructure:
         graph = build_joint_graph(h1, h2, model)
         config = DecoderConfig(max_iterations=12, damping=0.3 if case == "damped" else 0.0)
         s1, s2 = _frame_syndromes(h1, h2, model, seed=4)
-        _assert_matches_reference(graph, s1, s2, config, form, hooked=case == "hooked")
+        _assert_matches_reference(graph, s1, s2, config, form, recorded=case == "recorded")
         assert _JOINT_STRUCTURE <= set(vars(graph)) and not hasattr(graph, "edge_check")
         assert (graph._plan.variables is None) == (case == "symmetric")
 
@@ -1795,7 +1805,7 @@ class TestAtanhArgumentClip:
         for seed in range(4):
             s1, s2 = _frame_syndromes(h1, h2, model, seed)
             iterations.add(_assert_same_result(graph, s1, s2, config).iterations_used)
-            # decode's private hook and trace, and the kernel on the joint
+            # decode's private record and trace, and the kernel on the joint
             # graph, snapshot by snapshot
             _assert_matches_reference(graph, s1, s2, config)
         assert max(iterations) > 3  # the reduced loop ran
@@ -1815,8 +1825,8 @@ class TestAtanhArgumentClip:
 
 
 class TestNonFiniteCheckMessages:
-    """The finiteness test runs where the loop exits and before each hook
-    call; a NaN check message still raises."""
+    """The finiteness test runs where the loop exits; a NaN check message
+    still raises."""
 
     N = 64
 
@@ -1859,11 +1869,17 @@ class TestNonFiniteCheckMessages:
                 run(g, s1, s2, config)
 
     def test_hook_sees_no_non_finite_message(self):
-        graph, _, s1, s2 = self._with_a_nan_hidden_bit()
-        snaps = []
-        with pytest.raises(FloatingPointError, match="non-finite check message"):
-            hooked_decode(graph, s1, s2, DecoderConfig(early_stop=False), snaps.append)
-        assert snaps == []
+        """A traced or recorded decode raises as a plain one does, so no
+        trace or snapshot holds the states it recorded."""
+        for traced in (True, False):
+            graph, _, s1, s2 = self._with_a_nan_hidden_bit()
+            snaps = []
+            with pytest.raises(FloatingPointError, match="non-finite check message"):
+                if traced:
+                    decode(graph, s1, s2, DecoderConfig(early_stop=False), trace=True)
+                else:
+                    recorded_decode(graph, s1, s2, DecoderConfig(early_stop=False), snaps.append)
+            assert snaps == []
 
     @pytest.mark.parametrize("early_stop", [True, False])
     def test_known_u1_graph(self, early_stop):
@@ -1972,9 +1988,12 @@ class TestStalledGraphs:
 
     @pytest.mark.parametrize("case", ["corner", "symmetric", "damped"])
     def test_traced_frame_runs_one_iteration(self, monkeypatch, case):
-        """A traced frame, and one with the private hook, stalls as a plain
-        one does: after one kernel iteration. Its trace and its snapshots
-        repeat that iteration's up to the cap, as the reference loop's do."""
+        """A traced frame, and one with the private record, stalls as a
+        plain one does: after one kernel iteration. Its trace and its
+        snapshots repeat that iteration's up to the cap, as the reference
+        loop's do, and so do the snapshots of the kernel on the joint graph
+        (``kernel_snapshots``), which it reads from reruns of budget 1 to
+        40, their check messages (all zero where the frame stalls) included."""
         if case == "corner":  # uncorrelated, as in test_uncorrelated_corner_point
             graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.5)
         else:
@@ -1997,9 +2016,12 @@ class TestStalledGraphs:
             assert len(traced.trace) == 40 and len(set(traced.trace[2:])) == 1
             calls.clear()
             snaps = []
-            _assert_same_decode(hooked_decode(graph, s1, s2, config, snaps.append), expected)
+            _assert_same_decode(recorded_decode(graph, s1, s2, config, snaps.append), expected)
             assert len(calls) == kernel_tests
             _assert_same_snapshots(snaps, ref_snaps)
+            messages = kernel_snapshots(graph, s1, s2, config)
+            _assert_same_snapshots(messages, ref_snaps, ("v2c", "c2v", "posteriors"))
+            assert any(snap.c2v.any() for snap in messages) == (case == "corner")
 
     def test_moving_messages_run_every_iteration(self, monkeypatch):
         graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.92)
@@ -2031,9 +2053,9 @@ class TestEmptyCodeRows:
         assert with_empty_row[1] == 0
         with_empty_row[1] = bit
         config = DecoderConfig(max_iterations=30)
-        # decode through its private hook, and the reference loop on the
+        # decode through its private record, and the reference loop on the
         # graph of ``form``
-        runs = [(hooked_decode, build_joint_graph(h1, h2, model)),
+        runs = [(recorded_decode, build_joint_graph(h1, h2, model)),
                 (decode_reference, ReferenceGraph(h1, h2, model, form))]
         for run, graph in runs:
             snaps = []
