@@ -161,9 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--p", type=float, required=True, help="Pr(u1 bit equals u2 bit)")
     de.add_argument("--max-iters", type=int, default=100, help="iteration budget")
     de.add_argument("--damping", type=float, default=0.0, help="message damping in [0, 1)")
-    de.add_argument(
-        "--trace", action="store_true", help="per-iteration diagnostics of that decode on stderr"
-    )
+    de.add_argument("--trace", action="store_true", help="per-iteration diagnostics of that "
+                    "decode on stderr; it holds 16 bytes per bit and iteration until a frame ends")
     de.add_argument("--out", help="also write the decoded blocks to this file")
     de.set_defaults(func=_cmd_decode)
 

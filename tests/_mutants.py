@@ -179,8 +179,8 @@ MUTANTS = (
     ),
     Mutant(
         "known-u1-trace-rebuilds-from-the-same-iteration", DECODER,
-        "record[k] = unsatisfied_checks, rebuild(priors, last, current)",
-        "record[k] = unsatisfied_checks, rebuild(priors, current, current)",
+        "entry = unsatisfied_checks, rebuild(priors, last, current)",
+        "entry = unsatisfied_checks, rebuild(priors, current, current)",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-3]",),
     ),
     Mutant(
@@ -205,8 +205,8 @@ MUTANTS = (
     ),
     Mutant(
         "known-u1-trace-rebuilds-from-the-priors", DECODER,
-        "            last = current\n",
-        "            pass\n",
+        "record[k], last = entry, current",
+        "record[k] = entry",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-3]",),
     ),
     Mutant(
@@ -214,6 +214,12 @@ MUTANTS = (
         "for k in range(1, len(record or ())):",
         "for k in range(2, len(record or ())):",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-2]",),
+    ),
+    Mutant(
+        "known-u1-trace-rebuilds-each-stalled-repeat", DECODER,
+        "if current is not last:",
+        "if True:",
+        ("tests/test_decoder.py::TestStalledGraphs::test_traced_frame_runs_one_iteration[corner]",),
     ),
     Mutant(
         "trace-mean-without-abs", DECODER,

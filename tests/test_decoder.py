@@ -1104,14 +1104,17 @@ def _assert_forms_agree(result, expected, snaps, ref_snaps, shared):
             assert np.abs(a - b).max() <= _FORM_TOL, got.iteration
 
 
-def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, recorded=True):
+def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, recorded=True, snaps=None):
     """decode and the reference loop on the graph of ``form`` agree: bit
     for bit on the folded graph, which decode runs, and as
     ``_assert_forms_agree`` says on the explicit one. When ``recorded``,
     so do the snapshots of decode's private record, and the trace of a
     traced decode, with those of the library kernel on the joint graph
     (``kernel_snapshots``), messages included, which decode may not run;
-    decode's private record shows the kernel's bit for bit."""
+    decode's private record shows the kernel's bit for bit. ``snaps``,
+    where given with ``recorded``, are ``kernel_snapshots`` of this frame
+    and config, computed once by the caller, which checks them here
+    instead of rerunning the kernel."""
     infos, ref_snaps = [], []
     if recorded:
         result = recorded_decode(graph, s1, s2, config, infos.append)
@@ -1121,7 +1124,8 @@ def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, recorded=Tru
     reference = ReferenceGraph(graph.h1, graph.h2, graph.model, form)
     expected = decode_reference(reference, s1, s2, config, ref_snaps.append if recorded else None)
     assert len(infos) == (result.iterations_used if recorded else 0)
-    snaps = kernel_snapshots(graph, s1, s2, config) if recorded else []
+    if snaps is None:
+        snaps = kernel_snapshots(graph, s1, s2, config) if recorded else []
     _assert_same_snapshots(infos, snaps)
     if recorded:
         _assert_same_trace(decode(graph, s1, s2, config, trace=True), result, snaps)
@@ -1419,21 +1423,26 @@ class TestWorkspace:
 
     def test_alternating_frames(self):
         corner, corner_frames, irregular, irregular_frames = self._graphs()
-        order = [0, 1, 0, 2, 2, 1, 0]
-        for turn, k in enumerate(order):
-            # the known-u1 graph, then the joint one, with and without damping;
-            # the kernel's snapshots, which rerun each budget, on a frame's
-            # first turn alone
-            recorded = k not in order[:turn]
+        # the kernel's snapshots of each frame, from reruns of every budget
+        # on the frame's first turn, which every turn checks again
+        kernel = {}
+
+        def matches_reference(graph, frame, config):
+            key = graph, frame, config
+            frames = corner_frames if graph is corner else irregular_frames
+            if key not in kernel:
+                kernel[key] = kernel_snapshots(graph, *frames[frame], config)
+            _assert_matches_reference(graph, *frames[frame], config, snaps=kernel[key])
+
+        for k in [0, 1, 0, 2, 2, 1, 0]:
+            # the known-u1 graph, then the joint one, with and without damping
             result = _assert_same_result(corner, *corner_frames[k], DecoderConfig())
             assert result.iterations_used > 3
-            config = DecoderConfig(damping=0.3)
-            _assert_matches_reference(corner, *corner_frames[k], config, recorded=recorded)
-            _assert_same_result(corner, *corner_frames[k], config)
+            matches_reference(corner, k, DecoderConfig(damping=0.3))
+            _assert_same_result(corner, *corner_frames[k], DecoderConfig(damping=0.3))
             for damping in (0.0, 0.3):
-                config = DecoderConfig(damping=damping)
-                frame = irregular_frames[k]
-                _assert_matches_reference(irregular, *frame, config, recorded=recorded)
+                matches_reference(irregular, k, DecoderConfig(damping=damping))
+        assert len(kernel) == 9
         for plan in (corner._known_u1, corner._plan, irregular._plan):
             assert len(plan.idle) == 1
 
@@ -1991,7 +2000,8 @@ class TestStalledGraphs:
         """A traced frame, and one with the private record, stalls as a
         plain one does: after one kernel iteration. Its trace and its
         snapshots repeat that iteration's up to the cap, as the reference
-        loop's do, and so do the snapshots of the kernel on the joint graph
+        loop's do, and its record holds those repeats in one array. So do
+        the snapshots of the kernel on the joint graph
         (``kernel_snapshots``), which it reads from reruns of budget 1 to
         40, their check messages (all zero where the frame stalls) included."""
         if case == "corner":  # uncorrelated, as in test_uncorrelated_corner_point
@@ -2019,6 +2029,8 @@ class TestStalledGraphs:
             _assert_same_decode(recorded_decode(graph, s1, s2, config, snaps.append), expected)
             assert len(calls) == kernel_tests
             _assert_same_snapshots(snaps, ref_snaps)
+            # the stall and its repeats hold one array, not one per iteration
+            assert len({id(snap.posteriors) for snap in snaps[2:]}) == 1
             messages = kernel_snapshots(graph, s1, s2, config)
             _assert_same_snapshots(messages, ref_snaps, ("v2c", "c2v", "posteriors"))
             assert any(snap.c2v.any() for snap in messages) == (case == "corner")
