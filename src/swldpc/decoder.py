@@ -64,7 +64,7 @@ The kernel (``_flood``) holds messages, priors and posteriors in half-LLR
 units, m/2 clamped at +/- LLR_MAX/2, so tanh(m/2) and 2 atanh need no
 scaling pass. It is the only code that converts units: it halves the
 LLR priors it is given and doubles the posteriors that leave the loop,
-at its exit and into its record; scaling by 2 is exact in binary floating
+at its exit and for its record; scaling by 2 is exact in binary floating
 point short of the subnormal range, so every output equals the
 full-unit rule bit for bit. It keeps one buffer per message, on every
 frame: the variable messages, which become their tanh in place, the
@@ -81,8 +81,8 @@ need no clamp of their own. Check messages are tested for finiteness
 when the loop exits, not in every iteration: a NaN check message makes
 its variable's posterior NaN, so some check message stays NaN in every
 later iteration and the test still raises. That one test suffices for a
-traced decode too, whose record holds the states of earlier iterations:
-``decode`` builds the trace only from a call that returns.
+traced decode too, whose record holds entries of earlier iterations:
+``decode`` returns a trace only from a call that returns.
 Each iteration ends with the gather of its posteriors to the slots, which
 the next iteration's variable update starts from and the convergence test
 reads.
@@ -174,17 +174,20 @@ returns:
   or not at all). A trial loop that reads only the hard decisions, as
   ``run_trials`` and ``swldpc decode`` do, never builds it.
 * A traced decode records the joint graph's iterations: iteration 1 in
-  closed form (its unsatisfied checks are the ones of s2), iteration 2
-  from the kernel's test of its start state, and each later one from the
-  kernel, the u1 posteriors rebuilt as above with L_prev the u2
-  posteriors of the iteration before. So ``--trace`` watches the decode
-  it reports on.
+  closed form (its unsatisfied checks are the ones of s2, and L_prev is
+  the priors), iteration 2 from the kernel's test of its start state,
+  and each later one from the kernel. Each entry is reduced to its mean
+  |posterior| where it is recorded, from the 2n posteriors that the rule
+  of ``posterior_llrs`` above builds, with L_prev the u2 posteriors of
+  the iteration before (``_trace_entry``). So ``--trace`` watches the
+  decode it reports on, and holds O(n) memory whatever the budget.
 
 The joint graph runs instead when damping is positive (the correlation
 message then ramps up instead of being constant), and for graphs the
-reduction rejects: an H2 with a degree-1 row, an H2 without entries (the
-kernel needs an edge) and any other h1, the identity's rows in another
-order included.
+reduction rejects: an H2 with a degree-1 row and any other h1, the
+identity's rows in another order included. An H2 without entries is
+decoded on the plan: its kernel has no slots, and a frame stalls in its
+first iteration.
 """
 
 from __future__ import annotations
@@ -322,7 +325,7 @@ class JointTannerGraph:
         ids = np.arange(self.n)
         if not all(np.array_equal(a, ids) for a in self.h1.entries):
             return None
-        if len(self.h2.entries[1]) == 0 or any(len(block) == 1 for block, _ in self.h2._row_blocks):
+        if any(len(block) == 1 for block, _ in self.h2._row_blocks):
             return None
         return _KernelPlan(self.h2._row_blocks, None, self.n, *self.h2._slots)
 
@@ -490,9 +493,9 @@ def decode(
         config: decoder settings; defaults to DecoderConfig().
         trace: a bool; when true, the result's ``trace`` records every
             iteration. It does not change the path the decode takes, nor
-            its result. The decode holds each iteration's 2n posteriors
-            until it returns: 16 n bytes per iteration, so about 25 MiB for
-            100 iterations at n = 16384.
+            its result. Each iteration is reduced to its pair where it
+            runs, so a traced decode holds O(n) memory, as a plain one
+            does, and its trace 2 numbers per iteration.
 
     Returns:
         DecodeResult. ``converged`` is True iff the returned hard
@@ -504,19 +507,17 @@ def decode(
     _check_type("config", config, DecoderConfig)
     trace = _boolean("trace", trace)
     s1, s2 = as_bit_array(s1, graph.m1), as_bit_array(s2, graph.m2)
-    if not trace:
-        return _decode(graph, s1, s2, config)
-    record = []
+    record = [] if trace else None
     result = _decode(graph, s1, s2, config, record)
-    return replace(result, trace=tuple((count, float(np.abs(p).mean())) for count, p in record))
+    return result if record is None else replace(result, trace=tuple(record))
 
 
 def _decode(graph, s1, s2, config, record=None) -> DecodeResult:
     """``decode`` on arguments already checked: syndromes as uint8 arrays
     of the graph's lengths, which it does not keep. ``record``, a list or
-    None, takes one ``(unsatisfied checks, posteriors)`` entry for every
-    iteration, as ``_flood`` appends them, with the joint graph's 2n
-    posteriors, LLRs by id, on both paths."""
+    None, takes one ``(unsatisfied checks, mean |posterior|)`` entry for
+    every iteration, the trace of ``decode``, as ``_trace_entry`` makes
+    them from the joint graph's 2n posteriors on both paths."""
     if config.damping == 0.0 and graph._known_u1 is not None:
         return _decode_known_u1(graph, s1, s2, config, record)
     posteriors, _, converged, iterations_used = _flood(
@@ -529,39 +530,26 @@ def _decode(graph, s1, s2, config, record=None) -> DecodeResult:
 
 def _decode_known_u1(graph, s1, s2, config, record) -> DecodeResult:
     """``decode`` on a graph whose u1 block is s1, on the graph's
-    ``_known_u1`` plan and priors (see the module notes). ``record`` takes
+    ``_known_u1`` plan and priors (see the module notes). One rule,
+    ``build``, gives the joint graph's 2n posteriors from the last two u2
+    states, for the result and for every iteration that ``record`` takes:
     iteration 1 in closed form, iteration 2 from the test of the kernel's
-    start state and every later one from the kernel, each with its u1
-    posteriors rebuilt as the result's are."""
+    start state and every later one from the kernel."""
     u1_hat = s1.copy()
-    rebuild = partial(_known_u1_posteriors, graph._corr_factor, u1_hat)
-    # iteration 1, whose u2 posteriors are 0.0, as are the u2 messages that
-    # the u1 rebuild reads
+    priors = graph._known_u1_priors.take(s1)  # the u2 posteriors of iteration 2
+    build = partial(_known_u1_posteriors, graph._corr_factor, u1_hat, priors)
     converged, iterations_used = not s2.any(), 1  # iteration 1's test, where u2 is 0
-    if record is not None:
-        zeros = np.zeros(len(s1))
-        record.append((int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros)))
+    if record is not None:  # iteration 1, whose u2 posteriors and messages are 0.0
+        record.append(_trace_entry(int(np.count_nonzero(s2)), build, priors, np.zeros(len(s1))))
     if config.max_iterations == 1 or config.early_stop and converged:
-        priors = previous = posteriors = np.zeros(len(s1))
+        previous, posteriors = priors, np.zeros(len(s1))
     else:
-        last = priors = graph._known_u1_priors.take(s1)  # the u2 posteriors of iteration 2
         posteriors, previous, converged, iterations_used = _flood(
-            graph._known_u1, s2, priors, config, 3, record
+            graph._known_u1, s2, priors, config, 3, record, build
         )
-        # The kernel's entries hold u2's posteriors alone: rebuild u1's in
-        # place, so that each u2 array is dropped once it has been read. The
-        # repeats of a stalled frame, which share one kernel entry, share
-        # the entry rebuilt before them: a stall's posteriors are its start
-        # state's bit for bit (the priors plus 0.0), so the u1 rebuild from
-        # the stall and itself equals the one from its start state.
-        for k in range(1, len(record or ())):
-            unsatisfied_checks, current = record[k]
-            if current is not last:
-                entry = unsatisfied_checks, rebuild(priors, last, current)
-            record[k], last = entry, current
     u2_hat = np.less(posteriors, 0).view(np.uint8)
     return DecodeResult(u1_hat, u2_hat, converged, iterations_used,
-                        partial(rebuild, priors, previous, posteriors))
+                        partial(build, previous, posteriors))
 
 
 def _known_u1_posteriors(corr_factor, u1, priors, previous, posteriors) -> np.ndarray:
@@ -569,7 +557,8 @@ def _known_u1_posteriors(corr_factor, u1, priors, previous, posteriors) -> np.nd
     the u2 posteriors ``posteriors`` after u1's, each c_id (1 - 2 u1) plus
     the last iteration's correlation message to u1, built from the u2
     messages of the iteration before (``previous`` minus ``priors``). The
-    arguments are left as they are."""
+    arguments are left as they are. Where ``previous`` equals ``priors``
+    those messages are 0.0, as in iterations 1 and 2."""
     v = np.subtract(previous, priors)
     v.clip(-LLR_MAX, LLR_MAX, out=v)
     np.add(_IDENTITY_BY_BIT.take(u1), _check_message(corr_factor, v), out=v)
@@ -742,7 +731,7 @@ def _sum_messages(workspace, c2v, turn) -> np.ndarray:
     return workspace.posteriors[turn]
 
 
-def _flood(plan, bits, priors, config, first=1, record=None):
+def _flood(plan, bits, priors, config, first=1, record=None, joint=None):
     """The flooding loop over one graph's edges, the decode kernel, and the
     only code that knows its formats: half-LLR units, the kernel's
     variable order and its slot order.
@@ -756,13 +745,17 @@ def _flood(plan, bits, priors, config, first=1, record=None):
     posteriors of iteration ``first - 1``: they are tested on the gather
     that iteration ``first`` starts from, and the loop does not run where
     that test ends the decode or the budget ends before ``first``.
-    ``record``, a list or None, takes one ``(unsatisfied checks,
-    posteriors)`` entry for each iteration the call tests, in order: its
-    count of unsatisfied code checks and its posteriors, LLRs by id in a
-    new array. A recorded frame takes the path of a plain one. A stalled
-    loop exits after one iteration, recorded or not, and appends that
-    iteration's entry once for each iteration up to the cap, as the full
-    loop would have.
+    ``record``, a list or None, takes one ``(unsatisfied checks, mean
+    |posterior|)`` entry for each iteration the call tests, in order,
+    made by ``_trace_entry`` as the iteration is tested, so the record
+    holds no array: the mean is over the joint graph's posteriors, which
+    ``joint``, a function or None, builds from the posteriors of the
+    iteration before and of this one, LLRs by id (the start state is its
+    own iteration before); where ``joint`` is None they are the
+    iteration's own. A recorded frame takes the path of a plain one. A
+    stalled loop exits after one iteration, recorded or not, and appends
+    that iteration's entry once for each iteration up to the cap, as the
+    full loop would have.
 
     Messages, priors and posteriors are held in half-LLR units, the atanh
     argument is not clipped, and check messages are tested for finiteness
@@ -809,7 +802,8 @@ def _flood(plan, bits, priors, config, first=1, record=None):
         unsatisfied_checks = unsatisfied() if first > 1 else None
         converged = unsatisfied_checks == 0
         if record is not None and first > 1:
-            record.append((unsatisfied_checks, plan.by_id(posteriors * 2.0)))
+            start = plan.by_id(posteriors * 2.0)
+            record.append(_trace_entry(unsatisfied_checks, joint, start, start))
         stop = iterations_used if converged and config.early_stop else max_iterations
         for iteration in range(first, stop + 1):
             # Variable update: each slot sends its variable's posterior,
@@ -849,7 +843,8 @@ def _flood(plan, bits, priors, config, first=1, record=None):
                 previous, iterations_used = posteriors, max_iterations
 
             if record is not None:  # an entry for each iteration it stands for
-                entry = unsatisfied_checks, plan.by_id(posteriors * 2.0)
+                last = None if joint is None else plan.by_id(previous * 2.0)
+                entry = _trace_entry(unsatisfied_checks, joint, last, plan.by_id(posteriors * 2.0))
                 record += [entry] * (iterations_used + 1 - iteration)
             if done or iterations_used == max_iterations:
                 break
@@ -860,6 +855,17 @@ def _flood(plan, bits, priors, config, first=1, record=None):
         return plan.by_id(posteriors * 2.0), plan.by_id(previous * 2.0), converged, iterations_used
     finally:
         plan.idle.append(workspace)
+
+
+def _trace_entry(unsatisfied_checks, joint, previous, posteriors) -> tuple[int, float]:
+    """One entry of a decode's trace: an iteration's unsatisfied code
+    checks and the mean |posterior| of the joint graph's 2n posteriors.
+    ``joint`` builds those from ``previous`` and ``posteriors``, the
+    posteriors of the iteration before and of this one, LLRs by id; where
+    it is None they are ``posteriors`` itself. The entry keeps no array."""
+    if joint is not None:
+        posteriors = joint(previous, posteriors)
+    return unsatisfied_checks, float(np.abs(posteriors).mean())
 
 
 def _leave_one_out(t_rows, out_rows):

@@ -63,7 +63,7 @@ MUTANTS = (
     ),
     Mutant(
         "known-u1-trace-skips-iteration-1", DECODER,
-        "record.append((int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros)))",
+        "record.append(_trace_entry(int(np.count_nonzero(s2)), build, priors, np.zeros(len(s1))))",
         "pass",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-0]",),
     ),
@@ -179,53 +179,54 @@ MUTANTS = (
     ),
     Mutant(
         "known-u1-trace-rebuilds-from-the-same-iteration", DECODER,
-        "entry = unsatisfied_checks, rebuild(priors, last, current)",
-        "entry = unsatisfied_checks, rebuild(priors, current, current)",
+        "v = np.subtract(previous, priors)",
+        "v = np.subtract(posteriors, priors)",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-3]",),
     ),
     Mutant(
         "closed-form-trace-counts-s1", DECODER,
-        "record.append((int(np.count_nonzero(s2)), rebuild(zeros, zeros, zeros)))",
-        "record.append((int(np.count_nonzero(s1)), rebuild(zeros, zeros, zeros)))",
+        "record.append(_trace_entry(int(np.count_nonzero(s2)),",
+        "record.append(_trace_entry(int(np.count_nonzero(s1)),",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
          "[n16384-max-iters-1]",),
     ),
     Mutant(
         "start-state-trace-in-half-llrs", DECODER,
-        "record.append((unsatisfied_checks, plan.by_id(posteriors * 2.0)))",
-        "record.append((unsatisfied_checks, plan.by_id(posteriors)))",
+        "start = plan.by_id(posteriors * 2.0)",
+        "start = plan.by_id(posteriors)",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace"
          "[n16384-max-iters-2]",),
     ),
     Mutant(
         "loop-trace-in-half-llrs", DECODER,
-        "entry = unsatisfied_checks, plan.by_id(posteriors * 2.0)",
-        "entry = unsatisfied_checks, plan.by_id(posteriors)",
+        "last, plan.by_id(posteriors * 2.0))",
+        "last, plan.by_id(posteriors))",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-0]",),
     ),
     Mutant(
         "known-u1-trace-rebuilds-from-the-priors", DECODER,
-        "record[k], last = entry, current",
-        "record[k] = entry",
+        "last = None if joint is None else plan.by_id(previous * 2.0)",
+        "last = None if joint is None else plan.by_id(workspace.base * 2.0)",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-3]",),
     ),
     Mutant(
+        "loop-trace-built-from-one-state", DECODER,
+        "last = None if joint is None else plan.by_id(previous * 2.0)",
+        "last = None if joint is None else plan.by_id(posteriors * 2.0)",
+        ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-3]",),
+    ),
+    Mutant(
         "known-u1-trace-leaves-iteration-2-unbuilt", DECODER,
-        "for k in range(1, len(record or ())):",
-        "for k in range(2, len(record or ())):",
+        "record.append(_trace_entry(unsatisfied_checks, joint, start, start))",
+        "record.append(_trace_entry(unsatisfied_checks, None, start, start))",
         ("tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[max-iters-2]",),
     ),
     Mutant(
-        "known-u1-trace-rebuilds-each-stalled-repeat", DECODER,
-        "if current is not last:",
-        "if True:",
-        ("tests/test_decoder.py::TestStalledGraphs::test_traced_frame_runs_one_iteration[corner]",),
-    ),
-    Mutant(
         "trace-mean-without-abs", DECODER,
-        "float(np.abs(p).mean())",
-        "float(p.mean())",
-        ("tests/test_decoder.py::TestIterationHook::test_snapshots_cover_every_iteration",),
+        "float(np.abs(posteriors).mean())",
+        "float(posteriors.mean())",
+        ("tests/test_decoder.py::TestIterationHook::test_snapshots_cover_every_iteration",
+         "tests/test_cli.py::TestTraceParity::test_same_output_with_and_without_trace[exit-0]"),
     ),
     Mutant(
         "decode-takes-any-trace", DECODER,
@@ -366,8 +367,8 @@ MUTANTS = (
     ),
     Mutant(
         "known-u1-keeps-a-degree-1-row", DECODER,
-        " or any(len(block) == 1 for block, _ in self.h2._row_blocks)",
-        "",
+        "if any(len(block) == 1 for block, _ in self.h2._row_blocks):",
+        "if False:",
         ("tests/test_decoder.py::TestKnownU1::test_does_not_apply[h2-degree-1]",),
     ),
     Mutant(
@@ -419,6 +420,14 @@ EQUIVALENT = (
         "np.multiply(m, factor, out=m)",
         "np.multiply(factor, m, out=m)",
         "IEEE 754 multiplication is commutative: both orders round the one exact product",
+    ),
+    Equivalent(
+        "known-u1-trace-rebuilds-each-stalled-repeat", DECODER,
+        "record += [entry] * (iterations_used + 1 - iteration)",
+        "record += [_trace_entry(unsatisfied_checks, joint, last, plan.by_id(posteriors * 2.0))\n"
+        "                           for _ in range(iterations_used + 1 - iteration)]",
+        "an entry is an int and a float, made by the same calls on the same arrays for every "
+        "repeat, so each repeat's equals the shared one and the record holds no array to share",
     ),
     Equivalent(
         "known-u1-priors-spelled-out", DECODER,

@@ -29,6 +29,8 @@ from swldpc import cli
 from swldpc.cli import main
 from swldpc.ldpc import SparseParityMatrix
 
+from _decoder_reference import decode_reference
+
 BOUNDS_LINE = (
     "admissible=true r1_slack=0.5310044064107189 "
     "r2_slack=0.031004406410718888 sum_slack=0.031004406410718888\n"
@@ -503,11 +505,29 @@ def _trace_parity_files(n, p):
     return files
 
 
+def _reference_trace(n, p, max_iterations):
+    """The ``--trace`` lines of a ``TestTraceParity`` row as the reference
+    loop's snapshots give them, each mean |posterior| summed there on the
+    joint graph, independently of the library."""
+    code_seed, frame_seeds = TRACE_PARITY_INPUTS[n]
+    h1, h2 = identity_matrix(n), gallager_construct(n, 3, 6, seed=code_seed)
+    model, config = CorrelationModel(p), DecoderConfig(max_iterations=max_iterations)
+    lines = []
+    for frame, seed in enumerate(frame_seeds):
+        pair, snaps = sample_pair(model, n, seed=seed), []
+        graph = build_joint_graph(h1, h2, model)
+        decode_reference(graph, syndrome(h1, pair.u1), syndrome(h2, pair.u2), config, snaps.append)
+        lines += [f"frame={frame} iter={snap.iteration} unsatisfied={snap.unsatisfied_checks} "
+                  f"mean_abs_llr={snap.mean_abs_posterior:.6f}" for snap in snaps]
+    return lines
+
+
 class TestTraceParity:
     """A plain decode and ``--trace`` run H2 alone with u1 read off s1;
     where h1 is the identity's rows in another order (s1 permuted to match)
     the joint graph runs. All must print the same blocks and stop lines,
-    and both traces the same iteration lines. The plain decode on the
+    and both traces the same iteration lines, which at n = 256 are those
+    of the reference loop (``_reference_trace``). The plain decode on the
     identity reads H2 reformatted (``_reformatted``), so its output, equal
     to the joint graph's, is also that of the code as written."""
 
@@ -558,6 +578,8 @@ class TestTraceParity:
         stops = [line for line in traced_err.splitlines() if not line.startswith("frame=")]
         assert stops == err.splitlines()
         assert trace[0].startswith("frame=0 iter=1 ")
+        if n == 256:
+            assert trace == _reference_trace(n, float(p), int(max_iters))
         if want == 3:
             # some frames converge (or none), the others stop at the budget
             assert 0 < len(stops) <= num_frames

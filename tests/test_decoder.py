@@ -8,7 +8,9 @@ import inspect
 import pickle
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -586,10 +588,8 @@ class TestKnownU1:
                 SparseParityMatrix.from_rows(4, ((0, 1, 2),)),
             ),
             (identity_matrix(4), SparseParityMatrix.from_rows(4, ((0, 1, 2), (3,)))),
-            (identity_matrix(4), SparseParityMatrix.from_rows(4, ((), ()))),
         ],
-        ids=["h1-missing-row", "symmetric", "u1-degree-2", "h1-empty-row", "h2-degree-1",
-             "h2-no-entries"],
+        ids=["h1-missing-row", "symmetric", "u1-degree-2", "h1-empty-row", "h2-degree-1"],
     )
     def test_does_not_apply(self, h1, h2):
         g = build_joint_graph(h1, h2, MODEL)
@@ -600,6 +600,27 @@ class TestKnownU1:
         h2 = SparseParityMatrix.from_rows(4, ((0, 1, 2), (), (1, 3)))
         plan = build_joint_graph(identity_matrix(4), h2, MODEL)._known_u1
         assert plan is not None and len(plan.edge_var) == 5
+
+    @pytest.mark.parametrize("n, m2", [(4, 2), (1, 0), (5, 3), (64, 1)],
+                             ids=["two-empty-rows", "n1-no-rows", "three-empty-rows",
+                                  "n64-one-empty-row"])
+    @pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
+    def test_applies_to_an_h2_without_entries(self, n, m2, p):
+        """An H2 without entries, rows or none, is decoded on its plan,
+        which has no slots, so every frame stalls in the kernel's first
+        iteration: decode returns what the reference loop on the joint
+        graph returns, bit for bit, traced and through the record too."""
+        h2 = SparseParityMatrix.from_rows(n, ((),) * m2)
+        graph = build_joint_graph(identity_matrix(n), h2, CorrelationModel(p))
+        assert graph._known_u1 is not None and len(graph._known_u1.edge_var) == 0
+        rng = np.random.default_rng(m2)
+        for max_iterations in (1, 2, 3, 10):
+            for early_stop in (True, False):
+                for _ in range(3):
+                    s1 = rng.integers(0, 2, n, dtype=np.uint8)
+                    s2 = rng.integers(0, 2, m2, dtype=np.uint8)
+                    config = DecoderConfig(max_iterations=max_iterations, early_stop=early_stop)
+                    _assert_same_result(graph, s1, s2, config, recorded=True)
 
 
 class TestConfig:
@@ -782,7 +803,7 @@ class TestIterationHook:
         graph, _, _, _, s1, s2 = _corner_instance(64, 0.96, seed=4)
         snapshots = []
         config = DecoderConfig(max_iterations=25)
-        result = recorded_decode(graph, s1, s2, config, snapshots.append)
+        result = recorded_decode(graph, s1, s2, config, snapshots.append, posteriors=True)
         assert [info.iteration for info in snapshots] == list(
             range(1, result.iterations_used + 1)
         )
@@ -790,6 +811,9 @@ class TestIterationHook:
         assert snapshots[-1].posteriors.shape == (2 * graph.n,)
         assert np.array_equal(snapshots[-1].posteriors, result.posterior_llrs)
         assert all(np.isfinite(info.mean_abs_posterior) for info in snapshots)
+        # the record's means are those of the posteriors of each budget
+        assert all(info.mean_abs_posterior == float(np.abs(info.posteriors).mean())
+                   for info in snapshots)
         traced = decode(graph, s1, s2, config, trace=True)
         assert traced.trace == tuple(
             (info.unsatisfied_checks, info.mean_abs_posterior) for info in snapshots
@@ -797,6 +821,26 @@ class TestIterationHook:
         assert result.trace is None and decode(graph, s1, s2, config).trace is None
         # the record and the trace keep the decode on the known-u1 path
         assert not _JOINT_STRUCTURE & set(vars(graph))
+
+    @pytest.mark.parametrize("damping", [0.0, 0.2])
+    def test_traced_memory_does_not_grow_with_the_budget(self, damping):
+        """A traced decode reduces each iteration where it runs, so what it
+        holds does not grow with its budget: the tracemalloc peak of a
+        frame that runs to a cap of 400 stays under twice that of a cap of
+        50, on the known-u1 path and on the damped joint graph, whose plan
+        and workspace are built before tracing starts."""
+        graph, _, _, _, s1, s2 = _corner_instance(1024, 0.90, seed=0)
+        decode(graph, s1, s2, DecoderConfig(max_iterations=2, damping=damping))
+        peaks = []
+        for cap in (50, 400):
+            tracemalloc.start()
+            try:
+                result = decode(graph, s1, s2, DecoderConfig(cap, damping), trace=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert not result.converged and len(result.trace) == cap
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_kernel_snapshots_of_a_frame_that_early_stop_ends(self):
         """``kernel_snapshots`` reads each iteration's check messages from a
@@ -927,7 +971,7 @@ class TestEdgeCases:
         s1, s2 = syndrome(h1, u1), syndrome(h2, u2)
         snaps = []
         config = DecoderConfig(max_iterations=100, early_stop=False)
-        result = recorded_decode(graph, s1, s2, config, snaps.append)
+        result = recorded_decode(graph, s1, s2, config, snaps.append, posteriors=True)
         assert result.iterations_used == len(snaps) == 100
         assert np.all(np.isfinite(result.posterior_llrs))
         assert all(np.all(np.isfinite(info.posteriors)) for info in snaps)
@@ -1111,13 +1155,17 @@ def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, recorded=Tru
     so do the snapshots of decode's private record, and the trace of a
     traced decode, with those of the library kernel on the joint graph
     (``kernel_snapshots``), messages included, which decode may not run;
-    decode's private record shows the kernel's bit for bit. ``snaps``,
-    where given with ``recorded``, are ``kernel_snapshots`` of this frame
-    and config, computed once by the caller, which checks them here
-    instead of rerunning the kernel."""
+    decode's private record shows the kernel's bit for bit. Where decode
+    takes the known-u1 path, the snapshots' posteriors are compared too;
+    on the joint graph they would come from the kernel that
+    ``kernel_snapshots`` reruns. ``snaps``, where given with
+    ``recorded``, are ``kernel_snapshots`` of this frame and config,
+    computed once by the caller, which checks them here instead of
+    rerunning the kernel."""
     infos, ref_snaps = [], []
+    known_u1 = config.damping == 0.0 and graph._known_u1 is not None
     if recorded:
-        result = recorded_decode(graph, s1, s2, config, infos.append)
+        result = recorded_decode(graph, s1, s2, config, infos.append, posteriors=known_u1)
     else:
         result = decode(graph, s1, s2, config)
     assert not np.shares_memory(result.u1_hat, s1)
@@ -1126,7 +1174,7 @@ def _assert_matches_reference(graph, s1, s2, config, form=FOLDED_Z, recorded=Tru
     assert len(infos) == (result.iterations_used if recorded else 0)
     if snaps is None:
         snaps = kernel_snapshots(graph, s1, s2, config) if recorded else []
-    _assert_same_snapshots(infos, snaps)
+    _assert_same_snapshots(infos, snaps, ("posteriors",) if known_u1 else ())
     if recorded:
         _assert_same_trace(decode(graph, s1, s2, config, trace=True), result, snaps)
     if form == EXPLICIT_Z:
@@ -1261,7 +1309,8 @@ def _assert_same_result(graph, s1, s2, config, recorded=False):
     _assert_same_decode(result, expected)
     if recorded:
         snaps = []
-        _assert_same_decode(recorded_decode(graph, s1, s2, config, snaps.append), expected)
+        with_record = recorded_decode(graph, s1, s2, config, snaps.append, posteriors=True)
+        _assert_same_decode(with_record, expected)
         _assert_same_snapshots(snaps, ref_snaps)
         _assert_same_trace(decode(graph, s1, s2, config, trace=True), expected, ref_snaps)
     return result
@@ -1506,20 +1555,21 @@ class TestWorkspace:
     )
     def test_threads_share_one_graph(self, configs, recorded):
         """Decodes on one graph at once, the recorded ones on both its plans
-        in turn: each equals the reference loop's, snapshots included, and
-        every plan keeps one workspace afterwards."""
+        in turn: each equals the reference loop's, snapshots included (the
+        posteriors of each iteration from reruns of the serial decodes),
+        and every plan keeps one workspace afterwards."""
         graph, h1, h2, model = TestKnownU1MatchesReference._corner(1024, 0.93)
         jobs = [(_frame_syndromes(h1, h2, model, seed), configs[seed % len(configs)])
                 for seed in range(6)]
 
-        def run(job):
+        def run(job, posteriors=False):
             frame, config = job
             snaps = []
             if recorded:
-                return recorded_decode(graph, *frame, config, snaps.append), snaps
+                return recorded_decode(graph, *frame, config, snaps.append, posteriors), snaps
             return decode(graph, *frame, config), snaps
 
-        serial = [run(job) for job in jobs]
+        serial = [run(job, posteriors=True) for job in jobs]
         for (frame, config), (want, want_snaps) in zip(jobs, serial):
             ref_snaps = []
             _assert_same_decode(want, decode_reference(graph, *frame, config, ref_snaps.append))
@@ -1533,7 +1583,7 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         for (got, got_snaps), (want, want_snaps) in zip(threaded, serial * 2):
             _assert_same_decode(got, want)
-            _assert_same_snapshots(got_snaps, want_snaps)
+            _assert_same_snapshots(got_snaps, want_snaps, ())
         plans = {graph._known_u1 if config.damping == 0.0 else graph._plan for config in configs}
         assert [len(plan.idle) for plan in plans] == [1] * len(configs)
 
@@ -2000,10 +2050,10 @@ class TestStalledGraphs:
         """A traced frame, and one with the private record, stalls as a
         plain one does: after one kernel iteration. Its trace and its
         snapshots repeat that iteration's up to the cap, as the reference
-        loop's do, and its record holds those repeats in one array. So do
-        the snapshots of the kernel on the joint graph
-        (``kernel_snapshots``), which it reads from reruns of budget 1 to
-        40, their check messages (all zero where the frame stalls) included."""
+        loop's do, posteriors included, which ``recorded_decode`` reads
+        from reruns of budget 1 to 40. So do the snapshots of the kernel
+        on the joint graph (``kernel_snapshots``), their check messages
+        (all zero where the frame stalls) included."""
         if case == "corner":  # uncorrelated, as in test_uncorrelated_corner_point
             graph, h1, h2, model = TestKnownU1MatchesReference._corner(128, 0.5)
         else:
@@ -2028,9 +2078,10 @@ class TestStalledGraphs:
             snaps = []
             _assert_same_decode(recorded_decode(graph, s1, s2, config, snaps.append), expected)
             assert len(calls) == kernel_tests
+            _assert_same_snapshots(snaps, ref_snaps, ())
+            snaps = []
+            recorded_decode(graph, s1, s2, config, snaps.append, posteriors=True)
             _assert_same_snapshots(snaps, ref_snaps)
-            # the stall and its repeats hold one array, not one per iteration
-            assert len({id(snap.posteriors) for snap in snaps[2:]}) == 1
             messages = kernel_snapshots(graph, s1, s2, config)
             _assert_same_snapshots(messages, ref_snaps, ("v2c", "c2v", "posteriors"))
             assert any(snap.c2v.any() for snap in messages) == (case == "corner")
@@ -2067,7 +2118,7 @@ class TestEmptyCodeRows:
         config = DecoderConfig(max_iterations=30)
         # decode through its private record, and the reference loop on the
         # graph of ``form``
-        runs = [(recorded_decode, build_joint_graph(h1, h2, model)),
+        runs = [(partial(recorded_decode, posteriors=True), build_joint_graph(h1, h2, model)),
                 (decode_reference, ReferenceGraph(h1, h2, model, form))]
         for run, graph in runs:
             snaps = []
